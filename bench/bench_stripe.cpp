@@ -1,15 +1,17 @@
 // Striped DFS: aggregate sequential-read bandwidth vs stripe width.
 //
 // One metadata server resolves the path and hands out the stripe map; W
-// data servers (each over its own SFS) serve the pages. The client fans
-// one kPageInRange per 16KB stripe extent out over per-server channels
-// and drains with WaitAny. Every client->data-server link carries the
-// same budget — 100us one-way latency plus a 150us pacing gap per frame
-// (a Lustre-style per-OST wire) — so a width-1 layout serializes every
-// extent behind one pacer while width-4 runs four pacers in parallel and
-// the extents' round trips overlap across servers. Aggregate bandwidth
-// should scale with width; total net calls should not (same extents, just
-// spread out), showing the metadata server is off the data path.
+// data servers (each over its own SFS) serve the bytes. The client's plain
+// read fans one kRead per 16KB stripe extent out over per-server channels
+// and drains with WaitAny; it registers no cache (no kBindCache — only VMM
+// faults use kPageInRange under one). Every client->data-server link
+// carries the same budget — 100us one-way latency plus a 150us pacing gap
+// per frame (a Lustre-style per-OST wire) — so a width-1 layout
+// serializes every extent behind one pacer while width-4 runs four pacers
+// in parallel and the extents' round trips overlap across servers.
+// Aggregate bandwidth should scale with width; total net calls should not
+// (same extents, just spread out), showing the metadata server is off the
+// data path.
 //
 // Emits BENCH_stripe.json and self-checks that width-4 sequential read
 // throughput is >=2x width-1 on the same link budget (exit non-zero on

@@ -264,11 +264,12 @@ class StripedRemoteFile : public File, public Servant {
 
   MapSnapshot SnapshotMap();
 
-  // Fan-read of page-aligned [offset, offset+size) into `dest`, which
-  // covers logical bytes [dest_base, dest_base + dest.size()) and has been
-  // pre-zeroed (sparse stripe holes and post-EOF tails read as zeros).
-  Status FanPageInto(uint64_t offset, uint64_t size, MutableByteSpan dest,
-                     uint64_t dest_base, AccessRights access);
+  // The pager's fault path: one kPageInRange per stripe extent of the
+  // page-aligned logical range [offset, offset + dest.size()), under this
+  // client's kBindCache registrations. `dest` has been pre-zeroed (sparse
+  // stripe holes and post-EOF tails read as zeros).
+  Status FanPageInto(uint64_t offset, MutableByteSpan dest,
+                     AccessRights access);
 
   // Fan page write-back (kPageOut / kWriteOut / kSyncPages).
   Status FanPageWrite(Op op, uint64_t offset, ByteSpan data);
@@ -343,8 +344,7 @@ class StripedPagerObject : public PagerObject, public Servant {
       trace::ScopedSpan span("dfs.stripe_page_in");
       Buffer out;
       out.resize(size);  // zero-filled; stripe holes stay zero
-      RETURN_IF_ERROR(
-          file_->FanPageInto(offset, size, out.mutable_span(), offset, access));
+      RETURN_IF_ERROR(file_->FanPageInto(offset, out.mutable_span(), access));
       return out;
     });
   }
@@ -867,6 +867,15 @@ Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
         b.handle = handle;
         b.cache_id = 0;  // minted by an instance that is gone
         b.bound_epoch = 0;
+        if (b.rebound_pending && handle != 0) {
+          // The stripe recovered: byte ops (kRead / kWrite) need only the
+          // fresh handle, and mapped I/O re-registers its cache on the
+          // next fault (EnsureBound).
+          b.rebound_pending = false;
+          client_->Bump(&StripedDfsClient::Stats::stripe_rebinds);
+          flight::Record(flight::Severity::kInfo, "dfs_striped",
+                         "stripe rebound", t, fresh.map_version);
+        }
       }
     }
   }
@@ -927,8 +936,7 @@ Status StripedRemoteFile::MetaSetLength(uint64_t length) {
   return response.ToStatus();
 }
 
-Status StripedRemoteFile::FanPageInto(uint64_t offset, uint64_t size,
-                                      MutableByteSpan dest, uint64_t dest_base,
+Status StripedRemoteFile::FanPageInto(uint64_t offset, MutableByteSpan dest,
                                       AccessRights access) {
   uint64_t stripe_size;
   size_t width;
@@ -938,7 +946,7 @@ Status StripedRemoteFile::FanPageInto(uint64_t offset, uint64_t size,
     width = map_.targets.size();
   }
   std::vector<StripeExtent> exts =
-      ComputeStripeExtents(offset, size, stripe_size, width);
+      ComputeStripeExtents(offset, dest.size(), stripe_size, width);
   bool write_access = access == AccessRights::kReadWrite;
   return FanExtents(
       exts, /*mutating=*/false, /*bind_caches=*/true, /*fan_all=*/false,
@@ -965,16 +973,14 @@ Status StripedRemoteFile::FanPageInto(uint64_t offset, uint64_t size,
           return Status::Ok();
         }
         for (const BlockData& block : body.blocks) {
-          uint64_t logical =
-              ext.logical_offset + (block.offset - ext.local_offset);
-          uint64_t lo = std::max(logical, dest_base);
-          uint64_t hi = std::min(logical + block.data.size(),
-                                 dest_base + dest.size());
-          if (lo >= hi) {
-            continue;
+          if (block.offset < ext.local_offset ||
+              block.offset - ext.local_offset + block.data.size() >
+                  ext.size) {
+            return ErrCorrupted("page-in block outside its stripe extent");
           }
-          std::memcpy(dest.data() + (lo - dest_base),
-                      block.data.data() + (lo - logical), hi - lo);
+          std::memcpy(dest.data() + (ext.logical_offset - offset) +
+                          (block.offset - ext.local_offset),
+                      block.data.data(), block.data.size());
         }
         return Status::Ok();
       });
@@ -1024,9 +1030,13 @@ Status StripedRemoteFile::FanPageWrite(Op op, uint64_t offset, ByteSpan data) {
 Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
   return InDomain([&]() -> Result<size_t> {
     uint64_t length;
+    uint64_t stripe_size;
+    size_t width;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       length = logical_length_;
+      stripe_size = map_.stripe_size;
+      width = map_.targets.size();
     }
     if (out.empty() || offset >= length) {
       return size_t{0};
@@ -1034,12 +1044,39 @@ Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
     size_t n = static_cast<size_t>(
         std::min<uint64_t>(out.size(), length - offset));
     MutableByteSpan dest = out.first(n);
+    // Pre-zeroed: sparse stripe holes and post-EOF tails read as zeros.
     std::fill(dest.begin(), dest.end(), uint8_t{0});
     client_->Bump(&StripedDfsClient::Stats::stripe_reads);
-    uint64_t lo = PageFloor(offset);
-    uint64_t hi = PageCeil(offset + n);
-    RETURN_IF_ERROR(
-        FanPageInto(lo, hi - lo, dest, offset, AccessRights::kReadOnly));
+    std::vector<StripeExtent> exts =
+        ComputeStripeExtents(offset, n, stripe_size, width);
+    // Byte ops, like Write: the data server serves each kRead as its own
+    // cache and registers no holder for this client, so later writes to
+    // the stripe recall nothing here. Only VMM faults (FanPageInto) bind.
+    RETURN_IF_ERROR(FanExtents(
+        exts, /*mutating=*/false, /*bind_caches=*/false, /*fan_all=*/false,
+        [](const StripeExtent& ext, const Binding& b) {
+          ReadRequest body;
+          body.handle = b.handle;
+          body.offset = ext.local_offset;
+          body.length = ext.size;
+          net::Frame frame;
+          frame.type = static_cast<uint32_t>(Op::kRead);
+          frame.payload = body.Encode();
+          return frame;
+        },
+        [&](const StripeExtent& ext, const net::Frame& response) -> Status {
+          ASSIGN_OR_RETURN(ReadResponse body,
+                           ReadResponse::Decode(response.payload.span()));
+          size_t got = std::min<size_t>(body.data.size(), ext.size);
+          std::memcpy(dest.data() + (ext.logical_offset - offset),
+                      body.data.data(), got);
+          if (got < ext.size) {
+            // Short: a stripe hole or the logical tail past the stripe
+            // object's EOF; the pre-zeroed destination is the answer.
+            client_->Bump(&StripedDfsClient::Stats::zero_fills);
+          }
+          return Status::Ok();
+        }));
     return n;
   });
 }

@@ -11,21 +11,25 @@
 //
 // The client computes stripe ownership from the map (RAID-0: stripe s
 // lives on target s % width, at local offset (s / width) * stripe_size)
-// and fans page reads out as one kPageInRange per stripe extent over a
+// and fans plain reads out as one kRead per stripe extent over a
 // persistent tagged channel per data server, draining with WaitAny and
 // reassembling into the caller's buffer. Aggregate sequential-read
 // bandwidth therefore scales with stripe width: each data-server link has
 // its own pacing budget, and the extents on different servers overlap
 // their round trips. Writes fan out the same way (kWrite per stripe
-// extent; kPageOut for mapped write-back), with the logical length pushed
-// to the metadata server off the data path.
+// extent), with the logical length pushed to the metadata server off the
+// data path. Byte ops register no cache: the data server serves them as
+// its own cache, so it never calls this client back for pages it does not
+// hold. Only VMM faults on a mapping use the paging protocol: a kBindCache
+// registration per (target, lane), then kPageInRange per extent, and
+// kPageOut for mapped write-back.
 //
 // Failure model per stripe: every data server keeps its own boot epoch,
 // holder leases, and incarnation fencing (PR 4). A data-server restart or
 // lease eviction surfaces as kStale (or an epoch bump) on that stripe
 // only; the client refetches the map — which re-resolves handles on the
-// restarted server — rebinds that stripe's cache registration, and
-// resubmits just the failed extents. Other stripes keep serving
+// restarted server — rebinds that stripe's cache registration if it holds
+// one, and resubmits just the failed extents. Other stripes keep serving
 // throughout.
 //
 // Replication (DESIGN.md §15): with R >= 2 replica lanes, replica r of
@@ -71,8 +75,8 @@ struct StripedDfsClientOptions {
 };
 
 // One computed stripe extent of a logical request: the unit of fan-out
-// (one kPageInRange / kWrite / kPageOut submission). Exposed for unit
-// tests of the striping math.
+// (one kRead / kWrite submission, or kPageInRange / kPageOut for mapped
+// I/O). Exposed for unit tests of the striping math.
 struct StripeExtent {
   size_t target = 0;         // index into the map's target list
   uint64_t logical_offset = 0;
@@ -152,8 +156,9 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
     uint64_t stripe_reads = 0;     // logical read fan-outs
     uint64_t stripe_writes = 0;    // logical write fan-outs
     uint64_t stripe_extents = 0;   // data-path submissions (all ops)
-    uint64_t stripe_rebinds = 0;   // per-stripe recoveries (map refetch +
-                                   // rebind after kStale / epoch bump)
+    uint64_t stripe_rebinds = 0;   // per-stripe recoveries after kStale /
+                                   // epoch bump (a refetched map's fresh
+                                   // handle, or a cache rebind)
     uint64_t target_restarts = 0;  // data-server boot-epoch bumps observed
     uint64_t data_retries = 0;     // extent re-submissions
     uint64_t retries_exhausted = 0;

@@ -475,14 +475,15 @@ TEST(StripedDfs, DataServerRestartRecoversPerStripe) {
   std::memcpy(data.data(), fill.data(), data.size());
   ASSERT_EQ(*file->Write(0, data.span()), data.size());
   Buffer back(data.size());
-  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());  // bind caches
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
 
   // Restart data server 1: its boot epoch bumps, so the client's handle
-  // and cache binding for stripes {1, 3} are dead.
+  // for stripes {1, 3} is dead.
   world.RestartDataServer(1);
 
-  // The next full read hits kStale on target 1, refetches the map, rebinds
-  // that stripe, and completes — target 0 is untouched throughout.
+  // The next full read hits kStale on target 1, refetches the map (whose
+  // fresh handle recovers that stripe), and completes — target 0 is
+  // untouched throughout.
   ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
   EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
   EXPECT_GE(metrics::StatValue(*world.client, "stripe_rebinds"), 1u);
@@ -555,6 +556,61 @@ TEST(StripedDfs, MappedWriteIsRecalledAcrossClients) {
   // Page 1 (target 1) was never touched by the mapping and stays intact.
   ASSERT_EQ(*theirs->Read(kPageSize, page.mutable_span()), page.size());
   EXPECT_EQ(std::memcmp(page.data(), data.data() + kPageSize, kPageSize), 0);
+}
+
+TEST(StripedDfs, PlainReadSeesOwnDirtyMappedPages) {
+  StripedWorld world(2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data(2 * kPageSize);
+  Rng rng(53);
+  Buffer fill = rng.RandomBuffer(data.size());
+  std::memcpy(data.data(), fill.data(), data.size());
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+
+  // Dirty page 0 through a read-write mapping of the same file, no sync.
+  sp<Vmm> vmm = Vmm::Create(world.client_node->domain(), "vmm");
+  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadWrite);
+  Buffer patch = PatternPage(0x3C);
+  ASSERT_TRUE(region->Write(0, patch.span()).ok());
+
+  // A plain read is a byte op the data server serves as its own cache, so
+  // data0's coherency engine recalls this client's dirty copy first. (Had
+  // the read shared the mapping's cache registration, the server would see
+  // a read-write holder asking to read and return its stale bytes.)
+  Buffer page(kPageSize);
+  ASSERT_EQ(*file->Read(0, page.mutable_span()), page.size());
+  EXPECT_EQ(std::memcmp(page.data(), patch.data(), kPageSize), 0);
+  EXPECT_GE(metrics::StatValue(*world.client, "recalls_received"), 1u);
+}
+
+TEST(StripedDfsReplicated, PlainReadsRegisterNoCacheAndDrawNoRecalls) {
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  uint64_t bindcache_before =
+      metrics::StatValue(*world.network, "calls/bindcache");
+  Buffer data(4 * kPageSize);
+  Rng rng(59);
+  Buffer fill = rng.RandomBuffer(data.size());
+  std::memcpy(data.data(), fill.data(), data.size());
+
+  // Write -> read -> rewrite with nothing mapped. The read holds no pages,
+  // so it must leave no holder behind for the rewrite to call back.
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+  Buffer back(data.size());
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+  Buffer again = rng.RandomBuffer(data.size());
+  ASSERT_EQ(*file->Write(0, again.span()), again.size());
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(std::memcmp(back.data(), again.data(), again.size()), 0);
+
+  for (size_t k = 0; k < world.data_servers.size(); ++k) {
+    EXPECT_EQ(metrics::StatValue(*world.data_servers[k], "callbacks_sent"), 0u)
+        << "data server " << k;
+  }
+  EXPECT_EQ(metrics::StatValue(*world.client, "recalls_received"), 0u);
+  EXPECT_EQ(metrics::StatValue(*world.network, "calls/bindcache"),
+            bindcache_before);
 }
 
 // --- replicated stripes (DESIGN.md §15) ---
