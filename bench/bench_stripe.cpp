@@ -3,18 +3,20 @@
 // One metadata server resolves the path and hands out the stripe map; W
 // data servers (each over its own SFS) serve the bytes. The client's plain
 // read fans one kRead per 16KB stripe extent out over per-server channels
-// and drains with WaitAny; it registers no cache (no kBindCache — only VMM
-// faults use kPageInRange under one). Every client->data-server link
-// carries the same budget — 100us one-way latency plus a 150us pacing gap
-// per frame (a Lustre-style per-OST wire) — so a width-1 layout
-// serializes every extent behind one pacer while width-4 runs four pacers
-// in parallel and the extents' round trips overlap across servers.
+// and drains them all together in event-time order (net::WaitAnyOf); it
+// registers no cache (no kBindCache — only VMM faults use kPageInRange
+// under one). Every client->data-server link carries the same budget —
+// 100us one-way latency plus a 150us pacing gap per frame (a Lustre-style
+// per-OST wire) — so a width-1 layout serializes every extent behind one
+// pacer while width-4 runs four pacers in parallel and the extents' round
+// trips overlap across servers: the read ends one round trip after the
+// last paced send, on whichever server that is.
 // Aggregate bandwidth should scale with width; total net calls should not
 // (same extents, just spread out), showing the metadata server is off the
 // data path.
 //
 // Emits BENCH_stripe.json and self-checks that width-4 sequential read
-// throughput is >=2x width-1 on the same link budget (exit non-zero on
+// throughput is >=3x width-1 on the same link budget (exit non-zero on
 // violation — CI gates on it).
 
 #include <algorithm>
@@ -332,8 +334,12 @@ int main() {
   check(!path.empty(), "BENCH_stripe.json written");
   check(w1.identical && w2.identical && w4.identical,
         "all striped reads byte-identical to the seeded file");
-  check(speedup4 >= 2.0,
-        "width-4 sequential read >=2x width-1 on the same link budget");
+  // 3x leaves room for software time below the structural ~3.9x (16
+  // paced sends per server instead of 64), and still fails if the
+  // servers' channels are drained one after another instead of together
+  // (about 2.5-2.9x).
+  check(speedup4 >= 3.0,
+        "width-4 sequential read >=3x width-1 on the same link budget");
   // Fan-out spreads the same extents across servers; it must not inflate
   // the wire traffic (metadata stays off the data path).
   check(w4.net_calls <= w1.net_calls + w1.net_calls / 4,

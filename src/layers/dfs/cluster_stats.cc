@@ -42,16 +42,16 @@ ClusterStatsClient::ParseTargets(const std::string& csv,
 
 std::vector<ServerScrape> ClusterStatsClient::ScrapeAll() {
   // Submit both telemetry requests to every server before awaiting any
-  // completion: the channels' event pumps overlap all the round trips, so
-  // a W-server scrape costs about one RTT, not 2W.
-  struct InFlight {
-    sp<net::Channel> channel;
-    uint64_t stats_tag = 0;
-    uint64_t health_tag = 0;
-  };
-  std::vector<InFlight> flights;
-  flights.reserve(servers_.size());
-  for (const auto& server : servers_) {
+  // completion, then drain all the channels together in event-time order:
+  // every server answers as its requests arrive, so a W-server scrape
+  // costs one RTT, not 2W. Owner 2i is server i's stats request, 2i + 1
+  // its health request.
+  std::vector<ServerScrape> scrapes(servers_.size());
+  net::FanOut fan;
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    const auto& server = servers_[i];
+    scrapes[i].node = server.first;
+    scrapes[i].service = server.second;
     sp<net::Channel>& channel = channels_[server];
     if (!channel) {
       channel = network_->OpenChannel(from_node_, server.first, server.second,
@@ -61,55 +61,36 @@ std::vector<ServerScrape> ClusterStatsClient::ScrapeAll() {
     stats_req.type = static_cast<uint32_t>(Op::kGetStats);
     net::Frame health_req;
     health_req.type = static_cast<uint32_t>(Op::kGetHealth);
-    InFlight flight;
-    flight.channel = channel;
-    flight.stats_tag = channel->Submit(stats_req);
-    flight.health_tag = channel->Submit(health_req);
-    flights.push_back(std::move(flight));
+    fan.Submit(channel, stats_req, 2 * i);
+    fan.Submit(channel, health_req, 2 * i + 1);
   }
 
-  // Drains one completion and decodes it through `decode`.
-  auto settle = [](const sp<net::Channel>& channel, uint64_t tag,
-                   const auto& decode) -> Status {
-    Result<net::Completion> done = channel->Wait(tag);
-    if (!done.ok()) {
-      return done.status();
-    }
-    if (!done->status.ok()) {
-      return done->status;
-    }
-    Status frame_status = done->response.ToStatus();
-    if (!frame_status.ok()) {
-      return frame_status;
-    }
-    return decode(done->response.payload.span());
-  };
-
-  std::vector<ServerScrape> scrapes;
-  scrapes.reserve(servers_.size());
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    ServerScrape scrape;
-    scrape.node = servers_[i].first;
-    scrape.service = servers_[i].second;
-    scrape.stats_status =
-        settle(flights[i].channel, flights[i].stats_tag, [&](ByteSpan wire) {
-          Result<GetStatsResponse> body = GetStatsResponse::Decode(wire);
-          if (!body.ok()) {
-            return body.status();
-          }
+  while (std::optional<net::FanOut::Finished> done = fan.Next()) {
+    ServerScrape& scrape = scrapes[done->owner / 2];
+    const net::Frame& response = done->completion.response;
+    Status status = done->completion.status.ok() ? response.ToStatus()
+                                                 : done->completion.status;
+    if (done->owner % 2 == 0) {
+      if (status.ok()) {
+        Result<GetStatsResponse> body =
+            GetStatsResponse::Decode(response.payload.span());
+        status = body.status();
+        if (body.ok()) {
           scrape.stats = std::move(body->snapshot);
-          return Status::Ok();
-        });
-    scrape.health_status =
-        settle(flights[i].channel, flights[i].health_tag, [&](ByteSpan wire) {
-          Result<HealthResponse> body = HealthResponse::Decode(wire);
-          if (!body.ok()) {
-            return body.status();
-          }
+        }
+      }
+      scrape.stats_status = status;
+    } else {
+      if (status.ok()) {
+        Result<HealthResponse> body =
+            HealthResponse::Decode(response.payload.span());
+        status = body.status();
+        if (body.ok()) {
           scrape.health = std::move(*body);
-          return Status::Ok();
-        });
-    scrapes.push_back(std::move(scrape));
+        }
+      }
+      scrape.health_status = status;
+    }
   }
   return scrapes;
 }

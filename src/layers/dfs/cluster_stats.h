@@ -53,9 +53,9 @@ class ClusterStatsClient {
       const std::string& csv, const std::string& default_service);
 
   // Scrapes every configured server: both requests per server are
-  // submitted before any completion is awaited, so the whole cluster
-  // answers in about one round trip. One entry per server, in AddServer
-  // order.
+  // submitted before any completion is awaited, and the channels drain
+  // together in event-time order (net::FanOut), so the whole cluster
+  // answers in one round trip. One entry per server, in AddServer order.
   std::vector<ServerScrape> ScrapeAll();
 
   // One cluster view from a set of scrapes. Per-server "self/" counters

@@ -834,7 +834,7 @@ Result<Buffer> DfsClient::FanoutPageIn(uint64_t handle, uint64_t cache_id,
     inflight.push_back({channel_->Submit(request), at});
   }
   // Wait for EVERY chunk (leaving one stranded would leak its completion
-  // into a later op's WaitAny), then keep the contiguous prefix from
+  // into a later op's WaitAnyOf), then keep the contiguous prefix from
   // `offset`. A kStale on any chunk wins over partial data: the binding
   // this fault runs under is dead, so the pages must not be installed.
   Buffer out;

@@ -237,9 +237,10 @@ class StripedRemoteFile : public File, public Servant {
       std::function<Status(const StripeExtent&, const net::Frame&)>;
 
   // The fan-out engine: submits one frame per pending (extent, replica)
-  // on the owning target's channel, drains each channel with WaitAny, and
-  // retries failed sub-ops (with a map refresh + rebind when a target
-  // went stale) under the client's backoff budget.
+  // on the owning target's channel through a net::FanOut, which queues
+  // past a full window and drains all the targets' channels together in
+  // event-time order, and retries failed sub-ops (with a map refresh +
+  // rebind when a target went stale) under the client's backoff budget.
   //
   // Replica r of an extent whose primary is target p goes to target
   // (p + r) % width, lane-r object, at the extent's (unchanged) local
@@ -489,14 +490,15 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       return Status::Ok();
     };
 
-    // One in-flight sub-op: extent `ext` sent to replica lane `lane` on
-    // target `target`.
+    // One sub-op: extent `ext` sent to replica lane `lane` on target
+    // `target`. Its index in `subs` is its owner id in `fan`.
     struct SubRef {
       size_t ext = 0;
       size_t target = 0;
       size_t lane = 0;
     };
-    std::map<size_t, std::map<uint64_t, SubRef>> active;  // tag map by target
+    std::vector<SubRef> subs;
+    net::FanOut fan;
 
     auto note_failure = [&](size_t t, const Status& st) {
       failed_targets.insert(t);
@@ -524,9 +526,9 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
           client_->Bump(&StripedDfsClient::Stats::retarget_fresh_ids);
         }
       }
-      uint64_t tag =
-          client_->ChannelFor(snap.targets[t])->Submit(frame, retry.attempt);
-      active[t][tag] = SubRef{i, t, r};
+      subs.push_back(SubRef{i, t, r});
+      fan.Submit(client_->ChannelFor(snap.targets[t]), frame,
+                 subs.size() - 1, retry.attempt);
       client_->Bump(&StripedDfsClient::Stats::stripe_extents);
       return true;
     };
@@ -577,44 +579,18 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
     }
 
-    // Drain every channel with outstanding sub-ops. Submissions to
-    // different servers overlap their round trips; within one channel the
-    // completions arrive in whatever order the transport produced them.
-    auto pick_active = [&]() -> int {
-      for (auto& [t, tags] : active) {
-        if (!tags.empty()) {
-          return static_cast<int>(t);
-        }
-      }
-      return -1;
-    };
-    for (int kt = pick_active(); kt >= 0; kt = pick_active()) {
-      size_t k = static_cast<size_t>(kt);
-      sp<net::Channel> chan = client_->ChannelFor(snap.targets[k]);
-      Result<net::Completion> got = chan->WaitAny();
-      if (!got.ok()) {
-        // The channel itself gave up: everything outstanding on it failed.
-        for (auto& [tag, ref] : active[k]) {
-          (void)tag;
-          if (!fan_all) {
-            tried[ref.ext].insert(ref.lane);
-          }
-        }
-        note_failure(k, got.status());
-        active[k].clear();
-        continue;
-      }
-      auto it = active[k].find(got->tag);
-      if (it == active[k].end()) {
-        continue;  // a stray completion from an abandoned earlier drain
-      }
-      SubRef ref = it->second;
-      active[k].erase(it);
+    // Drain every target's channel together, in event-time order: each
+    // data server handles its frames as they arrive and the round trips
+    // to different servers overlap, as on separate links.
+    while (std::optional<net::FanOut::Finished> finished = fan.Next()) {
+      SubRef ref = subs[finished->owner];  // a copy: failover grows `subs`
+      const net::Completion& got = finished->completion;
       bool ok = false;
-      Status st = got->status;
+      Status st = got.status;
       if (st.ok()) {
-        client_->NoteTargetEpoch(snap.targets[k], got->response.epoch);
-        st = got->response.ToStatus();
+        client_->NoteTargetEpoch(snap.targets[ref.target],
+                                 got.response.epoch);
+        st = got.response.ToStatus();
         if (StaleCode(st.code())) {
           // The data server restarted (or evicted us): its handle space
           // and cache ids are fresh. Refetch the map and rebind the lane.
@@ -624,7 +600,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
           return st;  // hard application error: fail the whole operation
         } else if (st.ok()) {
           if (bind_caches &&
-              got->response.epoch != bound[{ref.target, ref.lane}].bound_epoch) {
+              got.response.epoch != bound[{ref.target, ref.lane}].bound_epoch) {
             // Restart raced between our bind and this response.
             InvalidateBinding(ref.target, ref.lane);
             map_stale = true;
@@ -635,7 +611,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         }
       }
       if (ok) {
-        Status used = consume(exts[ref.ext], got->response);
+        Status used = consume(exts[ref.ext], got.response);
         if (!used.ok()) {
           return used;
         }
@@ -775,6 +751,9 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   request.type = static_cast<uint32_t>(Op::kBindCache);
   request.request_id = NewStripedRequestId();
   request.payload = body.Encode();
+  // Wait(tag), not WaitAnyOf: a failover registration can share its
+  // channel with the round's page frames, whose completions must stay
+  // queued there for the fan-out's drain.
   sp<net::Channel> chan = client_->ChannelFor(where);
   uint64_t tag = chan->Submit(request);
   ASSIGN_OR_RETURN(net::Completion got, chan->Wait(tag));
@@ -1068,8 +1047,9 @@ Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
           ASSIGN_OR_RETURN(ReadResponse body,
                            ReadResponse::Decode(response.payload.span()));
           size_t got = std::min<size_t>(body.data.size(), ext.size);
-          std::memcpy(dest.data() + (ext.logical_offset - offset),
-                      body.data.data(), got);
+          // copy_n, not memcpy: an empty reply's buffer may be null.
+          std::copy_n(body.data.data(), got,
+                      dest.data() + (ext.logical_offset - offset));
           if (got < ext.size) {
             // Short: a stripe hole or the logical tail past the stripe
             // object's EOF; the pre-zeroed destination is the answer.

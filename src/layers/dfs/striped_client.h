@@ -12,13 +12,15 @@
 // The client computes stripe ownership from the map (RAID-0: stripe s
 // lives on target s % width, at local offset (s / width) * stripe_size)
 // and fans plain reads out as one kRead per stripe extent over a
-// persistent tagged channel per data server, draining with WaitAny and
-// reassembling into the caller's buffer. Aggregate sequential-read
-// bandwidth therefore scales with stripe width: each data-server link has
-// its own pacing budget, and the extents on different servers overlap
-// their round trips. Writes fan out the same way (kWrite per stripe
-// extent), with the logical length pushed to the metadata server off the
-// data path. Byte ops register no cache: the data server serves them as
+// persistent tagged channel per data server, draining all the channels
+// together in event-time order (net::WaitAnyOf) and reassembling into the
+// caller's buffer. Aggregate sequential-read bandwidth therefore scales
+// with stripe width: each data-server link has its own pacing budget, and
+// the extents on different servers overlap their round trips — a fan-out
+// costs its slowest server's share, not the sum of the servers' tails.
+// Writes fan out the same way (kWrite per stripe extent), with the
+// logical length pushed to the metadata server off the data path. Byte
+// ops register no cache: the data server serves them as
 // its own cache, so it never calls this client back for pages it does not
 // hold. Only VMM faults on a mapping use the paging protocol: a kBindCache
 // registration per (target, lane), then kPageInRange per extent, and
@@ -235,10 +237,10 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
   sp<DfsClient> meta_;
 
   // Serializes data-path fan-outs: the per-target channels are drained
-  // with WaitAny, so two concurrent fan-outs on a shared channel would
-  // steal each other's completions. The parallelism that matters — the
-  // overlapping round trips ACROSS data servers inside one fan-out — is
-  // unaffected.
+  // with net::WaitAnyOf, so two concurrent fan-outs on a shared channel
+  // would steal each other's completions. The parallelism that matters —
+  // the overlapping round trips ACROSS data servers inside one fan-out —
+  // is unaffected.
   std::mutex data_io_mutex_;
 
   std::mutex mutex_;

@@ -6,6 +6,9 @@
 // the earliest event, advances the clock to it, and runs it; N outstanding
 // requests therefore overlap their round trips under both FakeClock and
 // RealClock (the pump only ever sleeps the gap to the next event).
+// WaitAnyOf extends this across channels: it always pumps the channel
+// whose next event is earliest, so a fan-out over several servers runs
+// their events in one virtual-time order.
 //
 // Loss recovery follows FreeBSD's RACK idea: a completion is evidence
 // about every frame sent before the completing transmission, so such
@@ -87,26 +90,128 @@ Result<Completion> Channel::Wait(uint64_t tag) {
   }
 }
 
-Result<Completion> Channel::WaitAny() {
-  std::unique_lock<std::mutex> lock(mu_);
+Result<Completion> WaitAnyOf(std::span<Channel* const> channels,
+                             size_t* index) {
+  *index = 0;
   for (;;) {
-    if (!done_order_.empty()) {
-      return TakeCompletionLocked(done_.find(done_order_.front()));
+    Channel* earliest = nullptr;  // holds the earliest scheduled event
+    TimeNs earliest_at = 0;
+    Channel* busy = nullptr;  // mid-event on another thread, nothing queued
+    for (size_t i = 0; i < channels.size(); ++i) {
+      Channel* channel = channels[i];
+      std::lock_guard<std::mutex> lock(channel->mu_);
+      if (!channel->done_order_.empty()) {
+        *index = i;
+        return channel->TakeCompletionLocked(
+            channel->done_.find(channel->done_order_.front()));
+      }
+      if (channel->pending_.empty()) {
+        continue;
+      }
+      if (!channel->events_.empty()) {
+        TimeNs at = channel->events_.begin()->first.first;
+        if (earliest == nullptr || at < earliest_at) {
+          earliest = channel;
+          earliest_at = at;
+        }
+      } else if (channel->pumping_) {
+        busy = channel;
+      } else {
+        *index = i;
+        return ErrIoError("channel stalled: submissions pending with no "
+                          "scheduled events");
+      }
     }
-    if (pending_.empty()) {
-      return ErrNotFound("channel has nothing in flight");
+    Channel* pump = earliest != nullptr ? earliest : busy;
+    if (pump == nullptr) {
+      return ErrNotFound("no channel has anything in flight");
     }
-    if (events_.empty() && !pumping_) {
-      return ErrIoError("channel stalled: submissions pending with no "
-                        "scheduled events");
+    // Another thread may have advanced the channel since the scan; PumpOne
+    // then takes whatever is earliest now, or waits for that thread.
+    std::unique_lock<std::mutex> lock(pump->mu_);
+    pump->PumpOne(lock);
+  }
+}
+
+void FanOut::Submit(const sp<Channel>& channel, const Frame& request,
+                    uint64_t owner, uint32_t attempt) {
+  auto link = std::find_if(links_.begin(), links_.end(), [&](const Link& l) {
+    return l.channel == channel;
+  });
+  if (link == links_.end()) {
+    link = links_.insert(links_.end(), Link{channel, {}, {}});
+  }
+  link->queued.push_back(Queued{request, owner, attempt});
+  SendQueued(*link);
+}
+
+void FanOut::SendQueued(Link& link) {
+  while (!link.queued.empty() && !link.channel->full()) {
+    Queued& next = link.queued.front();
+    link.in_flight[link.channel->Submit(next.request, next.attempt)] =
+        next.owner;
+    link.queued.pop_front();
+  }
+}
+
+std::optional<FanOut::Finished> FanOut::Next() {
+  for (;;) {
+    if (!failed_.empty()) {
+      Finished finished = std::move(failed_.front());
+      failed_.pop_front();
+      return finished;
     }
-    PumpOne(lock);
+    std::vector<Link*> waiting;  // links with requests outstanding
+    std::vector<Channel*> channels;
+    for (Link& link : links_) {
+      SendQueued(link);
+      // A link may hold only queued requests while completions it did
+      // not send fill its window; waiting on it drains those.
+      if (!link.in_flight.empty() || !link.queued.empty()) {
+        waiting.push_back(&link);
+        channels.push_back(link.channel.get());
+      }
+    }
+    if (waiting.empty()) {
+      return std::nullopt;
+    }
+    size_t which = 0;
+    Result<Completion> done = WaitAnyOf(channels, &which);
+    Link& link = *waiting[which];
+    if (!done.ok()) {
+      for (const auto& [tag, owner] : link.in_flight) {
+        Finished failed{owner, Completion{}};
+        failed.completion.tag = tag;
+        failed.completion.status = done.status();
+        failed_.push_back(std::move(failed));
+      }
+      for (const Queued& queued : link.queued) {
+        Finished failed{queued.owner, Completion{}};
+        failed.completion.status = done.status();
+        failed_.push_back(std::move(failed));
+      }
+      link.in_flight.clear();
+      link.queued.clear();
+      continue;
+    }
+    auto it = link.in_flight.find(done->tag);
+    if (it == link.in_flight.end()) {
+      continue;  // not sent by this set
+    }
+    Finished finished{it->second, done.take_value()};
+    link.in_flight.erase(it);
+    return finished;
   }
 }
 
 size_t Channel::in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
+}
+
+bool Channel::full() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.size() >= options_.max_inflight;
 }
 
 Channel::Stats Channel::stats() const {

@@ -27,8 +27,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/obj/domain.h"
 #include "src/obs/metrics.h"
@@ -173,7 +175,7 @@ struct ChannelOptions {
   uint32_t max_retransmits = 4;
 };
 
-// One finished submission, as returned by Channel::Wait/WaitAny.
+// One finished submission, as returned by Channel::Wait/WaitAnyOf.
 struct Completion {
   uint64_t tag = 0;
   Status status = Status::Ok();  // transport verdict; response valid if ok
@@ -186,14 +188,16 @@ struct Completion {
 
 // An async RPC channel: one ordered (from, to, service) flow carrying up
 // to max_inflight tagged requests at once. Submit() places a frame on the
-// wire (through the pacer) and returns its tag; Wait()/WaitAny() drive the
-// channel's virtual-time event loop until a completion is available.
+// wire (through the pacer) and returns its tag; Wait()/WaitAnyOf() drive
+// the channel's virtual-time event loop until a completion is available.
 //
 // Time model: every transmission schedules arrival/response/timer events
 // at absolute times computed from link latency and fault verdicts; whoever
 // waits pops the earliest event, advances the clock to it, and runs its
 // handler. N outstanding requests therefore overlap their round trips —
-// the wall/virtual cost is one RTT plus recovery, not N RTTs.
+// the wall/virtual cost is one RTT plus recovery, not N RTTs. Requests
+// outstanding on SEVERAL channels overlap only when the waiter pumps them
+// together, in event-time order (WaitAnyOf below).
 //
 // Thread-safe; re-entrant from handlers (a server handler that calls back
 // into the same channel pumps it recursively).
@@ -210,21 +214,27 @@ class Channel {
     uint64_t duplicate_responses = 0;  // responses for completed tags
   };
 
-  // Submits one request; returns its tag. Blocks (pumping the channel)
-  // while the window is full. `attempt` is the caller's *logical*
-  // retransmission count, used only for the net.call:/net.retry: span
-  // prefix; channel-internal retransmissions always record net.retry:.
+  // Submits one request; returns its tag. Blocks (pumping this channel
+  // only) while the window is full; a caller with other channels in
+  // flight queues past a full() window instead (FanOut below). `attempt`
+  // is the caller's *logical* retransmission count, used only for the
+  // net.call:/net.retry: span prefix; channel-internal retransmissions
+  // always record net.retry:.
   uint64_t Submit(const Frame& request, uint32_t attempt = 0);
 
-  // Waits for a specific tag / the earliest unclaimed completion.
+  // Waits for a specific tag. (WaitAnyOf below waits for the earliest
+  // unclaimed completion on one channel or several.)
   Result<Completion> Wait(uint64_t tag);
-  Result<Completion> WaitAny();
 
   size_t in_flight() const;
+  // True while the window is full: Submit would block.
+  bool full() const;
   Stats stats() const;
 
  private:
   friend class Network;
+  friend Result<Completion> WaitAnyOf(std::span<Channel* const> channels,
+                                      size_t* index);
 
   // A tag-table entry: one submission, possibly multiple transmissions.
   struct Pending {
@@ -303,6 +313,69 @@ class Channel {
   std::map<uint64_t, Completion> done_;
   std::deque<uint64_t> done_order_;
   Stats stats_;
+};
+
+// Waits for the next completion on any of `channels` (channels of one
+// Network, so they share its clock). While none is ready it pumps
+// whichever channel holds the earliest scheduled event, so frames
+// outstanding to different servers have their arrivals, handlers and
+// responses run in virtual-time order, as over independent links. Waiting
+// on the channels one after another instead would run a later channel's
+// handlers only once the earlier channels were empty, serializing the
+// servers' round trips.
+//
+// Ready completions are taken first, lowest channel index first; equal
+// event times also go to the lowest index, so the order is deterministic.
+// `*index` is set to the position in `channels` of the channel the result
+// is about: the completion's, or one that stalled (kIoError: a submission
+// pending with no event scheduled). A channel may be listed more than
+// once; `*index` is then its first position. kNotFound (with `*index` 0)
+// when nothing is in flight on any of them.
+Result<Completion> WaitAnyOf(std::span<Channel* const> channels,
+                             size_t* index);
+
+// Requests out on several channels of one Network, each sent for a
+// caller-chosen owner id and drained together through WaitAnyOf. A
+// request whose channel has a full window waits in that channel's queue
+// and goes out as a completion opens the window: Submit would block
+// there, pumping that channel alone and holding back every other
+// server's events. Completions the set did not send (left over from an
+// abandoned earlier drain on the same channel) are taken and dropped.
+// Not thread-safe.
+class FanOut {
+ public:
+  struct Finished {
+    uint64_t owner = 0;
+    Completion completion;
+  };
+
+  // Sends `request` on `channel` for `owner`, now or once the channel's
+  // window has room. `attempt` is passed on to Channel::Submit.
+  void Submit(const sp<Channel>& channel, const Frame& request,
+              uint64_t owner, uint32_t attempt = 0);
+
+  // Waits for the next request to finish; nullopt once none is left. A
+  // channel that gives up (WaitAnyOf fails on it) finishes every request
+  // still outstanding on it, one per call, with that error as the
+  // completion's status.
+  std::optional<Finished> Next();
+
+ private:
+  struct Queued {
+    Frame request;
+    uint64_t owner = 0;
+    uint32_t attempt = 0;
+  };
+  struct Link {
+    sp<Channel> channel;
+    std::map<uint64_t, uint64_t> in_flight;  // tag -> owner
+    std::deque<Queued> queued;               // behind a full window
+  };
+
+  void SendQueued(Link& link);
+
+  std::vector<Link> links_;  // one per channel, in order of first use
+  std::deque<Finished> failed_;  // finished by a channel giving up
 };
 
 class Network : public metrics::StatsProvider {

@@ -1,13 +1,15 @@
 // Deterministic unit tests for the async channel (DESIGN.md §12): tag
 // allocation and pairing, completion ordering under reordering, pacing
-// bounds, RACK-style early loss declaration, the capped RTO fallback, and
-// full-window behaviour. Everything runs on a FakeClock — the channel's
+// bounds, RACK-style early loss declaration, the capped RTO fallback,
+// full-window behaviour, and waiting on several channels in event-time
+// order (WaitAnyOf, FanOut). Everything runs on a FakeClock — the channel's
 // event pump advances virtual time itself, so there are no sleeps and no
 // timing flakes.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,13 @@ class NetAsyncTest : public ::testing::Test {
     net::Frame request;
     request.arg0 = arg0;
     return channel->Submit(request);
+  }
+
+  // The earliest unclaimed completion on one channel.
+  static Result<net::Completion> WaitAny(const sp<net::Channel>& channel) {
+    net::Channel* one[] = {channel.get()};
+    size_t index = 0;
+    return net::WaitAnyOf(one, &index);
   }
 
   FakeClock clock_;
@@ -71,7 +80,7 @@ TEST_F(NetAsyncTest, TagsAreUniqueAndTrackOutstanding) {
   EXPECT_EQ(channel->stats().completed, 3u);
   // A tag that was never submitted (or already claimed) is an error.
   EXPECT_EQ(channel->Wait(t1).status().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(channel->WaitAny().status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(WaitAny(channel).status().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(NetAsyncTest, PipelinedRoundTripsOverlap) {
@@ -103,11 +112,11 @@ TEST_F(NetAsyncTest, CompletionsReorderUnderDelay) {
   network_->DelayNextRequests("a", "b", 1, /*delay_ns=*/100'000);
   uint64_t slow = Submit(channel, 1);
   uint64_t fast = Submit(channel, 2);
-  Result<net::Completion> first = channel->WaitAny();
+  Result<net::Completion> first = WaitAny(channel);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->tag, fast);
   EXPECT_EQ(first->response.arg0, 3u);
-  Result<net::Completion> second = channel->WaitAny();
+  Result<net::Completion> second = WaitAny(channel);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->tag, slow);
   EXPECT_EQ(second->response.arg0, 2u);
@@ -257,7 +266,7 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
     }
     size_t completions = 0;
     while (!want.empty()) {
-      Result<net::Completion> done = channel->WaitAny();
+      Result<net::Completion> done = WaitAny(channel);
       ASSERT_TRUE(done.ok()) << "seed " << seed;
       ASSERT_TRUE(done->status.ok())
           << "seed " << seed << ": " << done->status.ToString();
@@ -274,6 +283,137 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
     EXPECT_EQ(stats.exhausted, 0u) << "seed " << seed;
     network_->DisarmFaults();
   }
+}
+
+TEST_F(NetAsyncTest, WaitAnyOfRunsChannelsInEventTimeOrder) {
+  // A far server (3000 one way) and a near one (the fixture's 1000). Each
+  // handler must run when its frame arrives and each request complete one
+  // round trip after it was sent, whichever channel was submitted first:
+  // the near server must not wait behind the far one.
+  sp<net::Node> c = network_->AddNode("c");
+  network_->SetLatency("a", "c", 3000);
+  network_->SetLatency("c", "a", 3000);
+  std::map<std::string, std::vector<TimeNs>> handled;  // node -> run times
+  auto stamp = [&](std::string name) {
+    return [&handled, name, this](const net::Frame&) {
+      handled[name].push_back(clock_.Now());
+      return net::Frame{};
+    };
+  };
+  b_->RegisterService("stamp", stamp("b"));
+  c->RegisterService("stamp", stamp("c"));
+  sp<net::Channel> far = network_->OpenChannel("a", "c", "stamp");
+  sp<net::Channel> near = network_->OpenChannel("a", "b", "stamp");
+  TimeNs before = clock_.Now();
+  uint64_t far_tag = far->Submit(net::Frame{});
+  uint64_t near_tags[2] = {near->Submit(net::Frame{}),
+                           near->Submit(net::Frame{})};
+  net::Channel* both[] = {far.get(), near.get()};
+  for (uint64_t tag : near_tags) {
+    size_t index = 9;
+    Result<net::Completion> done = net::WaitAnyOf(both, &index);
+    ASSERT_TRUE(done.ok());
+    ASSERT_TRUE(done->status.ok());
+    EXPECT_EQ(index, 1u);
+    EXPECT_EQ(done->tag, tag);
+    EXPECT_EQ(clock_.Now() - before, 2000u);
+  }
+  size_t index = 9;
+  Result<net::Completion> done = net::WaitAnyOf(both, &index);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(index, 0u);
+  EXPECT_EQ(done->tag, far_tag);
+  // The whole exchange costs the far round trip alone.
+  EXPECT_EQ(clock_.Now() - before, 6000u);
+  EXPECT_EQ(handled["b"], (std::vector<TimeNs>{before + 1000, before + 1000}));
+  EXPECT_EQ(handled["c"], std::vector<TimeNs>{before + 3000});
+  EXPECT_EQ(net::WaitAnyOf(both, &index).status().code(),
+            ErrorCode::kNotFound);
+}
+
+TEST_F(NetAsyncTest, WaitAnyOfTakesReadyCompletionsFirst) {
+  // A transmission that fails at submit completes at once; it is returned
+  // before the clock moves, even though the other channel was submitted
+  // to first and sits earlier in the set.
+  sp<net::Node> c = network_->AddNode("c");
+  sp<net::Channel> to_b = network_->OpenChannel("a", "b", "echo");
+  sp<net::Channel> to_c = network_->OpenChannel("a", "c", "echo");
+  uint64_t pending = Submit(to_b, 1);
+  network_->FailNextCallsOnLink("a", "c", 1, ErrorCode::kConnectionLost);
+  uint64_t failed = Submit(to_c, 2);
+  TimeNs before = clock_.Now();
+  net::Channel* both[] = {to_b.get(), to_c.get()};
+  size_t index = 9;
+  Result<net::Completion> first = net::WaitAnyOf(both, &index);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(index, 1u);
+  EXPECT_EQ(first->tag, failed);
+  EXPECT_EQ(first->status.code(), ErrorCode::kConnectionLost);
+  EXPECT_EQ(clock_.Now(), before);
+  Result<net::Completion> second = net::WaitAnyOf(both, &index);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(index, 0u);
+  EXPECT_EQ(second->tag, pending);
+  EXPECT_EQ(second->response.arg0, 2u);
+}
+
+TEST_F(NetAsyncTest, FanOutQueuesPastFullWindowsAndRoutesOwners) {
+  // One-frame windows, two requests per server: each server's second
+  // request waits in the set's queue, not in a blocked Submit, and goes
+  // out as the first one completes. Both servers run their two waves side
+  // by side, two round trips in all, and every completion comes back with
+  // the owner it was sent for.
+  sp<net::Node> c = network_->AddNode("c");
+  c->RegisterService("echo", [](const net::Frame& request) {
+    net::Frame response;
+    response.arg0 = request.arg0 + 1;
+    return response;
+  });
+  net::ChannelOptions options;
+  options.max_inflight = 1;
+  sp<net::Channel> to_b = network_->OpenChannel("a", "b", "echo", options);
+  sp<net::Channel> to_c = network_->OpenChannel("a", "c", "echo", options);
+  net::FanOut fan;
+  TimeNs before = clock_.Now();
+  for (uint64_t owner = 0; owner < 4; ++owner) {
+    net::Frame request;
+    request.arg0 = 100 + owner;
+    fan.Submit(owner % 2 == 0 ? to_b : to_c, request, owner);
+  }
+  EXPECT_EQ(clock_.Now(), before);
+  EXPECT_TRUE(to_b->full());
+  EXPECT_TRUE(to_c->full());
+  std::vector<uint64_t> owners;
+  while (std::optional<net::FanOut::Finished> done = fan.Next()) {
+    ASSERT_TRUE(done->completion.status.ok());
+    EXPECT_EQ(done->completion.response.arg0, 101 + done->owner);
+    owners.push_back(done->owner);
+  }
+  EXPECT_EQ(owners, (std::vector<uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(clock_.Now() - before, 4000u);
+}
+
+TEST_F(NetAsyncTest, FanOutFinishesRequestsOfAChannelThatGivesUp) {
+  // Owner 7's completion is taken behind the set's back, which opens the
+  // window for queued owner 8. Once 8 is back, WaitAnyOf has nothing left
+  // to wait for on the channel, so the set finishes 7 with that error
+  // instead of waiting for it forever.
+  net::ChannelOptions options;
+  options.max_inflight = 1;
+  sp<net::Channel> channel = network_->OpenChannel("a", "b", "echo", options);
+  net::FanOut fan;
+  fan.Submit(channel, net::Frame{}, 7);
+  fan.Submit(channel, net::Frame{}, 8);
+  ASSERT_TRUE(WaitAny(channel).ok());
+  std::optional<net::FanOut::Finished> done = fan.Next();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->owner, 8u);
+  EXPECT_TRUE(done->completion.status.ok());
+  done = fan.Next();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->owner, 7u);
+  EXPECT_EQ(done->completion.status.code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(fan.Next().has_value());
 }
 
 TEST_F(NetAsyncTest, RetransmittedCopiesAreByteIdentical) {

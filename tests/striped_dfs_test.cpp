@@ -838,6 +838,82 @@ TEST(StripedDfsReplicated, WidthThreeRotatedPlacement) {
   EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
 }
 
+TEST(StripedDfs, FanOutCostsOneRoundTripAcrossDataServers) {
+  // Unpaced 1000 ns links, one page per data server: a read, a rewrite and
+  // the data half of SyncFile each cost one round trip, because every
+  // server's frames are handled as they arrive. Waiting on the servers'
+  // channels one after another would add a one-way hop per extra server.
+  StripedWorld world(4);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = Rng(61).RandomBuffer(4 * kPageSize);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+
+  TimeNs before = world.clock.Now();
+  Buffer back(data.size());
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(world.clock.Now() - before, 2000u);
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+
+  before = world.clock.Now();
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());  // no length push
+  EXPECT_EQ(world.clock.Now() - before, 2000u);
+
+  before = world.clock.Now();
+  ASSERT_TRUE(file->SyncFile().ok());  // data servers, then the MDS
+  EXPECT_EQ(world.clock.Now() - before, 4000u);
+}
+
+TEST(StripedDfs, FullWindowQueuesWithoutStallingOtherServers) {
+  // A two-frame window per data-server channel and four pages per server:
+  // the fan-out queues the rest and sends each as a completion opens the
+  // window, so both servers run two waves side by side — two round trips
+  // in all. A Submit blocked on a full window would pump its own channel
+  // alone and push the other server's handlers back.
+  StripedWorld world(2);
+  dfs::StripedDfsClientOptions options;
+  options.data_channel.max_inflight = 2;
+  sp<StripedDfsClient> client = *StripedDfsClient::Mount(
+      world.client2_node, world.network.get(), "mds", "dfs-meta",
+      &world.clock, options);
+  sp<File> file = *client->CreateStriped("f");
+  Buffer data = Rng(67).RandomBuffer(8 * kPageSize);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+
+  TimeNs before = world.clock.Now();
+  Buffer back(data.size());
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(world.clock.Now() - before, 4000u);
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+  EXPECT_EQ(metrics::StatValue(*client, "data_retries"), 0u);
+}
+
+TEST(StripedDfsReplicated, MappedFaultFailoverLeavesOtherRepliesQueued) {
+  // A two-page read fault at R=2: stripe 1 goes to data1 and stripe 2 to
+  // data0, whose page-in fails at once. Stripe 2 fails over to its lane-1
+  // replica on data1. That lane never faulted, so its cache registers
+  // first, over the channel that still carries stripe 1's page-in. The
+  // registration must take only its own reply: taking stripe 1's would
+  // strand that extent and cost the fault a retry round.
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = Rng(71).RandomBuffer(4 * kPageSize);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+  sp<Vmm> vmm = Vmm::Create(world.client_node->domain(), "vmm");
+  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
+
+  // Page 0 faults alone and registers data0's lane 0; page 1 continues
+  // the run, so its fault clusters pages 1 and 2.
+  Buffer back(3 * kPageSize);
+  ASSERT_TRUE(region->Read(0, back.mutable_span().first(kPageSize)).ok());
+  world.network->FailNextCallsOnLink("client", "data0", 1,
+                                     ErrorCode::kConnectionLost);
+  ASSERT_TRUE(
+      region->Read(kPageSize, back.mutable_span().subspan(kPageSize)).ok());
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), back.size()), 0);
+  EXPECT_EQ(metrics::StatValue(*world.client, "replica_failovers"), 1u);
+  EXPECT_EQ(metrics::StatValue(*world.client, "data_retries"), 0u);
+}
+
 TEST(StripedDfs, MappedReadsFaultThroughStripeFanout) {
   StripedWorld world(2);
   sp<File> file = *world.client->CreateStriped("f");

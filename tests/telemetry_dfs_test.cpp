@@ -351,6 +351,21 @@ TEST(ClusterScrape, HealthyClusterEndToEnd) {
   EXPECT_EQ(agg->second, summed);
 }
 
+TEST(ClusterScrape, ScrapeCostsOneRoundTripAcrossServers) {
+  // Six requests to three servers on 1000 ns links: every server answers
+  // as its requests arrive, so the scrape costs one round trip. Waiting on
+  // the servers one after another would add a one-way hop per extra one.
+  TelemetryWorld world;
+  ClusterStatsClient scraper = world.MakeScraper();
+  TimeNs before = world.clock.Now();
+  std::vector<ServerScrape> scrapes = scraper.ScrapeAll();
+  EXPECT_EQ(world.clock.Now() - before, 2000u);
+  ASSERT_EQ(scrapes.size(), 3u);
+  for (const ServerScrape& scrape : scrapes) {
+    EXPECT_TRUE(scrape.ok()) << scrape.address();
+  }
+}
+
 TEST(ClusterScrape, DegradedTargetVisibleThenCleared) {
   TelemetryWorld world;
   sp<File> file = *world.client->CreateStriped("f");
