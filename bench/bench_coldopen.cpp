@@ -93,7 +93,8 @@ RunResult RunConfig(bench::BenchReport& report, const std::string& name,
   }
 
   report.BeginConfig(name);
-  network.ResetStats();
+  uint64_t calls_before = metrics::StatValue(network, "calls");
+  uint64_t msgs_before = metrics::StatValue(network, "messages");
 
   RunResult result;
   result.iters = iters;
@@ -108,8 +109,8 @@ RunResult RunConfig(bench::BenchReport& report, const std::string& name,
   double wall_us =
       std::chrono::duration<double, std::micro>(end - start).count();
   result.us_per_open = wall_us / static_cast<double>(iters);
-  result.net_calls = metrics::StatValue(network, "calls");
-  result.net_msgs = metrics::StatValue(network, "messages");
+  result.net_calls = metrics::StatValue(network, "calls") - calls_before;
+  result.net_msgs = metrics::StatValue(network, "messages") - msgs_before;
 
   Measurement per_open;
   per_open.mean_us = result.us_per_open;

@@ -57,17 +57,18 @@ int main() {
       local_vmm->Map(file, AccessRights::kReadWrite).take_value();
   Buffer out(kPageSize);
   local_map->Read(0, out.mutable_span());  // fault once
-  network.ResetStats();
-  server->ResetStats();
+  uint64_t msgs_before = metrics::StatValue(network, "messages");
+  uint64_t page_ins_before = metrics::StatValue(*server, "remote_page_ins");
   Measurement local_read = TimeOp(
       [&] { local_map->Read(0, out.mutable_span()); }, 10000);
   std::printf("local mapped 4KB read : %8.2f us/op, %llu network msgs, "
               "%llu DFS page-ins\n",
               local_read.mean_us,
               static_cast<unsigned long long>(
-                  metrics::StatValue(network, "messages")),
+                  metrics::StatValue(network, "messages") - msgs_before),
               static_cast<unsigned long long>(
-                  metrics::StatValue(*server, "remote_page_ins")));
+                  metrics::StatValue(*server, "remote_page_ins") -
+                  page_ins_before));
 
   // Direct SFS access for comparison.
   sp<File> direct = ResolveAs<File>(sfs.root, "f", creds).take_value();
@@ -101,8 +102,7 @@ int main() {
               remote_mapped.mean_us);
 
   // 3. Coherency ping-pong: local writer vs remote reader.
-  network.ResetStats();
-  server->ResetStats();
+  std::map<std::string, uint64_t> before = metrics::CollectFrom(*server);
   Measurement pingpong = TimeOp(
       [&] {
         (void)*direct->Write(0, page.span());       // local write
@@ -113,8 +113,10 @@ int main() {
   std::printf("coherent ping-pong    : %8.2f us/round (%llu callbacks, "
               "%llu lower flushes)\n",
               pingpong.mean_us,
-              static_cast<unsigned long long>(stats["callbacks_sent"]),
-              static_cast<unsigned long long>(stats["lower_flushes"]));
+              static_cast<unsigned long long>(stats["callbacks_sent"] -
+                                              before["callbacks_sent"]),
+              static_cast<unsigned long long>(stats["lower_flushes"] -
+                                              before["lower_flushes"]));
   bench::PrintRule(72);
   std::printf("shape: local path unaffected by DFS; remote ops pay 2x "
               "latency; sharing costs\nper-transition callbacks only\n");

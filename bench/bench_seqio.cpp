@@ -102,7 +102,7 @@ RunResult RunWorkload(bench::BenchReport& report, const std::string& name,
 
   // Setup traffic (mount, resolve, bind, seeding the file) must not count.
   report.BeginConfig(name);
-  network.ResetStats();
+  uint64_t calls_before = metrics::StatValue(network, "calls");
   vmm->ResetStats();
 
   RunResult result;
@@ -124,7 +124,7 @@ RunResult RunWorkload(bench::BenchReport& report, const std::string& name,
 
   std::map<std::string, uint64_t> vmm_stats = metrics::CollectFrom(*vmm);
   result.pager_calls = vmm_stats["faults"];
-  result.net_calls = metrics::StatValue(network, "calls");
+  result.net_calls = metrics::StatValue(network, "calls") - calls_before;
   result.read_ahead_hits = vmm_stats["read_ahead_hits"];
   HarvestWireOps(network);
 
@@ -144,12 +144,12 @@ RunResult RunWorkload(bench::BenchReport& report, const std::string& name,
   return result;
 }
 
-// Pipelined bulk read at a given async depth, against a lossy link: 25% of
-// transmissions on client->server are delayed 2ms, so the channel's RACK /
-// RTO machinery (rto_ns = 400us, well under the injected delay) has to
-// recover in-window while healthy chunks keep streaming. depth=1 is the
-// stop-and-wait baseline; deeper windows overlap both the round trips and
-// the recovery stalls.
+// Pipelined bulk read at a given channel window (max_inflight), against a
+// lossy link: 25% of transmissions on client->server are delayed 2ms, so
+// the channel's RACK / RTO machinery (rto_ns = 400us, well under the
+// injected delay) has to recover in-window while healthy chunks keep
+// streaming. depth=1 is the stop-and-wait baseline; deeper windows overlap
+// both the round trips and the recovery stalls.
 RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
   const int pages = bench::QuickMode() ? 64 : kPages;
   std::string name = "pipeline/depth" + std::to_string(depth);
@@ -164,8 +164,7 @@ RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
       DfsServer::Create(server_node, &network, "dfs", sfs.root).take_value();
 
   dfs::DfsClientOptions options;
-  options.pipelined = true;
-  options.async_depth = depth;
+  options.channel.max_inflight = depth;
   options.channel.rto_ns = 400'000;  // recover well before the 2ms delay
   options.channel.rack_reorder_ns = 100'000;
   options.channel.max_retransmits = 4;
@@ -190,7 +189,10 @@ RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
   network.ArmFaultsOnLink("client", "server", plan);
 
   report.BeginConfig(name);
-  network.ResetStats();
+  uint64_t calls_before = metrics::StatValue(network, "calls");
+  uint64_t recovered_before =
+      metrics::StatValue(network, "rack_retransmits") +
+      metrics::StatValue(network, "rto_retransmits");
 
   RunResult result;
   auto start = std::chrono::steady_clock::now();
@@ -201,9 +203,10 @@ RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
       std::chrono::duration<double, std::micro>(end - start).count();
   result.identical = got.ok() && got->size() == expect.size() &&
                      std::memcmp(got->data(), expect.data(), expect.size()) == 0;
-  result.net_calls = metrics::StatValue(network, "calls");
+  result.net_calls = metrics::StatValue(network, "calls") - calls_before;
   uint64_t recovered = metrics::StatValue(network, "rack_retransmits") +
-                       metrics::StatValue(network, "rto_retransmits");
+                       metrics::StatValue(network, "rto_retransmits") -
+                       recovered_before;
   HarvestWireOps(network);
 
   Measurement per_page;
@@ -250,7 +253,7 @@ int main() {
   bench::PrintRule(96);
 
   std::printf("Pipelined bulk read on a lossy link (25%% of sends delayed "
-              "2ms, rto 400us), async_depth sweep\n");
+              "2ms, rto 400us), channel window sweep\n");
   bench::PrintRule(96);
   RunResult depth1 = RunPipelineDepth(report, 1);
   RunResult depth4 = RunPipelineDepth(report, 4);
@@ -311,7 +314,7 @@ int main() {
   check(depth1.identical && depth4.identical && depth16.identical,
         "pipelined reads byte-identical to the seeded file");
   check(depth16_speedup >= 2.0,
-        "async_depth=16 >=2x throughput over depth=1 on the lossy link");
+        "window 16 >=2x throughput over window 1 on the lossy link");
 
   // Every named op the bench pushed over the wire must have left a
   // non-empty server-side latency histogram — the same per-op telemetry

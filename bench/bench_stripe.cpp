@@ -114,7 +114,7 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
 
   // Setup (mount, map fetch, striped seeding) must not count.
   report.BeginConfig(name);
-  network.ResetStats();
+  uint64_t calls_before = metrics::StatValue(network, "calls");
 
   RunResult result;
   Buffer got;
@@ -126,7 +126,7 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
       std::chrono::duration<double, std::micro>(end - start).count();
   result.identical =
       n == file_bytes && std::memcmp(got.data(), expect.data(), n) == 0;
-  result.net_calls = metrics::StatValue(network, "calls");
+  result.net_calls = metrics::StatValue(network, "calls") - calls_before;
   result.mbps = (static_cast<double>(file_bytes) / (1024.0 * 1024.0)) /
                 (result.wall_us / 1e6);
 
@@ -218,7 +218,6 @@ DegradedResult RunDegraded(bench::BenchReport& report) {
   Must(file->Write(0, expect.span()), "seed replicated write");
 
   report.BeginConfig("stripe/degraded");
-  network.ResetStats();
 
   DegradedResult result;
   Buffer got;

@@ -61,18 +61,8 @@ class RemotePagerObject : public FsPagerObject, public Servant {
                          PageInResponse::Decode(response.payload.span()));
         return std::move(page.data);
       }
-      // A fault cluster: on a pipelined mount the range is split into up
-      // to async_depth kPageInRange chunks whose round trips overlap.
-      if (client_->channel_ && client_->options_.async_depth > 1) {
-        Result<Buffer> out =
-            client_->FanoutPageIn(handle_, cache_id, offset, size, access);
-        if (!out.ok()) {
-          return CheckStale(out.status());
-        }
-        return out;
-      }
-      // Sync mount: one kPageInRange round trip returns the whole block
-      // list instead of one kPageIn per page.
+      // A fault cluster: one kPageInRange round trip returns the whole
+      // block list instead of one kPageIn per page.
       ASSIGN_OR_RETURN(net::Frame response,
                        client_->Call(Op::kPageInRange, request));
       RETURN_IF_ERROR(CheckStale(response.ToStatus()));
@@ -674,16 +664,12 @@ DfsClient::DfsClient(const sp<net::Node>& node, net::Network* network,
                      std::string server_node, std::string service,
                      std::string callback_service, Clock* clock,
                      const DfsClientOptions& options)
-    : Servant(node->domain()), node_(node), network_(network),
+    : Servant(node->domain()), node_(node),
       server_node_(std::move(server_node)), service_(std::move(service)),
       callback_service_(std::move(callback_service)), clock_(clock),
-      options_(options) {
-  if (options_.pipelined) {
-    net::ChannelOptions chan = options_.channel;
-    chan.max_inflight = std::max<size_t>(1, options_.async_depth);
-    channel_ = network_->OpenChannel(node_->name(), server_node_, service_,
-                                     chan);
-  }
+      options_(options),
+      channel_(network->OpenChannel(node_->name(), server_node_, service_,
+                                    options_.channel)) {
   metrics::Registry::Global().RegisterProvider(this);
 }
 
@@ -700,21 +686,6 @@ void DfsClient::Bump(uint64_t Stats::*field) {
 Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request) {
   RetryState retry;
   return Call(op, request, &retry);
-}
-
-Result<net::Frame> DfsClient::Transport(const net::Frame& typed,
-                                        uint32_t attempt) {
-  if (channel_) {
-    // Pipelined mount: ride the persistent channel. The channel's own
-    // RACK/RTO machinery retransmits lost frames (byte-identical, so the
-    // server dedup window absorbs duplicates); this logical loop only sees
-    // a failure once the transport gave up.
-    uint64_t tag = channel_->Submit(typed, attempt);
-    ASSIGN_OR_RETURN(net::Completion done, channel_->Wait(tag));
-    RETURN_IF_ERROR(done.status);
-    return std::move(done.response);
-  }
-  return network_->Call(node_->name(), server_node_, service_, typed, attempt);
 }
 
 Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
@@ -734,7 +705,10 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.calls_sent;
     }
-    Result<net::Frame> response = Transport(typed, retry->attempt);
+    // The channel retransmits lost frames itself (byte-identical, so the
+    // server's dedup window absorbs duplicates); this loop only sees a
+    // transport failure once the channel gave up.
+    Result<net::Frame> response = channel_->Call(typed, retry->attempt);
     ErrorCode code;
     if (response.ok()) {
       // A kDeadObject *frame* is the dead server's tombstone: the
@@ -804,94 +778,6 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
   }
 }
 
-Result<Buffer> DfsClient::FanoutPageIn(uint64_t handle, uint64_t cache_id,
-                                       Offset offset, Offset size,
-                                       AccessRights access) {
-  trace::ScopedSpan span("dfs.page_in_fanout");
-  size_t pages = static_cast<size_t>((size + kPageSize - 1) / kPageSize);
-  size_t chunks = std::min(options_.async_depth, pages);
-  size_t chunk_pages = (pages + chunks - 1) / chunks;
-  uint64_t chunk_bytes = uint64_t{chunk_pages} * kPageSize;
-  struct Chunk {
-    uint64_t tag;
-    Offset offset;
-  };
-  std::vector<Chunk> inflight;
-  for (Offset at = offset; at < offset + size; at += chunk_bytes) {
-    PageInRequest body;
-    body.handle = handle;
-    body.cache_id = cache_id;
-    body.offset = at;
-    body.size = std::min<Offset>(chunk_bytes, offset + size - at);
-    body.write_access = access == AccessRights::kReadWrite;
-    net::Frame request;
-    request.type = static_cast<uint32_t>(Op::kPageInRange);
-    request.payload = body.Encode();
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.calls_sent;
-    }
-    inflight.push_back({channel_->Submit(request), at});
-  }
-  // Wait for EVERY chunk (leaving one stranded would leak its completion
-  // into a later op's WaitAnyOf), then keep the contiguous prefix from
-  // `offset`. A kStale on any chunk wins over partial data: the binding
-  // this fault runs under is dead, so the pages must not be installed.
-  Buffer out;
-  Status failure = Status::Ok();
-  bool stale = false;
-  bool contiguous = true;
-  for (const Chunk& chunk : inflight) {
-    Result<net::Completion> done = channel_->Wait(chunk.tag);
-    Status st = done.ok() ? done->status : done.status();
-    net::Frame* response = nullptr;
-    if (st.ok()) {
-      response = &done->response;
-      NoteServerEpoch(response->epoch);
-      st = response->ToStatus();
-    }
-    if (!st.ok()) {
-      if (st.code() == ErrorCode::kStale) {
-        stale = true;
-      }
-      if (failure.ok()) {
-        failure = st;
-      }
-      contiguous = false;
-      continue;
-    }
-    if (!contiguous) {
-      continue;  // a hole before this chunk: the tail is unusable
-    }
-    Result<PageInRangeResponse> range =
-        PageInRangeResponse::Decode(response->payload.span());
-    if (!range.ok()) {
-      if (failure.ok()) {
-        failure = range.status();
-      }
-      contiguous = false;
-      continue;
-    }
-    for (const BlockData& block : range->blocks) {
-      if (block.offset != offset + out.size()) {
-        contiguous = false;  // hole (EOF clamp): keep the prefix
-        break;
-      }
-      out.append(block.data.span());
-    }
-  }
-  if (stale) {
-    return failure;
-  }
-  if (out.size() == 0) {
-    if (!failure.ok()) {
-      return failure;
-    }
-    return ErrCorrupted("page_in_range returned no usable blocks");
-  }
-  return out;
-}
-
 Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
                                         Offset size, size_t chunk_bytes) {
   return InDomain([&]() -> Result<Buffer> {
@@ -905,29 +791,8 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
                      LookupResponse::Decode(looked_up.payload.span()));
     uint64_t handle = looked.handle;
     Buffer out;
-    if (!channel_) {
-      // Sync mount: the same per-chunk frames, one blocking round trip
-      // each — the bench's depth=1 baseline.
-      for (Offset at = offset; at < offset + size; at += chunk_bytes) {
-        ReadRequest body;
-        body.handle = handle;
-        body.offset = at;
-        body.length = std::min<Offset>(chunk_bytes, offset + size - at);
-        net::Frame request;
-        request.payload = body.Encode();
-        ASSIGN_OR_RETURN(net::Frame response, Call(Op::kRead, request));
-        RETURN_IF_ERROR(response.ToStatus());
-        ASSIGN_OR_RETURN(ReadResponse chunk,
-                         ReadResponse::Decode(response.payload.span()));
-        out.append(chunk.data.span());
-        if (chunk.data.size() < body.length) {
-          break;  // short read: EOF
-        }
-      }
-      return out;
-    }
-    // Pipelined mount: submit every chunk; the channel caps the in-flight
-    // window at async_depth and Submit blocks (pumping) when it is full.
+    // Submit every chunk; the channel caps the in-flight window at
+    // max_inflight and Submit blocks (pumping) while it is full.
     struct Chunk {
       uint64_t tag;
       uint64_t want;

@@ -35,15 +35,9 @@ struct DfsClientOptions {
   uint64_t backoff_base_ns = 1'000'000;  // first retry waits this long
   uint64_t backoff_max_ns = 50'000'000;  // cap for the exponential growth
 
-  // Pipelined transport (DESIGN.md §12): the mount opens one persistent
-  // async channel to the server and every op rides submit/completion, so
-  // the channel's RACK/RTO machinery recovers lost frames below the
-  // logical retry loop, and a multi-page fault cluster fans out into up
-  // to `async_depth` kPageInRange chunks whose round trips overlap.
-  // `channel` tunes the loss recovery; channel.max_inflight is derived
-  // from async_depth at mount time.
-  bool pipelined = false;
-  size_t async_depth = 8;
+  // The mount's channel to the server (DESIGN.md §12). Every op rides it,
+  // so its RACK/RTO machinery recovers lost frames below the logical
+  // retry loop above; channel.max_inflight is ReadPipelined's window.
   net::ChannelOptions channel;
 
   // Compound open (DESIGN.md §13): resolving a path sends ONE kCompound
@@ -108,11 +102,11 @@ class DfsClient : public Context,
   Result<sp<File>> CreateFile(const Name& name, const Credentials& creds);
 
   // Bulk sequential read: fetches [offset, offset+size) of `path`'s file
-  // as per-`chunk_bytes` kRead frames. On a pipelined mount up to
-  // async_depth chunks stay in flight at once (the Lustre-direction
-  // precursor: many outstanding requests per channel); a sync mount
-  // degrades to a serial loop. Returns the bytes actually read (short at
-  // EOF or when a chunk's transport gave up).
+  // as per-`chunk_bytes` kRead frames, up to channel.max_inflight of them
+  // in flight at once on the mount's channel (Lustre's many outstanding
+  // requests per connection); a window of 1 is stop-and-wait. Returns the
+  // bytes actually read (short at EOF or when a chunk's transport gave
+  // up).
   Result<Buffer> ReadPipelined(const std::string& path, Offset offset,
                                Offset size, size_t chunk_bytes);
 
@@ -180,15 +174,6 @@ class DfsClient : public Context,
   Result<net::Frame> Call(Op op, const net::Frame& request, RetryState* retry);
   // Convenience: path-carrying call.
   Result<net::Frame> CallPath(Op op, const std::string& path);
-  // One wire round trip (no logical retry): the mount channel when
-  // pipelined, Network::Call otherwise.
-  Result<net::Frame> Transport(const net::Frame& typed, uint32_t attempt);
-  // Pipelined fan-out for a multi-page fault cluster: splits the range
-  // into up to async_depth kPageInRange chunks, keeps them all in flight,
-  // and reassembles the contiguous prefix from `offset`.
-  Result<Buffer> FanoutPageIn(uint64_t handle, uint64_t cache_id,
-                              Offset offset, Offset size,
-                              AccessRights access);
 
   // Server->client callbacks.
   net::Frame HandleCallback(const net::Frame& request);
@@ -225,13 +210,12 @@ class DfsClient : public Context,
   void ForgetDelegation(uint64_t deleg_id);
 
   sp<net::Node> node_;
-  net::Network* network_;
   std::string server_node_;
   std::string service_;
   std::string callback_service_;
   Clock* clock_;
   DfsClientOptions options_;
-  // The mount's persistent async channel (null on a sync mount).
+  // The mount's channel to the server.
   sp<net::Channel> channel_;
 
   std::atomic<uint64_t> server_epoch_{0};

@@ -2227,9 +2227,4 @@ CoherencyStats DfsServer::AggregateCoherencyStats() {
   return total;
 }
 
-void DfsServer::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = Stats{};
-}
-
 }  // namespace springfs::dfs

@@ -143,9 +143,6 @@ class DfsServer : public StackableFs,
   std::string stats_prefix() const override { return "layer/dfs_server"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Zeroes the protocol accounting (bench phase isolation).
-  void ResetStats();
-
   // Sends a server->client callback frame (used by the remote-cache
   // proxies).
   Result<net::Frame> SendCallback(const std::string& to_node,

@@ -5,8 +5,7 @@
 // protocol exactly as local cache managers do.
 //
 // Every op carries a typed request/response body in the Frame payload —
-// see src/layers/dfs/wire.h for the per-op structs and the codec. The
-// Frame's positional arg0..arg3 words are no longer used by DFS.
+// see src/layers/dfs/wire.h for the per-op structs and the codec.
 
 #ifndef SPRINGFS_LAYERS_DFS_PROTOCOL_H_
 #define SPRINGFS_LAYERS_DFS_PROTOCOL_H_

@@ -15,7 +15,11 @@
 // frames are declared lost as soon as the reordering window has elapsed,
 // instead of waiting out a full timeout. The per-transmission timer (with
 // capped exponential backoff) remains as the last resort, e.g. for the
-// newest-sent frame which no later completion can testify against.
+// newest-sent frame which no later completion can testify against. Neither
+// touches a frame that was delivered with its response still coming: its
+// handler may legitimately run long (a recall callback, a nested call on
+// this very channel), and declaring it lost would time it out or run it
+// twice.
 //
 // Retransmitted copies carry byte-identical wire frames (same request_id,
 // same tag, same trace context), so a server's request-id dedup window
@@ -31,29 +35,48 @@
 
 namespace springfs::net {
 
+namespace {
+
+// The span of one logical request. Retransmissions get their own prefix so
+// "net.call:" counts one span per logical call even when a FaultPlan forces
+// retries.
+void DescribeCall(trace::ScopedSpan& span, const std::string& from,
+                  const std::string& to, uint32_t attempt) {
+  if (span.active()) {
+    std::string detail = from + "->" + to;
+    if (attempt != 0) {
+      detail += " attempt=" + std::to_string(attempt);
+    }
+    span.SetDetail(std::move(detail));
+  }
+}
+
+const char* CallPrefix(uint32_t attempt) {
+  return attempt == 0 ? "net.call:" : "net.retry:";
+}
+
+}  // namespace
+
 Channel::Channel(Network* network, std::string from, std::string to,
-                 std::string service, const ChannelOptions& options,
-                 bool sync_compat)
+                 std::string service, const ChannelOptions& options)
     : network_(network), from_(std::move(from)), to_(std::move(to)),
-      service_(std::move(service)), options_(options),
-      sync_compat_(sync_compat) {}
+      service_(std::move(service)), options_(options) {}
 
 uint64_t Channel::Submit(const Frame& request, uint32_t attempt) {
-  // Pipelined submissions own their logical span; synchronous callers are
-  // wrapped by Network::Call's span instead, so the "net.call:" count
-  // stays one per logical operation either way.
-  std::optional<trace::ScopedSpan> span;
-  if (!sync_compat_) {
-    span.emplace(trace::SpanKind::kNet,
-                 attempt == 0 ? "net.call:" : "net.retry:", service_);
-    if (span->active()) {
-      std::string detail = from_ + "->" + to_;
-      if (attempt != 0) {
-        detail += " attempt=" + std::to_string(attempt);
-      }
-      span->SetDetail(std::move(detail));
-    }
-  }
+  trace::ScopedSpan span(trace::SpanKind::kNet, CallPrefix(attempt), service_);
+  DescribeCall(span, from_, to_, attempt);
+  return Enqueue(request, attempt);
+}
+
+Result<Frame> Channel::Call(const Frame& request, uint32_t attempt) {
+  trace::ScopedSpan span(trace::SpanKind::kNet, CallPrefix(attempt), service_);
+  DescribeCall(span, from_, to_, attempt);
+  ASSIGN_OR_RETURN(Completion done, Wait(Enqueue(request, attempt)));
+  RETURN_IF_ERROR(done.status);
+  return std::move(done.response);
+}
+
+uint64_t Channel::Enqueue(const Frame& request, uint32_t attempt) {
   std::unique_lock<std::mutex> lock(mu_);
   while (pending_.size() >= options_.max_inflight) {
     PumpOne(lock);
@@ -272,8 +295,9 @@ void Channel::ProcessEvent(Event event) {
     case Event::Kind::kRto: {
       std::unique_lock<std::mutex> lock(mu_);
       auto it = pending_.find(event.tag);
-      if (it == pending_.end() || it->second.latest_xmit != event.xmit) {
-        return;  // completed, or superseded by a newer transmission
+      if (it == pending_.end() || it->second.latest_xmit != event.xmit ||
+          it->second.delivered) {
+        return;  // completed, superseded, or its response is on the way
       }
       if (it->second.retransmits >= options_.max_retransmits) {
         ++stats_.exhausted;
@@ -288,13 +312,6 @@ void Channel::ProcessEvent(Event event) {
       RetransmitLocked(event.tag, /*rack=*/false);
       return;
     }
-    case Event::Kind::kFail: {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (pending_.find(event.tag) != pending_.end()) {
-        CompleteLocked(event.tag, std::move(event.fail));
-      }
-      return;
-    }
   }
 }
 
@@ -307,11 +324,11 @@ void Channel::ProcessArrive(Event& event) {
       dest = node_it->second;
     }
   }
-  Node::Handler handler = std::move(event.handler);
-  if (dest && !handler) {
-    // Pipelined mode binds the service at arrival time: a server that
-    // restarted (same node, re-registered service) catches frames that
-    // were already in flight when it came back.
+  Node::Handler handler;
+  if (dest) {
+    // The service binds at arrival time: a server that restarted (same
+    // node, re-registered service) catches frames that were already in
+    // flight when it came back.
     std::lock_guard<std::mutex> node_lock(dest->mutex_);
     auto svc_it = dest->services_.find(service_);
     if (svc_it != dest->services_.end()) {
@@ -341,6 +358,16 @@ void Channel::ProcessArrive(Event& event) {
     }
     return;
   }
+  if (!event.dup && !event.drop_response) {
+    // The response of this copy will come back, so the submission is no
+    // longer RACK's or the timer's to declare lost, however long the
+    // handler runs.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = pending_.find(event.tag);
+    if (it != pending_.end()) {
+      it->second.delivered = true;
+    }
+  }
   Frame response =
       dest->domain()->Run([&] { return handler(delivered.value()); });
   if (event.dup) {
@@ -358,23 +385,12 @@ void Channel::ProcessArrive(Event& event) {
       ++network_->stats_.dropped_responses;
     }
   }
+  if (event.drop_response) {
+    return;  // the response vanishes; RACK or the timer recovers
+  }
   // The return hop departs after the handler finished, which may be later
   // than the arrival time if the handler itself made nested calls.
   TimeNs at = network_->clock_->Now() + network_->LatencyBetween(to_, from_);
-  if (event.drop_response) {
-    if (sync_compat_) {
-      Event fail;
-      fail.kind = Event::Kind::kFail;
-      fail.tag = event.tag;
-      fail.xmit = event.xmit;
-      fail.fail = ErrTimedOut("chaos: response dropped '" + to_ + "' -> '" +
-                              from_ + "'");
-      std::unique_lock<std::mutex> lock(mu_);
-      ScheduleLocked(at, std::move(fail));
-    }
-    // Pipelined: the response vanishes; RACK or the timer recovers.
-    return;
-  }
   Event respond;
   respond.kind = Event::Kind::kRespond;
   respond.tag = event.tag;
@@ -394,9 +410,6 @@ void Channel::ProcessRespond(Event& event) {
     return;
   }
   CompleteLocked(event.tag, std::move(response));
-  if (sync_compat_) {
-    return;
-  }
   // RACK loss declaration: this completion is evidence about every frame
   // sent before the completing transmission. Any of them outside the
   // reordering window is declared lost and goes back on the wire now —
@@ -404,7 +417,7 @@ void Channel::ProcessRespond(Event& event) {
   TimeNs now = network_->clock_->Now();
   std::vector<uint64_t> lost;
   for (const auto& [tag, p] : pending_) {
-    if (p.latest_xmit < event.xmit &&
+    if (!p.delivered && p.latest_xmit < event.xmit &&
         now >= p.last_send_ns + options_.rack_reorder_ns &&
         p.retransmits < options_.max_retransmits) {
       lost.push_back(tag);
@@ -515,7 +528,6 @@ void Channel::TransmitLocked(uint64_t tag) {
   p.last_send_ns = send;
 
   Network::FaultDecision faults;
-  sp<Node> dest;
   {
     std::lock_guard<std::mutex> net_lock(network_->mutex_);
     Network::FailBudget* budget = nullptr;
@@ -544,12 +556,10 @@ void Channel::TransmitLocked(uint64_t tag) {
                                             "' partitioned"));
       return;
     }
-    auto node_it = network_->nodes_.find(to_);
-    if (node_it == network_->nodes_.end()) {
+    if (network_->nodes_.find(to_) == network_->nodes_.end()) {
       CompleteLocked(tag, ErrNotFound("no node '" + to_ + "'"));
       return;
     }
-    dest = node_it->second;
     if (network_->faults_armed_.load(std::memory_order_relaxed)) {
       faults = network_->DecideFaults(from_, to_);
     }
@@ -570,19 +580,6 @@ void Channel::TransmitLocked(uint64_t tag) {
       --delay->second.n;
       faults.extra_delay_ns += delay->second.delay_ns;
     }
-  }
-  Node::Handler handler;
-  if (sync_compat_) {
-    // Legacy semantics: the handler binds at call time, so a service
-    // registered later does not catch an already-launched frame.
-    std::lock_guard<std::mutex> node_lock(dest->mutex_);
-    auto svc_it = dest->services_.find(service_);
-    if (svc_it == dest->services_.end()) {
-      CompleteLocked(tag, ErrNotFound("node '" + to_ + "' has no service '" +
-                                      service_ + "'"));
-      return;
-    }
-    handler = svc_it->second;
   }
   // The FaultPlan's verdict is part of the causal story: surface it on the
   // current span and in the flight recorder instead of leaving it a side
@@ -629,28 +626,15 @@ void Channel::TransmitLocked(uint64_t tag) {
       ++network_->stats_.duplicated_requests;
     }
   }
-  TimeNs arrive_at =
-      send + network_->LatencyBetween(from_, to_) + faults.extra_delay_ns;
-  if (faults.drop_request) {
-    if (sync_compat_) {
-      // Legacy callers learn of the loss at exactly the old time: one
-      // forward hop (plus any delay) after the send.
-      Event fail;
-      fail.kind = Event::Kind::kFail;
-      fail.tag = tag;
-      fail.xmit = p.latest_xmit;
-      fail.fail = ErrTimedOut("chaos: request dropped '" + from_ + "' -> '" +
-                              to_ + "'");
-      ScheduleLocked(arrive_at, std::move(fail));
-    }
-    // Pipelined: the frame is simply gone; RACK or the timer recovers it.
-  } else {
+  // A dropped request is simply gone; RACK or the timer recovers it.
+  if (!faults.drop_request) {
+    TimeNs arrive_at =
+        send + network_->LatencyBetween(from_, to_) + faults.extra_delay_ns;
     Event arrive;
     arrive.kind = Event::Kind::kArrive;
     arrive.tag = tag;
     arrive.xmit = p.latest_xmit;
     arrive.drop_response = faults.drop_response;
-    arrive.handler = handler;
     if (faults.dup_request) {
       Event dup;
       dup.kind = Event::Kind::kArrive;
@@ -658,7 +642,6 @@ void Channel::TransmitLocked(uint64_t tag) {
       dup.xmit = p.latest_xmit;
       dup.dup = true;
       dup.wire = Buffer(wire.span());
-      dup.handler = std::move(handler);
       arrive.wire = std::move(wire);
       ScheduleLocked(arrive_at, std::move(arrive));
       ScheduleLocked(arrive_at, std::move(dup));
@@ -667,13 +650,11 @@ void Channel::TransmitLocked(uint64_t tag) {
       ScheduleLocked(arrive_at, std::move(arrive));
     }
   }
-  if (!sync_compat_) {
-    Event rto;
-    rto.kind = Event::Kind::kRto;
-    rto.tag = tag;
-    rto.xmit = p.latest_xmit;
-    ScheduleLocked(send + p.cur_rto_ns, std::move(rto));
-  }
+  Event rto;
+  rto.kind = Event::Kind::kRto;
+  rto.tag = tag;
+  rto.xmit = p.latest_xmit;
+  ScheduleLocked(send + p.cur_rto_ns, std::move(rto));
 }
 
 }  // namespace springfs::net

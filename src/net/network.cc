@@ -1,13 +1,12 @@
 #include "src/net/network.h"
 
-#include "src/obs/flight_recorder.h"
-#include "src/obs/trace.h"
-
 namespace springfs::net {
 namespace {
 
-// type, args, status, request_id, epoch, trace_id, parent_span_id, tag, len
-constexpr size_t kHeaderSize = 4 + 4 * 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+// type, status, request_id, epoch, trace_id, parent_span_id, tag, len
+constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+constexpr size_t kTraceIdOffset = 24;
+constexpr size_t kParentSpanOffset = 32;
 
 void PutU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -40,17 +39,13 @@ Buffer Frame::Serialize() const {
   Buffer wire(kHeaderSize + payload.size());
   uint8_t* p = wire.data();
   PutU32(p + 0, type);
-  PutU64(p + 4, arg0);
-  PutU64(p + 12, arg1);
-  PutU64(p + 20, arg2);
-  PutU64(p + 28, arg3);
-  PutU32(p + 36, static_cast<uint32_t>(status));
-  PutU64(p + 40, request_id);
-  PutU64(p + 48, epoch);
-  PutU64(p + 56, trace_id);
-  PutU64(p + 64, parent_span_id);
-  PutU64(p + 72, tag);
-  PutU64(p + 80, payload.size());
+  PutU32(p + 4, static_cast<uint32_t>(status));
+  PutU64(p + 8, request_id);
+  PutU64(p + 16, epoch);
+  PutU64(p + kTraceIdOffset, trace_id);
+  PutU64(p + kParentSpanOffset, parent_span_id);
+  PutU64(p + 40, tag);
+  PutU64(p + 48, payload.size());
   wire.WriteAt(kHeaderSize, payload.span());
   return wire;
 }
@@ -62,17 +57,13 @@ Result<Frame> Frame::Deserialize(ByteSpan wire) {
   Frame frame;
   const uint8_t* p = wire.data();
   frame.type = GetU32(p + 0);
-  frame.arg0 = GetU64(p + 4);
-  frame.arg1 = GetU64(p + 12);
-  frame.arg2 = GetU64(p + 20);
-  frame.arg3 = GetU64(p + 28);
-  frame.status = static_cast<int32_t>(GetU32(p + 36));
-  frame.request_id = GetU64(p + 40);
-  frame.epoch = GetU64(p + 48);
-  frame.trace_id = GetU64(p + 56);
-  frame.parent_span_id = GetU64(p + 64);
-  frame.tag = GetU64(p + 72);
-  uint64_t payload_len = GetU64(p + 80);
+  frame.status = static_cast<int32_t>(GetU32(p + 4));
+  frame.request_id = GetU64(p + 8);
+  frame.epoch = GetU64(p + 16);
+  frame.trace_id = GetU64(p + kTraceIdOffset);
+  frame.parent_span_id = GetU64(p + kParentSpanOffset);
+  frame.tag = GetU64(p + 40);
+  uint64_t payload_len = GetU64(p + 48);
   if (wire.size() != kHeaderSize + payload_len) {
     return ErrCorrupted("frame payload length mismatch");
   }
@@ -87,11 +78,10 @@ Frame Frame::Error(ErrorCode code) {
 }
 
 void StampTraceContext(Buffer& wire, const trace::TraceContext& ctx) {
-  // Offsets fixed by Frame::Serialize. Patching the serialized header
-  // (rather than copying the Frame) keeps the hot path to the single
-  // Serialize allocation.
-  PutU64(wire.data() + 56, ctx.trace_id);
-  PutU64(wire.data() + 64, ctx.parent_span_id);
+  // Patching the serialized header (rather than copying the Frame) keeps
+  // the hot path to the single Serialize allocation.
+  PutU64(wire.data() + kTraceIdOffset, ctx.trace_id);
+  PutU64(wire.data() + kParentSpanOffset, ctx.parent_span_id);
 }
 
 void Node::RegisterService(const std::string& service, Handler handler) {
@@ -245,36 +235,14 @@ sp<Channel> Network::OpenChannel(const std::string& from,
                                  const std::string& to,
                                  const std::string& service,
                                  const ChannelOptions& options) {
-  return sp<Channel>(new Channel(this, from, to, service, options,
-                                 /*sync_compat=*/false));
+  return sp<Channel>(new Channel(this, from, to, service, options));
 }
 
 Result<Frame> Network::Call(const std::string& from, const std::string& to,
                             const std::string& service, const Frame& request,
                             uint32_t attempt) {
-  // Retransmissions get their own prefix so "net.call:" counts one span per
-  // logical call even when a FaultPlan forces retries.
-  trace::ScopedSpan span(trace::SpanKind::kNet,
-                         attempt == 0 ? "net.call:" : "net.retry:", service);
-  if (span.active()) {
-    std::string detail = from + "->" + to;
-    if (attempt != 0) {
-      detail += " attempt=" + std::to_string(attempt);
-    }
-    span.SetDetail(std::move(detail));
-  }
-  // A single-use channel in sync-compat mode: one outstanding frame, no
-  // internal retransmission (retry policy stays with the caller), and the
-  // legacy deterministic fault timing.
-  ChannelOptions compat;
-  compat.max_inflight = 1;
-  compat.pace_gap_ns = 0;
-  compat.max_retransmits = 0;
-  Channel channel(this, from, to, service, compat, /*sync_compat=*/true);
-  uint64_t tag = channel.Submit(request, attempt);
-  ASSIGN_OR_RETURN(Completion done, channel.Wait(tag));
-  RETURN_IF_ERROR(done.status);
-  return std::move(done.response);
+  return Channel(this, from, to, service, ChannelOptions{})
+      .Call(request, attempt);
 }
 
 namespace {
@@ -309,11 +277,6 @@ void Network::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("injected_failures", stats_.injected_failures);
   emit("rack_retransmits", stats_.rack_retransmits);
   emit("rto_retransmits", stats_.rto_retransmits);
-}
-
-void Network::ResetStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = Stats{};
 }
 
 }  // namespace springfs::net

@@ -9,14 +9,13 @@
 // message/byte accounting. A node is an address space world: it owns a
 // Domain (its servants run there) and typically a VMM.
 //
-// Delivery is built around an async submission/completion model
-// (DESIGN.md §12): a Channel carries multiple outstanding tagged requests,
-// a client-side pacer bounds the burst rate, and loss recovery is
-// reordering-tolerant in the spirit of FreeBSD's RACK (a frame is declared
-// lost as soon as later-sent frames complete, with a capped-backoff
-// retransmission timer as the last resort). The synchronous Network::Call
-// is a thin submit+wait wrapper over a single-use channel, so layers that
-// want one blocking round trip are unchanged.
+// Delivery has one transport (DESIGN.md §12): a Channel carries multiple
+// outstanding tagged requests, a client-side pacer bounds the burst rate,
+// and loss recovery is reordering-tolerant in the spirit of FreeBSD's RACK
+// (a frame is declared lost as soon as later-sent frames complete, with a
+// capped-backoff retransmission timer as the last resort). Channel::Call
+// is one blocking round trip on a channel; Network::Call is the same on a
+// single-use channel, for callers without a persistent one.
 
 #ifndef SPRINGFS_NET_NETWORK_H_
 #define SPRINGFS_NET_NETWORK_H_
@@ -42,9 +41,9 @@
 
 namespace springfs::net {
 
-// One protocol frame. Fixed header (type + four u64 arguments + status +
-// request id + boot epoch + trace context + channel tag) and a variable
-// payload; everything crosses the "wire" serialized.
+// One protocol frame. A fixed 56-byte header (type + status + request id +
+// boot epoch + trace context + channel tag + payload length) and a
+// variable payload; everything crosses the "wire" serialized.
 //
 // `request_id` is a client-generated identity for mutating requests: a
 // server that keeps a dedup window can recognise a retransmission and
@@ -65,10 +64,6 @@ namespace springfs::net {
 // window absorb reordered duplicates.
 struct Frame {
   uint32_t type = 0;
-  uint64_t arg0 = 0;
-  uint64_t arg1 = 0;
-  uint64_t arg2 = 0;
-  uint64_t arg3 = 0;
   int32_t status = 0;       // ErrorCode of the response (0 = OK)
   uint64_t request_id = 0;  // 0 = not deduplicable
   uint64_t epoch = 0;       // 0 = sender has no boot epoch
@@ -100,10 +95,10 @@ void StampTraceContext(Buffer& wire, const trace::TraceContext& ctx);
 // from its seed. Percentages are 0..100.
 //
 // Semantics (chosen to expose the interesting distributed bugs):
-//  - drop_request:  the handler never runs; a synchronous caller sees
-//    kTimedOut, a pipelined channel recovers by retransmission.
+//  - drop_request:  the handler never runs; the channel recovers by
+//    retransmission, or completes with kTimedOut once it gives up.
 //  - drop_response: the handler RAN (side effects applied!) but the
-//    response vanishes — the case that makes blind retry of mutating
+//    response vanishes — the case that makes retransmission of mutating
 //    ops unsafe without request-id dedup.
 //  - dup_request:   the handler runs twice back to back (a retransmitted
 //    frame both copies of which arrive); the duplicate's response is
@@ -170,6 +165,8 @@ struct ChannelOptions {
 
   // Last-resort retransmission timer: capped exponential backoff starting
   // at rto_ns. After max_retransmits the frame completes with kTimedOut.
+  // Neither rule applies once a copy of the frame has been delivered and
+  // its response is on the way back: a handler may run past rto_ns.
   uint64_t rto_ns = 1'000'000;
   uint64_t rto_max_ns = 50'000'000;
   uint32_t max_retransmits = 4;
@@ -226,6 +223,12 @@ class Channel {
   // unclaimed completion on one channel or several.)
   Result<Completion> Wait(uint64_t tag);
 
+  // One blocking round trip: Submit + Wait, with the response (or the
+  // transport's verdict) as the result. Its net.call:/net.retry: span
+  // covers the whole round trip, so the serving side's handler span nests
+  // under the network hop it arrived on.
+  Result<Frame> Call(const Frame& request, uint32_t attempt = 0);
+
   size_t in_flight() const;
   // True while the window is full: Submit would block.
   bool full() const;
@@ -248,6 +251,9 @@ class Channel {
     uint32_t retransmits = 0;
     uint64_t cur_rto_ns = 0;
     bool rack_recovered = false;
+    // A copy reached the handler and its response was not dropped, so the
+    // submission completes without help: RACK and the timer leave it be.
+    bool delivered = false;
   };
 
   // A scheduled point on the channel's virtual timeline.
@@ -256,7 +262,6 @@ class Channel {
       kArrive,   // request reaches the destination: run the handler
       kRespond,  // response reaches the caller: complete the tag
       kRto,      // retransmission timer for one transmission
-      kFail,     // sync-compat deterministic failure (dropped frame)
     };
     Kind kind = Kind::kArrive;
     uint64_t tag = 0;
@@ -264,13 +269,13 @@ class Channel {
     Buffer wire;            // kArrive: request bytes; kRespond: response
     bool dup = false;       // kArrive: duplicated copy, response discarded
     bool drop_response = false;  // kArrive: response vanishes after handler
-    Node::Handler handler;  // sync-compat: resolved at submit time
-    Status fail = Status::Ok();  // kFail: the completion's error
   };
 
   Channel(Network* network, std::string from, std::string to,
-          std::string service, const ChannelOptions& options,
-          bool sync_compat);
+          std::string service, const ChannelOptions& options);
+
+  // Submit without the span: Submit and Call each open their own.
+  uint64_t Enqueue(const Frame& request, uint32_t attempt);
 
   // Pops the earliest event, advances the clock to it, and processes it
   // (or waits for the thread currently doing so). `lock` holds mu_.
@@ -293,11 +298,6 @@ class Channel {
   Network* network_;
   std::string from_, to_, service_;
   ChannelOptions options_;
-  // Sync-compat channels (Network::Call) reproduce the legacy blocking
-  // semantics exactly: faults resolve at submit time, dropped frames
-  // surface as kTimedOut at the deterministic legacy times, and there is
-  // no internal retransmission.
-  bool sync_compat_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -439,11 +439,9 @@ class Network : public metrics::StatsProvider {
                           const std::string& service,
                           const ChannelOptions& options = {});
 
-  // Synchronous RPC: a thin submit+wait wrapper over a single-use channel.
-  // Serializes `request` (stamping the caller's trace context into the
-  // header), charges one-way latency, runs the service handler inside the
-  // destination node's domain, charges the return latency, and
-  // deserializes the response.
+  // One blocking round trip (Channel::Call) on a single-use channel with
+  // default options, for callers that keep no channel of their own: server
+  // callbacks, the metadata server's calls to its data servers, tests.
   //
   // `attempt` is the caller's retransmission count for this logical call:
   // attempt 0 records a "net.call:<service>" span, retransmissions record
@@ -457,9 +455,6 @@ class Network : public metrics::StatsProvider {
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "net"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
-
-  // Zeroes the wire/fault accounting (bench phase isolation).
-  void ResetStats();
 
  private:
   friend class Channel;

@@ -22,8 +22,8 @@
 //    op. The caller is blocked for that duration and the hand-off is
 //    mutex-synchronized, so exactly one thread mutates a subtree at a time
 //    (TSan-clean by construction). The DFS network hop propagates the same
-//    way: Network::Call runs the remote handler inside the destination
-//    domain on the calling thread's context.
+//    way: the waiting thread's channel pump runs the remote handler inside
+//    the destination domain on that thread's context.
 //  * Time comes from the injected Clock, so span trees are deterministic
 //    under SpinTransport driven by a FakeClock and merely monotonic under
 //    real clocks.

@@ -84,7 +84,7 @@ struct ChaosWorld {
 
   bool delegated = false;
 
-  explicit ChaosWorld(uint64_t lease_ns = 10'000'000, bool pipelined = false,
+  explicit ChaosWorld(uint64_t lease_ns = 10'000'000,
                       bool with_delegations = false)
       : delegated(with_delegations) {
     network = std::make_unique<net::Network>(&clock, 1000);
@@ -101,23 +101,19 @@ struct ChaosWorld {
                                 &clock, options);
     sp<File> seeded = *sfs.root->CreateFile(*Name::Parse("chaos"), sys);
     EXPECT_TRUE(seeded->SetLength(kPages * kPageSize).ok());
-    // Pipelined worlds mount the clients over the async channel, tuned for
-    // this fabric (1µs links, 50µs injected delays): the 100µs RTO beats
-    // nothing that merely crawled, but recovers drops long before the sync
-    // path's logical backoff would.
+    // The clients' mount channels are tuned for this fabric (1µs links,
+    // 50µs injected delays): the 100µs RTO beats nothing that merely
+    // crawled, but recovers drops long before the logical retry loop's
+    // 1ms backoff would.
     dfs::DfsClientOptions client_options;
+    client_options.channel.rto_ns = 100'000;
+    client_options.channel.rack_reorder_ns = 10'000;
+    client_options.channel.max_retransmits = 3;
     if (delegated) {
       // Compound opens asking for read delegations: grants, recalls,
       // conflicts, and expiry now ride every schedule.
       client_options.compound = true;
       client_options.delegations = true;
-    }
-    if (pipelined) {
-      client_options.pipelined = true;
-      client_options.async_depth = 4;
-      client_options.channel.rto_ns = 100'000;
-      client_options.channel.rack_reorder_ns = 10'000;
-      client_options.channel.max_retransmits = 3;
     }
     for (int i = 0; i < kClients; ++i) {
       clients[i] = *DfsClient::Mount(client_nodes[i], network.get(), "server",
@@ -174,16 +170,14 @@ struct DelegationTeeth {
   uint64_t recalled = 0;
 };
 
-void RunChaosSeed(uint64_t seed, bool pipelined = false,
-                  bool delegated = false,
+void RunChaosSeed(uint64_t seed, bool delegated = false,
                   DelegationTeeth* teeth = nullptr) {
   // Per-seed black box: the flight recorder holds only this schedule's
   // events, so a failure dump reads as the seed's own story.
   flight::Clear();
   SCOPED_TRACE("seed=" + std::to_string(seed) +
-               (pipelined ? " (pipelined)" : "") +
                (delegated ? " (delegated)" : ""));
-  ChaosWorld world(10'000'000, pipelined, delegated);
+  ChaosWorld world(10'000'000, delegated);
   Rng rng(seed);
   PageModel model[kPages];
   sp<MappedRegion> regions[kClients];
@@ -392,16 +386,14 @@ void DumpFlightOnFailure(uint64_t seed, bool* dumped) {
   flight::DumpToArtifact("chaos", header);
 }
 
-// 4 shards x 55 seeds = 220 schedules, each run three times: over the
-// synchronous transport, pipelined, and with compound opens + read
-// delegations enabled (same seeds, so every sweep faces the same
-// schedules).
-void RunChaosShard(uint64_t first_seed, bool pipelined = false,
-                   bool delegated = false) {
+// 4 shards x 55 seeds = 220 schedules, each run twice: plain, and with
+// compound opens + read delegations enabled (same seeds, so both sweeps
+// face the same schedules).
+void RunChaosShard(uint64_t first_seed, bool delegated = false) {
   bool dumped = false;
   DelegationTeeth teeth;
   for (uint64_t seed = first_seed; seed < first_seed + 55; ++seed) {
-    RunChaosSeed(seed, pipelined, delegated, &teeth);
+    RunChaosSeed(seed, delegated, &teeth);
     DumpFlightOnFailure(seed, &dumped);
     if (::testing::Test::HasFatalFailure()) {
       return;
@@ -419,35 +411,23 @@ TEST(ChaosDfs, SeededSchedulesShard2) { RunChaosShard(3000); }
 TEST(ChaosDfs, SeededSchedulesShard3) { RunChaosShard(4000); }
 
 TEST(ChaosDfs, DelegatedSeededSchedulesShard0) {
-  RunChaosShard(1000, false, true);
+  RunChaosShard(1000, true);
 }
 TEST(ChaosDfs, DelegatedSeededSchedulesShard1) {
-  RunChaosShard(2000, false, true);
+  RunChaosShard(2000, true);
 }
 TEST(ChaosDfs, DelegatedSeededSchedulesShard2) {
-  RunChaosShard(3000, false, true);
+  RunChaosShard(3000, true);
 }
 TEST(ChaosDfs, DelegatedSeededSchedulesShard3) {
-  RunChaosShard(4000, false, true);
+  RunChaosShard(4000, true);
 }
 
-TEST(ChaosDfs, PipelinedSeededSchedulesShard0) { RunChaosShard(1000, true); }
-TEST(ChaosDfs, PipelinedSeededSchedulesShard1) { RunChaosShard(2000, true); }
-TEST(ChaosDfs, PipelinedSeededSchedulesShard2) { RunChaosShard(3000, true); }
-TEST(ChaosDfs, PipelinedSeededSchedulesShard3) { RunChaosShard(4000, true); }
-
-// On a delay-heavy plan the pipelined transport must converge in strictly
-// fewer virtual-clock ticks than the synchronous one: a crawling request
-// pins a synchronous caller for the whole injected delay, while the
-// channel's RTO copy races past it.
-struct DelayHeavyRun {
-  uint64_t ticks = 0;
-  uint64_t recoveries = 0;  // rack + rto retransmits spent
-};
-
-DelayHeavyRun MeasureDelayHeavyRun(bool pipelined) {
-  DelayHeavyRun run;
-  ChaosWorld world(10'000'000, pipelined);
+// On a delay-heavy plan a crawling request must not pin its caller for the
+// whole injected delay: the mount channel's RTO copy races past it, and
+// every write and read still lands.
+TEST(ChaosDfs, ChannelCopiesRecoverDelayedFrames) {
+  ChaosWorld world;
   net::FaultPlan plan;
   plan.seed = 3;
   plan.delay_pct = 60;
@@ -464,22 +444,16 @@ DelayHeavyRun MeasureDelayHeavyRun(bool pipelined) {
       EXPECT_EQ(*back, i);
     }
   }
-  run.ticks = world.clock.Now() - before;
-  run.recoveries = metrics::StatValue(*world.network, "rack_retransmits") +
-                   metrics::StatValue(*world.network, "rto_retransmits");
   world.network->DisarmFaults();
-  return run;
-}
-
-TEST(ChaosDfs, PipelinedConvergesInFewerTicksThanSyncUnderDelay) {
-  DelayHeavyRun sync = MeasureDelayHeavyRun(false);
-  DelayHeavyRun piped = MeasureDelayHeavyRun(true);
-  EXPECT_LT(piped.ticks, sync.ticks)
-      << "pipelined recovery must beat synchronous waiting on delay-heavy "
-         "plans";
-  EXPECT_EQ(sync.recoveries, 0u) << "sync transport never retransmits";
-  EXPECT_GT(piped.recoveries, 0u)
-      << "the speedup should come from RTO/RACK copies racing the delays";
+  uint64_t ticks = world.clock.Now() - before;
+  uint64_t recoveries =
+      metrics::StatValue(*world.network, "rack_retransmits") +
+      metrics::StatValue(*world.network, "rto_retransmits");
+  EXPECT_GT(recoveries, 0u)
+      << "RTO/RACK copies should race past the delayed frames";
+  // Waiting out every delayed frame would cost at least its delay each.
+  EXPECT_LT(ticks, metrics::StatValue(*world.network, "delayed_messages") *
+                       plan.delay_ns);
 }
 
 // The chaos machinery must have teeth: across a handful of schedules the
@@ -1034,7 +1008,7 @@ TEST(ChaosNet, ConcurrentSendersSurviveFaultToggling) {
       const std::string to = (t % 2 == 0) ? "b" : "a";
       net::Frame request;
       for (int i = 0; i < 400; ++i) {
-        request.arg0 = i;
+        request.payload = Buffer(std::to_string(i));
         (void)network.Call(from, to, "echo", request);
       }
     });

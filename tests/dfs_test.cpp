@@ -25,19 +25,41 @@ using dfs::DfsServer;
 TEST(NetworkTest, FrameRoundTrip) {
   net::Frame frame;
   frame.type = 7;
-  frame.arg0 = 1;
-  frame.arg1 = 2;
-  frame.arg2 = 3;
-  frame.arg3 = 4;
   frame.status = -5;
+  frame.request_id = 11;
+  frame.epoch = 12;
+  frame.tag = 13;
   frame.payload = Buffer(std::string("payload"));
   Buffer wire = frame.Serialize();
   Result<net::Frame> back = net::Frame::Deserialize(wire.span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->type, 7u);
-  EXPECT_EQ(back->arg3, 4u);
   EXPECT_EQ(back->status, -5);
+  EXPECT_EQ(back->request_id, 11u);
+  EXPECT_EQ(back->epoch, 12u);
+  EXPECT_EQ(back->tag, 13u);
   EXPECT_EQ(back->payload.ToString(), "payload");
+}
+
+TEST(NetworkTest, HeaderIs56BytesAndTraceStampRoundTrips) {
+  net::Frame frame;
+  frame.type = 3;
+  frame.request_id = 99;
+  frame.tag = 5;
+  frame.payload = Buffer(std::string("body"));
+  Buffer wire = frame.Serialize();
+  EXPECT_EQ(wire.size(), 56u + frame.payload.size());
+  EXPECT_EQ(net::Frame{}.Serialize().size(), 56u);
+  // Stamping patches the trace words in place and touches nothing else.
+  net::StampTraceContext(wire, trace::TraceContext{0x1234, 0x5678});
+  Result<net::Frame> back = net::Frame::Deserialize(wire.span());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->trace_id, 0x1234u);
+  EXPECT_EQ(back->parent_span_id, 0x5678u);
+  EXPECT_EQ(back->type, 3u);
+  EXPECT_EQ(back->request_id, 99u);
+  EXPECT_EQ(back->tag, 5u);
+  EXPECT_EQ(back->payload.ToString(), "body");
 }
 
 TEST(NetworkTest, DeserializeRejectsGarbage) {
@@ -52,18 +74,15 @@ TEST(NetworkTest, CallDispatchesAndCharges) {
   sp<net::Node> b = network.AddNode("b");
   b->RegisterService("echo", [](const net::Frame& request) {
     net::Frame response;
-    response.arg0 = request.arg0 + 1;
-    response.payload = request.payload;
+    response.payload = Buffer(request.payload.ToString() + "!");
     return response;
   });
   net::Frame request;
-  request.arg0 = 41;
   request.payload = Buffer(std::string("hi"));
   TimeNs before = clock.Now();
   Result<net::Frame> response = network.Call("a", "b", "echo", request);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->arg0, 42u);
-  EXPECT_EQ(response->payload.ToString(), "hi");
+  EXPECT_EQ(response->payload.ToString(), "hi!");
   EXPECT_EQ(clock.Now() - before, 2000u);  // two hops
   EXPECT_EQ(metrics::StatValue(network, "messages"), 2u);
 }
@@ -189,15 +208,15 @@ TEST_F(DfsTest, LocalBindForwarding) {
   ASSERT_TRUE(created->SetLength(kPageSize).ok());
   sp<Vmm> local_vmm = Vmm::Create(server_node_->domain(), "local-vmm");
   sp<MappedRegion> region = *local_vmm->Map(created, AccessRights::kReadWrite);
-  network_->ResetStats();
-  server_->ResetStats();
+  uint64_t messages_before = metrics::StatValue(*network_, "messages");
+  uint64_t page_ins_before = metrics::StatValue(*server_, "remote_page_ins");
   Buffer data(std::string("local"));
   ASSERT_TRUE(region->Write(0, data.span()).ok());
   Buffer out(5);
   ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
   // No network traffic and no DFS page-in involvement for local access.
-  EXPECT_EQ(metrics::StatValue(*network_, "messages"), 0u);
-  EXPECT_EQ(metrics::StatValue(*server_, "remote_page_ins"), 0u);
+  EXPECT_EQ(metrics::StatValue(*network_, "messages"), messages_before);
+  EXPECT_EQ(metrics::StatValue(*server_, "remote_page_ins"), page_ins_before);
   // And the mapping is genuinely the SFS channel: the local VMM shares the
   // cache with a direct SFS mapping of the same file.
   sp<File> sfs_file = *ResolveAs<File>(sfs_.root, "fig7", sys_);
@@ -317,19 +336,22 @@ TEST_F(DfsTest, MutatingCallsRetrySafelyThroughDedup) {
 }
 
 TEST_F(DfsTest, LostResponseRetransmissionAppliesExactlyOnce) {
-  // The *response* is lost: the server HAS executed the create, the client
-  // times out and retransmits the same request id, and the server's dedup
-  // window replays the original response instead of re-executing. A blind
-  // re-execute would fail with kAlreadyExists — the ok result proves the
-  // dedup path answered.
+  // The *response* is lost: the server HAS executed the create, the mount
+  // channel's timer retransmits the same bytes (same request id), and the
+  // server's dedup window replays the original response instead of
+  // re-executing. A blind re-execute would fail with kAlreadyExists — the
+  // ok result proves the dedup path answered. The logical retry loop never
+  // sees the loss.
   uint64_t calls_before = metrics::StatValue(*client_, "calls_sent");
+  uint64_t rto_before = metrics::StatValue(*network_, "rto_retransmits");
   network_->DropNextResponses("client1", "server", 1);
   Result<sp<File>> created = client_->CreateFile(*Name::Parse("exactly"),
                                                  sys_);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*client_);
-  EXPECT_EQ(stats["retries"], 1u);
-  EXPECT_EQ(stats["calls_sent"], calls_before + 2);
+  EXPECT_EQ(stats["retries"], 0u);
+  EXPECT_EQ(stats["calls_sent"], calls_before + 1);
+  EXPECT_EQ(metrics::StatValue(*network_, "rto_retransmits"), rto_before + 1);
   EXPECT_EQ(metrics::StatValue(*server_, "dedup_hits"), 1u);
   EXPECT_EQ(metrics::StatValue(*network_, "dropped_responses"), 1u);
   // Exactly-once: the file exists and the remote view is usable.
@@ -358,21 +380,19 @@ TEST_F(DfsTest, LostWriteResponseDoesNotDoubleApply) {
 }
 
 TEST_F(DfsTest, ReorderedDuplicateOfMutatingOpAppliesExactlyOnce) {
-  // Pipelined transport, pathological reordering: the original copy of a
-  // kWrite is delayed so long that the channel's RTO retransmits it, the
-  // *retransmission* executes first, and the original limps in much later
-  // — after another client has overwritten the bytes. The server's dedup
-  // window must replay, not re-execute, or the stale write resurfaces.
+  // Pathological reordering: the original copy of a kWrite is delayed so
+  // long that the channel's RTO retransmits it, the *retransmission*
+  // executes first, and the original limps in much later — after another
+  // client has overwritten the bytes. The server's dedup window must
+  // replay, not re-execute, or the stale write resurfaces.
   sp<File> created = *sfs_.root->CreateFile(*Name::Parse("reorder"), sys_);
   (void)created;
   dfs::DfsClientOptions options;
-  options.pipelined = true;
-  options.async_depth = 4;
   options.channel.rto_ns = 100'000;
   options.channel.max_retransmits = 3;
-  sp<DfsClient> piped = *DfsClient::Mount(client2_node_, network_.get(),
+  sp<DfsClient> eager = *DfsClient::Mount(client2_node_, network_.get(),
                                           "server", "dfs", &clock_, options);
-  sp<File> remote = *ResolveAs<File>(piped, "reorder", sys_);
+  sp<File> remote = *ResolveAs<File>(eager, "reorder", sys_);
 
   uint64_t dedup_before = metrics::StatValue(*server_, "dedup_hits");
   // The next request on the link crawls: 10ms against a 100µs RTO.
@@ -386,8 +406,8 @@ TEST_F(DfsTest, ReorderedDuplicateOfMutatingOpAppliesExactlyOnce) {
   Buffer fresh_bytes(std::string("BBBB"));
   ASSERT_TRUE(other->Write(0, fresh_bytes.span()).ok());
 
-  // Let virtual time reach the original's arrival; the next pipelined op
-  // pumps it into the server, whose dedup window replays the original
+  // Let virtual time reach the original's arrival; the next op on the
+  // mount's channel pumps it into the server, whose dedup window replays the original
   // response instead of re-executing the write.
   clock_.Advance(10'000'000);
   ASSERT_TRUE(remote->Stat().ok());

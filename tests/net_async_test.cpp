@@ -1,10 +1,11 @@
 // Deterministic unit tests for the async channel (DESIGN.md §12): tag
 // allocation and pairing, completion ordering under reordering, pacing
-// bounds, RACK-style early loss declaration, the capped RTO fallback,
-// full-window behaviour, and waiting on several channels in event-time
-// order (WaitAnyOf, FanOut). Everything runs on a FakeClock — the channel's
-// event pump advances virtual time itself, so there are no sleeps and no
-// timing flakes.
+// bounds, RACK-style early loss declaration, the capped RTO fallback, the
+// delivered-frame rule that keeps both off a frame whose handler is
+// running, full-window behaviour, and waiting on several channels in
+// event-time order (WaitAnyOf, FanOut). Everything runs on a FakeClock —
+// the channel's event pump advances virtual time itself, so there are no
+// sleeps and no timing flakes.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,18 @@
 namespace springfs {
 namespace {
 
-// Fabric with two nodes and an echo service that returns arg0 + 1.
+// A frame carrying one number in its payload.
+net::Frame NumberFrame(uint64_t n) {
+  net::Frame frame;
+  frame.payload = Buffer(std::to_string(n));
+  return frame;
+}
+
+uint64_t NumberOf(const net::Frame& frame) {
+  return std::stoull(frame.payload.ToString());
+}
+
+// Fabric with two nodes and an echo service that returns its number + 1.
 class NetAsyncTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -27,17 +39,12 @@ class NetAsyncTest : public ::testing::Test {
     b_ = network_->AddNode("b");
     b_->RegisterService("echo", [this](const net::Frame& request) {
       ++handler_runs_;
-      net::Frame response;
-      response.arg0 = request.arg0 + 1;
-      response.payload = request.payload;
-      return response;
+      return NumberFrame(NumberOf(request) + 1);
     });
   }
 
-  uint64_t Submit(const sp<net::Channel>& channel, uint64_t arg0) {
-    net::Frame request;
-    request.arg0 = arg0;
-    return channel->Submit(request);
+  uint64_t Submit(const sp<net::Channel>& channel, uint64_t n) {
+    return channel->Submit(NumberFrame(n));
   }
 
   // The earliest unclaimed completion on one channel.
@@ -68,13 +75,13 @@ TEST_F(NetAsyncTest, TagsAreUniqueAndTrackOutstanding) {
   ASSERT_TRUE(c2.ok());
   ASSERT_TRUE(c2->status.ok());
   EXPECT_EQ(c2->tag, t2);
-  EXPECT_EQ(c2->response.arg0, 21u);
+  EXPECT_EQ(NumberOf(c2->response), 21u);
   Result<net::Completion> c1 = channel->Wait(t1);
   ASSERT_TRUE(c1.ok());
-  EXPECT_EQ(c1->response.arg0, 11u);
+  EXPECT_EQ(NumberOf(c1->response), 11u);
   Result<net::Completion> c3 = channel->Wait(t3);
   ASSERT_TRUE(c3.ok());
-  EXPECT_EQ(c3->response.arg0, 31u);
+  EXPECT_EQ(NumberOf(c3->response), 31u);
   EXPECT_EQ(channel->in_flight(), 0u);
   EXPECT_EQ(channel->stats().submitted, 3u);
   EXPECT_EQ(channel->stats().completed, 3u);
@@ -115,11 +122,11 @@ TEST_F(NetAsyncTest, CompletionsReorderUnderDelay) {
   Result<net::Completion> first = WaitAny(channel);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->tag, fast);
-  EXPECT_EQ(first->response.arg0, 3u);
+  EXPECT_EQ(NumberOf(first->response), 3u);
   Result<net::Completion> second = WaitAny(channel);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->tag, slow);
-  EXPECT_EQ(second->response.arg0, 2u);
+  EXPECT_EQ(NumberOf(second->response), 2u);
   // Reordering alone must not trigger loss recovery: the fast completion
   // arrived inside the (default, 100µs) reordering window.
   EXPECT_EQ(channel->stats().rack_retransmits, 0u);
@@ -171,7 +178,7 @@ TEST_F(NetAsyncTest, RackDeclaresLossWhenLaterSendCompletes) {
   Result<net::Completion> recovered = channel->Wait(lost);
   ASSERT_TRUE(recovered.ok());
   ASSERT_TRUE(recovered->status.ok());
-  EXPECT_EQ(recovered->response.arg0, 2u);
+  EXPECT_EQ(NumberOf(recovered->response), 2u);
   EXPECT_TRUE(recovered->rack_recovered);
   EXPECT_EQ(recovered->retransmits, 1u);
   EXPECT_EQ(recovered->last_send_ns, before + 2000);
@@ -194,7 +201,7 @@ TEST_F(NetAsyncTest, RtoBackoffDoublesAndRecoversSolitaryLoss) {
   Result<net::Completion> done = channel->Wait(tag);
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done->status.ok());
-  EXPECT_EQ(done->response.arg0, 8u);
+  EXPECT_EQ(NumberOf(done->response), 8u);
   EXPECT_EQ(done->retransmits, 2u);
   EXPECT_FALSE(done->rack_recovered);
   // Copies at T (dropped), T+10k (dropped), T+30k (10k + doubled 20k);
@@ -218,6 +225,107 @@ TEST_F(NetAsyncTest, ExhaustedRetransmitsCompleteWithTimeout) {
   EXPECT_EQ(done->retransmits, 1u);
   EXPECT_EQ(channel->stats().exhausted, 1u);
   network_->DropNextRequests("a", "b", 0);  // disarm the leftover budget
+}
+
+// --- the delivered-frame rule: a frame that reached its handler, and whose
+// response was not dropped, is never declared lost by RTO or RACK ---
+
+TEST_F(NetAsyncTest, HandlerPastRtoCompletesAfterOneTransmission) {
+  // A handler may legitimately run past the timer (a recall callback, the
+  // metadata server's lookup ladder). Its frame was delivered and the
+  // response is on the way: the timer must neither retransmit it nor time
+  // it out, so the handler runs once.
+  net::ChannelOptions options;
+  options.rto_ns = 10'000;
+  int runs = 0;
+  b_->RegisterService("slow", [&](const net::Frame&) {
+    ++runs;
+    clock_.Advance(5 * options.rto_ns);
+    return net::Frame{};
+  });
+  sp<net::Channel> channel = network_->OpenChannel("a", "b", "slow", options);
+  TimeNs before = clock_.Now();
+  Result<net::Completion> done = channel->Wait(channel->Submit(net::Frame{}));
+  ASSERT_TRUE(done.ok());
+  ASSERT_TRUE(done->status.ok()) << done->status.ToString();
+  EXPECT_EQ(done->retransmits, 0u);
+  EXPECT_EQ(clock_.Now() - before, 1000u + 50'000u + 1000u);
+  EXPECT_EQ(runs, 1);
+  // A later round trip pumps whatever the first left on the wire: no
+  // second copy of it may reach the handler.
+  ASSERT_TRUE(channel->Wait(channel->Submit(net::Frame{})).ok());
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(channel->stats().rto_retransmits, 0u);
+  EXPECT_EQ(channel->stats().rack_retransmits, 0u);
+}
+
+TEST_F(NetAsyncTest, DroppedResponseIsStillRecoveredByRto) {
+  // The rule covers delivered frames whose response comes back. A dropped
+  // response is a loss like any other: the timer resends the same bytes
+  // and the server's dedup window replays the original response.
+  net::ChannelOptions options;
+  options.rto_ns = 10'000;
+  std::map<uint64_t, net::Frame> window;  // request id -> first response
+  int executions = 0;
+  int replays = 0;
+  b_->RegisterService("once", [&](const net::Frame& request) {
+    auto it = window.find(request.request_id);
+    if (it != window.end()) {
+      ++replays;
+      return it->second;
+    }
+    ++executions;
+    clock_.Advance(2 * options.rto_ns);  // slow, and still recovered
+    net::Frame response = NumberFrame(41);
+    window[request.request_id] = response;
+    return response;
+  });
+  sp<net::Channel> channel = network_->OpenChannel("a", "b", "once", options);
+  network_->DropNextResponses("a", "b", 1);
+  net::Frame request;
+  request.request_id = 7;
+  Result<net::Completion> done = channel->Wait(channel->Submit(request));
+  ASSERT_TRUE(done.ok());
+  ASSERT_TRUE(done->status.ok()) << done->status.ToString();
+  EXPECT_EQ(NumberOf(done->response), 41u);
+  EXPECT_EQ(done->retransmits, 1u);
+  EXPECT_EQ(channel->stats().rto_retransmits, 1u);
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(replays, 1);
+}
+
+TEST_F(NetAsyncTest, NestedCallOnTheCallersChannelDoesNotRackTheOuterFrame) {
+  // The outer frame's handler makes a call over the caller's own channel,
+  // as a recall's page-out rides the recalled client's mount channel. The
+  // nested completion is a later send completing while the outer frame is
+  // pending, but the outer frame was delivered, so RACK must leave it be.
+  net::ChannelOptions options;
+  options.rack_reorder_ns = 1000;
+  sp<net::Channel> channel;
+  int outer_runs = 0;
+  int inner_runs = 0;
+  b_->RegisterService("nest", [&](const net::Frame& request) {
+    if (NumberOf(request) == 0) {
+      ++inner_runs;
+      return NumberFrame(0);
+    }
+    ++outer_runs;
+    Result<net::Completion> inner =
+        channel->Wait(channel->Submit(NumberFrame(0)));
+    return NumberFrame(inner.ok() && inner->status.ok() ? 2 : 1);
+  });
+  channel = network_->OpenChannel("a", "b", "nest", options);
+  TimeNs before = clock_.Now();
+  Result<net::Completion> outer =
+      channel->Wait(channel->Submit(NumberFrame(1)));
+  ASSERT_TRUE(outer.ok());
+  ASSERT_TRUE(outer->status.ok()) << outer->status.ToString();
+  EXPECT_EQ(NumberOf(outer->response), 2u);
+  EXPECT_EQ(outer->retransmits, 0u);
+  EXPECT_EQ(clock_.Now() - before, 4000u);  // two nested round trips
+  EXPECT_EQ(outer_runs, 1);
+  EXPECT_EQ(inner_runs, 1);
+  EXPECT_EQ(channel->stats().rack_retransmits, 0u);
 }
 
 TEST_F(NetAsyncTest, WindowBlocksSubmitUntilCompletionsDrain) {
@@ -258,11 +366,9 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
     options.max_retransmits = 10;
     sp<net::Channel> channel =
         network_->OpenChannel("a", "b", "echo", options);
-    std::map<uint64_t, uint64_t> want;  // tag -> expected arg0
+    std::map<uint64_t, uint64_t> want;  // tag -> expected number
     for (uint64_t i = 0; i < 40; ++i) {
-      net::Frame request;
-      request.arg0 = seed * 1000 + i;
-      want[channel->Submit(request)] = request.arg0 + 1;
+      want[Submit(channel, seed * 1000 + i)] = seed * 1000 + i + 1;
     }
     size_t completions = 0;
     while (!want.empty()) {
@@ -272,7 +378,7 @@ TEST_F(NetAsyncTest, SeededFaultSweepCompletesEveryTagExactlyOnce) {
           << "seed " << seed << ": " << done->status.ToString();
       auto it = want.find(done->tag);
       ASSERT_NE(it, want.end()) << "seed " << seed << " duplicate completion";
-      EXPECT_EQ(done->response.arg0, it->second) << "seed " << seed;
+      EXPECT_EQ(NumberOf(done->response), it->second) << "seed " << seed;
       want.erase(it);
       ++completions;
     }
@@ -354,7 +460,7 @@ TEST_F(NetAsyncTest, WaitAnyOfTakesReadyCompletionsFirst) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(index, 0u);
   EXPECT_EQ(second->tag, pending);
-  EXPECT_EQ(second->response.arg0, 2u);
+  EXPECT_EQ(NumberOf(second->response), 2u);
 }
 
 TEST_F(NetAsyncTest, FanOutQueuesPastFullWindowsAndRoutesOwners) {
@@ -365,9 +471,7 @@ TEST_F(NetAsyncTest, FanOutQueuesPastFullWindowsAndRoutesOwners) {
   // the owner it was sent for.
   sp<net::Node> c = network_->AddNode("c");
   c->RegisterService("echo", [](const net::Frame& request) {
-    net::Frame response;
-    response.arg0 = request.arg0 + 1;
-    return response;
+    return NumberFrame(NumberOf(request) + 1);
   });
   net::ChannelOptions options;
   options.max_inflight = 1;
@@ -376,9 +480,8 @@ TEST_F(NetAsyncTest, FanOutQueuesPastFullWindowsAndRoutesOwners) {
   net::FanOut fan;
   TimeNs before = clock_.Now();
   for (uint64_t owner = 0; owner < 4; ++owner) {
-    net::Frame request;
-    request.arg0 = 100 + owner;
-    fan.Submit(owner % 2 == 0 ? to_b : to_c, request, owner);
+    fan.Submit(owner % 2 == 0 ? to_b : to_c, NumberFrame(100 + owner),
+               owner);
   }
   EXPECT_EQ(clock_.Now(), before);
   EXPECT_TRUE(to_b->full());
@@ -386,7 +489,7 @@ TEST_F(NetAsyncTest, FanOutQueuesPastFullWindowsAndRoutesOwners) {
   std::vector<uint64_t> owners;
   while (std::optional<net::FanOut::Finished> done = fan.Next()) {
     ASSERT_TRUE(done->completion.status.ok());
-    EXPECT_EQ(done->completion.response.arg0, 101 + done->owner);
+    EXPECT_EQ(NumberOf(done->completion.response), 101 + done->owner);
     owners.push_back(done->owner);
   }
   EXPECT_EQ(owners, (std::vector<uint64_t>{0, 1, 2, 3}));
@@ -402,8 +505,8 @@ TEST_F(NetAsyncTest, FanOutFinishesRequestsOfAChannelThatGivesUp) {
   options.max_inflight = 1;
   sp<net::Channel> channel = network_->OpenChannel("a", "b", "echo", options);
   net::FanOut fan;
-  fan.Submit(channel, net::Frame{}, 7);
-  fan.Submit(channel, net::Frame{}, 8);
+  fan.Submit(channel, NumberFrame(7), 7);
+  fan.Submit(channel, NumberFrame(8), 8);
   ASSERT_TRUE(WaitAny(channel).ok());
   std::optional<net::FanOut::Finished> done = fan.Next();
   ASSERT_TRUE(done.has_value());
