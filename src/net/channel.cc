@@ -78,7 +78,11 @@ Result<Frame> Channel::Call(const Frame& request, uint32_t attempt) {
 
 uint64_t Channel::Enqueue(const Frame& request, uint32_t attempt) {
   std::unique_lock<std::mutex> lock(mu_);
-  while (pending_.size() >= options_.max_inflight) {
+  // A handler this thread is running for the channel submits past the
+  // window: the frame that handler serves holds a slot it cannot give back
+  // until the nested call completes.
+  bool nested = pumping_ && pump_owner_ == std::this_thread::get_id();
+  while (!nested && pending_.size() >= options_.max_inflight) {
     PumpOne(lock);
   }
   uint64_t tag = ++next_tag_;

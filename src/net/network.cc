@@ -241,8 +241,12 @@ sp<Channel> Network::OpenChannel(const std::string& from,
 Result<Frame> Network::Call(const std::string& from, const std::string& to,
                             const std::string& service, const Frame& request,
                             uint32_t attempt) {
-  return Channel(this, from, to, service, ChannelOptions{})
-      .Call(request, attempt);
+  // No retransmission: server callbacks carry no request id and their
+  // handlers are not idempotent (a recall hands its dirty pages over once),
+  // so a lost copy must reach the caller as kTimedOut, not be resent.
+  ChannelOptions once;
+  once.max_retransmits = 0;
+  return Channel(this, from, to, service, once).Call(request, attempt);
 }
 
 namespace {

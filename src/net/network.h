@@ -15,7 +15,8 @@
 // (a frame is declared lost as soon as later-sent frames complete, with a
 // capped-backoff retransmission timer as the last resort). Channel::Call
 // is one blocking round trip on a channel; Network::Call is the same on a
-// single-use channel, for callers without a persistent one.
+// single-use channel that never retransmits, for callers without a
+// persistent one.
 
 #ifndef SPRINGFS_NET_NETWORK_H_
 #define SPRINGFS_NET_NETWORK_H_
@@ -149,7 +150,9 @@ class Node {
 // Tunables for an async channel (DESIGN.md §12).
 struct ChannelOptions {
   // Submission window: Submit() blocks (pumping completions) while this
-  // many frames are outstanding.
+  // many frames are outstanding. A handler running for one of the
+  // channel's frames submits past it (a nested call on the caller's
+  // channel), so a window of 1 cannot deadlock on itself.
   size_t max_inflight = 16;
 
   // Client-side pacer: once `pace_burst` back-to-back sends have used up
@@ -439,9 +442,15 @@ class Network : public metrics::StatsProvider {
                           const std::string& service,
                           const ChannelOptions& options = {});
 
-  // One blocking round trip (Channel::Call) on a single-use channel with
-  // default options, for callers that keep no channel of their own: server
-  // callbacks, the metadata server's calls to its data servers, tests.
+  // One blocking round trip (Channel::Call) on a single-use channel, for
+  // callers that keep no channel of their own: server callbacks, the
+  // metadata server's calls to its data servers, tests. The channel never
+  // retransmits (max_retransmits = 0): a lost request or response
+  // completes with kTimedOut when the first timer fires, rto_ns after the
+  // send, and retry policy stays with the caller. Callbacks carry no
+  // request id and their handlers are not idempotent, so a resent copy
+  // could run one twice. A slow handler is still safe: its frame was
+  // delivered, so the timer leaves it be.
   //
   // `attempt` is the caller's retransmission count for this logical call:
   // attempt 0 records a "net.call:<service>" span, retransmissions record

@@ -595,6 +595,43 @@ TEST_F(DfsTest, KilledWriterDoesNotBlockOtherClients) {
             1u);
 }
 
+TEST_F(DfsTest, LostRecallResponseEvictsTheHolder) {
+  // A recall callback carries no request id and is not idempotent: the
+  // holder hands its dirty pages over in the response and drops them from
+  // its cache. A resent copy would find nothing left and report a clean
+  // recall, silently losing the write. Server callbacks ride
+  // Network::Call, which never resends: the lost response surfaces as
+  // kTimedOut and the holder is evicted with its dirty blocks accounted.
+  sp<File> created = *sfs_.root->CreateFile(*Name::Parse("recalled"), sys_);
+  ASSERT_TRUE(created->SetLength(kPageSize).ok());
+  sp<File> r1 = *ResolveAs<File>(client_, "recalled", sys_);
+  sp<File> r2 = *ResolveAs<File>(client2_, "recalled", sys_);
+  sp<MappedRegion> m1 = *client_vmm_->Map(r1, AccessRights::kReadWrite);
+  Buffer mine(std::string("mine"));
+  ASSERT_TRUE(m1->Write(0, mine.span()).ok());  // dirty in client1's cache
+
+  uint64_t recalls_before = metrics::StatValue(*client_, "callbacks_received");
+  uint64_t rto_before = metrics::StatValue(*network_, "rto_retransmits");
+  network_->DropNextResponses("server", "client1", 1);
+  sp<MappedRegion> m2 = *client2_vmm_->Map(r2, AccessRights::kReadWrite);
+  Buffer theirs(std::string("ours"));
+  ASSERT_TRUE(m2->Write(0, theirs.span()).ok());
+  ASSERT_TRUE(m2->Sync().ok());
+  EXPECT_EQ(metrics::StatValue(*network_, "dropped_responses"), 1u);
+  EXPECT_EQ(metrics::StatValue(*client_, "callbacks_received"),
+            recalls_before + 1)
+      << "the recall must not run twice";
+  EXPECT_EQ(metrics::StatValue(*network_, "rto_retransmits"), rto_before);
+  CoherencyStats coh = server_->AggregateCoherencyStats();
+  EXPECT_GE(coh.evictions, 1u);
+  EXPECT_GE(coh.lost_dirty_blocks, 1u)
+      << "the lost recall must be accounted, not reported clean";
+  EXPECT_TRUE(server_->CheckCoherencyInvariants());
+  Buffer out(4);
+  ASSERT_TRUE(created->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out.ToString(), "ours");
+}
+
 TEST_F(DfsTest, SyncFlowsToDisk) {
   sp<File> file = *client_->CreateFile(*Name::Parse("durable"), sys_);
   Buffer data(std::string("remote durable"));

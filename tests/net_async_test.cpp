@@ -299,33 +299,41 @@ TEST_F(NetAsyncTest, NestedCallOnTheCallersChannelDoesNotRackTheOuterFrame) {
   // as a recall's page-out rides the recalled client's mount channel. The
   // nested completion is a later send completing while the outer frame is
   // pending, but the outer frame was delivered, so RACK must leave it be.
-  net::ChannelOptions options;
-  options.rack_reorder_ns = 1000;
-  sp<net::Channel> channel;
-  int outer_runs = 0;
-  int inner_runs = 0;
-  b_->RegisterService("nest", [&](const net::Frame& request) {
-    if (NumberOf(request) == 0) {
-      ++inner_runs;
-      return NumberFrame(0);
-    }
-    ++outer_runs;
-    Result<net::Completion> inner =
-        channel->Wait(channel->Submit(NumberFrame(0)));
-    return NumberFrame(inner.ok() && inner->status.ok() ? 2 : 1);
-  });
-  channel = network_->OpenChannel("a", "b", "nest", options);
-  TimeNs before = clock_.Now();
-  Result<net::Completion> outer =
-      channel->Wait(channel->Submit(NumberFrame(1)));
-  ASSERT_TRUE(outer.ok());
-  ASSERT_TRUE(outer->status.ok()) << outer->status.ToString();
-  EXPECT_EQ(NumberOf(outer->response), 2u);
-  EXPECT_EQ(outer->retransmits, 0u);
-  EXPECT_EQ(clock_.Now() - before, 4000u);  // two nested round trips
-  EXPECT_EQ(outer_runs, 1);
-  EXPECT_EQ(inner_runs, 1);
-  EXPECT_EQ(channel->stats().rack_retransmits, 0u);
+  // With a window of one the outer frame fills it, and the nested call
+  // must go out anyway: the outer frame cannot complete before it does.
+  for (size_t window : {size_t{1}, size_t{16}}) {
+    SCOPED_TRACE("max_inflight=" + std::to_string(window));
+    net::ChannelOptions options;
+    options.max_inflight = window;
+    options.rack_reorder_ns = 1000;
+    sp<net::Channel> channel;
+    int outer_runs = 0;
+    int inner_runs = 0;
+    b_->RegisterService("nest", [&](const net::Frame& request) {
+      if (NumberOf(request) == 0) {
+        ++inner_runs;
+        return NumberFrame(0);
+      }
+      ++outer_runs;
+      Result<net::Completion> inner =
+          channel->Wait(channel->Submit(NumberFrame(0)));
+      return NumberFrame(inner.ok() && inner->status.ok() ? 2 : 1);
+    });
+    channel = network_->OpenChannel("a", "b", "nest", options);
+    TimeNs before = clock_.Now();
+    Result<net::Completion> outer =
+        channel->Wait(channel->Submit(NumberFrame(1)));
+    ASSERT_TRUE(outer.ok());
+    ASSERT_TRUE(outer->status.ok()) << outer->status.ToString();
+    EXPECT_EQ(NumberOf(outer->response), 2u);
+    EXPECT_EQ(outer->retransmits, 0u);
+    EXPECT_EQ(clock_.Now() - before, 4000u);  // two nested round trips
+    EXPECT_EQ(outer_runs, 1);
+    EXPECT_EQ(inner_runs, 1);
+    EXPECT_EQ(channel->stats().rack_retransmits, 0u);
+    // The window holds again once the nested call is done.
+    EXPECT_EQ(channel->in_flight(), 0u);
+  }
 }
 
 TEST_F(NetAsyncTest, WindowBlocksSubmitUntilCompletionsDrain) {
