@@ -31,6 +31,8 @@
 #include "src/vmm/vmm.h"
 
 using namespace springfs;
+using bench::Better;
+using bench::Figure;
 using bench::Measurement;
 using dfs::DfsClient;
 using dfs::DfsServer;
@@ -103,7 +105,7 @@ RunResult RunWorkload(bench::BenchReport& report, const std::string& name,
   // Setup traffic (mount, resolve, bind, seeding the file) must not count.
   report.BeginConfig(name);
   uint64_t calls_before = metrics::StatValue(network, "calls");
-  vmm->ResetStats();
+  std::map<std::string, uint64_t> vmm_before = metrics::CollectFrom(*vmm);
 
   RunResult result;
   result.identical = true;
@@ -122,10 +124,11 @@ RunResult RunWorkload(bench::BenchReport& report, const std::string& name,
   result.wall_us =
       std::chrono::duration<double, std::micro>(end - start).count();
 
-  std::map<std::string, uint64_t> vmm_stats = metrics::CollectFrom(*vmm);
-  result.pager_calls = vmm_stats["faults"];
+  std::map<std::string, uint64_t> vmm_after = metrics::CollectFrom(*vmm);
+  result.pager_calls = vmm_after["faults"] - vmm_before["faults"];
   result.net_calls = metrics::StatValue(network, "calls") - calls_before;
-  result.read_ahead_hits = vmm_stats["read_ahead_hits"];
+  result.read_ahead_hits =
+      vmm_after["read_ahead_hits"] - vmm_before["read_ahead_hits"];
   HarvestWireOps(network);
 
   Measurement per_page;
@@ -226,13 +229,6 @@ RunResult RunPipelineDepth(bench::BenchReport& report, size_t depth) {
   return result;
 }
 
-Measurement Ratio(double value) {
-  Measurement m;
-  m.mean_us = value;
-  m.iterations = 1;
-  return m;
-}
-
 }  // namespace
 
 int main() {
@@ -276,11 +272,15 @@ int main() {
       depth1.wall_us / std::max(depth16.wall_us, 1.0);
 
   report.BeginConfig("summary");
-  report.Add("pager_call_reduction_x", Ratio(pager_reduction));
-  report.Add("net_call_reduction_x", Ratio(net_reduction));
-  report.Add("random_pager_call_ratio", Ratio(rand_regression));
-  report.Add("pipeline_depth4_speedup_x", Ratio(depth4_speedup));
-  report.Add("pipeline_depth16_speedup_x", Ratio(depth16_speedup));
+  report.Add("pager_call_reduction_x",
+             Figure(pager_reduction, Better::kHigher));
+  report.Add("net_call_reduction_x", Figure(net_reduction, Better::kHigher));
+  report.Add("random_pager_call_ratio",
+             Figure(rand_regression, Better::kLower));
+  report.Add("pipeline_depth4_speedup_x",
+             Figure(depth4_speedup, Better::kHigher));
+  report.Add("pipeline_depth16_speedup_x",
+             Figure(depth16_speedup, Better::kHigher));
   report.EndConfig();
 
   std::printf("sequential: %.1fx fewer pager calls, %.1fx fewer net round "

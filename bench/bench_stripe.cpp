@@ -36,6 +36,8 @@
 #include "src/support/rng.h"
 
 using namespace springfs;
+using bench::Better;
+using bench::Figure;
 using bench::Measurement;
 using dfs::DfsServer;
 using dfs::DfsServerOptions;
@@ -134,10 +136,7 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
   read.mean_us = result.wall_us;
   read.iterations = 1;
   report.Add("sequential read", read);
-  Measurement mbps;
-  mbps.mean_us = result.mbps;  // a rate, not a timing: scale-stable
-  mbps.iterations = 1;
-  report.Add("aggregate_mb_per_s", mbps);
+  report.Add("aggregate_mb_per_s", Figure(result.mbps, Better::kHigher));
   report.EndConfig();
 
   std::printf("%-16s: %10.0f us, %7.1f MB/s, %4llu net calls, bytes %s\n",
@@ -145,13 +144,6 @@ RunResult RunWidth(bench::BenchReport& report, size_t width) {
               static_cast<unsigned long long>(result.net_calls),
               result.identical ? "identical" : "MISMATCH");
   return result;
-}
-
-Measurement Ratio(double value) {
-  Measurement m;
-  m.mean_us = value;
-  m.iterations = 1;
-  return m;
 }
 
 // Degraded-mode read: a width-2 cluster at replica factor 2 (every stripe
@@ -277,9 +269,10 @@ DegradedResult RunDegraded(bench::BenchReport& report) {
   result.stale_cleared = healed.ok && healed.stale == 0;
 
   double ratio = result.degraded_mbps / std::max(result.healthy_mbps, 1e-9);
-  report.Add("healthy_mb_per_s", Ratio(result.healthy_mbps));
-  report.Add("degraded_mb_per_s", Ratio(result.degraded_mbps));
-  report.Add("degraded_ratio_x", Ratio(ratio));
+  report.Add("healthy_mb_per_s", Figure(result.healthy_mbps, Better::kHigher));
+  report.Add("degraded_mb_per_s",
+             Figure(result.degraded_mbps, Better::kHigher));
+  report.Add("degraded_ratio_x", Figure(ratio, Better::kHigher));
   report.EndConfig();
 
   std::printf("%-16s: %7.1f MB/s healthy, %7.1f MB/s with data1 dark "
@@ -314,8 +307,8 @@ int main() {
   double speedup2 = w2.mbps / std::max(w1.mbps, 1e-9);
   double speedup4 = w4.mbps / std::max(w1.mbps, 1e-9);
   report.BeginConfig("stripe/summary");
-  report.Add("width2_speedup_x", Ratio(speedup2));
-  report.Add("width4_speedup_x", Ratio(speedup4));
+  report.Add("width2_speedup_x", Figure(speedup2, Better::kHigher));
+  report.Add("width4_speedup_x", Figure(speedup4, Better::kHigher));
   report.EndConfig();
   std::printf("aggregate bandwidth: width2 %.2fx, width4 %.2fx over "
               "width1\n", speedup2, speedup4);

@@ -34,11 +34,26 @@ inline uint64_t ScaledIters(uint64_t iterations) {
   return QuickMode() ? iterations / 100 + 1 : iterations;
 }
 
+// Which way a measurement improves; check_bench_regression.py reads it
+// from the current run's JSON to decide what counts as a regression.
+enum class Better { kLower, kHigher };
+
 struct Measurement {
-  double mean_us = 0;       // mean per-operation cost
+  double mean_us = 0;       // mean per-operation cost (or a Figure's value)
   double max_dev_pct = 0;   // max |run - mean| / mean across runs
   uint64_t iterations = 0;  // per run
+  Better better = Better::kLower;
 };
+
+// A value that is not a per-op timing (a rate, speedup, reduction, ratio
+// or count), carried in mean_us with the direction it improves in.
+inline Measurement Figure(double value, Better better) {
+  Measurement m;
+  m.mean_us = value;
+  m.iterations = 1;
+  m.better = better;
+  return m;
+}
 
 template <typename F>
 Measurement TimeOp(F&& op, uint64_t iterations, int runs = 5) {
@@ -146,12 +161,13 @@ class BenchReport {
           out += ", ";
         }
         first_m = false;
-        char buf[128];
+        char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "{\"mean_us\": %.4f, \"max_dev_pct\": %.2f, "
-                      "\"iterations\": %llu}",
+                      "\"iterations\": %llu, \"better\": \"%s\"}",
                       m.mean_us, m.max_dev_pct,
-                      static_cast<unsigned long long>(m.iterations));
+                      static_cast<unsigned long long>(m.iterations),
+                      m.better == Better::kHigher ? "higher" : "lower");
         out += "\"" + Escape(op) + "\": " + buf;
       }
       out += "},\n     \"metrics\": " + metrics::ToJson(config.metrics) + "}";

@@ -5,30 +5,44 @@ Usage: check_bench_regression.py CURRENT... BASELINE
            [--tolerance 0.25] [--min-delta-us 5.0] [--require SUBSTR]
 
 The last positional argument is the baseline; every preceding one is a
-current run. With several current runs the per-measurement minimum is
+current run. With several current runs the per-measurement best is
 compared (best-of-N), which strips scheduler noise the way a single
 timing sample cannot — CI runs each quick bench three times.
+
+Every measurement carries a direction, "better": "lower" (per-op
+timings, call counts) or "higher" (rates, speedups, reductions). The
+direction is read from the current runs; a measurement without one, as
+in baselines written before the field existed, is a lower-is-better
+timing. Best-of-N takes the minimum of a lower-is-better value and the
+maximum of a higher-is-better one.
 
 Compares every (config, measurement) mean_us present in both sides. Raw
 wall-clock comparisons across different machines would gate on hardware, so
 the check normalizes by the run's overall speed shift first:
 
-    ratio(m)  = current.mean_us / baseline.mean_us
+    ratio(m)  = current / baseline   for "lower"
+              = baseline / current   for "higher"
     scale     = median ratio across all shared measurements
     fail when ratio(m) > (1 + tolerance) * scale
-         and current - baseline > min_delta_us
+         and the value got worse by more than min_delta
 
-On identical hardware scale ~= 1 and this is a plain >25%-regression gate;
-on a slower CI runner every measurement shifts together and only an op that
-regressed *relative to the rest of the suite* trips the gate. Measurements
-that are ratios rather than timings (e.g. seqio's summary reductions) shift
-with scale ~= 1 on any machine, so a genuine drop still sticks out. The
-absolute floor exists because quick mode runs ~100x fewer iterations:
-microsecond-scale ops routinely swing 2x run to run, so for them the gate
-only catches order-of-magnitude blowups; the 25% relative gate bites on
-measurements that dwarf the floor (e.g. seqio's per-page network reads).
-Semantic ratios (pager-call / round-trip reductions) are gated separately
-by bench_seqio's own exit code, not by this timing diff.
+so ratio(m) > 1 always means m got worse, a halved MB/s fails like a
+doubled latency, and a doubled MB/s passes. On identical hardware
+scale ~= 1 and this is a plain >25%-regression gate; on a slower CI
+runner every timing and rate shifts together and only an op that
+regressed *relative to the rest of the suite* trips the gate. Speedups
+and reductions compare two measurements of the same run, so a
+machine-wide slowdown mostly cancels out of them and a genuine drop
+still sticks out. One that divides a modeled-latency path by a
+pure-software one (coldopen's delegated re-open) still moves with CPU
+speed, so its software side must be timed over enough iterations.
+min_delta (--min-delta-us, in each value's own unit) exists because
+quick mode runs ~100x fewer iterations: microsecond-scale ops routinely
+swing 2x run to run, so for them the gate only catches
+order-of-magnitude blowups; the 25% relative gate bites on values that
+dwarf the floor (e.g. seqio's per-page network reads, stripe's MB/s).
+The benches' own exit codes check their speedups and reductions against
+absolute floors.
 
 --require SUBSTR fails the check (exit 2) unless at least one shared
 measurement key contains SUBSTR. A renamed or silently dropped config
@@ -57,13 +71,20 @@ def load(path):
         sys.exit(2)
 
 
-def flatten(doc):
+def flatten(doc, path):
+    """Maps "config::op" to (mean_us, better) for every positive mean_us."""
     out = {}
     for config in doc.get("configs", []):
         for op, m in config.get("measurements", {}).items():
             mean = m.get("mean_us", 0.0)
+            better = m.get("better", "lower")
+            if better not in ("lower", "higher"):
+                print(f"error: {path}: {config['name']}::{op} has "
+                      f"better={better!r}, want 'lower' or 'higher'",
+                      file=sys.stderr)
+                sys.exit(2)
             if mean > 0:
-                out[f"{config['name']}::{op}"] = mean
+                out[f"{config['name']}::{op}"] = (mean, better)
     return out
 
 
@@ -86,11 +107,14 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
 
-    current = {}
+    current, better = {}, {}
     for path in args[:-1]:
-        for key, mean in flatten(load(path)).items():
-            current[key] = min(mean, current.get(key, mean))
-    baseline = flatten(load(args[-1]))
+        for key, (mean, direction) in flatten(load(path), path).items():
+            best = max if direction == "higher" else min
+            current[key] = best(mean, current.get(key, mean))
+            better[key] = direction
+    baseline = {key: mean for key, (mean, _) in
+                flatten(load(args[-1]), args[-1]).items()}
     shared = sorted(set(current) & set(baseline))
     if not shared:
         print(f"error: no shared measurements between {args[:-1]} and "
@@ -122,7 +146,14 @@ def main(argv):
                       f"renamed?)", file=sys.stderr)
         return 2
 
-    ratios = {k: current[k] / baseline[k] for k in shared}
+    def worse_by(key):
+        """How far key got worse: (ratio, delta), > 1 and > 0 when worse."""
+        cur, base = current[key], baseline[key]
+        if better[key] == "higher":
+            return base / cur, base - cur
+        return cur / base, cur - base
+
+    ratios = {k: worse_by(k)[0] for k in shared}
     scale = statistics.median(ratios.values())
     limit = (1.0 + tolerance) * scale
     print(f"best of {len(args) - 1} run(s) vs {args[-1]}: "
@@ -131,13 +162,13 @@ def main(argv):
 
     failed = False
     for key in shared:
-        r = ratios[key]
-        regressed = r > limit and current[key] - baseline[key] > min_delta_us
+        r, delta = worse_by(key)
+        regressed = r > limit and delta > min_delta_us
         if regressed:
             failed = True
         flag = "REGRESSION" if regressed else "ok"
         print(f"  {flag:>10}  {key:<45} {baseline[key]:10.3f} -> "
-              f"{current[key]:10.3f} us  ({r:5.2f}x)")
+              f"{current[key]:10.3f}  ({r:5.2f}x, {better[key]} is better)")
     return 1 if failed else 0
 
 

@@ -1113,9 +1113,4 @@ Status CoherencyLayer::SyncFs() {
   });
 }
 
-void CoherencyLayer::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = Stats{};
-}
-
 }  // namespace springfs

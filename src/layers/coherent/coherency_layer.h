@@ -89,9 +89,6 @@ class CoherencyLayer : public StackableFs,
   std::string stats_prefix() const override { return "layer/" + type_name(); }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Zeroes the cache accounting (bench phase isolation).
-  void ResetStats();
-
  protected:
   CoherencyLayer(sp<Domain> domain, CoherencyLayerOptions options,
                  Clock* clock);

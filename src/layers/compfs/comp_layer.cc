@@ -1098,9 +1098,4 @@ void CompLayer::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("lower_invalidations", snapshot.lower_invalidations);
 }
 
-void CompLayer::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_ = Stats{};
-}
-
 }  // namespace springfs

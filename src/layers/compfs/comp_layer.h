@@ -98,9 +98,6 @@ class CompLayer : public StackableFs,
   std::string stats_prefix() const override { return "layer/compfs"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Zeroes the codec accounting (bench phase isolation).
-  void ResetStats();
-
  private:
   friend class CompFile;
   friend class CompDirContext;

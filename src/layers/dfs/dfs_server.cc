@@ -47,11 +47,11 @@ uint64_t NextDelegId() {
 }
 
 // Durable name of a file's per-data-server stripe object, derived from the
-// metadata path with FNV-1a so it stays stable across metadata- and
+// metadata path with XXH64 so it stays stable across metadata- and
 // data-server restarts. Every data server holds the object under the same
 // name; what differs per server is which stripes of the file it stores.
 std::string StripeObjectName(const std::string& path) {
-  uint64_t h = Fnv1a64(
+  uint64_t h = Xxh64(
       ByteSpan(reinterpret_cast<const uint8_t*>(path.data()), path.size()));
   char buf[32];
   std::snprintf(buf, sizeof(buf), "stripe-%016llx",

@@ -146,11 +146,6 @@ class Domain : public std::enable_shared_from_this<Domain>,
     emit("cross_calls", stats_cross_.load(std::memory_order_relaxed));
   }
 
-  void ResetStats() {
-    stats_inline_.store(0);
-    stats_cross_.store(0);
-  }
-
   // --- used by transports ---
 
   // Enqueues op on this domain's worker pool and waits for completion

@@ -148,8 +148,8 @@ class Registry {
   Snapshot Collect() const;
 
   // Zeroes every counter and histogram. Provider-owned state is not
-  // touched — providers expose live subsystem counters and reset through
-  // their own (deprecated) ResetStats surfaces where needed.
+  // touched: providers expose live subsystem counters, which callers
+  // isolate by reading differences (Delta) instead of resetting.
   void Reset();
 
   // Clock used for latency measurement (TimedOp); defaults to

@@ -1,6 +1,7 @@
 #include "src/support/bytes.h"
 
 #include <array>
+#include <bit>
 #include <cstdio>
 
 namespace springfs {
@@ -18,6 +19,36 @@ std::array<uint32_t, 256> BuildCrcTable() {
   return table;
 }
 
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+// Little-endian load from any address (memcpy, so unaligned is safe).
+template <typename T>
+T LoadLe(const uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+uint64_t XxRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxPrime2;
+  return std::rotl(acc, 31) * kXxPrime1;
+}
+
+uint64_t XxMergeRound(uint64_t acc, uint64_t lane) {
+  acc ^= XxRound(0, lane);
+  return acc * kXxPrime1 + kXxPrime4;
+}
+
 }  // namespace
 
 uint32_t Crc32(ByteSpan data, uint32_t seed) {
@@ -29,13 +60,50 @@ uint32_t Crc32(ByteSpan data, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-uint64_t Fnv1a64(ByteSpan data) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 0x100000001b3ull;
+uint64_t Xxh64(ByteSpan data, uint64_t seed) {
+  const uint8_t* p = data.data();
+  const uint8_t* end = p + data.size();
+  uint64_t h = seed + kXxPrime5;
+  if (data.size() >= 32) {
+    // Four lanes over 32-byte stripes, so the multiplies pipeline.
+    uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    uint64_t v2 = seed + kXxPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxRound(v1, LoadLe<uint64_t>(p));
+      v2 = XxRound(v2, LoadLe<uint64_t>(p + 8));
+      v3 = XxRound(v3, LoadLe<uint64_t>(p + 16));
+      v4 = XxRound(v4, LoadLe<uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = XxMergeRound(h, v1);
+    h = XxMergeRound(h, v2);
+    h = XxMergeRound(h, v3);
+    h = XxMergeRound(h, v4);
   }
-  return hash;
+  h += data.size();
+  for (; end - p >= 8; p += 8) {
+    h ^= XxRound(0, LoadLe<uint64_t>(p));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= LoadLe<uint32_t>(p) * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= *p * kXxPrime5;
+    h = std::rotl(h, 11) * kXxPrime1;
+  }
+  // Avalanche.
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
+  return h;
 }
 
 std::string HexDump(ByteSpan data, size_t max_bytes) {

@@ -12,17 +12,20 @@
 // On-disk layout, inside [jnl_start, num_blocks):
 //
 //   [region_low, desc_lo)      record payloads, one full block each
-//   [desc_lo, num_blocks - 1)  descriptor table: 12 bytes per record
-//                              (home block u64, payload CRC u32), packed
+//   [desc_lo, num_blocks - 1)  descriptor table: 16 bytes per record
+//                              (home block u64, payload tag u64), packed
 //   num_blocks - 1             commit record (written last)
 //
 // The commit record lives at a fixed location (the device's last block) so
 // that recovery needs nothing else to find it — in particular, not the
 // superblock, whose in-place update is itself journaled and may be torn at
 // the crash point. A commit record is only believed if its own CRC, the
-// descriptor-table CRC, and every record payload CRC all verify; a torn or
-// reordered journal write therefore invalidates the whole transaction and
-// recovery falls back to the previous durable state.
+// descriptor-table CRC, and every record's payload tag all verify; a torn
+// or reordered journal write therefore invalidates the whole transaction
+// and recovery falls back to the previous durable state. The payload tag is
+// an XXH64 of the block folded with the tx id and home block: non-linear,
+// so two valid superblocks (which share one CRC32) still get different
+// tags, and a stale slot from another transaction never verifies.
 //
 // Each transaction overwrites the previous one: because a transaction's
 // home-location writes are flushed before the next transaction starts, only

@@ -652,16 +652,6 @@ Status Vmm::DropAllPages() {
   return first_error;
 }
 
-void Vmm::ResetStats() {
-  faults_.store(0, std::memory_order_relaxed);
-  page_hits_.store(0, std::memory_order_relaxed);
-  read_ahead_hits_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  flush_backs_.store(0, std::memory_order_relaxed);
-  deny_writes_.store(0, std::memory_order_relaxed);
-  write_backs_.store(0, std::memory_order_relaxed);
-}
-
 // --- MappedRegion ---
 
 MappedRegion::MappedRegion(sp<Vmm> vmm, uint64_t channel_id,

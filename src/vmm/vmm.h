@@ -77,10 +77,6 @@ class Vmm : public CacheManager, public Servant, public metrics::StatsProvider {
   std::string stats_prefix() const override { return "vmm/" + name_; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Zeroes the fault/cache accounting (bench phase isolation);
-  // pages_cached, being a level not a counter, is left alone.
-  void ResetStats();
-
   // Drops every cached page of every channel (testing: simulates memory
   // pressure). Dirty pages are paged out first, contiguous runs coalesced.
   Status DropAllPages();

@@ -70,8 +70,8 @@ TEST_P(CompfsTest, UnderlyingFileHoldsCompressedBytes) {
   // And its bytes are not the plaintext.
   Buffer raw(kPageSize);
   ASSERT_TRUE((*under)->Read(0, raw.mutable_span()).ok());
-  EXPECT_NE(Fnv1a64(raw.subspan(0, kPageSize)),
-            Fnv1a64(data.subspan(0, kPageSize)));
+  EXPECT_NE(Xxh64(raw.subspan(0, kPageSize)),
+            Xxh64(data.subspan(0, kPageSize)));
 }
 
 TEST_P(CompfsTest, IncompressibleDataStoredRaw) {

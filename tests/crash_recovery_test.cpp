@@ -327,6 +327,48 @@ TEST(Journal, TornPayloadInvalidatesWholeTransaction) {
   EXPECT_TRUE(got == junk);  // home untouched
 }
 
+// Why the payload tag must be non-linear. Transaction N+1 writes its
+// payloads into the slots transaction N used, before its own commit record
+// lands; a crash in between leaves tx N's commit record over tx N+1's
+// superblock. Every valid superblock embeds its Crc32, so by the CRC
+// residue property all of them share one Crc32 and a linear tag would
+// accept the stale slot, mixing two transactions on replay (the crash
+// sweep first hit this at seed 1048).
+TEST(Journal, StaleSlotHoldingAnotherValidSuperblockIsRejected) {
+  constexpr uint64_t kBlocks = 64;
+  MemBlockDevice device(kBlockSize, kBlocks);
+  ufs::Journal journal(&device, 48);
+  ufs::Superblock sb;
+  sb.num_blocks = kBlocks;
+  sb.jnl_blocks = 16;
+  sb.free_blocks = 20;
+  sb.last_tx = 7;
+  Buffer committed(kBlockSize);
+  sb.Encode(committed.mutable_span());
+  sb.free_blocks = 19;
+  sb.last_tx = 8;
+  Buffer next(kBlockSize);
+  sb.Encode(next.mutable_span());
+  ASSERT_FALSE(committed == next);
+  ASSERT_EQ(Crc32(committed.span()), Crc32(next.span()));
+
+  std::map<BlockNum, Buffer> tx;
+  tx[0] = committed;
+  ASSERT_TRUE(journal.Commit(7, tx).ok());
+  uint64_t payload_block = kBlocks - 2 - tx.size();
+  ASSERT_TRUE(device.WriteBlock(payload_block, next.span()).ok());
+
+  Buffer junk(kBlockSize);
+  Rng(13).Fill(junk.mutable_span());
+  ASSERT_TRUE(device.WriteBlock(0, junk.span()).ok());
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 0u);
+  Buffer got(kBlockSize);
+  ASSERT_TRUE(device.ReadBlock(0, got.mutable_span()).ok());
+  EXPECT_TRUE(got == junk);  // home untouched
+}
+
 TEST(Journal, EmptyDeviceTailReplaysNothing) {
   MemBlockDevice device(kBlockSize, 64);
   auto report = ufs::Journal::Replay(&device);

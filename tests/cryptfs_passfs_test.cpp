@@ -125,7 +125,7 @@ TEST_F(CryptfsTest, LargeRandomRoundTrip) {
   sp<File> again = *ResolveAs<File>(fresh, "big", sys_);
   Buffer out(data.size());
   ASSERT_TRUE(again->Read(0, out.mutable_span()).ok());
-  EXPECT_EQ(Fnv1a64(out.span()), Fnv1a64(data.span()));
+  EXPECT_EQ(Xxh64(out.span()), Xxh64(data.span()));
 }
 
 TEST_F(CryptfsTest, FsInfoNamesTheLayer) {

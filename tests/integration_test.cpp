@@ -156,7 +156,7 @@ TEST(DeepStackTest, FourLayersRoundTripAndPersist) {
   sp<File> below = *ResolveAs<File>(pass, "f", sys);
   Buffer raw(64);
   ASSERT_TRUE(below->Read(0, raw.mutable_span()).ok());
-  EXPECT_NE(Fnv1a64(raw.span()), Fnv1a64(data.subspan(0, 64)));
+  EXPECT_NE(Xxh64(raw.span()), Xxh64(data.subspan(0, 64)));
 }
 
 // --- real threads: the whole stack under ThreadTransport ---

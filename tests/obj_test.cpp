@@ -107,16 +107,6 @@ TEST(DomainTest, CrossDomainCallsAreCounted) {
   EXPECT_EQ(stats["cross_calls"], 2u);
 }
 
-TEST(DomainTest, ResetStatsClearsCounters) {
-  sp<Domain> d = Domain::Create("d");
-  Counter counter(d);
-  counter.Increment();
-  d->ResetStats();
-  std::map<std::string, uint64_t> stats = metrics::CollectFrom(*d);
-  EXPECT_EQ(stats["inline_calls"], 0u);
-  EXPECT_EQ(stats["cross_calls"], 0u);
-}
-
 TEST(DomainTest, RunReturnsValues) {
   sp<Domain> d = Domain::Create("d");
   int x = d->Run([] { return 41; }) + 1;

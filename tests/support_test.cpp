@@ -1,4 +1,5 @@
-// Unit tests for src/support: Result/Status, Buffer, CRC, RNG, clocks.
+// Unit tests for src/support: Result/Status, Buffer, CRC, XXH64, RNG,
+// clocks.
 
 #include <gtest/gtest.h>
 
@@ -141,9 +142,43 @@ TEST(CrcTest, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(buf.span()));
 }
 
-TEST(Fnv1aTest, DiffersOnContent) {
-  Buffer a("abc"), b("abd");
-  EXPECT_NE(Fnv1a64(a.span()), Fnv1a64(b.span()));
+uint64_t Xxh64Of(const std::string& s, uint64_t seed = 0) {
+  return Xxh64(Buffer(s).span(), seed);
+}
+
+TEST(Xxh64Test, PublishedVectors) {
+  EXPECT_EQ(Xxh64Of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64Of("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(Xxh64Of("asdf"), 0x415872f599cea71eull);
+  // 63 bytes: one 32-byte stripe, then three 8-byte, one 4-byte and three
+  // 1-byte tail steps.
+  EXPECT_EQ(Xxh64Of("Call me Ishmael. Some years ago--never mind how long "
+                    "precisely-"),
+            0x02a2e85470d6fd96ull);
+}
+
+TEST(Xxh64Test, JournalSizedBlock) {
+  Buffer block(4096);
+  for (size_t i = 0; i < block.size(); ++i) {
+    block.data()[i] = static_cast<uint8_t>((i * 131 + 7) & 0xff);
+  }
+  EXPECT_EQ(Xxh64(block.span()), 0xcf05adf75aca30cfull);
+}
+
+TEST(Xxh64Test, UnalignedSpanHashesLikeAlignedCopy) {
+  Rng rng(3);
+  Buffer aligned = rng.RandomBuffer(1000);
+  Buffer shifted(aligned.size() + 1);
+  shifted.WriteAt(1, aligned.span());
+  ByteSpan odd = shifted.subspan(1, aligned.size());
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(odd.data()) % 2, 1u);
+  EXPECT_EQ(Xxh64(odd), Xxh64(aligned.span()));
+}
+
+TEST(Xxh64Test, SeedChangesResult) {
+  EXPECT_NE(Xxh64Of("abc", 1), Xxh64Of("abc"));
+  EXPECT_NE(Xxh64Of("", 1), Xxh64Of(""));
 }
 
 TEST(HexDumpTest, TruncatesAndFormats) {

@@ -139,7 +139,7 @@ TEST_F(UfsTest, LargeFileSpansIndirectBlocks) {
   ASSERT_TRUE(fs_->Write(ino, 0, data.span()).ok());
   Buffer out(40 * kBlockSize);
   ASSERT_TRUE(fs_->Read(ino, 0, out.mutable_span()).ok());
-  EXPECT_EQ(Fnv1a64(out.span()), Fnv1a64(data.span()));
+  EXPECT_EQ(Xxh64(out.span()), Xxh64(data.span()));
   ExpectClean();
 }
 
@@ -488,7 +488,7 @@ TEST_P(UfsPropertyTest, RandomWorkloadMatchesReferenceModel) {
     Buffer got(ref.content.size());
     if (!got.empty()) {
       ASSERT_TRUE(fs->Read(ino, 0, got.mutable_span()).ok());
-      EXPECT_EQ(Fnv1a64(got.span()), Fnv1a64(ref.content.span())) << name;
+      EXPECT_EQ(Xxh64(got.span()), Xxh64(ref.content.span())) << name;
     }
   }
   ASSERT_TRUE(fs->Sync().ok());
