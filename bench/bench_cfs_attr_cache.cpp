@@ -5,6 +5,10 @@
 // the client node (invalidated by server callbacks) and data reads come
 // from the local VMM. The bench sweeps the network latency and reports
 // stat/read costs with and without CFS.
+//
+// The exit code is non-zero unless, at every latency, CFS observes another
+// client's SetLength and its cached Stat/Read send no network message after
+// the first access.
 
 #include <cstdio>
 
@@ -32,6 +36,7 @@ int main() {
               "invals");
   bench::PrintRule(86);
 
+  bool ok = true;
   for (uint64_t latency_us : {20, 100, 500}) {
     net::Network network(&DefaultClock(), latency_us * 1000);
     sp<net::Node> server_node = network.AddNode("server");
@@ -55,12 +60,19 @@ int main() {
 
     Buffer out(kPageSize);
     uint64_t iters = latency_us >= 500 ? 50 : 200;
+    auto messages = [&] { return metrics::StatValue(network, "messages"); };
     Measurement stat_plain = TimeOp([&] { (void)*plain->Stat(); }, iters);
+    (void)*cached->Stat();  // the first access may go to the wire
+    uint64_t before = messages();
     Measurement stat_cfs = TimeOp([&] { (void)*cached->Stat(); }, 10000);
+    uint64_t stat_cfs_msgs = messages() - before;
     Measurement read_plain =
         TimeOp([&] { (void)*plain->Read(0, out.mutable_span()); }, iters);
+    (void)*cached->Read(0, out.mutable_span());
+    before = messages();
     Measurement read_cfs =
         TimeOp([&] { (void)*cached->Read(0, out.mutable_span()); }, 10000);
+    uint64_t read_cfs_msgs = messages() - before;
 
     // Exercise the invalidation path once: another client's change must be
     // observed through CFS.
@@ -78,10 +90,23 @@ int main() {
                 static_cast<unsigned long long>(
                     metrics::StatValue(*cfs, "attr_invalidations")),
                 fresh ? "" : "STALE!");
+    if (!fresh) {
+      std::printf("FAIL: CFS missed another client's SetLength at %llu us\n",
+                  static_cast<unsigned long long>(latency_us));
+      ok = false;
+    }
+    if (stat_cfs_msgs != 0 || read_cfs_msgs != 0) {
+      std::printf("FAIL: cached CFS Stat/Read sent %llu/%llu network "
+                  "messages at %llu us\n",
+                  static_cast<unsigned long long>(stat_cfs_msgs),
+                  static_cast<unsigned long long>(read_cfs_msgs),
+                  static_cast<unsigned long long>(latency_us));
+      ok = false;
+    }
   }
   bench::PrintRule(86);
   std::printf("shape: plain remote stat/read scale with 2x latency; CFS "
               "makes them latency-\nindependent after the first touch, while "
               "callbacks keep the cache honest\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -8,6 +8,11 @@
 //      with the simulated network latency.
 //   3. Remote and local caches are kept coherent through the P2-C2
 //      connection — measured as the callback cost on a ping-pong workload.
+//
+// Claims 1 and 3 are the exit code: it is non-zero unless local mapped
+// reads send no network message and no DFS page-in, the local and direct
+// maps share one channel, and the ping-pong sends at least one callback
+// per round.
 
 #include <cstdio>
 #include <map>
@@ -61,14 +66,13 @@ int main() {
   uint64_t page_ins_before = metrics::StatValue(*server, "remote_page_ins");
   Measurement local_read = TimeOp(
       [&] { local_map->Read(0, out.mutable_span()); }, 10000);
+  uint64_t local_msgs = metrics::StatValue(network, "messages") - msgs_before;
+  uint64_t local_page_ins =
+      metrics::StatValue(*server, "remote_page_ins") - page_ins_before;
   std::printf("local mapped 4KB read : %8.2f us/op, %llu network msgs, "
               "%llu DFS page-ins\n",
-              local_read.mean_us,
-              static_cast<unsigned long long>(
-                  metrics::StatValue(network, "messages") - msgs_before),
-              static_cast<unsigned long long>(
-                  metrics::StatValue(*server, "remote_page_ins") -
-                  page_ins_before));
+              local_read.mean_us, static_cast<unsigned long long>(local_msgs),
+              static_cast<unsigned long long>(local_page_ins));
 
   // Direct SFS access for comparison.
   sp<File> direct = ResolveAs<File>(sfs.root, "f", creds).take_value();
@@ -76,10 +80,9 @@ int main() {
       local_vmm->Map(direct, AccessRights::kReadOnly).take_value();
   Measurement direct_read = TimeOp(
       [&] { direct_map->Read(0, out.mutable_span()); }, 10000);
+  bool same_channel = local_map->channel_id() == direct_map->channel_id();
   std::printf("direct SFS 4KB read   : %8.2f us/op (same channel: %s)\n",
-              direct_read.mean_us,
-              local_map->channel_id() == direct_map->channel_id() ? "yes"
-                                                                  : "NO!");
+              direct_read.mean_us, same_channel ? "yes" : "NO!");
 
   // 2. Remote access pays the protocol.
   sp<File> remote = ResolveAs<File>(client, "f", creds).take_value();
@@ -103,22 +106,36 @@ int main() {
 
   // 3. Coherency ping-pong: local writer vs remote reader.
   std::map<std::string, uint64_t> before = metrics::CollectFrom(*server);
+  uint64_t rounds = 0;
   Measurement pingpong = TimeOp(
       [&] {
+        ++rounds;
         (void)*direct->Write(0, page.span());       // local write
         remote_map->Read(0, out.mutable_span());    // remote re-read
       },
       100);
   std::map<std::string, uint64_t> stats = metrics::CollectFrom(*server);
+  uint64_t callbacks = stats["callbacks_sent"] - before["callbacks_sent"];
   std::printf("coherent ping-pong    : %8.2f us/round (%llu callbacks, "
               "%llu lower flushes)\n",
-              pingpong.mean_us,
-              static_cast<unsigned long long>(stats["callbacks_sent"] -
-                                              before["callbacks_sent"]),
+              pingpong.mean_us, static_cast<unsigned long long>(callbacks),
               static_cast<unsigned long long>(stats["lower_flushes"] -
                                               before["lower_flushes"]));
   bench::PrintRule(72);
   std::printf("shape: local path unaffected by DFS; remote ops pay 2x "
               "latency; sharing costs\nper-transition callbacks only\n");
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool holds, const char* claim) {
+    if (!holds) {
+      std::printf("FAIL: %s\n", claim);
+      ok = false;
+    }
+  };
+  check(local_msgs == 0 && local_page_ins == 0,
+        "local mapped reads must send no network message and no DFS page-in");
+  check(same_channel, "the local and direct maps must share one channel");
+  check(callbacks >= rounds,
+        "the ping-pong must send at least one callback per round");
+  return ok ? 0 : 1;
 }

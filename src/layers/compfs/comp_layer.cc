@@ -14,35 +14,6 @@ constexpr size_t kMetaHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kMetaEntrySize = 16;
 constexpr const char* kMetaSuffix = ".cmeta";
 
-void PutU32At(Buffer& buf, size_t offset, uint32_t v) {
-  uint8_t tmp[4];
-  for (int i = 0; i < 4; ++i) {
-    tmp[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-  buf.WriteAt(offset, ByteSpan(tmp, 4));
-}
-void PutU64At(Buffer& buf, size_t offset, uint64_t v) {
-  uint8_t tmp[8];
-  for (int i = 0; i < 8; ++i) {
-    tmp[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-  buf.WriteAt(offset, ByteSpan(tmp, 8));
-}
-uint32_t GetU32At(ByteSpan buf, size_t offset) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | buf[offset + i];
-  }
-  return v;
-}
-uint64_t GetU64At(ByteSpan buf, size_t offset) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | buf[offset + i];
-  }
-  return v;
-}
-
 class CompCacheRights : public CacheRights {
  public:
   explicit CompCacheRights(uint64_t id) : id_(id) {}
@@ -833,20 +804,20 @@ Status CompLayer::LoadMeta(FileState& state) {
   if (n != meta_attrs.size || n < kMetaHeaderSize + 4) {
     return ErrCorrupted("compfs metadata truncated");
   }
-  uint32_t stored_crc = GetU32At(raw.span(), raw.size() - 4);
+  uint32_t stored_crc = LoadLe<uint32_t>(raw.data() + raw.size() - 4);
   uint32_t computed_crc = Crc32(raw.subspan(0, raw.size() - 4));
   if (stored_crc != computed_crc) {
     return ErrCorrupted("compfs metadata CRC mismatch");
   }
-  if (GetU32At(raw.span(), 0) != kCompMagic ||
-      GetU32At(raw.span(), 4) != kCompVersion) {
+  if (LoadLe<uint32_t>(raw.data()) != kCompMagic ||
+      LoadLe<uint32_t>(raw.data() + 4) != kCompVersion) {
     return ErrCorrupted("compfs metadata bad magic/version");
   }
-  state.logical_size = GetU64At(raw.span(), 8);
-  state.next_free = GetU64At(raw.span(), 16);
-  uint64_t block_count = GetU64At(raw.span(), 24);
-  state.atime_ns = GetU64At(raw.span(), 32);
-  state.mtime_ns = GetU64At(raw.span(), 40);
+  state.logical_size = LoadLe<uint64_t>(raw.data() + 8);
+  state.next_free = LoadLe<uint64_t>(raw.data() + 16);
+  uint64_t block_count = LoadLe<uint64_t>(raw.data() + 24);
+  state.atime_ns = LoadLe<uint64_t>(raw.data() + 32);
+  state.mtime_ns = LoadLe<uint64_t>(raw.data() + 40);
   if (raw.size() != kMetaHeaderSize + block_count * kMetaEntrySize + 4) {
     return ErrCorrupted("compfs metadata size mismatch");
   }
@@ -855,9 +826,9 @@ Status CompLayer::LoadMeta(FileState& state) {
   for (uint64_t i = 0; i < block_count; ++i) {
     size_t at = kMetaHeaderSize + i * kMetaEntrySize;
     ChunkEntry entry;
-    entry.offset = GetU64At(raw.span(), at);
-    entry.length = GetU32At(raw.span(), at + 8);
-    entry.raw = (GetU32At(raw.span(), at + 12) & 1) != 0;
+    entry.offset = LoadLe<uint64_t>(raw.data() + at);
+    entry.length = LoadLe<uint32_t>(raw.data() + at + 8);
+    entry.raw = (LoadLe<uint32_t>(raw.data() + at + 12) & 1) != 0;
     state.table.push_back(entry);
   }
   state.meta_loaded = true;
@@ -867,20 +838,21 @@ Status CompLayer::LoadMeta(FileState& state) {
 
 Status CompLayer::StoreMeta(FileState& state) {
   Buffer raw(kMetaHeaderSize + state.table.size() * kMetaEntrySize + 4);
-  PutU32At(raw, 0, kCompMagic);
-  PutU32At(raw, 4, kCompVersion);
-  PutU64At(raw, 8, state.logical_size);
-  PutU64At(raw, 16, state.next_free);
-  PutU64At(raw, 24, state.table.size());
-  PutU64At(raw, 32, state.atime_ns);
-  PutU64At(raw, 40, state.mtime_ns);
+  StoreLe<uint32_t>(raw.data(), kCompMagic);
+  StoreLe<uint32_t>(raw.data() + 4, kCompVersion);
+  StoreLe<uint64_t>(raw.data() + 8, state.logical_size);
+  StoreLe<uint64_t>(raw.data() + 16, state.next_free);
+  StoreLe<uint64_t>(raw.data() + 24, state.table.size());
+  StoreLe<uint64_t>(raw.data() + 32, state.atime_ns);
+  StoreLe<uint64_t>(raw.data() + 40, state.mtime_ns);
   for (size_t i = 0; i < state.table.size(); ++i) {
     size_t at = kMetaHeaderSize + i * kMetaEntrySize;
-    PutU64At(raw, at, state.table[i].offset);
-    PutU32At(raw, at + 8, state.table[i].length);
-    PutU32At(raw, at + 12, state.table[i].raw ? 1 : 0);
+    StoreLe<uint64_t>(raw.data() + at, state.table[i].offset);
+    StoreLe<uint32_t>(raw.data() + at + 8, state.table[i].length);
+    StoreLe<uint32_t>(raw.data() + at + 12, state.table[i].raw ? 1 : 0);
   }
-  PutU32At(raw, raw.size() - 4, Crc32(raw.subspan(0, raw.size() - 4)));
+  StoreLe<uint32_t>(raw.data() + raw.size() - 4,
+                    Crc32(raw.subspan(0, raw.size() - 4)));
   ASSIGN_OR_RETURN(size_t written, state.under_meta->Write(0, raw.span()));
   if (written != raw.size()) {
     return ErrIoError("short metadata write");

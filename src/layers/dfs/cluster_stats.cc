@@ -1,7 +1,5 @@
 #include "src/layers/dfs/cluster_stats.h"
 
-#include "src/layers/dfs/protocol.h"
-
 namespace springfs::dfs {
 
 ClusterStatsClient::ClusterStatsClient(
@@ -57,39 +55,25 @@ std::vector<ServerScrape> ClusterStatsClient::ScrapeAll() {
       channel = network_->OpenChannel(from_node_, server.first, server.second,
                                       channel_options_);
     }
-    net::Frame stats_req;
-    stats_req.type = static_cast<uint32_t>(Op::kGetStats);
-    net::Frame health_req;
-    health_req.type = static_cast<uint32_t>(Op::kGetHealth);
-    fan.Submit(channel, stats_req, 2 * i);
-    fan.Submit(channel, health_req, 2 * i + 1);
+    fan.Submit(channel, RequestFrame(Op::kGetStats, Empty{}), 2 * i);
+    fan.Submit(channel, RequestFrame(Op::kGetHealth, Empty{}), 2 * i + 1);
   }
 
   while (std::optional<net::FanOut::Finished> done = fan.Next()) {
     ServerScrape& scrape = scrapes[done->owner / 2];
-    const net::Frame& response = done->completion.response;
-    Status status = done->completion.status.ok() ? response.ToStatus()
-                                                 : done->completion.status;
     if (done->owner % 2 == 0) {
-      if (status.ok()) {
-        Result<GetStatsResponse> body =
-            GetStatsResponse::Decode(response.payload.span());
-        status = body.status();
-        if (body.ok()) {
-          scrape.stats = std::move(body->snapshot);
-        }
+      Result<GetStatsResponse> body =
+          Reply<GetStatsResponse>(done->completion);
+      scrape.stats_status = body.status();
+      if (body.ok()) {
+        scrape.stats = std::move(body->snapshot);
       }
-      scrape.stats_status = status;
     } else {
-      if (status.ok()) {
-        Result<HealthResponse> body =
-            HealthResponse::Decode(response.payload.span());
-        status = body.status();
-        if (body.ok()) {
-          scrape.health = std::move(*body);
-        }
+      Result<HealthResponse> body = Reply<HealthResponse>(done->completion);
+      scrape.health_status = body.status();
+      if (body.ok()) {
+        scrape.health = std::move(*body);
       }
-      scrape.health_status = status;
     }
   }
   return scrapes;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <optional>
 
 #include "src/obs/flight_recorder.h"
@@ -17,19 +16,38 @@ std::string UniqueCallbackService() {
   return "dfs-cb-" + std::to_string(next.fetch_add(1));
 }
 
-// Request ids are process-global (not per client): a server's dedup window
-// keys on the id alone, so two mounts must never mint the same one.
-uint64_t NewRequestId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
 // A recall can arrive for a delegation whose grant response is still in
 // flight to us; remember a bounded number of such ids so the grant is
 // discarded on arrival instead of installed stale.
 constexpr size_t kMaxUnknownRecalls = 64;
 
+// Sub-op `i` of a compound's results, decoded, or its error.
+template <class M>
+Result<M> SubResult(const CompoundResponse& results, size_t i) {
+  if (i >= results.results.size()) {
+    return ErrCorrupted("compound sub-op " + std::to_string(i) +
+                        " has no result");
+  }
+  const CompoundResponse::SubResult& sub = results.results[i];
+  if (sub.status != 0) {
+    return Status(static_cast<ErrorCode>(sub.status), sub.body.ToString());
+  }
+  return Decode<M>(sub.body.span());
+}
+
 }  // namespace
+
+uint64_t NewRequestId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+void RetryState::Backoff(Clock* clock) {
+  uint64_t backoff = next_backoff_ns == 0 ? kBackoffBaseNs : next_backoff_ns;
+  clock->SleepNs(backoff);
+  next_backoff_ns = std::min(backoff * 2, kBackoffMaxNs);
+  ++attempt;
+}
 
 // Carries pager traffic for one local channel over the DFS protocol.
 class RemotePagerObject : public FsPagerObject, public Servant {
@@ -45,29 +63,19 @@ class RemotePagerObject : public FsPagerObject, public Servant {
       trace::ScopedSpan span("dfs.page_in");
       ASSIGN_OR_RETURN(uint64_t cache_id,
                        client_->ServerCacheIdFor(local_channel_));
-      PageInRequest body;
-      body.handle = handle_;
-      body.cache_id = cache_id;
-      body.offset = offset;
-      body.size = size;
-      body.write_access = access == AccessRights::kReadWrite;
-      net::Frame request;
-      request.payload = body.Encode();
+      PageInRequest body{handle_, cache_id, offset, size,
+                         access == AccessRights::kReadWrite};
       if (size <= kPageSize) {
-        ASSIGN_OR_RETURN(net::Frame response,
-                         client_->Call(Op::kPageIn, request));
-        RETURN_IF_ERROR(CheckStale(response.ToStatus()));
-        ASSIGN_OR_RETURN(PageInResponse page,
-                         PageInResponse::Decode(response.payload.span()));
+        ASSIGN_OR_RETURN(
+            PageInResponse page,
+            CheckStale(client_->Invoke<PageInResponse>(Op::kPageIn, body)));
         return std::move(page.data);
       }
       // A fault cluster: one kPageInRange round trip returns the whole
       // block list instead of one kPageIn per page.
-      ASSIGN_OR_RETURN(net::Frame response,
-                       client_->Call(Op::kPageInRange, request));
-      RETURN_IF_ERROR(CheckStale(response.ToStatus()));
       ASSIGN_OR_RETURN(PageInRangeResponse range,
-                       PageInRangeResponse::Decode(response.payload.span()));
+                       CheckStale(client_->Invoke<PageInRangeResponse>(
+                           Op::kPageInRange, body)));
       // Reassemble the contiguous prefix starting at `offset`; the server
       // may have clamped the tail at EOF.
       Buffer out;
@@ -98,40 +106,27 @@ class RemotePagerObject : public FsPagerObject, public Servant {
 
   Result<FileAttributes> GetAttributes() override {
     return InDomain([&]() -> Result<FileAttributes> {
-      HandleRequest body;
-      body.handle = handle_;
-      net::Frame request;
-      request.payload = body.Encode();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       client_->Call(Op::kGetAttr, request));
-      RETURN_IF_ERROR(response.ToStatus());
       ASSIGN_OR_RETURN(GetAttrResponse attrs,
-                       GetAttrResponse::Decode(response.payload.span()));
+                       client_->Invoke<GetAttrResponse>(
+                           Op::kGetAttr, HandleRequest{handle_}));
       return attrs.attrs;
     });
   }
   Status WriteAttributes(const AttrUpdate& update) override {
     return InDomain([&]() -> Status {
       if (update.size) {
-        SetLengthRequest body;
-        body.handle = handle_;
-        body.length = *update.size;
-        net::Frame request;
-        request.payload = body.Encode();
-        ASSIGN_OR_RETURN(net::Frame response,
-                         client_->Call(Op::kSetLength, request));
-        RETURN_IF_ERROR(response.ToStatus());
+        RETURN_IF_ERROR(client_
+                            ->Invoke(Op::kSetLength,
+                                     SetLengthRequest{handle_, *update.size})
+                            .status());
       }
       if (update.atime_ns || update.mtime_ns) {
-        SetTimesRequest body;
-        body.handle = handle_;
-        body.atime_ns = update.atime_ns.value_or(0);
-        body.mtime_ns = update.mtime_ns.value_or(0);
-        net::Frame request;
-        request.payload = body.Encode();
-        ASSIGN_OR_RETURN(net::Frame response,
-                         client_->Call(Op::kSetTimes, request));
-        RETURN_IF_ERROR(response.ToStatus());
+        RETURN_IF_ERROR(
+            client_
+                ->Invoke(Op::kSetTimes,
+                         SetTimesRequest{handle_, update.atime_ns.value_or(0),
+                                         update.mtime_ns.value_or(0)})
+                .status());
       }
       return Status::Ok();
     });
@@ -143,26 +138,22 @@ class RemotePagerObject : public FsPagerObject, public Servant {
       trace::ScopedSpan span("dfs.page_out");
       ASSIGN_OR_RETURN(uint64_t cache_id,
                        client_->ServerCacheIdFor(local_channel_));
-      PageOutRequest body;
-      body.handle = handle_;
-      body.cache_id = cache_id;
-      body.offset = offset;
-      body.data = Buffer(data);
-      net::Frame request;
-      request.payload = body.Encode();
-      ASSIGN_OR_RETURN(net::Frame response, client_->Call(op, request));
-      return CheckStale(response.ToStatus());
+      return CheckStale(client_->Invoke(op, PageOutRequest{handle_, cache_id,
+                                                           offset,
+                                                           Buffer(data)}))
+          .status();
     });
   }
 
   // A kStale response means the server evicted this cache or forgot the
   // handle (it restarted): the channel's pages are not trusted anymore.
   // Tear the channel down locally so the next access re-binds afresh.
-  Status CheckStale(Status st) {
-    if (st.code() == ErrorCode::kStale) {
+  template <class M>
+  Result<M> CheckStale(Result<M> reply) {
+    if (reply.code() == ErrorCode::kStale) {
       client_->InvalidateChannel(local_channel_);
     }
-    return st;
+    return reply;
   }
 
   sp<DfsClient> client_;
@@ -210,8 +201,8 @@ class RemoteFile : public File, public Servant {
   }
 
   void InstallDelegation(const OpenResponse& open,
-                         const std::optional<FileAttributes>& attrs,
-                         const std::optional<Buffer>& first_page) {
+                         const Result<GetAttrResponse>& attrs,
+                         const Result<ReadResponse>& first_page) {
     std::lock_guard<std::mutex> lock(deleg_mutex_);
     has_deleg_ = true;
     deleg_ = {};
@@ -219,25 +210,25 @@ class RemoteFile : public File, public Servant {
     deleg_.incarnation = open.incarnation;
     deleg_.write_access = open.granted == DelegationKind::kWrite;
     deleg_.expires_at = open.expires_at;
-    if (attrs) {
-      deleg_.attrs = *attrs;
+    if (attrs.ok()) {
+      deleg_.attrs = attrs->attrs;
       deleg_.attrs_valid = true;
     }
-    if (first_page) {
-      deleg_.prefetch = *first_page;
+    if (first_page.ok()) {
+      deleg_.prefetch = first_page->data;
       deleg_.prefetch_valid = true;
     }
   }
 
-  void InstallPrefetch(const std::optional<FileAttributes>& attrs,
-                       const std::optional<Buffer>& first_page) {
+  void InstallPrefetch(const Result<GetAttrResponse>& attrs,
+                       const Result<ReadResponse>& first_page) {
     std::lock_guard<std::mutex> lock(deleg_mutex_);
-    if (attrs) {
-      cto_attrs_ = *attrs;
+    if (attrs.ok()) {
+      cto_attrs_ = attrs->attrs;
       cto_attrs_valid_ = true;
     }
-    if (first_page) {
-      cto_prefetch_ = *first_page;
+    if (first_page.ok()) {
+      cto_prefetch_ = first_page->data;
       cto_prefetch_valid_ = true;
     }
   }
@@ -293,15 +284,9 @@ class RemoteFile : public File, public Servant {
       if (std::optional<FileAttributes> local = ServeAttrsLocally()) {
         return Offset{local->size};
       }
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kGetLength, [](uint64_t handle) {
-                         HandleRequest body;
-                         body.handle = handle;
-                         return body.Encode();
-                       }));
-      RETURN_IF_ERROR(response.ToStatus());
       ASSIGN_OR_RETURN(GetLengthResponse body,
-                       GetLengthResponse::Decode(response.payload.span()));
+                       CallFile<GetLengthResponse>(Op::kGetLength,
+                                                   HandleRequest{}));
       return Offset{body.length};
     });
   }
@@ -309,14 +294,8 @@ class RemoteFile : public File, public Servant {
   Status SetLength(Offset length) override {
     return InDomain([&]() -> Status {
       InvalidateLocalCaches();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kSetLength, [&](uint64_t handle) {
-                         SetLengthRequest body;
-                         body.handle = handle;
-                         body.length = length;
-                         return body.Encode();
-                       }));
-      return response.ToStatus();
+      return CallFile(Op::kSetLength, SetLengthRequest{.length = length})
+          .status();
     });
   }
 
@@ -325,17 +304,10 @@ class RemoteFile : public File, public Servant {
       if (std::optional<size_t> local = ServeReadLocally(offset, out)) {
         return *local;
       }
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kRead, [&](uint64_t handle) {
-                         ReadRequest body;
-                         body.handle = handle;
-                         body.offset = offset;
-                         body.length = out.size();
-                         return body.Encode();
-                       }));
-      RETURN_IF_ERROR(response.ToStatus());
-      ASSIGN_OR_RETURN(ReadResponse body,
-                       ReadResponse::Decode(response.payload.span()));
+      ASSIGN_OR_RETURN(
+          ReadResponse body,
+          CallFile<ReadResponse>(Op::kRead, ReadRequest{.offset = offset,
+                                                        .length = out.size()}));
       return body.data.ReadAt(0, out);
     });
   }
@@ -346,17 +318,10 @@ class RemoteFile : public File, public Servant {
       // server additionally recalls every delegation on the file
       // (including ours) before applying it.
       InvalidateLocalCaches();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kWrite, [&](uint64_t handle) {
-                         WriteRequest body;
-                         body.handle = handle;
-                         body.offset = offset;
-                         body.data = Buffer(data);
-                         return body.Encode();
-                       }));
-      RETURN_IF_ERROR(response.ToStatus());
       ASSIGN_OR_RETURN(WriteResponse body,
-                       WriteResponse::Decode(response.payload.span()));
+                       CallFile<WriteResponse>(
+                           Op::kWrite, WriteRequest{.offset = offset,
+                                                    .data = Buffer(data)}));
       return size_t{body.written};
     });
   }
@@ -366,15 +331,9 @@ class RemoteFile : public File, public Servant {
       if (std::optional<FileAttributes> local = ServeAttrsLocally()) {
         return *local;
       }
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kGetAttr, [](uint64_t handle) {
-                         HandleRequest body;
-                         body.handle = handle;
-                         return body.Encode();
-                       }));
-      RETURN_IF_ERROR(response.ToStatus());
-      ASSIGN_OR_RETURN(GetAttrResponse body,
-                       GetAttrResponse::Decode(response.payload.span()));
+      ASSIGN_OR_RETURN(
+          GetAttrResponse body,
+          CallFile<GetAttrResponse>(Op::kGetAttr, HandleRequest{}));
       // Refresh the delegation's attr cache so the next Stat is local
       // again; buffered times win over what the server returned.
       {
@@ -412,28 +371,16 @@ class RemoteFile : public File, public Servant {
         }
         cto_attrs_valid_ = false;
       }
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kSetTimes, [&](uint64_t handle) {
-                         SetTimesRequest body;
-                         body.handle = handle;
-                         body.atime_ns = atime_ns;
-                         body.mtime_ns = mtime_ns;
-                         return body.Encode();
-                       }));
-      return response.ToStatus();
+      return CallFile(Op::kSetTimes, SetTimesRequest{.atime_ns = atime_ns,
+                                                     .mtime_ns = mtime_ns})
+          .status();
     });
   }
 
   Status SyncFile() override {
     return InDomain([&]() -> Status {
       RETURN_IF_ERROR(ReturnDelegationIfDirty());
-      ASSIGN_OR_RETURN(net::Frame response,
-                       CallFile(Op::kSyncFile, [](uint64_t handle) {
-                         HandleRequest body;
-                         body.handle = handle;
-                         return body.Encode();
-                       }));
-      return response.ToStatus();
+      return CallFile(Op::kSyncFile, HandleRequest{}).status();
     });
   }
 
@@ -557,36 +504,16 @@ class RemoteFile : public File, public Servant {
       return Status::Ok();
     }
     client_->ForgetDelegation(ret.deleg_id);
-    ASSIGN_OR_RETURN(net::Frame response,
-                     CallFile(Op::kDelegReturn, [&](uint64_t handle) {
-                       ret.handle = handle;
-                       return ret.Encode();
-                     }));
-    RETURN_IF_ERROR(response.ToStatus());
+    RETURN_IF_ERROR(CallFile(Op::kDelegReturn, ret).status());
     client_->Bump(&DfsClient::Stats::deleg_returns);
     return Status::Ok();
   }
 
-  // One RPC against this file's handle. The payload is re-encoded from the
-  // fresh handle if a kStale response forces a re-resolution by path (the
-  // server restarted and forgot the handle); the retry then mints a fresh
-  // request id for mutating ops — the first attempt definitively did not
-  // execute, so this is a new operation, not a retransmission. The
-  // RetryState is shared across the rebind so the capped backoff keeps
-  // growing and the attempt budget keeps shrinking.
-  Result<net::Frame> CallFile(
-      Op op, const std::function<Buffer(uint64_t)>& encode) {
-    RetryState retry;
-    net::Frame request;
-    request.payload = encode(handle_.load());
-    ASSIGN_OR_RETURN(net::Frame response, client_->Call(op, request, &retry));
-    if (response.ToStatus().code() != ErrorCode::kStale) {
-      return response;
-    }
-    ASSIGN_OR_RETURN(uint64_t fresh, client_->RebindHandle(path_));
-    handle_.store(fresh);
-    request.payload = encode(fresh);
-    return client_->Call(op, request, &retry);
+  // One RPC against this file's handle (`req.handle` is filled in),
+  // re-resolved by path once if the server forgot it.
+  template <class Resp = Empty, class Req>
+  Result<Resp> CallFile(Op op, Req req) {
+    return client_->InvokeByPath<Resp>(op, path_, handle_, std::move(req));
   }
 
   sp<DfsClient> client_;
@@ -654,9 +581,11 @@ Result<sp<DfsClient>> DfsClient::Mount(const sp<net::Node>& node,
     }
     return strong->HandleCallback(request);
   });
-  // Probe the server (also validates the mount point).
-  ASSIGN_OR_RETURN(net::Frame response, client->CallPath(Op::kReadDir, ""));
-  RETURN_IF_ERROR(response.ToStatus());
+  // Probe the server (also validates the mount point); only the verdict
+  // matters, not the listing.
+  ASSIGN_OR_RETURN(net::Frame probe,
+                   client->Call(RequestFrame(Op::kReadDir, PathRequest{""})));
+  RETURN_IF_ERROR(probe.ToStatus());
   return client;
 }
 
@@ -683,22 +612,18 @@ void DfsClient::Bump(uint64_t Stats::*field) {
   ++(stats_.*field);
 }
 
-Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request) {
-  RetryState retry;
-  return Call(op, request, &retry);
-}
-
-Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
-                                   RetryState* retry) {
+Result<net::Frame> DfsClient::Call(net::Frame request, RetryState* retry) {
   trace::ScopedSpan span("dfs.call");
-  net::Frame typed = request;
-  typed.type = static_cast<uint32_t>(op);
+  RetryState local;
+  if (retry == nullptr) {
+    retry = &local;
+  }
   // Mutating ops carry a request id so the server's dedup window makes the
   // retransmissions below safe (the same id is re-sent on every attempt).
   // Each Call invocation mints a fresh id: a caller re-issuing after kStale
   // is starting a new operation, not retransmitting one.
-  if (!IsIdempotent(op)) {
-    typed.request_id = NewRequestId();
+  if (!IsIdempotent(static_cast<Op>(request.type))) {
+    request.request_id = NewRequestId();
   }
   for (;;) {
     {
@@ -708,7 +633,7 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
     // The channel retransmits lost frames itself (byte-identical, so the
     // server's dedup window absorbs duplicates); this loop only sees a
     // transport failure once the channel gave up.
-    Result<net::Frame> response = channel_->Call(typed, retry->attempt);
+    Result<net::Frame> response = channel_->Call(request, retry->attempt);
     ErrorCode code;
     if (response.ok()) {
       // A kDeadObject *frame* is the dead server's tombstone: the
@@ -750,19 +675,14 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
         }
         span.Annotate("retries exhausted");
         flight::Record(flight::Severity::kError, "dfs", "retries exhausted",
-                       typed.type, retry->attempt);
+                       request.type, retry->attempt);
       }
       return response;
     }
     // Capped exponential backoff, slept on the injected clock. The state
     // lives in `retry` so a caller that re-issues after a kStale rebind
     // keeps the grown backoff instead of restarting at the base value.
-    uint64_t backoff = retry->next_backoff_ns == 0 ? options_.backoff_base_ns
-                                                   : retry->next_backoff_ns;
-    backoff = std::min(backoff, options_.backoff_max_ns);
-    clock_->SleepNs(backoff);
-    retry->next_backoff_ns = std::min(backoff * 2, options_.backoff_max_ns);
-    ++retry->attempt;
+    retry->Backoff(clock_);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.retries;
@@ -774,7 +694,7 @@ Result<net::Frame> DfsClient::Call(Op op, const net::Frame& request,
                     " after " + ErrorCodeName(code));
     }
     flight::Record(flight::Severity::kInfo, "dfs", "retrying call",
-                   typed.type, retry->attempt);
+                   request.type, retry->attempt);
   }
 }
 
@@ -785,10 +705,8 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
     if (chunk_bytes == 0) {
       chunk_bytes = kPageSize;
     }
-    ASSIGN_OR_RETURN(net::Frame looked_up, CallPath(Op::kLookup, path));
-    RETURN_IF_ERROR(looked_up.ToStatus());
     ASSIGN_OR_RETURN(LookupResponse looked,
-                     LookupResponse::Decode(looked_up.payload.span()));
+                     Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
     uint64_t handle = looked.handle;
     Buffer out;
     // Submit every chunk; the channel caps the in-flight window at
@@ -799,31 +717,22 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
     };
     std::vector<Chunk> inflight;
     for (Offset at = offset; at < offset + size; at += chunk_bytes) {
-      ReadRequest body;
-      body.handle = handle;
-      body.offset = at;
-      body.length = std::min<Offset>(chunk_bytes, offset + size - at);
-      net::Frame request;
-      request.type = static_cast<uint32_t>(Op::kRead);
-      request.payload = body.Encode();
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.calls_sent;
-      }
-      inflight.push_back({channel_->Submit(request), body.length});
+      uint64_t want = std::min<Offset>(chunk_bytes, offset + size - at);
+      Bump(&Stats::calls_sent);
+      inflight.push_back({channel_->Submit(RequestFrame(
+                              Op::kRead, ReadRequest{handle, at, want})),
+                          want});
     }
     Status failure = Status::Ok();
     bool contiguous = true;
     for (const Chunk& chunk : inflight) {
       Result<net::Completion> done = channel_->Wait(chunk.tag);
-      Status st = done.ok() ? done->status : done.status();
-      if (st.ok()) {
+      if (done.ok() && done->status.ok()) {
         NoteServerEpoch(done->response.epoch);
-        st = done->response.ToStatus();
       }
       Result<ReadResponse> body =
-          st.ok() ? ReadResponse::Decode(done->response.payload.span())
-                  : Result<ReadResponse>(st);
+          done.ok() ? Reply<ReadResponse>(*done)
+                    : Result<ReadResponse>(done.status());
       if (!body.ok()) {
         if (failure.ok()) {
           failure = body.status();
@@ -936,10 +845,8 @@ void DfsClient::ForgetDelegation(uint64_t deleg_id) {
 }
 
 Result<uint64_t> DfsClient::RebindHandle(const std::string& path) {
-  ASSIGN_OR_RETURN(net::Frame response, CallPath(Op::kLookup, path));
-  RETURN_IF_ERROR(response.ToStatus());
   ASSIGN_OR_RETURN(LookupResponse looked,
-                   LookupResponse::Decode(response.payload.span()));
+                   Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
   if (looked.is_dir) {
     return ErrWrongType("'" + path + "' resolves to a directory now");
   }
@@ -950,103 +857,68 @@ Result<uint64_t> DfsClient::RebindHandle(const std::string& path) {
   return looked.handle;
 }
 
-Result<net::Frame> DfsClient::CallPath(Op op, const std::string& path) {
-  PathRequest body;
-  body.path = path;
-  net::Frame request;
-  request.payload = body.Encode();
-  return Call(op, request);
-}
-
 net::Frame DfsClient::HandleCallback(const net::Frame& request) {
   trace::ScopedSpan span("dfs.client_callback");
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.callbacks_received;
-  }
+  Bump(&Stats::callbacks_received);
+  // Failures answer with the error code alone (no message payload).
   Op op = static_cast<Op>(request.type);
   switch (op) {
     case Op::kCbFlushBack:
-    case Op::kCbDenyWrites: {
-      Result<CbRecallRequest> req =
-          CbRecallRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return net::Frame::Error(req.status().code());
-      }
-      Result<PagerChannelTable::Channel> channel =
-          channels_.GetChannel(req->client_channel);
-      if (!channel.ok()) {
-        // The local cache is already gone; nothing to recall. Still a
-        // well-formed (empty) block list — the server decodes the body.
-        net::Frame response;
-        response.payload = CbRecallResponse{}.Encode();
-        return response;
-      }
-      Range range{req->offset, req->size};
-      Result<std::vector<BlockData>> dirty =
-          op == Op::kCbFlushBack ? channel->cache->FlushBack(range)
-                                 : channel->cache->DenyWrites(range);
-      if (!dirty.ok()) {
-        return net::Frame::Error(dirty.status().code());
-      }
-      CbRecallResponse body;
-      body.blocks = std::move(*dirty);
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kCbAttrInvalidate: {
-      Result<CbAttrInvalidateRequest> req =
-          CbAttrInvalidateRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return net::Frame::Error(req.status().code());
-      }
-      Result<PagerChannelTable::Channel> channel =
-          channels_.GetChannel(req->client_channel);
-      if (!channel.ok()) {
-        return net::Frame{};
-      }
-      if (channel->fs_cache) {
-        Status st = channel->fs_cache->InvalidateAttributes();
-        if (!st.ok()) {
-          return net::Frame::Error(st.code());
+    case Op::kCbDenyWrites:
+      return Answer<CbRecallRequest>(
+          request, [&](auto& req) -> Result<CbRecallResponse> {
+            Result<PagerChannelTable::Channel> channel =
+                channels_.GetChannel(req.client_channel);
+            if (!channel.ok()) {
+              // The local cache is already gone; nothing to recall. Still a
+              // well-formed (empty) block list — the server decodes it.
+              return CbRecallResponse{};
+            }
+            Range range{req.offset, req.size};
+            Result<std::vector<BlockData>> dirty =
+                op == Op::kCbFlushBack ? channel->cache->FlushBack(range)
+                                       : channel->cache->DenyWrites(range);
+            if (!dirty.ok()) {
+              return Status(dirty.code());
+            }
+            return CbRecallResponse{std::move(*dirty)};
+          });
+    case Op::kCbAttrInvalidate:
+      return Answer<CbAttrInvalidateRequest>(request, [&](auto& req) {
+        Result<PagerChannelTable::Channel> channel =
+            channels_.GetChannel(req.client_channel);
+        if (!channel.ok() || !channel->fs_cache) {
+          return Status::Ok();
         }
-      }
-      return net::Frame{};
-    }
-    case Op::kCbRecallDeleg: {
-      Result<CbRecallDelegRequest> req =
-          CbRecallDelegRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return net::Frame::Error(req.status().code());
-      }
-      sp<RemoteFile> holder;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = delegations_by_id_.find(req->deleg_id);
-        if (it != delegations_by_id_.end()) {
-          holder = it->second.lock();
-          delegations_by_id_.erase(it);
-        } else {
-          // The grant may still be in flight toward us: remember the id so
-          // installing it later discards the delegation instead.
-          unknown_recall_ids_.push_back(req->deleg_id);
-          while (unknown_recall_ids_.size() > kMaxUnknownRecalls) {
-            unknown_recall_ids_.pop_front();
+        return Status(channel->fs_cache->InvalidateAttributes().code());
+      });
+    case Op::kCbRecallDeleg:
+      return Answer<CbRecallDelegRequest>(request, [&](auto& req) {
+        sp<RemoteFile> holder;
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          auto it = delegations_by_id_.find(req.deleg_id);
+          if (it != delegations_by_id_.end()) {
+            holder = it->second.lock();
+            delegations_by_id_.erase(it);
+          } else {
+            // The grant may still be in flight toward us: remember the id
+            // so installing it later discards the delegation instead.
+            unknown_recall_ids_.push_back(req.deleg_id);
+            while (unknown_recall_ids_.size() > kMaxUnknownRecalls) {
+              unknown_recall_ids_.pop_front();
+            }
           }
         }
-      }
-      CbRecallDelegResponse body;
-      if (holder) {
-        body = holder->HandleDelegRecall(req->deleg_id, req->incarnation);
-        Bump(&Stats::deleg_recalls);
-        flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
-                       req->deleg_id, req->incarnation);
-      }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
+        CbRecallDelegResponse body;
+        if (holder) {
+          body = holder->HandleDelegRecall(req.deleg_id, req.incarnation);
+          Bump(&Stats::deleg_recalls);
+          flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
+                         req.deleg_id, req.incarnation);
+        }
+        return body;
+      });
     default:
       return net::Frame::Error(ErrorCode::kNotSupported);
   }
@@ -1087,18 +959,11 @@ Result<sp<CacheRights>> DfsClient::BindRemote(uint64_t handle,
       return rights;
     }
   }
-  BindCacheRequest body;
-  body.handle = handle;
-  body.client_channel = local_channel;
-  body.is_fs_cache = is_fs_cache;
-  body.node = node_->name();
-  body.service = callback_service_;
-  net::Frame request;
-  request.payload = body.Encode();
-  ASSIGN_OR_RETURN(net::Frame response, Call(Op::kBindCache, request));
-  RETURN_IF_ERROR(response.ToStatus());
-  ASSIGN_OR_RETURN(BindCacheResponse bound,
-                   BindCacheResponse::Decode(response.payload.span()));
+  ASSIGN_OR_RETURN(
+      BindCacheResponse bound,
+      Invoke<BindCacheResponse>(
+          Op::kBindCache, BindCacheRequest{handle, local_channel, is_fs_cache,
+                                           node_->name(), callback_service_}));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     server_cache_ids_[local_channel] = bound.cache_id;
@@ -1133,12 +998,7 @@ void DfsClient::DropChannel(uint64_t local_channel) {
   }
   channels_.RemoveChannel(local_channel);
   if (server_cache_id != 0) {
-    UnbindCacheRequest body;
-    body.handle = handle;
-    body.cache_id = server_cache_id;
-    net::Frame request;
-    request.payload = body.Encode();
-    (void)Call(Op::kUnbindCache, request);
+    (void)Invoke(Op::kUnbindCache, UnbindCacheRequest{handle, server_cache_id});
   }
 }
 
@@ -1146,10 +1006,8 @@ Result<sp<Object>> DfsClient::ObjectForPath(const std::string& path) {
   if (options_.compound) {
     return ObjectForPathCompound(path);
   }
-  ASSIGN_OR_RETURN(net::Frame response, CallPath(Op::kLookup, path));
-  RETURN_IF_ERROR(response.ToStatus());
   ASSIGN_OR_RETURN(LookupResponse looked,
-                   LookupResponse::Decode(response.payload.span()));
+                   Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
   sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
     ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
@@ -1193,53 +1051,27 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const std::string& path) {
           ? (options_.write_delegations ? DelegationKind::kWrite
                                         : DelegationKind::kRead)
           : DelegationKind::kNone;
-  CompoundRequest program;
-  {
-    PathRequest sub;
-    sub.path = path;
-    program.ops.push_back(
-        {static_cast<uint32_t>(Op::kLookup), sub.Encode()});
+  OpenRequest open_req;
+  open_req.want_delegation = want;
+  if (want != DelegationKind::kNone) {
+    open_req.node = node_->name();
+    open_req.service = callback_service_;
   }
-  {
-    OpenRequest sub;
-    sub.want_delegation = want;
-    if (want != DelegationKind::kNone) {
-      sub.node = node_->name();
-      sub.service = callback_service_;
-    }
-    program.ops.push_back({static_cast<uint32_t>(Op::kOpen), sub.Encode()});
-  }
-  {
-    HandleRequest sub;
-    program.ops.push_back(
-        {static_cast<uint32_t>(Op::kGetAttr), sub.Encode()});
-  }
-  {
-    ReadRequest sub;
-    sub.offset = 0;
-    sub.length = kPageSize;
-    program.ops.push_back({static_cast<uint32_t>(Op::kRead), sub.Encode()});
-  }
-  net::Frame request;
-  request.payload = program.Encode();
+  CompoundRequest program{{
+      {static_cast<uint32_t>(Op::kLookup), Encode(PathRequest{path})},
+      {static_cast<uint32_t>(Op::kOpen), Encode(open_req)},
+      {static_cast<uint32_t>(Op::kGetAttr), Encode(HandleRequest{})},
+      {static_cast<uint32_t>(Op::kRead),
+       Encode(ReadRequest{.length = kPageSize})},
+  }};
   Bump(&Stats::compound_opens);
-  ASSIGN_OR_RETURN(net::Frame response, Call(Op::kCompound, request));
-  RETURN_IF_ERROR(response.ToStatus());
   ASSIGN_OR_RETURN(CompoundResponse results,
-                   CompoundResponse::Decode(response.payload.span()));
-  if (results.results.empty()) {
-    return ErrCorrupted("empty compound response");
-  }
+                   Invoke<CompoundResponse>(Op::kCompound, program));
   // Sub-op 0, the lookup, gates the whole resolve; the later ops are
   // opportunistic (a failure there just means no prefetch/delegation —
   // e.g. kOpen fails with kStale handle 0 when the path is a directory).
-  const CompoundResponse::SubResult& looked_result = results.results[0];
-  if (looked_result.status != 0) {
-    return Status(static_cast<ErrorCode>(looked_result.status),
-                  looked_result.body.ToString());
-  }
   ASSIGN_OR_RETURN(LookupResponse looked,
-                   LookupResponse::Decode(looked_result.body.span()));
+                   SubResult<LookupResponse>(results, 0));
   sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
     ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
@@ -1259,31 +1091,10 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const std::string& path) {
       remote_files_[path] = file;
     }
   }
-  std::optional<OpenResponse> open;
-  std::optional<FileAttributes> attrs;
-  std::optional<Buffer> first_page;
-  if (results.results.size() > 1 && results.results[1].status == 0) {
-    Result<OpenResponse> sub =
-        OpenResponse::Decode(results.results[1].body.span());
-    if (sub.ok()) {
-      open = *sub;
-    }
-  }
-  if (results.results.size() > 2 && results.results[2].status == 0) {
-    Result<GetAttrResponse> sub =
-        GetAttrResponse::Decode(results.results[2].body.span());
-    if (sub.ok()) {
-      attrs = sub->attrs;
-    }
-  }
-  if (results.results.size() > 3 && results.results[3].status == 0) {
-    Result<ReadResponse> sub =
-        ReadResponse::Decode(results.results[3].body.span());
-    if (sub.ok()) {
-      first_page = std::move(sub->data);
-    }
-  }
-  if (open && open->deleg_id != 0) {
+  Result<OpenResponse> open = SubResult<OpenResponse>(results, 1);
+  Result<GetAttrResponse> attrs = SubResult<GetAttrResponse>(results, 2);
+  Result<ReadResponse> first_page = SubResult<ReadResponse>(results, 3);
+  if (open.ok() && open->deleg_id != 0) {
     bool revoked = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -1338,18 +1149,14 @@ Status DfsClient::Bind(const Name& name, sp<Object> object,
 Status DfsClient::Unbind(const Name& name, const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Status {
-    ASSIGN_OR_RETURN(net::Frame response,
-                     CallPath(Op::kRemove, name.ToString()));
-    return response.ToStatus();
+    return Invoke(Op::kRemove, PathRequest{name.ToString()}).status();
   });
 }
 
 Result<std::vector<BindingInfo>> DfsClient::ListPath(const std::string& path) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-    ASSIGN_OR_RETURN(net::Frame response, CallPath(Op::kReadDir, path));
-    RETURN_IF_ERROR(response.ToStatus());
     ASSIGN_OR_RETURN(ReadDirResponse body,
-                     ReadDirResponse::Decode(response.payload.span()));
+                     Invoke<ReadDirResponse>(Op::kReadDir, PathRequest{path}));
     std::vector<BindingInfo> entries;
     entries.reserve(body.entries.size());
     for (const ReadDirResponse::Entry& entry : body.entries) {
@@ -1371,9 +1178,8 @@ Result<sp<Context>> DfsClient::CreateContext(const Name& name,
                                              const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Result<sp<Context>> {
-    ASSIGN_OR_RETURN(net::Frame response,
-                     CallPath(Op::kMkdir, name.ToString()));
-    RETURN_IF_ERROR(response.ToStatus());
+    RETURN_IF_ERROR(
+        Invoke(Op::kMkdir, PathRequest{name.ToString()}).status());
     sp<DfsClient> self =
         std::dynamic_pointer_cast<DfsClient>(shared_from_this());
     return sp<Context>(std::make_shared<RemoteDirContext>(domain(), self,
@@ -1385,11 +1191,9 @@ Result<sp<File>> DfsClient::CreateFile(const Name& name,
                                        const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Result<sp<File>> {
-    ASSIGN_OR_RETURN(net::Frame response,
-                     CallPath(Op::kCreate, name.ToString()));
-    RETURN_IF_ERROR(response.ToStatus());
     ASSIGN_OR_RETURN(CreateResponse created,
-                     CreateResponse::Decode(response.payload.span()));
+                     Invoke<CreateResponse>(Op::kCreate,
+                                            PathRequest{name.ToString()}));
     sp<DfsClient> self =
         std::dynamic_pointer_cast<DfsClient>(shared_from_this());
     std::string path = name.ToString();

@@ -25,15 +25,13 @@ namespace springfs::dfs {
 
 // Client-side handling of transient transport faults: calls that fail with
 // kTimedOut / kConnectionLost / kDeadObject are re-sent up to `max_retries`
-// times with capped exponential backoff. Idempotent calls (see
+// times with capped exponential backoff (RetryState). Idempotent calls (see
 // IsIdempotent) are naturally safe to re-send; mutating calls are stamped
 // with a unique Frame::request_id so the server's dedup window replays the
 // original response instead of applying the op twice. The backoff sleeps
 // on the mount's clock, so tests driving a FakeClock stay deterministic.
 struct DfsClientOptions {
   uint32_t max_retries = 4;
-  uint64_t backoff_base_ns = 1'000'000;  // first retry waits this long
-  uint64_t backoff_max_ns = 50'000'000;  // cap for the exponential growth
 
   // The mount's channel to the server (DESIGN.md §12). Every op rides it,
   // so its RACK/RTO machinery recovers lost frames below the logical
@@ -61,9 +59,21 @@ struct DfsClientOptions {
 // (and the attempt budget keeps shrinking) instead of restarting from the
 // base value on the re-resolved handle.
 struct RetryState {
+  // Every DFS retry loop waits 1 ms before its first retry, doubling up to
+  // a 50 ms cap.
+  static constexpr uint64_t kBackoffBaseNs = 1'000'000;
+  static constexpr uint64_t kBackoffMaxNs = 50'000'000;
+
   uint32_t attempt = 0;
-  uint64_t next_backoff_ns = 0;  // 0 = start at backoff_base_ns
+  uint64_t next_backoff_ns = 0;  // 0 = start at kBackoffBaseNs
+
+  // Sleeps the next backoff step on `clock` and counts the attempt.
+  void Backoff(Clock* clock);
 };
+
+// Process-wide request-id mint: a server's dedup window keys on the id
+// alone, so no two requests from any client may share one.
+uint64_t NewRequestId();
 
 class DfsClient : public Context,
                   public Fs,
@@ -131,6 +141,7 @@ class DfsClient : public Context,
   // The striped client (striped_client.h) drives its metadata traffic
   // through this client's Call/retry machinery instead of duplicating it.
   friend class StripedDfsClient;
+  friend class StripedRemoteFile;
 
   // Per-mount accounting, guarded by stats_mutex_; published via
   // CollectStats.
@@ -167,13 +178,39 @@ class DfsClient : public Context,
   // local-serve accounting).
   void Bump(uint64_t Stats::*field);
 
-  // One RPC to the server.
-  Result<net::Frame> Call(Op op, const net::Frame& request);
-  // Same, with caller-held retry state (RemoteFile threads it across a
-  // kStale rebind so backoff carries over).
-  Result<net::Frame> Call(Op op, const net::Frame& request, RetryState* retry);
-  // Convenience: path-carrying call.
-  Result<net::Frame> CallPath(Op op, const std::string& path);
+  // One RPC to the server (the op is request.type): the one home of the
+  // retry, request-id and epoch policy. `retry`, when given, is
+  // caller-held state threaded across a kStale rebind so backoff carries
+  // over.
+  Result<net::Frame> Call(net::Frame request, RetryState* retry = nullptr);
+  // The typed form every caller uses: a Req body out, the decoded Resp (or
+  // the error Status) back.
+  template <class Resp = Empty, class Req>
+  Result<Resp> Invoke(Op op, const Req& req, RetryState* retry = nullptr) {
+    return Reply<Resp>(Call(RequestFrame(op, req), retry));
+  }
+  // A handle-carrying call that survives the server forgetting the handle
+  // (it restarted): on kStale — or, with `rebind_dead`, on the kDeadObject
+  // of a bounced server's tombstone — re-resolves `path`, stores the fresh
+  // handle in `handle` and re-sends once. The re-send mints a fresh
+  // request id (the first attempt definitively did not execute) but keeps
+  // the RetryState, so the backoff keeps growing and the attempt budget
+  // keeps shrinking.
+  template <class Resp = Empty, class Req>
+  Result<Resp> InvokeByPath(Op op, const std::string& path,
+                            std::atomic<uint64_t>& handle, Req req,
+                            bool rebind_dead = false) {
+    RetryState retry;
+    req.handle = handle.load();
+    Result<Resp> reply = Invoke<Resp>(op, req, &retry);
+    if (reply.code() != ErrorCode::kStale &&
+        !(rebind_dead && reply.code() == ErrorCode::kDeadObject)) {
+      return reply;
+    }
+    ASSIGN_OR_RETURN(req.handle, RebindHandle(path));
+    handle.store(req.handle);
+    return Invoke<Resp>(op, req, &retry);
+  }
 
   // Server->client callbacks.
   net::Frame HandleCallback(const net::Frame& request);

@@ -20,17 +20,6 @@ class DfsCacheRights : public CacheRights {
   uint64_t id_;
 };
 
-net::Frame OkFrame() { return net::Frame{}; }
-
-net::Frame StatusFrame(const Status& st) {
-  if (st.ok()) {
-    return OkFrame();
-  }
-  net::Frame frame = net::Frame::Error(st.code());
-  frame.payload = Buffer(st.message());
-  return frame;
-}
-
 // Monotonic boot-epoch source shared by every server instance in the
 // process: a restarted server (new DfsServer on the same node/service)
 // necessarily gets a larger epoch than its predecessor.
@@ -116,15 +105,6 @@ metrics::OpMetric& OpMetricFor(Op op) {
 
 }  // namespace
 
-// Converts a Status error into an error frame from inside a handler.
-#define RETURN_FRAME_IF_ERROR(expr)     \
-  do {                                  \
-    ::springfs::Status _st = (expr);    \
-    if (!_st.ok()) {                    \
-      return StatusFrame(_st);          \
-    }                                   \
-  } while (0)
-
 // A remote client cache, reachable only through the DFS protocol. The
 // server's per-file CoherencyEngine treats it like any cache object.
 class RemoteCacheProxy : public FsCacheObject {
@@ -160,34 +140,24 @@ class RemoteCacheProxy : public FsCacheObject {
   }
 
   Status InvalidateAttributes() override {
-    CbAttrInvalidateRequest body;
-    body.client_channel = client_channel_;
-    net::Frame request;
-    request.type = static_cast<uint32_t>(Op::kCbAttrInvalidate);
-    request.payload = body.Encode();
-    ASSIGN_OR_RETURN(net::Frame response, server_->SendCallback(
-                                              client_node_, client_service_,
-                                              request));
-    return response.ToStatus();
+    return Reply<Empty>(server_->SendCallback(
+                            client_node_, client_service_,
+                            RequestFrame(Op::kCbAttrInvalidate,
+                                         CbAttrInvalidateRequest{
+                                             client_channel_})))
+        .status();
   }
   Result<AttrUpdate> RecallAttributes() override { return AttrUpdate{}; }
 
  private:
   Result<std::vector<BlockData>> Callback(Op op, Range range) {
     trace::ScopedSpan span("dfs.callback");
-    CbRecallRequest body;
-    body.client_channel = client_channel_;
-    body.offset = range.offset;
-    body.size = range.size;
-    net::Frame request;
-    request.type = static_cast<uint32_t>(op);
-    request.payload = body.Encode();
-    ASSIGN_OR_RETURN(net::Frame response, server_->SendCallback(
-                                              client_node_, client_service_,
-                                              request));
-    RETURN_IF_ERROR(response.ToStatus());
-    ASSIGN_OR_RETURN(CbRecallResponse resp,
-                     CbRecallResponse::Decode(response.payload.span()));
+    ASSIGN_OR_RETURN(
+        CbRecallResponse resp,
+        Reply<CbRecallResponse>(server_->SendCallback(
+            client_node_, client_service_,
+            RequestFrame(op, CbRecallRequest{client_channel_, range.offset,
+                                             range.size}))));
     return resp.blocks;
   }
 
@@ -237,18 +207,12 @@ class DelegationProxy : public FsCacheObject {
  private:
   Result<std::vector<BlockData>> Recall() {
     trace::ScopedSpan span("dfs.recall_deleg");
-    CbRecallDelegRequest body;
-    body.deleg_id = deleg_id_;
-    body.incarnation = incarnation_;
-    net::Frame request;
-    request.type = static_cast<uint32_t>(Op::kCbRecallDeleg);
-    request.payload = body.Encode();
-    ASSIGN_OR_RETURN(net::Frame response, server_->SendCallback(
-                                              client_node_, client_service_,
-                                              request));
-    RETURN_IF_ERROR(response.ToStatus());
-    ASSIGN_OR_RETURN(CbRecallDelegResponse resp,
-                     CbRecallDelegResponse::Decode(response.payload.span()));
+    ASSIGN_OR_RETURN(
+        CbRecallDelegResponse resp,
+        Reply<CbRecallDelegResponse>(server_->SendCallback(
+            client_node_, client_service_,
+            RequestFrame(Op::kCbRecallDeleg,
+                         CbRecallDelegRequest{deleg_id_, incarnation_}))));
     if (resp.has_times) {
       std::lock_guard<std::mutex> lock(mutex_);
       dirty_times_ = std::make_pair(resp.atime_ns, resp.mtime_ns);
@@ -644,19 +608,34 @@ Status DfsServer::BroadcastAttrInvalidate(ServerFile& file,
     if (cache_id == except_cache_id || !info.is_fs_cache) {
       continue;
     }
-    CbAttrInvalidateRequest body;
-    body.client_channel = info.client_channel;
-    net::Frame request;
-    request.type = static_cast<uint32_t>(Op::kCbAttrInvalidate);
-    request.payload = body.Encode();
-    Result<net::Frame> response =
-        SendCallback(info.node, info.service, request);
+    // Only the transport verdict matters: a client that answers with an
+    // error still got the invalidation.
+    Result<net::Frame> response = SendCallback(
+        info.node, info.service,
+        RequestFrame(Op::kCbAttrInvalidate,
+                     CbAttrInvalidateRequest{info.client_channel}));
     if (!response.ok() &&
         response.code() != ErrorCode::kConnectionLost) {
       return response.status();
     }
   }
   return Status::Ok();
+}
+
+template <class Req, class Handler>
+net::Frame DfsServer::ServeFile(const net::Frame& request, Handler&& handler) {
+  return Answer<Req>(request, [&](Req& req) {
+    using Out = decltype(handler(req, std::declval<sp<ServerFile>&>()));
+    Result<sp<ServerFile>> file = FileForHandle(req.handle);
+    return file.ok() ? Out(handler(req, *file)) : Out(file.status());
+  });
+}
+
+template <class Resp, class Req>
+Result<Resp> DfsServer::CallTarget(const DfsServerOptions::StripeTarget& target,
+                                   Op op, const Req& req) {
+  return Reply<Resp>(network_->Call(node_->name(), target.node,
+                                    target.service, RequestFrame(op, req)));
 }
 
 // --- protocol dispatch ---
@@ -733,9 +712,7 @@ void DfsServer::NoteSlowOp(Op op, const net::Frame& request,
   SlowOp slow;
   slow.op = op;
   if (CarriesLeadingHandle(op) && request.payload.size() >= 8) {
-    for (int i = 7; i >= 0; --i) {
-      slow.handle = (slow.handle << 8) | request.payload.span()[i];
-    }
+    slow.handle = LoadLe<uint64_t>(request.payload.data());
   }
   slow.bytes = request.payload.size();
   slow.elapsed_ns = elapsed_ns;
@@ -772,7 +749,7 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
     }
     flight::Record(flight::Severity::kWarn, "dfs", "grace reject",
                    static_cast<uint64_t>(op), boot_epoch_);
-    return StatusFrame(ErrTimedOut(
+    return ReplyFrame(ErrTimedOut(
         "server in post-boot grace period; retry after it lapses"));
   }
   switch (op) {
@@ -783,19 +760,26 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
     case Op::kReadDir:
       return HandleNameOp(op, request);
     case Op::kOpen:
-      return HandleOpen(request);
+      return ServeFile<OpenRequest>(request, [&](auto& req, auto& file) {
+        return HandleOpen(req, file);
+      });
     case Op::kDelegReturn:
-      return HandleDelegReturn(request);
+      return ServeFile<DelegReturnRequest>(request, [&](auto& req, auto& file) {
+        return HandleDelegReturn(req, file);
+      });
     case Op::kGetStripeMap:
-      return HandleGetStripeMap(request);
+      return Answer<HandleRequest>(
+          request, [&](auto& req) { return HandleGetStripeMap(req); });
     case Op::kReportStaleReplica:
-      return HandleReportStale(request);
+      return Answer<ReportStaleRequest>(
+          request, [&](auto& req) { return HandleReportStale(req); });
     case Op::kGetStats:
-      return HandleGetStats(request);
+      return Answer<Empty>(request, [&](Empty&) { return HandleGetStats(); });
     case Op::kGetHealth:
-      return HandleGetHealth(request);
+      return Answer<Empty>(request, [&](Empty&) { return HandleGetHealth(); });
     case Op::kCompound:
-      return HandleCompound(request);
+      return Answer<CompoundRequest>(
+          request, [&](auto& req) { return HandleCompound(req); });
     default:
       return HandleFileOp(op, request, except_deleg);
   }
@@ -803,61 +787,43 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
 
 net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
   Credentials creds = Credentials::System();
-  Result<PathRequest> req = PathRequest::Decode(request.payload.span());
+  Result<PathRequest> req = Decode<PathRequest>(request.payload.span());
   if (!req.ok()) {
-    return StatusFrame(req.status());
+    return ReplyFrame(req.status());
   }
   const std::string& path = req->path;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.remote_lookups;
   }
-  Result<Name> name = Name::Parse(path);
-  if (!name.ok()) {
-    return StatusFrame(name.status());
+  Result<Name> parsed = Name::Parse(path);
+  if (!parsed.ok()) {
+    return ReplyFrame(parsed.status());
   }
+  const Name& name = *parsed;
   switch (op) {
-    case Op::kLookup: {
-      Result<sp<Object>> object = under_->Resolve(*name, creds);
-      if (!object.ok()) {
-        return StatusFrame(object.status());
-      }
-      LookupResponse body;
-      if (narrow<Context>(*object)) {
-        body.is_dir = true;
-      } else {
-        if (!narrow<File>(*object)) {
-          return StatusFrame(ErrWrongType("not a file or directory"));
+    case Op::kLookup:
+      return ReplyFrame([&]() -> Result<LookupResponse> {
+        ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
+        if (narrow<Context>(object)) {
+          return LookupResponse{.is_dir = true};
         }
-        Result<sp<ServerFile>> file = FileForPath(path);
-        if (!file.ok()) {
-          return StatusFrame(file.status());
+        if (!narrow<File>(object)) {
+          return ErrWrongType("not a file or directory");
         }
-        body.handle = (*file)->handle;
-      }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kCreate: {
-      Result<sp<File>> created = under_->CreateFile(*name, creds);
-      if (!created.ok()) {
-        return StatusFrame(created.status());
-      }
-      Result<sp<ServerFile>> file = FileForPath(path);
-      if (!file.ok()) {
-        return StatusFrame(file.status());
-      }
-      CreateResponse body;
-      body.handle = (*file)->handle;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
+        ASSIGN_OR_RETURN(sp<ServerFile> file, FileForPath(path));
+        return LookupResponse{.handle = file->handle};
+      }());
+    case Op::kCreate:
+      return ReplyFrame([&]() -> Result<CreateResponse> {
+        RETURN_IF_ERROR(under_->CreateFile(name, creds).status());
+        ASSIGN_OR_RETURN(sp<ServerFile> file, FileForPath(path));
+        return CreateResponse{file->handle};
+      }());
     case Op::kMkdir:
-      return StatusFrame(under_->CreateContext(*name, creds).status());
+      return ReplyFrame(under_->CreateContext(name, creds).status());
     case Op::kRemove: {
-      Status st = under_->Unbind(*name, creds);
+      Status st = under_->Unbind(name, creds);
       if (st.ok()) {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = handles_by_path_.find(path);
@@ -866,51 +832,35 @@ net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
           handles_by_path_.erase(it);
         }
       }
-      return StatusFrame(st);
+      return ReplyFrame(st);
     }
-    case Op::kReadDir: {
-      Result<sp<Object>> dir_obj = under_->Resolve(*name, creds);
-      if (!dir_obj.ok()) {
-        return StatusFrame(dir_obj.status());
-      }
-      sp<Context> dir = narrow<Context>(*dir_obj);
-      if (!dir) {
-        return StatusFrame(ErrNotADirectory(path));
-      }
-      Result<std::vector<BindingInfo>> entries = dir->List(creds);
-      if (!entries.ok()) {
-        return StatusFrame(entries.status());
-      }
-      ReadDirResponse body;
-      body.entries.reserve(entries->size());
-      for (const auto& entry : *entries) {
-        body.entries.push_back({entry.name, entry.is_context});
-      }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
+    case Op::kReadDir:
+      return ReplyFrame([&]() -> Result<ReadDirResponse> {
+        ASSIGN_OR_RETURN(sp<Object> dir_obj, under_->Resolve(name, creds));
+        sp<Context> dir = narrow<Context>(dir_obj);
+        if (!dir) {
+          return ErrNotADirectory(path);
+        }
+        ASSIGN_OR_RETURN(std::vector<BindingInfo> entries, dir->List(creds));
+        ReadDirResponse body;
+        for (const BindingInfo& entry : entries) {
+          body.entries.push_back({entry.name, entry.is_context});
+        }
+        return body;
+      }());
     default:
-      return StatusFrame(ErrNotSupported("unknown name op"));
+      return ReplyFrame(ErrNotSupported("unknown name op"));
   }
 }
 
-net::Frame DfsServer::HandleOpen(const net::Frame& request) {
-  Result<OpenRequest> req = OpenRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
+Result<OpenResponse> DfsServer::HandleOpen(const OpenRequest& req,
+                                           const sp<ServerFile>& file) {
   OpenResponse body;
   body.handle = file->handle;
   // Delegations need a live lease clock and a callback address; without
   // either the open succeeds plain.
-  bool want = req->want_delegation != DelegationKind::kNone &&
-              !req->node.empty() && options_.lease_ns != 0;
+  bool want = req.want_delegation != DelegationKind::kNone &&
+              !req.node.empty() && options_.lease_ns != 0;
   std::vector<std::pair<uint64_t, uint64_t>> dirty_times;
   if (want) {
     std::lock_guard<std::mutex> lock(file->mutex);
@@ -919,7 +869,7 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
     // delegations but not a write one; a write delegation must be alone.
     // On conflict the grant is simply denied — the opener still got its
     // handle, and the conflicting holder keeps its zero-trip serves.
-    bool write_wanted = req->want_delegation == DelegationKind::kWrite;
+    bool write_wanted = req.want_delegation == DelegationKind::kWrite;
     bool conflict = false;
     for (const auto& [id, info] : file->delegations) {
       if (write_wanted || info.kind == DelegationKind::kWrite) {
@@ -929,8 +879,8 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
     }
     if (!conflict) {
       uint64_t deleg_id = NextDelegId();
-      auto proxy = std::make_shared<DelegationProxy>(this, req->node,
-                                                     req->service, deleg_id);
+      auto proxy = std::make_shared<DelegationProxy>(this, req.node,
+                                                     req.service, deleg_id);
       uint64_t incarnation = file->deleg_engine.AddCache(deleg_id, proxy);
       proxy->set_incarnation(incarnation);
       Result<std::vector<BlockData>> claimed = file->deleg_engine.Acquire(
@@ -939,9 +889,9 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
       if (claimed.ok()) {
         DelegationInfo info;
         info.deleg_id = deleg_id;
-        info.kind = req->want_delegation;
-        info.node = req->node;
-        info.service = req->service;
+        info.kind = req.want_delegation;
+        info.node = req.node;
+        info.service = req.service;
         info.incarnation = incarnation;
         // The expiry ships to the client as an ABSOLUTE clock value and is
         // never renewed, so both sides agree on the exact instant local
@@ -951,7 +901,7 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
         info.proxy = proxy;
         file->delegations[deleg_id] = info;
         body.deleg_id = deleg_id;
-        body.granted = req->want_delegation;
+        body.granted = req.want_delegation;
         body.incarnation = incarnation;
         body.expires_at = info.expires_at;
         {
@@ -966,50 +916,36 @@ net::Frame DfsServer::HandleOpen(const net::Frame& request) {
     }
   }
   for (const auto& [atime, mtime] : dirty_times) {
-    Status st = file->under->SetTimes(atime, mtime);
-    if (!st.ok()) {
-      return StatusFrame(st);
-    }
+    RETURN_IF_ERROR(file->under->SetTimes(atime, mtime));
   }
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
+  return body;
 }
 
-net::Frame DfsServer::HandleDelegReturn(const net::Frame& request) {
-  Result<DelegReturnRequest> req =
-      DelegReturnRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
+Status DfsServer::HandleDelegReturn(const DelegReturnRequest& req,
+                                    const sp<ServerFile>& file) {
   {
     std::lock_guard<std::mutex> lock(file->mutex);
-    auto it = file->delegations.find(req->deleg_id);
+    auto it = file->delegations.find(req.deleg_id);
     if (it == file->delegations.end() ||
-        it->second.incarnation != req->incarnation) {
+        it->second.incarnation != req.incarnation) {
       // Stale return: the delegation was already recalled, expired, or
       // re-granted under a fresh incarnation. Fence it — the times it
       // carries were already collected by the recall (or are void).
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.deleg_fenced;
-      return OkFrame();
+      return Status::Ok();
     }
-    file->deleg_engine.RemoveCache(req->deleg_id);
+    file->deleg_engine.RemoveCache(req.deleg_id);
     file->delegations.erase(it);
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.delegations_returned;
     }
   }
-  if (req->has_times) {
-    RETURN_FRAME_IF_ERROR(file->under->SetTimes(req->atime_ns, req->mtime_ns));
+  if (req.has_times) {
+    return file->under->SetTimes(req.atime_ns, req.mtime_ns);
   }
-  return OkFrame();
+  return Status::Ok();
 }
 
 // --- striped metadata role: staleness state, map building, rebuild --------
@@ -1037,6 +973,29 @@ std::string StripeStateName(const std::string& path) {
   return "." + StripeObjectName(path) + "-state";
 }
 
+// A sidecar's stored form: the StripeState plus the logical path, so a
+// cold incumbent can walk the store's sidecars and re-derive the full
+// stale set (RunRebuildPass) without waiting for a client to refetch the
+// file's map.
+struct StripeSidecar {
+  uint64_t version = 1;
+  std::vector<bool> stale;  // by target index
+  std::string path;
+
+  template <class V>
+  void Visit(V&& v) { v(version, stale, path); }
+};
+
+Result<StripeSidecar> ReadSidecar(const sp<StackableFs>& store,
+                                  const std::string& name) {
+  ASSIGN_OR_RETURN(sp<File> sidecar,
+                   ResolveAs<File>(store, name, Credentials::System()));
+  ASSIGN_OR_RETURN(Offset len, sidecar->GetLength());
+  Buffer raw(len);
+  ASSIGN_OR_RETURN(size_t got, sidecar->Read(0, raw.mutable_span()));
+  return Decode<StripeSidecar>(raw.span().first(got));
+}
+
 }  // namespace
 
 DfsServer::StripeState DfsServer::LoadStripeState(const std::string& path) {
@@ -1054,33 +1013,11 @@ DfsServer::StripeState DfsServer::LoadStripeState(const std::string& path) {
   // Cold (this boot never touched the file): re-derive from the sidecar,
   // if a previous incumbent left one. This is what keeps map versions
   // monotonic — and stale marks durable — across MDS restarts.
-  {
-    Result<sp<File>> sidecar =
-        ResolveAs<File>(under_, StripeStateName(path), Credentials::System());
-    if (sidecar.ok()) {
-      Result<Offset> len = (*sidecar)->GetLength();
-      if (len.ok() && *len > 0) {
-        Buffer raw;
-        raw.resize(*len);
-        Result<size_t> got = (*sidecar)->Read(0, raw.mutable_span());
-        if (got.ok()) {
-          WireReader r(raw.span().first(*got));
-          Result<uint64_t> version = r.U64();
-          Result<uint32_t> count = r.U32();
-          if (version.ok() && count.ok()) {
-            state.version = *version;
-            for (uint32_t t = 0; t < *count; ++t) {
-              Result<uint32_t> flag = r.U32();
-              if (!flag.ok()) {
-                break;
-              }
-              if (t < width) {
-                state.stale[t] = *flag != 0;
-              }
-            }
-          }
-        }
-      }
+  Result<StripeSidecar> sidecar = ReadSidecar(under_, StripeStateName(path));
+  if (sidecar.ok()) {
+    state.version = sidecar->version;
+    for (size_t t = 0; t < std::min(width, sidecar->stale.size()); ++t) {
+      state.stale[t] = sidecar->stale[t];
     }
   }
   std::lock_guard<std::mutex> lock(stripe_mutex_);
@@ -1108,50 +1045,9 @@ void DfsServer::StoreStripeState(const std::string& path,
                    "stripe-state sidecar unwritable", state.version);
     return;
   }
-  WireWriter w;
-  w.U64(state.version);
-  w.U32(static_cast<uint32_t>(state.stale.size()));
-  for (bool flag : state.stale) {
-    w.U32(flag ? 1 : 0);
-  }
-  // The logical path, so a cold incumbent can walk the store's sidecars
-  // and re-derive the full stale set (RunRebuildPass) without waiting for
-  // a client to refetch this file's map.
-  w.Str(path);
-  Buffer wire = w.Take();
+  Buffer wire = Encode(StripeSidecar{state.version, state.stale, path});
   (void)(*sidecar)->Write(0, wire.span());
   (void)(*sidecar)->SetLength(wire.size());
-}
-
-std::string DfsServer::ReadSidecarPath(const std::string& sidecar_name) {
-  Result<sp<File>> sidecar =
-      ResolveAs<File>(under_, sidecar_name, Credentials::System());
-  if (!sidecar.ok()) {
-    return "";
-  }
-  Result<Offset> len = (*sidecar)->GetLength();
-  if (!len.ok() || *len == 0) {
-    return "";
-  }
-  Buffer raw;
-  raw.resize(*len);
-  Result<size_t> got = (*sidecar)->Read(0, raw.mutable_span());
-  if (!got.ok()) {
-    return "";
-  }
-  WireReader r(raw.span().first(*got));
-  Result<uint64_t> version = r.U64();
-  Result<uint32_t> count = r.U32();
-  if (!version.ok() || !count.ok()) {
-    return "";
-  }
-  for (uint32_t t = 0; t < *count; ++t) {
-    if (!r.U32().ok()) {
-      return "";
-    }
-  }
-  Result<std::string> path = r.Str();
-  return path.ok() ? *path : "";
 }
 
 bool DfsServer::MarkReplicaStale(const std::string& path, size_t t) {
@@ -1192,46 +1088,26 @@ bool DfsServer::MarkReplicaStale(const std::string& path, size_t t) {
 // even though it may create objects.
 Result<uint64_t> DfsServer::EnsureStripeObject(
     const DfsServerOptions::StripeTarget& target, const std::string& name) {
-  PathRequest object;
-  object.path = name;
-  net::Frame lookup;
-  lookup.type = static_cast<uint32_t>(Op::kLookup);
-  lookup.payload = object.Encode();
-  ASSIGN_OR_RETURN(
-      net::Frame reply,
-      network_->Call(node_->name(), target.node, target.service, lookup));
-  Status st = reply.ToStatus();
-  if (st.code() == ErrorCode::kNotFound) {
-    net::Frame create;
-    create.type = static_cast<uint32_t>(Op::kCreate);
-    create.payload = object.Encode();
-    ASSIGN_OR_RETURN(
-        net::Frame created,
-        network_->Call(node_->name(), target.node, target.service, create));
-    Status create_st = created.ToStatus();
-    if (create_st.ok()) {
-      ASSIGN_OR_RETURN(CreateResponse made,
-                       CreateResponse::Decode(created.payload.span()));
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.stripe_objects_created;
-      }
-      return made.handle;
+  PathRequest object{name};
+  Result<LookupResponse> found =
+      CallTarget<LookupResponse>(target, Op::kLookup, object);
+  if (found.code() == ErrorCode::kNotFound) {
+    Result<CreateResponse> made =
+        CallTarget<CreateResponse>(target, Op::kCreate, object);
+    if (made.ok()) {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.stripe_objects_created;
+      return made->handle;
     }
-    if (create_st.code() != ErrorCode::kAlreadyExists) {
-      return create_st;
+    if (made.code() != ErrorCode::kAlreadyExists) {
+      return made.status();
     }
     // Lost-response race: our earlier create landed but its reply did not.
     // Fall through to the re-lookup below.
-    ASSIGN_OR_RETURN(
-        reply,
-        network_->Call(node_->name(), target.node, target.service, lookup));
-    st = reply.ToStatus();
+    found = CallTarget<LookupResponse>(target, Op::kLookup, object);
   }
-  RETURN_IF_ERROR(st);
-  ASSIGN_OR_RETURN(LookupResponse found,
-                   LookupResponse::Decode(reply.payload.span()));
-  return found.handle;
+  RETURN_IF_ERROR(found.status());
+  return found->handle;
 }
 
 Result<StripeMapResponse> DfsServer::BuildStripeMap(const sp<ServerFile>& file) {
@@ -1289,56 +1165,33 @@ Result<StripeMapResponse> DfsServer::BuildStripeMap(const sp<ServerFile>& file) 
   return body;
 }
 
-net::Frame DfsServer::HandleGetStripeMap(const net::Frame& request) {
-  Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
+Result<StripeMapResponse> DfsServer::HandleGetStripeMap(
+    const HandleRequest& req) {
   if (options_.stripe_targets.empty()) {
-    return StatusFrame(
-        ErrInvalidArgument("server has no stripe targets (not a metadata "
-                           "server); use the single-server path"));
+    return ErrInvalidArgument("server has no stripe targets (not a metadata "
+                              "server); use the single-server path");
   }
   if (options_.stripe_size == 0 || options_.stripe_size % kPageSize != 0) {
-    return StatusFrame(ErrInvalidArgument("stripe_size must be a non-zero "
-                                          "page multiple"));
+    return ErrInvalidArgument("stripe_size must be a non-zero page multiple");
   }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  Result<StripeMapResponse> body = BuildStripeMap(*file_result);
-  if (!body.ok()) {
-    return StatusFrame(body.status());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_maps_served;
-  }
-  net::Frame response;
-  response.payload = body->Encode();
-  return response;
+  ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
+  ASSIGN_OR_RETURN(StripeMapResponse body, BuildStripeMap(file));
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.stripe_maps_served;
+  return body;
 }
 
-net::Frame DfsServer::HandleReportStale(const net::Frame& request) {
-  Result<ReportStaleRequest> req =
-      ReportStaleRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
+Result<StripeMapResponse> DfsServer::HandleReportStale(
+    const ReportStaleRequest& req) {
   if (options_.stripe_targets.empty()) {
-    return StatusFrame(ErrInvalidArgument("not a striped metadata server"));
+    return ErrInvalidArgument("not a striped metadata server");
   }
-  Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-  if (!file_result.ok()) {
-    return StatusFrame(file_result.status());
-  }
-  sp<ServerFile> file = *file_result;
+  ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.stripe_stale_reports;
   }
-  if (req->target < options_.stripe_targets.size() &&
+  if (req.target < options_.stripe_targets.size() &&
       StripeReplicaCount() > 1) {
     // Version-fenced: the mark is honored only when the reporter's map is
     // at least as new as this server's state. A report stamped with an
@@ -1348,20 +1201,14 @@ net::Frame DfsServer::HandleReportStale(const net::Frame& request) {
     // fresh map below and re-plans its writes against it, reaching the
     // revived target directly. (MarkReplicaStale still refuses to strand
     // the last fresh copy.)
-    if (req->map_version >= LoadStripeState(file->path).version) {
-      (void)MarkReplicaStale(file->path, static_cast<size_t>(req->target));
+    if (req.map_version >= LoadStripeState(file->path).version) {
+      (void)MarkReplicaStale(file->path, static_cast<size_t>(req.target));
     }
   }
-  Result<StripeMapResponse> body = BuildStripeMap(file);
-  if (!body.ok()) {
-    return StatusFrame(body.status());
-  }
-  net::Frame response;
-  response.payload = body->Encode();
-  return response;
+  return BuildStripeMap(file);
 }
 
-net::Frame DfsServer::HandleGetStats(const net::Frame&) {
+GetStatsResponse DfsServer::HandleGetStats() {
   GetStatsResponse body;
   body.snapshot = metrics::Registry::Global().Collect();
   // Fold this server's own counters in under "self/": in a simulated
@@ -1374,12 +1221,10 @@ net::Frame DfsServer::HandleGetStats(const net::Frame&) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.stats_scrapes;
   }
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
+  return body;
 }
 
-net::Frame DfsServer::HandleGetHealth(const net::Frame&) {
+HealthResponse DfsServer::HandleGetHealth() {
   HealthResponse body;
   body.role = options_.stripe_targets.empty()
                   ? HealthResponse::Role::kData
@@ -1429,9 +1274,7 @@ net::Frame DfsServer::HandleGetHealth(const net::Frame&) {
     std::lock_guard<std::mutex> lock(dedup_mutex_);
     body.dedup_entries = dedup_.size();
   }
-  net::Frame response;
-  response.payload = body.Encode();
-  return response;
+  return body;
 }
 
 void DfsServer::LoadAllSidecarStates() {
@@ -1451,9 +1294,9 @@ void DfsServer::LoadAllSidecarStates() {
         entry.name.rfind(kPrefix, 0) == 0 &&
         entry.name.compare(entry.name.size() - kSuffix.size(),
                            kSuffix.size(), kSuffix) == 0) {
-      std::string path = ReadSidecarPath(entry.name);
-      if (!path.empty()) {
-        (void)LoadStripeState(path);  // cache-or-sidecar, idempotent
+      Result<StripeSidecar> sidecar = ReadSidecar(under_, entry.name);
+      if (sidecar.ok() && !sidecar->path.empty()) {
+        (void)LoadStripeState(sidecar->path);  // cache-or-sidecar, idempotent
       }
     }
   }
@@ -1510,19 +1353,6 @@ Status DfsServer::RebuildTarget(const std::string& object_name, size_t t,
   uint32_t replicas = StripeReplicaCount();
   const DfsServerOptions::StripeTarget& dest = options_.stripe_targets[t];
 
-  // Typed sync call helper against a data server.
-  auto call = [&](const DfsServerOptions::StripeTarget& target, Op op,
-                  Buffer body) -> Result<net::Frame> {
-    net::Frame frame;
-    frame.type = static_cast<uint32_t>(op);
-    frame.payload = std::move(body);
-    ASSIGN_OR_RETURN(
-        net::Frame reply,
-        network_->Call(node_->name(), target.node, target.service, frame));
-    RETURN_IF_ERROR(reply.ToStatus());
-    return reply;
-  };
-
   for (size_t lane = 0; lane < replicas; ++lane) {
     // The lane-`lane` object on target t holds stripes s with
     // (s + lane) % width == t; any fresh lane r' on target
@@ -1550,53 +1380,36 @@ Status DfsServer::RebuildTarget(const std::string& object_name, size_t t,
         uint64_t dst_handle,
         EnsureStripeObject(dest, LaneObjectName(object_name, lane)));
 
-    HandleRequest len_req;
-    len_req.handle = src_handle;
-    ASSIGN_OR_RETURN(net::Frame len_reply,
-                     call(*src_target, Op::kGetLength, len_req.Encode()));
     ASSIGN_OR_RETURN(GetLengthResponse src_len,
-                     GetLengthResponse::Decode(len_reply.payload.span()));
+                     CallTarget<GetLengthResponse>(*src_target, Op::kGetLength,
+                                                   HandleRequest{src_handle}));
 
     constexpr uint64_t kChunk = 16 * kPageSize;
     for (uint64_t off = 0; off < src_len.length; off += kChunk) {
       uint64_t n = std::min(kChunk, src_len.length - off);
-      ReadRequest read;
-      read.handle = src_handle;
-      read.offset = off;
-      read.length = n;
-      ASSIGN_OR_RETURN(net::Frame read_reply,
-                       call(*src_target, Op::kRead, read.Encode()));
-      ASSIGN_OR_RETURN(ReadResponse data,
-                       ReadResponse::Decode(read_reply.payload.span()));
-      WriteRequest write;
-      write.handle = dst_handle;
-      write.offset = off;
-      write.data = std::move(data.data);
-      size_t written = write.data.size();
-      ASSIGN_OR_RETURN(net::Frame write_reply,
-                       call(dest, Op::kWrite, write.Encode()));
-      (void)write_reply;
+      ASSIGN_OR_RETURN(
+          ReadResponse data,
+          CallTarget<ReadResponse>(*src_target, Op::kRead,
+                                   ReadRequest{src_handle, off, n}));
+      size_t written = data.data.size();
+      RETURN_IF_ERROR(CallTarget<WriteResponse>(
+                          dest, Op::kWrite,
+                          WriteRequest{dst_handle, off, std::move(data.data)})
+                          .status());
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.stripe_rebuild_bytes += written;
     }
     // Truncate a dest that outlived the source (writes it absorbed before
     // dying that were since truncated away).
-    SetLengthRequest trunc;
-    trunc.handle = dst_handle;
-    trunc.length = src_len.length;
-    ASSIGN_OR_RETURN(net::Frame trunc_reply,
-                     call(dest, Op::kSetLength, trunc.Encode()));
-    (void)trunc_reply;
+    RETURN_IF_ERROR(
+        CallTarget(dest, Op::kSetLength,
+                   SetLengthRequest{dst_handle, src_len.length})
+            .status());
   }
   return Status::Ok();
 }
 
-net::Frame DfsServer::HandleCompound(const net::Frame& request) {
-  Result<CompoundRequest> req =
-      CompoundRequest::Decode(request.payload.span());
-  if (!req.ok()) {
-    return StatusFrame(req.status());
-  }
+CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.compounds;
@@ -1604,7 +1417,7 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
   CompoundResponse out;
   uint64_t current_handle = 0;
   uint64_t current_deleg = 0;
-  for (const CompoundRequest::SubOp& sub : req->ops) {
+  for (const CompoundRequest::SubOp& sub : req.ops) {
     Op op = static_cast<Op>(sub.op);
     CompoundResponse::SubResult result;
     result.op = sub.op;
@@ -1621,17 +1434,9 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
     sub_request.type = sub.op;
     sub_request.payload = sub.body;
     if (CarriesLeadingHandle(op) && sub_request.payload.size() >= 8 &&
-        current_handle != 0) {
-      uint8_t* raw = sub_request.payload.data();
-      bool zero = true;
-      for (int i = 0; i < 8; ++i) {
-        zero = zero && raw[i] == 0;
-      }
-      if (zero) {
-        for (int i = 0; i < 8; ++i) {
-          raw[i] = static_cast<uint8_t>(current_handle >> (8 * i));
-        }
-      }
+        current_handle != 0 &&
+        LoadLe<uint64_t>(sub_request.payload.data()) == 0) {
+      StoreLe(sub_request.payload.data(), current_handle);
     }
     net::Frame sub_response = Dispatch(op, sub_request, current_deleg);
     {
@@ -1647,20 +1452,17 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
     }
     // Track the current handle through the ops that produce one.
     if (op == Op::kLookup) {
-      Result<LookupResponse> looked =
-          LookupResponse::Decode(sub_response.payload.span());
+      Result<LookupResponse> looked = Reply<LookupResponse>(sub_response);
       if (looked.ok()) {
         current_handle = looked->is_dir ? 0 : looked->handle;
       }
     } else if (op == Op::kCreate) {
-      Result<CreateResponse> created =
-          CreateResponse::Decode(sub_response.payload.span());
+      Result<CreateResponse> created = Reply<CreateResponse>(sub_response);
       if (created.ok()) {
         current_handle = created->handle;
       }
     } else if (op == Op::kOpen) {
-      Result<OpenResponse> opened =
-          OpenResponse::Decode(sub_response.payload.span());
+      Result<OpenResponse> opened = Reply<OpenResponse>(sub_response);
       if (opened.ok()) {
         current_handle = opened->handle;
         // Later sub-ops run under this open's delegation: without the
@@ -1670,407 +1472,253 @@ net::Frame DfsServer::HandleCompound(const net::Frame& request) {
       }
     }
   }
-  net::Frame response;
-  response.payload = out.Encode();
-  return response;
+  return out;
 }
 
 net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
                                    uint64_t except_deleg) {
   switch (op) {
-    case Op::kGetAttr: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      // A write-delegation holder may have buffered attr writes — pull
-      // them in before serving attributes to anyone else.
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
-      Result<FileAttributes> attrs = file->under->Stat();
-      if (!attrs.ok()) {
-        return StatusFrame(attrs.status());
-      }
-      GetAttrResponse body;
-      body.attrs = *attrs;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kSetTimes: {
-      Result<SetTimesRequest> req =
-          SetTimesRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      Status st = file->under->SetTimes(req->atime_ns, req->mtime_ns);
-      if (st.ok()) {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        st = BroadcastAttrInvalidate(*file, 0);
-      }
-      return StatusFrame(st);
-    }
-    case Op::kSetLength: {
-      Result<SetLengthRequest> req =
-          SetLengthRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      Status st = file->under->SetLength(req->length);
-      if (st.ok()) {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        st = BroadcastAttrInvalidate(*file, 0);
-      }
-      return StatusFrame(st);
-    }
-    case Op::kGetLength: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
-      Result<Offset> length = file->under->GetLength();
-      if (!length.ok()) {
-        return StatusFrame(length.status());
-      }
-      GetLengthResponse body;
-      body.length = *length;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kRead: {
-      Result<ReadRequest> req = ReadRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.remote_reads;
-      }
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadOnly));
-      RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      Buffer out(req->length);
-      {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-            0, Range{req->offset, req->length}, AccessRights::kReadOnly);
-        if (!recovered.ok()) {
-          return StatusFrame(recovered.status());
-        }
-        PruneEvicted(*file);
-        Status pushed = PushRecovered(*file, *recovered);
-        if (!pushed.ok()) {
-          return StatusFrame(pushed);
-        }
-      }
-      Result<size_t> n = file->under->Read(req->offset, out.mutable_span());
-      if (!n.ok()) {
-        return StatusFrame(n.status());
-      }
-      ReadResponse body;
-      body.data = Buffer(out.subspan(0, *n));
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kWrite: {
-      Result<WriteRequest> req = WriteRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.remote_writes;
-      }
-      // A wire write conflicts with EVERY delegation, including the
-      // writer's own (it chose the wire path, so local attr serves must
-      // stop being authoritative).
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-            0, Range{req->offset, req->data.size()},
-            AccessRights::kReadWrite);
-        if (!recovered.ok()) {
-          return StatusFrame(recovered.status());
-        }
-        PruneEvicted(*file);
-        Status pushed = PushRecovered(*file, *recovered);
-        if (!pushed.ok()) {
-          return StatusFrame(pushed);
-        }
-      }
-      Result<size_t> n = file->under->Write(req->offset, req->data.span());
-      if (!n.ok()) {
-        return StatusFrame(n.status());
-      }
-      {
-        std::lock_guard<std::mutex> lock(file->mutex);
-        Status st = BroadcastAttrInvalidate(*file, 0);
-        if (!st.ok()) {
-          return StatusFrame(st);
-        }
-      }
-      WriteResponse body;
-      body.written = *n;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kSyncFile: {
-      Result<HandleRequest> req = HandleRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      return StatusFrame((*file_result)->under->SyncFile());
-    }
+    case Op::kGetAttr:
+      return ServeFile<HandleRequest>(
+          request, [&](auto&, auto& file) -> Result<GetAttrResponse> {
+            // A write-delegation holder may have buffered attr writes —
+            // pull them in before serving attributes to anyone else.
+            RETURN_IF_ERROR(RecallConflicting(file, except_deleg,
+                                              AccessRights::kReadOnly));
+            ASSIGN_OR_RETURN(FileAttributes attrs, file->under->Stat());
+            return GetAttrResponse{attrs};
+          });
+    case Op::kSetTimes:
+      return ServeFile<SetTimesRequest>(request, [&](auto& req, auto& file) {
+        return SetAttr(file, except_deleg, [&] {
+          return file->under->SetTimes(req.atime_ns, req.mtime_ns);
+        });
+      });
+    case Op::kSetLength:
+      return ServeFile<SetLengthRequest>(request, [&](auto& req, auto& file) {
+        return SetAttr(file, except_deleg,
+                       [&] { return file->under->SetLength(req.length); });
+      });
+    case Op::kGetLength:
+      return ServeFile<HandleRequest>(
+          request, [&](auto&, auto& file) -> Result<GetLengthResponse> {
+            RETURN_IF_ERROR(RecallConflicting(file, except_deleg,
+                                              AccessRights::kReadOnly));
+            ASSIGN_OR_RETURN(Offset length, file->under->GetLength());
+            return GetLengthResponse{length};
+          });
+    case Op::kRead:
+      return ServeFile<ReadRequest>(
+          request, [&](auto& req, auto& file) -> Result<ReadResponse> {
+            {
+              std::lock_guard<std::mutex> lock(stats_mutex_);
+              ++stats_.remote_reads;
+            }
+            RETURN_IF_ERROR(PrepareWholeFileIo(
+                file, except_deleg, Range{req.offset, req.length},
+                AccessRights::kReadOnly));
+            Buffer out(req.length);
+            ASSIGN_OR_RETURN(size_t n,
+                             file->under->Read(req.offset, out.mutable_span()));
+            out.resize(n);
+            return ReadResponse{std::move(out)};
+          });
+    case Op::kWrite:
+      return ServeFile<WriteRequest>(
+          request, [&](auto& req, auto& file) -> Result<WriteResponse> {
+            {
+              std::lock_guard<std::mutex> lock(stats_mutex_);
+              ++stats_.remote_writes;
+            }
+            // A wire write conflicts with EVERY delegation, including the
+            // writer's own (it chose the wire path, so local attr serves
+            // must stop being authoritative).
+            RETURN_IF_ERROR(PrepareWholeFileIo(
+                file, except_deleg, Range{req.offset, req.data.size()},
+                AccessRights::kReadWrite));
+            ASSIGN_OR_RETURN(size_t n,
+                             file->under->Write(req.offset, req.data.span()));
+            std::lock_guard<std::mutex> lock(file->mutex);
+            RETURN_IF_ERROR(BroadcastAttrInvalidate(*file, 0));
+            return WriteResponse{n};
+          });
+    case Op::kSyncFile:
+      return ServeFile<HandleRequest>(request, [&](auto&, auto& file) {
+        return file->under->SyncFile();
+      });
 
-    case Op::kBindCache: {
-      Result<BindCacheRequest> req =
-          BindCacheRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      std::lock_guard<std::mutex> lock(file->mutex);
-      uint64_t cache_id = file->next_cache_id++;
-      RemoteCacheInfo info;
-      info.node = req->node;
-      info.service = req->service;
-      info.client_channel = req->client_channel;
-      info.is_fs_cache = req->is_fs_cache;
-      info.incarnation = file->engine.AddCache(
-          cache_id, std::make_shared<RemoteCacheProxy>(
-                        this, info.node, info.service, info.client_channel));
-      file->remote_caches[cache_id] = info;
-      BindCacheResponse body;
-      body.cache_id = cache_id;
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
-    case Op::kUnbindCache: {
-      Result<UnbindCacheRequest> req =
-          UnbindCacheRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      std::lock_guard<std::mutex> lock(file->mutex);
-      file->engine.RemoveCache(req->cache_id);
-      file->remote_caches.erase(req->cache_id);
-      return OkFrame();
-    }
+    case Op::kBindCache:
+      return ServeFile<BindCacheRequest>(
+          request, [&](auto& req, auto& file) -> Result<BindCacheResponse> {
+            RETURN_IF_ERROR(EnsureBoundBelow(file));
+            std::lock_guard<std::mutex> lock(file->mutex);
+            uint64_t cache_id = file->next_cache_id++;
+            RemoteCacheInfo info;
+            info.node = req.node;
+            info.service = req.service;
+            info.client_channel = req.client_channel;
+            info.is_fs_cache = req.is_fs_cache;
+            info.incarnation = file->engine.AddCache(
+                cache_id, std::make_shared<RemoteCacheProxy>(
+                              this, info.node, info.service,
+                              info.client_channel));
+            file->remote_caches[cache_id] = info;
+            return BindCacheResponse{cache_id};
+          });
+    case Op::kUnbindCache:
+      return ServeFile<UnbindCacheRequest>(request, [&](auto& req, auto& file) {
+        std::lock_guard<std::mutex> lock(file->mutex);
+        file->engine.RemoveCache(req.cache_id);
+        file->remote_caches.erase(req.cache_id);
+        return Status::Ok();
+      });
     case Op::kPageIn:
-    case Op::kPageInRange: {
-      Result<PageInRequest> req = PageInRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      bool range_op = op == Op::kPageInRange;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        if (range_op) {
-          ++stats_.remote_range_page_ins;
-        } else {
-          ++stats_.remote_page_ins;
-        }
-      }
-      if (range_op && (req->offset % kPageSize != 0 || req->size == 0)) {
-        return StatusFrame(ErrInvalidArgument("malformed page-in-range"));
-      }
-      AccessRights access = req->write_access ? AccessRights::kReadWrite
-                                              : AccessRights::kReadOnly;
-      RETURN_FRAME_IF_ERROR(RecallConflicting(file, except_deleg, access));
-      RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      std::lock_guard<std::mutex> lock(file->mutex);
-      // Fence page-ins from evicted cache ids: the client must re-register
-      // (rebind) before it may fault pages again.
-      if (!file->engine.HasCache(req->cache_id)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.stale_fenced;
-        }
-        flight::Record(flight::Severity::kError, "dfs", "stale fence page_in",
-                       req->cache_id, file->handle);
-        return StatusFrame(ErrStale("page-in from evicted cache id " +
-                                    std::to_string(req->cache_id)));
-      }
-      // Clamp the range at EOF before touching the lower pager: a striped
-      // client computes extents from the *logical* length, so a sparse or
-      // short stripe object legitimately sees requests at or past its own
-      // end. An empty block list tells it to zero-fill.
-      if (range_op) {
-        Result<Offset> length = file->under->GetLength();
-        if (!length.ok()) {
-          return StatusFrame(length.status());
-        }
-        if (req->offset >= *length) {
-          PageInRangeResponse body;
-          net::Frame response;
-          response.payload = body.Encode();
-          return response;
-        }
-        req->size = std::min<uint64_t>(req->size,
-                                       PageCeil(*length) - req->offset);
-      }
-      // One acquire covers the whole request, then one page_in against the
-      // layer below — for kPageInRange this is the server-side mirror of
-      // the client's fault clustering.
-      Result<std::vector<BlockData>> recovered = file->engine.Acquire(
-          req->cache_id, Range{req->offset, req->size}, access);
-      if (!recovered.ok()) {
-        return StatusFrame(recovered.status());
-      }
-      PruneEvicted(*file);
-      Status pushed = PushRecovered(*file, *recovered);
-      if (!pushed.ok()) {
-        return StatusFrame(pushed);
-      }
-      Result<Buffer> data =
-          file->lower_pager->PageIn(req->offset, req->size, access);
-      if (!data.ok()) {
-        return StatusFrame(data.status());
-      }
-      if (!range_op) {
-        PageInResponse body;
-        body.data = std::move(*data);
-        net::Frame response;
-        response.payload = body.Encode();
-        return response;
-      }
-      // The lower layer may clamp at EOF; ship whatever whole pages exist
-      // as a block list so the client can take the contiguous prefix.
-      PageInRangeResponse body;
-      Offset usable = PageFloor(data->size());
-      if (data->size() % kPageSize != 0) {
-        data->resize(PageCeil(data->size()));
-        usable = data->size();
-      }
-      body.blocks.reserve(usable / kPageSize);
-      for (Offset off = 0; off < usable; off += kPageSize) {
-        body.blocks.push_back(
-            BlockData{req->offset + off, Buffer(data->subspan(off, kPageSize))});
-      }
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
+      return ServeFile<PageInRequest>(
+          request, [&](auto& req, auto& file) -> Result<PageInResponse> {
+            ASSIGN_OR_RETURN(Buffer data,
+                             PageInForRemote(op, req, file, except_deleg));
+            return PageInResponse{std::move(data)};
+          });
+    case Op::kPageInRange:
+      return ServeFile<PageInRequest>(
+          request, [&](auto& req, auto& file) -> Result<PageInRangeResponse> {
+            ASSIGN_OR_RETURN(Buffer data,
+                             PageInForRemote(op, req, file, except_deleg));
+            // The lower layer may clamp at EOF; ship whatever whole pages
+            // exist as a block list so the client can take the contiguous
+            // prefix.
+            data.resize(PageCeil(data.size()));
+            PageInRangeResponse body;
+            for (Offset off = 0; off < data.size(); off += kPageSize) {
+              body.blocks.push_back(BlockData{
+                  req.offset + off, Buffer(data.subspan(off, kPageSize))});
+            }
+            return body;
+          });
     case Op::kPageOut:
     case Op::kWriteOut:
-    case Op::kSyncPages: {
-      Result<PageOutRequest> req =
-          PageOutRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return StatusFrame(req.status());
-      }
-      if (req->data.size() % kPageSize != 0) {
-        return StatusFrame(ErrInvalidArgument("malformed page-out"));
-      }
-      Result<sp<ServerFile>> file_result = FileForHandle(req->handle);
-      if (!file_result.ok()) {
-        return StatusFrame(file_result.status());
-      }
-      sp<ServerFile> file = *file_result;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.remote_page_outs;
-      }
-      RETURN_FRAME_IF_ERROR(
-          RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
-      RETURN_FRAME_IF_ERROR(EnsureBoundBelow(file));
-      std::lock_guard<std::mutex> lock(file->mutex);
-      // Fence stale page-outs before they touch the layer below: an evicted
-      // holder's writer claim was already handed to someone else, so its
-      // late write-back would clobber newer data.
-      auto rc = file->remote_caches.find(req->cache_id);
-      if (rc == file->remote_caches.end() ||
-          !file->engine.HasCache(req->cache_id)) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.stale_fenced;
-        }
-        flight::Record(flight::Severity::kError, "dfs",
-                       "stale fence page_out", req->cache_id, file->handle);
-        return StatusFrame(
-            ErrStale("page-out from evicted cache id " +
-                     std::to_string(req->cache_id)));
-      }
-      Status st = file->lower_pager->Sync(req->offset, req->data.span());
-      if (!st.ok()) {
-        return StatusFrame(st);
-      }
-      if (op == Op::kPageOut) {
-        file->engine.ReleaseDropped(req->cache_id,
-                                    Range{req->offset, req->data.size()},
-                                    rc->second.incarnation);
-      } else if (op == Op::kWriteOut) {
-        file->engine.ReleaseDowngraded(req->cache_id,
-                                       Range{req->offset, req->data.size()},
-                                       rc->second.incarnation);
-      }
-      return OkFrame();
-    }
+    case Op::kSyncPages:
+      return Answer<PageOutRequest>(request, [&](auto& req) {
+        return PageOutFromRemote(op, req, except_deleg);
+      });
     default:
-      return StatusFrame(ErrNotSupported("unknown file op"));
+      return ReplyFrame(ErrNotSupported("unknown file op"));
   }
+}
+
+Status DfsServer::SetAttr(const sp<ServerFile>& file, uint64_t except_deleg,
+                          const std::function<Status()>& apply) {
+  RETURN_IF_ERROR(
+      RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
+  RETURN_IF_ERROR(apply());
+  std::lock_guard<std::mutex> lock(file->mutex);
+  return BroadcastAttrInvalidate(*file, 0);
+}
+
+Status DfsServer::PrepareWholeFileIo(const sp<ServerFile>& file,
+                                     uint64_t except_deleg, Range range,
+                                     AccessRights access) {
+  RETURN_IF_ERROR(RecallConflicting(file, except_deleg, access));
+  RETURN_IF_ERROR(EnsureBoundBelow(file));
+  std::lock_guard<std::mutex> lock(file->mutex);
+  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
+                   file->engine.Acquire(0, range, access));
+  PruneEvicted(*file);
+  return PushRecovered(*file, recovered);
+}
+
+Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
+                                          const sp<ServerFile>& file,
+                                          uint64_t except_deleg) {
+  bool range_op = op == Op::kPageInRange;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (range_op) {
+      ++stats_.remote_range_page_ins;
+    } else {
+      ++stats_.remote_page_ins;
+    }
+  }
+  if (range_op && (req.offset % kPageSize != 0 || req.size == 0)) {
+    return ErrInvalidArgument("malformed page-in-range");
+  }
+  AccessRights access =
+      req.write_access ? AccessRights::kReadWrite : AccessRights::kReadOnly;
+  RETURN_IF_ERROR(RecallConflicting(file, except_deleg, access));
+  RETURN_IF_ERROR(EnsureBoundBelow(file));
+  std::lock_guard<std::mutex> lock(file->mutex);
+  // Fence page-ins from evicted cache ids: the client must re-register
+  // (rebind) before it may fault pages again.
+  if (!file->engine.HasCache(req.cache_id)) {
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      ++stats_.stale_fenced;
+    }
+    flight::Record(flight::Severity::kError, "dfs", "stale fence page_in",
+                   req.cache_id, file->handle);
+    return ErrStale("page-in from evicted cache id " +
+                    std::to_string(req.cache_id));
+  }
+  // Clamp the range at EOF before touching the lower pager: a striped
+  // client computes extents from the *logical* length, so a sparse or
+  // short stripe object legitimately sees requests at or past its own
+  // end. No data (an empty block list) tells it to zero-fill.
+  if (range_op) {
+    ASSIGN_OR_RETURN(Offset length, file->under->GetLength());
+    if (req.offset >= length) {
+      return Buffer();
+    }
+    req.size = std::min<uint64_t>(req.size, PageCeil(length) - req.offset);
+  }
+  // One acquire covers the whole request, then one page_in against the
+  // layer below — for kPageInRange this is the server-side mirror of the
+  // client's fault clustering.
+  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
+                   file->engine.Acquire(req.cache_id,
+                                        Range{req.offset, req.size}, access));
+  PruneEvicted(*file);
+  RETURN_IF_ERROR(PushRecovered(*file, recovered));
+  return file->lower_pager->PageIn(req.offset, req.size, access);
+}
+
+Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req,
+                                    uint64_t except_deleg) {
+  if (req.data.size() % kPageSize != 0) {
+    return ErrInvalidArgument("malformed page-out");
+  }
+  ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.remote_page_outs;
+  }
+  RETURN_IF_ERROR(
+      RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
+  RETURN_IF_ERROR(EnsureBoundBelow(file));
+  std::lock_guard<std::mutex> lock(file->mutex);
+  // Fence stale page-outs before they touch the layer below: an evicted
+  // holder's writer claim was already handed to someone else, so its
+  // late write-back would clobber newer data.
+  auto rc = file->remote_caches.find(req.cache_id);
+  if (rc == file->remote_caches.end() ||
+      !file->engine.HasCache(req.cache_id)) {
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      ++stats_.stale_fenced;
+    }
+    flight::Record(flight::Severity::kError, "dfs", "stale fence page_out",
+                   req.cache_id, file->handle);
+    return ErrStale("page-out from evicted cache id " +
+                    std::to_string(req.cache_id));
+  }
+  RETURN_IF_ERROR(file->lower_pager->Sync(req.offset, req.data.span()));
+  Range range{req.offset, req.data.size()};
+  if (op == Op::kPageOut) {
+    file->engine.ReleaseDropped(req.cache_id, range, rc->second.incarnation);
+  } else if (op == Op::kWriteOut) {
+    file->engine.ReleaseDowngraded(req.cache_id, range,
+                                   rc->second.incarnation);
+  }
+  return Status::Ok();
 }
 
 // --- local (Figure 7) surface ---

@@ -23,6 +23,7 @@
 #define SPRINGFS_LAYERS_DFS_DFS_SERVER_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 
 #include "src/coherency/engine.h"
@@ -284,16 +285,41 @@ class DfsServer : public StackableFs,
   // own tail runs under it.
   net::Frame Dispatch(Op op, const net::Frame& request,
                       uint64_t except_deleg = 0);
+  // Serves a handle-carrying op: decodes its Req body, resolves the
+  // handle (kStale when unknown) and answers with handler(req, file).
+  template <class Req, class Handler>
+  net::Frame ServeFile(const net::Frame& request, Handler&& handler);
   net::Frame HandleNameOp(Op op, const net::Frame& request);
   net::Frame HandleFileOp(Op op, const net::Frame& request,
                           uint64_t except_deleg = 0);
-  net::Frame HandleCompound(const net::Frame& request);
-  net::Frame HandleOpen(const net::Frame& request);
-  net::Frame HandleDelegReturn(const net::Frame& request);
-  net::Frame HandleGetStripeMap(const net::Frame& request);
-  net::Frame HandleReportStale(const net::Frame& request);
-  net::Frame HandleGetStats(const net::Frame& request);
-  net::Frame HandleGetHealth(const net::Frame& request);
+
+  // Typed per-op handlers.
+  CompoundResponse HandleCompound(const CompoundRequest& req);
+  Result<OpenResponse> HandleOpen(const OpenRequest& req,
+                                  const sp<ServerFile>& file);
+  Status HandleDelegReturn(const DelegReturnRequest& req,
+                           const sp<ServerFile>& file);
+  Result<StripeMapResponse> HandleGetStripeMap(const HandleRequest& req);
+  Result<StripeMapResponse> HandleReportStale(const ReportStaleRequest& req);
+  GetStatsResponse HandleGetStats();
+  HealthResponse HandleGetHealth();
+  // kSetTimes / kSetLength: recall conflicting delegations, apply, and
+  // invalidate the remote attribute caches.
+  Status SetAttr(const sp<ServerFile>& file, uint64_t except_deleg,
+                 const std::function<Status()>& apply);
+  // kRead / kWrite prologue: recall conflicting delegations and pull the
+  // range's dirty pages back from the remote caches.
+  Status PrepareWholeFileIo(const sp<ServerFile>& file, uint64_t except_deleg,
+                            Range range, AccessRights access);
+  // kPageIn / kPageInRange: the pages of `req`'s range (clamped at EOF for
+  // kPageInRange, where no data means zero-fill) under the remote cache's
+  // coherency claim.
+  Result<Buffer> PageInForRemote(Op op, PageInRequest& req,
+                                 const sp<ServerFile>& file,
+                                 uint64_t except_deleg);
+  // kPageOut / kWriteOut / kSyncPages.
+  Status PageOutFromRemote(Op op, const PageOutRequest& req,
+                           uint64_t except_deleg);
 
   // --- striped metadata role (DESIGN.md §15) ---
 
@@ -314,10 +340,6 @@ class DfsServer : public StackableFs,
   // Persists + caches `state` for `path`. Best-effort: a failed sidecar
   // write keeps the in-memory state authoritative for this boot.
   void StoreStripeState(const std::string& path, const StripeState& state);
-  // The logical path recorded inside sidecar file `sidecar_name` on the
-  // metadata store ("" when unreadable). Lets a cold incumbent discover
-  // which files have stale targets without waiting for client traffic.
-  std::string ReadSidecarPath(const std::string& sidecar_name);
   // Walks the metadata store's staleness sidecars and caches every file's
   // stripe state, so a cold incumbent's view (rebuild pass, kGetHealth) is
   // complete without waiting for client traffic. Local reads only.
@@ -326,6 +348,11 @@ class DfsServer : public StackableFs,
   // (a cluster cannot serve from zero fresh replicas). Returns true when
   // the state changed (mark applied + version bumped + persisted).
   bool MarkReplicaStale(const std::string& path, size_t t);
+
+  // A typed call to one data server.
+  template <class Resp = Empty, class Req>
+  Result<Resp> CallTarget(const DfsServerOptions::StripeTarget& target, Op op,
+                          const Req& req);
 
   // The lookup -> create -> re-lookup ladder ensuring one stripe object on
   // one data server; returns its current handle.

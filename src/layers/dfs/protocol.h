@@ -5,7 +5,8 @@
 // protocol exactly as local cache managers do.
 //
 // Every op carries a typed request/response body in the Frame payload —
-// see src/layers/dfs/wire.h for the per-op structs and the codec.
+// see src/layers/dfs/wire.h for the per-op structs, each declared once as a
+// field list, and the one generic codec that encodes and decodes them.
 
 #ifndef SPRINGFS_LAYERS_DFS_PROTOCOL_H_
 #define SPRINGFS_LAYERS_DFS_PROTOCOL_H_
@@ -199,77 +200,6 @@ inline const char* OpNamer(uint32_t type) {
   const char* name = OpName(static_cast<Op>(type));
   return (name[0] == 'o' && name[1] == 'p' && name[2] == '?') ? nullptr
                                                               : name;
-}
-
-// FileAttributes wire form: kind u64, size u64, nlink u64, atime u64,
-// mtime u64.
-inline Buffer SerializeAttrs(const FileAttributes& attrs) {
-  Buffer out(5 * 8);
-  auto put = [&](size_t at, uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.data()[at + i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  };
-  put(0, static_cast<uint64_t>(attrs.kind));
-  put(8, attrs.size);
-  put(16, attrs.nlink);
-  put(24, attrs.atime_ns);
-  put(32, attrs.mtime_ns);
-  return out;
-}
-
-inline Result<FileAttributes> DeserializeAttrs(ByteSpan wire) {
-  if (wire.size() < 5 * 8) {
-    return ErrCorrupted("attrs frame too short");
-  }
-  auto get = [&](size_t at) {
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | wire[at + i];
-    }
-    return v;
-  };
-  FileAttributes attrs;
-  attrs.kind = static_cast<FileKind>(get(0));
-  attrs.size = get(8);
-  attrs.nlink = static_cast<uint32_t>(get(16));
-  attrs.atime_ns = get(24);
-  attrs.mtime_ns = get(32);
-  return attrs;
-}
-
-// Block-list wire form used by callbacks: a sequence of (u64 offset,
-// kPageSize bytes) records.
-inline Buffer SerializeBlocks(const std::vector<BlockData>& blocks) {
-  Buffer out;
-  for (const BlockData& block : blocks) {
-    uint8_t header[8];
-    for (int i = 0; i < 8; ++i) {
-      header[i] = static_cast<uint8_t>(block.offset >> (8 * i));
-    }
-    out.append(ByteSpan(header, 8));
-    Buffer page = block.data;
-    page.resize(kPageSize);
-    out.append(page.span());
-  }
-  return out;
-}
-
-inline Result<std::vector<BlockData>> DeserializeBlocks(ByteSpan wire) {
-  constexpr size_t kRecord = 8 + kPageSize;
-  if (wire.size() % kRecord != 0) {
-    return ErrCorrupted("block list not a whole number of records");
-  }
-  std::vector<BlockData> blocks;
-  for (size_t at = 0; at < wire.size(); at += kRecord) {
-    BlockData block;
-    for (int i = 7; i >= 0; --i) {
-      block.offset = (block.offset << 8) | wire[at + i];
-    }
-    block.data = Buffer(wire.subspan(at + 8, kPageSize));
-    blocks.push_back(std::move(block));
-  }
-  return blocks;
 }
 
 }  // namespace springfs::dfs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <set>
 
 #include "src/obs/flight_recorder.h"
@@ -17,13 +18,12 @@ std::string UniqueStripedCallbackService() {
   return "striped-cb-" + std::to_string(next.fetch_add(1));
 }
 
-// Striped data-path request ids land in the same per-server dedup keyspace
-// as the plain client's ids (a data server cannot tell the mints apart), so
-// this counter starts in a disjoint range.
-uint64_t NewStripedRequestId() {
-  static std::atomic<uint64_t> next{uint64_t{1} << 32};
-  return next.fetch_add(1);
-}
+// Failed rounds of a mutating fan-out before the client reports a
+// still-unreachable replica target stale to the metadata server (so the
+// write can complete degraded on the surviving replicas). The first failed
+// round is always retried plainly — one lost frame should not degrade the
+// cluster.
+constexpr uint32_t kDegradeAfterRounds = 2;
 
 bool TransientCode(ErrorCode code) {
   return code == ErrorCode::kTimedOut || code == ErrorCode::kConnectionLost;
@@ -53,7 +53,7 @@ uint64_t StripeRequestIdTable::IdFor(size_t extent, size_t target,
       }
     }
   }
-  uint64_t id = NewStripedRequestId();
+  uint64_t id = NewRequestId();
   ids_.emplace(std::make_pair(extent, target), id);
   return id;
 }
@@ -136,19 +136,9 @@ class StripedRemoteFile : public File, public Servant {
 
   Result<Offset> GetLength() override {
     return InDomain([&]() -> Result<Offset> {
-      uint64_t handle = meta_handle_.load();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       client_->MetaCallWithRebind(
-                           Op::kGetLength, path_, &handle,
-                           [](uint64_t h) {
-                             HandleRequest body;
-                             body.handle = h;
-                             return body.Encode();
-                           }));
-      meta_handle_.store(handle);
-      RETURN_IF_ERROR(response.ToStatus());
-      ASSIGN_OR_RETURN(GetLengthResponse body,
-                       GetLengthResponse::Decode(response.payload.span()));
+      ASSIGN_OR_RETURN(
+          GetLengthResponse body,
+          MetaCall<GetLengthResponse>(Op::kGetLength, HandleRequest{}));
       std::lock_guard<std::mutex> lock(mutex_);
       logical_length_ = body.length;
       return Offset{body.length};
@@ -164,19 +154,9 @@ class StripedRemoteFile : public File, public Servant {
 
   Result<FileAttributes> Stat() override {
     return InDomain([&]() -> Result<FileAttributes> {
-      uint64_t handle = meta_handle_.load();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       client_->MetaCallWithRebind(
-                           Op::kGetAttr, path_, &handle,
-                           [](uint64_t h) {
-                             HandleRequest body;
-                             body.handle = h;
-                             return body.Encode();
-                           }));
-      meta_handle_.store(handle);
-      RETURN_IF_ERROR(response.ToStatus());
-      ASSIGN_OR_RETURN(GetAttrResponse body,
-                       GetAttrResponse::Decode(response.payload.span()));
+      ASSIGN_OR_RETURN(
+          GetAttrResponse body,
+          MetaCall<GetAttrResponse>(Op::kGetAttr, HandleRequest{}));
       std::lock_guard<std::mutex> lock(mutex_);
       logical_length_ = body.attrs.size;
       return body.attrs;
@@ -185,19 +165,9 @@ class StripedRemoteFile : public File, public Servant {
 
   Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
     return InDomain([&]() -> Status {
-      uint64_t handle = meta_handle_.load();
-      ASSIGN_OR_RETURN(net::Frame response,
-                       client_->MetaCallWithRebind(
-                           Op::kSetTimes, path_, &handle,
-                           [&](uint64_t h) {
-                             SetTimesRequest body;
-                             body.handle = h;
-                             body.atime_ns = atime_ns;
-                             body.mtime_ns = mtime_ns;
-                             return body.Encode();
-                           }));
-      meta_handle_.store(handle);
-      return response.ToStatus();
+      return MetaCall(Op::kSetTimes, SetTimesRequest{.atime_ns = atime_ns,
+                                                     .mtime_ns = mtime_ns})
+          .status();
     });
   }
 
@@ -206,6 +176,19 @@ class StripedRemoteFile : public File, public Servant {
  private:
   friend class StripedDfsClient;
   friend class StripedPagerObject;
+
+  // A metadata-path call under this file's metadata handle, with one
+  // handle rebind on kStale or kDeadObject (the metadata server restarted
+  // — or bounced and left its tombstone — and forgot the handle). Because
+  // stripe maps are derived from durable state (content-addressed object
+  // names + the persisted staleness sidecar), this rebind is all an MDS
+  // failover needs client-side.
+  template <class Resp = Empty, class Req>
+  Result<Resp> MetaCall(Op op, Req req) {
+    return client_->meta_->InvokeByPath<Resp>(op, path_, meta_handle_,
+                                              std::move(req),
+                                              /*rebind_dead=*/true);
+  }
 
   // Per-(target, lane) client state: the lane object's handle from the
   // map, plus the cache registration for page traffic. Indexed
@@ -257,7 +240,7 @@ class StripedRemoteFile : public File, public Servant {
   // confirms the skip with the metadata server first (kReportStaleReplica,
   // version-fenced) so a target a rebuild just revived rejoins the plan
   // instead of silently missing the write; targets that keep failing are
-  // reported stale after `degrade_after_rounds` rounds, letting the write
+  // reported stale after kDegradeAfterRounds rounds, letting the write
   // complete on the surviving replicas.
   Status FanExtents(const std::vector<StripeExtent>& exts, bool mutating,
                     bool bind_caches, bool fan_all, const BuildFrame& build,
@@ -671,20 +654,13 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       return Status::Ok();
     }
-    if (retry.attempt >= client_->options_.max_retries) {
+    if (retry.attempt >= client_->meta_->options_.max_retries) {
       client_->Bump(&StripedDfsClient::Stats::retries_exhausted);
       flight::Record(flight::Severity::kError, "dfs_striped",
                      "fan-out retries exhausted", exts.size(), retry.attempt);
       return failure.ok() ? ErrTimedOut("striped fan-out gave up") : failure;
     }
-    uint64_t backoff = retry.next_backoff_ns == 0
-                           ? client_->options_.backoff_base_ns
-                           : retry.next_backoff_ns;
-    backoff = std::min(backoff, client_->options_.backoff_max_ns);
-    client_->clock_->SleepNs(backoff);
-    retry.next_backoff_ns =
-        std::min(backoff * 2, client_->options_.backoff_max_ns);
-    ++retry.attempt;
+    retry.Backoff(client_->clock_);
     client_->Bump(&StripedDfsClient::Stats::data_retries);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "fan-out retry",
                    retry.attempt, map_stale ? 1 : 0);
@@ -693,7 +669,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       // and the remaining attempts keep trying.
       (void)RefreshMap();
     } else if (mutating && snap.replicas > 1 &&
-               retry.attempt >= client_->options_.degrade_after_rounds) {
+               retry.attempt >= kDegradeAfterRounds) {
       // Targets that failed plain retries get reported stale so the write
       // can complete degraded; the MDS refuses to strand the last fresh
       // replica set, so a total outage keeps retrying instead.
@@ -741,27 +717,21 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
       bindings_[idx].recall_key = recall_key;
     }
   }
-  BindCacheRequest body;
-  body.handle = handle;
-  body.client_channel = recall_key;
-  body.is_fs_cache = false;
-  body.node = client_->node_->name();
-  body.service = client_->callback_service_;
-  net::Frame request;
-  request.type = static_cast<uint32_t>(Op::kBindCache);
-  request.request_id = NewStripedRequestId();
-  request.payload = body.Encode();
+  net::Frame request = RequestFrame(
+      Op::kBindCache,
+      BindCacheRequest{handle, recall_key, false, client_->node_->name(),
+                       client_->callback_service_});
+  request.request_id = NewRequestId();
   // Wait(tag), not WaitAnyOf: a failover registration can share its
   // channel with the round's page frames, whose completions must stay
   // queued there for the fan-out's drain.
   sp<net::Channel> chan = client_->ChannelFor(where);
   uint64_t tag = chan->Submit(request);
   ASSIGN_OR_RETURN(net::Completion got, chan->Wait(tag));
-  RETURN_IF_ERROR(got.status);
-  client_->NoteTargetEpoch(where, got.response.epoch);
-  RETURN_IF_ERROR(got.response.ToStatus());
-  ASSIGN_OR_RETURN(BindCacheResponse bound,
-                   BindCacheResponse::Decode(got.response.payload.span()));
+  if (got.status.ok()) {
+    client_->NoteTargetEpoch(where, got.response.epoch);
+  }
+  ASSIGN_OR_RETURN(BindCacheResponse bound, Reply<BindCacheResponse>(got));
   std::lock_guard<std::mutex> lock(mutex_);
   size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
   if (idx >= bindings_.size()) {
@@ -781,39 +751,20 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
 }
 
 Status StripedRemoteFile::RefreshMap() {
-  uint64_t handle = meta_handle_.load();
-  ASSIGN_OR_RETURN(net::Frame response,
-                   client_->MetaCallWithRebind(
-                       Op::kGetStripeMap, path_, &handle,
-                       [](uint64_t h) {
-                         HandleRequest body;
-                         body.handle = h;
-                         return body.Encode();
-                       }));
-  meta_handle_.store(handle);
-  RETURN_IF_ERROR(response.ToStatus());
-  ASSIGN_OR_RETURN(StripeMapResponse fresh,
-                   StripeMapResponse::Decode(response.payload.span()));
+  ASSIGN_OR_RETURN(
+      StripeMapResponse fresh,
+      MetaCall<StripeMapResponse>(Op::kGetStripeMap, HandleRequest{}));
   return InstallMap(std::move(fresh));
 }
 
 Status StripedRemoteFile::ReportStale(size_t target, uint64_t map_version) {
   client_->Bump(&StripedDfsClient::Stats::stale_reports);
-  uint64_t handle = meta_handle_.load();
-  ASSIGN_OR_RETURN(net::Frame response,
-                   client_->MetaCallWithRebind(
-                       Op::kReportStaleReplica, path_, &handle,
-                       [&](uint64_t h) {
-                         ReportStaleRequest body;
-                         body.handle = h;
-                         body.target = static_cast<uint32_t>(target);
-                         body.map_version = map_version;
-                         return body.Encode();
-                       }));
-  meta_handle_.store(handle);
-  RETURN_IF_ERROR(response.ToStatus());
-  ASSIGN_OR_RETURN(StripeMapResponse fresh,
-                   StripeMapResponse::Decode(response.payload.span()));
+  ASSIGN_OR_RETURN(
+      StripeMapResponse fresh,
+      MetaCall<StripeMapResponse>(
+          Op::kReportStaleReplica,
+          ReportStaleRequest{.target = static_cast<uint32_t>(target),
+                             .map_version = map_version}));
   return InstallMap(std::move(fresh));
 }
 
@@ -901,18 +852,7 @@ void StripedRemoteFile::DropLocalChannel(uint64_t local_id) {
 }
 
 Status StripedRemoteFile::MetaSetLength(uint64_t length) {
-  uint64_t handle = meta_handle_.load();
-  ASSIGN_OR_RETURN(net::Frame response,
-                   client_->MetaCallWithRebind(
-                       Op::kSetLength, path_, &handle,
-                       [&](uint64_t h) {
-                         SetLengthRequest body;
-                         body.handle = h;
-                         body.length = length;
-                         return body.Encode();
-                       }));
-  meta_handle_.store(handle);
-  return response.ToStatus();
+  return MetaCall(Op::kSetLength, SetLengthRequest{.length = length}).status();
 }
 
 Status StripedRemoteFile::FanPageInto(uint64_t offset, MutableByteSpan dest,
@@ -930,21 +870,14 @@ Status StripedRemoteFile::FanPageInto(uint64_t offset, MutableByteSpan dest,
   return FanExtents(
       exts, /*mutating=*/false, /*bind_caches=*/true, /*fan_all=*/false,
       [&](const StripeExtent& ext, const Binding& b) {
-        PageInRequest body;
-        body.handle = b.handle;
-        body.cache_id = b.cache_id;
-        body.offset = ext.local_offset;
-        body.size = ext.size;
-        body.write_access = write_access;
-        net::Frame frame;
-        frame.type = static_cast<uint32_t>(Op::kPageInRange);
-        frame.payload = body.Encode();
-        return frame;
+        return RequestFrame(Op::kPageInRange,
+                            PageInRequest{b.handle, b.cache_id,
+                                          ext.local_offset, ext.size,
+                                          write_access});
       },
       [&](const StripeExtent& ext, const net::Frame& response) -> Status {
-        ASSIGN_OR_RETURN(
-            PageInRangeResponse body,
-            PageInRangeResponse::Decode(response.payload.span()));
+        ASSIGN_OR_RETURN(PageInRangeResponse body,
+                         Reply<PageInRangeResponse>(response));
         if (body.blocks.empty()) {
           // Past the stripe object's EOF: the pre-zeroed destination is
           // the right answer (a stripe hole or the logical tail).
@@ -978,16 +911,10 @@ Status StripedRemoteFile::FanPageWrite(Op op, uint64_t offset, ByteSpan data) {
   RETURN_IF_ERROR(FanExtents(
       exts, /*mutating=*/true, /*bind_caches=*/true, /*fan_all=*/true,
       [&](const StripeExtent& ext, const Binding& b) {
-        PageOutRequest body;
-        body.handle = b.handle;
-        body.cache_id = b.cache_id;
-        body.offset = ext.local_offset;
-        body.data =
-            Buffer(data.subspan(ext.logical_offset - offset, ext.size));
-        net::Frame frame;
-        frame.type = static_cast<uint32_t>(op);
-        frame.payload = body.Encode();
-        return frame;
+        return RequestFrame(
+            op, PageOutRequest{b.handle, b.cache_id, ext.local_offset,
+                               Buffer(data.subspan(ext.logical_offset - offset,
+                                                   ext.size))});
       },
       [](const StripeExtent&, const net::Frame&) { return Status::Ok(); }));
   // Mapped write-back can extend the file (a CFS above us may push pages
@@ -1034,18 +961,11 @@ Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
     RETURN_IF_ERROR(FanExtents(
         exts, /*mutating=*/false, /*bind_caches=*/false, /*fan_all=*/false,
         [](const StripeExtent& ext, const Binding& b) {
-          ReadRequest body;
-          body.handle = b.handle;
-          body.offset = ext.local_offset;
-          body.length = ext.size;
-          net::Frame frame;
-          frame.type = static_cast<uint32_t>(Op::kRead);
-          frame.payload = body.Encode();
-          return frame;
+          return RequestFrame(Op::kRead, ReadRequest{b.handle, ext.local_offset,
+                                                     ext.size});
         },
         [&](const StripeExtent& ext, const net::Frame& response) -> Status {
-          ASSIGN_OR_RETURN(ReadResponse body,
-                           ReadResponse::Decode(response.payload.span()));
+          ASSIGN_OR_RETURN(ReadResponse body, Reply<ReadResponse>(response));
           size_t got = std::min<size_t>(body.data.size(), ext.size);
           // copy_n, not memcpy: an empty reply's buffer may be null.
           std::copy_n(body.data.data(), got,
@@ -1079,18 +999,14 @@ Result<size_t> StripedRemoteFile::Write(Offset offset, ByteSpan data) {
     RETURN_IF_ERROR(FanExtents(
         exts, /*mutating=*/true, /*bind_caches=*/false, /*fan_all=*/true,
         [&](const StripeExtent& ext, const Binding& b) {
-          WriteRequest body;
-          body.handle = b.handle;
-          body.offset = ext.local_offset;
-          body.data =
-              Buffer(data.subspan(ext.logical_offset - offset, ext.size));
-          net::Frame frame;
-          frame.type = static_cast<uint32_t>(Op::kWrite);
-          frame.payload = body.Encode();
-          return frame;
+          return RequestFrame(
+              Op::kWrite,
+              WriteRequest{b.handle, ext.local_offset,
+                           Buffer(data.subspan(ext.logical_offset - offset,
+                                               ext.size))});
         },
         [](const StripeExtent&, const net::Frame& response) -> Status {
-          return WriteResponse::Decode(response.payload.span()).status();
+          return Reply<WriteResponse>(response).status();
         }));
     uint64_t end = offset + data.size();
     bool extend;
@@ -1126,13 +1042,10 @@ Status StripedRemoteFile::SetLength(Offset length) {
         per_target, /*mutating=*/true, /*bind_caches=*/false,
         /*fan_all=*/true,
         [&](const StripeExtent& ext, const Binding& b) {
-          SetLengthRequest body;
-          body.handle = b.handle;
-          body.length = LocalLengthFor(ext.target, length, stripe_size, width);
-          net::Frame frame;
-          frame.type = static_cast<uint32_t>(Op::kSetLength);
-          frame.payload = body.Encode();
-          return frame;
+          return RequestFrame(
+              Op::kSetLength,
+              SetLengthRequest{b.handle, LocalLengthFor(ext.target, length,
+                                                        stripe_size, width)});
         },
         [](const StripeExtent&, const net::Frame&) { return Status::Ok(); }));
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1156,25 +1069,10 @@ Status StripedRemoteFile::SyncFile() {
         per_target, /*mutating=*/false, /*bind_caches=*/false,
         /*fan_all=*/true,
         [&](const StripeExtent&, const Binding& b) {
-          HandleRequest body;
-          body.handle = b.handle;
-          net::Frame frame;
-          frame.type = static_cast<uint32_t>(Op::kSyncFile);
-          frame.payload = body.Encode();
-          return frame;
+          return RequestFrame(Op::kSyncFile, HandleRequest{b.handle});
         },
         [](const StripeExtent&, const net::Frame&) { return Status::Ok(); }));
-    uint64_t handle = meta_handle_.load();
-    ASSIGN_OR_RETURN(net::Frame response,
-                     client_->MetaCallWithRebind(
-                         Op::kSyncFile, path_, &handle,
-                         [](uint64_t h) {
-                           HandleRequest body;
-                           body.handle = h;
-                           return body.Encode();
-                         }));
-    meta_handle_.store(handle);
-    return response.ToStatus();
+    return MetaCall(Op::kSyncFile, HandleRequest{}).status();
   });
 }
 
@@ -1245,9 +1143,9 @@ Result<sp<StripedDfsClient>> StripedDfsClient::Mount(
     const StripedDfsClientOptions& options) {
   // The metadata path is a full plain mount: naming, attrs, retry/backoff,
   // and the single-server fallback all come from it.
-  ASSIGN_OR_RETURN(sp<DfsClient> meta,
-                   DfsClient::Mount(node, network, server_node, service, clock,
-                                    options.meta));
+  ASSIGN_OR_RETURN(
+      sp<DfsClient> meta,
+      DfsClient::Mount(node, network, server_node, service, clock));
   std::string callback_service = UniqueStripedCallbackService();
   sp<StripedDfsClient> client(
       new StripedDfsClient(node, network, server_node, service,
@@ -1323,25 +1221,6 @@ bool StripedDfsClient::NoteTargetEpoch(const StripeMapResponse::Target& target,
   return restarted;
 }
 
-Result<net::Frame> StripedDfsClient::MetaCallWithRebind(
-    Op op, const std::string& path, uint64_t* handle,
-    const std::function<Buffer(uint64_t handle)>& encode) {
-  RetryState retry;
-  net::Frame request;
-  request.payload = encode(*handle);
-  ASSIGN_OR_RETURN(net::Frame response, meta_->Call(op, request, &retry));
-  if (!StaleCode(response.ToStatus().code())) {
-    return response;
-  }
-  // The metadata server restarted and forgot the handle (kStale), or
-  // bounced and left a tombstone answering kDeadObject: re-resolve by
-  // path and re-issue once, carrying the grown backoff across the rebind.
-  ASSIGN_OR_RETURN(uint64_t fresh, meta_->RebindHandle(path));
-  *handle = fresh;
-  request.payload = encode(fresh);
-  return meta_->Call(op, request, &retry);
-}
-
 Result<sp<File>> StripedDfsClient::OpenStriped(const std::string& path) {
   return InDomain([&]() -> Result<sp<File>> {
     {
@@ -1351,10 +1230,9 @@ Result<sp<File>> StripedDfsClient::OpenStriped(const std::string& path) {
         return sp<File>(it->second);
       }
     }
-    ASSIGN_OR_RETURN(net::Frame response, meta_->CallPath(Op::kLookup, path));
-    RETURN_IF_ERROR(response.ToStatus());
-    ASSIGN_OR_RETURN(LookupResponse looked,
-                     LookupResponse::Decode(response.payload.span()));
+    ASSIGN_OR_RETURN(
+        LookupResponse looked,
+        meta_->Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
     if (looked.is_dir) {
       return ErrWrongType("'" + path + "' is a directory");
     }
@@ -1364,37 +1242,30 @@ Result<sp<File>> StripedDfsClient::OpenStriped(const std::string& path) {
 
 Result<sp<File>> StripedDfsClient::CreateStriped(const std::string& path) {
   return InDomain([&]() -> Result<sp<File>> {
-    ASSIGN_OR_RETURN(net::Frame response, meta_->CallPath(Op::kCreate, path));
-    RETURN_IF_ERROR(response.ToStatus());
-    ASSIGN_OR_RETURN(CreateResponse created,
-                     CreateResponse::Decode(response.payload.span()));
+    ASSIGN_OR_RETURN(
+        CreateResponse created,
+        meta_->Invoke<CreateResponse>(Op::kCreate, PathRequest{path}));
     return OpenWithHandle(path, created.handle);
   });
 }
 
 Result<sp<File>> StripedDfsClient::OpenWithHandle(const std::string& path,
                                                   uint64_t handle) {
-  uint64_t h = handle;
-  ASSIGN_OR_RETURN(net::Frame response,
-                   MetaCallWithRebind(Op::kGetStripeMap, path, &h,
-                                      [](uint64_t hh) {
-                                        HandleRequest body;
-                                        body.handle = hh;
-                                        return body.Encode();
-                                      }));
+  std::atomic<uint64_t> h{handle};
   // A non-striped server answers kInvalidArgument — propagated so callers
   // can fall back to meta()'s single-server file.
-  RETURN_IF_ERROR(response.ToStatus());
   ASSIGN_OR_RETURN(StripeMapResponse map,
-                   StripeMapResponse::Decode(response.payload.span()));
+                   meta_->InvokeByPath<StripeMapResponse>(
+                       Op::kGetStripeMap, path, h, HandleRequest{},
+                       /*rebind_dead=*/true));
   if (map.targets.empty() || map.stripe_size == 0) {
     return ErrCorrupted("stripe map without targets");
   }
   Bump(&Stats::map_fetches);
   sp<StripedDfsClient> self =
       std::dynamic_pointer_cast<StripedDfsClient>(shared_from_this());
-  auto file = std::make_shared<StripedRemoteFile>(domain(), self, path, h,
-                                                  std::move(map));
+  auto file = std::make_shared<StripedRemoteFile>(domain(), self, path,
+                                                  h.load(), std::move(map));
   std::lock_guard<std::mutex> lock(mutex_);
   files_[path] = file;
   return sp<File>(file);
@@ -1405,35 +1276,26 @@ net::Frame StripedDfsClient::HandleDataCallback(const net::Frame& request) {
   Op op = static_cast<Op>(request.type);
   switch (op) {
     case Op::kCbFlushBack:
-    case Op::kCbDenyWrites: {
-      Result<CbRecallRequest> req =
-          CbRecallRequest::Decode(request.payload.span());
-      if (!req.ok()) {
-        return net::Frame::Error(req.status().code());
-      }
-      sp<StripedRemoteFile> file;
-      size_t target = 0;
-      size_t lane = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = recall_routes_.find(req->client_channel);
-        if (it != recall_routes_.end()) {
-          file = it->second.file.lock();
-          target = it->second.target;
-          lane = it->second.lane;
+    case Op::kCbDenyWrites:
+      return Answer<CbRecallRequest>(request, [&](auto& req) {
+        sp<StripedRemoteFile> file;
+        size_t target = 0;
+        size_t lane = 0;
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          auto it = recall_routes_.find(req.client_channel);
+          if (it != recall_routes_.end()) {
+            file = it->second.file.lock();
+            target = it->second.target;
+            lane = it->second.lane;
+          }
         }
-      }
-      CbRecallResponse body;
-      if (file) {
-        body = file->RecallLocal(op, Range{req->offset, req->size}, target,
-                                 lane);
-      }
-      // Unknown route: the binding is already gone; a well-formed empty
-      // block list lets the server proceed.
-      net::Frame response;
-      response.payload = body.Encode();
-      return response;
-    }
+        // Unknown route: the binding is already gone; a well-formed empty
+        // block list lets the server proceed.
+        return file ? file->RecallLocal(op, Range{req.offset, req.size},
+                                        target, lane)
+                    : CbRecallResponse{};
+      });
     case Op::kCbAttrInvalidate:
       // Logical attributes live at the metadata server; data-server attr
       // traffic (stripe-object lengths) is not client-cached.

@@ -55,25 +55,11 @@
 
 namespace springfs::dfs {
 
+// The striped data path retries a fan-out under its metadata mount's
+// retry budget (DfsClientOptions::max_retries) and backoff (RetryState).
 struct StripedDfsClientOptions {
-  // Retry policy for the striped data path (per fan-out, across all failed
-  // extents of an attempt). The metadata path uses meta.max_retries etc.
-  uint32_t max_retries = 4;
-  uint64_t backoff_base_ns = 1'000'000;
-  uint64_t backoff_max_ns = 50'000'000;
-
-  // Failed rounds of a mutating fan-out before the client reports a
-  // still-unreachable replica target stale to the metadata server (so the
-  // write can complete degraded on the surviving replicas). The first
-  // failed round is always retried plainly — one lost frame should not
-  // degrade the cluster.
-  uint32_t degrade_after_rounds = 2;
-
   // Tuning for the per-data-server channels (window, pacing, RACK/RTO).
   net::ChannelOptions data_channel;
-
-  // Options for the inner metadata-path client.
-  DfsClientOptions meta;
 };
 
 // One computed stripe extent of a logical request: the unit of fan-out
@@ -204,16 +190,6 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
   // is a restart (epoch bumped past a previously seen one).
   bool NoteTargetEpoch(const StripeMapResponse::Target& target,
                        uint64_t epoch);
-
-  // Metadata-path call with one handle rebind on kStale or kDeadObject
-  // (the metadata server restarted — or bounced and left its tombstone —
-  // and forgot the handle): re-resolves `path` and re-issues the frame
-  // with the fresh handle. Because stripe maps are derived from durable
-  // state (content-addressed object names + the persisted staleness
-  // sidecar), this rebind is all an MDS failover needs client-side.
-  Result<net::Frame> MetaCallWithRebind(
-      Op op, const std::string& path, uint64_t* handle,
-      const std::function<Buffer(uint64_t handle)>& encode);
 
   // Server->client callbacks from data servers (coherency recalls against
   // this client's striped page caches).

@@ -11,21 +11,6 @@ namespace {
 constexpr const char* kShadowSuffix = ".xattr";
 constexpr uint32_t kShadowMagic = 0x58415452;  // "XATR"
 
-void PutU32At(Buffer& buf, size_t offset, uint32_t v) {
-  uint8_t tmp[4];
-  for (int i = 0; i < 4; ++i) {
-    tmp[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-  buf.WriteAt(offset, ByteSpan(tmp, 4));
-}
-uint32_t GetU32At(ByteSpan buf, size_t offset) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | buf[offset + i];
-  }
-  return v;
-}
-
 }  // namespace
 
 // The exported file: data ops and binds delegate to the underlying file;
@@ -289,22 +274,22 @@ Status XattrLayer::LoadShadow(FileState& state) {
   if (n != attrs.size || n < 12) {
     return ErrCorrupted("xattr shadow truncated");
   }
-  uint32_t stored_crc = GetU32At(raw.span(), raw.size() - 4);
+  uint32_t stored_crc = LoadLe<uint32_t>(raw.data() + raw.size() - 4);
   if (stored_crc != Crc32(raw.subspan(0, raw.size() - 4))) {
     return ErrCorrupted("xattr shadow CRC mismatch");
   }
-  if (GetU32At(raw.span(), 0) != kShadowMagic) {
+  if (LoadLe<uint32_t>(raw.data()) != kShadowMagic) {
     return ErrCorrupted("xattr shadow bad magic");
   }
-  uint32_t count = GetU32At(raw.span(), 4);
+  uint32_t count = LoadLe<uint32_t>(raw.data() + 4);
   size_t at = 8;
   std::map<std::string, Buffer> xattrs;
   for (uint32_t i = 0; i < count; ++i) {
     if (at + 8 > raw.size() - 4) {
       return ErrCorrupted("xattr shadow entry header overruns");
     }
-    uint32_t name_len = GetU32At(raw.span(), at);
-    uint32_t value_len = GetU32At(raw.span(), at + 4);
+    uint32_t name_len = LoadLe<uint32_t>(raw.data() + at);
+    uint32_t value_len = LoadLe<uint32_t>(raw.data() + at + 4);
     at += 8;
     if (at + name_len + value_len > raw.size() - 4) {
       return ErrCorrupted("xattr shadow entry body overruns");
@@ -325,19 +310,19 @@ Status XattrLayer::StoreShadow(FileState& state) {
     ++stats_.shadow_stores;
   }
   Buffer raw(8);
-  PutU32At(raw, 0, kShadowMagic);
-  PutU32At(raw, 4, static_cast<uint32_t>(state.xattrs.size()));
+  StoreLe<uint32_t>(raw.data(), kShadowMagic);
+  StoreLe<uint32_t>(raw.data() + 4, state.xattrs.size());
   for (const auto& [name, value] : state.xattrs) {
     Buffer header(8);
-    PutU32At(header, 0, static_cast<uint32_t>(name.size()));
-    PutU32At(header, 4, static_cast<uint32_t>(value.size()));
+    StoreLe<uint32_t>(header.data(), name.size());
+    StoreLe<uint32_t>(header.data() + 4, value.size());
     raw.append(header.span());
     raw.append(ByteSpan(reinterpret_cast<const uint8_t*>(name.data()),
                         name.size()));
     raw.append(value.span());
   }
   Buffer crc(4);
-  PutU32At(crc, 0, Crc32(raw.span()));
+  StoreLe<uint32_t>(crc.data(), Crc32(raw.span()));
   raw.append(crc.span());
 
   Credentials sys = Credentials::System();

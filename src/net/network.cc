@@ -8,44 +8,19 @@ constexpr size_t kHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kTraceIdOffset = 24;
 constexpr size_t kParentSpanOffset = 32;
 
-void PutU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-void PutU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
 }  // namespace
 
 Buffer Frame::Serialize() const {
   Buffer wire(kHeaderSize + payload.size());
   uint8_t* p = wire.data();
-  PutU32(p + 0, type);
-  PutU32(p + 4, static_cast<uint32_t>(status));
-  PutU64(p + 8, request_id);
-  PutU64(p + 16, epoch);
-  PutU64(p + kTraceIdOffset, trace_id);
-  PutU64(p + kParentSpanOffset, parent_span_id);
-  PutU64(p + 40, tag);
-  PutU64(p + 48, payload.size());
+  StoreLe<uint32_t>(p + 0, type);
+  StoreLe<uint32_t>(p + 4, static_cast<uint32_t>(status));
+  StoreLe<uint64_t>(p + 8, request_id);
+  StoreLe<uint64_t>(p + 16, epoch);
+  StoreLe<uint64_t>(p + kTraceIdOffset, trace_id);
+  StoreLe<uint64_t>(p + kParentSpanOffset, parent_span_id);
+  StoreLe<uint64_t>(p + 40, tag);
+  StoreLe<uint64_t>(p + 48, payload.size());
   wire.WriteAt(kHeaderSize, payload.span());
   return wire;
 }
@@ -56,14 +31,14 @@ Result<Frame> Frame::Deserialize(ByteSpan wire) {
   }
   Frame frame;
   const uint8_t* p = wire.data();
-  frame.type = GetU32(p + 0);
-  frame.status = static_cast<int32_t>(GetU32(p + 4));
-  frame.request_id = GetU64(p + 8);
-  frame.epoch = GetU64(p + 16);
-  frame.trace_id = GetU64(p + kTraceIdOffset);
-  frame.parent_span_id = GetU64(p + kParentSpanOffset);
-  frame.tag = GetU64(p + 40);
-  uint64_t payload_len = GetU64(p + 48);
+  frame.type = LoadLe<uint32_t>(p + 0);
+  frame.status = static_cast<int32_t>(LoadLe<uint32_t>(p + 4));
+  frame.request_id = LoadLe<uint64_t>(p + 8);
+  frame.epoch = LoadLe<uint64_t>(p + 16);
+  frame.trace_id = LoadLe<uint64_t>(p + kTraceIdOffset);
+  frame.parent_span_id = LoadLe<uint64_t>(p + kParentSpanOffset);
+  frame.tag = LoadLe<uint64_t>(p + 40);
+  uint64_t payload_len = LoadLe<uint64_t>(p + 48);
   if (wire.size() != kHeaderSize + payload_len) {
     return ErrCorrupted("frame payload length mismatch");
   }
@@ -80,8 +55,8 @@ Frame Frame::Error(ErrorCode code) {
 void StampTraceContext(Buffer& wire, const trace::TraceContext& ctx) {
   // Patching the serialized header (rather than copying the Frame) keeps
   // the hot path to the single Serialize allocation.
-  PutU64(wire.data() + kTraceIdOffset, ctx.trace_id);
-  PutU64(wire.data() + kParentSpanOffset, ctx.parent_span_id);
+  StoreLe<uint64_t>(wire.data() + kTraceIdOffset, ctx.trace_id);
+  StoreLe<uint64_t>(wire.data() + kParentSpanOffset, ctx.parent_span_id);
 }
 
 void Node::RegisterService(const std::string& service, Handler handler) {

@@ -25,20 +25,6 @@ constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
 constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
 constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
 
-// Little-endian load from any address (memcpy, so unaligned is safe).
-template <typename T>
-T LoadLe(const uint8_t* p) {
-  T v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, p, sizeof(v));
-  } else {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(p[i]) << (8 * i);
-    }
-  }
-  return v;
-}
-
 uint64_t XxRound(uint64_t acc, uint64_t input) {
   acc += input * kXxPrime2;
   return std::rotl(acc, 31) * kXxPrime1;

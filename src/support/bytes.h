@@ -6,10 +6,12 @@
 #ifndef SPRINGFS_SUPPORT_BYTES_H_
 #define SPRINGFS_SUPPORT_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace springfs {
@@ -83,6 +85,37 @@ class Buffer {
  private:
   std::vector<uint8_t> bytes_;
 };
+
+// Little-endian load and store of an integer at any address (memcpy, so
+// unaligned is safe): the one byte-order codec behind every integer this
+// library puts on disk or on the wire. Name T explicitly at call sites
+// that pass a wider value; the store keeps its low sizeof(T) bytes.
+template <typename T>
+T LoadLe(const uint8_t* p) {
+  using U = std::make_unsigned_t<T>;
+  U v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<U>(static_cast<U>(p[i]) << (8 * i));
+    }
+  }
+  return static_cast<T>(v);
+}
+
+template <typename T>
+void StoreLe(uint8_t* p, T value) {
+  using U = std::make_unsigned_t<T>;
+  U v = static_cast<U>(value);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+}
 
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used for on-disk integrity
 // checks in the UFS substrate and for property tests.

@@ -140,7 +140,7 @@ Result<CheckReport> Checker::Check() {
       RETURN_IF_ERROR(device_->ReadBlock(inode.indirect,
                                          ptr_block.mutable_span()));
       for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-        reference(ino, GetU64(ptr_block.data() + 8 * i));
+        reference(ino, LoadLe<uint64_t>(ptr_block.data() + 8 * i));
       }
     }
     if (inode.dindirect != 0) {
@@ -148,7 +148,7 @@ Result<CheckReport> Checker::Check() {
       RETURN_IF_ERROR(device_->ReadBlock(inode.dindirect,
                                          ptr_block.mutable_span()));
       for (uint32_t o = 0; o < kPtrsPerBlock; ++o) {
-        BlockNum level2 = GetU64(ptr_block.data() + 8 * o);
+        BlockNum level2 = LoadLe<uint64_t>(ptr_block.data() + 8 * o);
         if (level2 == 0) {
           continue;
         }
@@ -158,7 +158,7 @@ Result<CheckReport> Checker::Check() {
         }
         RETURN_IF_ERROR(device_->ReadBlock(level2, ptr_block2.mutable_span()));
         for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-          reference(ino, GetU64(ptr_block2.data() + 8 * i));
+          reference(ino, LoadLe<uint64_t>(ptr_block2.data() + 8 * i));
         }
       }
     }
@@ -216,7 +216,7 @@ Result<CheckReport> Checker::Check() {
       }
       RETURN_IF_ERROR(device_->ReadBlock(inode.indirect,
                                          ptr_block.mutable_span()));
-      return BlockNum{GetU64(ptr_block.data() + 8 * fb)};
+      return BlockNum{LoadLe<uint64_t>(ptr_block.data() + 8 * fb)};
     }
     fb -= kPtrsPerBlock;
     if (inode.dindirect == 0) {
@@ -224,12 +224,14 @@ Result<CheckReport> Checker::Check() {
     }
     RETURN_IF_ERROR(device_->ReadBlock(inode.dindirect,
                                        ptr_block.mutable_span()));
-    BlockNum level2 = GetU64(ptr_block.data() + 8 * (fb / kPtrsPerBlock));
+    BlockNum level2 =
+        LoadLe<uint64_t>(ptr_block.data() + 8 * (fb / kPtrsPerBlock));
     if (level2 == 0) {
       return BlockNum{0};
     }
     RETURN_IF_ERROR(device_->ReadBlock(level2, ptr_block2.mutable_span()));
-    return BlockNum{GetU64(ptr_block2.data() + 8 * (fb % kPtrsPerBlock))};
+    return BlockNum{
+        LoadLe<uint64_t>(ptr_block2.data() + 8 * (fb % kPtrsPerBlock))};
   };
 
   while (!queue.empty()) {

@@ -79,8 +79,8 @@ Status Journal::Commit(uint64_t tx_id,
     SPRINGFS_CHECK(payload.size() == kBlockSize);
     SPRINGFS_CHECK(home < payload_lo);  // homes never point into the journal
     uint8_t* e = desc.data() + i * kDescEntrySize;
-    PutU64(e + 0, home);
-    PutU64(e + 8, PayloadTag(tx_id, home, payload.span()));
+    StoreLe<uint64_t>(e + 0, home);
+    StoreLe<uint64_t>(e + 8, PayloadTag(tx_id, home, payload.span()));
     RETURN_IF_ERROR(device_->WriteBlock(payload_lo + i, payload.span()));
     ++i;
   }
@@ -91,12 +91,13 @@ Status Journal::Commit(uint64_t tx_id,
 
   Buffer commit(kBlockSize);
   uint8_t* p = commit.data();
-  PutU32(p + kCrMagic, kJournalMagic);
-  PutU32(p + kCrVersion, kJournalVersion);
-  PutU64(p + kCrTxId, tx_id);
-  PutU64(p + kCrNumRecords, n);
-  PutU32(p + kCrDescCrc, Crc32(desc.subspan(0, n * kDescEntrySize)));
-  PutU32(p + kCrCrc, Crc32(commit.subspan(0, kCrCrc)));
+  StoreLe<uint32_t>(p + kCrMagic, kJournalMagic);
+  StoreLe<uint32_t>(p + kCrVersion, kJournalVersion);
+  StoreLe<uint64_t>(p + kCrTxId, tx_id);
+  StoreLe<uint64_t>(p + kCrNumRecords, n);
+  StoreLe<uint32_t>(p + kCrDescCrc,
+                    Crc32(desc.subspan(0, n * kDescEntrySize)));
+  StoreLe<uint32_t>(p + kCrCrc, Crc32(commit.subspan(0, kCrCrc)));
   RETURN_IF_ERROR(device_->WriteBlock(nb - 1, commit.span()));
   return device_->Flush();
 }
@@ -110,13 +111,13 @@ Result<ReplayReport> Journal::Replay(BlockDevice* device) {
   Buffer commit(kBlockSize);
   RETURN_IF_ERROR(device->ReadBlock(nb - 1, commit.mutable_span()));
   const uint8_t* p = commit.data();
-  if (GetU32(p + kCrMagic) != kJournalMagic ||
-      GetU32(p + kCrVersion) != kJournalVersion ||
-      GetU32(p + kCrCrc) != Crc32(commit.subspan(0, kCrCrc))) {
+  if (LoadLe<uint32_t>(p + kCrMagic) != kJournalMagic ||
+      LoadLe<uint32_t>(p + kCrVersion) != kJournalVersion ||
+      LoadLe<uint32_t>(p + kCrCrc) != Crc32(commit.subspan(0, kCrCrc))) {
     return report;
   }
-  uint64_t tx_id = GetU64(p + kCrTxId);
-  uint64_t n = GetU64(p + kCrNumRecords);
+  uint64_t tx_id = LoadLe<uint64_t>(p + kCrTxId);
+  uint64_t n = LoadLe<uint64_t>(p + kCrNumRecords);
   if (tx_id == 0 || n == 0 || n >= nb) {
     return report;
   }
@@ -132,7 +133,8 @@ Result<ReplayReport> Journal::Replay(BlockDevice* device) {
     RETURN_IF_ERROR(device->ReadBlock(
         desc_lo + b, desc.mutable_span().subspan(b * kBlockSize, kBlockSize)));
   }
-  if (GetU32(p + kCrDescCrc) != Crc32(desc.subspan(0, n * kDescEntrySize))) {
+  if (LoadLe<uint32_t>(p + kCrDescCrc) !=
+      Crc32(desc.subspan(0, n * kDescEntrySize))) {
     return report;
   }
 
@@ -142,12 +144,12 @@ Result<ReplayReport> Journal::Replay(BlockDevice* device) {
   Buffer payload(kBlockSize);
   for (uint64_t i = 0; i < n; ++i) {
     const uint8_t* e = desc.data() + i * kDescEntrySize;
-    uint64_t home = GetU64(e + 0);
+    uint64_t home = LoadLe<uint64_t>(e + 0);
     if (home >= payload_lo) {
       return report;
     }
     RETURN_IF_ERROR(device->ReadBlock(payload_lo + i, payload.mutable_span()));
-    if (GetU64(e + 8) != PayloadTag(tx_id, home, payload.span())) {
+    if (LoadLe<uint64_t>(e + 8) != PayloadTag(tx_id, home, payload.span())) {
       return report;
     }
     records[home] = payload;

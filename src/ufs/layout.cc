@@ -18,24 +18,24 @@ void Superblock::Encode(MutableByteSpan block) const {
   SPRINGFS_CHECK(block.size() >= kBlockSize);
   std::memset(block.data(), 0, kBlockSize);
   uint8_t* p = block.data();
-  PutU32(p + 0, magic);
-  PutU32(p + 4, version);
-  PutU64(p + 8, num_blocks);
-  PutU64(p + 16, num_inodes);
-  PutU64(p + 24, ibm_start);
-  PutU64(p + 32, ibm_blocks);
-  PutU64(p + 40, dbm_start);
-  PutU64(p + 48, dbm_blocks);
-  PutU64(p + 56, itb_start);
-  PutU64(p + 64, itb_blocks);
-  PutU64(p + 72, data_start);
-  PutU64(p + 80, free_blocks);
-  PutU64(p + 88, free_inodes);
-  PutU32(p + 96, clean);
-  PutU64(p + 100, jnl_blocks);
-  PutU64(p + 108, last_tx);
+  StoreLe<uint32_t>(p + 0, magic);
+  StoreLe<uint32_t>(p + 4, version);
+  StoreLe<uint64_t>(p + 8, num_blocks);
+  StoreLe<uint64_t>(p + 16, num_inodes);
+  StoreLe<uint64_t>(p + 24, ibm_start);
+  StoreLe<uint64_t>(p + 32, ibm_blocks);
+  StoreLe<uint64_t>(p + 40, dbm_start);
+  StoreLe<uint64_t>(p + 48, dbm_blocks);
+  StoreLe<uint64_t>(p + 56, itb_start);
+  StoreLe<uint64_t>(p + 64, itb_blocks);
+  StoreLe<uint64_t>(p + 72, data_start);
+  StoreLe<uint64_t>(p + 80, free_blocks);
+  StoreLe<uint64_t>(p + 88, free_inodes);
+  StoreLe<uint32_t>(p + 96, clean);
+  StoreLe<uint64_t>(p + 100, jnl_blocks);
+  StoreLe<uint64_t>(p + 108, last_tx);
   uint32_t crc = Crc32(ByteSpan(p, kSbCrcOffset));
-  PutU32(p + kSbCrcOffset, crc);
+  StoreLe<uint32_t>(p + kSbCrcOffset, crc);
 }
 
 Result<Superblock> Superblock::Decode(ByteSpan block) {
@@ -43,34 +43,34 @@ Result<Superblock> Superblock::Decode(ByteSpan block) {
     return ErrInvalidArgument("superblock span too small");
   }
   const uint8_t* p = block.data();
-  uint32_t stored_crc = GetU32(p + kSbCrcOffset);
+  uint32_t stored_crc = LoadLe<uint32_t>(p + kSbCrcOffset);
   uint32_t computed_crc = Crc32(ByteSpan(p, kSbCrcOffset));
   if (stored_crc != computed_crc) {
     return ErrCorrupted("superblock CRC mismatch");
   }
   Superblock sb;
-  sb.magic = GetU32(p + 0);
+  sb.magic = LoadLe<uint32_t>(p + 0);
   if (sb.magic != kMagic) {
     return ErrCorrupted("bad superblock magic");
   }
-  sb.version = GetU32(p + 4);
+  sb.version = LoadLe<uint32_t>(p + 4);
   if (sb.version != kVersion) {
     return ErrCorrupted("unsupported superblock version");
   }
-  sb.num_blocks = GetU64(p + 8);
-  sb.num_inodes = GetU64(p + 16);
-  sb.ibm_start = GetU64(p + 24);
-  sb.ibm_blocks = GetU64(p + 32);
-  sb.dbm_start = GetU64(p + 40);
-  sb.dbm_blocks = GetU64(p + 48);
-  sb.itb_start = GetU64(p + 56);
-  sb.itb_blocks = GetU64(p + 64);
-  sb.data_start = GetU64(p + 72);
-  sb.free_blocks = GetU64(p + 80);
-  sb.free_inodes = GetU64(p + 88);
-  sb.clean = GetU32(p + 96);
-  sb.jnl_blocks = GetU64(p + 100);
-  sb.last_tx = GetU64(p + 108);
+  sb.num_blocks = LoadLe<uint64_t>(p + 8);
+  sb.num_inodes = LoadLe<uint64_t>(p + 16);
+  sb.ibm_start = LoadLe<uint64_t>(p + 24);
+  sb.ibm_blocks = LoadLe<uint64_t>(p + 32);
+  sb.dbm_start = LoadLe<uint64_t>(p + 40);
+  sb.dbm_blocks = LoadLe<uint64_t>(p + 48);
+  sb.itb_start = LoadLe<uint64_t>(p + 56);
+  sb.itb_blocks = LoadLe<uint64_t>(p + 64);
+  sb.data_start = LoadLe<uint64_t>(p + 72);
+  sb.free_blocks = LoadLe<uint64_t>(p + 80);
+  sb.free_inodes = LoadLe<uint64_t>(p + 88);
+  sb.clean = LoadLe<uint32_t>(p + 96);
+  sb.jnl_blocks = LoadLe<uint64_t>(p + 100);
+  sb.last_tx = LoadLe<uint64_t>(p + 108);
   if (sb.jnl_blocks >= sb.num_blocks) {
     return ErrCorrupted("journal larger than the device");
   }
@@ -85,20 +85,20 @@ void Inode::Encode(MutableByteSpan slot) const {
   SPRINGFS_CHECK(slot.size() >= kInodeSize);
   std::memset(slot.data(), 0, kInodeSize);
   uint8_t* p = slot.data();
-  PutU32(p + 0, static_cast<uint32_t>(type));
-  PutU32(p + 4, nlink);
-  PutU64(p + 8, size);
-  PutU64(p + 16, atime_ns);
-  PutU64(p + 24, mtime_ns);
-  PutU64(p + 32, ctime_ns);
+  StoreLe<uint32_t>(p + 0, static_cast<uint32_t>(type));
+  StoreLe<uint32_t>(p + 4, nlink);
+  StoreLe<uint64_t>(p + 8, size);
+  StoreLe<uint64_t>(p + 16, atime_ns);
+  StoreLe<uint64_t>(p + 24, mtime_ns);
+  StoreLe<uint64_t>(p + 32, ctime_ns);
   for (uint32_t i = 0; i < kNumDirect; ++i) {
-    PutU64(p + 40 + 8 * i, direct[i]);
+    StoreLe<uint64_t>(p + 40 + 8 * i, direct[i]);
   }
-  PutU64(p + 136, indirect);
-  PutU64(p + 144, dindirect);
-  PutU64(p + 152, generation);
+  StoreLe<uint64_t>(p + 136, indirect);
+  StoreLe<uint64_t>(p + 144, dindirect);
+  StoreLe<uint64_t>(p + 152, generation);
   uint32_t crc = Crc32(ByteSpan(p, kInodeCrcOffset));
-  PutU32(p + kInodeCrcOffset, crc);
+  StoreLe<uint32_t>(p + kInodeCrcOffset, crc);
 }
 
 Result<Inode> Inode::Decode(ByteSpan slot) {
@@ -106,24 +106,24 @@ Result<Inode> Inode::Decode(ByteSpan slot) {
     return ErrInvalidArgument("inode span too small");
   }
   const uint8_t* p = slot.data();
-  uint32_t stored_crc = GetU32(p + kInodeCrcOffset);
+  uint32_t stored_crc = LoadLe<uint32_t>(p + kInodeCrcOffset);
   uint32_t computed_crc = Crc32(ByteSpan(p, kInodeCrcOffset));
   if (stored_crc != computed_crc) {
     return ErrCorrupted("inode CRC mismatch");
   }
   Inode inode;
-  inode.type = static_cast<FileType>(GetU32(p + 0));
-  inode.nlink = GetU32(p + 4);
-  inode.size = GetU64(p + 8);
-  inode.atime_ns = GetU64(p + 16);
-  inode.mtime_ns = GetU64(p + 24);
-  inode.ctime_ns = GetU64(p + 32);
+  inode.type = static_cast<FileType>(LoadLe<uint32_t>(p + 0));
+  inode.nlink = LoadLe<uint32_t>(p + 4);
+  inode.size = LoadLe<uint64_t>(p + 8);
+  inode.atime_ns = LoadLe<uint64_t>(p + 16);
+  inode.mtime_ns = LoadLe<uint64_t>(p + 24);
+  inode.ctime_ns = LoadLe<uint64_t>(p + 32);
   for (uint32_t i = 0; i < kNumDirect; ++i) {
-    inode.direct[i] = GetU64(p + 40 + 8 * i);
+    inode.direct[i] = LoadLe<uint64_t>(p + 40 + 8 * i);
   }
-  inode.indirect = GetU64(p + 136);
-  inode.dindirect = GetU64(p + 144);
-  inode.generation = GetU64(p + 152);
+  inode.indirect = LoadLe<uint64_t>(p + 136);
+  inode.dindirect = LoadLe<uint64_t>(p + 144);
+  inode.generation = LoadLe<uint64_t>(p + 152);
   return inode;
 }
 
@@ -132,16 +132,16 @@ void DirEntry::Encode(MutableByteSpan slot) const {
   SPRINGFS_CHECK(name.size() <= kMaxNameLen);
   std::memset(slot.data(), 0, kDirEntrySize);
   uint8_t* p = slot.data();
-  PutU64(p + 0, ino);
-  PutU16(p + 8, static_cast<uint16_t>(name.size()));
+  StoreLe<uint64_t>(p + 0, ino);
+  StoreLe<uint16_t>(p + 8, static_cast<uint16_t>(name.size()));
   std::memcpy(p + 10, name.data(), name.size());
 }
 
 DirEntry DirEntry::Decode(ByteSpan slot) {
   DirEntry entry;
   const uint8_t* p = slot.data();
-  entry.ino = GetU64(p + 0);
-  uint16_t name_len = std::min<uint16_t>(GetU16(p + 8), kMaxNameLen);
+  entry.ino = LoadLe<uint64_t>(p + 0);
+  uint16_t name_len = std::min<uint16_t>(LoadLe<uint16_t>(p + 8), kMaxNameLen);
   entry.name.assign(reinterpret_cast<const char*>(p + 10), name_len);
   return entry;
 }

@@ -48,32 +48,6 @@ using InodeNum = uint64_t;
 inline constexpr InodeNum kInvalidInode = 0;
 inline constexpr InodeNum kRootInode = 1;
 
-// Little-endian field codecs.
-inline void PutU16(uint8_t* p, uint16_t v) {
-  for (int i = 0; i < 2; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-inline void PutU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-inline void PutU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-inline uint16_t GetU16(const uint8_t* p) {
-  uint16_t v = 0;
-  for (int i = 1; i >= 0; --i) v = static_cast<uint16_t>((v << 8) | p[i]);
-  return v;
-}
-inline uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-inline uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 enum class FileType : uint32_t {
   kFree = 0,
   kRegular = 1,

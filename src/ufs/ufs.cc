@@ -387,12 +387,12 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
     }
     Buffer ptr_block(kBlockSize);
     RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, ptr_block.mutable_span()));
-    uint64_t target = GetU64(ptr_block.data() + 8 * index);
+    uint64_t target = LoadLe<uint64_t>(ptr_block.data() + 8 * index);
     if (target == 0 && allocate && alloc_leaf) {
       ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
       Buffer zero(kBlockSize);
       RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
-      PutU64(ptr_block.data() + 8 * index, fresh);
+      StoreLe<uint64_t>(ptr_block.data() + 8 * index, fresh);
       RETURN_IF_ERROR(WriteDeviceBlock(*slot_holder, ptr_block.span()));
       target = fresh;
     }
@@ -446,13 +446,13 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
       RETURN_IF_ERROR(ReadDeviceBlock(inode->indirect, ptr_block.mutable_span()));
       bool any_left = false;
       for (uint64_t i = 0; i < kPtrsPerBlock; ++i) {
-        uint64_t target = GetU64(ptr_block.data() + 8 * i);
+        uint64_t target = LoadLe<uint64_t>(ptr_block.data() + 8 * i);
         if (target == 0) {
           continue;
         }
         if (i >= begin) {
           RETURN_IF_ERROR(FreeBlock(target));
-          PutU64(ptr_block.data() + 8 * i, 0);
+          StoreLe<uint64_t>(ptr_block.data() + 8 * i, 0);
         } else {
           any_left = true;
         }
@@ -472,7 +472,7 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
     RETURN_IF_ERROR(ReadDeviceBlock(inode->dindirect, outer_block.mutable_span()));
     bool outer_left = false;
     for (uint64_t o = 0; o < kPtrsPerBlock; ++o) {
-      uint64_t level2 = GetU64(outer_block.data() + 8 * o);
+      uint64_t level2 = LoadLe<uint64_t>(outer_block.data() + 8 * o);
       if (level2 == 0) {
         continue;
       }
@@ -486,20 +486,20 @@ Status Ufs::FreeBlocksFrom(Inode* inode, uint64_t first_block) {
       RETURN_IF_ERROR(ReadDeviceBlock(level2, inner_block.mutable_span()));
       bool inner_left = false;
       for (uint64_t i = 0; i < kPtrsPerBlock; ++i) {
-        uint64_t target = GetU64(inner_block.data() + 8 * i);
+        uint64_t target = LoadLe<uint64_t>(inner_block.data() + 8 * i);
         if (target == 0) {
           continue;
         }
         if (i >= begin) {
           RETURN_IF_ERROR(FreeBlock(target));
-          PutU64(inner_block.data() + 8 * i, 0);
+          StoreLe<uint64_t>(inner_block.data() + 8 * i, 0);
         } else {
           inner_left = true;
         }
       }
       if (!inner_left) {
         RETURN_IF_ERROR(FreeBlock(level2));
-        PutU64(outer_block.data() + 8 * o, 0);
+        StoreLe<uint64_t>(outer_block.data() + 8 * o, 0);
       } else {
         RETURN_IF_ERROR(WriteDeviceBlock(level2, inner_block.span()));
         outer_left = true;

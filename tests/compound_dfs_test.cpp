@@ -29,7 +29,8 @@ TEST(DfsWire, OpenRoundTrip) {
   req.want_delegation = dfs::DelegationKind::kWrite;
   req.node = "client1";
   req.service = "dfs-cb-3";
-  Result<dfs::OpenRequest> back = dfs::OpenRequest::Decode(req.Encode().span());
+  Result<dfs::OpenRequest> back =
+      dfs::Decode<dfs::OpenRequest>(dfs::Encode(req).span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->handle, 7u);
   EXPECT_EQ(back->want_delegation, dfs::DelegationKind::kWrite);
@@ -43,7 +44,7 @@ TEST(DfsWire, OpenRoundTrip) {
   resp.incarnation = 3;
   resp.expires_at = 1'000'000;
   Result<dfs::OpenResponse> r2 =
-      dfs::OpenResponse::Decode(resp.Encode().span());
+      dfs::Decode<dfs::OpenResponse>(dfs::Encode(resp).span());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->deleg_id, 42u);
   EXPECT_EQ(r2->granted, dfs::DelegationKind::kRead);
@@ -56,17 +57,17 @@ TEST(DfsWire, CompoundRoundTrip) {
   dfs::PathRequest lookup;
   lookup.path = "a/b";
   req.ops.push_back({static_cast<uint32_t>(dfs::Op::kLookup),
-                     lookup.Encode()});
+                     dfs::Encode(lookup)});
   dfs::HandleRequest attr;
   req.ops.push_back({static_cast<uint32_t>(dfs::Op::kGetAttr),
-                     attr.Encode()});
+                     dfs::Encode(attr)});
   Result<dfs::CompoundRequest> back =
-      dfs::CompoundRequest::Decode(req.Encode().span());
+      dfs::Decode<dfs::CompoundRequest>(dfs::Encode(req).span());
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->ops.size(), 2u);
   EXPECT_EQ(back->ops[0].op, static_cast<uint32_t>(dfs::Op::kLookup));
   Result<dfs::PathRequest> sub =
-      dfs::PathRequest::Decode(back->ops[0].body.span());
+      dfs::Decode<dfs::PathRequest>(back->ops[0].body.span());
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub->path, "a/b");
 
@@ -77,7 +78,7 @@ TEST(DfsWire, CompoundRoundTrip) {
       {static_cast<uint32_t>(dfs::Op::kGetAttr),
        static_cast<int32_t>(ErrorCode::kNotFound), Buffer()});
   Result<dfs::CompoundResponse> r2 =
-      dfs::CompoundResponse::Decode(resp.Encode().span());
+      dfs::Decode<dfs::CompoundResponse>(dfs::Encode(resp).span());
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ(r2->results.size(), 2u);
   EXPECT_EQ(r2->results[0].status, 0);
@@ -95,7 +96,7 @@ TEST(DfsWire, DelegReturnAndRecallRoundTrip) {
   ret.atime_ns = 123;
   ret.mtime_ns = 456;
   Result<dfs::DelegReturnRequest> back =
-      dfs::DelegReturnRequest::Decode(ret.Encode().span());
+      dfs::Decode<dfs::DelegReturnRequest>(dfs::Encode(ret).span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->deleg_id, 9u);
   EXPECT_TRUE(back->has_times);
@@ -105,7 +106,7 @@ TEST(DfsWire, DelegReturnAndRecallRoundTrip) {
   recall.deleg_id = 9;
   recall.incarnation = 2;
   Result<dfs::CbRecallDelegRequest> r2 =
-      dfs::CbRecallDelegRequest::Decode(recall.Encode().span());
+      dfs::Decode<dfs::CbRecallDelegRequest>(dfs::Encode(recall).span());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->deleg_id, 9u);
 
@@ -114,7 +115,7 @@ TEST(DfsWire, DelegReturnAndRecallRoundTrip) {
   resp.atime_ns = 7;
   resp.mtime_ns = 8;
   Result<dfs::CbRecallDelegResponse> r3 =
-      dfs::CbRecallDelegResponse::Decode(resp.Encode().span());
+      dfs::Decode<dfs::CbRecallDelegResponse>(dfs::Encode(resp).span());
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3->has_times);
   EXPECT_EQ(r3->atime_ns, 7u);
@@ -123,16 +124,17 @@ TEST(DfsWire, DelegReturnAndRecallRoundTrip) {
 TEST(DfsWire, TruncatedBodiesAreRejected) {
   dfs::OpenResponse resp;
   resp.deleg_id = 42;
-  Buffer wire = resp.Encode();
+  Buffer wire = dfs::Encode(resp);
   for (size_t cut = 0; cut < wire.size(); cut += 7) {
-    EXPECT_FALSE(dfs::OpenResponse::Decode(wire.subspan(0, cut)).ok())
+    EXPECT_FALSE(dfs::Decode<dfs::OpenResponse>(wire.subspan(0, cut)).ok())
         << "cut=" << cut;
   }
   dfs::CompoundRequest req;
   req.ops.push_back({1, Buffer(std::string("xyzw"))});
-  Buffer cwire = req.Encode();
-  EXPECT_FALSE(
-      dfs::CompoundRequest::Decode(cwire.subspan(0, cwire.size() - 1)).ok());
+  Buffer cwire = dfs::Encode(req);
+  EXPECT_FALSE(dfs::Decode<dfs::CompoundRequest>(
+                   cwire.subspan(0, cwire.size() - 1))
+                   .ok());
 }
 
 // --- fixture: server + SFS, clients mounted with various options ---
@@ -235,19 +237,19 @@ TEST_F(CompoundDfsTest, CompoundStopsAtFirstFailure) {
   dfs::PathRequest ok_lookup;
   ok_lookup.path = "exists";
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kLookup),
-                         ok_lookup.Encode()});
+                         dfs::Encode(ok_lookup)});
   dfs::PathRequest bad_lookup;
   bad_lookup.path = "missing";
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kLookup),
-                         bad_lookup.Encode()});
+                         dfs::Encode(bad_lookup)});
   dfs::HandleRequest never_runs;
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kGetAttr),
-                         never_runs.Encode()});
+                         dfs::Encode(never_runs)});
 
-  net::Frame response = Raw(dfs::Op::kCompound, program.Encode());
+  net::Frame response = Raw(dfs::Op::kCompound, dfs::Encode(program));
   ASSERT_TRUE(response.ToStatus().ok());
   Result<dfs::CompoundResponse> results =
-      dfs::CompoundResponse::Decode(response.payload.span());
+      dfs::Decode<dfs::CompoundResponse>(response.payload.span());
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->results.size(), 2u)
       << "execution must stop at the first failing op";
@@ -262,38 +264,52 @@ TEST_F(CompoundDfsTest, CompoundSubstitutesCurrentHandle) {
   dfs::PathRequest lookup;
   lookup.path = "hs";
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kLookup),
-                         lookup.Encode()});
+                         dfs::Encode(lookup)});
   dfs::HandleRequest attr;  // handle 0 -> replaced by the lookup's result
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kGetAttr),
-                         attr.Encode()});
+                         dfs::Encode(attr)});
   dfs::ReadRequest read;
   read.length = 5;
   program.ops.push_back({static_cast<uint32_t>(dfs::Op::kRead),
-                         read.Encode()});
+                         dfs::Encode(read)});
 
-  net::Frame response = Raw(dfs::Op::kCompound, program.Encode());
+  net::Frame response = Raw(dfs::Op::kCompound, dfs::Encode(program));
   Result<dfs::CompoundResponse> results =
-      dfs::CompoundResponse::Decode(response.payload.span());
+      dfs::Decode<dfs::CompoundResponse>(response.payload.span());
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->results.size(), 3u);
   EXPECT_EQ(results->results[1].status, 0);
   Result<dfs::GetAttrResponse> attrs =
-      dfs::GetAttrResponse::Decode(results->results[1].body.span());
+      dfs::Decode<dfs::GetAttrResponse>(results->results[1].body.span());
   ASSERT_TRUE(attrs.ok());
   EXPECT_EQ(attrs->attrs.size, 18u);
   Result<dfs::ReadResponse> data =
-      dfs::ReadResponse::Decode(results->results[2].body.span());
+      dfs::Decode<dfs::ReadResponse>(results->results[2].body.span());
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data->data.ToString(), "hello");
+}
+
+TEST_F(CompoundDfsTest, OversizedSubOpCountIsCorruptAndServerSurvives) {
+  // Four bytes claiming 2^32-1 sub-ops: the decoder must reject the count
+  // before reserving room for it (a bad_alloc here would escape the
+  // handler and terminate the process), and the server keeps serving.
+  const uint8_t huge[4] = {0xff, 0xff, 0xff, 0xff};
+  net::Frame response = Raw(dfs::Op::kCompound, Buffer(huge, sizeof(huge)));
+  EXPECT_EQ(response.ToStatus().code(), ErrorCode::kCorrupted);
+
+  Seed("survivor", "still serving");
+  sp<DfsClient> client = MountWith(client_node_, dfs::DfsClientOptions{});
+  Result<sp<File>> file = ResolveAs<File>(client, "survivor", sys_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
 }
 
 TEST_F(CompoundDfsTest, CompoundRejectsNestedAndCallbackOps) {
   for (dfs::Op bad : {dfs::Op::kCompound, dfs::Op::kCbFlushBack}) {
     dfs::CompoundRequest program;
     program.ops.push_back({static_cast<uint32_t>(bad), Buffer()});
-    net::Frame response = Raw(dfs::Op::kCompound, program.Encode());
+    net::Frame response = Raw(dfs::Op::kCompound, dfs::Encode(program));
     Result<dfs::CompoundResponse> results =
-        dfs::CompoundResponse::Decode(response.payload.span());
+        dfs::Decode<dfs::CompoundResponse>(response.payload.span());
     ASSERT_TRUE(results.ok());
     ASSERT_EQ(results->results.size(), 1u);
     EXPECT_EQ(results->results[0].status,
@@ -458,16 +474,16 @@ TEST_F(CompoundDfsTest, StaleDelegReturnIsFencedByIncarnation) {
   // was never granted: the server must fence it, not crash or corrupt.
   dfs::PathRequest lookup;
   lookup.path = "fenced";
-  net::Frame looked = Raw(dfs::Op::kLookup, lookup.Encode());
+  net::Frame looked = Raw(dfs::Op::kLookup, dfs::Encode(lookup));
   Result<dfs::LookupResponse> handle =
-      dfs::LookupResponse::Decode(looked.payload.span());
+      dfs::Decode<dfs::LookupResponse>(looked.payload.span());
   ASSERT_TRUE(handle.ok());
 
   dfs::DelegReturnRequest bogus;
   bogus.handle = handle->handle;
   bogus.deleg_id = 424242;
   bogus.incarnation = 7;
-  net::Frame response = Raw(dfs::Op::kDelegReturn, bogus.Encode());
+  net::Frame response = Raw(dfs::Op::kDelegReturn, dfs::Encode(bogus));
   EXPECT_TRUE(response.ToStatus().ok()) << "fenced returns answer OK";
   EXPECT_EQ(metrics::StatValue(*server_, "deleg_fenced"), 1u);
   EXPECT_EQ(metrics::StatValue(*server_, "delegations_returned"), 0u);

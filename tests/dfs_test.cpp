@@ -438,7 +438,7 @@ TEST_F(DfsTest, BackoffCarriesAcrossStaleHandleRebind) {
             dfs::LookupResponse body;
             body.handle = lookups;  // a fresh handle per resolution
             net::Frame response;
-            response.payload = body.Encode();
+            response.payload = dfs::Encode(body);
             if (lookups == 2) {
               // The rebind lookup: arm one more transient fault so the
               // re-issued call times out once before succeeding.
@@ -453,7 +453,7 @@ TEST_F(DfsTest, BackoffCarriesAcrossStaleHandleRebind) {
             }
             dfs::GetAttrResponse body;
             net::Frame response;
-            response.payload = body.Encode();
+            response.payload = dfs::Encode(body);
             return response;
           }
           default:

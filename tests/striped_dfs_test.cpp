@@ -138,8 +138,8 @@ TEST(StripedWire, StripeMapRoundTrip) {
   map.targets.push_back({"data0", "dfs-data", {42, 43}, false});
   map.targets.push_back(
       {"data1", "dfs-data", {(uint64_t{7} << 32) + 1, 0}, true});
-  Buffer wire = map.Encode();
-  Result<StripeMapResponse> back = StripeMapResponse::Decode(wire.span());
+  Buffer wire = dfs::Encode(map);
+  Result<StripeMapResponse> back = dfs::Decode<StripeMapResponse>(wire.span());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->stripe_size, map.stripe_size);
   EXPECT_EQ(back->length, map.length);
@@ -158,7 +158,7 @@ TEST(StripedWire, StripeMapRoundTrip) {
   EXPECT_EQ(back->targets[1].lane_handles[1], 0u);
 
   Buffer junk(std::string("zz"));
-  EXPECT_FALSE(StripeMapResponse::Decode(junk.span()).ok());
+  EXPECT_FALSE(dfs::Decode<StripeMapResponse>(junk.span()).ok());
 }
 
 TEST(StripedWire, RequestIdTableMintsFreshIdOnRetarget) {

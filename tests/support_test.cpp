@@ -1,7 +1,9 @@
-// Unit tests for src/support: Result/Status, Buffer, CRC, XXH64, RNG,
-// clocks.
+// Unit tests for src/support: Result/Status, Buffer, the little-endian
+// codec, CRC, XXH64, RNG, clocks.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "src/support/bytes.h"
 #include "src/support/clock.h"
@@ -140,6 +142,36 @@ TEST(CrcTest, DetectsSingleBitFlip) {
   uint32_t before = Crc32(buf.span());
   buf.data()[100] ^= 0x01;
   EXPECT_NE(before, Crc32(buf.span()));
+}
+
+TEST(LittleEndianTest, KnownAnswers) {
+  uint8_t raw[9] = {};
+  StoreLe<uint64_t>(raw, 0x0102030405060708);
+  const uint8_t want64[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(std::memcmp(raw, want64, 8), 0);
+  EXPECT_EQ(LoadLe<uint64_t>(want64), 0x0102030405060708u);
+
+  StoreLe<uint32_t>(raw + 1, 0xA1B2C3D4);  // unaligned
+  const uint8_t want32[4] = {0xD4, 0xC3, 0xB2, 0xA1};
+  EXPECT_EQ(std::memcmp(raw + 1, want32, 4), 0);
+  EXPECT_EQ(LoadLe<uint32_t>(raw + 1), 0xA1B2C3D4u);
+
+  StoreLe<uint16_t>(raw, 0x1234);
+  EXPECT_EQ(raw[0], 0x34);
+  EXPECT_EQ(raw[1], 0x12);
+  EXPECT_EQ(LoadLe<uint16_t>(raw), 0x1234);
+
+  StoreLe<int32_t>(raw, -2);
+  const uint8_t want_neg[4] = {0xFE, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(std::memcmp(raw, want_neg, 4), 0);
+  EXPECT_EQ(LoadLe<int32_t>(raw), -2);
+
+  // An explicit narrower T stores only the value's low bytes.
+  std::memset(raw, 0xEE, sizeof(raw));
+  uint64_t wide = 0x1122334455667788;
+  StoreLe<uint32_t>(raw, wide);
+  const uint8_t want_low[5] = {0x88, 0x77, 0x66, 0x55, 0xEE};
+  EXPECT_EQ(std::memcmp(raw, want_low, 5), 0);
 }
 
 uint64_t Xxh64Of(const std::string& s, uint64_t seed = 0) {

@@ -94,12 +94,13 @@ TEST(TelemetryWire, StatsRoundTripRandomized) {
   Rng rng(41);
   for (int iter = 0; iter < 64; ++iter) {
     GetStatsResponse original = RandomStats(rng);
-    Buffer wire = original.Encode();
-    Result<GetStatsResponse> decoded = GetStatsResponse::Decode(wire.span());
+    Buffer wire = dfs::Encode(original);
+    Result<GetStatsResponse> decoded =
+        dfs::Decode<GetStatsResponse>(wire.span());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(decoded->snapshot == original.snapshot) << "iter " << iter;
     // Decode-encode is byte-identical: the codec has one canonical form.
-    Buffer again = decoded->Encode();
+    Buffer again = dfs::Encode(*decoded);
     ASSERT_EQ(again.size(), wire.size());
     EXPECT_EQ(std::memcmp(again.data(), wire.data(), wire.size()), 0);
   }
@@ -109,8 +110,9 @@ TEST(TelemetryWire, HealthRoundTripRandomized) {
   Rng rng(43);
   for (int iter = 0; iter < 64; ++iter) {
     HealthResponse original = RandomHealth(rng);
-    Buffer wire = original.Encode();
-    Result<HealthResponse> decoded = HealthResponse::Decode(wire.span());
+    Buffer wire = dfs::Encode(original);
+    Result<HealthResponse> decoded =
+        dfs::Decode<HealthResponse>(wire.span());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->role, original.role);
     EXPECT_EQ(decoded->boot_epoch, original.boot_epoch);
@@ -129,7 +131,7 @@ TEST(TelemetryWire, HealthRoundTripRandomized) {
     EXPECT_EQ(decoded->delegations_active, original.delegations_active);
     EXPECT_EQ(decoded->leases_active, original.leases_active);
     EXPECT_EQ(decoded->dedup_entries, original.dedup_entries);
-    Buffer again = decoded->Encode();
+    Buffer again = dfs::Encode(*decoded);
     ASSERT_EQ(again.size(), wire.size());
     EXPECT_EQ(std::memcmp(again.data(), wire.data(), wire.size()), 0);
   }
@@ -139,54 +141,54 @@ TEST(TelemetryWire, EveryTruncationRejected) {
   Rng rng(47);
   GetStatsResponse stats = RandomStats(rng);
   stats.snapshot.histograms["hist/forced"] = RandomHistogram(rng);
-  Buffer stats_wire = stats.Encode();
+  Buffer stats_wire = dfs::Encode(stats);
   for (size_t len = 0; len < stats_wire.size(); ++len) {
     EXPECT_FALSE(
-        GetStatsResponse::Decode(ByteSpan(stats_wire.data(), len)).ok())
+        dfs::Decode<GetStatsResponse>(ByteSpan(stats_wire.data(), len)).ok())
         << "stats prefix of " << len << " bytes decoded";
   }
   HealthResponse health = RandomHealth(rng);
   if (health.files.empty()) {
     health.files.push_back({"file-0", 3, {1}});
   }
-  Buffer health_wire = health.Encode();
+  Buffer health_wire = dfs::Encode(health);
   for (size_t len = 0; len < health_wire.size(); ++len) {
     EXPECT_FALSE(
-        HealthResponse::Decode(ByteSpan(health_wire.data(), len)).ok())
+        dfs::Decode<HealthResponse>(ByteSpan(health_wire.data(), len)).ok())
         << "health prefix of " << len << " bytes decoded";
   }
 }
 
 TEST(TelemetryWire, TrailingBytesRejected) {
   Rng rng(53);
-  Buffer stats_wire = RandomStats(rng).Encode();
+  Buffer stats_wire = dfs::Encode(RandomStats(rng));
   stats_wire.append(ByteSpan(reinterpret_cast<const uint8_t*>("x"), 1));
-  EXPECT_FALSE(GetStatsResponse::Decode(stats_wire.span()).ok());
-  Buffer health_wire = RandomHealth(rng).Encode();
+  EXPECT_FALSE(dfs::Decode<GetStatsResponse>(stats_wire.span()).ok());
+  Buffer health_wire = dfs::Encode(RandomHealth(rng));
   health_wire.append(ByteSpan(reinterpret_cast<const uint8_t*>("x"), 1));
-  EXPECT_FALSE(HealthResponse::Decode(health_wire.span()).ok());
+  EXPECT_FALSE(dfs::Decode<HealthResponse>(health_wire.span()).ok());
 }
 
 TEST(TelemetryWire, OversizedElementCountRejected) {
   // A 4-byte body claiming 2^32-1 elements must fail on the count check,
   // not attempt a 4-billion-iteration loop or a giant reserve.
   uint8_t huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-  EXPECT_FALSE(GetStatsResponse::Decode(ByteSpan(huge, 4)).ok());
-  EXPECT_FALSE(HealthResponse::Decode(ByteSpan(huge, 4)).ok());
+  EXPECT_FALSE(dfs::Decode<GetStatsResponse>(ByteSpan(huge, 4)).ok());
+  EXPECT_FALSE(dfs::Decode<HealthResponse>(ByteSpan(huge, 4)).ok());
 }
 
 TEST(TelemetryWire, UnknownHealthRoleRejected) {
   Rng rng(59);
-  Buffer wire = RandomHealth(rng).Encode();
+  Buffer wire = dfs::Encode(RandomHealth(rng));
   wire.data()[0] = 7;  // role is the leading LE u32
-  EXPECT_FALSE(HealthResponse::Decode(wire.span()).ok());
+  EXPECT_FALSE(dfs::Decode<HealthResponse>(wire.span()).ok());
 }
 
 TEST(TelemetryWire, HistogramBucketCountMismatchRejected) {
   Rng rng(61);
   GetStatsResponse stats;
   stats.snapshot.histograms["hist/only"] = RandomHistogram(rng);
-  Buffer wire = stats.Encode();
+  Buffer wire = dfs::Encode(stats);
   // Layout: u32 n_values(=0), u32 n_hists(=1), str name, u64 count,
   // u64 sum, u32 bucket_count. Patch the bucket count in place.
   size_t at = 4 + 4 + (4 + std::string("hist/only").size()) + 8 + 8;
@@ -195,7 +197,7 @@ TEST(TelemetryWire, HistogramBucketCountMismatchRejected) {
   wire.data()[at + 1] = 0;
   wire.data()[at + 2] = 0;
   wire.data()[at + 3] = 0;
-  EXPECT_FALSE(GetStatsResponse::Decode(wire.span()).ok());
+  EXPECT_FALSE(dfs::Decode<GetStatsResponse>(wire.span()).ok());
 }
 
 // --- op naming ---
