@@ -7,7 +7,9 @@
 // (remote vs local, compressed vs plain), and verifies the "at any point
 // the underlying data may be accessed through file_COMP or (uncompressed?)
 // through file_SFS; all such accesses will be coherent" property under
-// load.
+// load. Exits non-zero unless every coherence round holds and, after
+// SyncFs, the fsck-style checker finds the SFS device clean: this is the
+// one paper bench whose SyncFile crosses DFS, COMPFS, SFS and UFS.
 
 #include <cstdio>
 #include <map>
@@ -20,6 +22,7 @@
 #include "src/layers/sfs/sfs.h"
 #include "src/vmm/vmm.h"
 #include "src/support/rng.h"
+#include "src/ufs/checker.h"
 
 using namespace springfs;
 using bench::Measurement;
@@ -119,5 +122,22 @@ int main() {
   std::printf("shape: remote ops pay network latency; mapped re-reads are "
               "local; COMPFS adds\ndecompression CPU; coherence holds across "
               "every access path\n");
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool holds, const char* claim) {
+    if (!holds) {
+      std::printf("FAIL: %s\n", claim);
+      ok = false;
+    }
+  };
+  check(coherent, "every remote write must be visible to the local read");
+  Status synced = sfs.root->SyncFs();
+  check(synced.ok(), "SyncFs on the SFS root must succeed");
+  Result<ufs::CheckReport> report = ufs::Checker(&device).Check();
+  check(report.ok() && report->clean(),
+        "after SyncFs the SFS device must check clean");
+  if (report.ok()) {
+    std::printf("fsck: %s\n", report->Summary().c_str());
+  }
+  return ok ? 0 : 1;
 }

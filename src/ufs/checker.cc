@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "src/ufs/journal.h"
+
 namespace springfs::ufs {
 
 std::string CheckReport::Summary() const {
@@ -25,7 +27,25 @@ Result<CheckReport> Checker::Check() {
   CheckReport report;
   Buffer block(kBlockSize);
 
+  // Check the image that Mount's replay would produce, as e2fsck replays
+  // the journal before it checks: the newest live log copy of each block
+  // overlays its home copy. Mount scans the log under the same condition.
   RETURN_IF_ERROR(device_->ReadBlock(0, block.mutable_span()));
+  Result<Superblock> home_sb = Superblock::Decode(block.span());
+  LiveLog live;
+  if (!home_sb.ok() || home_sb->jnl_blocks > 0) {
+    ASSIGN_OR_RETURN(live, Journal::Scan(device_));
+  }
+  auto read = [&](BlockNum b, MutableByteSpan out) -> Status {
+    auto it = live.homes.find(b);
+    if (it == live.homes.end()) {
+      return device_->ReadBlock(b, out);
+    }
+    std::memcpy(out.data(), it->second.data(), kBlockSize);
+    return Status::Ok();
+  };
+
+  RETURN_IF_ERROR(read(0, block.mutable_span()));
   Result<Superblock> sb_result = Superblock::Decode(block.span());
   if (!sb_result.ok()) {
     report.errors.push_back("superblock: " + sb_result.status().ToString());
@@ -48,7 +68,7 @@ Result<CheckReport> Checker::Check() {
     std::vector<uint8_t> raw((bits + 7) / 8, 0);
     uint64_t nblocks = (bits + 8ull * kBlockSize - 1) / (8ull * kBlockSize);
     for (uint64_t b = 0; b < nblocks; ++b) {
-      RETURN_IF_ERROR(device_->ReadBlock(start + b, block.mutable_span()));
+      RETURN_IF_ERROR(read(start + b, block.mutable_span()));
       size_t offset = b * kBlockSize;
       size_t count = std::min<size_t>(kBlockSize, raw.size() - offset);
       std::memcpy(raw.data() + offset, block.data(), count);
@@ -71,7 +91,7 @@ Result<CheckReport> Checker::Check() {
       continue;
     }
     BlockNum itb_block = sb.itb_start + ino / kInodesPerBlock;
-    RETURN_IF_ERROR(device_->ReadBlock(itb_block, block.mutable_span()));
+    RETURN_IF_ERROR(read(itb_block, block.mutable_span()));
     size_t slot = (ino % kInodesPerBlock) * kInodeSize;
     Result<Inode> decoded = Inode::Decode(block.subspan(slot, kInodeSize));
     if (!decoded.ok()) {
@@ -137,16 +157,14 @@ Result<CheckReport> Checker::Check() {
     }
     if (inode.indirect != 0) {
       reference(ino, inode.indirect);
-      RETURN_IF_ERROR(device_->ReadBlock(inode.indirect,
-                                         ptr_block.mutable_span()));
+      RETURN_IF_ERROR(read(inode.indirect, ptr_block.mutable_span()));
       for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
         reference(ino, LoadLe<uint64_t>(ptr_block.data() + 8 * i));
       }
     }
     if (inode.dindirect != 0) {
       reference(ino, inode.dindirect);
-      RETURN_IF_ERROR(device_->ReadBlock(inode.dindirect,
-                                         ptr_block.mutable_span()));
+      RETURN_IF_ERROR(read(inode.dindirect, ptr_block.mutable_span()));
       for (uint32_t o = 0; o < kPtrsPerBlock; ++o) {
         BlockNum level2 = LoadLe<uint64_t>(ptr_block.data() + 8 * o);
         if (level2 == 0) {
@@ -156,7 +174,7 @@ Result<CheckReport> Checker::Check() {
         if (level2 < sb.data_start || level2 >= data_end) {
           continue;
         }
-        RETURN_IF_ERROR(device_->ReadBlock(level2, ptr_block2.mutable_span()));
+        RETURN_IF_ERROR(read(level2, ptr_block2.mutable_span()));
         for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
           reference(ino, LoadLe<uint64_t>(ptr_block2.data() + 8 * i));
         }
@@ -214,22 +232,20 @@ Result<CheckReport> Checker::Check() {
       if (inode.indirect == 0) {
         return BlockNum{0};
       }
-      RETURN_IF_ERROR(device_->ReadBlock(inode.indirect,
-                                         ptr_block.mutable_span()));
+      RETURN_IF_ERROR(read(inode.indirect, ptr_block.mutable_span()));
       return BlockNum{LoadLe<uint64_t>(ptr_block.data() + 8 * fb)};
     }
     fb -= kPtrsPerBlock;
     if (inode.dindirect == 0) {
       return BlockNum{0};
     }
-    RETURN_IF_ERROR(device_->ReadBlock(inode.dindirect,
-                                       ptr_block.mutable_span()));
+    RETURN_IF_ERROR(read(inode.dindirect, ptr_block.mutable_span()));
     BlockNum level2 =
         LoadLe<uint64_t>(ptr_block.data() + 8 * (fb / kPtrsPerBlock));
     if (level2 == 0) {
       return BlockNum{0};
     }
-    RETURN_IF_ERROR(device_->ReadBlock(level2, ptr_block2.mutable_span()));
+    RETURN_IF_ERROR(read(level2, ptr_block2.mutable_span()));
     return BlockNum{
         LoadLe<uint64_t>(ptr_block2.data() + 8 * (fb % kPtrsPerBlock))};
   };
@@ -245,7 +261,7 @@ Result<CheckReport> Checker::Check() {
       if (dev_block == 0) {
         continue;
       }
-      RETURN_IF_ERROR(device_->ReadBlock(dev_block, block.mutable_span()));
+      RETURN_IF_ERROR(read(dev_block, block.mutable_span()));
       for (uint32_t e = 0; e < kDirEntriesPerBlock; ++e) {
         DirEntry entry = DirEntry::Decode(block.subspan(e * kDirEntrySize,
                                                         kDirEntrySize));

@@ -24,7 +24,10 @@ struct CheckReport {
 };
 
 // Offline checker: operates on the raw device (the file system must be
-// synced/unmounted). Verifies:
+// synced, and may stay mounted). Like e2fsck, it checks the image that
+// journal replay would produce: the newest copy of each block in the live
+// log, found by the same validated scan Mount uses, overlays its home copy.
+// Verifies:
 //  * superblock decodes and its geometry fits the device
 //  * every allocated inode decodes and has a valid type
 //  * every block referenced by any inode is inside the data area, marked

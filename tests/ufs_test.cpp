@@ -358,8 +358,11 @@ TEST_F(UfsTest, InodeCacheServesRepeatLookups) {
 
 // --- checker corruption detection ---
 
+// Both corruption tests damage a home copy, so they unmount first: until a
+// checkpoint the live log holds the newest metadata, and the checker (like
+// Mount's replay) reads that instead of the home copy.
 TEST_F(UfsTest, CheckerDetectsCorruptSuperblock) {
-  ASSERT_TRUE(fs_->Sync().ok());
+  fs_.reset();  // unmount: checkpoint every metadata block home
   Buffer block(kBlockSize);
   ASSERT_TRUE(device_->ReadBlock(0, block.mutable_span()).ok());
   block.data()[8] ^= 0xFF;  // flip bits in num_blocks
@@ -372,9 +375,9 @@ TEST_F(UfsTest, CheckerDetectsCorruptSuperblock) {
 
 TEST_F(UfsTest, CheckerDetectsLinkCountMismatch) {
   InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
-  ASSERT_TRUE(fs_->Sync().ok());
+  const Superblock sb = fs_->superblock();
+  fs_.reset();  // unmount: checkpoint every metadata block home
   // Corrupt the inode's nlink directly on disk (re-encode with valid CRC).
-  const Superblock& sb = fs_->superblock();
   BlockNum itb_block = sb.itb_start + ino / kInodesPerBlock;
   Buffer block(kBlockSize);
   ASSERT_TRUE(device_->ReadBlock(itb_block, block.mutable_span()).ok());
