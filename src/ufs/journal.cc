@@ -1,14 +1,18 @@
 #include "src/ufs/journal.h"
 
+#include <bit>
+#include <vector>
+
 #include "src/support/logging.h"
 
 namespace springfs::ufs {
 namespace {
 
-// Version 3 is the circular log with an anchor. Version 2 (one-slot journal,
-// XXH64 tags) and version 1 (FNV-1a tags) fail the version check and are
-// never replayed.
-constexpr uint32_t kJournalVersion = 3;
+// Version 4 logs metadata deltas as 128-byte chunks. Version 3 (the
+// circular log of full images), version 2 (one-slot journal, XXH64 tags)
+// and version 1 (FNV-1a tags) fail the version check and are never
+// replayed.
+constexpr uint32_t kJournalVersion = 4;
 constexpr uint32_t kRecordMagic = 0x58544A53;  // "SJTX"
 
 // Anchor slot fields; the two slots sit at offsets 0 and kBlockSize / 2.
@@ -27,15 +31,74 @@ constexpr size_t kRhMagic = 0;
 constexpr size_t kRhVersion = 4;
 constexpr size_t kRhLogId = 8;
 constexpr size_t kRhTxId = 16;
-constexpr size_t kRhNumRecords = 24;
+constexpr size_t kRhNumEntries = 24;
 constexpr size_t kRhCrc = 32;  // CRC over [0, kRhCrc) and the entries
 constexpr size_t kRhEntries = 40;
-constexpr uint64_t kDescEntrySize = 16;  // home block u64 + payload tag u64
 
-uint64_t DescBlocksFor(uint64_t num_records) {
-  return (kRhEntries + num_records * kDescEntrySize + kBlockSize - 1) /
+// Descriptor entry fields.
+constexpr size_t kEnHome = 0;
+constexpr size_t kEnTag = 8;
+constexpr size_t kEnMask = 16;
+constexpr uint64_t kDescEntrySize = 24;
+
+// A delta logs the chunks of its home that differ from the base, one mask
+// bit per chunk. An entry with every bit set is a full image.
+constexpr size_t kChunkSize = 128;
+constexpr size_t kChunksPerBlock = kBlockSize / kChunkSize;
+constexpr uint64_t kFullImage = (uint64_t{1} << kChunksPerBlock) - 1;
+
+// Descriptor blocks of a record: header, entries, then the deltas' chunks.
+uint64_t DescBlocksFor(uint64_t entries, uint64_t delta_chunks) {
+  return (kRhEntries + entries * kDescEntrySize + delta_chunks * kChunkSize +
+          kBlockSize - 1) /
          kBlockSize;
 }
+
+// The chunks of `block` that differ from `base`.
+uint64_t DirtyChunks(ByteSpan base, ByteSpan block) {
+  uint64_t mask = 0;
+  for (size_t c = 0; c < kChunksPerBlock; ++c) {
+    if (std::memcmp(base.data() + c * kChunkSize, block.data() + c * kChunkSize,
+                    kChunkSize) != 0) {
+      mask |= uint64_t{1} << c;
+    }
+  }
+  return mask;
+}
+
+// The mask each home of `blocks` is logged with, in home order.
+std::vector<uint64_t> ChunkMasks(const std::map<BlockNum, Buffer>& blocks,
+                                 const std::map<BlockNum, Buffer>& bases) {
+  std::vector<uint64_t> masks;
+  masks.reserve(blocks.size());
+  for (const auto& [home, image] : blocks) {
+    auto base = bases.find(home);
+    masks.push_back(base == bases.end()
+                        ? kFullImage
+                        : DirtyChunks(base->second.span(), image.span()));
+  }
+  return masks;
+}
+
+// Log blocks taken by a record whose entries carry `masks`: the
+// descriptor blocks, plus one block per full image.
+struct RecordShape {
+  uint64_t desc_blocks = 0;
+  uint64_t full_images = 0;
+
+  explicit RecordShape(const std::vector<uint64_t>& masks) {
+    uint64_t delta_chunks = 0;
+    for (uint64_t mask : masks) {
+      if (mask == kFullImage) {
+        ++full_images;
+      } else {
+        delta_chunks += std::popcount(mask);
+      }
+    }
+    desc_blocks = DescBlocksFor(masks.size(), delta_chunks);
+  }
+  uint64_t blocks() const { return desc_blocks + full_images; }
+};
 
 // Integrity tag for a journaled payload. Deliberately NOT Crc32: the
 // superblock embeds its own Crc32 as a trailer, which by the CRC residue
@@ -45,13 +108,16 @@ uint64_t DescBlocksFor(uint64_t num_records) {
 // a torn payload write landing in an older record's slot could otherwise
 // masquerade as that record's payload and make replay apply a mix of two
 // transactions. XXH64 is non-linear, and folding in the tx id and home
-// block also rejects stale slot contents left by other transactions. Every
-// journaled block is tagged inside Sync, so the tag sits on the commit
-// path; XXH64 costs about 0.5 us per 4 KB block.
-uint64_t PayloadTag(uint64_t tx_id, uint64_t home, ByteSpan payload) {
-  uint64_t tag = Xxh64(payload);
+// block also rejects stale slot contents left by other transactions, and
+// folding in the mask binds a delta's chunks to the positions they were
+// taken from. Every journaled entry is tagged inside Sync, so the tag sits
+// on the commit path; XXH64 costs about 0.5 us per 4 KB block.
+uint64_t PayloadTag(uint64_t tx_id, uint64_t home, uint64_t mask,
+                    ByteSpan logged) {
+  uint64_t tag = Xxh64(logged);
   tag ^= tx_id * 0x9E3779B97F4A7C15ull;
   tag ^= home * 0xC2B2AE3D27D4EB4Full;
+  tag ^= mask * 0x165667B19E3779F9ull;
   return tag;
 }
 
@@ -64,8 +130,8 @@ Status CheckRegion(const BlockDevice* device, uint64_t jnl_start) {
   return Status::Ok();
 }
 
-uint32_t HeaderCrc(ByteSpan desc, uint64_t num_records) {
-  return Crc32(desc.subspan(kRhEntries, num_records * kDescEntrySize),
+uint32_t HeaderCrc(ByteSpan desc, uint64_t num_entries) {
+  return Crc32(desc.subspan(kRhEntries, num_entries * kDescEntrySize),
                Crc32(desc.subspan(0, kRhCrc)));
 }
 
@@ -137,8 +203,13 @@ Result<std::unique_ptr<Journal>> Journal::Create(BlockDevice* device,
   return Open(device, jnl_start, /*next_tx=*/1);
 }
 
-bool Journal::HasRoom(uint64_t num_records) const {
-  return used_ + DescBlocksFor(num_records) + num_records <= log_blocks_;
+uint64_t Journal::RecordBlocks(const std::map<BlockNum, Buffer>& blocks,
+                               const std::map<BlockNum, Buffer>& bases) {
+  return RecordShape(ChunkMasks(blocks, bases)).blocks();
+}
+
+bool Journal::HasRoom(uint64_t record_blocks) const {
+  return used_ + record_blocks <= log_blocks_;
 }
 
 Status Journal::WriteAnchor() {
@@ -159,7 +230,8 @@ Status Journal::WriteAnchor() {
 }
 
 Status Journal::Commit(uint64_t tx_id,
-                       const std::map<BlockNum, Buffer>& blocks) {
+                       const std::map<BlockNum, Buffer>& blocks,
+                       const std::map<BlockNum, Buffer>& bases) {
   if (tx_id != next_tx_) {
     return ErrInvalidArgument("journal expects tx " + std::to_string(next_tx_) +
                               ", got " + std::to_string(tx_id));
@@ -168,48 +240,68 @@ Status Journal::Commit(uint64_t tx_id,
   if (n == 0) {
     return ErrInvalidArgument("empty journal transaction");
   }
-  if (!HasRoom(n)) {
-    return ErrNoSpace("transaction of " + std::to_string(n) +
-                      " blocks exceeds free journal space");
+  std::vector<uint64_t> masks = ChunkMasks(blocks, bases);
+  RecordShape shape(masks);
+  if (!HasRoom(shape.blocks())) {
+    return ErrNoSpace("transaction of " + std::to_string(shape.blocks()) +
+                      " log blocks exceeds free journal space");
   }
-  uint64_t desc_blocks = DescBlocksFor(n);
-  Buffer desc(desc_blocks * kBlockSize);
+  Buffer desc(shape.desc_blocks * kBlockSize);
   uint8_t* p = desc.data();
   StoreLe<uint32_t>(p + kRhMagic, kRecordMagic);
   StoreLe<uint32_t>(p + kRhVersion, kJournalVersion);
   StoreLe<uint64_t>(p + kRhLogId, log_id_);
   StoreLe<uint64_t>(p + kRhTxId, tx_id);
-  StoreLe<uint64_t>(p + kRhNumRecords, n);
+  StoreLe<uint64_t>(p + kRhNumEntries, n);
+  size_t chunk_pos = kRhEntries + n * kDescEntrySize;
   uint64_t i = 0;
-  for (const auto& [home, payload] : blocks) {
-    SPRINGFS_CHECK(payload.size() == kBlockSize);
+  for (const auto& [home, image] : blocks) {
+    SPRINGFS_CHECK(image.size() == kBlockSize);
     SPRINGFS_CHECK(home < jnl_start_);  // homes never point into the log
+    SPRINGFS_CHECK(!bases.count(home) || Names(home));
+    uint64_t mask = masks[i];
+    ByteSpan logged = image.span();
+    if (mask != kFullImage) {
+      size_t first = chunk_pos;
+      for (uint64_t m = mask; m != 0; m &= m - 1) {
+        std::memcpy(p + chunk_pos,
+                    image.data() + std::countr_zero(m) * kChunkSize,
+                    kChunkSize);
+        chunk_pos += kChunkSize;
+      }
+      logged = desc.subspan(first, chunk_pos - first);
+    }
     uint8_t* e = p + kRhEntries + i * kDescEntrySize;
-    StoreLe<uint64_t>(e + 0, home);
-    StoreLe<uint64_t>(e + 8, PayloadTag(tx_id, home, payload.span()));
+    StoreLe<uint64_t>(e + kEnHome, home);
+    StoreLe<uint64_t>(e + kEnTag, PayloadTag(tx_id, home, mask, logged));
+    StoreLe<uint64_t>(e + kEnMask, mask);
     ++i;
   }
   StoreLe<uint32_t>(p + kRhCrc, HeaderCrc(desc.span(), n));
 
-  // Descriptor, then payloads, in log order. No flush in between: a record
-  // whose blocks did not all land fails its CRC or a payload tag.
+  // Descriptor, then full images, in log order. No flush in between: a
+  // record whose blocks did not all land fails its CRC or a payload tag.
   uint64_t pos = head_;
   auto write_next = [&](ByteSpan block) {
     BlockNum target = jnl_start_ + pos;
     pos = (pos + 1) % log_blocks_;
     return device_->WriteBlock(target, block);
   };
-  for (uint64_t b = 0; b < desc_blocks; ++b) {
+  for (uint64_t b = 0; b < shape.desc_blocks; ++b) {
     RETURN_IF_ERROR(write_next(desc.subspan(b * kBlockSize, kBlockSize)));
   }
-  for (const auto& [home, payload] : blocks) {
-    RETURN_IF_ERROR(write_next(payload.span()));
+  i = 0;
+  for (const auto& [home, image] : blocks) {
+    if (masks[i++] == kFullImage) {
+      RETURN_IF_ERROR(write_next(image.span()));
+    }
   }
   RETURN_IF_ERROR(device_->Flush());
   head_ = pos;
-  used_ += desc_blocks + n;
+  used_ += shape.blocks();
+  appended_blocks_ += shape.blocks();
   ++next_tx_;
-  for (const auto& [home, payload] : blocks) {
+  for (const auto& [home, image] : blocks) {
     homes_.insert(home);
   }
   return Status::Ok();
@@ -248,48 +340,93 @@ Result<LiveLog> Journal::Scan(BlockDevice* device) {
                              out);
   };
   for (uint64_t tx = anchor.tail_tx; used < log_blocks; ++tx) {
-    // Validate the whole record before taking any of it.
+    // Validate the whole record before taking any of it. The entries come
+    // first: the CRC over them must hold before their masks size the
+    // record.
     RETURN_IF_ERROR(read_at(0, block.mutable_span()));
     const uint8_t* p = block.data();
-    uint64_t n = LoadLe<uint64_t>(p + kRhNumRecords);
+    uint64_t n = LoadLe<uint64_t>(p + kRhNumEntries);
     if (LoadLe<uint32_t>(p + kRhMagic) != kRecordMagic ||
         LoadLe<uint32_t>(p + kRhVersion) != kJournalVersion ||
         LoadLe<uint64_t>(p + kRhLogId) != anchor.log_id ||
         LoadLe<uint64_t>(p + kRhTxId) != tx || n == 0 ||
-        n > log_blocks || used + DescBlocksFor(n) + n > log_blocks) {
+        n > (log_blocks - used) * kBlockSize / kDescEntrySize ||
+        used + DescBlocksFor(n, 0) > log_blocks) {
       break;
     }
-    uint64_t desc_blocks = DescBlocksFor(n);
-    Buffer desc(desc_blocks * kBlockSize);
+    uint64_t entry_blocks = DescBlocksFor(n, 0);
+    Buffer desc(entry_blocks * kBlockSize);
     std::memcpy(desc.data(), block.data(), kBlockSize);
-    for (uint64_t b = 1; b < desc_blocks; ++b) {
+    for (uint64_t b = 1; b < entry_blocks; ++b) {
       RETURN_IF_ERROR(read_at(
           b, desc.mutable_span().subspan(b * kBlockSize, kBlockSize)));
     }
     if (LoadLe<uint32_t>(desc.data() + kRhCrc) != HeaderCrc(desc.span(), n)) {
       break;
     }
-    std::map<BlockNum, Buffer> records;
+    std::vector<uint64_t> masks(n);
     bool valid = true;
     for (uint64_t i = 0; i < n && valid; ++i) {
       const uint8_t* e = desc.data() + kRhEntries + i * kDescEntrySize;
-      uint64_t home = LoadLe<uint64_t>(e + 0);
-      Buffer payload(kBlockSize);
-      RETURN_IF_ERROR(read_at(desc_blocks + i, payload.mutable_span()));
-      valid = home < anchor.jnl_start &&
-              LoadLe<uint64_t>(e + 8) == PayloadTag(tx, home, payload.span());
-      records.insert_or_assign(home, std::move(payload));
+      masks[i] = LoadLe<uint64_t>(e + kEnMask);
+      valid = LoadLe<uint64_t>(e + kEnHome) < anchor.jnl_start &&
+              masks[i] <= kFullImage;
+    }
+    RecordShape shape(masks);
+    if (!valid || used + shape.blocks() > log_blocks) {
+      break;
+    }
+    desc.resize(shape.desc_blocks * kBlockSize);
+    for (uint64_t b = entry_blocks; b < shape.desc_blocks; ++b) {
+      RETURN_IF_ERROR(read_at(
+          b, desc.mutable_span().subspan(b * kBlockSize, kBlockSize)));
+    }
+
+    // Rebuild every entry's image. A delta needs the image an earlier live
+    // record left: never a home copy, which may be older than the log.
+    std::map<BlockNum, Buffer> images;
+    size_t chunk_pos = kRhEntries + n * kDescEntrySize;
+    uint64_t next_image = shape.desc_blocks;
+    for (uint64_t i = 0; i < n && valid; ++i) {
+      const uint8_t* e = desc.data() + kRhEntries + i * kDescEntrySize;
+      uint64_t home = LoadLe<uint64_t>(e + kEnHome);
+      uint64_t mask = masks[i];
+      Buffer image;
+      ByteSpan logged;
+      if (mask == kFullImage) {
+        image = Buffer(kBlockSize);
+        RETURN_IF_ERROR(read_at(next_image++, image.mutable_span()));
+        logged = image.span();
+      } else {
+        auto base = live.homes.find(home);
+        if (base == live.homes.end()) {
+          valid = false;
+          break;
+        }
+        logged = desc.subspan(chunk_pos, std::popcount(mask) * kChunkSize);
+        chunk_pos += logged.size();
+        image = Buffer(base->second.span());
+        const uint8_t* chunk = logged.data();
+        for (uint64_t m = mask; m != 0; m &= m - 1) {
+          std::memcpy(image.data() + std::countr_zero(m) * kChunkSize, chunk,
+                      kChunkSize);
+          chunk += kChunkSize;
+        }
+      }
+      valid =
+          LoadLe<uint64_t>(e + kEnTag) == PayloadTag(tx, home, mask, logged);
+      images.insert_or_assign(home, std::move(image));
     }
     if (!valid) {
       break;
     }
-    for (auto& [home, payload] : records) {
-      live.homes.insert_or_assign(home, std::move(payload));
+    for (auto& [home, image] : images) {
+      live.homes.insert_or_assign(home, std::move(image));
     }
     ++live.transactions;
     live.last_tx = tx;
-    pos = (pos + desc_blocks + n) % log_blocks;
-    used += desc_blocks + n;
+    pos = (pos + shape.blocks()) % log_blocks;
+    used += shape.blocks();
   }
   return live;
 }

@@ -13,18 +13,30 @@
 // On-disk layout, inside [jnl_start, num_blocks):
 //
 //   [jnl_start, num_blocks - 1)  the circular log: records of
-//                                (descriptor blocks, payload blocks), each
+//                                (descriptor blocks, full images), each
 //                                laid out consecutively modulo the region
 //   num_blocks - 1               the anchor
 //
-// A record's first descriptor block holds the log id, tx id, record count
-// and a CRC over its descriptor entries (16 bytes each: home block u64,
-// payload tag u64); a transaction of up to 253 blocks needs one descriptor
-// block. The payload tag is an XXH64 of the block folded with the tx id and
-// home block: non-linear, so two valid superblocks (which share one CRC32)
-// still get different tags, and a stale slot from another transaction
-// never verifies. Records are self-validating, so a commit writes them
-// with no flush between descriptor and payloads, and one flush at the end.
+// A record's first descriptor block starts with the log id, tx id, entry
+// count and a CRC over the header and the entries (24 bytes each: home
+// block u64, payload tag u64, chunk mask u64). An entry logs its home
+// either as a full image or as a delta: the 128-byte chunks that differ
+// from the newest copy an earlier live record carries, one mask bit per
+// chunk. Commit takes a delta only against a base the caller passes, and
+// only for a home that a live record names; UFS passes none for file data,
+// so file data, and the first record to name a block after a Truncate or
+// in a new log, carry full images. The deltas' chunks follow the entries,
+// packed in entry order, and the descriptor area is zero-padded to a block
+// boundary; then come the full images, one block each, in entry order. A
+// record of a few metadata deltas is one block.
+//
+// The payload tag is an XXH64 of the entry's logged bytes (the image, or
+// its packed chunks) folded with the tx id, home block and mask:
+// non-linear, so two valid superblocks (which share one CRC32) still get
+// different tags, the same chunk bytes under another mask never verify,
+// and a stale slot from another transaction never verifies. Records are
+// self-validating, so a commit writes them with no flush between
+// descriptor and payloads, and one flush at the end.
 //
 // The anchor sits at a fixed location (the device's last block), so
 // recovery needs nothing else to find the log — in particular, not the
@@ -35,14 +47,16 @@
 // back to the previous anchor and loses nothing that was committed.
 //
 // Replay starts at the anchor's tail and follows consecutive tx ids. It
-// stops at the first record whose id, log id, CRC or payload tags fail to
-// verify, and keeps every transaction before it. A record left over from
-// before the last wrap carries an older tx id, so the chain never reaches
-// it. Format zeroes the whole log first, so nothing an earlier file system
-// left there survives. Every Mount starts a new log with a new log id
-// (derived from the anchor block it replaces), so records from an earlier
-// mount — including one a crash left half-written — never continue the
-// chain.
+// stops at the first record whose id, log id, CRC, masks or payload tags
+// fail to verify, or that holds a delta for a home no earlier live record
+// carries, and keeps every transaction before it. Deltas apply in tx order
+// onto the image the earlier records rebuilt, never onto a home copy. A
+// record left over from before the last wrap carries an older tx id, so
+// the chain never reaches it. Format zeroes the whole log first, so
+// nothing an earlier file system left there survives. Every Mount starts a
+// new log with a new log id (derived from the anchor block it replaces), so
+// records from an earlier mount — including one a crash left half-written
+// — never continue the chain.
 
 #ifndef SPRINGFS_UFS_JOURNAL_H_
 #define SPRINGFS_UFS_JOURNAL_H_
@@ -89,23 +103,36 @@ class Journal {
   static Result<std::unique_ptr<Journal>> Create(BlockDevice* device,
                                                  uint64_t jnl_start);
 
-  // True when a transaction of `num_records` blocks (payloads plus
-  // descriptor blocks) fits after the live transactions.
-  bool HasRoom(uint64_t num_records) const;
+  // Log blocks (descriptors included) of the record that Commit appends
+  // for `blocks` with `bases`.
+  static uint64_t RecordBlocks(const std::map<BlockNum, Buffer>& blocks,
+                               const std::map<BlockNum, Buffer>& bases);
+
+  // True when a record of `record_blocks` log blocks fits after the live
+  // transactions.
+  bool HasRoom(uint64_t record_blocks) const;
 
   // True when a live record carries `home`: replay would overwrite
   // whatever is written there in place before the next Truncate.
   bool Names(BlockNum home) const { return homes_.count(home) != 0; }
 
   // Appends transaction `tx_id` (which must be the next id) carrying
-  // `blocks` (home block -> new content), then flushes. After this returns
-  // OK the transaction is durable and stays live until Truncate.
-  Status Commit(uint64_t tx_id, const std::map<BlockNum, Buffer>& blocks);
+  // `blocks` (home block -> new content), then flushes. A home that
+  // `bases` holds is logged as the chunks that differ from its base, which
+  // must be exactly what replay of the live records rebuilds for that home
+  // (so the home must be one Names reports); every other home is logged
+  // whole. After this returns OK the transaction is durable and stays live
+  // until Truncate.
+  Status Commit(uint64_t tx_id, const std::map<BlockNum, Buffer>& blocks,
+                const std::map<BlockNum, Buffer>& bases);
 
   // Frees the whole log: rewrites the anchor so that the next transaction
   // is the tail, then flushes. The caller must first have written every
   // live home to its home location and flushed.
   Status Truncate();
+
+  // Log blocks appended by this log's commits, descriptors included.
+  uint64_t appended_blocks() const { return appended_blocks_; }
 
   // Reads the anchor and validates the live transactions without writing
   // anything. Returns an empty LiveLog (not an error) when there is no
@@ -134,6 +161,7 @@ class Journal {
   uint64_t head_ = 0;      // log offset where the next record goes
   uint64_t used_ = 0;      // log blocks held by live transactions
   uint64_t next_tx_ = 0;
+  uint64_t appended_blocks_ = 0;
   std::set<BlockNum> homes_;  // every home a live record carries
 };
 

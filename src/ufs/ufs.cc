@@ -1013,22 +1013,29 @@ Status Ufs::SyncJournaled() {
       ordered.emplace_back(b, &pending.data);
     }
   }
-  uint64_t records = journaled.size() + (journaled.count(0) ? 0 : 1);
-  if (!journal_->HasRoom(records)) {
-    RETURN_IF_ERROR(Checkpoint());
-  }
+  uint64_t tx = last_committed_tx_ + 1;
+  sb_.clean = 1;
+  sb_.last_tx = tx;
   Buffer sb_block(kBlockSize);
-  if (!journal_->HasRoom(records)) {
+  sb_.Encode(sb_block.mutable_span());
+  journaled.insert_or_assign(0, std::move(sb_block));
+  // Size the record by its deltas against retained_. A checkpoint empties
+  // retained_, so the record is then sized again as full images.
+  bool fits = journal_->HasRoom(Journal::RecordBlocks(journaled, retained_));
+  if (!fits) {
+    RETURN_IF_ERROR(Checkpoint());
+    fits = journal_->HasRoom(Journal::RecordBlocks(journaled, retained_));
+  }
+  if (!fits) {
     // Transaction larger than the whole log: fall back to unprotected
     // in-place writes — for this sync the guarantees degrade to those of a
     // journal-less file system. The checkpoint above took the live log
     // home first: replaying any of its records over these newer writes
     // would roll blocks back.
     ++journal_overflow_syncs_;
-    sb_.clean = 1;
     sb_.last_tx = last_committed_tx_;
-    sb_.Encode(sb_block.mutable_span());
-    RETURN_IF_ERROR(device_->WriteBlock(0, sb_block.span()));
+    sb_.Encode(journaled[0].mutable_span());
+    RETURN_IF_ERROR(device_->WriteBlock(0, journaled[0].span()));
     for (const auto& [b, pending] : pending_) {
       if (b == 0) {
         continue;  // superblock freshly encoded above
@@ -1040,12 +1047,6 @@ Status Ufs::SyncJournaled() {
     return Status::Ok();
   }
 
-  uint64_t tx = last_committed_tx_ + 1;
-  sb_.clean = 1;
-  sb_.last_tx = tx;
-  sb_.Encode(sb_block.mutable_span());
-  journaled.insert_or_assign(0, std::move(sb_block));
-
   // Phase 1: ordered writes. These blocks are unreferenced until the
   // commit record lands, so a crash in this window is invisible.
   if (!ordered.empty()) {
@@ -1056,22 +1057,28 @@ Status Ufs::SyncJournaled() {
   }
   // Phase 2: append the log record (flushed). After this returns the
   // transaction is durable.
-  RETURN_IF_ERROR(journal_->Commit(tx, journaled));
+  RETURN_IF_ERROR(journal_->Commit(tx, journaled, retained_));
   last_committed_tx_ = tx;
   ++journal_commits_;
   // Phase 3: file data goes home now; metadata stays in memory and serves
   // reads until a checkpoint writes it home. Neither needs a flush here:
-  // until the checkpoint's flush, replay restores both from the log.
+  // until the checkpoint's flush, replay restores both from the log. Every
+  // journaled block is retained before any home write, so retained_ holds
+  // what replay rebuilds even when one fails: the next checkpoint then
+  // writes it home, and the next delta is taken against it.
+  std::vector<BlockNum> file_data;
   for (auto& [b, buf] : journaled) {
     auto it = pending_.find(b);
     if (it != pending_.end() && it->second.file_data) {
-      RETURN_IF_ERROR(device_->WriteBlock(b, buf.span()));
-      retained_.erase(b);
-    } else {
-      retained_.insert_or_assign(b, std::move(buf));
+      file_data.push_back(b);
     }
+    retained_.insert_or_assign(b, std::move(buf));
   }
   FinishJournalEpoch();
+  for (BlockNum b : file_data) {
+    RETURN_IF_ERROR(device_->WriteBlock(b, retained_[b].span()));
+    retained_.erase(b);
+  }
   return Status::Ok();
 }
 
@@ -1087,11 +1094,13 @@ Status Ufs::Checkpoint() {
     RETURN_IF_ERROR(device_->WriteBlock(b, buf.span()));
   }
   RETURN_IF_ERROR(device_->Flush());
-  RETURN_IF_ERROR(journal_->Truncate());
+  // The homes are durable, so reads no longer need retained_. Empty it
+  // before Truncate forgets the homes: a base for a home the log does not
+  // name is never valid, even when the anchor write fails.
   ++journal_checkpoints_;
   checkpoint_blocks_ += retained_.size();
   retained_.clear();
-  return Status::Ok();
+  return journal_->Truncate();
 }
 
 bool Ufs::CommittedBitSet(BlockNum block) const {
@@ -1123,6 +1132,8 @@ void Ufs::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("inode_cache_hits", cache_hits_);
   emit("inode_cache_misses", cache_misses_);
   emit("journal_commits", journal_commits_);
+  // Blocks appended to the log, descriptors included.
+  emit("journal_log_blocks", journaled_ ? journal_->appended_blocks() : 0);
   // Syncs whose transaction exceeded the journal and fell back to
   // unprotected in-place writes (crash tests keep this at 0).
   emit("journal_overflow_syncs", journal_overflow_syncs_);

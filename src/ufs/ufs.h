@@ -131,7 +131,9 @@ class Ufs : public metrics::StatsProvider {
   // Makes all dirty state (data, inodes, bitmaps, superblock) durable and
   // returns once it is. When journaled, the whole sync is one atomic
   // transaction: ordered data is written and flushed, then the log record
-  // is appended and flushed. File-data overwrites are written home right
+  // is appended and flushed. The record logs each metadata block that the
+  // live log already holds as the 128-byte chunks that changed since, and
+  // every other block whole. File-data overwrites are written home right
   // after the commit; metadata stays in memory until a checkpoint writes it
   // home (when the log needs space, or at unmount). A crash at any device
   // write leaves the file system either before or after the transaction.
@@ -240,9 +242,11 @@ class Ufs : public metrics::StatsProvider {
   // no bound: a transaction closes only at Sync, and one that outgrows the
   // log takes the degraded in-place path in SyncJournaled.
   std::map<BlockNum, PendingBlock> pending_;
-  // Committed metadata blocks whose home copy is older than the log: the
-  // newest content of every metadata home in the live log. Never file
-  // data; bounded by the log's size. Emptied by Checkpoint.
+  // Committed blocks whose home copy is older than the log. For every home
+  // it holds, exactly what replay of the live log rebuilds: the base each
+  // commit takes its deltas against. Every metadata home in the live log,
+  // and a file-data block only while its home write after the commit has
+  // not succeeded. Bounded by the log's size. Emptied by Checkpoint.
   std::map<BlockNum, Buffer> retained_;
   std::vector<uint8_t> committed_bits_;  // data bitmap at the last commit
   uint64_t last_committed_tx_ = 0;

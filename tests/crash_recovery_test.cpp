@@ -36,8 +36,11 @@ using ufs::kRootInode;
 
 constexpr uint64_t kDevBlocks = 1024;
 constexpr int kSteps = 60;
-// Journal size for the shard whose seeds must wrap the log.
+// Journal size for the shard whose seeds must wrap the log, and that
+// shard's workload length: enough steps that every seed's metadata deltas
+// fill the log at least twice.
 constexpr uint64_t kWrapJournalBlocks = 16;
+constexpr int kWrapSteps = 130;
 
 // name -> file content; the workload's in-memory truth.
 using Model = std::map<std::string, Buffer>;
@@ -56,13 +59,15 @@ void ModelWrite(Model& model, const std::string& name, uint64_t offset,
   content.WriteAt(offset, data);
 }
 
-// Runs the seeded workload. Snapshots the model keyed by the journal
-// transaction that persists it: before each Sync the upcoming transaction
-// id is last_committed_tx() + 1. `acked` tracks the transaction of the last
-// Sync that returned OK. Returns false when the device crashed
-// mid-workload (the armed run); the dry run always returns true.
+// Runs `steps` steps of the seeded workload. Snapshots the model keyed by
+// the journal transaction that persists it: before each Sync the upcoming
+// transaction id is last_committed_tx() + 1. `acked` tracks the
+// transaction of the last Sync that returned OK. Returns false when the
+// device crashed mid-workload (the armed run); the dry run always returns
+// true.
 bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
-                 std::map<uint64_t, Model>* snapshots, uint64_t* acked) {
+                 std::map<uint64_t, Model>* snapshots, uint64_t* acked,
+                 int steps = kSteps) {
   Rng rng(seed);
   Model model;
   if (snapshots != nullptr) {
@@ -71,7 +76,7 @@ bool RunWorkload(ufs::Ufs* fs, uint64_t seed,
   *acked = fs->last_committed_tx();  // Format's own sync returned OK
   int next_file = 0;
   std::vector<std::string> names;
-  for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < steps; ++step) {
     uint64_t dice = rng.Below(100);
     if (dice < 25 || names.empty()) {
       std::string name = "f" + std::to_string(next_file++);
@@ -159,7 +164,8 @@ struct DryRun {
 // uniformly among them. A journaled workload writes the superblock home
 // and the anchor (the device's last block) only inside a checkpoint, which
 // writes its homes in block order, so those two writes bound each one.
-DryRun CountWorkloadWrites(uint64_t seed, const ufs::FormatOptions& options) {
+DryRun CountWorkloadWrites(uint64_t seed, const ufs::FormatOptions& options,
+                           int steps = kSteps) {
   DryRun dry;
   uint64_t open_checkpoint = 0;
   auto device = MakeDevice();
@@ -181,7 +187,7 @@ DryRun CountWorkloadWrites(uint64_t seed, const ufs::FormatOptions& options) {
     return false;
   });
   uint64_t acked = 0;
-  EXPECT_TRUE(RunWorkload(fs->get(), seed, nullptr, &acked));
+  EXPECT_TRUE(RunWorkload(fs->get(), seed, nullptr, &acked, steps));
   EXPECT_EQ(metrics::StatValue(**fs, "journal_overflow_syncs"), 0u);
   dry.checkpoints = metrics::StatValue(**fs, "journal_checkpoints");
   (*fs)->Abandon();  // already synced; skip the unmount sync
@@ -220,14 +226,15 @@ void ExpectMatchesModel(ufs::Ufs* fs, const Model& want) {
 // Runs seed `seed`'s workload with `plan` armed, then recovers and checks
 // the image.
 void CheckCrashAt(uint64_t seed, const ufs::FormatOptions& options,
-                  const CrashPlan& plan) {
+                  const CrashPlan& plan, int steps = kSteps) {
   auto device = MakeDevice();
   auto formatted = ufs::Ufs::Format(device.get(), &DefaultClock(), options);
   ASSERT_TRUE(formatted.ok());
   std::map<uint64_t, Model> snapshots;
   uint64_t acked = 0;
   device->ArmCrash(plan);
-  bool completed = RunWorkload(formatted->get(), seed, &snapshots, &acked);
+  bool completed =
+      RunWorkload(formatted->get(), seed, &snapshots, &acked, steps);
   ASSERT_FALSE(completed) << "workload survived the planned crash";
   ASSERT_TRUE(device->crashed());
 
@@ -268,12 +275,12 @@ void CheckCrashAt(uint64_t seed, const ufs::FormatOptions& options,
 // One full crash/recovery property check for one seed. Sets
 // `in_checkpoint` when the crash point fell inside a checkpoint.
 void RunCrashSeed(uint64_t seed, const ufs::FormatOptions& options,
-                  uint64_t min_checkpoints, bool* in_checkpoint) {
+                  uint64_t min_checkpoints, int steps, bool* in_checkpoint) {
   // Per-seed black box (see tests/chaos_dfs_test.cpp): a failure dump below
   // then shows only this seed's journal/crash events.
   flight::Clear();
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  DryRun dry = CountWorkloadWrites(seed, options);
+  DryRun dry = CountWorkloadWrites(seed, options, steps);
   ASSERT_GT(dry.writes, 0u);
   ASSERT_GE(dry.checkpoints, min_checkpoints) << "the log did not wrap";
 
@@ -282,7 +289,7 @@ void RunCrashSeed(uint64_t seed, const ufs::FormatOptions& options,
   plan.crash_after_writes = pick.Range(1, dry.writes);
   plan.seed = seed;
   *in_checkpoint = dry.InCheckpoint(plan.crash_after_writes);
-  CheckCrashAt(seed, options, plan);
+  CheckCrashAt(seed, options, plan, steps);
 }
 
 // The same crash applied to a journal-less format: returns true when the
@@ -341,6 +348,16 @@ void Scribble(BlockDevice& device, std::initializer_list<BlockNum> homes) {
   }
 }
 
+// `base` with one byte flipped at each of `offsets`: each dirties the
+// 128-byte chunk that holds it.
+Buffer Changed(const Buffer& base, std::initializer_list<size_t> offsets) {
+  Buffer out(base.span());
+  for (size_t offset : offsets) {
+    out.data()[offset] ^= 0x5A;
+  }
+  return out;
+}
+
 std::unique_ptr<ufs::Journal> OpenJournal(BlockDevice* device,
                                           uint64_t jnl_start,
                                           uint64_t next_tx) {
@@ -359,7 +376,7 @@ TEST(Journal, CommitThenReplayRestoresHomes) {
     tx[b] = RandomBlock(b);
     ASSERT_TRUE(device.WriteBlock(b, tx[b].span()).ok());
   }
-  ASSERT_TRUE(journal->Commit(3, tx).ok());
+  ASSERT_TRUE(journal->Commit(3, tx, {}).ok());
   Scribble(device, {5, 9, 17});
 
   auto report = ufs::Journal::Replay(&device);
@@ -384,11 +401,12 @@ TEST(Journal, TornPayloadInvalidatesWholeTransaction) {
   std::map<BlockNum, Buffer> tx;
   tx[5] = RandomBlock(11);
   tx[6] = RandomBlock(12);
-  ASSERT_TRUE(journal->Commit(1, tx).ok());
+  ASSERT_TRUE(journal->Commit(1, tx, {}).ok());
 
-  // The record is one descriptor block, then the payloads in home order.
-  // Flip one byte of the second payload: the descriptor still verifies,
-  // but its tag must not, so nothing of the transaction is replayed.
+  // Neither home has a base, so the record is one descriptor block, then
+  // the full images in home order. Flip one byte of the second entry's
+  // image: the descriptor still verifies, but its tag must not, so nothing
+  // of the transaction is replayed.
   BlockNum payload_block = 48 + 2;
   Buffer payload = ReadBack(device, payload_block);
   payload.data()[100] ^= 0xFF;
@@ -431,7 +449,7 @@ TEST(Journal, StaleSlotHoldingAnotherValidSuperblockIsRejected) {
 
   std::map<BlockNum, Buffer> tx;
   tx[0] = committed;
-  ASSERT_TRUE(journal->Commit(7, tx).ok());
+  ASSERT_TRUE(journal->Commit(7, tx, {}).ok());
   ASSERT_TRUE(device.WriteBlock(48 + 1, next.span()).ok());
 
   Scribble(device, {0});
@@ -456,31 +474,55 @@ TEST(Journal, EmptyDeviceTailReplaysNothing) {
   EXPECT_EQ(report->tx_id, 0u);
 }
 
-// A freshly opened log is empty, so HasRoom there says whether a
-// transaction fits in the log at all.
+// `count` blocks of `byte`, at homes 1..count.
+std::map<BlockNum, Buffer> Filled(uint64_t count, uint8_t byte) {
+  std::map<BlockNum, Buffer> blocks;
+  for (BlockNum b = 1; b <= count; ++b) {
+    blocks[b] = Buffer(kBlockSize);
+    std::memset(blocks[b].data(), byte, kBlockSize);
+  }
+  return blocks;
+}
+
+// A freshly opened log is empty, so HasRoom there says whether a record
+// fits in the log at all. RecordBlocks sizes a record: the descriptor
+// area (a 40-byte header, 24-byte entries, then the deltas' 128-byte
+// chunks), then one block per full image.
 TEST(Journal, FitsAccountsForDescriptorsAndAnchor) {
   MemBlockDevice device(kBlockSize, 64);
   auto journal = OpenJournal(&device, 52, 1);  // 12 journal blocks
   ASSERT_NE(journal, nullptr);
-  // 1 anchor + 1 descriptor block leaves room for 10 payloads.
-  EXPECT_TRUE(journal->HasRoom(10));
-  EXPECT_FALSE(journal->HasRoom(11));
-  std::map<BlockNum, Buffer> too_big;
-  for (BlockNum b = 1; b <= 11; ++b) {
-    too_big[b] = Buffer(kBlockSize);
-  }
-  EXPECT_EQ(journal->Commit(1, too_big).code(), ErrorCode::kNoSpace);
+  // 1 anchor + 1 descriptor block leaves room for 10 full images.
+  EXPECT_EQ(ufs::Journal::RecordBlocks(Filled(10, 0), {}), 11u);
+  EXPECT_TRUE(journal->HasRoom(11));
+  EXPECT_FALSE(journal->HasRoom(12));
+  EXPECT_EQ(journal->Commit(1, Filled(11, 0), {}).code(),
+            ErrorCode::kNoSpace);
 
   // A region without room for the anchor and a one-block record is refused.
   EXPECT_EQ(ufs::Journal::Open(&device, 62, 1).status().code(),
             ErrorCode::kInvalidArgument);
 
-  // One descriptor block holds 253 entries; the 254th needs a second.
-  MemBlockDevice big(kBlockSize, 600);
-  auto wide = OpenJournal(&big, 600 - 256, 1);  // 255 log blocks
-  ASSERT_NE(wide, nullptr);
-  EXPECT_TRUE(wide->HasRoom(253));
-  EXPECT_FALSE(wide->HasRoom(254));
+  // One descriptor block holds 169 entries (40 + 169 * 24 = 4096 bytes);
+  // the 170th needs a second.
+  EXPECT_EQ(ufs::Journal::RecordBlocks(Filled(169, 0), {}), 1u + 169);
+  EXPECT_EQ(ufs::Journal::RecordBlocks(Filled(170, 0), {}), 2u + 170);
+
+  // Deltas share the descriptor area with the entries: 26 one-chunk deltas
+  // take 40 + 26 * (24 + 128) = 3992 bytes, and the 27th spills over.
+  std::map<BlockNum, Buffer> bases = Filled(27, 0);
+  std::map<BlockNum, Buffer> changed;
+  for (const auto& [b, base] : bases) {
+    changed[b] = Changed(base, {b * 100});
+  }
+  EXPECT_EQ(ufs::Journal::RecordBlocks(changed, bases), 2u);
+  changed.erase(27);
+  EXPECT_EQ(ufs::Journal::RecordBlocks(changed, bases), 1u);
+
+  // A delta with every chunk changed is logged as a full image, and an
+  // unchanged home as an entry without chunks.
+  EXPECT_EQ(ufs::Journal::RecordBlocks(Filled(1, 1), Filled(1, 0)), 2u);
+  EXPECT_EQ(ufs::Journal::RecordBlocks(Filled(1, 0), Filled(1, 0)), 1u);
 }
 
 // Every live transaction replays, in tx order, so the newest copy of each
@@ -496,7 +538,7 @@ TEST(Journal, LiveTransactionsReplayInTxOrderNewestWins) {
       {{5, RandomBlock(54)}},
   };
   for (size_t i = 0; i < txs.size(); ++i) {
-    ASSERT_TRUE(journal->Commit(i + 1, txs[i]).ok());
+    ASSERT_TRUE(journal->Commit(i + 1, txs[i], {}).ok());
   }
   Scribble(device, {5, 6, 7});
 
@@ -523,9 +565,9 @@ TEST(Journal, ReplayStopsAtFirstGapBadCrcOrTag) {
     auto journal = OpenJournal(&device, kLog, 1);
     ASSERT_NE(journal, nullptr);
     std::map<BlockNum, Buffer> tx1 = {{5, RandomBlock(1)}};
-    ASSERT_TRUE(journal->Commit(1, tx1).ok());
-    ASSERT_TRUE(journal->Commit(2, {{6, RandomBlock(2)}}).ok());
-    ASSERT_TRUE(journal->Commit(3, {{7, RandomBlock(3)}}).ok());
+    ASSERT_TRUE(journal->Commit(1, tx1, {}).ok());
+    ASSERT_TRUE(journal->Commit(2, {{6, RandomBlock(2)}}, {}).ok());
+    ASSERT_TRUE(journal->Commit(3, {{7, RandomBlock(3)}}, {}).ok());
 
     if (damage == kTxIdGap) {
       // Where tx 2 should start, a valid record of tx 3.
@@ -559,13 +601,14 @@ TEST(Journal, RecordFromBeforeLastWrapIsNeverReplayed) {
   auto journal = OpenJournal(&device, kLog, 1);
   ASSERT_NE(journal, nullptr);
   for (uint64_t tx = 1; tx <= 5; ++tx) {  // fills offsets 0-9
-    ASSERT_TRUE(journal->Commit(tx, {{BlockNum(tx), RandomBlock(tx)}}).ok());
+    ASSERT_TRUE(journal->Commit(tx, {{BlockNum(tx), RandomBlock(tx)}}, {})
+                    .ok());
   }
   EXPECT_FALSE(journal->HasRoom(1));
   // A checkpoint would write homes 1-5 here; the tail moves to offset 0.
   ASSERT_TRUE(journal->Truncate().ok());
   std::map<BlockNum, Buffer> tx6 = {{6, RandomBlock(6)}};
-  ASSERT_TRUE(journal->Commit(6, tx6).ok());  // overwrites tx 1's record
+  ASSERT_TRUE(journal->Commit(6, tx6, {}).ok());  // overwrites tx 1's record
   Scribble(device, {1, 2, 3, 4, 5, 6});
   Buffer junk = ReadBack(device, 2);
 
@@ -586,11 +629,11 @@ TEST(Journal, TornAnchorFallsBackToTheOlderSlot) {
   MemBlockDevice device(kBlockSize, 64);
   auto journal = OpenJournal(&device, 32, 1);
   ASSERT_NE(journal, nullptr);
-  ASSERT_TRUE(journal->Commit(1, {{5, RandomBlock(1)}}).ok());
+  ASSERT_TRUE(journal->Commit(1, {{5, RandomBlock(1)}}, {}).ok());
   std::map<BlockNum, Buffer> tx2 = {{5, RandomBlock(2)}};
-  ASSERT_TRUE(journal->Commit(2, tx2).ok());
+  ASSERT_TRUE(journal->Commit(2, tx2, {}).ok());
   ASSERT_TRUE(journal->Truncate().ok());  // the anchor's other slot
-  ASSERT_TRUE(journal->Commit(3, {{6, RandomBlock(3)}}).ok());
+  ASSERT_TRUE(journal->Commit(3, {{6, RandomBlock(3)}}, {}).ok());
 
   // Intact anchor: only tx 3 is live.
   auto live = ufs::Journal::Scan(&device);
@@ -609,6 +652,135 @@ TEST(Journal, TornAnchorFallsBackToTheOlderSlot) {
   EXPECT_EQ(report->transactions, 3u);
   EXPECT_EQ(report->tx_id, 3u);
   EXPECT_TRUE(ReadBack(device, 5) == tx2[5]);
+}
+
+// A home the live log holds is logged as its changed chunks, and replay
+// applies them in tx order onto the newest earlier copy, byte for byte.
+// The home copies are junk, so a replay that took one as a base would
+// show.
+TEST(Journal, DeltaReplaysOntoTheNewestEarlierCopy) {
+  MemBlockDevice device(kBlockSize, 64);
+  auto journal = OpenJournal(&device, 32, 1);
+  ASSERT_NE(journal, nullptr);
+  std::map<BlockNum, Buffer> tx1 = {{5, RandomBlock(1)}, {6, RandomBlock(2)}};
+  ASSERT_TRUE(journal->Commit(1, tx1, {}).ok());
+  // The first and the last chunk of home 5.
+  std::map<BlockNum, Buffer> tx2 = {{5, Changed(tx1[5], {0, kBlockSize - 1})}};
+  EXPECT_EQ(ufs::Journal::RecordBlocks(tx2, tx1), 1u);
+  ASSERT_TRUE(journal->Commit(2, tx2, tx1).ok());
+  // Deltas of both homes against their newest copies, and home 7, which
+  // has no base, whole.
+  std::map<BlockNum, Buffer> bases = {{5, tx2[5]}, {6, tx1[6]}};
+  std::map<BlockNum, Buffer> tx3 = {{5, Changed(tx2[5], {128, 129, 2000})},
+                                    {6, Changed(tx1[6], {300, 4000})},
+                                    {7, RandomBlock(3)}};
+  EXPECT_EQ(ufs::Journal::RecordBlocks(tx3, bases), 2u);
+  ASSERT_TRUE(journal->Commit(3, tx3, bases).ok());
+  EXPECT_EQ(journal->appended_blocks(), 3u + 1u + 2u);
+  Scribble(device, {5, 6, 7});
+
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 3u);
+  EXPECT_EQ(report->transactions, 3u);
+  EXPECT_EQ(report->blocks_replayed, 3u);
+  for (BlockNum b : {5u, 6u, 7u}) {
+    EXPECT_TRUE(ReadBack(device, b) == tx3[b]) << "home block " << b;
+  }
+}
+
+// A delta needs an earlier live copy of its home. Two fresh devices hash
+// the same zero anchor block, so their logs share an id, and a record of
+// one verifies in the other. Grafted after a tx 1 that carries its home,
+// a delta of home 5 replays; after a tx 1 that does not, replay stops
+// before it, even though home 5's own copy is the delta's true base.
+TEST(Journal, DeltaWithoutAnEarlierCopyStopsReplay) {
+  std::map<BlockNum, Buffer> donor_tx1 = {{5, RandomBlock(5)},
+                                          {6, RandomBlock(6)}};
+  std::map<BlockNum, Buffer> donor_tx2 = {{5, Changed(donor_tx1[5], {64})}};
+  MemBlockDevice donor(kBlockSize, 64);
+  auto donor_journal = OpenJournal(&donor, 32, 1);
+  ASSERT_NE(donor_journal, nullptr);
+  ASSERT_TRUE(donor_journal->Commit(1, donor_tx1, {}).ok());  // offsets 0-2
+  ASSERT_TRUE(donor_journal->Commit(2, donor_tx2, donor_tx1).ok());  // 3
+  Buffer grafted = ReadBack(donor, 32 + 3);
+
+  for (bool carries_home : {true, false}) {
+    SCOPED_TRACE(carries_home ? "tx 1 carries home 5" : "tx 1 lacks home 5");
+    MemBlockDevice device(kBlockSize, 64);
+    auto journal = OpenJournal(&device, 32, 1);
+    ASSERT_NE(journal, nullptr);
+    std::map<BlockNum, Buffer> tx1 = donor_tx1;
+    if (!carries_home) {
+      tx1.erase(5);
+      tx1[7] = RandomBlock(7);  // same record size
+    }
+    ASSERT_TRUE(journal->Commit(1, tx1, {}).ok());
+    ASSERT_TRUE(device.WriteBlock(32 + 3, grafted.span()).ok());
+    ASSERT_TRUE(device.WriteBlock(5, donor_tx1[5].span()).ok());
+
+    auto report = ufs::Journal::Replay(&device);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->tx_id, carries_home ? 2u : 1u);
+    EXPECT_TRUE(ReadBack(device, 5) ==
+                (carries_home ? donor_tx2[5] : donor_tx1[5]));
+    EXPECT_TRUE(ReadBack(device, 6) == tx1[6]);
+  }
+}
+
+// The mask is bound into the tag. Moving a delta's chunk to another
+// position, with the descriptor CRC recomputed to match, must not verify.
+TEST(Journal, ChunksUnderAnotherMaskFailTheTag) {
+  constexpr BlockNum kLog = 32;
+  MemBlockDevice device(kBlockSize, 64);
+  auto journal = OpenJournal(&device, kLog, 1);
+  ASSERT_NE(journal, nullptr);
+  std::map<BlockNum, Buffer> tx1 = {{5, RandomBlock(1)}};
+  ASSERT_TRUE(journal->Commit(1, tx1, {}).ok());  // offsets 0-1
+  std::map<BlockNum, Buffer> tx2 = {{5, Changed(tx1[5], {3 * 128 + 7})}};
+  ASSERT_TRUE(journal->Commit(2, tx2, tx1).ok());  // offset 2
+
+  // tx 2's only entry sits at bytes [40, 64): home, tag, then the mask.
+  // The header CRC at byte 32 covers bytes [0, 32) and the entries.
+  Buffer desc = ReadBack(device, kLog + 2);
+  ASSERT_EQ(LoadLe<uint64_t>(desc.data() + 56), uint64_t{1} << 3);
+  StoreLe<uint64_t>(desc.data() + 56, uint64_t{1} << 4);
+  StoreLe<uint32_t>(desc.data() + 32,
+                    Crc32(desc.subspan(40, 24), Crc32(desc.subspan(0, 32))));
+  ASSERT_TRUE(device.WriteBlock(kLog + 2, desc.span()).ok());
+  Scribble(device, {5});
+
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 1u);
+  EXPECT_TRUE(ReadBack(device, 5) == tx1[5]);
+}
+
+// Chunk bytes are covered by their entry's tag, not the descriptor CRC: a
+// torn chunk of the second entry drops the whole transaction, the first
+// entry's intact delta included.
+TEST(Journal, TornChunkBytesInvalidateWholeTransaction) {
+  constexpr BlockNum kLog = 32;
+  MemBlockDevice device(kBlockSize, 64);
+  auto journal = OpenJournal(&device, kLog, 1);
+  ASSERT_NE(journal, nullptr);
+  std::map<BlockNum, Buffer> tx1 = {{5, RandomBlock(1)}, {6, RandomBlock(2)}};
+  ASSERT_TRUE(journal->Commit(1, tx1, {}).ok());  // offsets 0-2
+  std::map<BlockNum, Buffer> tx2 = {{5, Changed(tx1[5], {0})},
+                                    {6, Changed(tx1[6], {7 * 128})}};
+  ASSERT_TRUE(journal->Commit(2, tx2, tx1).ok());  // offset 3
+
+  // Header, two entries, home 5's chunk, then home 6's.
+  Buffer desc = ReadBack(device, kLog + 3);
+  desc.data()[40 + 2 * 24 + 128 + 10] ^= 0x01;
+  ASSERT_TRUE(device.WriteBlock(kLog + 3, desc.span()).ok());
+  Scribble(device, {5, 6});
+
+  auto report = ufs::Journal::Replay(&device);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->tx_id, 1u);
+  EXPECT_TRUE(ReadBack(device, 5) == tx1[5]);
+  EXPECT_TRUE(ReadBack(device, 6) == tx1[6]);
 }
 
 // --- CrashPlan unit tests ---
@@ -956,6 +1128,166 @@ TEST(CrashRecovery, RetainedBlocksStayBoundedByMetadata) {
   ExpectMatchesModel(again->get(), Model{{"f", content}});
 }
 
+// A metadata-only commit logs the changed chunks of blocks the live log
+// already holds: after a Sync, a SetTimes and Sync appends one descriptor
+// block carrying the superblock's and the inode's chunks.
+TEST(CrashRecovery, SetTimesSyncLogsOneBlock) {
+  auto device = MakeDevice();
+  auto fs = ufs::Ufs::Format(device.get());
+  ASSERT_TRUE(fs.ok());
+  ufs::Ufs* ufs = fs->get();
+  auto ino = ufs->Create(kRootInode, "f", ufs::FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(ufs->Sync().ok());
+  uint64_t logged = metrics::StatValue(*ufs, "journal_log_blocks");
+  ASSERT_TRUE(ufs->SetTimes(*ino, 1000, 2000).ok());
+  ASSERT_TRUE(ufs->Sync().ok());
+  EXPECT_EQ(metrics::StatValue(*ufs, "journal_log_blocks") - logged, 1u);
+
+  ufs->Abandon();
+  fs->reset();
+  auto again = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto attrs = (*again)->GetAttrs(*ino);
+  ASSERT_TRUE(attrs.ok());
+  EXPECT_EQ(attrs->atime_ns, 1000u);
+  EXPECT_EQ(attrs->mtime_ns, 2000u);
+}
+
+// Deltas are taken only against copies the live log holds. The record
+// that follows a checkpoint, and the first record after a mount, log their
+// blocks whole: the descriptor, the superblock and the inode-table block.
+TEST(CrashRecovery, FirstRecordAfterCheckpointOrMountCarriesFullImages) {
+  auto device = MakeDevice();
+  ufs::FormatOptions small_log;
+  small_log.journal_blocks = kWrapJournalBlocks;
+  auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(), small_log);
+  ASSERT_TRUE(fs.ok());
+  auto ino = (*fs)->Create(kRootInode, "f", ufs::FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE((*fs)->Sync().ok());
+  uint64_t time = 0;
+  // Log blocks appended by one SetTimes and Sync.
+  auto touch = [&](ufs::Ufs* ufs) -> uint64_t {
+    uint64_t before = metrics::StatValue(*ufs, "journal_log_blocks");
+    ++time;
+    EXPECT_TRUE(ufs->SetTimes(*ino, time, time).ok());
+    EXPECT_TRUE(ufs->Sync().ok());
+    return metrics::StatValue(*ufs, "journal_log_blocks") - before;
+  };
+
+  const uint64_t checkpoints =
+      metrics::StatValue(**fs, "journal_checkpoints");
+  while (metrics::StatValue(**fs, "journal_checkpoints") == checkpoints) {
+    ASSERT_LT(time, kWrapJournalBlocks) << "the log never filled";
+    uint64_t logged = touch(fs->get());
+    bool checkpointed =
+        metrics::StatValue(**fs, "journal_checkpoints") != checkpoints;
+    EXPECT_EQ(logged, checkpointed ? 3u : 1u) << "SetTimes " << time;
+  }
+  EXPECT_EQ(touch(fs->get()), 1u);
+
+  fs->reset();  // unmount
+  auto again = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(touch(again->get()), 3u);
+  EXPECT_EQ(touch(again->get()), 1u);
+  (*again)->Abandon();
+  again->reset();
+
+  auto last = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  auto attrs = (*last)->GetAttrs(*ino);
+  ASSERT_TRUE(attrs.ok());
+  EXPECT_EQ(attrs->mtime_ns, time);
+  auto report = ufs::Checker(device.get()).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+}
+
+// A file-data home write that fails after its commit must leave retained_
+// holding every block of the committed transaction: the next checkpoint
+// writes retained_ home and truncates the log that held them. File "a"'s
+// data block lies below the root directory's second block, so the failed
+// write comes first in block order.
+TEST(CrashRecovery, FailedHomeWriteNeverCheckpointsStaleMetadata) {
+  auto device = MakeDevice();
+  ufs::FormatOptions small_log;
+  small_log.journal_blocks = kWrapJournalBlocks;
+  auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(), small_log);
+  ASSERT_TRUE(fs.ok());
+  ufs::Ufs* ufs = fs->get();
+  Model model;
+  auto create = [&](const std::string& name) {
+    ASSERT_TRUE(ufs->Create(kRootInode, name, ufs::FileType::kRegular).ok());
+    model[name] = Buffer();
+  };
+  auto write = [&](const std::string& name, uint64_t offset, ByteSpan data) {
+    auto ino = ufs->Lookup(kRootInode, name);
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(ufs->Write(*ino, offset, data).ok());
+    ModelWrite(model, name, offset, data);
+  };
+  create("a");
+  write("a", 0, RandomBlock(1).span());
+  constexpr uint64_t kBigBlocks = 12;
+  Buffer big(kBigBlocks * kBlockSize);
+  Rng(2).Fill(big.mutable_span());
+  create("big");
+  write("big", 0, big.span());
+  for (int i = 0; i < 70; ++i) {
+    create("f" + std::to_string(i));  // the root grows a second block
+  }
+  ASSERT_TRUE(ufs->Sync().ok());
+
+  // Overwrite a's committed block and add "z" to the root's second block.
+  // The commit lands; a's home write after it fails once.
+  write("a", 0, RandomBlock(3).span());
+  create("z");
+  const uint64_t data_start = ufs->superblock().data_start;
+  const uint64_t jnl_start = ufs->superblock().jnl_start();
+  const uint64_t committed = ufs->last_committed_tx() + 1;
+  bool failed = false;
+  device->set_predicate([&](int op, BlockNum block) {
+    if (op == 1 && !failed && block >= data_start && block < jnl_start) {
+      failed = true;
+      return true;
+    }
+    return false;
+  });
+  EXPECT_FALSE(ufs->Sync().ok());
+  ASSERT_TRUE(failed);
+  ASSERT_EQ(ufs->last_committed_tx(), committed);
+  const Model committed_model = model;
+
+  // Now every log write fails. Overwrite one committed block of "big" per
+  // Sync until the growing transaction no longer fits and a checkpoint
+  // runs; its commit fails too.
+  device->set_predicate([&](int op, BlockNum block) {
+    return op == 1 && block >= jnl_start && block + 1 < kDevBlocks;
+  });
+  const uint64_t checkpoints = metrics::StatValue(*ufs, "journal_checkpoints");
+  for (uint64_t i = 0;
+       metrics::StatValue(*ufs, "journal_checkpoints") == checkpoints; ++i) {
+    ASSERT_LT(i, kBigBlocks) << "no checkpoint ran";
+    write("big", i * kBlockSize, RandomBlock(10 + i).span());
+    EXPECT_FALSE(ufs->Sync().ok());
+  }
+  EXPECT_EQ(metrics::StatValue(*ufs, "journal_overflow_syncs"), 0u);
+  EXPECT_EQ(ufs->last_committed_tx(), committed);
+  ufs->Abandon();
+  fs->reset();
+  device->set_predicate(nullptr);
+
+  auto again = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto report = ufs::Checker(device.get()).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+  EXPECT_EQ((*again)->last_committed_tx(), committed);
+  ExpectMatchesModel(again->get(), committed_model);
+}
+
 // --- The crash/recovery property suite: >= 200 seeded crash points ---
 
 // On the first failing seed, print the flight recorder (journal commits,
@@ -963,12 +1295,13 @@ TEST(CrashRecovery, RetainedBlocksStayBoundedByMetadata) {
 // Returns how many seeds crashed inside a checkpoint.
 int RunCrashShard(uint64_t first_seed,
                   const ufs::FormatOptions& options = {},
-                  uint64_t min_checkpoints = 0) {
+                  uint64_t min_checkpoints = 0, int steps = kSteps) {
   bool dumped = false;
   int in_checkpoint = 0;
   for (uint64_t seed = first_seed; seed < first_seed + 55; ++seed) {
     bool crashed_in_checkpoint = false;
-    RunCrashSeed(seed, options, min_checkpoints, &crashed_in_checkpoint);
+    RunCrashSeed(seed, options, min_checkpoints, steps,
+                 &crashed_in_checkpoint);
     in_checkpoint += crashed_in_checkpoint ? 1 : 0;
     if (!dumped && ::testing::Test::HasFailure()) {
       dumped = true;
@@ -990,13 +1323,14 @@ TEST(CrashRecovery, SeededCrashPointsShard1) { RunCrashShard(2000); }
 TEST(CrashRecovery, SeededCrashPointsShard2) { RunCrashShard(3000); }
 TEST(CrashRecovery, SeededCrashPointsShard3) { RunCrashShard(4000); }
 
-// A log small enough that every seed wraps it at least twice, so crash
-// points also land inside checkpoints and anchor rewrites.
+// A log small enough, and a workload long enough, that every seed wraps
+// the log at least twice, so crash points also land inside checkpoints and
+// anchor rewrites.
 TEST(CrashRecovery, SeededCrashPointsWrapShard) {
   ufs::FormatOptions small_log;
   small_log.journal_blocks = kWrapJournalBlocks;
   int in_checkpoint =
-      RunCrashShard(6000, small_log, /*min_checkpoints=*/2);
+      RunCrashShard(6000, small_log, /*min_checkpoints=*/2, kWrapSteps);
   std::printf("wrap shard: %d of 55 seeds crashed inside a checkpoint\n",
               in_checkpoint);
   ::testing::Test::RecordProperty("seeds_crashed_in_checkpoint",
@@ -1004,21 +1338,21 @@ TEST(CrashRecovery, SeededCrashPointsWrapShard) {
   EXPECT_GE(in_checkpoint, 1) << "no crash point landed in a checkpoint";
 }
 
-// Every write of every checkpoint of one wrapping workload as the crash
+// Every write of every checkpoint of one wrap-shard workload as the crash
 // point, under several power-loss outcomes each: the homes, their flush
 // and the anchor rewrite must be ordered so that no outcome loses state.
 TEST(CrashRecovery, CrashAtEveryCheckpointWrite) {
   constexpr uint64_t kSeed = 6000;
   ufs::FormatOptions small_log;
   small_log.journal_blocks = kWrapJournalBlocks;
-  DryRun dry = CountWorkloadWrites(kSeed, small_log);
+  DryRun dry = CountWorkloadWrites(kSeed, small_log, kWrapSteps);
   ASSERT_GE(dry.checkpoint_writes.size(), 2u);
   for (const auto& [first, last] : dry.checkpoint_writes) {
     for (uint64_t write = first; write <= last; ++write) {
       for (uint64_t outcome = 1; outcome <= 4; ++outcome) {
         SCOPED_TRACE("write=" + std::to_string(write) +
                      " outcome=" + std::to_string(outcome));
-        CheckCrashAt(kSeed, small_log, CrashPlan{write, outcome});
+        CheckCrashAt(kSeed, small_log, CrashPlan{write, outcome}, kWrapSteps);
         if (::testing::Test::HasFatalFailure()) {
           return;
         }
