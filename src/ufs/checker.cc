@@ -29,13 +29,8 @@ Result<CheckReport> Checker::Check() {
 
   // Check the image that Mount's replay would produce, as e2fsck replays
   // the journal before it checks: the newest live log copy of each block
-  // overlays its home copy. Mount scans the log under the same condition.
-  RETURN_IF_ERROR(device_->ReadBlock(0, block.mutable_span()));
-  Result<Superblock> home_sb = Superblock::Decode(block.span());
-  LiveLog live;
-  if (!home_sb.ok() || home_sb->jnl_blocks > 0) {
-    ASSIGN_OR_RETURN(live, Journal::Scan(device_));
-  }
+  // overlays its home copy.
+  ASSIGN_OR_RETURN(LiveLog live, Journal::Scan(device_));
   auto read = [&](BlockNum b, MutableByteSpan out) -> Status {
     auto it = live.homes.find(b);
     if (it == live.homes.end()) {
@@ -56,7 +51,11 @@ Result<CheckReport> Checker::Check() {
     report.errors.push_back("superblock block count exceeds device");
     return report;
   }
-  // The data area ends where the (optional) journal region begins.
+  if (sb.jnl_blocks == 0) {
+    report.errors.push_back("superblock names no journal");
+    return report;
+  }
+  // The data area ends where the journal region begins.
   const uint64_t data_end = sb.jnl_start();
   if (sb.data_start >= data_end) {
     report.errors.push_back("superblock geometry leaves no data area");

@@ -28,7 +28,7 @@ struct CheckReport {
 // journal replay would produce: the newest copy of each block in the live
 // log, found by the same validated scan Mount uses, overlays its home copy.
 // Verifies:
-//  * superblock decodes and its geometry fits the device
+//  * superblock decodes, names a journal, and its geometry fits the device
 //  * every allocated inode decodes and has a valid type
 //  * every block referenced by any inode is inside the data area, marked
 //    allocated, and referenced exactly once

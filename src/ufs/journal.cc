@@ -110,7 +110,7 @@ struct RecordShape {
 // transactions. XXH64 is non-linear, and folding in the tx id and home
 // block also rejects stale slot contents left by other transactions, and
 // folding in the mask binds a delta's chunks to the positions they were
-// taken from. Every journaled entry is tagged inside Sync, so the tag sits
+// taken from. Every journaled entry is tagged at commit, so the tag sits
 // on the commit path; XXH64 costs about 0.5 us per 4 KB block.
 uint64_t PayloadTag(uint64_t tx_id, uint64_t home, uint64_t mask,
                     ByteSpan logged) {
@@ -206,6 +206,14 @@ Result<std::unique_ptr<Journal>> Journal::Create(BlockDevice* device,
 uint64_t Journal::RecordBlocks(const std::map<BlockNum, Buffer>& blocks,
                                const std::map<BlockNum, Buffer>& bases) {
   return RecordShape(ChunkMasks(blocks, bases)).blocks();
+}
+
+uint64_t Journal::MaxImages(uint64_t jnl_blocks) {
+  uint64_t images = jnl_blocks > 0 ? jnl_blocks - 1 : 0;  // less the anchor
+  while (images > 0 && 1 + DescBlocksFor(images, 0) + images > jnl_blocks) {
+    --images;
+  }
+  return images;
 }
 
 bool Journal::HasRoom(uint64_t record_blocks) const {

@@ -1,14 +1,16 @@
 // Write-ahead (redo) log for the UFS substrate.
 //
-// The log turns each Ufs::Sync into an atomic transaction: every block that
+// The log turns each UFS commit into an atomic transaction: every block that
 // durable metadata may already reference (superblock, bitmaps, inode table,
 // directory and indirect blocks, and in-place data overwrites) is appended
-// to the log as one checksummed record and flushed before Sync returns.
-// Records accumulate: the log is circular, and a transaction stays live
-// until a checkpoint has written every block it carries to its home
-// location. Recovery replays every live transaction in tx order, so a crash
-// at any point leaves the file system exactly at some committed
-// transaction, never between two.
+// to the log as one checksummed record and flushed before the commit
+// returns. UFS commits at every Sync, and also before an op that could make
+// the record too large for an empty log (MaxImages), so a transaction id
+// may become durable without a Sync. Records accumulate: the log is
+// circular, and a transaction stays live until a checkpoint has written
+// every block it carries to its home location. Recovery replays every live
+// transaction in tx order, so a crash at any point leaves the file system
+// exactly at some committed transaction, never between two.
 //
 // On-disk layout, inside [jnl_start, num_blocks):
 //
@@ -107,6 +109,10 @@ class Journal {
   // for `blocks` with `bases`.
   static uint64_t RecordBlocks(const std::map<BlockNum, Buffer>& blocks,
                                const std::map<BlockNum, Buffer>& bases);
+
+  // The most full images one record can carry in an empty log of a
+  // `jnl_blocks`-block region (anchor included); 0 when there is no log.
+  static uint64_t MaxImages(uint64_t jnl_blocks);
 
   // True when a record of `record_blocks` log blocks fits after the live
   // transactions.

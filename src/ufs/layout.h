@@ -8,8 +8,7 @@
 //   [dbm_start, +dbm_blocks) data-block allocation bitmap
 //   [itb_start, +itb_blocks) inode table (kInodesPerBlock per block)
 //   [data_start, jnl_start)  data blocks
-//   [jnl_start, num_blocks)  write-ahead journal (optional; jnl_blocks may
-//                            be 0, in which case data runs to num_blocks)
+//   [jnl_start, num_blocks)  write-ahead journal
 //
 // The journal is pinned to the *end* of the device so that crash recovery
 // can locate its commit record (always the last device block) without a
@@ -67,11 +66,10 @@ struct Superblock {
   uint64_t free_blocks = 0;
   uint64_t free_inodes = 0;
   uint32_t clean = 1;  // cleared while mounted dirty; checker warns if 0
-  uint64_t jnl_blocks = 0;  // journal block count; 0 = no journal
+  uint64_t jnl_blocks = 0;  // journal block count; Mount refuses 0
   uint64_t last_tx = 0;     // id of the last committed journal transaction
 
-  // First journal block; equals num_blocks when there is no journal, so it
-  // always bounds the data area from above.
+  // First journal block; it bounds the data area from above.
   uint64_t jnl_start() const { return num_blocks - jnl_blocks; }
 
   void Encode(MutableByteSpan block) const;

@@ -5,6 +5,19 @@
 #include "src/support/logging.h"
 
 namespace springfs::ufs {
+namespace {
+
+// The most blocks one op adds to the open transaction: two inode-table
+// blocks, two directory blocks, three pointer blocks and one data block.
+constexpr uint64_t kOpHomes = 8;
+
+// Ufs::tx_limit_ for a log of `jnl_blocks`; 0 when it cannot hold one op.
+uint64_t TransactionLimit(uint64_t jnl_blocks, uint64_t bitmap_blocks) {
+  uint64_t images = Journal::MaxImages(jnl_blocks);
+  return images < 1 + bitmap_blocks + kOpHomes ? 0 : images - 1 - bitmap_blocks;
+}
+
+}  // namespace
 
 // --- Bitmap ---
 
@@ -95,7 +108,7 @@ Ufs::~Ufs() {
     }
   }
   Status st = Sync();
-  if (st.ok() && journaled_) {
+  if (st.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     st = Checkpoint();
   }
@@ -110,27 +123,26 @@ Result<std::unique_ptr<Ufs>> Ufs::Format(BlockDevice* device, Clock* clock,
     return ErrInvalidArgument("device block size must be " +
                               std::to_string(kBlockSize));
   }
-  // Journal sizing: num_blocks/8 clamped to [12, 1024] blocks, shrunk to
-  // what the device can spare. A journal too small to hold a realistic
-  // transaction is dropped entirely rather than formatted useless; an
-  // explicitly requested size is passed through so a bad fit is an error.
-  uint64_t jnl_blocks = 0;
-  if (options.journal) {
-    if (options.journal_blocks != 0) {
-      jnl_blocks = options.journal_blocks;
-    } else {
-      ASSIGN_OR_RETURN(Geometry base, Geometry::Compute(device->num_blocks()));
-      uint64_t spare = base.num_blocks - base.data_start - 4;
-      uint64_t want = std::clamp<uint64_t>(base.num_blocks / 8, 12, 1024);
-      if (std::min(want, spare) >= 8) {
-        jnl_blocks = std::min(want, spare);
-      }
-    }
+  // Journal sizing: num_blocks/8 clamped to [16, 1024] blocks, shrunk to
+  // what the device can spare; an explicit size is taken as given. Either
+  // way a log that cannot hold one op's record is an error.
+  uint64_t jnl_blocks = options.journal_blocks;
+  if (jnl_blocks == 0) {
+    ASSIGN_OR_RETURN(Geometry base, Geometry::Compute(device->num_blocks()));
+    jnl_blocks = std::min(std::clamp<uint64_t>(base.num_blocks / 8, 16, 1024),
+                          base.num_blocks - base.data_start - 4);
   }
   ASSIGN_OR_RETURN(Geometry geo,
                    Geometry::Compute(device->num_blocks(), 0, jnl_blocks));
+  uint64_t tx_limit =
+      TransactionLimit(geo.jnl_blocks, geo.ibm_blocks + geo.dbm_blocks);
+  if (tx_limit == 0) {
+    return ErrInvalidArgument("a journal of " + std::to_string(jnl_blocks) +
+                              " blocks cannot hold one op");
+  }
 
   std::unique_ptr<Ufs> fs(new Ufs(device, clock));
+  fs->tx_limit_ = tx_limit;
   fs->sb_.num_blocks = geo.num_blocks;
   fs->sb_.num_inodes = geo.num_inodes;
   fs->sb_.ibm_start = geo.ibm_start;
@@ -156,22 +168,14 @@ Result<std::unique_ptr<Ufs>> Ufs::Format(BlockDevice* device, Clock* clock,
   // Inode 0 is reserved so that 0 can mean "no inode".
   fs->inode_bitmap_.Set(0);
 
+  // The superblock's home copy is first written at a checkpoint. Until then
+  // block 0 must not hold an earlier file system's superblock, which a crash
+  // before the first commit would leave mountable over the zeroed inode
+  // table. Create zeroes the log, so no earlier record replays here; its
+  // flush makes both durable before the first commit.
   Buffer zero(kBlockSize);
-  // Stale-journal hygiene: a log left on the device by a previous file
-  // system must never replay into this one. A journaled format zeroes the
-  // log and starts a new one; a journal-less format clears the anchor.
-  if (geo.jnl_blocks != 0) {
-    fs->journaled_ = true;
-    // The superblock's home copy is first written at a checkpoint. Until
-    // then block 0 must not hold an earlier file system's superblock, which
-    // Mount would trust without scanning the log: zero it, so Mount and the
-    // checker take the superblock from the log. Create's flush makes this
-    // durable before the first commit.
-    RETURN_IF_ERROR(device->WriteBlock(0, zero.span()));
-    ASSIGN_OR_RETURN(fs->journal_, Journal::Create(device, geo.jnl_start));
-  } else {
-    RETURN_IF_ERROR(device->WriteBlock(geo.num_blocks - 1, zero.span()));
-  }
+  RETURN_IF_ERROR(device->WriteBlock(0, zero.span()));
+  ASSIGN_OR_RETURN(fs->journal_, Journal::Create(device, geo.jnl_start));
   // Zero the inode table so undecodable garbage never looks like an inode.
   for (uint64_t b = 0; b < geo.itb_blocks; ++b) {
     RETURN_IF_ERROR(device->WriteBlock(geo.itb_start + b, zero.span()));
@@ -179,11 +183,8 @@ Result<std::unique_ptr<Ufs>> Ufs::Format(BlockDevice* device, Clock* clock,
 
   fs->sb_.free_blocks = geo.jnl_start - geo.data_start;
   fs->sb_.free_inodes = geo.num_inodes - 1;
-
-  if (fs->journaled_) {
-    ByteSpan raw = fs->data_bitmap_.raw_bits();
-    fs->committed_bits_.assign(raw.begin(), raw.end());
-  }
+  ByteSpan raw = fs->data_bitmap_.raw_bits();
+  fs->committed_bits_.assign(raw.begin(), raw.end());
 
   // Root directory.
   {
@@ -204,33 +205,25 @@ Result<std::unique_ptr<Ufs>> Ufs::Mount(BlockDevice* device, Clock* clock) {
     return ErrInvalidArgument("device block size must be " +
                               std::to_string(kBlockSize));
   }
+  // Redo every live transaction before trusting anything on the device:
+  // the superblock's home copy is written only at checkpoints (Format
+  // leaves it zeroed, and a crash can tear it).
+  ASSIGN_OR_RETURN(ReplayReport replayed, Journal::Replay(device));
+  if (replayed.blocks_replayed > 0) {
+    LOG_INFO << "journal replay: " << replayed.transactions
+             << " transactions up to tx " << replayed.tx_id << " ("
+             << replayed.blocks_replayed << " blocks)";
+  }
   Buffer block(kBlockSize);
   RETURN_IF_ERROR(device->ReadBlock(0, block.mutable_span()));
-  Result<Superblock> decoded = Superblock::Decode(block.span());
-  if (!decoded.ok() || decoded->jnl_blocks > 0) {
-    // Journaled image — or an unreadable superblock, which a journal
-    // replay may repair (the superblock's home copy is written only at
-    // checkpoints: a journaled Format leaves it zeroed, and a crash can
-    // tear it). Redo every live transaction before trusting anything on
-    // the device.
-    ASSIGN_OR_RETURN(ReplayReport replayed, Journal::Replay(device));
-    if (replayed.blocks_replayed > 0) {
-      LOG_INFO << "journal replay: " << replayed.transactions
-               << " transactions up to tx " << replayed.tx_id << " ("
-               << replayed.blocks_replayed << " blocks)";
-    }
-    RETURN_IF_ERROR(device->ReadBlock(0, block.mutable_span()));
-    decoded = Superblock::Decode(block.span());
-  }
-  if (!decoded.ok()) {
-    return decoded.status();
-  }
-  Superblock sb = decoded.take_value();
+  ASSIGN_OR_RETURN(Superblock sb, Superblock::Decode(block.span()));
   if (sb.num_blocks > device->num_blocks()) {
     return ErrCorrupted("superblock claims more blocks than the device has");
   }
-  if (sb.jnl_blocks > 0 && sb.data_start + 1 > sb.jnl_start()) {
-    return ErrCorrupted("journal overlaps file-system metadata");
+  uint64_t tx_limit =
+      TransactionLimit(sb.jnl_blocks, sb.ibm_blocks + sb.dbm_blocks);
+  if (tx_limit == 0 || sb.data_start + 1 > sb.jnl_start()) {
+    return ErrCorrupted("superblock names no journal that holds one op");
   }
 
   std::unique_ptr<Ufs> fs(new Ufs(device, clock));
@@ -239,14 +232,12 @@ Result<std::unique_ptr<Ufs>> Ufs::Mount(BlockDevice* device, Clock* clock) {
   fs->data_bitmap_ = Bitmap(sb.num_blocks, sb.dbm_start);
   RETURN_IF_ERROR(fs->inode_bitmap_.Load(*device));
   RETURN_IF_ERROR(fs->data_bitmap_.Load(*device));
-  if (sb.jnl_blocks > 0) {
-    // The replayed log is all home now; start a new one.
-    fs->journaled_ = true;
-    ASSIGN_OR_RETURN(fs->journal_,
-                     Journal::Open(device, sb.jnl_start(), sb.last_tx + 1));
-    ByteSpan raw = fs->data_bitmap_.raw_bits();
-    fs->committed_bits_.assign(raw.begin(), raw.end());
-  }
+  // The replayed log is all home now; start a new one.
+  ASSIGN_OR_RETURN(fs->journal_,
+                   Journal::Open(device, sb.jnl_start(), sb.last_tx + 1));
+  ByteSpan raw = fs->data_bitmap_.raw_bits();
+  fs->committed_bits_.assign(raw.begin(), raw.end());
+  fs->tx_limit_ = tx_limit;
   fs->last_committed_tx_ = sb.last_tx;
 
   // Find the largest generation in use so new inodes stay unique. A linear
@@ -354,29 +345,24 @@ Status Ufs::FreeBlock(BlockNum block) {
 }
 
 Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
-  if (journaled_) {
-    const Buffer* held = nullptr;
-    if (auto it = pending_.find(block); it != pending_.end()) {
-      held = &it->second.data;
-    } else if (auto r = retained_.find(block); r != retained_.end()) {
-      held = &r->second;
-    }
-    if (held != nullptr) {
-      SPRINGFS_CHECK(out.size() >= kBlockSize);
-      std::memcpy(out.data(), held->data(), kBlockSize);
-      return Status::Ok();
-    }
+  const Buffer* held = nullptr;
+  if (auto it = pending_.find(block); it != pending_.end()) {
+    held = &it->second.data;
+  } else if (auto r = retained_.find(block); r != retained_.end()) {
+    held = &r->second;
   }
-  return device_->ReadBlock(block, out);
+  if (held == nullptr) {
+    return device_->ReadBlock(block, out);
+  }
+  SPRINGFS_CHECK(out.size() >= kBlockSize);
+  std::memcpy(out.data(), held->data(), kBlockSize);
+  return Status::Ok();
 }
 
 Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data, bool file_data) {
-  if (journaled_) {
-    SPRINGFS_CHECK(data.size() == kBlockSize);
-    pending_.insert_or_assign(block, PendingBlock{Buffer(data), file_data});
-    return Status::Ok();
-  }
-  return device_->WriteBlock(block, data);
+  SPRINGFS_CHECK(data.size() == kBlockSize);
+  pending_.insert_or_assign(block, PendingBlock{Buffer(data), file_data});
+  return Status::Ok();
 }
 
 // --- block mapping ---
@@ -596,16 +582,18 @@ Status Ufs::DirAddEntry(InodeNum dir_ino, Inode* dir_inode,
       }
     }
   }
-  // All slots full: grow the directory by one block.
-  ASSIGN_OR_RETURN(BlockNum dev_block,
-                   MapFileBlock(dir_inode, num_dir_blocks, /*allocate=*/true));
+  // All slots full: grow the directory by one block. The inode goes back
+  // even if that fails: MapFileBlock may have set a pointer in it.
+  Result<BlockNum> dev_block =
+      MapFileBlock(dir_inode, num_dir_blocks, /*allocate=*/true);
+  RETURN_IF_ERROR(WriteInode(dir_ino));
+  RETURN_IF_ERROR(dev_block.status());
   std::memset(block.data(), 0, kBlockSize);
   DirEntry fresh{target, std::string(name)};
   fresh.Encode(block.mutable_span().subspan(0, kDirEntrySize));
-  RETURN_IF_ERROR(WriteDeviceBlock(dev_block, block.span()));
   dir_inode->size = (num_dir_blocks + 1) * kBlockSize;
   dir_inode->mtime_ns = clock_->Now();
-  return WriteInode(dir_ino);
+  return WriteDeviceBlock(*dev_block, block.span());
 }
 
 Status Ufs::DirRemoveEntry(Inode* dir_inode, std::string_view name) {
@@ -677,6 +665,7 @@ Result<InodeNum> Ufs::Create(InodeNum dir, std::string_view name,
     return ErrInvalidArgument("cannot create this file type");
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * dir_inode, GetInode(dir));
   if (dir_inode->type != FileType::kDirectory) {
     return ErrNotADirectory("inode " + std::to_string(dir));
@@ -703,6 +692,7 @@ Result<InodeNum> Ufs::Create(InodeNum dir, std::string_view name,
 
 Status Ufs::Remove(InodeNum dir, std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * dir_inode, GetInode(dir));
   if (dir_inode->type != FileType::kDirectory) {
     return ErrNotADirectory("inode " + std::to_string(dir));
@@ -728,6 +718,7 @@ Status Ufs::Remove(InodeNum dir, std::string_view name) {
 
 Status Ufs::Link(InodeNum dir, std::string_view name, InodeNum target) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * dir_inode, GetInode(dir));
   if (dir_inode->type != FileType::kDirectory) {
     return ErrNotADirectory("inode " + std::to_string(dir));
@@ -753,6 +744,7 @@ Status Ufs::Link(InodeNum dir, std::string_view name, InodeNum target) {
 Status Ufs::Rename(InodeNum src_dir, std::string_view src_name,
                    InodeNum dst_dir, std::string_view dst_name) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * src_inode, GetInode(src_dir));
   ASSIGN_OR_RETURN(Inode * dst_inode, GetInode(dst_dir));
   if (src_inode->type != FileType::kDirectory ||
@@ -807,6 +799,7 @@ Result<std::vector<NamedEntry>> Ufs::ReadDir(InodeNum dir) {
 
 Result<size_t> Ufs::Read(InodeNum ino, uint64_t offset, MutableByteSpan out) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));  // the atime
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
   if (inode->type == FileType::kDirectory) {
     return ErrIsADirectory("read of directory inode");
@@ -838,13 +831,23 @@ Result<size_t> Ufs::Read(InodeNum ino, uint64_t offset, MutableByteSpan out) {
 
 Result<size_t> Ufs::Write(InodeNum ino, uint64_t offset, ByteSpan data) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // A write that fits an empty transaction reserves room for all of its
+  // blocks and lands in one. A larger one lands block by block, each block
+  // its own op, so the transaction may close between any two of them.
+  uint64_t blocks = (offset % kBlockSize + data.size() + kBlockSize - 1) /
+                    kBlockSize;
+  bool whole = blocks + kOpHomes <= tx_limit_;
+  RETURN_IF_ERROR(MakeRoom(whole ? blocks + kOpHomes : kOpHomes));
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
   if (inode->type == FileType::kDirectory) {
     return ErrIsADirectory("write of directory inode");
   }
   size_t done = 0;
   Buffer block(kBlockSize);
-  while (done < data.size()) {
+  auto land_next_block = [&]() -> Status {
+    if (done > 0 && !whole) {
+      RETURN_IF_ERROR(MakeRoom(kOpHomes));
+    }
     uint64_t file_block = (offset + done) / kBlockSize;
     size_t in_block = (offset + done) % kBlockSize;
     size_t chunk = std::min<size_t>(kBlockSize - in_block, data.size() - done);
@@ -858,17 +861,27 @@ Result<size_t> Ufs::Write(InodeNum ino, uint64_t offset, ByteSpan data) {
     std::memcpy(block.data() + in_block, data.data() + done, chunk);
     RETURN_IF_ERROR(WriteFileData(dev_block, block.span()));
     done += chunk;
+    // The size and pointers go back with every block: a commit before the
+    // next one then holds a file that ends at the bytes that landed.
+    inode->size = std::max<uint64_t>(inode->size, offset + done);
+    return WriteInode(ino);
+  };
+  Status status;
+  while (status.ok() && done < data.size()) {
+    status = land_next_block();
   }
-  if (offset + data.size() > inode->size) {
-    inode->size = offset + data.size();
-  }
+  // Also after a failure: MapFileBlock may have set a pointer in the inode.
   inode->mtime_ns = clock_->Now();
   RETURN_IF_ERROR(WriteInode(ino));
-  return data.size();
+  if (done == 0 && !status.ok()) {
+    return status;
+  }
+  return done;  // short when a block failed after others landed
 }
 
 Status Ufs::Truncate(InodeNum ino, uint64_t new_size) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
   if (inode->type == FileType::kDirectory) {
     return ErrIsADirectory("truncate of directory inode");
@@ -916,11 +929,13 @@ Status Ufs::WriteFileBlock(InodeNum ino, uint64_t file_block, ByteSpan data) {
     return ErrInvalidArgument("block write span must be one block");
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
-  ASSIGN_OR_RETURN(BlockNum dev_block,
-                   MapFileBlock(inode, file_block, /*allocate=*/true));
-  RETURN_IF_ERROR(WriteFileData(dev_block, data));
-  return WriteInode(ino);
+  Result<BlockNum> dev_block =
+      MapFileBlock(inode, file_block, /*allocate=*/true);
+  RETURN_IF_ERROR(WriteInode(ino));  // even on failure: a pointer may be set
+  RETURN_IF_ERROR(dev_block.status());
+  return WriteFileData(*dev_block, data);
 }
 
 // --- attributes ---
@@ -941,6 +956,7 @@ Result<InodeAttrs> Ufs::GetAttrs(InodeNum ino) {
 
 Status Ufs::SetTimes(InodeNum ino, uint64_t atime_ns, uint64_t mtime_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
   inode->atime_ns = atime_ns;
   inode->mtime_ns = mtime_ns;
@@ -949,6 +965,7 @@ Status Ufs::SetTimes(InodeNum ino, uint64_t atime_ns, uint64_t mtime_ns) {
 
 Status Ufs::SetSize(InodeNum ino, uint64_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
+  RETURN_IF_ERROR(MakeRoom(kOpHomes));
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
   if (inode->type == FileType::kDirectory) {
     return ErrIsADirectory("set_length of directory inode");
@@ -965,6 +982,27 @@ Status Ufs::SetSize(InodeNum ino, uint64_t size) {
 
 Status Ufs::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
+  return Commit();
+}
+
+Status Ufs::MakeRoom(uint64_t homes) {
+  uint64_t open_blocks = pending_.size();
+  if (open_blocks + inode_cache_.size() + homes <= tx_limit_) {
+    return Status::Ok();  // room even if every cached inode is dirty
+  }
+  // inode_cache_ is in inode order, so dirty inodes that share an
+  // inode-table block are adjacent.
+  uint64_t itb_block = ~0ull;
+  for (const auto& [ino, cached] : inode_cache_) {
+    if (cached.dirty && ino / kInodesPerBlock != itb_block) {
+      itb_block = ino / kInodesPerBlock;
+      ++open_blocks;
+    }
+  }
+  return open_blocks + homes > tx_limit_ ? Commit() : Status::Ok();
+}
+
+Status Ufs::Commit() {
   Buffer block(kBlockSize);
   // Dirty inodes, grouped by inode-table block.
   for (auto& [ino, cached] : inode_cache_) {
@@ -983,16 +1021,6 @@ Status Ufs::Sync() {
   };
   RETURN_IF_ERROR(inode_bitmap_.FlushDirty(writer));
   RETURN_IF_ERROR(data_bitmap_.FlushDirty(writer));
-  if (journaled_) {
-    return SyncJournaled();
-  }
-  sb_.clean = 1;
-  sb_.Encode(block.mutable_span());
-  RETURN_IF_ERROR(WriteDeviceBlock(0, block.span()));
-  return device_->Flush();
-}
-
-Status Ufs::SyncJournaled() {
   if (pending_.empty()) {
     // Nothing changed since the last commit; the log already holds the
     // current state.
@@ -1019,32 +1047,11 @@ Status Ufs::SyncJournaled() {
   Buffer sb_block(kBlockSize);
   sb_.Encode(sb_block.mutable_span());
   journaled.insert_or_assign(0, std::move(sb_block));
-  // Size the record by its deltas against retained_. A checkpoint empties
-  // retained_, so the record is then sized again as full images.
-  bool fits = journal_->HasRoom(Journal::RecordBlocks(journaled, retained_));
-  if (!fits) {
+  // Size the record by its deltas against retained_. MakeRoom keeps every
+  // record small enough to fit an empty log as full images, so after a
+  // checkpoint (which empties the log and retained_) it fits.
+  if (!journal_->HasRoom(Journal::RecordBlocks(journaled, retained_))) {
     RETURN_IF_ERROR(Checkpoint());
-    fits = journal_->HasRoom(Journal::RecordBlocks(journaled, retained_));
-  }
-  if (!fits) {
-    // Transaction larger than the whole log: fall back to unprotected
-    // in-place writes — for this sync the guarantees degrade to those of a
-    // journal-less file system. The checkpoint above took the live log
-    // home first: replaying any of its records over these newer writes
-    // would roll blocks back.
-    ++journal_overflow_syncs_;
-    sb_.last_tx = last_committed_tx_;
-    sb_.Encode(journaled[0].mutable_span());
-    RETURN_IF_ERROR(device_->WriteBlock(0, journaled[0].span()));
-    for (const auto& [b, pending] : pending_) {
-      if (b == 0) {
-        continue;  // superblock freshly encoded above
-      }
-      RETURN_IF_ERROR(device_->WriteBlock(b, pending.data.span()));
-    }
-    RETURN_IF_ERROR(device_->Flush());
-    FinishJournalEpoch();
-    return Status::Ok();
   }
 
   // Phase 1: ordered writes. These blocks are unreferenced until the
@@ -1133,10 +1140,7 @@ void Ufs::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("inode_cache_misses", cache_misses_);
   emit("journal_commits", journal_commits_);
   // Blocks appended to the log, descriptors included.
-  emit("journal_log_blocks", journaled_ ? journal_->appended_blocks() : 0);
-  // Syncs whose transaction exceeded the journal and fell back to
-  // unprotected in-place writes (crash tests keep this at 0).
-  emit("journal_overflow_syncs", journal_overflow_syncs_);
+  emit("journal_log_blocks", journal_->appended_blocks());
   emit("journal_checkpoints", journal_checkpoints_);
   emit("checkpoint_blocks", checkpoint_blocks_);
   // Gauge: metadata blocks held in memory because the live log has them

@@ -3,13 +3,13 @@
 // This is the storage substrate underneath the Spring disk layer. It keeps
 // an in-memory inode cache (the paper notes the disk layer "maintains its
 // own cache to handle open and stat operations without requiring disk
-// I/Os") but deliberately performs no data caching: reads and writes go to
-// the device, matching Table 2's disk-layer behaviour ("reads and writes to
-// the disk layer do require disk I/Os"). Data caching is the job of the VMM
-// and the coherency layer above. When journaled, UFS also serves reads of
-// the metadata blocks (superblock, bitmaps, inode-table, directory and
-// indirect blocks) that the live log holds newer than their home copies,
-// until a checkpoint writes them home; it never holds committed file data.
+// I/Os"); data caching is the job of the VMM and the coherency layer above.
+// Still, every write lands in the open journal transaction, which serves
+// reads of it until the commit; so unlike the paper's disk layer ("reads
+// and writes to the disk layer do require disk I/Os"), Table 2's uncached
+// rows make no device I/O. UFS also serves reads of the metadata blocks
+// that the live log holds newer than their home copies, until a checkpoint
+// writes them home; it never holds committed file data.
 
 #ifndef SPRINGFS_UFS_UFS_H_
 #define SPRINGFS_UFS_UFS_H_
@@ -80,10 +80,8 @@ struct NamedEntry {
 };
 
 struct FormatOptions {
-  // Reserve a write-ahead journal so metadata survives crashes. On devices
-  // too small to host a useful journal the region is silently omitted.
-  bool journal = true;
-  // Explicit journal size in blocks (0 = auto: num_blocks/8, clamped).
+  // Journal size in blocks (0 = auto: num_blocks/8, clamped). Format fails
+  // when the log cannot hold the record of one op.
   uint64_t journal_blocks = 0;
 };
 
@@ -129,10 +127,10 @@ class Ufs : public metrics::StatsProvider {
   Status SetSize(InodeNum ino, uint64_t size);
 
   // Makes all dirty state (data, inodes, bitmaps, superblock) durable and
-  // returns once it is. When journaled, the whole sync is one atomic
-  // transaction: ordered data is written and flushed, then the log record
-  // is appended and flushed. The record logs each metadata block that the
-  // live log already holds as the 128-byte chunks that changed since, and
+  // returns once it is. The whole sync is one atomic transaction: ordered
+  // data is written and flushed, then the log record is appended and
+  // flushed. The record logs each metadata block that the live log already
+  // holds as the 128-byte chunks that changed since, and
   // every other block whole. File-data overwrites are written home right
   // after the commit; metadata stays in memory until a checkpoint writes it
   // home (when the log needs space, or at unmount). A crash at any device
@@ -144,11 +142,10 @@ class Ufs : public metrics::StatsProvider {
   // device.
   void Abandon();
 
-  // True when this file system has a write-ahead journal.
-  bool journaled() const { return journaled_; }
-  // Id of the last journal transaction known durable (0 = none / no
-  // journal). After a crash and remount this identifies which sync's state
-  // the recovered image carries.
+  // Id of the last journal transaction known durable. It also advances
+  // without a Sync: an op first commits the open transaction when it could
+  // otherwise outgrow the log. After a crash and remount this identifies
+  // which commit's state the recovered image carries.
   uint64_t last_committed_tx() const;
 
   const Superblock& superblock() const { return sb_; }
@@ -177,9 +174,9 @@ class Ufs : public metrics::StatsProvider {
   // Frees all blocks mapping file indices >= first_block.
   Status FreeBlocksFrom(Inode* inode, uint64_t first_block);
 
-  // Device access. When journaled, writes land in `pending_` (the open
-  // transaction); reads see pending content first, then `retained_`;
-  // nothing touches the device between syncs except cache-miss reads.
+  // Device access. Writes land in `pending_` (the open transaction); reads
+  // see pending content first, then `retained_`; nothing touches the device
+  // between commits except cache-miss reads.
   // WriteFileData marks the block as file data, which is written home at
   // commit instead of being retained.
   Status ReadDeviceBlock(BlockNum block, MutableByteSpan out);
@@ -189,10 +186,13 @@ class Ufs : public metrics::StatsProvider {
     return WriteDeviceBlock(block, data, /*file_data=*/true);
   }
 
-  // Journaled sync: partitions `pending_` into freshly-allocated blocks
-  // that no live log record names (written in place, "ordered" mode) and
+  // Commits the open transaction if an op adding up to `homes` blocks could
+  // take it past tx_limit_. Ops call it before they change anything.
+  Status MakeRoom(uint64_t homes);
+  // Sync's work: partitions `pending_` into freshly-allocated blocks that
+  // no live log record names (written in place, "ordered" mode) and
   // everything else (journaled), then commits.
-  Status SyncJournaled();
+  Status Commit();
   // Writes every retained block home in block order, flushes, and frees
   // the whole log.
   Status Checkpoint();
@@ -230,17 +230,19 @@ class Ufs : public metrics::StatsProvider {
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;
 
-  // Journal state (only used when journaled_).
+  // Journal state.
   struct PendingBlock {
     Buffer data;
     bool file_data = false;
   };
-  bool journaled_ = false;
   bool abandoned_ = false;
   std::unique_ptr<Journal> journal_;
-  // The open transaction: every block written since the last Sync. It has
-  // no bound: a transaction closes only at Sync, and one that outgrows the
-  // log takes the degraded in-place path in SyncJournaled.
+  // The most blocks the open transaction may hold, so that its record, with
+  // the superblock and every bitmap block, fits an empty log as full images.
+  uint64_t tx_limit_ = 0;
+  // The open transaction: every block written since the last commit. With
+  // the dirty inodes' table blocks, MakeRoom keeps it within tx_limit_, so
+  // its commit fits after at most one checkpoint.
   std::map<BlockNum, PendingBlock> pending_;
   // Committed blocks whose home copy is older than the log. For every home
   // it holds, exactly what replay of the live log rebuilds: the base each
@@ -251,7 +253,6 @@ class Ufs : public metrics::StatsProvider {
   std::vector<uint8_t> committed_bits_;  // data bitmap at the last commit
   uint64_t last_committed_tx_ = 0;
   uint64_t journal_commits_ = 0;
-  uint64_t journal_overflow_syncs_ = 0;
   uint64_t journal_checkpoints_ = 0;
   uint64_t checkpoint_blocks_ = 0;
 };

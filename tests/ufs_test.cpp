@@ -333,15 +333,73 @@ TEST_F(UfsTest, MountRejectsUnformattedDevice) {
   EXPECT_FALSE(Ufs::Mount(&raw).ok());
 }
 
+// A write larger than the free space lands what fits, as a short write:
+// every block it allocated stays referenced by the file, whose size covers
+// exactly the bytes that landed. Only a write that lands nothing fails.
 TEST_F(UfsTest, OutOfSpaceIsReported) {
   MemBlockDevice tiny(kBlockSize, 32);
   Result<std::unique_ptr<Ufs>> fs = Ufs::Format(&tiny, clock_.get());
   ASSERT_TRUE(fs.ok());
   InodeNum ino = *(*fs)->Create(kRootInode, "f", FileType::kRegular);
+  ASSERT_TRUE((*fs)->Sync().ok());
   Rng rng(6);
   Buffer big = rng.RandomBuffer(64 * kBlockSize);
   Result<size_t> written = (*fs)->Write(ino, 0, big.span());
-  EXPECT_EQ(written.status().code(), ErrorCode::kNoSpace);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_GT(*written, 0u);
+  EXPECT_LT(*written, big.size());
+  EXPECT_EQ((*fs)->GetAttrs(ino)->size, *written);
+  Buffer got(*written);
+  ASSERT_EQ(*(*fs)->Read(ino, 0, got.mutable_span()), *written);
+  EXPECT_TRUE(got == Buffer(big.subspan(0, *written)));
+
+  ByteSpan rest = big.span().subspan(*written);
+  EXPECT_EQ((*fs)->Write(ino, *written, rest).status().code(),
+            ErrorCode::kNoSpace);
+  ASSERT_TRUE((*fs)->Sync().ok());
+  Result<CheckReport> report = Checker(&tiny).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+}
+
+// An op that runs out of space after MapFileBlock allocated the indirect
+// block still writes back the inode that points at it, so nothing leaks:
+// a block write into a file, and a link that grows a full directory.
+TEST_F(UfsTest, OutOfSpaceAfterAPointerBlockLeaksNothing) {
+  Buffer block(kBlockSize);
+  auto expect_clean = [](Ufs* fs, BlockDevice* device) {
+    ASSERT_TRUE(fs->Sync().ok());
+    EXPECT_EQ(fs->FreeBlocks(), 0u);
+    Result<CheckReport> report = Checker(device).Check();
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->Summary();
+  };
+  {
+    MemBlockDevice tiny(kBlockSize, 32);
+    std::unique_ptr<Ufs> fs = Ufs::Format(&tiny, clock_.get()).take_value();
+    InodeNum ino = *fs->Create(kRootInode, "f", FileType::kRegular);
+    for (uint64_t fb = 0; fs->FreeBlocks() > 1; ++fb) {
+      ASSERT_TRUE(fs->WriteFileBlock(ino, fb, block.span()).ok());
+    }
+    ASSERT_TRUE(fs->Sync().ok());
+    EXPECT_EQ(fs->WriteFileBlock(ino, kNumDirect, block.span()).code(),
+              ErrorCode::kNoSpace);
+    expect_clean(fs.get(), &tiny);
+  }
+  {
+    MemBlockDevice small(kBlockSize, 64);
+    std::unique_ptr<Ufs> fs = Ufs::Format(&small, clock_.get()).take_value();
+    InodeNum ino = *fs->Create(kRootInode, "f", FileType::kRegular);
+    for (uint32_t i = 1; i < kNumDirect * kDirEntriesPerBlock; ++i) {
+      ASSERT_TRUE(fs->Link(kRootInode, "l" + std::to_string(i), ino).ok());
+    }
+    for (uint64_t fb = 0; fs->FreeBlocks() > 1; ++fb) {
+      ASSERT_TRUE(fs->WriteFileBlock(ino, fb, block.span()).ok());
+    }
+    ASSERT_TRUE(fs->Sync().ok());
+    EXPECT_EQ(fs->Link(kRootInode, "full", ino).code(), ErrorCode::kNoSpace);
+    expect_clean(fs.get(), &small);
+  }
 }
 
 TEST_F(UfsTest, InodeCacheServesRepeatLookups) {
@@ -371,6 +429,24 @@ TEST_F(UfsTest, CheckerDetectsCorruptSuperblock) {
   Result<CheckReport> report = checker.Check();
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->clean());
+}
+
+// Every file system is journaled, so a superblock that names no journal is
+// damage.
+TEST_F(UfsTest, CheckerDetectsSuperblockWithoutJournal) {
+  fs_.reset();  // unmount: checkpoint every metadata block home
+  Buffer block(kBlockSize);
+  ASSERT_TRUE(device_->ReadBlock(0, block.mutable_span()).ok());
+  Result<Superblock> sb = Superblock::Decode(block.span());
+  ASSERT_TRUE(sb.ok());
+  sb->jnl_blocks = 0;
+  sb->Encode(block.mutable_span());
+  ASSERT_TRUE(device_->WriteBlock(0, block.span()).ok());
+  Result<CheckReport> report = Checker(device_.get()).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->clean());
+  EXPECT_NE(report->Summary().find("names no journal"), std::string::npos)
+      << report->Summary();
 }
 
 TEST_F(UfsTest, CheckerDetectsLinkCountMismatch) {
