@@ -2,15 +2,15 @@
 //
 // The log turns each UFS commit into an atomic transaction: every block that
 // durable metadata may already reference (superblock, bitmaps, inode table,
-// directory and indirect blocks, and in-place data overwrites) is appended
-// to the log as one checksummed record and flushed before the commit
-// returns. UFS commits at every Sync, and also before an op that could make
-// the record too large for an empty log (MaxImages), so a transaction id
-// may become durable without a Sync. Records accumulate: the log is
-// circular, and a transaction stays live until a checkpoint has written
-// every block it carries to its home location. Recovery replays every live
-// transaction in tx order, so a crash at any point leaves the file system
-// exactly at some committed transaction, never between two.
+// directory and indirect blocks, and file data that UFS found no fresh
+// block for) is appended to the log as one checksummed record and flushed
+// before the commit returns. UFS commits at every Sync, and also before an
+// op that could make the record too large for an empty log (MaxImages), so
+// a transaction id may become durable without a Sync. Records accumulate:
+// the log is circular, and a transaction stays live until a checkpoint has
+// written every block it carries to its home location. Recovery replays
+// every live transaction in tx order, so a crash at any point leaves the
+// file system exactly at some committed transaction, never between two.
 //
 // On-disk layout, inside [jnl_start, num_blocks):
 //
@@ -25,12 +25,12 @@
 // either as a full image or as a delta: the 128-byte chunks that differ
 // from the newest copy an earlier live record carries, one mask bit per
 // chunk. Commit takes a delta only against a base the caller passes, and
-// only for a home that a live record names; UFS passes none for file data,
-// so file data, and the first record to name a block after a Truncate or
-// in a new log, carry full images. The deltas' chunks follow the entries,
-// packed in entry order, and the descriptor area is zero-padded to a block
-// boundary; then come the full images, one block each, in entry order. A
-// record of a few metadata deltas is one block.
+// only for a home that a live record names, so the first record to name a
+// block after a Truncate or in a new log carries a full image. The deltas'
+// chunks follow the entries, packed in entry order, and the descriptor
+// area is zero-padded to a block boundary; then come the full images, one
+// block each, in entry order. A record of a few metadata deltas is one
+// block.
 //
 // The payload tag is an XXH64 of the entry's logged bytes (the image, or
 // its packed chunks) folded with the tx id, home block and mask:

@@ -347,7 +347,7 @@ Status Ufs::FreeBlock(BlockNum block) {
 Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
   const Buffer* held = nullptr;
   if (auto it = pending_.find(block); it != pending_.end()) {
-    held = &it->second.data;
+    held = &it->second;
   } else if (auto r = retained_.find(block); r != retained_.end()) {
     held = &r->second;
   }
@@ -359,9 +359,9 @@ Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
   return Status::Ok();
 }
 
-Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data, bool file_data) {
+Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data) {
   SPRINGFS_CHECK(data.size() == kBlockSize);
-  pending_.insert_or_assign(block, PendingBlock{Buffer(data), file_data});
+  pending_.insert_or_assign(block, Buffer(data));
   return Status::Ok();
 }
 
@@ -369,48 +369,57 @@ Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data, bool file_data) {
 
 Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
                                    bool allocate) {
+  // With `allocate`, points `slot` at a block the op may overwrite: a fresh
+  // zeroed one for a hole and, for a leaf data slot, a fresh one in place
+  // of a block the open transaction has not written (durable state
+  // references it, so it keeps its bytes until the commit lands). That
+  // block is freed first, so a full device hands it back and the commit
+  // journals it.
+  auto place = [&](uint64_t* slot, bool leaf) -> Status {
+    bool move = leaf && *slot != 0 && pending_.count(*slot) == 0;
+    if (!allocate || (*slot != 0 && !move)) {
+      return Status::Ok();
+    }
+    if (move) {
+      RETURN_IF_ERROR(FreeBlock(*slot));
+    }
+    ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
+    Buffer zero(kBlockSize);
+    RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
+    *slot = fresh;
+    return Status::Ok();
+  };
+
   // Direct pointers.
   if (file_block < kNumDirect) {
-    if (inode->direct[file_block] == 0 && allocate) {
-      ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
-      Buffer zero(kBlockSize);
-      RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
-      inode->direct[file_block] = fresh;
-    }
+    RETURN_IF_ERROR(place(&inode->direct[file_block], /*leaf=*/true));
     return BlockNum{inode->direct[file_block]};
   }
   file_block -= kNumDirect;
 
-  // Reads/writes one pointer inside a pointer block, allocating the pointer
-  // block itself when needed.
+  // Follows one pointer inside a pointer block, placing the pointer block
+  // itself and then the pointer.
   auto step = [&](uint64_t* slot_holder, uint64_t index,
-                  bool alloc_leaf) -> Result<BlockNum> {
+                  bool leaf) -> Result<BlockNum> {
+    RETURN_IF_ERROR(place(slot_holder, /*leaf=*/false));
     if (*slot_holder == 0) {
-      if (!allocate) {
-        return BlockNum{0};
-      }
-      ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
-      Buffer zero(kBlockSize);
-      RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
-      *slot_holder = fresh;
+      return BlockNum{0};
     }
     Buffer ptr_block(kBlockSize);
     RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, ptr_block.mutable_span()));
     uint64_t target = LoadLe<uint64_t>(ptr_block.data() + 8 * index);
-    if (target == 0 && allocate && alloc_leaf) {
-      ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
-      Buffer zero(kBlockSize);
-      RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
-      StoreLe<uint64_t>(ptr_block.data() + 8 * index, fresh);
+    uint64_t placed = target;
+    RETURN_IF_ERROR(place(&placed, leaf));
+    if (placed != target) {
+      StoreLe<uint64_t>(ptr_block.data() + 8 * index, placed);
       RETURN_IF_ERROR(WriteDeviceBlock(*slot_holder, ptr_block.span()));
-      target = fresh;
     }
-    return BlockNum{target};
+    return BlockNum{placed};
   };
 
   // Single indirect.
   if (file_block < kPtrsPerBlock) {
-    return step(&inode->indirect, file_block, /*alloc_leaf=*/true);
+    return step(&inode->indirect, file_block, /*leaf=*/true);
   }
   file_block -= kPtrsPerBlock;
 
@@ -419,13 +428,13 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
     uint64_t outer = file_block / kPtrsPerBlock;
     uint64_t inner = file_block % kPtrsPerBlock;
     // First hop: find (or create) the second-level pointer block.
-    ASSIGN_OR_RETURN(BlockNum level2, step(&inode->dindirect, outer,
-                                           /*alloc_leaf=*/allocate));
+    ASSIGN_OR_RETURN(BlockNum level2,
+                     step(&inode->dindirect, outer, /*leaf=*/false));
     if (level2 == 0) {
       return BlockNum{0};
     }
     uint64_t level2_holder = level2;
-    return step(&level2_holder, inner, /*alloc_leaf=*/true);
+    return step(&level2_holder, inner, /*leaf=*/true);
   }
   return ErrOutOfRange("file offset beyond maximum file size");
 }
@@ -851,15 +860,20 @@ Result<size_t> Ufs::Write(InodeNum ino, uint64_t offset, ByteSpan data) {
     uint64_t file_block = (offset + done) / kBlockSize;
     size_t in_block = (offset + done) % kBlockSize;
     size_t chunk = std::min<size_t>(kBlockSize - in_block, data.size() - done);
+    // A partial block keeps its other bytes: read them before the block
+    // moves.
+    std::memset(block.data(), 0, kBlockSize);
+    if (in_block != 0 || chunk != kBlockSize) {
+      ASSIGN_OR_RETURN(BlockNum current,
+                       MapFileBlock(inode, file_block, /*allocate=*/false));
+      if (current != 0) {
+        RETURN_IF_ERROR(ReadDeviceBlock(current, block.mutable_span()));
+      }
+    }
     ASSIGN_OR_RETURN(BlockNum dev_block,
                      MapFileBlock(inode, file_block, /*allocate=*/true));
-    if (in_block != 0 || chunk != kBlockSize) {
-      RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
-    } else {
-      std::memset(block.data(), 0, kBlockSize);
-    }
     std::memcpy(block.data() + in_block, data.data() + done, chunk);
-    RETURN_IF_ERROR(WriteFileData(dev_block, block.span()));
+    RETURN_IF_ERROR(WriteDeviceBlock(dev_block, block.span()));
     done += chunk;
     // The size and pointers go back with every block: a commit before the
     // next one then holds a file that ends at the bytes that landed.
@@ -891,15 +905,17 @@ Status Ufs::Truncate(InodeNum ino, uint64_t new_size) {
     RETURN_IF_ERROR(FreeBlocksFrom(inode, first_block));
     // Zero the tail of the new last block so re-extension reads zeros.
     if (new_size % kBlockSize != 0) {
+      uint64_t last = new_size / kBlockSize;
       ASSIGN_OR_RETURN(BlockNum dev_block,
-                       MapFileBlock(inode, new_size / kBlockSize,
-                                    /*allocate=*/false));
+                       MapFileBlock(inode, last, /*allocate=*/false));
       if (dev_block != 0) {
         Buffer block(kBlockSize);
         RETURN_IF_ERROR(ReadDeviceBlock(dev_block, block.mutable_span()));
         std::memset(block.data() + new_size % kBlockSize, 0,
                     kBlockSize - new_size % kBlockSize);
-        RETURN_IF_ERROR(WriteFileData(dev_block, block.span()));
+        ASSIGN_OR_RETURN(dev_block,
+                         MapFileBlock(inode, last, /*allocate=*/true));
+        RETURN_IF_ERROR(WriteDeviceBlock(dev_block, block.span()));
       }
     }
   }
@@ -935,7 +951,7 @@ Status Ufs::WriteFileBlock(InodeNum ino, uint64_t file_block, ByteSpan data) {
       MapFileBlock(inode, file_block, /*allocate=*/true);
   RETURN_IF_ERROR(WriteInode(ino));  // even on failure: a pointer may be set
   RETURN_IF_ERROR(dev_block.status());
-  return WriteFileData(*dev_block, data);
+  return WriteDeviceBlock(*dev_block, data);
 }
 
 // --- attributes ---
@@ -1027,18 +1043,20 @@ Status Ufs::Commit() {
     return device_->Flush();
   }
   // Partition the open transaction. Blocks that durable state may already
-  // reference go through the log: the whole metadata area, data blocks
-  // that were allocated at the last commit, and any home a live log record
-  // names (replay of that older record would overwrite an in-place write).
-  // Every other block is invisible until this commit lands, so it is
-  // written in place first ("ordered" mode) without log traffic.
+  // reference go through the log: the whole metadata area, data-area
+  // blocks that were allocated at the last commit (directory and pointer
+  // blocks, and file data that an overwrite found no fresh block for), and
+  // any home a live log record names (replay of that older record would
+  // overwrite an in-place write). Every other block is invisible until
+  // this commit lands, so it is written in place first ("ordered" mode)
+  // without log traffic.
   std::map<BlockNum, Buffer> journaled;
   std::vector<std::pair<BlockNum, const Buffer*>> ordered;
-  for (const auto& [b, pending] : pending_) {
+  for (const auto& [b, data] : pending_) {
     if (b < sb_.data_start || CommittedBitSet(b) || journal_->Names(b)) {
-      journaled.emplace(b, Buffer(pending.data.span()));
+      journaled.emplace(b, Buffer(data.span()));
     } else {
-      ordered.emplace_back(b, &pending.data);
+      ordered.emplace_back(b, &data);
     }
   }
   uint64_t tx = last_committed_tx_ + 1;
@@ -1067,25 +1085,14 @@ Status Ufs::Commit() {
   RETURN_IF_ERROR(journal_->Commit(tx, journaled, retained_));
   last_committed_tx_ = tx;
   ++journal_commits_;
-  // Phase 3: file data goes home now; metadata stays in memory and serves
-  // reads until a checkpoint writes it home. Neither needs a flush here:
-  // until the checkpoint's flush, replay restores both from the log. Every
-  // journaled block is retained before any home write, so retained_ holds
-  // what replay rebuilds even when one fails: the next checkpoint then
-  // writes it home, and the next delta is taken against it.
-  std::vector<BlockNum> file_data;
+  // Every journaled block stays in memory and serves reads until a
+  // checkpoint writes it home; until the checkpoint's flush, replay
+  // restores it from the log. Only now: a record that did not land must
+  // never reach a checkpoint, nor be the base of the next delta.
   for (auto& [b, buf] : journaled) {
-    auto it = pending_.find(b);
-    if (it != pending_.end() && it->second.file_data) {
-      file_data.push_back(b);
-    }
     retained_.insert_or_assign(b, std::move(buf));
   }
   FinishJournalEpoch();
-  for (BlockNum b : file_data) {
-    RETURN_IF_ERROR(device_->WriteBlock(b, retained_[b].span()));
-    retained_.erase(b);
-  }
   return Status::Ok();
 }
 
@@ -1143,8 +1150,8 @@ void Ufs::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("journal_log_blocks", journal_->appended_blocks());
   emit("journal_checkpoints", journal_checkpoints_);
   emit("checkpoint_blocks", checkpoint_blocks_);
-  // Gauge: metadata blocks held in memory because the live log has them
-  // newer than their home copies.
+  // Gauge: blocks held in memory because the live log has them newer than
+  // their home copies.
   emit("retained_blocks", retained_.size());
 }
 

@@ -7,9 +7,11 @@
 // Still, every write lands in the open journal transaction, which serves
 // reads of it until the commit; so unlike the paper's disk layer ("reads
 // and writes to the disk layer do require disk I/Os"), Table 2's uncached
-// rows make no device I/O. UFS also serves reads of the metadata blocks
-// that the live log holds newer than their home copies, until a checkpoint
-// writes them home; it never holds committed file data.
+// rows make no device I/O. UFS also serves reads of the blocks that the
+// live log holds newer than their home copies, until a checkpoint writes
+// them home. Those are metadata: an overwrite moves a file block to a fresh
+// device block, written in place, so committed file data is held only when
+// no fresh block was free.
 
 #ifndef SPRINGFS_UFS_UFS_H_
 #define SPRINGFS_UFS_UFS_H_
@@ -128,13 +130,14 @@ class Ufs : public metrics::StatsProvider {
 
   // Makes all dirty state (data, inodes, bitmaps, superblock) durable and
   // returns once it is. The whole sync is one atomic transaction: ordered
-  // data is written and flushed, then the log record is appended and
-  // flushed. The record logs each metadata block that the live log already
-  // holds as the 128-byte chunks that changed since, and
-  // every other block whole. File-data overwrites are written home right
-  // after the commit; metadata stays in memory until a checkpoint writes it
-  // home (when the log needs space, or at unmount). A crash at any device
-  // write leaves the file system either before or after the transaction.
+  // data (every fresh block, overwritten file data included, since an
+  // overwrite moves) is written in place and flushed, then the log record
+  // is appended and flushed. The record logs each block that the live log
+  // already holds as the 128-byte chunks that changed since, and every
+  // other block whole. Logged blocks stay in memory until a checkpoint
+  // writes them home (when the log needs space, or at unmount). A crash at
+  // any device write leaves the file system either before or after the
+  // transaction.
   Status Sync();
 
   // Marks the instance dead: the destructor skips its unmount sync and
@@ -168,7 +171,11 @@ class Ufs : public metrics::StatsProvider {
   Status FreeBlock(BlockNum block);
 
   // Maps file block index -> device block. With allocate=false, returns 0
-  // for holes; with allocate=true, allocates and records a new block.
+  // for holes. With allocate=true, returns a block the caller overwrites
+  // whole: it allocates one for a hole, and moves a data block that the
+  // open transaction has not written to a fresh one, so the committed
+  // bytes stay put until the commit lands. Pointer blocks never move, and
+  // directories use allocate=true only to grow.
   Result<BlockNum> MapFileBlock(Inode* inode, uint64_t file_block,
                                 bool allocate);
   // Frees all blocks mapping file indices >= first_block.
@@ -177,14 +184,8 @@ class Ufs : public metrics::StatsProvider {
   // Device access. Writes land in `pending_` (the open transaction); reads
   // see pending content first, then `retained_`; nothing touches the device
   // between commits except cache-miss reads.
-  // WriteFileData marks the block as file data, which is written home at
-  // commit instead of being retained.
   Status ReadDeviceBlock(BlockNum block, MutableByteSpan out);
-  Status WriteDeviceBlock(BlockNum block, ByteSpan data,
-                          bool file_data = false);
-  Status WriteFileData(BlockNum block, ByteSpan data) {
-    return WriteDeviceBlock(block, data, /*file_data=*/true);
-  }
+  Status WriteDeviceBlock(BlockNum block, ByteSpan data);
 
   // Commits the open transaction if an op adding up to `homes` blocks could
   // take it past tx_limit_. Ops call it before they change anything.
@@ -231,10 +232,6 @@ class Ufs : public metrics::StatsProvider {
   mutable uint64_t cache_misses_ = 0;
 
   // Journal state.
-  struct PendingBlock {
-    Buffer data;
-    bool file_data = false;
-  };
   bool abandoned_ = false;
   std::unique_ptr<Journal> journal_;
   // The most blocks the open transaction may hold, so that its record, with
@@ -243,12 +240,12 @@ class Ufs : public metrics::StatsProvider {
   // The open transaction: every block written since the last commit. With
   // the dirty inodes' table blocks, MakeRoom keeps it within tx_limit_, so
   // its commit fits after at most one checkpoint.
-  std::map<BlockNum, PendingBlock> pending_;
+  std::map<BlockNum, Buffer> pending_;
   // Committed blocks whose home copy is older than the log. For every home
   // it holds, exactly what replay of the live log rebuilds: the base each
-  // commit takes its deltas against. Every metadata home in the live log,
-  // and a file-data block only while its home write after the commit has
-  // not succeeded. Bounded by the log's size. Emptied by Checkpoint.
+  // commit takes its deltas against. Every home in the live log: metadata,
+  // and file data only when an overwrite found no fresh block to move to.
+  // Bounded by the log's size. Emptied by Checkpoint.
   std::map<BlockNum, Buffer> retained_;
   std::vector<uint8_t> committed_bits_;  // data bitmap at the last commit
   uint64_t last_committed_tx_ = 0;

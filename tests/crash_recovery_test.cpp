@@ -57,9 +57,9 @@ constexpr Workload kRareSync{130, 8};
 // name -> file content; the workload's in-memory truth.
 using Model = std::map<std::string, Buffer>;
 
-std::unique_ptr<FaultyBlockDevice> MakeDevice() {
+std::unique_ptr<FaultyBlockDevice> MakeDevice(uint64_t blocks = kDevBlocks) {
   return std::make_unique<FaultyBlockDevice>(
-      std::make_unique<MemBlockDevice>(kBlockSize, kDevBlocks));
+      std::make_unique<MemBlockDevice>(kBlockSize, blocks));
 }
 
 void ModelWrite(Model& model, const std::string& name, uint64_t offset,
@@ -1098,7 +1098,9 @@ TEST(CrashRecovery, TransactionLargerThanTheLogCommitsEarly) {
 
 // The reuse rule: a freshly allocated block that a live log record still
 // names must be journaled, not written in place as ordered data, or replay
-// of that older record overwrites the new file's bytes.
+// of that older record overwrites the new file's bytes. A file-data
+// overwrite moves to a fresh block and reaches no record, so the named
+// home here is a directory block.
 TEST(CrashRecovery, ReusedLiveLogHomeIsJournaled) {
   // 20 data blocks and a 40-block journal: the allocator wraps to reuse a
   // freed block long before the log needs a checkpoint.
@@ -1108,15 +1110,14 @@ TEST(CrashRecovery, ReusedLiveLogHomeIsJournaled) {
   auto fs = ufs::Ufs::Format(&device, &DefaultClock(), options);
   ASSERT_TRUE(fs.ok());
   ufs::Ufs* ufs = fs->get();
-  auto a = ufs->Create(kRootInode, "a", ufs::FileType::kRegular);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(ufs->Write(*a, 0, RandomBlock(1).span()).ok());
+  auto d = ufs->Create(kRootInode, "d", ufs::FileType::kDirectory);
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(ufs->Create(*d, "x", ufs::FileType::kRegular).ok());
   ASSERT_TRUE(ufs->Sync().ok());
-  // The overwrite puts a's block into a log record as a home...
-  ASSERT_TRUE(ufs->Write(*a, 0, RandomBlock(2).span()).ok());
-  ASSERT_TRUE(ufs->Sync().ok());
-  // ...which is then freed while that record is still live.
-  ASSERT_TRUE(ufs->Remove(kRootInode, "a").ok());
+  // Removing the entry puts d's block into a log record as a home, and
+  // removing d frees that block while the record is live.
+  ASSERT_TRUE(ufs->Remove(*d, "x").ok());
+  ASSERT_TRUE(ufs->Remove(kRootInode, "d").ok());
   ASSERT_TRUE(ufs->Sync().ok());
 
   // Fill every free block, the freed one included: 12 direct blocks, one
@@ -1146,7 +1147,7 @@ TEST(CrashRecovery, ReusedLiveLogHomeIsJournaled) {
 
 // UFS holds only metadata of the live log in memory. Commits that overwrite
 // file data worth several logs retain no more than the metadata blocks they
-// touched, and the file data is home after each commit.
+// touched: each overwrite moves its blocks to fresh ones, written in place.
 TEST(CrashRecovery, RetainedBlocksStayBoundedByMetadata) {
   auto device = MakeDevice();
   ufs::FormatOptions small_log;
@@ -1175,8 +1176,9 @@ TEST(CrashRecovery, RetainedBlocksStayBoundedByMetadata) {
         << "round " << round;
     if (metrics::StatValue(*ufs, "journal_checkpoints") > 0) {
       // After a checkpoint only the overwrites' own metadata comes back:
-      // the superblock and the inode-table block.
-      EXPECT_LE(metrics::StatValue(*ufs, "retained_blocks"), 2u)
+      // the superblock, the inode-table block and the data bitmap, which
+      // each move changes.
+      EXPECT_LE(metrics::StatValue(*ufs, "retained_blocks"), 3u)
           << "round " << round;
     }
   }
@@ -1267,48 +1269,155 @@ TEST(CrashRecovery, FirstRecordAfterCheckpointOrMountCarriesFullImages) {
   EXPECT_TRUE(report->clean()) << report->Summary();
 }
 
-// A file-data home write that fails after its commit must leave retained_
-// holding every block of the committed transaction: the next checkpoint
-// writes retained_ home and truncates the log that held them. File "a"'s
-// data block lies below the root directory's second block, so the failed
-// write comes first in block order.
-TEST(CrashRecovery, FailedHomeWriteNeverCheckpointsStaleMetadata) {
+// An overwrite moves the file block to a fresh device block, written in
+// place as ordered data: the record carries only the metadata deltas (one
+// log block), and the committed bytes stay where they were.
+TEST(CrashRecovery, OverwriteLeavesTheCommittedBlockUntouched) {
   auto device = MakeDevice();
-  ufs::FormatOptions small_log;
-  small_log.journal_blocks = kWrapJournalBlocks;
-  auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(), small_log);
+  auto fs = ufs::Ufs::Format(device.get());
   ASSERT_TRUE(fs.ok());
   ufs::Ufs* ufs = fs->get();
-  Model model;
-  auto create = [&](const std::string& name) {
-    ASSERT_TRUE(ufs->Create(kRootInode, name, ufs::FileType::kRegular).ok());
-    model[name] = Buffer();
-  };
-  auto write = [&](const std::string& name, uint64_t offset, ByteSpan data) {
-    auto ino = ufs->Lookup(kRootInode, name);
-    ASSERT_TRUE(ino.ok());
-    ASSERT_TRUE(ufs->Write(*ino, offset, data).ok());
-    ModelWrite(model, name, offset, data);
-  };
-  create("a");
-  write("a", 0, RandomBlock(1).span());
-  constexpr uint64_t kBigBlocks = 12;
-  Buffer big(kBigBlocks * kBlockSize);
-  Rng(2).Fill(big.mutable_span());
-  create("big");
-  write("big", 0, big.span());
-  for (int i = 0; i < 70; ++i) {
-    create("f" + std::to_string(i));  // the root grows a second block
+  auto ino = ufs->Create(kRootInode, "f", ufs::FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  const Buffer committed = RandomBlock(1);
+  ASSERT_TRUE(ufs->Write(*ino, 0, committed.span()).ok());
+  ASSERT_TRUE(ufs->Sync().ok());
+  const uint64_t logged = metrics::StatValue(*ufs, "journal_log_blocks");
+  const Buffer overwrite = RandomBlock(2);
+  ASSERT_TRUE(ufs->Write(*ino, 0, overwrite.span()).ok());
+  ASSERT_TRUE(ufs->Sync().ok());
+  EXPECT_EQ(metrics::StatValue(*ufs, "journal_log_blocks") - logged, 1u);
+  int copies = 0;
+  for (BlockNum b = 0; b < kDevBlocks; ++b) {
+    copies += ReadBack(*device, b) == committed ? 1 : 0;
   }
+  EXPECT_EQ(copies, 1) << "device blocks holding the committed bytes";
+
+  ufs->Abandon();
+  fs->reset();
+  auto again = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectMatchesModel(again->get(), Model{{"f", overwrite}});
+  auto report = ufs::Checker(device.get()).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+}
+
+// On a full device a moved block gets its own block back, which the commit
+// journals. One direct block and a range through the indirect block are
+// overwritten; a crash at any device write of that recovers a clean file
+// system holding either the old bytes or the new. Allocating the fresh
+// block before freeing the old one would fail the overwrite with kNoSpace.
+TEST(CrashRecovery, OverwriteOnAFullDeviceIsJournaled) {
+  constexpr uint64_t kSmallDevBlocks = 64;
+  ufs::FormatOptions options;
+  options.journal_blocks = 24;
+  Buffer before;
+  Buffer after;
+  const uint64_t range_offset = 10 * kBlockSize + 100;
+  Buffer range(4 * kBlockSize);
+  Rng(3).Fill(range.mutable_span());
+  // Formats, fills the device with one file and syncs; then `arm` runs,
+  // and the file is overwritten and synced. `synced` is that Sync's result
+  // and `logged` the log blocks it appended.
+  auto run = [&](FaultyBlockDevice* device, const std::function<void()>& arm,
+                 bool* synced, uint64_t* logged) {
+    auto fs = ufs::Ufs::Format(device, &DefaultClock(), options);
+    ASSERT_TRUE(fs.ok());
+    auto ino = (*fs)->Create(kRootInode, "f", ufs::FileType::kRegular);
+    ASSERT_TRUE(ino.ok());
+    // Every free block: the file's data and its indirect block.
+    before = Buffer(((*fs)->FreeBlocks() - 1) * kBlockSize);
+    Rng(1).Fill(before.mutable_span());
+    ASSERT_EQ(*(*fs)->Write(*ino, 0, before.span()), before.size());
+    ASSERT_EQ((*fs)->FreeBlocks(), 0u);
+    ASSERT_TRUE((*fs)->Sync().ok());
+    after = before;
+    after.WriteAt(0, RandomBlock(2).span());
+    after.WriteAt(range_offset, range.span());
+    arm();
+    *logged = metrics::StatValue(**fs, "journal_log_blocks");
+    *synced = (*fs)->Write(*ino, 0, RandomBlock(2).span()).ok() &&
+              (*fs)->Write(*ino, range_offset, range.span()).ok() &&
+              (*fs)->Sync().ok();
+    *logged = metrics::StatValue(**fs, "journal_log_blocks") - *logged;
+    (*fs)->Abandon();
+  };
+  // Remounts and checks the image; returns whether f holds `after`.
+  auto recover = [&](FaultyBlockDevice* device, bool* overwritten) {
+    auto recovered = ufs::Ufs::Mount(device);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    auto report = ufs::Checker(device).Check();
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->Summary();
+    *overwritten = ModelMismatch(recovered->get(), Model{{"f", after}}).empty();
+    EXPECT_TRUE(*overwritten ||
+                ModelMismatch(recovered->get(), Model{{"f", before}}).empty())
+        << "neither the old bytes nor the new";
+  };
+
+  uint64_t writes = 0;
+  uint64_t logged = 0;
+  {
+    auto device = MakeDevice(kSmallDevBlocks);
+    bool synced = false;
+    run(device.get(), [&] {
+      device->set_predicate([&](int op, BlockNum) {
+        writes += op == 1 ? 1 : 0;
+        return false;
+      });
+    }, &synced, &logged);
+    ASSERT_TRUE(synced);
+    // Six file blocks overwritten, each logged whole.
+    EXPECT_GT(logged, 6u) << "the overwrite was not journaled";
+    device->set_predicate(nullptr);
+    bool overwritten = false;
+    recover(device.get(), &overwritten);
+    EXPECT_TRUE(overwritten) << "the acknowledged Sync did not survive";
+  }
+  ASSERT_GT(writes, 0u);
+
+  for (uint64_t write = 1; write <= writes; ++write) {
+    for (uint64_t outcome = 1; outcome <= 4; ++outcome) {
+      SCOPED_TRACE("write=" + std::to_string(write) + " of " +
+                   std::to_string(writes) +
+                   " outcome=" + std::to_string(outcome));
+      auto device = MakeDevice(kSmallDevBlocks);
+      bool synced = true;
+      run(device.get(), [&] { device->ArmCrash(CrashPlan{write, outcome}); },
+          &synced, &logged);
+      ASSERT_TRUE(device->crashed());
+      EXPECT_FALSE(synced);
+      device->RecoverAfterCrash();
+      bool overwritten = false;
+      recover(device.get(), &overwritten);
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+    }
+  }
+  std::printf("full-device overwrite sweep: %lu writes\n",
+              static_cast<unsigned long>(writes));
+}
+
+// A moved block's ordered write fails once: the Sync fails and commits
+// nothing, and the next Sync writes it again and commits. The block it
+// moved from was freed, so no block leaks or is referenced twice.
+TEST(CrashRecovery, FailedOrderedWriteOfAMovedBlockIsRetried) {
+  auto device = MakeDevice();
+  auto fs = ufs::Ufs::Format(device.get());
+  ASSERT_TRUE(fs.ok());
+  ufs::Ufs* ufs = fs->get();
+  auto ino = ufs->Create(kRootInode, "a", ufs::FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(ufs->Write(*ino, 0, RandomBlock(1).span()).ok());
   ASSERT_TRUE(ufs->Sync().ok());
 
-  // Overwrite a's committed block and add "z" to the root's second block.
-  // The commit lands; a's home write after it fails once.
-  write("a", 0, RandomBlock(3).span());
-  create("z");
+  const Buffer overwrite = RandomBlock(2);
+  ASSERT_TRUE(ufs->Write(*ino, 0, overwrite.span()).ok());
   const uint64_t data_start = ufs->superblock().data_start;
   const uint64_t jnl_start = ufs->superblock().jnl_start();
-  const uint64_t committed = ufs->last_committed_tx() + 1;
+  const uint64_t committed = ufs->last_committed_tx();
   bool failed = false;
   device->set_predicate([&](int op, BlockNum block) {
     if (op == 1 && !failed && block >= data_start && block < jnl_start) {
@@ -1319,20 +1428,76 @@ TEST(CrashRecovery, FailedHomeWriteNeverCheckpointsStaleMetadata) {
   });
   EXPECT_FALSE(ufs->Sync().ok());
   ASSERT_TRUE(failed);
-  ASSERT_EQ(ufs->last_committed_tx(), committed);
-  const Model committed_model = model;
+  EXPECT_EQ(ufs->last_committed_tx(), committed);
+  ASSERT_TRUE(ufs->Sync().ok());
+  EXPECT_EQ(ufs->last_committed_tx(), committed + 1);
+  ufs->Abandon();
+  fs->reset();
+  device->set_predicate(nullptr);
 
-  // Now every log write fails. Overwrite one committed block of "big" per
-  // Sync until the growing transaction no longer fits and a checkpoint
-  // runs; its commit fails too.
+  auto again = ufs::Ufs::Mount(device.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto report = ufs::Checker(device.get()).Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+  ExpectMatchesModel(again->get(), Model{{"a", overwrite}});
+}
+
+// A commit whose record did not land must never reach a checkpoint: its
+// journaled blocks join retained_ only once the record is durable. The
+// live log is filled to two blocks short of full, so the failed
+// overwrite's record still fits and runs no checkpoint; the next commit's
+// does not fit, and its checkpoint must write home only committed state.
+TEST(CrashRecovery, FailedCommitNeverReachesALaterCheckpoint) {
+  auto device = MakeDevice();
+  ufs::FormatOptions small_log;
+  small_log.journal_blocks = kWrapJournalBlocks;
+  auto fs = ufs::Ufs::Format(device.get(), &DefaultClock(), small_log);
+  ASSERT_TRUE(fs.ok());
+  ufs::Ufs* ufs = fs->get();
+  auto ino = ufs->Create(kRootInode, "a", ufs::FileType::kRegular);
+  ASSERT_TRUE(ino.ok());
+  const Model committed_model{{"a", RandomBlock(1)}};
+  ASSERT_TRUE(ufs->Write(*ino, 0, committed_model.at("a").span()).ok());
+  ASSERT_TRUE(ufs->Sync().ok());
+
+  // One-block SetTimes Syncs; the one that checkpoints logs 3 blocks into
+  // the emptied log. `used` counts the live log's blocks from then on.
+  const uint64_t log_blocks = kWrapJournalBlocks - 1;  // less the anchor
+  uint64_t used = 0;
+  uint64_t checkpoints = metrics::StatValue(*ufs, "journal_checkpoints");
+  for (uint64_t time = 1; used == 0 || used + 2 < log_blocks; ++time) {
+    ASSERT_LT(time, 2 * kWrapJournalBlocks) << "the log never filled";
+    uint64_t logged = metrics::StatValue(*ufs, "journal_log_blocks");
+    ASSERT_TRUE(ufs->SetTimes(*ino, time, time).ok());
+    ASSERT_TRUE(ufs->Sync().ok());
+    logged = metrics::StatValue(*ufs, "journal_log_blocks") - logged;
+    if (metrics::StatValue(*ufs, "journal_checkpoints") != checkpoints) {
+      checkpoints = metrics::StatValue(*ufs, "journal_checkpoints");
+      used = logged;
+    } else if (used != 0) {
+      used += logged;
+    }
+  }
+  ASSERT_EQ(used + 2, log_blocks);
+  const uint64_t committed = ufs->last_committed_tx();
+
+  // Every log write fails. The overwrite's record (a descriptor of deltas
+  // and the data bitmap whole) fits, so its commit runs no checkpoint.
+  const uint64_t jnl_start = ufs->superblock().jnl_start();
   device->set_predicate([&](int op, BlockNum block) {
     return op == 1 && block >= jnl_start && block + 1 < kDevBlocks;
   });
-  const uint64_t checkpoints = metrics::StatValue(*ufs, "journal_checkpoints");
-  for (uint64_t i = 0;
+  ASSERT_TRUE(ufs->Write(*ino, 0, RandomBlock(2).span()).ok());
+  EXPECT_FALSE(ufs->Sync().ok());
+  EXPECT_EQ(metrics::StatValue(*ufs, "journal_checkpoints"), checkpoints);
+  // Creates grow the open transaction until its record no longer fits and
+  // a checkpoint runs; the commit after it fails too.
+  for (int i = 0;
        metrics::StatValue(*ufs, "journal_checkpoints") == checkpoints; ++i) {
-    ASSERT_LT(i, kBigBlocks) << "no checkpoint ran";
-    write("big", i * kBlockSize, RandomBlock(10 + i).span());
+    ASSERT_LT(i, 8) << "no checkpoint ran";
+    ASSERT_TRUE(ufs->Create(kRootInode, "f" + std::to_string(i),
+                            ufs::FileType::kRegular).ok());
     EXPECT_FALSE(ufs->Sync().ok());
   }
   EXPECT_EQ(ufs->last_committed_tx(), committed);
