@@ -2,10 +2,17 @@
 //
 // "The base disk layer implements an on-disk UFS compatible file system. It
 // does not, however, implement a coherency algorithm." It serves page-in/
-// page-out traffic straight from the device, answers opens and stats from
-// its inode cache, and performs no coherency callbacks — stacking the
+// page-out traffic through UFS block operations, answers opens and stats
+// from UFS's caches, and performs no coherency callbacks — stacking the
 // generic coherency layer on top (src/layers/coherent) is what makes the
 // resulting SFS coherent (section 6.3).
+//
+// What it caches: no data and no attributes of its own. It holds per-inode
+// File objects, pager keys and the pager channel table, so that each file
+// has one identity and one pager per cache manager. Opens and stats are
+// served by UFS's inode and directory-entry caches. Reads are served from
+// UFS's open transaction, then from the journal's live copies (metadata
+// blocks the live log holds newer than their homes), then from the device.
 //
 // As a naming context: regular files resolve to File objects, directories
 // to sub-contexts; Bind of a File implemented by this layer creates a hard

@@ -237,9 +237,14 @@ Status Journal::WriteAnchor() {
   return device_->Flush();
 }
 
-Status Journal::Commit(uint64_t tx_id,
-                       const std::map<BlockNum, Buffer>& blocks,
-                       const std::map<BlockNum, Buffer>& bases) {
+const Buffer* Journal::Find(BlockNum home) const {
+  auto it = live_.find(home);
+  return it == live_.end() ? nullptr : &it->second;
+}
+
+Status Journal::Commit(
+    uint64_t tx_id, std::map<BlockNum, Buffer> blocks,
+    const std::vector<std::pair<BlockNum, ByteSpan>>& ordered) {
   if (tx_id != next_tx_) {
     return ErrInvalidArgument("journal expects tx " + std::to_string(next_tx_) +
                               ", got " + std::to_string(tx_id));
@@ -248,12 +253,27 @@ Status Journal::Commit(uint64_t tx_id,
   if (n == 0) {
     return ErrInvalidArgument("empty journal transaction");
   }
-  std::vector<uint64_t> masks = ChunkMasks(blocks, bases);
+  std::vector<uint64_t> masks = ChunkMasks(blocks, live_);
+  if (!HasRoom(RecordShape(masks).blocks())) {
+    // The checkpoint empties the live copies, so every home goes whole.
+    RETURN_IF_ERROR(Checkpoint());
+    masks.assign(n, kFullImage);
+  }
   RecordShape shape(masks);
   if (!HasRoom(shape.blocks())) {
     return ErrNoSpace("transaction of " + std::to_string(shape.blocks()) +
                       " log blocks exceeds free journal space");
   }
+
+  // Ordered writes. No durable state references these blocks until the
+  // record lands, so a crash in this window is invisible.
+  if (!ordered.empty()) {
+    for (const auto& [b, data] : ordered) {
+      RETURN_IF_ERROR(device_->WriteBlock(b, data));
+    }
+    RETURN_IF_ERROR(device_->Flush());
+  }
+
   Buffer desc(shape.desc_blocks * kBlockSize);
   uint8_t* p = desc.data();
   StoreLe<uint32_t>(p + kRhMagic, kRecordMagic);
@@ -266,7 +286,6 @@ Status Journal::Commit(uint64_t tx_id,
   for (const auto& [home, image] : blocks) {
     SPRINGFS_CHECK(image.size() == kBlockSize);
     SPRINGFS_CHECK(home < jnl_start_);  // homes never point into the log
-    SPRINGFS_CHECK(!bases.count(home) || Names(home));
     uint64_t mask = masks[i];
     ByteSpan logged = image.span();
     if (mask != kFullImage) {
@@ -309,17 +328,34 @@ Status Journal::Commit(uint64_t tx_id,
   used_ += shape.blocks();
   appended_blocks_ += shape.blocks();
   ++next_tx_;
-  for (const auto& [home, image] : blocks) {
-    homes_.insert(home);
+  // Only now: a record that did not land must never reach a checkpoint,
+  // nor be the base of the next delta.
+  for (auto& [home, image] : blocks) {
+    live_.insert_or_assign(home, std::move(image));
   }
   return Status::Ok();
 }
 
-Status Journal::Truncate() {
+Status Journal::Checkpoint() {
+  // Every record carries at least one home, so no live copy means no live
+  // record.
+  if (live_.empty()) {
+    return Status::Ok();
+  }
+  // Homes in block order, then one flush: only once they are durable may
+  // the anchor stop naming the records that carry them.
+  for (const auto& [home, image] : live_) {
+    RETURN_IF_ERROR(device_->WriteBlock(home, image.span()));
+  }
+  RETURN_IF_ERROR(device_->Flush());
+  // Forget the copies before the anchor write: a base for a home the log
+  // does not name is never valid, even when that write fails.
+  ++checkpoints_;
+  checkpoint_blocks_ += live_.size();
+  live_.clear();
   tail_pos_ = head_;
   tail_tx_ = next_tx_;
   used_ = 0;
-  homes_.clear();
   return WriteAnchor();
 }
 
@@ -439,20 +475,16 @@ Result<LiveLog> Journal::Scan(BlockDevice* device) {
   return live;
 }
 
-Result<ReplayReport> Journal::Replay(BlockDevice* device) {
+Result<LiveLog> Journal::Replay(BlockDevice* device) {
   ASSIGN_OR_RETURN(LiveLog live, Scan(device));
-  ReplayReport report;
   if (live.transactions == 0) {
-    return report;
+    return live;
   }
   for (const auto& [home, data] : live.homes) {
     RETURN_IF_ERROR(device->WriteBlock(home, data.span()));
   }
   RETURN_IF_ERROR(device->Flush());
-  report.tx_id = live.last_tx;
-  report.transactions = live.transactions;
-  report.blocks_replayed = live.homes.size();
-  return report;
+  return live;
 }
 
 }  // namespace springfs::ufs

@@ -12,6 +12,13 @@
 // every live transaction in tx order, so a crash at any point leaves the
 // file system exactly at some committed transaction, never between two.
 //
+// The journal owns the live log in memory too: the newest committed copy
+// of every home a live record carries, which is exactly what replay would
+// rebuild. These copies serve UFS's reads of their homes (Find), are the
+// bases of the next record's deltas, and are what a checkpoint writes
+// home. A block becomes a live copy only once its record has landed, so a
+// record that failed is never a delta base and never reaches a checkpoint.
+//
 // On-disk layout, inside [jnl_start, num_blocks):
 //
 //   [jnl_start, num_blocks - 1)  the circular log: records of
@@ -23,14 +30,12 @@
 // count and a CRC over the header and the entries (24 bytes each: home
 // block u64, payload tag u64, chunk mask u64). An entry logs its home
 // either as a full image or as a delta: the 128-byte chunks that differ
-// from the newest copy an earlier live record carries, one mask bit per
-// chunk. Commit takes a delta only against a base the caller passes, and
-// only for a home that a live record names, so the first record to name a
-// block after a Truncate or in a new log carries a full image. The deltas'
-// chunks follow the entries, packed in entry order, and the descriptor
-// area is zero-padded to a block boundary; then come the full images, one
-// block each, in entry order. A record of a few metadata deltas is one
-// block.
+// from the home's live copy, one mask bit per chunk. A home with no live
+// copy (the first record to name it after a checkpoint, or in a new log)
+// is logged whole. The deltas' chunks follow the entries, packed in entry
+// order, and the descriptor area is zero-padded to a block boundary; then
+// come the full images, one block each, in entry order. A record of a few
+// metadata deltas is one block.
 //
 // The payload tag is an XXH64 of the entry's logged bytes (the image, or
 // its packed chunks) folded with the tx id, home block and mask:
@@ -65,7 +70,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/ufs/layout.h"
@@ -81,13 +87,7 @@ struct LiveLog {
   std::map<BlockNum, Buffer> homes;  // newest content of every live home
 };
 
-// Result of a recovery replay.
-struct ReplayReport {
-  uint64_t tx_id = 0;        // newest replayed transaction; 0 = none
-  uint64_t transactions = 0;
-  uint64_t blocks_replayed = 0;
-};
-
+// Not thread-safe: UFS makes every call under its own mutex.
 class Journal {
  public:
   // Starts a new, empty log in [jnl_start, device->num_blocks()) whose
@@ -105,8 +105,8 @@ class Journal {
   static Result<std::unique_ptr<Journal>> Create(BlockDevice* device,
                                                  uint64_t jnl_start);
 
-  // Log blocks (descriptors included) of the record that Commit appends
-  // for `blocks` with `bases`.
+  // Log blocks (descriptors included) of a record that carries `blocks`
+  // and takes its deltas against `bases`.
   static uint64_t RecordBlocks(const std::map<BlockNum, Buffer>& blocks,
                                const std::map<BlockNum, Buffer>& bases);
 
@@ -114,31 +114,38 @@ class Journal {
   // `jnl_blocks`-block region (anchor included); 0 when there is no log.
   static uint64_t MaxImages(uint64_t jnl_blocks);
 
-  // True when a record of `record_blocks` log blocks fits after the live
-  // transactions.
-  bool HasRoom(uint64_t record_blocks) const;
+  // The live copy of `home`, or nullptr when no live record carries it.
+  const Buffer* Find(BlockNum home) const;
 
   // True when a live record carries `home`: replay would overwrite
-  // whatever is written there in place before the next Truncate.
-  bool Names(BlockNum home) const { return homes_.count(home) != 0; }
+  // whatever is written there in place before the next checkpoint.
+  bool Names(BlockNum home) const { return live_.count(home) != 0; }
 
-  // Appends transaction `tx_id` (which must be the next id) carrying
-  // `blocks` (home block -> new content), then flushes. A home that
-  // `bases` holds is logged as the chunks that differ from its base, which
-  // must be exactly what replay of the live records rebuilds for that home
-  // (so the home must be one Names reports); every other home is logged
-  // whole. After this returns OK the transaction is durable and stays live
-  // until Truncate.
-  Status Commit(uint64_t tx_id, const std::map<BlockNum, Buffer>& blocks,
-                const std::map<BlockNum, Buffer>& bases);
+  // Commits transaction `tx_id` (which must be the next id) carrying
+  // `blocks` (home block -> new content), in four steps:
+  //   1. if the record, sized by its deltas against the live copies, does
+  //      not fit after the live transactions, checkpoint; every home is
+  //      then logged whole;
+  //   2. write `ordered` (blocks that no durable state references until
+  //      this record lands) in place, and flush;
+  //   3. append the record and flush: the transaction is now durable;
+  //   4. adopt `blocks` as the live copies.
+  // When any step fails, `blocks` are not adopted.
+  Status Commit(uint64_t tx_id, std::map<BlockNum, Buffer> blocks,
+                const std::vector<std::pair<BlockNum, ByteSpan>>& ordered);
 
-  // Frees the whole log: rewrites the anchor so that the next transaction
-  // is the tail, then flushes. The caller must first have written every
-  // live home to its home location and flushed.
-  Status Truncate();
+  // Writes every live copy to its home in block order, flushes, forgets
+  // the copies, then rewrites the anchor so that the next transaction is
+  // the tail. Does nothing when no record is live.
+  Status Checkpoint();
 
   // Log blocks appended by this log's commits, descriptors included.
   uint64_t appended_blocks() const { return appended_blocks_; }
+  uint64_t checkpoints() const { return checkpoints_; }
+  // Homes written by checkpoints.
+  uint64_t checkpoint_blocks() const { return checkpoint_blocks_; }
+  // Homes the live log holds newer than their home copies.
+  uint64_t live_blocks() const { return live_.size(); }
 
   // Reads the anchor and validates the live transactions without writing
   // anything. Returns an empty LiveLog (not an error) when there is no
@@ -146,11 +153,15 @@ class Journal {
   static Result<LiveLog> Scan(BlockDevice* device);
 
   // Scan, then writes every live home's newest content to its home
-  // location and flushes. Idempotent.
-  static Result<ReplayReport> Replay(BlockDevice* device);
+  // location and flushes. Returns what it wrote. Idempotent.
+  static Result<LiveLog> Replay(BlockDevice* device);
 
  private:
   Journal(BlockDevice* device, uint64_t jnl_start);
+
+  // True when a record of `record_blocks` log blocks fits after the live
+  // transactions.
+  bool HasRoom(uint64_t record_blocks) const;
 
   // Writes the anchor (next slot, next sequence) naming `tail_pos_` and
   // `tail_tx_` as the oldest live transaction, then flushes.
@@ -168,7 +179,11 @@ class Journal {
   uint64_t used_ = 0;      // log blocks held by live transactions
   uint64_t next_tx_ = 0;
   uint64_t appended_blocks_ = 0;
-  std::set<BlockNum> homes_;  // every home a live record carries
+  uint64_t checkpoints_ = 0;
+  uint64_t checkpoint_blocks_ = 0;
+  // The newest committed copy of every home a live record carries: what
+  // replay would rebuild. Bounded by the log's size; emptied by Checkpoint.
+  std::map<BlockNum, Buffer> live_;
 };
 
 }  // namespace springfs::ufs

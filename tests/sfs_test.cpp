@@ -172,17 +172,20 @@ TEST_P(SfsTest, CachedOperationsSkipTheLowerLayer) {
 }
 
 TEST_P(SfsTest, TruncateDiscardsBeyondEofEverywhere) {
-  if (GetParam() == SfsPlacement::kNotStacked) {
-    GTEST_SKIP() << "truncation coherence needs the coherency layer";
-  }
+  // Only a coherent stack keeps a mapping made before the truncation in
+  // step; file ops must see zeros on every placement.
+  const bool mapped = GetParam() != SfsPlacement::kNotStacked;
   sp<File> file = *sfs_.root->CreateFile(*Name::Parse("trunc"), sys_);
   Buffer data(std::string("0123456789"));
   ASSERT_TRUE(file->Write(0, data.span()).ok());
   sp<Domain> node = Domain::Create("client-node");
   sp<Vmm> vmm = Vmm::Create(node, "vmm");
-  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
+  sp<MappedRegion> region;
   Buffer out(10);
-  ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
+  if (mapped) {
+    region = *vmm->Map(file, AccessRights::kReadOnly);
+    ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
+  }
 
   ASSERT_TRUE(file->SetLength(4).ok());
   EXPECT_EQ(*file->GetLength(), 4u);
@@ -192,6 +195,10 @@ TEST_P(SfsTest, TruncateDiscardsBeyondEofEverywhere) {
   EXPECT_EQ(out.ToString().substr(0, 4), "0123");
   for (int i = 4; i < 10; ++i) {
     EXPECT_EQ(out.data()[i], 0) << "stale byte at " << i;
+  }
+  if (!mapped) {
+    GTEST_SKIP() << "truncation coherence of a mapping needs the coherency "
+                    "layer";
   }
   ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
   for (int i = 4; i < 10; ++i) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -169,17 +170,37 @@ TEST_F(UfsTest, TruncateShrinkFreesBlocks) {
   ExpectClean();
 }
 
+// Truncate and SetSize (the disk layer's set_length) shrink alike: a short
+// file cut to 3 bytes, and a whole 0xAB block cut to 100, read back zeros
+// past the cut once extended again.
 TEST_F(UfsTest, TruncateThenExtendReadsZeros) {
-  InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
-  Buffer data(std::string("secret-data"));
-  ASSERT_TRUE(fs_->Write(ino, 0, data.span()).ok());
-  ASSERT_TRUE(fs_->Truncate(ino, 3).ok());
-  ASSERT_TRUE(fs_->Truncate(ino, 11).ok());
-  Buffer out(11);
-  ASSERT_TRUE(fs_->Read(ino, 0, out.mutable_span()).ok());
-  EXPECT_EQ(out.ToString().substr(0, 3), "sec");
-  for (size_t i = 3; i < 11; ++i) {
-    EXPECT_EQ(out.data()[i], 0) << "old data resurrected at " << i;
+  for (bool truncate : {true, false}) {
+    SCOPED_TRACE(truncate ? "Truncate" : "SetSize");
+    auto resize = [&](InodeNum ino, uint64_t size) {
+      return truncate ? fs_->Truncate(ino, size) : fs_->SetSize(ino, size);
+    };
+    InodeNum ino = *fs_->Create(kRootInode, "f", FileType::kRegular);
+    Buffer data(std::string("secret-data"));
+    ASSERT_TRUE(fs_->Write(ino, 0, data.span()).ok());
+    ASSERT_TRUE(resize(ino, 3).ok());
+    ASSERT_TRUE(resize(ino, 11).ok());
+    Buffer out(11);
+    ASSERT_TRUE(fs_->Read(ino, 0, out.mutable_span()).ok());
+    EXPECT_EQ(out.ToString().substr(0, 3), "sec");
+    for (size_t i = 3; i < 11; ++i) {
+      EXPECT_EQ(out.data()[i], 0) << "old data resurrected at " << i;
+    }
+
+    Buffer block(kBlockSize);
+    std::memset(block.data(), 0xAB, kBlockSize);
+    ASSERT_TRUE(fs_->Write(ino, 0, block.span()).ok());
+    ASSERT_TRUE(resize(ino, 100).ok());
+    ASSERT_TRUE(resize(ino, kBlockSize).ok());
+    ASSERT_TRUE(fs_->Read(ino, 0, block.mutable_span()).ok());
+    for (size_t i = 100; i < kBlockSize; ++i) {
+      ASSERT_EQ(block.data()[i], 0) << "old data resurrected at " << i;
+    }
+    ASSERT_TRUE(fs_->Remove(kRootInode, "f").ok());
   }
 }
 
