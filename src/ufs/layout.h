@@ -13,7 +13,9 @@
 // The journal is pinned to the *end* of the device so that crash recovery
 // can locate its commit record (always the last device block) without a
 // readable superblock — a torn superblock write is itself one of the
-// failures the journal repairs.
+// failures the journal repairs. Data blocks are allocated downward from the
+// log, so live file data stays packed just below it, and a commit's
+// in-place data writes and its log record are a short seek apart.
 //
 // Inodes hold 12 direct pointers plus single- and double-indirect blocks,
 // like classic UFS/FFS. Directories are files containing fixed-size entries.

@@ -1,6 +1,7 @@
 #include "src/ufs/ufs.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/support/logging.h"
 
@@ -20,6 +21,18 @@ uint64_t TransactionLimit(uint64_t jnl_blocks, uint64_t bitmap_blocks) {
 // File index `index` counted from `start`: 0 when it lies before `start`.
 uint64_t IndexFrom(uint64_t index, uint64_t start) {
   return index > start ? index - start : 0;
+}
+
+// The 64 bits of `bits` from bit `first` (a multiple of 64) on; bytes past
+// its end read as zero.
+uint64_t BitWord(ByteSpan bits, uint64_t first) {
+  size_t at = first / 8;
+  if (at + 8 <= bits.size()) {
+    return LoadLe<uint64_t>(bits.data() + at);
+  }
+  uint8_t tail[8] = {};
+  std::memcpy(tail, bits.data() + at, bits.size() - at);
+  return LoadLe<uint64_t>(tail);
 }
 
 // Accepts the directory entry in use under `name`.
@@ -55,26 +68,13 @@ void Bitmap::Clear(uint64_t bit) {
   dirty_[bit / (8ull * kBlockSize)] = true;
 }
 
-uint64_t Bitmap::FindClear(uint64_t hint) const {
-  if (num_bits_ == 0) {
-    return kInvalid;
-  }
-  uint64_t start = hint % num_bits_;
-  for (uint64_t i = 0; i < num_bits_; ++i) {
-    uint64_t bit = (start + i) % num_bits_;
+uint64_t Bitmap::FindClear() const {
+  for (uint64_t bit = 0; bit < num_bits_; ++bit) {
     if (!Get(bit)) {
       return bit;
     }
   }
   return kInvalid;
-}
-
-uint64_t Bitmap::CountSet() const {
-  uint64_t count = 0;
-  for (uint64_t bit = 0; bit < num_bits_; ++bit) {
-    count += Get(bit) ? 1 : 0;
-  }
-  return count;
 }
 
 Status Bitmap::Load(BlockDevice& dev) {
@@ -310,7 +310,7 @@ Status Ufs::WriteInode(InodeNum ino) {
 }
 
 Result<InodeNum> Ufs::AllocInode(FileType type) {
-  uint64_t bit = inode_bitmap_.FindClear(1);
+  uint64_t bit = inode_bitmap_.FindClear();
   if (bit == Bitmap::kInvalid || bit == 0) {
     return ErrNoSpace("out of inodes");
   }
@@ -328,7 +328,10 @@ Result<InodeNum> Ufs::AllocInode(FileType type) {
 
 Status Ufs::FreeInode(InodeNum ino) {
   ASSIGN_OR_RETURN(Inode * inode, GetInode(ino));
-  RETURN_IF_ERROR(FreeBlocksFrom(inode, 0));
+  Status freed = FreeBlocksFrom(inode, 0);
+  // After a failure too: the blocks freed so far are no longer pointed at.
+  RETURN_IF_ERROR(WriteInode(ino));
+  RETURN_IF_ERROR(freed);
   inode->type = FileType::kFree;
   inode->size = 0;
   RETURN_IF_ERROR(WriteInode(ino));
@@ -347,21 +350,47 @@ Status Ufs::FreeInode(InodeNum ino) {
 }
 
 Result<BlockNum> Ufs::AllocBlock() {
-  uint64_t bit = data_bitmap_.FindClear(std::max(alloc_rotor_, sb_.data_start));
-  if (bit == Bitmap::kInvalid || bit < sb_.data_start) {
-    return ErrNoSpace("out of data blocks");
+  // Two passes down from the log, a 64-bit word of the bitmaps at a time:
+  // the first over blocks free now and at the last commit, asking Names
+  // only about the candidates a word yields; the second over any free one.
+  ByteSpan live = data_bitmap_.raw_bits();
+  ByteSpan committed(committed_bits_.data(), committed_bits_.size());
+  for (bool ordered : {true, false}) {
+    for (uint64_t end = sb_.jnl_start(); end > sb_.data_start;) {
+      uint64_t first = (end - 1) & ~uint64_t{63};
+      uint64_t begin = std::max(first, sb_.data_start);
+      uint64_t used = BitWord(live, first) |
+                      (ordered ? BitWord(committed, first) : 0);
+      uint64_t in_range = (~uint64_t{0} >> (64 - (end - first))) &
+                          (~uint64_t{0} << (begin - first));
+      for (uint64_t free = ~used & in_range; free != 0;) {
+        uint64_t bit = 63 - std::countl_zero(free);
+        free &= ~(uint64_t{1} << bit);
+        if (!ordered || !journal_->Names(first + bit)) {
+          data_bitmap_.Set(first + bit);
+          --sb_.free_blocks;
+          return BlockNum{first + bit};
+        }
+      }
+      end = begin;
+    }
   }
-  data_bitmap_.Set(bit);
-  alloc_rotor_ = bit + 1;
-  --sb_.free_blocks;
-  return BlockNum{bit};
+  return ErrNoSpace("out of data blocks");
 }
 
 Status Ufs::FreeBlock(BlockNum block) {
-  SPRINGFS_CHECK(block >= sb_.data_start && block < sb_.num_blocks);
-  SPRINGFS_CHECK(data_bitmap_.Get(block));
+  RETURN_IF_ERROR(CheckDataBlock(block));
   data_bitmap_.Clear(block);
   ++sb_.free_blocks;
+  return Status::Ok();
+}
+
+Status Ufs::CheckDataBlock(BlockNum block) const {
+  if (block < sb_.data_start || block >= sb_.jnl_start() ||
+      !data_bitmap_.Get(block)) {
+    return ErrCorrupted("block pointer " + std::to_string(block) +
+                        " names no allocated data block");
+  }
   return Status::Ok();
 }
 
@@ -392,8 +421,11 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
   // of a block the open transaction has not written (durable state
   // references it, so it keeps its bytes until the commit lands). That
   // block is freed first, so a full device hands it back and the commit
-  // journals it.
+  // journals it. Every pointer it meets is checked before it is followed.
   auto place = [&](uint64_t* slot, bool leaf) -> Status {
+    if (*slot != 0) {
+      RETURN_IF_ERROR(CheckDataBlock(*slot));
+    }
     bool move = leaf && *slot != 0 && pending_.count(*slot) == 0;
     if (!allocate || (*slot != 0 && !move)) {
       return Status::Ok();
@@ -476,19 +508,22 @@ Status Ufs::TrimSlot(uint64_t* slot, int depth, uint64_t begin) {
     return Status::Ok();
   }
   if (depth > 0) {
+    RETURN_IF_ERROR(CheckDataBlock(*slot));
     uint64_t child_span = span / kPtrsPerBlock;
     Buffer ptrs(kBlockSize);
     RETURN_IF_ERROR(ReadDeviceBlock(*slot, ptrs.mutable_span()));
     bool any_left = false;
-    for (uint64_t i = 0; i < kPtrsPerBlock; ++i) {
+    Status trimmed;
+    for (uint64_t i = 0; trimmed.ok() && i < kPtrsPerBlock; ++i) {
       uint64_t child = LoadLe<uint64_t>(ptrs.data() + 8 * i);
-      RETURN_IF_ERROR(
-          TrimSlot(&child, depth - 1, IndexFrom(begin, i * child_span)));
+      trimmed = TrimSlot(&child, depth - 1, IndexFrom(begin, i * child_span));
       StoreLe<uint64_t>(ptrs.data() + 8 * i, child);
       any_left = any_left || child != 0;
     }
-    if (any_left) {
-      return WriteDeviceBlock(*slot, ptrs.span());
+    // After a failure too: the children freed so far must not stay named.
+    if (!trimmed.ok() || any_left) {
+      RETURN_IF_ERROR(WriteDeviceBlock(*slot, ptrs.span()));
+      return trimmed;
     }
   }
   RETURN_IF_ERROR(FreeBlock(*slot));
@@ -828,8 +863,10 @@ Status Ufs::Resize(InodeNum ino, uint64_t size, bool touch_mtime) {
     return ErrIsADirectory("resize of directory inode");
   }
   if (size < inode->size) {
-    RETURN_IF_ERROR(
-        FreeBlocksFrom(inode, (size + kBlockSize - 1) / kBlockSize));
+    Status freed = FreeBlocksFrom(inode, (size + kBlockSize - 1) / kBlockSize);
+    // After a failure too: the blocks freed so far are no longer pointed at.
+    RETURN_IF_ERROR(WriteInode(ino));
+    RETURN_IF_ERROR(freed);
     // Zero the tail of the new last block so re-extension reads zeros.
     if (size % kBlockSize != 0) {
       uint64_t last = size / kBlockSize;

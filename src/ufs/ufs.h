@@ -41,10 +41,9 @@ class Bitmap {
   bool Get(uint64_t bit) const;
   void Set(uint64_t bit);
   void Clear(uint64_t bit);
-  // First clear bit at or after `hint` (wrapping); kInvalid if full.
+  // Lowest clear bit; kInvalid if full.
   static constexpr uint64_t kInvalid = ~0ull;
-  uint64_t FindClear(uint64_t hint) const;
-  uint64_t CountSet() const;
+  uint64_t FindClear() const;
 
   uint64_t num_bits() const { return num_bits_; }
 
@@ -167,8 +166,17 @@ class Ufs : public metrics::StatsProvider {
   Status WriteInode(InodeNum ino);
   Result<InodeNum> AllocInode(FileType type);
   Status FreeInode(InodeNum ino);
+  // Allocates the free data block nearest the log: the highest block below
+  // jnl_start that is free now, was free at the last commit and that no
+  // live log record names, so the commit writes it in place as ordered
+  // data, a short seek from the record. Only when no such block is left
+  // does it take the highest free one, which the commit then journals.
   Result<BlockNum> AllocBlock();
   Status FreeBlock(BlockNum block);
+  // kCorrupted unless `block` is an allocated block of the data area.
+  // Indirect blocks and bitmaps carry no CRC, so a pointer read from them
+  // may name any block: one is checked before it is followed or freed.
+  Status CheckDataBlock(BlockNum block) const;
 
   // Maps file block index -> device block. With allocate=false, returns 0
   // for holes. With allocate=true, returns a block the caller overwrites
@@ -244,7 +252,6 @@ class Ufs : public metrics::StatsProvider {
   // "handle open and stat operations without requiring disk I/Os" (paper
   // Table 2 commentary).
   std::map<std::pair<InodeNum, std::string>, InodeNum> dirent_cache_;
-  uint64_t alloc_rotor_ = 0;
   uint64_t next_generation_ = 1;
   mutable uint64_t cache_hits_ = 0;
   mutable uint64_t cache_misses_ = 0;
