@@ -32,8 +32,8 @@ class Clock {
 // Wall-clock backed implementation. Sleeps below ~200us are implemented by
 // spinning so device and network latencies stay accurate under benchmarks
 // (OS timer slack would otherwise inflate them ~10x). Waits of 200us or more
-// sleep, and overshoot by the OS wake-up time (a median of about 72us on a
-// 4-core x86-64 VM); a clock that charges the time slept, as the
+// sleep, and overshoot by the OS wake-up time (a median of 60-72us on an
+// idle 4-core x86-64 VM); a clock that charges the time slept, as the
 // benchmark's ChargedClock does, counts that overshoot as modeled time.
 class RealClock : public Clock {
  public:
