@@ -638,44 +638,30 @@ Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
     ++stats_.lower_page_ins;
   }
   trace::ScopedSpan span("coh.lower_page_in");
-  ASSIGN_OR_RETURN(Buffer raw, state.lower_pager->PageIn(begin, len, access));
-  if (raw.size() < len) {
-    raw.resize(len);
-  }
-  Buffer decoded(len);
+  ASSIGN_OR_RETURN(Buffer run, state.lower_pager->PageIn(begin, len, access));
+  run.resize(len);  // the pager may return more, or less, than was asked
   for (Offset off = 0; off < len; off += kPageSize) {
-    ASSIGN_OR_RETURN(Buffer page,
-                     DecodeFromBelow(state.file_id, begin + off,
-                                     Buffer(raw.subspan(off, kPageSize))));
-    if (page.size() != kPageSize) {
-      return ErrCorrupted("decode changed page size");
-    }
-    decoded.WriteAt(off, page.span());
+    RETURN_IF_ERROR(DecodeFromBelow(state.file_id, begin + off,
+                                    run.mutable_span().subspan(off, kPageSize)));
   }
-  return decoded;
+  return run;
 }
 
 Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
-                                   ByteSpan data) {
-  if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
+                                   Buffer run) {
+  if (offset % kPageSize != 0 || run.size() % kPageSize != 0) {
     return ErrInvalidArgument("push to below must be page-aligned");
   }
-  Buffer encoded(data.size());
-  for (Offset off = 0; off < data.size(); off += kPageSize) {
-    ASSIGN_OR_RETURN(Buffer page,
-                     EncodeForBelow(state.file_id, offset + off,
-                                    Buffer(data.subspan(off, kPageSize))));
-    if (page.size() != kPageSize) {
-      return ErrCorrupted("encode changed page size");
-    }
-    encoded.WriteAt(off, page.span());
+  for (Offset off = 0; off < run.size(); off += kPageSize) {
+    RETURN_IF_ERROR(EncodeForBelow(state.file_id, offset + off,
+                                   run.mutable_span().subspan(off, kPageSize)));
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.lower_page_outs;
   }
   trace::ScopedSpan span("coh.lower_page_out");
-  return state.lower_pager->Sync(offset, encoded.span());
+  return state.lower_pager->Sync(offset, run.span());
 }
 
 Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
@@ -759,13 +745,22 @@ Status CoherencyLayer::FoldRecoveredLocked(
     return Status::Ok();
   }
   // Uncached mode: write the recovered data straight through to the layer
-  // below.
+  // below, one Sync per run of pages that follow each other.
+  Offset start = 0;
+  Buffer run;
   for (const BlockData& block : blocks) {
-    Buffer page = block.data;
-    page.resize(kPageSize);
-    RETURN_IF_ERROR(PushToBelow(state, block.offset, page.span()));
+    if (!run.empty() && block.offset != start + run.size()) {
+      RETURN_IF_ERROR(PushToBelow(state, start, std::move(run)));
+      run = Buffer();
+    }
+    if (run.empty()) {
+      start = block.offset;
+    }
+    size_t at = run.size();
+    run.resize(at + kPageSize);
+    block.data.ReadAt(0, run.mutable_span().subspan(at, kPageSize));
   }
-  return Status::Ok();
+  return run.empty() ? Status::Ok() : PushToBelow(state, start, std::move(run));
 }
 
 Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
@@ -831,7 +826,7 @@ Status CoherencyLayer::ClientPageWrite(FileState& state, uint64_t channel,
         state.blocks.insert_or_assign(offset + off, std::move(block));
       }
     }
-    RETURN_IF_ERROR(PushToBelow(state, offset, data));
+    RETURN_IF_ERROR(PushToBelow(state, offset, Buffer(data)));
   }
   if (drops) {
     state.engine.ReleaseDropped(channel, Range{offset, data.size()});
@@ -963,12 +958,30 @@ Status CoherencyLayer::SyncFileState(FileState& state) {
   if (!state.bound_below) {
     return Status::Ok();  // nothing ever fetched or written
   }
-  for (auto& [off, block] : state.blocks) {
-    if (!block.dirty) {
+  // One lower Sync per run of contiguous dirty pages, as the VMM writes
+  // back. A run turns clean only once its Sync returned OK, so a run that
+  // failed stays dirty whole.
+  for (auto it = state.blocks.begin(); it != state.blocks.end();) {
+    if (!it->second.dirty) {
+      ++it;
       continue;
     }
-    RETURN_IF_ERROR(PushToBelow(state, off, block.data.span()));
-    block.dirty = false;
+    Offset start = it->first;
+    Offset next = start;
+    auto end = it;
+    for (; end != state.blocks.end() && end->second.dirty && end->first == next;
+         ++end) {
+      next += kPageSize;
+    }
+    Buffer run;
+    run.reserve(next - start);
+    for (auto page = it; page != end; ++page) {
+      run.append(page->second.data);
+    }
+    RETURN_IF_ERROR(PushToBelow(state, start, std::move(run)));
+    for (; it != end; ++it) {
+      it->second.dirty = false;
+    }
   }
   if (state.attrs_valid && state.attrs_dirty) {
     AttrUpdate update;

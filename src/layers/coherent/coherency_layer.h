@@ -97,23 +97,27 @@ class CoherencyLayer : public StackableFs,
   // is an identity transform; subclasses (the encryption layer, the
   // pass-through layer) override these to translate between the
   // representation exported to clients and the representation stored in
-  // the underlying file system. Transforms must be size-preserving per
-  // page and self-inverse under Encode∘Decode; the compression layer,
-  // which is not size-preserving, is a separate implementation (COMPFS).
+  // the underlying file system. Transforms work in place, so they are
+  // size-preserving per page, and must be self-inverse under
+  // Encode∘Decode; the compression layer, which is not size-preserving,
+  // is a separate implementation (COMPFS).
   //
-  // `page` holds exactly one kPageSize page at `page_offset` of the file
-  // identified by `file_id`.
-  virtual Result<Buffer> DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                                         Buffer page) {
+  // `page` is exactly one kPageSize page at `page_offset` of the file
+  // identified by `file_id`: one page's slice of the run crossing the
+  // boundary, transformed where it lies.
+  virtual Status DecodeFromBelow(uint64_t file_id, Offset page_offset,
+                                 MutableByteSpan page) {
     (void)file_id;
     (void)page_offset;
-    return page;
+    (void)page;
+    return Status::Ok();
   }
-  virtual Result<Buffer> EncodeForBelow(uint64_t file_id, Offset page_offset,
-                                        Buffer page) {
+  virtual Status EncodeForBelow(uint64_t file_id, Offset page_offset,
+                                MutableByteSpan page) {
     (void)file_id;
     (void)page_offset;
-    return page;
+    (void)page;
+    return Status::Ok();
   }
   // Layer type name reported in FsInfo ("coherency", "cryptfs", ...).
   virtual std::string type_name() const { return "coherency"; }
@@ -161,11 +165,12 @@ class CoherencyLayer : public StackableFs,
   Status EnsureBoundBelowLocked(FileState& state);
   Status EnsureAttrs(FileState& state);
   // Fetches [begin, begin+len) from below and runs DecodeFromBelow on each
-  // page; len must be page-aligned.
+  // page in place; len must be page-aligned.
   Result<Buffer> FetchFromBelow(FileState& state, Offset begin, Offset len,
                                 AccessRights access);
-  // Runs EncodeForBelow on each page of `data` and syncs it below.
-  Status PushToBelow(FileState& state, Offset offset, ByteSpan data);
+  // Runs EncodeForBelow on each page of `run`, a whole run of contiguous
+  // pages from `offset`, in place, and hands the run below in one Sync.
+  Status PushToBelow(FileState& state, Offset offset, Buffer run);
   Status FoldRecoveredLocked(FileState& state,
                              const std::vector<BlockData>& blocks);
 
@@ -183,7 +188,8 @@ class CoherencyLayer : public StackableFs,
   Result<std::vector<BlockData>> LowerFlushBack(FileState& state, Range range);
   Result<std::vector<BlockData>> LowerDenyWrites(FileState& state, Range range);
 
-  // Pushes a file's dirty blocks and attributes to the layer below.
+  // Pushes a file's dirty blocks, one lower Sync per run of contiguous
+  // dirty pages, and its attributes to the layer below.
   Status SyncFileState(FileState& state);
 
   // Tells every file-system client cache (fs_cache narrows) except

@@ -28,10 +28,10 @@ class CryptLayer : public CoherencyLayer {
   const char* interface_name() const override { return "crypt_layer"; }
 
  protected:
-  Result<Buffer> DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                                 Buffer page) override;
-  Result<Buffer> EncodeForBelow(uint64_t file_id, Offset page_offset,
-                                Buffer page) override;
+  Status DecodeFromBelow(uint64_t file_id, Offset page_offset,
+                         MutableByteSpan page) override;
+  Status EncodeForBelow(uint64_t file_id, Offset page_offset,
+                        MutableByteSpan page) override;
   std::string type_name() const override { return "cryptfs"; }
 
  private:
@@ -40,7 +40,8 @@ class CryptLayer : public CoherencyLayer {
 
   // Both directions are the same XOR; keystream position depends on the
   // file and the page so identical plaintext pages encrypt differently.
-  Buffer ApplyKeystream(uint64_t file_id, Offset page_offset, Buffer page) const;
+  void ApplyKeystream(uint64_t file_id, Offset page_offset,
+                      MutableByteSpan page) const;
 
   XteaKey key_;
 };

@@ -14,32 +14,31 @@ PassLayer::PassLayer(sp<Domain> domain, CoherencyLayerOptions options,
     : CoherencyLayer(std::move(domain), options, clock),
       transit_delay_ns_(transit_delay_ns), transit_clock_(clock) {}
 
-Result<Buffer> PassLayer::DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                                          Buffer page) {
+Status PassLayer::DecodeFromBelow(uint64_t file_id, Offset page_offset,
+                                  MutableByteSpan page) {
   (void)file_id;
   (void)page_offset;
-  if (fail_transit_.load()) {
-    return ErrIoError("pass layer transit fault (injected)");
-  }
-  if (transit_delay_ns_ != 0) {
-    transit_clock_->SleepNs(transit_delay_ns_);
-  }
-  pages_decoded_.fetch_add(1, std::memory_order_relaxed);
-  return page;
+  (void)page;
+  return Transit(pages_decoded_);
 }
 
-Result<Buffer> PassLayer::EncodeForBelow(uint64_t file_id, Offset page_offset,
-                                         Buffer page) {
+Status PassLayer::EncodeForBelow(uint64_t file_id, Offset page_offset,
+                                 MutableByteSpan page) {
   (void)file_id;
   (void)page_offset;
+  (void)page;
+  return Transit(pages_encoded_);
+}
+
+Status PassLayer::Transit(std::atomic<uint64_t>& pages) {
   if (fail_transit_.load()) {
     return ErrIoError("pass layer transit fault (injected)");
   }
   if (transit_delay_ns_ != 0) {
     transit_clock_->SleepNs(transit_delay_ns_);
   }
-  pages_encoded_.fetch_add(1, std::memory_order_relaxed);
-  return page;
+  pages.fetch_add(1, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
 }  // namespace springfs

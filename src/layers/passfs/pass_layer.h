@@ -42,15 +42,18 @@ class PassLayer : public CoherencyLayer {
   void set_fail_transit(bool fail) { fail_transit_.store(fail); }
 
  protected:
-  Result<Buffer> DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                                 Buffer page) override;
-  Result<Buffer> EncodeForBelow(uint64_t file_id, Offset page_offset,
-                                Buffer page) override;
+  Status DecodeFromBelow(uint64_t file_id, Offset page_offset,
+                         MutableByteSpan page) override;
+  Status EncodeForBelow(uint64_t file_id, Offset page_offset,
+                        MutableByteSpan page) override;
   std::string type_name() const override { return "passfs"; }
 
  private:
   PassLayer(sp<Domain> domain, CoherencyLayerOptions options,
             uint64_t transit_delay_ns, Clock* clock);
+
+  // One page crossing the lower boundary, counted in `pages`.
+  Status Transit(std::atomic<uint64_t>& pages);
 
   uint64_t transit_delay_ns_;
   Clock* transit_clock_;

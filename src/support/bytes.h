@@ -45,6 +45,7 @@ class Buffer {
   }
 
   void resize(size_t size) { bytes_.resize(size, 0); }
+  void reserve(size_t size) { bytes_.reserve(size); }
   void clear() { bytes_.clear(); }
 
   void append(ByteSpan span) {

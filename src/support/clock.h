@@ -29,12 +29,13 @@ class Clock {
   virtual void SleepNs(uint64_t ns) = 0;
 };
 
-// Wall-clock backed implementation. Sleeps below ~200us are implemented by
-// spinning so device and network latencies stay accurate under benchmarks
-// (OS timer slack would otherwise inflate them ~10x). Waits of 200us or more
-// sleep, and overshoot by the OS wake-up time (a median of 60-72us on an
-// idle 4-core x86-64 VM); a clock that charges the time slept, as the
-// benchmark's ChargedClock does, counts that overshoot as modeled time.
+// Wall-clock backed implementation. Waits below 200us spin, so device and
+// network latencies stay accurate under benchmarks (OS timer slack would
+// otherwise inflate them ~10x). Waits of 200us or more sleep until about
+// 100us before the deadline, then spin the rest: a plain sleep overshoots
+// by the OS wake-up time (a median of 60-72us on an idle 4-core x86-64
+// VM), which a clock that charges the time slept, as the benchmark's
+// ChargedClock does, would count as modeled time.
 class RealClock : public Clock {
  public:
   TimeNs Now() const override {
@@ -48,14 +49,13 @@ class RealClock : public Clock {
     if (ns == 0) {
       return;
     }
-    if (ns < 200'000) {
-      TimeNs deadline = Now() + ns;
-      while (Now() < deadline) {
-        // spin
-      }
-      return;
+    TimeNs deadline = Now() + ns;
+    if (ns >= 200'000) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(ns - 100'000));
     }
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    while (Now() < deadline) {
+      // spin
+    }
   }
 };
 

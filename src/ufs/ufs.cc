@@ -408,7 +408,12 @@ Status Ufs::ReadDeviceBlock(BlockNum block, MutableByteSpan out) {
 
 Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data) {
   SPRINGFS_CHECK(data.size() == kBlockSize);
-  pending_.insert_or_assign(block, Buffer(data));
+  auto [it, inserted] = pending_.try_emplace(block);
+  if (inserted) {
+    it->second = Buffer(data);
+  } else {
+    std::memcpy(it->second.data(), data.data(), kBlockSize);
+  }
   return Status::Ok();
 }
 
@@ -417,11 +422,13 @@ Status Ufs::WriteDeviceBlock(BlockNum block, ByteSpan data) {
 Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
                                    bool allocate) {
   // With `allocate`, points `slot` at a block the op may overwrite: a fresh
-  // zeroed one for a hole and, for a leaf data slot, a fresh one in place
-  // of a block the open transaction has not written (durable state
-  // references it, so it keeps its bytes until the commit lands). That
-  // block is freed first, so a full device hands it back and the commit
-  // journals it. Every pointer it meets is checked before it is followed.
+  // one for a hole and, for a leaf data slot, a fresh one in place of a
+  // block the open transaction has not written (durable state references
+  // it, so it keeps its bytes until the commit lands). That block is freed
+  // first, so a full device hands it back and the commit journals it. A
+  // fresh pointer block is zeroed in the open transaction; a fresh leaf is
+  // not, since the caller overwrites it whole. Every pointer it meets is
+  // checked before it is followed.
   auto place = [&](uint64_t* slot, bool leaf) -> Status {
     if (*slot != 0) {
       RETURN_IF_ERROR(CheckDataBlock(*slot));
@@ -434,8 +441,9 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
       RETURN_IF_ERROR(FreeBlock(*slot));
     }
     ASSIGN_OR_RETURN(BlockNum fresh, AllocBlock());
-    Buffer zero(kBlockSize);
-    RETURN_IF_ERROR(WriteDeviceBlock(fresh, zero.span()));
+    if (!leaf) {
+      pending_.insert_or_assign(fresh, Buffer(kBlockSize));
+    }
     *slot = fresh;
     return Status::Ok();
   };
@@ -448,21 +456,30 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
   file_block -= kNumDirect;
 
   // Follows one pointer inside a pointer block, placing the pointer block
-  // itself and then the pointer.
+  // itself and then the pointer. A pointer block the open transaction holds
+  // is read and changed where it lies; any other is read into a copy, which
+  // joins the transaction only if its pointer changes.
   auto step = [&](uint64_t* slot_holder, uint64_t index,
                   bool leaf) -> Result<BlockNum> {
     RETURN_IF_ERROR(place(slot_holder, /*leaf=*/false));
     if (*slot_holder == 0) {
       return BlockNum{0};
     }
-    Buffer ptr_block(kBlockSize);
-    RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, ptr_block.mutable_span()));
-    uint64_t target = LoadLe<uint64_t>(ptr_block.data() + 8 * index);
+    auto held = pending_.find(*slot_holder);
+    Buffer copy;
+    if (held == pending_.end()) {
+      copy.resize(kBlockSize);
+      RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, copy.mutable_span()));
+    }
+    Buffer& ptrs = held != pending_.end() ? held->second : copy;
+    uint64_t target = LoadLe<uint64_t>(ptrs.data() + 8 * index);
     uint64_t placed = target;
     RETURN_IF_ERROR(place(&placed, leaf));
     if (placed != target) {
-      StoreLe<uint64_t>(ptr_block.data() + 8 * index, placed);
-      RETURN_IF_ERROR(WriteDeviceBlock(*slot_holder, ptr_block.span()));
+      StoreLe<uint64_t>(ptrs.data() + 8 * index, placed);
+      if (held == pending_.end()) {
+        pending_.emplace(*slot_holder, std::move(copy));
+      }
     }
     return BlockNum{placed};
   };
@@ -818,10 +835,10 @@ Result<size_t> Ufs::Write(InodeNum ino, uint64_t offset, ByteSpan data) {
     uint64_t file_block = (offset + done) / kBlockSize;
     size_t in_block = (offset + done) % kBlockSize;
     size_t chunk = std::min<size_t>(kBlockSize - in_block, data.size() - done);
-    // A partial block keeps its other bytes: read them before the block
-    // moves.
-    std::memset(block.data(), 0, kBlockSize);
+    // A partial block keeps its other bytes, zeros in a hole: read them
+    // before the block moves.
     if (in_block != 0 || chunk != kBlockSize) {
+      std::memset(block.data(), 0, kBlockSize);
       ASSIGN_OR_RETURN(BlockNum current,
                        MapFileBlock(inode, file_block, /*allocate=*/false));
       if (current != 0) {

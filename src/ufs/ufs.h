@@ -179,11 +179,13 @@ class Ufs : public metrics::StatsProvider {
   Status CheckDataBlock(BlockNum block) const;
 
   // Maps file block index -> device block. With allocate=false, returns 0
-  // for holes. With allocate=true, returns a block the caller overwrites
-  // whole: it allocates one for a hole, and moves a data block that the
-  // open transaction has not written to a fresh one, so the committed
-  // bytes stay put until the commit lands. Pointer blocks never move, and
-  // directories use allocate=true only to grow.
+  // for holes. With allocate=true, returns a block the caller must
+  // overwrite whole in the same op: it allocates one for a hole, and moves
+  // a data block that the open transaction has not written to a fresh one,
+  // so the committed bytes stay put until the commit lands. A fresh data
+  // block is not zeroed first; a fresh pointer block is. Pointer blocks
+  // never move, and one the open transaction holds is changed in place.
+  // Directories use allocate=true only to grow.
   Result<BlockNum> MapFileBlock(Inode* inode, uint64_t file_block,
                                 bool allocate);
   // Frees all blocks mapping file indices >= first_block.
@@ -197,9 +199,10 @@ class Ufs : public metrics::StatsProvider {
   // the rest of the new last block, so re-extension reads zeros.
   Status Resize(InodeNum ino, uint64_t size, bool touch_mtime);
 
-  // Device access. Writes land in `pending_` (the open transaction); reads
-  // see pending content first, then the journal's live copies; nothing
-  // touches the device between commits except cache-miss reads.
+  // Device access. Writes land in `pending_` (the open transaction), over
+  // the copy it already holds if any; reads see pending content first, then
+  // the journal's live copies; nothing touches the device between commits
+  // except cache-miss reads.
   Status ReadDeviceBlock(BlockNum block, MutableByteSpan out);
   Status WriteDeviceBlock(BlockNum block, ByteSpan data);
 

@@ -175,14 +175,21 @@ TEST_F(PassfsTest, CountsTransitPages) {
   EXPECT_GE(counters.pages_encoded, 3u);
 }
 
+// A run whose write-back fails stays dirty whole: the retry lands every
+// page of it in the disk layer below.
 TEST_F(PassfsTest, InjectedTransitFaultPropagates) {
   sp<File> file = *passfs_->CreateFile(*Name::Parse("f"), sys_);
-  Buffer data(std::string("will fail to sync"));
+  Rng rng(14);
+  Buffer data = rng.RandomBuffer(3 * kPageSize);
   ASSERT_TRUE(file->Write(0, data.span()).ok());
   passfs_->set_fail_transit(true);
   EXPECT_EQ(file->SyncFile().code(), ErrorCode::kIoError);
   passfs_->set_fail_transit(false);
   EXPECT_TRUE(file->SyncFile().ok());
+  sp<File> bottom = *ResolveAs<File>(sfs_.disk, "f", sys_);
+  Buffer raw(data.size());
+  ASSERT_EQ(*bottom->Read(0, raw.mutable_span()), data.size());
+  EXPECT_EQ(raw, data);
 }
 
 TEST_F(PassfsTest, DeepStackStillCorrect) {

@@ -101,6 +101,39 @@ TEST_P(SfsTest, PersistsAcrossRemount) {
   EXPECT_EQ(out.ToString(), "remount me");
 }
 
+// The coherency layer writes back a run of contiguous dirty pages in one
+// lower call, as the VMM does: a 16-page run and a page apart are 2.
+TEST_P(SfsTest, SyncFileWritesBackOneLowerCallPerRun) {
+  if (GetParam() == SfsPlacement::kNotStacked) {
+    GTEST_SKIP() << "the bare disk layer has no write-back cache";
+  }
+  sp<File> file = *sfs_.root->CreateFile(*Name::Parse("runs"), sys_);
+  Rng rng(17);
+  Buffer run = rng.RandomBuffer(16 * kPageSize);
+  Buffer apart = rng.RandomBuffer(kPageSize);
+  ASSERT_TRUE(file->Write(0, run.span()).ok());
+  ASSERT_TRUE(file->Write(20 * kPageSize, apart.span()).ok());
+  uint64_t outs = metrics::StatValue(*sfs_.coherency, "lower_page_outs");
+  ASSERT_TRUE(file->SyncFile().ok());
+  EXPECT_EQ(metrics::StatValue(*sfs_.coherency, "lower_page_outs") - outs, 2u);
+  file.reset();
+  sfs_ = Sfs{};  // unmount everything
+
+  SfsOptions options;
+  options.placement = GetParam();
+  options.format = false;
+  Result<Sfs> again = CreateSfs(device_.get(), options, &clock_);
+  ASSERT_TRUE(again.ok());
+  Result<sp<File>> found = ResolveAs<File>(again->root, "runs", sys_);
+  ASSERT_TRUE(found.ok());
+  Buffer out(21 * kPageSize);
+  ASSERT_EQ(*(*found)->Read(0, out.mutable_span()), out.size());
+  Buffer want(21 * kPageSize);
+  want.WriteAt(0, run.span());
+  want.WriteAt(20 * kPageSize, apart.span());
+  EXPECT_EQ(out, want);
+}
+
 TEST_P(SfsTest, MappedClientsAreCoherentThroughSfs) {
   if (GetParam() == SfsPlacement::kNotStacked) {
     GTEST_SKIP() << "the bare disk layer is non-coherent by design";

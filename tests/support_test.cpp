@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/support/bytes.h"
 #include "src/support/clock.h"
@@ -281,6 +283,22 @@ TEST(RealClockTest, ShortSpinSleepIsAccurate) {
   clock.SleepNs(5'000);  // 5us -> spin path
   TimeNs elapsed = clock.Now() - start;
   EXPECT_GE(elapsed, 5'000u);
+}
+
+// A long wait sleeps short of its deadline and spins the rest, so it ends
+// near the deadline instead of an OS wake-up time (60-72us) past it.
+TEST(RealClockTest, LongSleepEndsNearItsDeadline) {
+  RealClock clock;
+  std::vector<TimeNs> overshoot;
+  for (int i = 0; i < 21; ++i) {
+    TimeNs start = clock.Now();
+    clock.SleepNs(400'000);
+    TimeNs elapsed = clock.Now() - start;
+    ASSERT_GE(elapsed, 400'000u) << "wait " << i << " returned early";
+    overshoot.push_back(elapsed - 400'000);
+  }
+  std::nth_element(overshoot.begin(), overshoot.begin() + 10, overshoot.end());
+  EXPECT_LT(overshoot[10], 50'000u) << "median overshoot in ns";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/blockdev/decorators.h"
@@ -329,6 +330,86 @@ TEST_F(UfsTest, BlockGranularityAccess) {
   }
   // Block writes do not move the size; that is SetSize's job.
   EXPECT_EQ(fs_->GetAttrs(ino)->size, 0u);
+}
+
+// Whole-block writes into holes and over committed blocks at every pointer
+// depth, in one transaction: a fresh data block is not zeroed before it is
+// written, a pointer block the transaction already holds is changed where
+// it lies, and a block written twice is stored over its first copy. A
+// commit keeps all of it; an abandoned transaction none of it.
+TEST_F(UfsTest, WholeBlockWritesAtEveryPointerDepth) {
+  constexpr uint64_t kSingle = kNumDirect;
+  constexpr uint64_t kDouble = kNumDirect + kPtrsPerBlock;
+  // Per depth: blocks committed first, then overwritten, and holes. The
+  // double-indirect blocks sit under three second-level blocks, the last
+  // of which the holes create.
+  const std::vector<uint64_t> committed = {2, kSingle + 7, kDouble + 4,
+                                           kDouble + kPtrsPerBlock + 1};
+  const std::vector<uint64_t> holes = {
+      5,           9,           kSingle + 3,  kSingle + 200,
+      kDouble + 3, kDouble + 600, kDouble + kPtrsPerBlock + 9,
+      kDouble + 2 * kPtrsPerBlock + 5};
+  const uint64_t end = kDouble + 2 * kPtrsPerBlock + 6;
+  Rng rng(31);
+  InodeNum ino = *fs_->Create(kRootInode, "deep", FileType::kRegular);
+  std::map<uint64_t, Buffer> before;
+  for (uint64_t fb : committed) {
+    before[fb] = rng.RandomBuffer(kBlockSize);
+    ASSERT_TRUE(fs_->WriteFileBlock(ino, fb, before[fb].span()).ok());
+  }
+  ASSERT_TRUE(fs_->SetSize(ino, end * kBlockSize).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  // Holes and overwrites interleaved, so each pointer block is first met
+  // as a committed copy and then held by the transaction; every other hole
+  // is written twice.
+  std::map<uint64_t, Buffer> after = before;
+  auto write_all = [&](Ufs* fs) {
+    for (size_t i = 0; i < holes.size(); ++i) {
+      std::vector<uint64_t> blocks = {holes[i]};
+      if (i < committed.size()) {
+        blocks.push_back(committed[i]);
+      }
+      if (i % 2 == 0) {
+        blocks.push_back(holes[i]);
+      }
+      for (uint64_t fb : blocks) {
+        after[fb] = rng.RandomBuffer(kBlockSize);
+        ASSERT_TRUE(fs->WriteFileBlock(ino, fb, after[fb].span()).ok());
+      }
+    }
+  };
+  auto expect_blocks = [&](Ufs* fs, const std::map<uint64_t, Buffer>& want) {
+    Buffer out(kBlockSize);
+    Buffer zero(kBlockSize);
+    for (uint64_t fb = 0; fb < end; ++fb) {
+      ASSERT_TRUE(fs->ReadFileBlock(ino, fb, out.mutable_span()).ok());
+      auto it = want.find(fb);
+      ASSERT_EQ(out, it == want.end() ? zero : it->second) << "block " << fb;
+    }
+  };
+  auto remount = [&]() -> std::unique_ptr<Ufs> {
+    fs_.reset();
+    Result<std::unique_ptr<Ufs>> fs = Ufs::Mount(device_.get(), clock_.get());
+    EXPECT_TRUE(fs.ok()) << fs.status().ToString();
+    return fs.ok() ? fs.take_value() : nullptr;
+  };
+
+  write_all(fs_.get());
+  expect_blocks(fs_.get(), after);
+  fs_->Abandon();
+  fs_ = remount();
+  ASSERT_NE(fs_, nullptr);
+  expect_blocks(fs_.get(), before);
+  ExpectClean();
+
+  after = before;
+  write_all(fs_.get());
+  ASSERT_TRUE(fs_->Sync().ok());
+  fs_ = remount();
+  ASSERT_NE(fs_, nullptr);
+  expect_blocks(fs_.get(), after);
+  ExpectClean();
 }
 
 TEST_F(UfsTest, PersistsAcrossRemount) {
