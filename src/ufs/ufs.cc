@@ -456,30 +456,37 @@ Result<BlockNum> Ufs::MapFileBlock(Inode* inode, uint64_t file_block,
   file_block -= kNumDirect;
 
   // Follows one pointer inside a pointer block, placing the pointer block
-  // itself and then the pointer. A pointer block the open transaction holds
-  // is read and changed where it lies; any other is read into a copy, which
-  // joins the transaction only if its pointer changes.
+  // itself and then the pointer. The pointer is read where the block lies:
+  // in the open transaction, in the journal's live copy, or, when neither
+  // holds it, in a block read from the device. A block the open
+  // transaction does not hold is copied into it only if its pointer
+  // changes.
   auto step = [&](uint64_t* slot_holder, uint64_t index,
                   bool leaf) -> Result<BlockNum> {
     RETURN_IF_ERROR(place(slot_holder, /*leaf=*/false));
-    if (*slot_holder == 0) {
+    BlockNum holder = *slot_holder;
+    if (holder == 0) {
       return BlockNum{0};
     }
-    auto held = pending_.find(*slot_holder);
-    Buffer copy;
-    if (held == pending_.end()) {
-      copy.resize(kBlockSize);
-      RETURN_IF_ERROR(ReadDeviceBlock(*slot_holder, copy.mutable_span()));
+    auto held = pending_.find(holder);
+    const Buffer* ptrs =
+        held != pending_.end() ? &held->second : journal_->Find(holder);
+    Buffer read;
+    if (ptrs == nullptr) {
+      read.resize(kBlockSize);
+      RETURN_IF_ERROR(device_->ReadBlock(holder, read.mutable_span()));
+      ptrs = &read;
     }
-    Buffer& ptrs = held != pending_.end() ? held->second : copy;
-    uint64_t target = LoadLe<uint64_t>(ptrs.data() + 8 * index);
+    uint64_t target = LoadLe<uint64_t>(ptrs->data() + 8 * index);
     uint64_t placed = target;
     RETURN_IF_ERROR(place(&placed, leaf));
     if (placed != target) {
-      StoreLe<uint64_t>(ptrs.data() + 8 * index, placed);
       if (held == pending_.end()) {
-        pending_.emplace(*slot_holder, std::move(copy));
+        held = pending_.emplace(holder, ptrs == &read ? std::move(read)
+                                                      : Buffer(*ptrs))
+                   .first;
       }
+      StoreLe<uint64_t>(held->second.data() + 8 * index, placed);
     }
     return BlockNum{placed};
   };
