@@ -6,6 +6,10 @@
 //     unwatched names),
 //   * per-operation cost on the interposed file when the interposer
 //     forwards the call vs implements it itself.
+// The timings are printed, not gated. The exit code checks the shape: a
+// watched name resolves to the watchdog and an unwatched one to the SFS
+// file, the interposer intercepts every resolution made through it, and
+// the watchdog sees, and correctly answers, every read made through it.
 
 #include <cstdio>
 
@@ -70,7 +74,7 @@ int main() {
   sp<StackableFs> vol = ResolveAs<StackableFs>(root, "vol", creds).take_value();
   sp<File> watched = vol->CreateFile(*Name::Parse("watched"), creds)
                          .take_value();
-  vol->CreateFile(*Name::Parse("plain"), creds).take_value();
+  sp<File> plain = vol->CreateFile(*Name::Parse("plain"), creds).take_value();
   Rng rng(3);
   Buffer page = rng.RandomBuffer(kPageSize);
   watched->Write(0, page.span()).take_value();
@@ -78,6 +82,15 @@ int main() {
   // Baseline resolve cost before interposing.
   Measurement resolve_before = TimeOp(
       [&] { (void)*root->Resolve(*Name::Parse("vol/plain"), creds); }, 10000);
+
+  // What the checks expect, counted where the work is done.
+  uint64_t interposed_resolves = 0;
+  uint64_t watchdog_reads = 0;
+  bool reads_match = true;
+  auto resolve = [&](const char* path) {
+    ++interposed_resolves;
+    return root->Resolve(*Name::Parse(path), creds);
+  };
 
   auto watchdog = std::make_shared<ForwardingFile>(watched);
   sp<InterposerContext> interposer =
@@ -93,35 +106,43 @@ int main() {
           creds, domain)
           .take_value();
 
-  Measurement resolve_unwatched = TimeOp(
-      [&] { (void)*root->Resolve(*Name::Parse("vol/plain"), creds); }, 10000);
-  Measurement resolve_watched = TimeOp(
-      [&] { (void)*root->Resolve(*Name::Parse("vol/watched"), creds); },
-      10000);
+  Measurement resolve_unwatched =
+      TimeOp([&] { (void)*resolve("vol/plain"); }, 10000);
+  Measurement resolve_watched =
+      TimeOp([&] { (void)*resolve("vol/watched"); }, 10000);
+  bool watched_is_watchdog = *resolve("vol/watched") == watchdog;
+  bool plain_is_sfs_file = *resolve("vol/plain") == plain;
 
-  // Operation cost through the watchdog vs direct.
-  sp<File> via_ns =
-      ResolveAs<File>(root, "vol/watched", creds).take_value();
+  // Operation cost through the watchdog vs direct; both compare the page.
+  sp<File> via_ns = narrow<File>(*resolve("vol/watched"));
   Buffer out(kPageSize);
-  Measurement direct_read =
-      TimeOp([&] { (void)*watched->Read(0, out.mutable_span()); }, 10000);
-  Measurement watched_read =
-      TimeOp([&] { (void)*via_ns->Read(0, out.mutable_span()); }, 10000);
+  auto read_page = [&](const sp<File>& file) {
+    Result<size_t> n = file->Read(0, out.mutable_span());
+    reads_match = reads_match && n.ok() && *n == kPageSize && out == page;
+  };
+  Measurement direct_read = TimeOp([&] { read_page(watched); }, 10000);
+  bool direct_reads_match = reads_match;
+  Measurement watched_read = TimeOp(
+      [&] {
+        ++watchdog_reads;
+        read_page(via_ns);
+      },
+      10000);
 
   std::printf("Section 5: per-file interposition overhead (us/op)\n");
   bench::PrintRule(64);
   std::printf("resolve, no interposer        : %9.3f\n",
               resolve_before.mean_us);
-  std::printf("resolve, unwatched file       : %9.3f (+%.0f%%)\n",
+  std::printf("resolve, unwatched file       : %9.3f (%+.0f%%)\n",
               resolve_unwatched.mean_us,
               100.0 * (resolve_unwatched.mean_us / resolve_before.mean_us -
                        1.0));
-  std::printf("resolve, watched file         : %9.3f (+%.0f%%)\n",
+  std::printf("resolve, watched file         : %9.3f (%+.0f%%)\n",
               resolve_watched.mean_us,
               100.0 * (resolve_watched.mean_us / resolve_before.mean_us -
                        1.0));
   std::printf("4KB read, direct file object  : %9.3f\n", direct_read.mean_us);
-  std::printf("4KB read, through watchdog    : %9.3f (+%.0f%%)\n",
+  std::printf("4KB read, through watchdog    : %9.3f (%+.0f%%)\n",
               watched_read.mean_us,
               100.0 * (watched_read.mean_us / direct_read.mean_us - 1.0));
   std::printf("interposer intercepts: %llu; watchdog calls: %llu\n",
@@ -131,5 +152,21 @@ int main() {
   std::printf("shape: interposition costs one extra resolution hop per name "
               "and one\nforwarded call per intercepted operation — "
               "negligible next to I/O\n");
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool holds, const char* claim) {
+    if (!holds) {
+      std::printf("FAIL: %s\n", claim);
+      ok = false;
+    }
+  };
+  check(watched_is_watchdog, "a watched name must resolve to the watchdog");
+  check(plain_is_sfs_file, "an unwatched name must resolve to the SFS file");
+  check(interposer->intercept_count() == interposed_resolves,
+        "the interposer must intercept every resolution made through it");
+  check(watchdog->calls == watchdog_reads,
+        "the watchdog must see every read made through it");
+  check(direct_reads_match, "every direct read must return the written page");
+  check(reads_match, "every read through the watchdog must return the page");
+  return ok ? 0 : 1;
 }

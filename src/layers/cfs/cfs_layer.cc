@@ -4,21 +4,10 @@
 
 #include <algorithm>
 
+#include "src/naming/views.h"
 #include "src/support/logging.h"
 
 namespace springfs {
-namespace {
-
-class CfsCacheRights : public CacheRights {
- public:
-  explicit CfsCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
-
-}  // namespace
 
 // CFS's cache object toward the remote file. CFS caches no data (the VMM
 // does, through its own channel), so data callbacks return nothing; the
@@ -215,17 +204,6 @@ sp<CfsLayer::FileState> CfsLayer::StateFor(const sp<File>& remote) {
   return state;
 }
 
-Result<sp<Object>> CfsLayer::WrapResolved(sp<Object> object) {
-  if (sp<File> remote_file = narrow<File>(object)) {
-    sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
-    return sp<Object>(std::make_shared<CfsFile>(domain(), self,
-                                                StateFor(remote_file)));
-  }
-  // Directories resolve through the remote context untouched; per-file
-  // interposition applies to files.
-  return object;
-}
-
 Status CfsLayer::EnsureBoundRemote(const sp<FileState>& state) {
   std::lock_guard<std::mutex> bind_lock(bind_mutex_);
   {
@@ -261,7 +239,7 @@ Result<CacheManager::ChannelSetup> CfsLayer::EstablishChannel(
   }
   ChannelSetup setup;
   setup.cache = std::make_shared<CfsCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<CfsCacheRights>(NewPagerKey());
+  setup.rights = std::make_shared<ChannelRights>(NewPagerKey());
   return setup;
 }
 
@@ -320,7 +298,17 @@ Result<sp<Object>> CfsLayer::Resolve(const Name& name,
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
     ASSIGN_OR_RETURN(sp<Object> object, remote_->Resolve(name, creds));
-    return WrapResolved(std::move(object));
+    if (sp<File> remote_file = narrow<File>(object)) {
+      sp<CfsLayer> self =
+          std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
+      return sp<Object>(std::make_shared<CfsFile>(domain(), self,
+                                                  StateFor(remote_file)));
+    }
+    // Directories stay CFS's, so the files under them are interposed on.
+    if (narrow<Context>(object)) {
+      return sp<Object>(SubContext<CfsLayer>::Of(this, name));
+    }
+    return object;
   });
 }
 
@@ -335,16 +323,35 @@ Status CfsLayer::Bind(const Name& name, sp<Object> object,
 }
 
 Status CfsLayer::Unbind(const Name& name, const Credentials& creds) {
-  return InDomain([&] { return remote_->Unbind(name, creds); });
+  return InDomain([&]() -> Status {
+    // Capture the remote object first: the client hands the same object to
+    // the next file created at this name, so the removed file's cached
+    // attributes and mapping must go with its name.
+    Result<sp<Object>> target = remote_->Resolve(name, creds);
+    RETURN_IF_ERROR(remote_->Unbind(name, creds));
+    if (target.ok()) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      states_.erase(target->get());
+    }
+    return Status::Ok();
+  });
 }
 
 Result<std::vector<BindingInfo>> CfsLayer::List(const Credentials& creds) {
-  return InDomain([&] { return remote_->List(creds); });
+  return ListAt(Name(), creds);
+}
+
+Result<std::vector<BindingInfo>> CfsLayer::ListAt(const Name& dir,
+                                                  const Credentials& creds) {
+  return InDomain([&] { return ListDirectory(remote_, dir, creds); });
 }
 
 Result<sp<Context>> CfsLayer::CreateContext(const Name& name,
                                             const Credentials& creds) {
-  return InDomain([&] { return remote_->CreateContext(name, creds); });
+  return InDomain([&]() -> Result<sp<Context>> {
+    RETURN_IF_ERROR(remote_->CreateContext(name, creds).status());
+    return SubContext<CfsLayer>::Of(this, name);
+  });
 }
 
 Result<FsInfo> CfsLayer::GetFsInfo() {

@@ -51,6 +51,10 @@ class CfsLayer : public Context, public Fs, public CacheManager,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Lists remote directory `dir` (the root when empty); directories this
+  // layer hands out are SubContexts listed through here.
+  Result<std::vector<BindingInfo>> ListAt(const Name& dir,
+                                          const Credentials& creds);
 
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
@@ -96,7 +100,6 @@ class CfsLayer : public Context, public Fs, public CacheManager,
 
   CfsLayer(sp<Domain> domain, sp<Context> remote, sp<Vmm> vmm, Clock* clock);
 
-  Result<sp<Object>> WrapResolved(sp<Object> object);
   sp<FileState> StateFor(const sp<File>& remote);
   Status EnsureBoundRemote(const sp<FileState>& state);
   Status EnsureAttrs(FileState& state);      // state.mutex held

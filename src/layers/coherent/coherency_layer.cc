@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/naming/views.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
 
@@ -27,17 +28,6 @@ metrics::OpMetric& WriteMetric() {
   static metrics::OpMetric metric("layer/coherent/write");
   return metric;
 }
-
-// Rights object the coherency layer (as a cache manager) hands to the layer
-// below during the bind exchange.
-class LayerCacheRights : public CacheRights {
- public:
-  explicit LayerCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
 
 }  // namespace
 
@@ -419,48 +409,6 @@ class CoherentFile : public File, public Servant {
   sp<CoherencyLayer::FileState> state_;
 };
 
-// A directory view: resolutions through it wrap their results.
-class CoherentDirContext : public Context, public Servant {
- public:
-  CoherentDirContext(sp<Domain> domain, sp<CoherencyLayer> layer,
-                     sp<Context> under)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return InDomain([&] {
-      return under_->Bind(name, layer_->UnwrapForBind(std::move(object)),
-                          creds, replace);
-    });
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&] { return under_->Unbind(name, creds); });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&] { return under_->List(creds); });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<CoherentDirContext>(
-          domain(), layer_, std::move(ctx)));
-    });
-  }
-
- private:
-  sp<CoherencyLayer> layer_;
-  sp<Context> under_;
-};
-
 // --- CoherencyLayer --------------------------------------------------------
 
 sp<CoherencyLayer> CoherencyLayer::Create(sp<Domain> domain,
@@ -536,27 +484,6 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
   return it->second;
 }
 
-Result<sp<Object>> CoherencyLayer::WrapResolved(sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CoherentFile> wrapped, WrapFile(file));
-    return sp<Object>(wrapped);
-  }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<CoherencyLayer> self =
-        std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<CoherentDirContext>(domain(), self, ctx));
-  }
-  return object;
-}
-
-sp<Object> CoherencyLayer::UnwrapForBind(sp<Object> object) {
-  if (sp<CoherentFile> wrapped = narrow<CoherentFile>(object)) {
-    return wrapped->under();
-  }
-  return object;
-}
-
 Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
   std::lock_guard<std::mutex> bind_lock(bind_mutex_);
   {
@@ -604,7 +531,7 @@ Result<CacheManager::ChannelSetup> CoherencyLayer::EstablishChannel(
   ChannelSetup setup;
   setup.cache =
       std::make_shared<CoherencyLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<LayerCacheRights>(state->file_id);
+  setup.rights = std::make_shared<ChannelRights>(state->file_id);
   return setup;
 }
 
@@ -1012,7 +939,14 @@ Result<sp<Object>> CoherencyLayer::Resolve(const Name& name,
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
     ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(std::move(object));
+    if (sp<File> file = narrow<File>(object)) {
+      ASSIGN_OR_RETURN(sp<CoherentFile> wrapped, WrapFile(file));
+      return sp<Object>(wrapped);
+    }
+    if (narrow<Context>(object)) {
+      return sp<Object>(SubContext<CoherencyLayer>::Of(this, name));
+    }
+    return object;
   });
 }
 
@@ -1022,8 +956,10 @@ Status CoherencyLayer::Bind(const Name& name, sp<Object> object,
     if (!under_) {
       return ErrInvalidArgument("coherency layer not stacked");
     }
-    return under_->Bind(name, UnwrapForBind(std::move(object)), creds,
-                        replace);
+    if (sp<CoherentFile> wrapped = narrow<CoherentFile>(object)) {
+      object = wrapped->under();
+    }
+    return under_->Bind(name, std::move(object), creds, replace);
   });
 }
 
@@ -1060,11 +996,16 @@ Status CoherencyLayer::Unbind(const Name& name, const Credentials& creds) {
 
 Result<std::vector<BindingInfo>> CoherencyLayer::List(
     const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
+Result<std::vector<BindingInfo>> CoherencyLayer::ListAt(
+    const Name& dir, const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("coherency layer not stacked");
     }
-    return under_->List(creds);
+    return ListDirectory(under_, dir, creds);
   });
 }
 
@@ -1074,11 +1015,8 @@ Result<sp<Context>> CoherencyLayer::CreateContext(const Name& name,
     if (!under_) {
       return ErrInvalidArgument("coherency layer not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<CoherencyLayer> self =
-        std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<CoherentDirContext>(domain(), self, std::move(ctx)));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return SubContext<CoherencyLayer>::Of(this, name);
   });
 }
 

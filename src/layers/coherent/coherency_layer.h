@@ -70,6 +70,10 @@ class CoherencyLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Lists directory `dir` (the root when empty); directories this layer
+  // hands out are SubContexts listed through here.
+  Result<std::vector<BindingInfo>> ListAt(const Name& dir,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -124,7 +128,6 @@ class CoherencyLayer : public StackableFs,
 
  private:
   friend class CoherentFile;
-  friend class CoherentDirContext;
   friend class CoherentPagerObject;
   friend class CoherencyLowerCacheObject;
 
@@ -151,9 +154,7 @@ class CoherencyLayer : public StackableFs,
   };
 
   // Wrapping machinery.
-  Result<sp<Object>> WrapResolved(sp<Object> object);
   Result<sp<CoherentFile>> WrapFile(const sp<File>& under);
-  sp<Object> UnwrapForBind(sp<Object> object);
   sp<FileState> StateForFile(const sp<File>& under);
 
   // Binds `state` to the underlying file (once), capturing the lower pager.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/naming/views.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -14,14 +15,16 @@ constexpr size_t kMetaHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kMetaEntrySize = 16;
 constexpr const char* kMetaSuffix = ".cmeta";
 
-class CompCacheRights : public CacheRights {
- public:
-  explicit CompCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
+bool IsMetaName(const std::string& component) {
+  return component.size() > std::strlen(kMetaSuffix) &&
+         component.compare(component.size() - std::strlen(kMetaSuffix),
+                           std::strlen(kMetaSuffix), kMetaSuffix) == 0;
+}
 
- private:
-  uint64_t id_;
-};
+// The metadata shadow of the file named `name`.
+Name MetaNameFor(const Name& name) {
+  return name.Parent().Join(Name::Single(name.back() + kMetaSuffix));
+}
 
 }  // namespace
 
@@ -359,71 +362,6 @@ class CompFile : public File, public Servant {
   sp<CompLayer::FileState> state_;
 };
 
-// Directory view; resolutions through it wrap and the .cmeta shadows stay
-// hidden.
-class CompDirContext : public Context, public Servant {
- public:
-  CompDirContext(sp<Domain> domain, sp<CompLayer> layer, sp<Context> under,
-                 Name prefix)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)), prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      if (!name.empty() && CompLayer::IsMetaName(name.back())) {
-        return ErrNotFound("metadata shadow files are not exported");
-      }
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(prefix_.Join(name), std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object,
-              const Credentials& creds, bool replace) override {
-    return InDomain(
-        [&] { return under_->Bind(name, std::move(object), creds, replace); });
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&]() -> Status {
-      RETURN_IF_ERROR(under_->Unbind(name, creds));
-      if (!name.empty()) {
-        Name meta = name.Parent().Join(
-            Name::Single(CompLayer::MetaNameFor(name.back())));
-        Status st = under_->Unbind(meta, creds);
-        if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-          return st;
-        }
-      }
-      return Status::Ok();
-    });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-      ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
-      std::vector<BindingInfo> visible;
-      for (auto& entry : all) {
-        if (!CompLayer::IsMetaName(entry.name)) {
-          visible.push_back(std::move(entry));
-        }
-      }
-      return visible;
-    });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<CompDirContext>(
-          domain(), layer_, std::move(ctx), prefix_.Join(name)));
-    });
-  }
-
- private:
-  sp<CompLayer> layer_;
-  sp<Context> under_;
-  Name prefix_;
-};
-
 // --- CompLayer --------------------------------------------------------------
 
 sp<CompLayer> CompLayer::Create(sp<Domain> domain, CompLayerOptions options,
@@ -440,16 +378,6 @@ CompLayer::CompLayer(sp<Domain> domain, CompLayerOptions options, Clock* clock)
 
 CompLayer::~CompLayer() {
   metrics::Registry::Global().UnregisterProvider(this);
-}
-
-bool CompLayer::IsMetaName(const std::string& component) {
-  return component.size() > std::strlen(kMetaSuffix) &&
-         component.compare(component.size() - std::strlen(kMetaSuffix),
-                           std::strlen(kMetaSuffix), kMetaSuffix) == 0;
-}
-
-std::string CompLayer::MetaNameFor(const std::string& component) {
-  return component + kMetaSuffix;
 }
 
 Status CompLayer::StackOn(sp<StackableFs> underlying) {
@@ -476,7 +404,7 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
     }
   }
   // Locate (or create) the metadata shadow file.
-  Name meta_name = name.Parent().Join(Name::Single(MetaNameFor(name.back())));
+  Name meta_name = MetaNameFor(name);
   sp<File> under_meta;
   Result<sp<Object>> meta_obj = under_->Resolve(meta_name,
                                                 Credentials::System());
@@ -510,21 +438,6 @@ Result<sp<CompFile>> CompLayer::WrapFile(const Name& name,
   return wrapped;
 }
 
-Result<sp<Object>> CompLayer::WrapResolved(const Name& name,
-                                           sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<CompFile> wrapped, WrapFile(name, file));
-    return sp<Object>(wrapped);
-  }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<CompLayer> self =
-        std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<CompDirContext>(domain(), self, ctx, name));
-  }
-  return object;
-}
-
 Result<sp<Object>> CompLayer::Resolve(const Name& name,
                                       const Credentials& creds) {
   return InDomain([&]() -> Result<sp<Object>> {
@@ -538,7 +451,14 @@ Result<sp<Object>> CompLayer::Resolve(const Name& name,
       return ErrNotFound("metadata shadow files are not exported");
     }
     ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(name, std::move(object));
+    if (sp<File> file = narrow<File>(object)) {
+      ASSIGN_OR_RETURN(sp<CompFile> wrapped, WrapFile(name, file));
+      return sp<Object>(wrapped);
+    }
+    if (narrow<Context>(object)) {
+      return sp<Object>(SubContext<CompLayer>::Of(this, name));
+    }
+    return object;
   });
 }
 
@@ -563,8 +483,7 @@ Status CompLayer::Unbind(const Name& name, const Credentials& creds) {
       wrapped_files_.erase(name.ToString());
     }
     if (!name.empty()) {
-      Name meta = name.Parent().Join(Name::Single(MetaNameFor(name.back())));
-      Status st = under_->Unbind(meta, creds);
+      Status st = under_->Unbind(MetaNameFor(name), creds);
       if (!st.ok() && st.code() != ErrorCode::kNotFound) {
         return st;
       }
@@ -574,11 +493,17 @@ Status CompLayer::Unbind(const Name& name, const Credentials& creds) {
 }
 
 Result<std::vector<BindingInfo>> CompLayer::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
+Result<std::vector<BindingInfo>> CompLayer::ListAt(const Name& dir,
+                                                   const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("compfs not stacked");
     }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
+    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
+                     ListDirectory(under_, dir, creds));
     std::vector<BindingInfo> visible;
     for (auto& entry : all) {
       if (!IsMetaName(entry.name)) {
@@ -595,11 +520,8 @@ Result<sp<Context>> CompLayer::CreateContext(const Name& name,
     if (!under_) {
       return ErrInvalidArgument("compfs not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<CompLayer> self =
-        std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<CompDirContext>(domain(), self, std::move(ctx), name));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return SubContext<CompLayer>::Of(this, name);
   });
 }
 
@@ -717,7 +639,7 @@ Result<CacheManager::ChannelSetup> CompLayer::EstablishChannel(
   }
   ChannelSetup setup;
   setup.cache = std::make_shared<CompLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<CompCacheRights>(state->file_id);
+  setup.rights = std::make_shared<ChannelRights>(state->file_id);
   return setup;
 }
 

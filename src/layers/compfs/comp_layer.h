@@ -75,6 +75,10 @@ class CompLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Lists directory `dir` (the root when empty) without the .cmeta shadows;
+  // directories this layer hands out are SubContexts listed through here.
+  Result<std::vector<BindingInfo>> ListAt(const Name& dir,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -100,7 +104,6 @@ class CompLayer : public StackableFs,
 
  private:
   friend class CompFile;
-  friend class CompDirContext;
   friend class CompPagerObject;
   friend class CompLowerCacheObject;
 
@@ -152,10 +155,6 @@ class CompLayer : public StackableFs,
     std::mutex mutex;
   };
 
-  static bool IsMetaName(const std::string& component);
-  static std::string MetaNameFor(const std::string& component);
-
-  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<CompFile>> WrapFile(const Name& name, const sp<File>& under_data);
   Status EnsureBoundBelow(const sp<FileState>& state);
 

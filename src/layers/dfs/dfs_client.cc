@@ -4,6 +4,7 @@
 #include <atomic>
 #include <optional>
 
+#include "src/naming/views.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/support/logging.h"
@@ -530,39 +531,6 @@ class RemoteFile : public File, public Servant {
   Buffer cto_prefetch_;
 };
 
-// Remote directory, identified by path prefix.
-class RemoteDirContext : public Context, public Servant {
- public:
-  RemoteDirContext(sp<Domain> domain, sp<DfsClient> client, Name prefix)
-      : Servant(std::move(domain)), client_(std::move(client)),
-        prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return client_->Resolve(prefix_.Join(name), creds);
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return client_->Bind(prefix_.Join(name), std::move(object), creds,
-                         replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return client_->Unbind(prefix_.Join(name), creds);
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    (void)creds;
-    return client_->ListPath(prefix_.ToString());
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return client_->CreateContext(prefix_.Join(name), creds);
-  }
-
- private:
-  sp<DfsClient> client_;
-  Name prefix_;
-};
-
 Result<sp<DfsClient>> DfsClient::Mount(const sp<net::Node>& node,
                                        net::Network* network,
                                        const std::string& server_node,
@@ -1002,18 +970,17 @@ void DfsClient::DropChannel(uint64_t local_channel) {
   }
 }
 
-Result<sp<Object>> DfsClient::ObjectForPath(const std::string& path) {
+Result<sp<Object>> DfsClient::ObjectForPath(const Name& name) {
   if (options_.compound) {
-    return ObjectForPathCompound(path);
+    return ObjectForPathCompound(name);
   }
+  std::string path = name.ToString();
   ASSIGN_OR_RETURN(LookupResponse looked,
                    Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
-  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
-    ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
-    return sp<Object>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                         prefix));
+    return sp<Object>(SubContext<DfsClient>::Of(this, name));
   }
+  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = remote_files_.find(path);
   if (it != remote_files_.end()) {
@@ -1029,7 +996,8 @@ Result<sp<Object>> DfsClient::ObjectForPath(const std::string& path) {
   return sp<Object>(file);
 }
 
-Result<sp<Object>> DfsClient::ObjectForPathCompound(const std::string& path) {
+Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
+  std::string path = name.ToString();
   // A held delegation answers the whole open locally: zero round trips.
   sp<RemoteFile> cached;
   {
@@ -1072,12 +1040,10 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const std::string& path) {
   // e.g. kOpen fails with kStale handle 0 when the path is a directory).
   ASSIGN_OR_RETURN(LookupResponse looked,
                    SubResult<LookupResponse>(results, 0));
-  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   if (looked.is_dir) {
-    ASSIGN_OR_RETURN(Name prefix, Name::Parse(path));
-    return sp<Object>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                         prefix));
+    return sp<Object>(SubContext<DfsClient>::Of(this, name));
   }
+  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
   sp<RemoteFile> file;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1133,7 +1099,7 @@ Result<sp<Object>> DfsClient::Resolve(const Name& name,
     if (name.empty()) {
       return sp<Object>(std::dynamic_pointer_cast<Object>(shared_from_this()));
     }
-    return ObjectForPath(name.ToString());
+    return ObjectForPath(name);
   });
 }
 
@@ -1153,10 +1119,13 @@ Status DfsClient::Unbind(const Name& name, const Credentials& creds) {
   });
 }
 
-Result<std::vector<BindingInfo>> DfsClient::ListPath(const std::string& path) {
+Result<std::vector<BindingInfo>> DfsClient::ListAt(const Name& dir,
+                                                   const Credentials& creds) {
+  (void)creds;
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     ASSIGN_OR_RETURN(ReadDirResponse body,
-                     Invoke<ReadDirResponse>(Op::kReadDir, PathRequest{path}));
+                     Invoke<ReadDirResponse>(Op::kReadDir,
+                                             PathRequest{dir.ToString()}));
     std::vector<BindingInfo> entries;
     entries.reserve(body.entries.size());
     for (const ReadDirResponse::Entry& entry : body.entries) {
@@ -1170,8 +1139,7 @@ Result<std::vector<BindingInfo>> DfsClient::ListPath(const std::string& path) {
 }
 
 Result<std::vector<BindingInfo>> DfsClient::List(const Credentials& creds) {
-  (void)creds;
-  return ListPath("");
+  return ListAt(Name(), creds);
 }
 
 Result<sp<Context>> DfsClient::CreateContext(const Name& name,
@@ -1180,10 +1148,7 @@ Result<sp<Context>> DfsClient::CreateContext(const Name& name,
   return InDomain([&]() -> Result<sp<Context>> {
     RETURN_IF_ERROR(
         Invoke(Op::kMkdir, PathRequest{name.ToString()}).status());
-    sp<DfsClient> self =
-        std::dynamic_pointer_cast<DfsClient>(shared_from_this());
-    return sp<Context>(std::make_shared<RemoteDirContext>(domain(), self,
-                                                          name));
+    return SubContext<DfsClient>::Of(this, name);
   });
 }
 

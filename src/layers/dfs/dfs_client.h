@@ -103,6 +103,10 @@ class DfsClient : public Context,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Lists the server directory `dir` (the root when empty); directories
+  // this client hands out are SubContexts listed through here.
+  Result<std::vector<BindingInfo>> ListAt(const Name& dir,
+                                          const Credentials& creds);
 
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
@@ -136,7 +140,6 @@ class DfsClient : public Context,
 
  private:
   friend class RemoteFile;
-  friend class RemoteDirContext;
   friend class RemotePagerObject;
   // The striped client (striped_client.h) drives its metadata traffic
   // through this client's Call/retry machinery instead of duplicating it.
@@ -231,14 +234,12 @@ class DfsClient : public Context,
   // Re-resolves a path to a fresh handle after the server forgot the old
   // one (kStale across a restart).
   Result<uint64_t> RebindHandle(const std::string& path);
-  // Directory listing for a path (RemoteDirContext delegate).
-  Result<std::vector<BindingInfo>> ListPath(const std::string& path);
 
-  Result<sp<Object>> ObjectForPath(const std::string& path);
+  Result<sp<Object>> ObjectForPath(const Name& name);
   // The compound variant: a delegated cache hit resolves with zero round
   // trips; otherwise one kCompound frame looks up, opens (asking for a
   // delegation when configured), stats, and prefetches the first page.
-  Result<sp<Object>> ObjectForPathCompound(const std::string& path);
+  Result<sp<Object>> ObjectForPathCompound(const Name& name);
 
   // Delegation bookkeeping (all under mutex_). A recall that arrives for
   // an id we have not installed yet (the grant response is still in

@@ -11,15 +11,6 @@
 namespace springfs::dfs {
 namespace {
 
-class DfsCacheRights : public CacheRights {
- public:
-  explicit DfsCacheRights(uint64_t id) : id_(id) {}
-  uint64_t channel_id() const override { return id_; }
-
- private:
-  uint64_t id_;
-};
-
 // Monotonic boot-epoch source shared by every server instance in the
 // process: a restarted server (new DfsServer on the same node/service)
 // necessarily gets a larger epoch than its predecessor.
@@ -482,7 +473,7 @@ Result<CacheManager::ChannelSetup> DfsServer::EstablishChannel(
   }
   ChannelSetup setup;
   setup.cache = std::make_shared<DfsLowerCacheObject>(domain(), self, file);
-  setup.rights = std::make_shared<DfsCacheRights>(file->handle);
+  setup.rights = std::make_shared<ChannelRights>(file->handle);
   return setup;
 }
 

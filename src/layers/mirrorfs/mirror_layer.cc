@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "src/naming/views.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -264,37 +265,6 @@ Status MirrorPagerObject::WriteAttributes(const AttrUpdate& update) {
   });
 }
 
-// Directory view over all replicas, identified by its path prefix.
-class MirrorDirContext : public Context, public Servant {
- public:
-  MirrorDirContext(sp<Domain> domain, sp<MirrorLayer> layer, Name prefix)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return layer_->Resolve(prefix_.Join(name), creds);
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return layer_->Bind(prefix_.Join(name), std::move(object), creds, replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return layer_->Unbind(prefix_.Join(name), creds);
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return layer_->ListAt(prefix_, creds);
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return layer_->CreateContext(prefix_.Join(name), creds);
-  }
-
- private:
-  sp<MirrorLayer> layer_;
-  Name prefix_;
-};
-
 sp<MirrorLayer> MirrorLayer::Create(sp<Domain> domain, Clock* clock) {
   return sp<MirrorLayer>(new MirrorLayer(std::move(domain), clock));
 }
@@ -398,12 +368,11 @@ Result<sp<Object>> MirrorLayer::Resolve(const Name& name,
     if (!found_any) {
       return last_error;
     }
+    if (is_context) {
+      return sp<Object>(SubContext<MirrorLayer>::Of(this, name));
+    }
     sp<MirrorLayer> self =
         std::dynamic_pointer_cast<MirrorLayer>(shared_from_this());
-    if (is_context) {
-      return sp<Object>(
-          std::make_shared<MirrorDirContext>(domain(), self, name));
-    }
     return sp<Object>(std::make_shared<MirrorFile>(domain(), self, name,
                                                    std::move(files)));
   });
@@ -454,16 +423,8 @@ Result<std::vector<BindingInfo>> MirrorLayer::ListAt(const Name& prefix,
     Status last_error;
     bool any_ok = false;
     for (const auto& replica : replicas) {
-      Result<sp<Object>> dir_obj = replica->Resolve(prefix, creds);
-      if (!dir_obj.ok()) {
-        last_error = dir_obj.status();
-        continue;
-      }
-      sp<Context> dir = narrow<Context>(*dir_obj);
-      if (!dir) {
-        continue;
-      }
-      Result<std::vector<BindingInfo>> list = dir->List(creds);
+      Result<std::vector<BindingInfo>> list =
+          ListDirectory(replica, prefix, creds);
       if (!list.ok()) {
         last_error = list.status();
         continue;
@@ -511,10 +472,7 @@ Result<sp<Context>> MirrorLayer::CreateContext(const Name& name,
     if (!any_ok) {
       return last_error;
     }
-    sp<MirrorLayer> self =
-        std::dynamic_pointer_cast<MirrorLayer>(shared_from_this());
-    return sp<Context>(std::make_shared<MirrorDirContext>(domain(), self,
-                                                          name));
+    return SubContext<MirrorLayer>::Of(this, name);
   });
 }
 

@@ -62,15 +62,15 @@ class MirrorLayer : public StackableFs,
   std::string stats_prefix() const override { return "layer/mirrorfs"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
-  // Listing relative to a path prefix (union over replicas); used by the
-  // directory views.
+  // Lists directory `prefix` (the root when empty) as the union over the
+  // replicas; directories this layer hands out are SubContexts listed
+  // through here.
   Result<std::vector<BindingInfo>> ListAt(const Name& prefix,
                                           const Credentials& creds);
 
  private:
   friend class MirrorFile;
   friend class MirrorPagerObject;
-  friend class MirrorDirContext;
 
   explicit MirrorLayer(sp<Domain> domain, Clock* clock);
 

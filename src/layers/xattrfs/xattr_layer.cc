@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/naming/views.h"
 #include "src/support/logging.h"
 
 namespace springfs {
@@ -10,6 +11,18 @@ namespace {
 
 constexpr const char* kShadowSuffix = ".xattr";
 constexpr uint32_t kShadowMagic = 0x58415452;  // "XATR"
+
+bool IsShadowName(const std::string& component) {
+  size_t suffix_len = std::strlen(kShadowSuffix);
+  return component.size() > suffix_len &&
+         component.compare(component.size() - suffix_len, suffix_len,
+                           kShadowSuffix) == 0;
+}
+
+// The attribute shadow of the file named `name`.
+Name ShadowNameFor(const Name& name) {
+  return name.Parent().Join(Name::Single(name.back() + kShadowSuffix));
+}
 
 }  // namespace
 
@@ -101,67 +114,6 @@ class XattrFileImpl : public XattrFile, public Servant {
   sp<XattrLayer::FileState> state_;
 };
 
-// Directory view hiding the shadow files.
-class XattrDirContext : public Context, public Servant {
- public:
-  XattrDirContext(sp<Domain> domain, sp<XattrLayer> layer, sp<Context> under,
-                  Name prefix)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
-        under_(std::move(under)), prefix_(std::move(prefix)) {}
-
-  Result<sp<Object>> Resolve(const Name& name,
-                             const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Object>> {
-      if (!name.empty() && XattrLayer::IsShadowName(name.back())) {
-        return ErrNotFound("attribute shadow files are not exported");
-      }
-      ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-      return layer_->WrapResolved(prefix_.Join(name), std::move(object));
-    });
-  }
-  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
-              bool replace) override {
-    return under_->Bind(name, std::move(object), creds, replace);
-  }
-  Status Unbind(const Name& name, const Credentials& creds) override {
-    return InDomain([&]() -> Status {
-      RETURN_IF_ERROR(under_->Unbind(name, creds));
-      if (!name.empty()) {
-        Status st = under_->Unbind(XattrLayer::ShadowNameFor(name), creds);
-        if (!st.ok() && st.code() != ErrorCode::kNotFound) {
-          return st;
-        }
-      }
-      return Status::Ok();
-    });
-  }
-  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
-    return InDomain([&]() -> Result<std::vector<BindingInfo>> {
-      ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
-      std::vector<BindingInfo> visible;
-      for (auto& entry : all) {
-        if (!XattrLayer::IsShadowName(entry.name)) {
-          visible.push_back(std::move(entry));
-        }
-      }
-      return visible;
-    });
-  }
-  Result<sp<Context>> CreateContext(const Name& name,
-                                    const Credentials& creds) override {
-    return InDomain([&]() -> Result<sp<Context>> {
-      ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-      return sp<Context>(std::make_shared<XattrDirContext>(
-          domain(), layer_, std::move(ctx), prefix_.Join(name)));
-    });
-  }
-
- private:
-  sp<XattrLayer> layer_;
-  sp<Context> under_;
-  Name prefix_;
-};
-
 sp<XattrLayer> XattrLayer::Create(sp<Domain> domain, Clock* clock) {
   return sp<XattrLayer>(new XattrLayer(std::move(domain), clock));
 }
@@ -173,17 +125,6 @@ XattrLayer::XattrLayer(sp<Domain> domain, Clock* clock)
 
 XattrLayer::~XattrLayer() {
   metrics::Registry::Global().UnregisterProvider(this);
-}
-
-bool XattrLayer::IsShadowName(const std::string& component) {
-  size_t suffix_len = std::strlen(kShadowSuffix);
-  return component.size() > suffix_len &&
-         component.compare(component.size() - suffix_len, suffix_len,
-                           kShadowSuffix) == 0;
-}
-
-Name XattrLayer::ShadowNameFor(const Name& name) {
-  return name.Parent().Join(Name::Single(name.back() + kShadowSuffix));
 }
 
 void XattrLayer::NoteGet() {
@@ -224,21 +165,6 @@ Result<sp<File>> XattrLayer::WrapFile(const Name& name,
   sp<File> wrapped = std::make_shared<XattrFileImpl>(domain(), self, state);
   wrapped_files_.emplace(key, wrapped);
   return wrapped;
-}
-
-Result<sp<Object>> XattrLayer::WrapResolved(const Name& name,
-                                            sp<Object> object) {
-  if (sp<File> file = narrow<File>(object)) {
-    ASSIGN_OR_RETURN(sp<File> wrapped, WrapFile(name, file));
-    return sp<Object>(wrapped);
-  }
-  if (sp<Context> ctx = narrow<Context>(object)) {
-    sp<XattrLayer> self =
-        std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
-    return sp<Object>(
-        std::make_shared<XattrDirContext>(domain(), self, ctx, name));
-  }
-  return object;
 }
 
 // Shadow format: magic u32, count u32, then per entry:
@@ -359,7 +285,14 @@ Result<sp<Object>> XattrLayer::Resolve(const Name& name,
       return ErrNotFound("attribute shadow files are not exported");
     }
     ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
-    return WrapResolved(name, std::move(object));
+    if (sp<File> file = narrow<File>(object)) {
+      ASSIGN_OR_RETURN(sp<File> wrapped, WrapFile(name, file));
+      return sp<Object>(wrapped);
+    }
+    if (narrow<Context>(object)) {
+      return sp<Object>(SubContext<XattrLayer>::Of(this, name));
+    }
+    return object;
   });
 }
 
@@ -397,11 +330,17 @@ Status XattrLayer::Unbind(const Name& name, const Credentials& creds) {
 }
 
 Result<std::vector<BindingInfo>> XattrLayer::List(const Credentials& creds) {
+  return ListAt(Name(), creds);
+}
+
+Result<std::vector<BindingInfo>> XattrLayer::ListAt(const Name& dir,
+                                                    const Credentials& creds) {
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     if (!under_) {
       return ErrInvalidArgument("xattrfs not stacked");
     }
-    ASSIGN_OR_RETURN(std::vector<BindingInfo> all, under_->List(creds));
+    ASSIGN_OR_RETURN(std::vector<BindingInfo> all,
+                     ListDirectory(under_, dir, creds));
     std::vector<BindingInfo> visible;
     for (auto& entry : all) {
       if (!IsShadowName(entry.name)) {
@@ -418,12 +357,8 @@ Result<sp<Context>> XattrLayer::CreateContext(const Name& name,
     if (!under_) {
       return ErrInvalidArgument("xattrfs not stacked");
     }
-    ASSIGN_OR_RETURN(sp<Context> ctx, under_->CreateContext(name, creds));
-    sp<XattrLayer> self =
-        std::dynamic_pointer_cast<XattrLayer>(shared_from_this());
-    return sp<Context>(
-        std::make_shared<XattrDirContext>(domain(), self, std::move(ctx),
-                                          name));
+    RETURN_IF_ERROR(under_->CreateContext(name, creds).status());
+    return SubContext<XattrLayer>::Of(this, name);
   });
 }
 

@@ -41,6 +41,11 @@ class XattrLayer : public StackableFs,
   Result<std::vector<BindingInfo>> List(const Credentials& creds) override;
   Result<sp<Context>> CreateContext(const Name& name,
                                     const Credentials& creds) override;
+  // Lists directory `dir` (the root when empty) without the attribute
+  // shadows; directories this layer hands out are SubContexts listed
+  // through here.
+  Result<std::vector<BindingInfo>> ListAt(const Name& dir,
+                                          const Credentials& creds);
 
   // --- StackableFs ---
   Status StackOn(sp<StackableFs> underlying) override;
@@ -57,7 +62,6 @@ class XattrLayer : public StackableFs,
 
  private:
   friend class XattrFileImpl;
-  friend class XattrDirContext;
 
   XattrLayer(sp<Domain> domain, Clock* clock);
 
@@ -81,10 +85,6 @@ class XattrLayer : public StackableFs,
     std::mutex mutex;
   };
 
-  static bool IsShadowName(const std::string& component);
-  static Name ShadowNameFor(const Name& name);
-
-  Result<sp<Object>> WrapResolved(const Name& name, sp<Object> object);
   Result<sp<File>> WrapFile(const Name& name, const sp<File>& under);
 
   // Shadow (de)serialization; state.mutex held.

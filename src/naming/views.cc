@@ -144,4 +144,20 @@ DomainNamespace::DomainNamespace(sp<Domain> domain, sp<Context> shared_root) {
   root_ = OverlayContext::Create(domain, private_root_, std::move(shared_root));
 }
 
+// --- ListDirectory ---
+
+Result<std::vector<BindingInfo>> ListDirectory(const sp<Context>& under,
+                                               const Name& dir,
+                                               const Credentials& creds) {
+  if (dir.empty()) {
+    return under->List(creds);
+  }
+  ASSIGN_OR_RETURN(sp<Object> object, under->Resolve(dir, creds));
+  sp<Context> context = narrow<Context>(object);
+  if (!context) {
+    return ErrNotADirectory("'" + dir.ToString() + "' is not a directory");
+  }
+  return context->List(creds);
+}
+
 }  // namespace springfs

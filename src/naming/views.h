@@ -10,6 +10,8 @@
 //   interposition of section 5 ("watchdogs"-style per-file extension).
 // * DomainNamespace — the per-domain context object: a private MemContext
 //   overlaid on the shared system root.
+// * SubContext — a directory of a stacked layer, named by its path from the
+//   layer's root.
 
 #ifndef SPRINGFS_NAMING_VIEWS_H_
 #define SPRINGFS_NAMING_VIEWS_H_
@@ -99,6 +101,67 @@ class DomainNamespace {
   sp<MemContext> private_root_;
   sp<Context> root_;
 };
+
+// A directory of a stacked layer, named by its path from the layer's root.
+// A stackable_fs is itself a naming_context (paper sections 3.2 and 4.4),
+// so its subdirectories are just more names of its files: every operation
+// here is the root's own on `prefix/name`, and List is the root's
+// ListAt(prefix). A layer thus implements each name operation once, on
+// full names. `Root` is a Context and a Servant with a public
+// ListAt(const Name&, const Credentials&).
+template <class Root>
+class SubContext : public Context, public Servant {
+ public:
+  SubContext(sp<Root> root, Name prefix)
+      : Servant(root->domain()), root_(std::move(root)),
+        prefix_(std::move(prefix)) {}
+
+  // The directory `prefix` of `root`, for root's own methods to hand out.
+  static sp<Context> Of(Root* root, Name prefix) {
+    return std::make_shared<SubContext>(
+        std::dynamic_pointer_cast<Root>(root->shared_from_this()),
+        std::move(prefix));
+  }
+
+  Result<sp<Object>> Resolve(const Name& name,
+                             const Credentials& creds) override {
+    return root_->Resolve(prefix_.Join(name), creds);
+  }
+  Status Bind(const Name& name, sp<Object> object, const Credentials& creds,
+              bool replace = false) override {
+    RETURN_IF_ERROR(NotEmpty(name));
+    return root_->Bind(prefix_.Join(name), std::move(object), creds, replace);
+  }
+  Status Unbind(const Name& name, const Credentials& creds) override {
+    RETURN_IF_ERROR(NotEmpty(name));
+    return root_->Unbind(prefix_.Join(name), creds);
+  }
+  Result<std::vector<BindingInfo>> List(const Credentials& creds) override {
+    return root_->ListAt(prefix_, creds);
+  }
+  Result<sp<Context>> CreateContext(const Name& name,
+                                    const Credentials& creds) override {
+    RETURN_IF_ERROR(NotEmpty(name));
+    return root_->CreateContext(prefix_.Join(name), creds);
+  }
+
+ private:
+  // The empty name is this directory, which is bound in its parent, not in
+  // itself: a root refuses to bind, unbind or create it too.
+  static Status NotEmpty(const Name& name) {
+    return name.empty() ? ErrInvalidArgument("the empty name is this directory")
+                        : Status::Ok();
+  }
+
+  sp<Root> root_;
+  Name prefix_;
+};
+
+// Lists directory `dir` of `under`: `under` itself when `dir` is empty (one
+// List call), otherwise the context `dir` resolves to there.
+Result<std::vector<BindingInfo>> ListDirectory(const sp<Context>& under,
+                                               const Name& dir,
+                                               const Credentials& creds);
 
 }  // namespace springfs
 

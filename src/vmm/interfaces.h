@@ -156,6 +156,18 @@ class CacheRights : public virtual Object {
   virtual uint64_t channel_id() const = 0;
 };
 
+// The cache_rights every cache manager and pager in springfs hands out. It
+// carries only the channel id; whoever handed it out validates it by
+// looking the id up.
+class ChannelRights final : public CacheRights {
+ public:
+  explicit ChannelRights(uint64_t id) : id_(id) {}
+  uint64_t channel_id() const override { return id_; }
+
+ private:
+  uint64_t id_;
+};
+
 class CacheManager;
 
 // --- memory objects --------------------------------------------------------

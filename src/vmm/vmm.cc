@@ -35,16 +35,6 @@ struct DirtyRun {
 
 }  // namespace
 
-// cache_rights servant handed back from bind; names one channel of one VMM.
-class VmmCacheRights : public CacheRights {
- public:
-  explicit VmmCacheRights(uint64_t channel_id) : channel_id_(channel_id) {}
-  uint64_t channel_id() const override { return channel_id_; }
-
- private:
-  uint64_t channel_id_;
-};
-
 // The VMM's cache-object servant for one channel; pagers invoke it for
 // coherency actions. Runs in the VMM's domain like any servant.
 class VmmCacheObject : public CacheObject, public Servant {
@@ -174,7 +164,7 @@ Result<CacheManager::ChannelSetup> Vmm::EstablishChannel(
     ch->pager = std::move(pager);
     ch->cache_object = std::make_shared<VmmCacheObject>(
         domain(), std::dynamic_pointer_cast<Vmm>(shared_from_this()), id);
-    ch->rights_object = std::make_shared<VmmCacheRights>(id);
+    ch->rights_object = std::make_shared<ChannelRights>(id);
     ChannelSetup setup{ch->cache_object, ch->rights_object};
     channels_.emplace(id, std::move(ch));
     channel_by_pager_key_.emplace(pager_key, id);

@@ -140,6 +140,37 @@ TEST_P(CompfsTest, UnbindRemovesShadowToo) {
             ErrorCode::kNotFound);
 }
 
+TEST_P(CompfsTest, RemoveThroughASubdirectoryForgetsTheFile) {
+  // A directory context names the same files as the root: its listing
+  // hides the .cmeta shadows, and a removal through it forgets the file,
+  // so the next file created at the name starts empty with its own shadow.
+  sp<CompLayer>& compfs = stack_.compfs;
+  ASSERT_TRUE(compfs->CreateContext(*Name::Parse("d"), sys_).ok());
+  {
+    sp<File> f = *compfs->CreateFile(*Name::Parse("d/f"), sys_);
+    Buffer a(std::string(100, 'A'));
+    ASSERT_TRUE(f->Write(0, a.span()).ok());
+    ASSERT_TRUE(f->SyncFile().ok());
+  }
+  ASSERT_TRUE(stack_.sfs.root->Resolve(*Name::Parse("d/f.cmeta"), sys_).ok());
+  sp<Context> d = *ResolveAs<Context>(compfs, "d", sys_);
+  Result<std::vector<BindingInfo>> list = d->List(sys_);
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].name, "f");
+
+  ASSERT_TRUE(d->Unbind(*Name::Parse("f"), sys_).ok());
+  sp<File> again = *compfs->CreateFile(*Name::Parse("d/f"), sys_);
+  Buffer b(std::string(10, 'B'));
+  ASSERT_TRUE(again->Write(0, b.span()).ok());
+  Buffer out(100);
+  EXPECT_EQ(*again->Read(0, out.mutable_span()), 10u);
+  EXPECT_EQ(out.ToString().substr(0, 10), std::string(10, 'B'));
+  EXPECT_TRUE(stack_.sfs.root->Resolve(*Name::Parse("d/f.cmeta"), sys_).ok());
+  Status synced = compfs->SyncFs();
+  EXPECT_TRUE(synced.ok()) << synced.ToString();
+}
+
 TEST_P(CompfsTest, RewritesCreateGarbageCompactionReclaims) {
   sp<File> file = *stack_.compfs->CreateFile(*Name::Parse("churn"), sys_);
   Rng rng(4);

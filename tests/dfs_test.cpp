@@ -750,6 +750,38 @@ TEST_F(CfsTest, WritesVisibleRemotely) {
   EXPECT_EQ(file->Stat()->size, 8u);
 }
 
+TEST_F(CfsTest, RemovedFileIsForgotten) {
+  // The client hands CFS the same remote object for every file at a path,
+  // so a removal through CFS, by full name or through a directory, must
+  // drop the file's cached attributes and mapping: the next file created
+  // at the name is a different file.
+  ASSERT_TRUE(cfs_->CreateContext(*Name::Parse("d"), sys_).ok());
+  sp<Context> d = *ResolveAs<Context>(cfs_, "d", sys_);
+  for (const auto& [dir, path] :
+       {std::pair<sp<Context>, std::string>{cfs_, "r"}, {d, "d/r"}}) {
+    SCOPED_TRACE(path);
+    ASSERT_TRUE(client_->CreateFile(*Name::Parse(path), sys_).ok());
+    {
+      sp<File> file = *ResolveAs<File>(cfs_, path, sys_);
+      Buffer a(std::string(100, 'A'));
+      ASSERT_TRUE(file->Write(0, a.span()).ok());
+      ASSERT_TRUE(file->SyncFile().ok());
+    }
+    ASSERT_TRUE(dir->Unbind(*Name::Parse("r"), sys_).ok());
+
+    sp<File> recreated = *sfs_.root->CreateFile(*Name::Parse(path), sys_);
+    Buffer b(std::string(10, 'B'));
+    ASSERT_TRUE(recreated->Write(0, b.span()).ok());
+    ASSERT_TRUE(recreated->SyncFile().ok());
+
+    sp<File> file = *ResolveAs<File>(cfs_, path, sys_);
+    EXPECT_EQ(file->Stat()->size, 10u);
+    Buffer out(100);
+    EXPECT_EQ(*file->Read(0, out.mutable_span()), 10u);
+    EXPECT_EQ(out.ToString().substr(0, 10), std::string(10, 'B'));
+  }
+}
+
 TEST_F(CfsTest, AttrInvalidationCallback) {
   sp<File> created = *client_->CreateFile(*Name::Parse("inval"), sys_);
   sp<File> file = *ResolveAs<File>(cfs_, "inval", sys_);

@@ -66,6 +66,33 @@ TEST_P(SfsTest, SubdirectoriesWorkThroughTheStack) {
   EXPECT_EQ(out.ToString(), "nested");
 }
 
+TEST_P(SfsTest, RemoveThroughASubdirectoryDropsTheFilesCache) {
+  // The disk layer frees an inode at its last unlink and the next file
+  // reuses it, so a removal through a directory context must drop the
+  // coherency layer's dirty blocks of the file, as a removal by full name
+  // does: otherwise SyncFs writes them over the new file's synced data.
+  ASSERT_TRUE(sfs_.root->CreateContext(*Name::Parse("d"), sys_).ok());
+  {
+    sp<File> f = *sfs_.root->CreateFile(*Name::Parse("d/f"), sys_);
+    Buffer a(std::string(100, 'A'));
+    ASSERT_TRUE(f->Write(0, a.span()).ok());
+  }
+  sp<Context> d = *ResolveAs<Context>(sfs_.root, "d", sys_);
+  EXPECT_EQ(d->Unbind(Name(), sys_).code(), ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(d->Unbind(*Name::Parse("f"), sys_).ok());
+  sp<File> g = *sfs_.root->CreateFile(*Name::Parse("d/g"), sys_);
+  Buffer b(std::string(10, 'B'));
+  ASSERT_TRUE(g->Write(0, b.span()).ok());
+  ASSERT_TRUE(g->SyncFile().ok());
+  ASSERT_TRUE(sfs_.root->SyncFs().ok());
+
+  sp<File> on_disk = *ResolveAs<File>(sfs_.disk, "d/g", sys_);
+  EXPECT_EQ(on_disk->Stat()->size, 10u);
+  Buffer out(100);
+  EXPECT_EQ(*on_disk->Read(0, out.mutable_span()), 10u);
+  EXPECT_EQ(out.ToString().substr(0, 10), std::string(10, 'B'));
+}
+
 TEST_P(SfsTest, WritesReachDiskOnSync) {
   sp<File> file = *sfs_.root->CreateFile(*Name::Parse("durable"), sys_);
   Buffer data(std::string("must persist"));

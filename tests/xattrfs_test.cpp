@@ -111,6 +111,41 @@ TEST_F(XattrfsTest, UnbindRemovesShadow) {
             ErrorCode::kNotFound);
 }
 
+TEST_F(XattrfsTest, SubdirectoryContextActsLikeTheRoot) {
+  // A directory context names the same files as the root: its listing
+  // hides the attribute shadows, a removal through it forgets the file,
+  // and a hard link made through it binds the file below.
+  ASSERT_TRUE(xattrfs_->CreateContext(*Name::Parse("d"), sys_).ok());
+  {
+    sp<XattrFile> f = narrow<XattrFile>(
+        *xattrfs_->CreateFile(*Name::Parse("d/f"), sys_));
+    Buffer a(std::string(100, 'A'));
+    ASSERT_TRUE(f->Write(0, a.span()).ok());
+    ASSERT_TRUE(f->SetXattr("k", a.span()).ok());
+  }
+  ASSERT_TRUE(sfs_.root->Resolve(*Name::Parse("d/f.xattr"), sys_).ok());
+  sp<Context> d = *ResolveAs<Context>(xattrfs_, "d", sys_);
+  Result<std::vector<BindingInfo>> list = d->List(sys_);
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].name, "f");
+
+  ASSERT_TRUE(d->Unbind(*Name::Parse("f"), sys_).ok());
+  sp<File> again = *xattrfs_->CreateFile(*Name::Parse("d/f"), sys_);
+  Buffer b(std::string(10, 'B'));
+  ASSERT_TRUE(again->Write(0, b.span()).ok());
+  EXPECT_EQ(again->Stat()->size, 10u);
+  sp<File> below = *ResolveAs<File>(sfs_.root, "d/f", sys_);
+  EXPECT_EQ(below->Stat()->size, 10u);
+
+  Status linked = d->Bind(*Name::Parse("h"), again, sys_);
+  ASSERT_TRUE(linked.ok()) << linked.ToString();
+  sp<File> link = *ResolveAs<File>(xattrfs_, "d/h", sys_);
+  Buffer out(10);
+  EXPECT_EQ(*link->Read(0, out.mutable_span()), 10u);
+  EXPECT_EQ(out.ToString(), std::string(10, 'B'));
+}
+
 TEST_F(XattrfsTest, DataPathIsForwardedToTheUnderlyingFile) {
   sp<File> file = *xattrfs_->CreateFile(*Name::Parse("data"), sys_);
   ASSERT_TRUE(file->SetLength(kPageSize).ok());
