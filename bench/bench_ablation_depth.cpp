@@ -9,7 +9,20 @@
 // This bench sweeps stack depth (N pass-through layers on SFS) against
 // domain placement (shared vs per-layer domains), caching (top layer
 // caches vs write-through), and device speed (RAM vs spinning model), and
-// prints 4KB read cost for each cell.
+// prints 4KB read cost for each cell. The file is synced after its seed
+// write, so an uncached read reaches the device instead of UFS's open
+// transaction.
+//
+// The three ways are checked on counts, not timings (the timings are
+// printed, not gated), taken around the timed reads after one untimed
+// warm-up read; the bench exits 1 unless
+//   1. every shared-domain row makes as many door crossings per read as
+//      the unstacked (depth 0) row;
+//   2. every cache=top row makes no device read and no page-in below the
+//      top layer;
+//   3. every uncached slow-device row makes at least one device read per
+//      read, and its modeled door time (crossings times the door call's
+//      cost) is at most 10% of its modeled disk time.
 
 #include <cstdio>
 #include <vector>
@@ -33,13 +46,26 @@ struct Config {
   bool slow_device;
 };
 
-Measurement RunConfig(const Config& config) {
+// One configuration's timed reads: their timing, and per read the work
+// the checks judge.
+struct Row {
+  Measurement timing;
+  double crossings = 0;       // door crossings
+  double device_reads = 0;
+  double lower_page_ins = 0;  // the top layer's page-ins from below
+  double disk_ns = 0;         // modeled device time
+};
+
+Row RunConfig(const Config& config) {
   Credentials creds = Credentials::System();
   std::unique_ptr<BlockDevice> device;
+  LatencyBlockDevice* latency = nullptr;
   if (config.slow_device) {
-    device = std::make_unique<LatencyBlockDevice>(
+    auto slow = std::make_unique<LatencyBlockDevice>(
         std::make_unique<MemBlockDevice>(ufs::kBlockSize, 8192),
         DiskLatencyModel{});
+    latency = slow.get();
+    device = std::move(slow);
   } else {
     device = std::make_unique<MemBlockDevice>(ufs::kBlockSize, 8192);
   }
@@ -52,6 +78,7 @@ Measurement RunConfig(const Config& config) {
 
   sp<Domain> shared = sfs.disk_domain;
   sp<StackableFs> top = sfs.root;
+  sp<CoherencyLayer> top_layer = sfs.coherency;
   std::vector<sp<PassLayer>> layers;
   for (int i = 0; i < config.depth; ++i) {
     sp<Domain> domain = config.shared_domain
@@ -65,26 +92,72 @@ Measurement RunConfig(const Config& config) {
     layer->StackOn(top).ToString();
     layers.push_back(layer);
     top = layer;
+    top_layer = layer;
   }
 
   sp<File> file = top->CreateFile(*Name::Parse("bench"), creds).take_value();
   Rng rng(6);
   Buffer page = rng.RandomBuffer(kPageSize);
   file->Write(0, page.span()).take_value();
+  file->SyncFile().ToString();
   Buffer out(kPageSize);
+  (void)*file->Read(0, out.mutable_span());  // untimed warm-up read
+
+  struct Counts {
+    double crossings, device_reads, lower_page_ins, disk_ns;
+  };
+  auto count = [&] {
+    metrics::Registry::Snapshot snap = metrics::Registry::Global().Collect();
+    return Counts{
+        static_cast<double>(snap.values["domain/cross_call.calls"]),
+        static_cast<double>(device->stats().reads),
+        static_cast<double>(metrics::StatValue(*top_layer, "lower_page_ins")),
+        latency != nullptr ? static_cast<double>(latency->total_latency_ns())
+                           : 0.0};
+  };
+  Counts before = count();
+  uint64_t reads = 0;
   uint64_t iters = config.slow_device && !config.cache_top ? 100 : 3000;
-  return TimeOp([&] { (void)*file->Read(0, out.mutable_span()); }, iters);
+  Row row;
+  row.timing = TimeOp(
+      [&] {
+        (void)*file->Read(0, out.mutable_span());
+        ++reads;
+      },
+      iters);
+  Counts after = count();
+  double n = static_cast<double>(reads);
+  row.crossings = (after.crossings - before.crossings) / n;
+  row.device_reads = (after.device_reads - before.device_reads) / n;
+  row.lower_page_ins = (after.lower_page_ins - before.lower_page_ins) / n;
+  row.disk_ns = (after.disk_ns - before.disk_ns) / n;
+  return row;
 }
 
 }  // namespace
 
 int main() {
+  // The modeled cost of one door crossing: the default transport's.
+  const auto* doors = dynamic_cast<const SpinTransport*>(
+      Domain::DefaultTransport());
+  if (doors == nullptr) {
+    std::printf("FAIL: the default transport models no door cost\n");
+    return 1;
+  }
+  double door_ns = static_cast<double>(doors->cross_call_ns());
+
   std::printf("Section 6.4 ablation: 4KB read (us/op) vs depth x placement "
               "x caching x device\n");
   bench::PrintRule(86);
-  std::printf("%-6s %-9s %-7s | %12s %12s | %12s\n", "depth", "domains",
-              "cache", "RAM device", "", "slow disk");
+  std::printf("%-6s %-9s %-7s | %12s %12s | %12s %9s %9s\n", "depth",
+              "domains", "cache", "RAM device", "", "slow disk", "doors/rd",
+              "dev rd/rd");
   bench::PrintRule(86);
+  struct Done {
+    Config config;
+    Row row;
+  };
+  std::vector<Done> done;
   for (int depth : {0, 1, 2, 4}) {
     for (bool shared : {true, false}) {
       if (depth == 0 && !shared) {
@@ -96,12 +169,15 @@ int main() {
         }
         Config ram{depth, shared, cache_top, /*slow_device=*/false};
         Config slow{depth, shared, cache_top, /*slow_device=*/true};
-        Measurement ram_result = RunConfig(ram);
-        Measurement slow_result = RunConfig(slow);
-        std::printf("%-6d %-9s %-7s | %10.2fus %12s | %10.2fus\n", depth,
-                    shared ? "shared" : "per-layer",
-                    cache_top ? "top" : "none", ram_result.mean_us, "",
-                    slow_result.mean_us);
+        Row ram_row = RunConfig(ram);
+        Row slow_row = RunConfig(slow);
+        std::printf("%-6d %-9s %-7s | %10.2fus %12s | %10.2fus %9.2f %9.2f\n",
+                    depth, shared ? "shared" : "per-layer",
+                    cache_top ? "top" : "none", ram_row.timing.mean_us, "",
+                    slow_row.timing.mean_us, slow_row.crossings,
+                    slow_row.device_reads);
+        done.push_back({ram, ram_row});
+        done.push_back({slow, slow_row});
       }
     }
   }
@@ -113,5 +189,37 @@ int main() {
               "cache=top)\n"
               "  * the slow-disk column compresses all uncached configs "
               "toward the device time\n");
-  return 0;
+
+  bool ok = true;
+  auto check = [&](bool holds, const Config& c, const char* claim) {
+    if (!holds) {
+      std::printf("FAIL: depth %d, %s domains, cache %s, %s device: %s\n",
+                  c.depth, c.shared_domain ? "shared" : "per-layer",
+                  c.cache_top ? "top" : "none",
+                  c.slow_device ? "slow" : "RAM", claim);
+      ok = false;
+    }
+  };
+  for (const Done& d : done) {
+    const Config& c = d.config;
+    if (c.shared_domain) {
+      for (const Done& unstacked : done) {
+        if (unstacked.config.depth == 0 &&
+            unstacked.config.slow_device == c.slow_device) {
+          check(d.row.crossings == unstacked.row.crossings, c,
+                "a shared domain must cost the unstacked door crossings");
+        }
+      }
+    }
+    if (c.cache_top) {
+      check(d.row.device_reads == 0 && d.row.lower_page_ins == 0, c,
+            "a caching top layer must serve every read itself");
+    } else if (c.slow_device) {
+      check(d.row.device_reads >= 1, c,
+            "an uncached read must reach the device");
+      check(d.row.crossings * door_ns <= 0.1 * d.row.disk_ns, c,
+            "door time must be at most 10% of disk time");
+    }
+  }
+  return ok ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/fs/fs_objects.h"
@@ -25,6 +26,38 @@ namespace springfs {
 // Globally unique key identifying a pager-side file at cache managers
 // (cache managers key their channels by it).
 uint64_t NewPagerKey();
+
+// The cache manager's end of exactly one channel. A layer that caches one
+// file of the layer below binds through a fresh one, so the exchange lands
+// on that file's cache object with no layer-wide "which file is binding"
+// state, and binds of different files need not wait for each other.
+class OneChannelManager final : public CacheManager {
+ public:
+  // `name` is the layer's diagnostic manager name.
+  OneChannelManager(sp<CacheObject> cache, uint64_t rights_id, std::string name)
+      : cache_(std::move(cache)), rights_id_(rights_id),
+        name_(std::move(name)) {}
+
+  // Keeps `pager` and hands back {cache, ChannelRights(rights_id)}.
+  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
+                                        sp<PagerObject> pager) override;
+  std::string cache_manager_name() const override { return name_; }
+
+  // The pager the exchange handed over; null until it ran.
+  const sp<PagerObject>& pager() const { return pager_; }
+
+ private:
+  sp<CacheObject> cache_;
+  uint64_t rights_id_;
+  std::string name_;
+  sp<PagerObject> pager_;
+};
+
+// The one way a layer binds a file below: binds `file` read-write for
+// `cache` through a fresh OneChannelManager and returns the pager the
+// exchange handed over (an error if it handed over none).
+Result<sp<PagerObject>> BindBelow(MemoryObject& file, sp<CacheObject> cache,
+                                  uint64_t rights_id, std::string name);
 
 class PagerChannelTable {
  public:

@@ -205,42 +205,23 @@ sp<CfsLayer::FileState> CfsLayer::StateFor(const sp<File>& remote) {
 }
 
 Status CfsLayer::EnsureBoundRemote(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
+  std::lock_guard<std::mutex> bind_lock(state->bind_mutex);
   {
     std::lock_guard<std::recursive_mutex> lock(state->mutex);
     if (state->bound_remote) {
       return Status::Ok();
     }
   }
-  binding_state_ = state;
   sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
-  Result<sp<CacheRights>> rights =
-      state->remote->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
+  ASSIGN_OR_RETURN(
+      sp<PagerObject> pager,
+      BindBelow(*state->remote,
+                std::make_shared<CfsCacheObject>(domain(), self, state),
+                NewPagerKey(), "cfs"));
   std::lock_guard<std::recursive_mutex> lock(state->mutex);
+  state->remote_fs_pager = narrow<FsPagerObject>(pager);
   state->bound_remote = true;
   return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CfsLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
-  {
-    std::lock_guard<std::recursive_mutex> lock(state->mutex);
-    state->remote_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<CfsCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<ChannelRights>(NewPagerKey());
-  return setup;
 }
 
 Status CfsLayer::EnsureAttrs(FileState& state) {

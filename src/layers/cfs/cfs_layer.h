@@ -31,8 +31,8 @@
 
 namespace springfs {
 
-class CfsLayer : public Context, public Fs, public CacheManager,
-                 public Servant, public metrics::StatsProvider {
+class CfsLayer : public Context, public Fs, public Servant,
+                 public metrics::StatsProvider {
  public:
   // `remote` is the context whose files are interposed on (typically a
   // DfsClient mount); `vmm` is the local node's VMM used for data caching.
@@ -59,11 +59,6 @@ class CfsLayer : public Context, public Fs, public CacheManager,
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
-
-  // --- CacheManager (toward the remote file) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "cfs"; }
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/cfs"; }
@@ -96,6 +91,9 @@ class CfsLayer : public Context, public Fs, public CacheManager,
     // sync) can trigger a server-side broadcast that re-enters this file's
     // cache object on the same call stack.
     std::recursive_mutex mutex;
+    // Serializes this file's bind to the remote file; taken before `mutex`,
+    // and never by the cache object.
+    std::mutex bind_mutex;
   };
 
   CfsLayer(sp<Domain> domain, sp<Context> remote, sp<Vmm> vmm, Clock* clock);
@@ -112,9 +110,6 @@ class CfsLayer : public Context, public Fs, public CacheManager,
 
   std::mutex mutex_;
   std::map<Object*, sp<FileState>> states_;
-
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

@@ -485,54 +485,26 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
 }
 
 Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
+  std::lock_guard<std::mutex> bind_lock(state->bind_mutex);
   {
     std::lock_guard<std::mutex> lock(state->mutex);
     if (state->bound_below) {
       return Status::Ok();
     }
   }
-  binding_state_ = state;
   sp<CoherencyLayer> self =
       std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-  Result<sp<CacheRights>> rights =
-      state->under->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
+  ASSIGN_OR_RETURN(
+      sp<PagerObject> pager,
+      BindBelow(*state->under,
+                std::make_shared<CoherencyLowerCacheObject>(domain(), self,
+                                                            state),
+                state->file_id, "coherency-layer"));
   std::lock_guard<std::mutex> lock(state->mutex);
-  if (!state->lower_pager) {
-    return ErrInvalidArgument(
-        "underlying layer did not establish a pager channel");
-  }
+  state->lower_fs_pager = narrow<FsPagerObject>(pager);
+  state->lower_pager = std::move(pager);
   state->bound_below = true;
   return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CoherencyLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  // Called by the layer below, from within our EnsureBoundBelow (the bind
-  // exchange happens on the same call path, so binding_state_ names the
-  // file being bound).
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument(
-        "unexpected channel establishment (no bind in progress)");
-  }
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->lower_pager = pager;
-    state->lower_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache =
-      std::make_shared<CoherencyLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<ChannelRights>(state->file_id);
-  return setup;
 }
 
 Status CoherencyLayer::EnsureAttrs(FileState& state) {
@@ -645,8 +617,8 @@ Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
 }
 
 Status CoherencyLayer::EnsureBoundBelowLocked(FileState& state) {
-  // state.mutex is held: binding from here would invert the bind_mutex_ /
-  // state.mutex order, so every entry point (CoherentFile data paths,
+  // state.mutex is held: binding from here would invert the bind_mutex /
+  // mutex order, so every entry point (CoherentFile data paths,
   // CoherentFile::Bind before client channels exist) binds first via
   // EnsureBoundBelow. This is an internal invariant check, not a user error.
   if (state.bound_below) {

@@ -50,7 +50,6 @@ struct CoherencyLayerOptions {
 };
 
 class CoherencyLayer : public StackableFs,
-                       public CacheManager,
                        public Servant,
                        public metrics::StatsProvider {
  public:
@@ -83,11 +82,6 @@ class CoherencyLayer : public StackableFs,
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
-
-  // --- CacheManager (toward the layer below) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "coherency-layer"; }
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/" + type_name(); }
@@ -143,13 +137,16 @@ class CoherencyLayer : public StackableFs,
     uint64_t file_id = 0;           // our identity for this file
     uint64_t pager_key = 0;         // key our clients' channels use
     bool bound_below = false;
-    sp<PagerObject> lower_pager;       // from EstablishChannel
+    sp<PagerObject> lower_pager;       // from BindBelow
     sp<FsPagerObject> lower_fs_pager;  // narrow of the above; may be null
     CoherencyEngine engine;            // MRSW across *client* caches
     std::map<Offset, CachedBlock> blocks;  // the layer's own data cache
     FileAttributes attrs;
     bool attrs_valid = false;
     bool attrs_dirty = false;
+    // Serializes this file's bind below; taken before `mutex`, and never by
+    // the lower cache object.
+    std::mutex bind_mutex;
     std::mutex mutex;
   };
 
@@ -207,11 +204,6 @@ class CoherencyLayer : public StackableFs,
   std::map<uint64_t, sp<FileState>> states_;  // by file_id
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
-
-  // Correlates EstablishChannel callbacks (from below, mid-bind) with the
-  // file being bound; guarded by bind_mutex_.
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   // Cache accounting, guarded by stats_mutex_; published via CollectStats.
   struct Stats {

@@ -14,6 +14,9 @@ constexpr uint32_t kCompVersion = 1;
 constexpr size_t kMetaHeaderSize = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kMetaEntrySize = 16;
 constexpr const char* kMetaSuffix = ".cmeta";
+// SyncFs compacts a file when chunk-store bytes exceed live bytes by this
+// factor.
+constexpr double kCompactWasteFactor = 2.0;
 
 bool IsMetaName(const std::string& component) {
   return component.size() > std::strlen(kMetaSuffix) &&
@@ -578,7 +581,7 @@ Status CompLayer::SyncFs() {
       }
       if (live > 0 &&
           static_cast<double>(state->next_free) >
-              options_.compact_waste_factor * static_cast<double>(live)) {
+              kCompactWasteFactor * static_cast<double>(live)) {
         uint64_t reclaimed = 0;
         RETURN_IF_ERROR(CompactLocked(*state, &reclaimed));
       }
@@ -590,25 +593,21 @@ Status CompLayer::SyncFs() {
 // --- binding below (Figure 6) ----------------------------------------------
 
 Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
+  std::lock_guard<std::mutex> bind_lock(state->bind_mutex);
   {
     std::lock_guard<std::mutex> lock(state->mutex);
     if (state->bound_below) {
       return Status::Ok();
     }
   }
-  binding_state_ = state;
   sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-  Result<sp<CacheRights>> rights =
-      state->under_data->Bind(self, AccessRights::kReadWrite);
-  binding_state_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
+  ASSIGN_OR_RETURN(
+      sp<PagerObject> pager,
+      BindBelow(*state->under_data,
+                std::make_shared<CompLowerCacheObject>(domain(), self, state),
+                state->file_id, "compfs"));
   std::lock_guard<std::mutex> lock(state->mutex);
-  if (!state->lower_pager) {
-    return ErrInvalidArgument("lower layer did not establish a channel");
-  }
+  state->lower_pager = std::move(pager);
   state->bound_below = true;
   // Everything cached so far was fetched through the (incoherent) file
   // interface, with no holdings registered at the layer below. Drop the
@@ -623,24 +622,6 @@ Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
     state->meta_loaded = false;
   }
   return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> CompLayer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<FileState> state = binding_state_;
-  if (!state) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->lower_pager = std::move(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<CompLowerCacheObject>(domain(), self, state);
-  setup.rights = std::make_shared<ChannelRights>(state->file_id);
-  return setup;
 }
 
 Status CompLayer::LowerInvalidate(FileState& state) {

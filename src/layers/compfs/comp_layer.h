@@ -50,13 +50,9 @@ class CompFile;
 struct CompLayerOptions {
   std::string codec = "lz77";
   bool coherent_lower = true;  // Figure 6 vs. Figure 5
-  // SyncFs compacts a file when chunk-store bytes exceed live bytes by this
-  // factor.
-  double compact_waste_factor = 2.0;
 };
 
 class CompLayer : public StackableFs,
-                  public CacheManager,
                   public Servant,
                   public metrics::StatsProvider {
  public:
@@ -88,11 +84,6 @@ class CompLayer : public StackableFs,
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
-
-  // --- CacheManager (toward the layer below, Figure 6 mode) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "compfs"; }
 
   // Rewrites a file's chunk store, dropping orphaned chunks. Returns bytes
   // reclaimed.
@@ -152,6 +143,9 @@ class CompLayer : public StackableFs,
     uint64_t atime_ns = 0;
     uint64_t mtime_ns = 0;
 
+    // Serializes this file's bind below; taken before `mutex`, and never by
+    // the lower cache object.
+    std::mutex bind_mutex;
     std::mutex mutex;
   };
 
@@ -194,9 +188,6 @@ class CompLayer : public StackableFs,
   std::map<std::string, sp<CompFile>> wrapped_files_;  // by full path
   uint64_t next_file_id_ = 1;
   PagerChannelTable client_channels_;
-
-  std::mutex bind_mutex_;
-  sp<FileState> binding_state_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

@@ -11,6 +11,9 @@
 namespace springfs::dfs {
 namespace {
 
+// How many mutating responses the dedup window retains per server.
+constexpr size_t kDedupWindow = 256;
+
 // Monotonic boot-epoch source shared by every server instance in the
 // process: a restarted server (new DfsServer on the same node/service)
 // necessarily gets a larger epoch than its predecessor.
@@ -435,46 +438,24 @@ Result<sp<DfsServer::ServerFile>> DfsServer::FileForHandle(uint64_t handle) {
 }
 
 Status DfsServer::EnsureBoundBelow(const sp<ServerFile>& file) {
-  std::lock_guard<std::mutex> bind_lock(bind_mutex_);
+  std::lock_guard<std::mutex> bind_lock(file->bind_mutex);
   {
     std::lock_guard<std::mutex> lock(file->mutex);
     if (file->bound_below) {
       return Status::Ok();
     }
   }
-  binding_file_ = file;
   sp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-  Result<sp<CacheRights>> rights =
-      file->under->Bind(self, AccessRights::kReadWrite);
-  binding_file_ = nullptr;
-  if (!rights.ok()) {
-    return rights.status();
-  }
+  ASSIGN_OR_RETURN(
+      sp<PagerObject> pager,
+      BindBelow(*file->under,
+                std::make_shared<DfsLowerCacheObject>(domain(), self, file),
+                file->handle, "dfs-server"));
   std::lock_guard<std::mutex> lock(file->mutex);
-  if (!file->lower_pager) {
-    return ErrInvalidArgument("lower layer did not establish a channel");
-  }
+  file->lower_fs_pager = narrow<FsPagerObject>(pager);
+  file->lower_pager = std::move(pager);
   file->bound_below = true;
   return Status::Ok();
-}
-
-Result<CacheManager::ChannelSetup> DfsServer::EstablishChannel(
-    uint64_t pager_key, sp<PagerObject> pager) {
-  (void)pager_key;
-  sp<ServerFile> file = binding_file_;
-  if (!file) {
-    return ErrInvalidArgument("unexpected channel establishment");
-  }
-  sp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-  {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    file->lower_pager = pager;
-    file->lower_fs_pager = narrow<FsPagerObject>(pager);
-  }
-  ChannelSetup setup;
-  setup.cache = std::make_shared<DfsLowerCacheObject>(domain(), self, file);
-  setup.rights = std::make_shared<ChannelRights>(file->handle);
-  return setup;
 }
 
 void DfsServer::PruneEvicted(ServerFile& file) {
@@ -684,7 +665,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
     auto [it, inserted] = dedup_.emplace(request.request_id, response);
     if (inserted) {
       dedup_order_.push_back(request.request_id);
-      while (dedup_order_.size() > options_.dedup_window) {
+      while (dedup_order_.size() > kDedupWindow) {
         dedup_.erase(dedup_order_.front());
         dedup_order_.pop_front();
       }

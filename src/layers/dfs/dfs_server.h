@@ -46,8 +46,6 @@ struct DfsServerOptions {
   // delegation's expiry is fixed at grant time so the absolute expires_at
   // the client received stays exact.
   uint64_t lease_ns = 30'000'000'000;
-  // How many mutating responses the dedup window retains per server.
-  size_t dedup_window = 256;
   // Grace period after boot during which mutating ops are rejected with a
   // transient kTimedOut. A restarted server cannot know which delegations
   // its predecessor handed out; as long as grace_ns >= the predecessor's
@@ -98,7 +96,6 @@ struct DfsServerOptions {
 };
 
 class DfsServer : public StackableFs,
-                  public CacheManager,
                   public Servant,
                   public metrics::StatsProvider {
  public:
@@ -134,11 +131,6 @@ class DfsServer : public StackableFs,
   // --- Fs ---
   Result<FsInfo> GetFsInfo() override;
   Status SyncFs() override;
-
-  // --- CacheManager (toward the layer below) ---
-  Result<ChannelSetup> EstablishChannel(uint64_t pager_key,
-                                        sp<PagerObject> pager) override;
-  std::string cache_manager_name() const override { return "dfs-server"; }
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "layer/dfs_server"; }
@@ -260,6 +252,9 @@ class DfsServer : public StackableFs,
     // holder keeps its claim until the lease provably lapsed.
     CoherencyEngine deleg_engine;
     std::map<uint64_t, DelegationInfo> delegations;  // by deleg_id
+    // Serializes this file's bind below; taken before `mutex`, and never by
+    // the lower cache object.
+    std::mutex bind_mutex;
     std::mutex mutex;
   };
 
@@ -421,9 +416,6 @@ class DfsServer : public StackableFs,
   std::mutex dedup_mutex_;
   std::map<uint64_t, net::Frame> dedup_;
   std::deque<uint64_t> dedup_order_;
-
-  std::mutex bind_mutex_;
-  sp<ServerFile> binding_file_;
 
   // Striped metadata role: per-file staleness state by path (see
   // StripeState). Guarded by stripe_mutex_; never held across a wire call.

@@ -187,8 +187,11 @@ class MemoryObject : public virtual Object {
   virtual Status SetLength(Offset length) = 0;
 };
 
-// A cache manager: anything that caches memory-object data — the VMM, or a
-// file-system layer acting as a cache manager for the layer below it.
+// A cache manager: the VMM, or a file-system layer acting as a cache
+// manager for the layer below it. A layer does not implement this itself:
+// it binds each file below through a fresh OneChannelManager
+// (src/fs/channel_table.h), whose exchange lands on that file's cache
+// object, so only the VMM and OneChannelManager implement it.
 class CacheManager : public virtual Object {
  public:
   const char* interface_name() const override { return "cache_manager"; }

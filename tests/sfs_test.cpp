@@ -93,6 +93,30 @@ TEST_P(SfsTest, RemoveThroughASubdirectoryDropsTheFilesCache) {
   EXPECT_EQ(out.ToString().substr(0, 10), std::string(10, 'B'));
 }
 
+TEST_P(SfsTest, HeldFileIsFencedAfterItsLastUnlink) {
+  // The disk layer frees an inode at its last unlink and the next file
+  // reuses it. A file held across that unlink keeps its own cache above,
+  // but nothing it does may reach the inode's next owner.
+  sp<File> f = *sfs_.root->CreateFile(*Name::Parse("f"), sys_);
+  ASSERT_TRUE(f->Write(0, Buffer(std::string("FFFFFFFF")).span()).ok());
+  ASSERT_TRUE(f->SyncFile().ok());
+  ASSERT_TRUE(sfs_.root->Unbind(*Name::Parse("f"), sys_).ok());
+  sp<File> g = *sfs_.root->CreateFile(*Name::Parse("g"), sys_);
+  ASSERT_TRUE(g->Write(0, Buffer(std::string("GGGGGGGG")).span()).ok());
+  ASSERT_TRUE(g->SyncFile().ok());
+
+  (void)f->Write(0, Buffer(std::string("ZZZZ")).span());
+  EXPECT_FALSE(f->SyncFile().ok());
+  ASSERT_TRUE(sfs_.root->SyncFs().ok());
+  for (const sp<StackableFs>& fs :
+       {sfs_.root, sp<StackableFs>(sfs_.disk)}) {
+    sp<File> seen = *ResolveAs<File>(fs, "g", sys_);
+    Buffer out(8);
+    EXPECT_EQ(*seen->Read(0, out.mutable_span()), 8u);
+    EXPECT_EQ(out.ToString(), "GGGGGGGG") << fs->GetFsInfo()->type;
+  }
+}
+
 TEST_P(SfsTest, WritesReachDiskOnSync) {
   sp<File> file = *sfs_.root->CreateFile(*Name::Parse("durable"), sys_);
   Buffer data(std::string("must persist"));
