@@ -86,15 +86,6 @@ sp<Node> Network::AddNode(const std::string& name, sp<Domain> domain) {
   return node;
 }
 
-Result<sp<Node>> Network::FindNode(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = nodes_.find(name);
-  if (it == nodes_.end()) {
-    return ErrNotFound("no node '" + name + "'");
-  }
-  return it->second;
-}
-
 void Network::SetLatency(const std::string& from, const std::string& to,
                          uint64_t latency_ns) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -389,7 +389,6 @@ class Network : public metrics::StatsProvider {
 
   // Adds a node (its domain is created on the fly when not supplied).
   sp<Node> AddNode(const std::string& name, sp<Domain> domain = nullptr);
-  Result<sp<Node>> FindNode(const std::string& name) const;
 
   // One-way latency between two nodes (settable per ordered pair).
   void SetLatency(const std::string& from, const std::string& to,

@@ -661,25 +661,4 @@ Status MappedRegion::Write(Offset offset, ByteSpan data) {
 
 Status MappedRegion::Sync() { return vmm_->RegionSync(channel_id_); }
 
-// --- AddressSpace ---
-
-Result<sp<MappedRegion>> AddressSpace::Map(const sp<MemoryObject>& object,
-                                           AccessRights access) {
-  ASSIGN_OR_RETURN(sp<MappedRegion> region, vmm_->Map(object, access));
-  std::lock_guard<std::mutex> lock(mutex_);
-  mappings_.push_back(region);
-  return region;
-}
-
-void AddressSpace::Unmap(const sp<MappedRegion>& region) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mappings_.erase(std::remove(mappings_.begin(), mappings_.end(), region),
-                  mappings_.end());
-}
-
-size_t AddressSpace::NumMappings() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return mappings_.size();
-}
-
 }  // namespace springfs

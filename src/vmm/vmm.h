@@ -247,26 +247,6 @@ class MappedRegion : public virtual Object {
   AccessRights access_;
 };
 
-// An address space (paper section 3.3.1): the set of memory objects a
-// domain has mapped. Bookkeeping wrapper over Vmm::Map, used by file-system
-// layers that implement read/write by mapping files into their own space.
-class AddressSpace {
- public:
-  explicit AddressSpace(sp<Vmm> vmm) : vmm_(std::move(vmm)) {}
-
-  Result<sp<MappedRegion>> Map(const sp<MemoryObject>& object,
-                               AccessRights access);
-  void Unmap(const sp<MappedRegion>& region);
-  size_t NumMappings() const;
-
-  const sp<Vmm>& vmm() const { return vmm_; }
-
- private:
-  mutable std::mutex mutex_;
-  sp<Vmm> vmm_;
-  std::vector<sp<MappedRegion>> mappings_;
-};
-
 }  // namespace springfs
 
 #endif  // SPRINGFS_VMM_VMM_H_
