@@ -669,17 +669,6 @@ Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
   std::lock_guard<std::mutex> lock(state.mutex);
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  // Read-ahead: extend the granted range past what was asked (the bind
-  // contract lets a pager return more data than requested). Only whole
-  // pages inside the file are prefetched, and only in caching mode.
-  if (options_.read_ahead_pages > 0 && options_.cache_data &&
-      access == AccessRights::kReadOnly) {
-    if (EnsureAttrs(state).ok()) {
-      Offset eof = PageCeil(state.attrs.size);
-      Offset extended = end + Offset{options_.read_ahead_pages} * kPageSize;
-      end = std::max(end, std::min(extended, eof));
-    }
-  }
   ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
                    state.engine.Acquire(channel, Range::FromTo(begin, end),
                                         access));
@@ -854,12 +843,11 @@ Status CoherencyLayer::SyncFileState(FileState& state) {
                    state.engine.Acquire(0, Range::All(),
                                         AccessRights::kReadOnly));
   RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
-  if (!state.bound_below) {
-    return Status::Ok();  // nothing ever fetched or written
-  }
   // One lower Sync per run of contiguous dirty pages, as the VMM writes
   // back. A run turns clean only once its Sync returned OK, so a run that
-  // failed stays dirty whole.
+  // failed stays dirty whole. A file never bound below holds no pages (the
+  // lower DestroyCache clears them with the binding), but its attribute
+  // changes still go down.
   for (auto it = state.blocks.begin(); it != state.blocks.end();) {
     if (!it->second.dirty) {
       ++it;

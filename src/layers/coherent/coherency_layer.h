@@ -43,10 +43,6 @@ class CoherentFile;
 struct CoherencyLayerOptions {
   bool cache_data = true;
   bool cache_attrs = true;
-  // Read-ahead (paper section 8, future work): on a client page-in the
-  // layer may "return more data than strictly needed" — up to this many
-  // extra sequential pages, clamped to the file length. 0 disables.
-  uint32_t read_ahead_pages = 0;
 };
 
 class CoherencyLayer : public StackableFs,

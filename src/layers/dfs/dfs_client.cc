@@ -166,12 +166,12 @@ class RemotePagerObject : public FsPagerObject, public Servant {
 // the server's handle space resets across a restart, so a kStale response
 // triggers one re-resolution by path and one retry.
 //
-// A RemoteFile may hold a delegation (DESIGN.md §13): until the server
-// recalls it or its absolute expiry passes, re-opens, Stat/GetLength, and
-// reads covered by the prefetched first page are served locally with zero
-// round trips; a write delegation additionally buffers SetTimes. Without
-// a delegation, a compound open primes a one-shot close-to-open cache
-// (cto_*) consumed by the first Stat and first covered Read.
+// A RemoteFile may hold a read delegation (DESIGN.md §13): until the
+// server recalls it or its absolute expiry passes, re-opens, Stat/GetLength,
+// and reads covered by the prefetched first page are served locally with
+// zero round trips. Without a delegation, a compound open primes a one-shot
+// close-to-open cache (cto_*) consumed by the first Stat and first covered
+// Read.
 class RemoteFile : public File, public Servant {
  public:
   RemoteFile(sp<Domain> domain, sp<DfsClient> client, std::string path,
@@ -209,7 +209,6 @@ class RemoteFile : public File, public Servant {
     deleg_ = {};
     deleg_.id = open.deleg_id;
     deleg_.incarnation = open.incarnation;
-    deleg_.write_access = open.granted == DelegationKind::kWrite;
     deleg_.expires_at = open.expires_at;
     if (attrs.ok()) {
       deleg_.attrs = attrs->attrs;
@@ -235,8 +234,7 @@ class RemoteFile : public File, public Servant {
   }
 
   // Local-only teardown (recall raced, server restarted, caches
-  // invalidated). Buffered attr writes are dropped — after a restart the
-  // server's copy is authoritative, same as unflushed dirty pages.
+  // invalidated).
   void DropDelegation() {
     std::lock_guard<std::mutex> lock(deleg_mutex_);
     has_deleg_ = false;
@@ -245,25 +243,16 @@ class RemoteFile : public File, public Servant {
     cto_prefetch_valid_ = false;
   }
 
-  // Serves a kCbRecallDeleg: stop serving locally and hand any buffered
-  // attr writes back. A recall minted under a different incarnation (or
-  // after we already dropped the delegation) is fenced: respond clean.
-  CbRecallDelegResponse HandleDelegRecall(uint64_t deleg_id,
-                                          uint64_t incarnation) {
-    CbRecallDelegResponse response;
+  // Serves a kCbRecallDeleg: stop serving locally. A recall minted under
+  // a different incarnation (or after we already dropped the delegation)
+  // is fenced: it changes nothing.
+  void HandleDelegRecall(uint64_t deleg_id, uint64_t incarnation) {
     std::lock_guard<std::mutex> lock(deleg_mutex_);
-    if (!has_deleg_ || deleg_.id != deleg_id ||
-        deleg_.incarnation != incarnation) {
-      return response;
+    if (has_deleg_ && deleg_.id == deleg_id &&
+        deleg_.incarnation == incarnation) {
+      has_deleg_ = false;
+      deleg_ = {};
     }
-    if (deleg_.attrs_dirty) {
-      response.has_times = true;
-      response.atime_ns = deleg_.dirty_atime;
-      response.mtime_ns = deleg_.dirty_mtime;
-    }
-    has_deleg_ = false;
-    deleg_ = {};
-    return response;
   }
 
   Result<sp<CacheRights>> Bind(const sp<CacheManager>& caller,
@@ -336,15 +325,11 @@ class RemoteFile : public File, public Servant {
           GetAttrResponse body,
           CallFile<GetAttrResponse>(Op::kGetAttr, HandleRequest{}));
       // Refresh the delegation's attr cache so the next Stat is local
-      // again; buffered times win over what the server returned.
+      // again.
       {
         std::lock_guard<std::mutex> lock(deleg_mutex_);
         if (has_deleg_ && client_->clock_->Now() < deleg_.expires_at) {
           deleg_.attrs = body.attrs;
-          if (deleg_.attrs_dirty) {
-            deleg_.attrs.atime_ns = deleg_.dirty_atime;
-            deleg_.attrs.mtime_ns = deleg_.dirty_mtime;
-          }
           deleg_.attrs_valid = true;
         }
       }
@@ -356,20 +341,6 @@ class RemoteFile : public File, public Servant {
     return InDomain([&]() -> Status {
       {
         std::lock_guard<std::mutex> lock(deleg_mutex_);
-        if (has_deleg_ && deleg_.write_access &&
-            client_->clock_->Now() < deleg_.expires_at) {
-          // Write delegation: buffer the times locally. They ride the
-          // recall response or a voluntary return (SyncFile) back to the
-          // server.
-          deleg_.attrs_dirty = true;
-          deleg_.dirty_atime = atime_ns;
-          deleg_.dirty_mtime = mtime_ns;
-          if (deleg_.attrs_valid) {
-            deleg_.attrs.atime_ns = atime_ns;
-            deleg_.attrs.mtime_ns = mtime_ns;
-          }
-          return Status::Ok();
-        }
         cto_attrs_valid_ = false;
       }
       return CallFile(Op::kSetTimes, SetTimesRequest{.atime_ns = atime_ns,
@@ -380,7 +351,6 @@ class RemoteFile : public File, public Servant {
 
   Status SyncFile() override {
     return InDomain([&]() -> Status {
-      RETURN_IF_ERROR(ReturnDelegationIfDirty());
       return CallFile(Op::kSyncFile, HandleRequest{}).status();
     });
   }
@@ -389,13 +359,9 @@ class RemoteFile : public File, public Servant {
   struct DelegationState {
     uint64_t id = 0;
     uint64_t incarnation = 0;
-    bool write_access = false;
     uint64_t expires_at = 0;  // absolute, on the shared mount clock
     bool attrs_valid = false;
     FileAttributes attrs;
-    bool attrs_dirty = false;  // SetTimes buffered under a write delegation
-    uint64_t dirty_atime = 0;
-    uint64_t dirty_mtime = 0;
     bool prefetch_valid = false;
     Buffer prefetch;  // the file's first page, as of the grant
   };
@@ -480,34 +446,6 @@ class RemoteFile : public File, public Servant {
     deleg_.prefetch_valid = false;
     cto_attrs_valid_ = false;
     cto_prefetch_valid_ = false;
-  }
-
-  // Voluntarily returns a dirty write delegation (kDelegReturn carrying
-  // the buffered times) so SyncFile leaves the server's attrs durable.
-  Status ReturnDelegationIfDirty() {
-    DelegReturnRequest ret;
-    bool need_return = false;
-    {
-      std::lock_guard<std::mutex> lock(deleg_mutex_);
-      if (has_deleg_ && deleg_.attrs_dirty &&
-          client_->clock_->Now() < deleg_.expires_at) {
-        ret.deleg_id = deleg_.id;
-        ret.incarnation = deleg_.incarnation;
-        ret.has_times = true;
-        ret.atime_ns = deleg_.dirty_atime;
-        ret.mtime_ns = deleg_.dirty_mtime;
-        has_deleg_ = false;
-        deleg_ = {};
-        need_return = true;
-      }
-    }
-    if (!need_return) {
-      return Status::Ok();
-    }
-    client_->ForgetDelegation(ret.deleg_id);
-    RETURN_IF_ERROR(CallFile(Op::kDelegReturn, ret).status());
-    client_->Bump(&DfsClient::Stats::deleg_returns);
-    return Status::Ok();
   }
 
   // One RPC against this file's handle (`req.handle` is filled in),
@@ -644,7 +582,7 @@ Result<net::Frame> DfsClient::Call(net::Frame request, RetryState* retry) {
     bool transient = code == ErrorCode::kTimedOut ||
                      code == ErrorCode::kConnectionLost ||
                      code == ErrorCode::kDeadObject;
-    if (!transient || retry->attempt >= options_.max_retries) {
+    if (!transient || retry->attempt >= RetryState::kMaxRetries) {
       if (transient && retry->attempt > 0) {
         {
           std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -760,8 +698,7 @@ void DfsClient::NoteServerEpoch(uint64_t epoch) {
 void DfsClient::InvalidateCaches() {
   std::vector<PagerChannelTable::Channel> stale;
   // Delegations died with the server (or the eviction that tombstoned it):
-  // the new incumbent never heard of them. Drop them locally — buffered
-  // attr writes are lost, like unflushed dirty pages.
+  // the new incumbent never heard of them. Drop them locally.
   std::vector<sp<RemoteFile>> holders;
   {
     // The channels leave the table with their ids, so a bind in flight
@@ -890,14 +827,13 @@ net::Frame DfsClient::HandleCallback(const net::Frame& request) {
             }
           }
         }
-        CbRecallDelegResponse body;
         if (holder) {
-          body = holder->HandleDelegRecall(req.deleg_id, req.incarnation);
+          holder->HandleDelegRecall(req.deleg_id, req.incarnation);
           Bump(&Stats::deleg_recalls);
           flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
                          req.deleg_id, req.incarnation);
         }
-        return body;
+        return Status::Ok();
       });
     default:
       return net::Frame::Error(ErrorCode::kNotSupported);
@@ -1035,14 +971,9 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
   // One frame: lookup -> open (maybe asking for a delegation) -> getattr
   // -> first-page read. The ops after the lookup use the current-handle
   // register (handle 0), so the program needs no round trip in between.
-  DelegationKind want =
-      options_.delegations
-          ? (options_.write_delegations ? DelegationKind::kWrite
-                                        : DelegationKind::kRead)
-          : DelegationKind::kNone;
   OpenRequest open_req;
-  open_req.want_delegation = want;
-  if (want != DelegationKind::kNone) {
+  if (options_.delegations) {
+    open_req.want_delegation = DelegationKind::kRead;
     open_req.node = node_->name();
     open_req.service = callback_service_;
   }
@@ -1236,7 +1167,6 @@ void DfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("cto_serves", stats_.cto_serves);
   emit("delegations_held", stats_.delegations_held);
   emit("deleg_recalls", stats_.deleg_recalls);
-  emit("deleg_returns", stats_.deleg_returns);
   emit("deleg_grant_races", stats_.deleg_grant_races);
 }
 

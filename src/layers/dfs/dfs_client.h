@@ -23,16 +23,7 @@
 
 namespace springfs::dfs {
 
-// Client-side handling of transient transport faults: calls that fail with
-// kTimedOut / kConnectionLost / kDeadObject are re-sent up to `max_retries`
-// times with capped exponential backoff (RetryState). Idempotent calls (see
-// IsIdempotent) are naturally safe to re-send; mutating calls are stamped
-// with a unique Frame::request_id so the server's dedup window replays the
-// original response instead of applying the op twice. The backoff sleeps
-// on the mount's clock, so tests driving a FakeClock stay deterministic.
 struct DfsClientOptions {
-  uint32_t max_retries = 4;
-
   // The mount's channel to the server (DESIGN.md §12). Every op rides it,
   // so its RACK/RTO machinery recovers lost frames below the logical
   // retry loop above; channel.max_inflight is ReadPipelined's window.
@@ -44,21 +35,27 @@ struct DfsClientOptions {
   // attr and data results prime a close-to-open one-shot cache consumed
   // by the file's first Stat/GetLength and first covered Read.
   bool compound = false;
-  // Ask for a delegation at open (needs `compound`). While a delegation
-  // is valid this client serves re-opens, Stat/GetLength, and first-page
+  // Ask for a read delegation at open (needs `compound`). While it is
+  // valid this client serves re-opens, Stat/GetLength, and first-page
   // reads locally with ZERO round trips; the server recalls it through
-  // the callback service before granting anyone conflicting access.
+  // the callback service before any change to the file.
   bool delegations = false;
-  // Request write (instead of read) delegations: SetTimes is then also
-  // buffered locally and shipped with the recall or return.
-  bool write_delegations = false;
 };
 
-// Logical-retry bookkeeping for one client operation. Carried across a
-// kStale handle rebind so the capped exponential backoff keeps growing
-// (and the attempt budget keeps shrinking) instead of restarting from the
-// base value on the re-resolved handle.
+// Client-side handling of transient transport faults: calls that fail with
+// kTimedOut / kConnectionLost / kDeadObject are re-sent up to kMaxRetries
+// times with capped exponential backoff. Idempotent calls (see
+// IsIdempotent) are naturally safe to re-send; mutating calls are stamped
+// with a unique Frame::request_id so the server's dedup window replays the
+// original response instead of applying the op twice. The backoff sleeps
+// on the mount's clock, so tests driving a FakeClock stay deterministic.
+//
+// One RetryState is the bookkeeping for one client operation. It is
+// carried across a kStale handle rebind so the capped exponential backoff
+// keeps growing (and the attempt budget keeps shrinking) instead of
+// restarting from the base value on the re-resolved handle.
 struct RetryState {
+  static constexpr uint32_t kMaxRetries = 4;
   // Every DFS retry loop waits 1 ms before its first retry, doubling up to
   // a 50 ms cap.
   static constexpr uint64_t kBackoffBaseNs = 1'000'000;
@@ -170,7 +167,6 @@ class DfsClient : public Context,
     uint64_t cto_serves = 0;          // one-shot close-to-open cache hits
     uint64_t delegations_held = 0;    // grants installed
     uint64_t deleg_recalls = 0;       // recall callbacks honored
-    uint64_t deleg_returns = 0;       // voluntary kDelegReturn trips
     uint64_t deleg_grant_races = 0;   // grants killed by an earlier recall
   };
 

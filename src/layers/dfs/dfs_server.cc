@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
@@ -162,12 +161,7 @@ class RemoteCacheProxy : public FsCacheObject {
 };
 
 // A delegation holder as seen by the per-file deleg_engine. A "recall"
-// here is one kCbRecallDeleg round trip; the response doubles as the
-// return and may carry attr writes the holder buffered under a write
-// delegation. Those are stashed (NOT applied inline — the engine runs
-// callbacks under file->mutex, and SetTimes can re-enter the lower
-// coherency path which takes the same lock) and applied by the server
-// after the locked section.
+// here is one kCbRecallDeleg round trip.
 class DelegationProxy : public FsCacheObject {
  public:
   DelegationProxy(DfsServer* server, std::string client_node,
@@ -176,13 +170,6 @@ class DelegationProxy : public FsCacheObject {
         client_service_(std::move(client_service)), deleg_id_(deleg_id) {}
 
   void set_incarnation(uint64_t incarnation) { incarnation_ = incarnation; }
-
-  std::optional<std::pair<uint64_t, uint64_t>> TakeDirtyTimes() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto times = dirty_times_;
-    dirty_times_.reset();
-    return times;
-  }
 
   Result<std::vector<BlockData>> FlushBack(Range) override { return Recall(); }
   Result<std::vector<BlockData>> DenyWrites(Range) override {
@@ -201,16 +188,12 @@ class DelegationProxy : public FsCacheObject {
  private:
   Result<std::vector<BlockData>> Recall() {
     trace::ScopedSpan span("dfs.recall_deleg");
-    ASSIGN_OR_RETURN(
-        CbRecallDelegResponse resp,
-        Reply<CbRecallDelegResponse>(server_->SendCallback(
-            client_node_, client_service_,
-            RequestFrame(Op::kCbRecallDeleg,
-                         CbRecallDelegRequest{deleg_id_, incarnation_}))));
-    if (resp.has_times) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      dirty_times_ = std::make_pair(resp.atime_ns, resp.mtime_ns);
-    }
+    net::Frame recall = RequestFrame(
+        Op::kCbRecallDeleg, CbRecallDelegRequest{deleg_id_, incarnation_});
+    RETURN_IF_ERROR(
+        Reply<Empty>(server_->SendCallback(client_node_, client_service_,
+                                           recall))
+            .status());
     // A delegation never holds dirty pages — data writes go to the wire —
     // so there is nothing to flush back.
     return std::vector<BlockData>{};
@@ -221,8 +204,6 @@ class DelegationProxy : public FsCacheObject {
   std::string client_service_;
   uint64_t deleg_id_;
   uint64_t incarnation_ = 0;
-  std::mutex mutex_;
-  std::optional<std::pair<uint64_t, uint64_t>> dirty_times_;
 };
 
 // The server's cache object toward the layer below: callbacks propagate to
@@ -275,9 +256,11 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
     return InDomain([&]() -> Result<std::vector<BlockData>> {
       trace::ScopedSpan span("dfs.lower_recall");
       server_->NoteLowerFlush();
-      // Local conflicts recall delegations too: a local writer must not
-      // race a remote holder's zero-round-trip serves.
-      RETURN_IF_ERROR(server_->RecallConflicting(file_, 0, access));
+      // A local writer recalls delegations too: it must not race a remote
+      // holder's zero-round-trip serves.
+      if (access == AccessRights::kReadWrite) {
+        RETURN_IF_ERROR(server_->RecallDelegations(file_));
+      }
       std::lock_guard<std::mutex> lock(file_->mutex);
       // The dirty data recovered from remote caches IS the modified data
       // the layer below is asking for.
@@ -465,23 +448,18 @@ void DfsServer::PruneEvicted(ServerFile& file) {
   }
 }
 
-void DfsServer::PruneDelegations(
-    ServerFile& file,
-    std::vector<std::pair<uint64_t, uint64_t>>* dirty_times) {
+void DfsServer::PruneDelegations(ServerFile& file) {
   uint64_t now = clock_->Now();
   for (auto it = file.delegations.begin(); it != file.delegations.end();) {
-    DelegationInfo& info = it->second;
-    bool engine_gone = !file.deleg_engine.HasCache(info.deleg_id);
-    bool expired = now >= info.expires_at;
+    auto [deleg_id, expires_at] = *it;
+    bool engine_gone = !file.deleg_engine.HasCache(deleg_id);
+    bool expired = now >= expires_at;
     if (!engine_gone && !expired) {
       ++it;
       continue;
     }
     if (!engine_gone) {
-      file.deleg_engine.RemoveCache(info.deleg_id);
-    }
-    if (auto times = info.proxy->TakeDirtyTimes()) {
-      dirty_times->push_back(*times);
+      file.deleg_engine.RemoveCache(deleg_id);
     }
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -493,75 +471,36 @@ void DfsServer::PruneDelegations(
     }
     flight::Record(flight::Severity::kInfo, "dfs",
                    expired ? "delegation expired" : "delegation evicted",
-                   info.deleg_id, file.handle);
+                   deleg_id, file.handle);
     it = file.delegations.erase(it);
   }
 }
 
-Status DfsServer::RecallConflicting(const sp<ServerFile>& file,
-                                    uint64_t except_deleg,
-                                    AccessRights access) {
-  std::vector<std::pair<uint64_t, uint64_t>> dirty_times;
-  Status result = Status::Ok();
+Status DfsServer::RecallDelegations(const sp<ServerFile>& file) {
+  std::lock_guard<std::mutex> lock(file->mutex);
+  PruneDelegations(*file);
+  if (file->delegations.empty()) {
+    return Status::Ok();
+  }
+  // Conservative mode: a holder that is unreachable before its lease
+  // lapsed fails the change transiently rather than racing its local
+  // serves.
+  RETURN_IF_ERROR(file->deleg_engine
+                      .Acquire(0, Range{0, kPageSize}, AccessRights::kReadWrite)
+                      .status());
+  for (const auto& [id, expires_at] : file->delegations) {
+    if (file->deleg_engine.HasCache(id)) {
+      file->deleg_engine.RemoveCache(id);
+    }
+    flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled", id,
+                   file->handle);
+  }
   {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    if (file->delegations.empty()) {
-      return Status::Ok();
-    }
-    PruneDelegations(*file, &dirty_times);
-    std::vector<uint64_t> conflicts;
-    for (const auto& [id, info] : file->delegations) {
-      if (id == except_deleg) {
-        continue;
-      }
-      if (access == AccessRights::kReadOnly &&
-          info.kind != DelegationKind::kWrite) {
-        continue;  // readers coexist with read delegations
-      }
-      conflicts.push_back(id);
-    }
-    if (!conflicts.empty()) {
-      uint64_t requester =
-          file->deleg_engine.HasCache(except_deleg) ? except_deleg : 0;
-      Result<std::vector<BlockData>> recalled = file->deleg_engine.Acquire(
-          requester, Range{0, kPageSize}, access);
-      if (!recalled.ok()) {
-        // Conservative mode: the holder is unreachable but its lease has
-        // not lapsed — the op fails transiently rather than racing the
-        // holder's local serves.
-        result = recalled.status();
-      } else {
-        for (uint64_t id : conflicts) {
-          auto it = file->delegations.find(id);
-          if (it == file->delegations.end()) {
-            continue;  // already pruned by an engine eviction
-          }
-          if (file->deleg_engine.HasCache(id)) {
-            file->deleg_engine.RemoveCache(id);
-          }
-          if (auto times = it->second.proxy->TakeDirtyTimes()) {
-            dirty_times.push_back(*times);
-          }
-          {
-            std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            ++stats_.delegations_recalled;
-          }
-          flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
-                         id, file->handle);
-          file->delegations.erase(it);
-        }
-      }
-    }
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    stats_.delegations_recalled += file->delegations.size();
   }
-  // Apply buffered attr writes outside the lock: SetTimes can re-enter the
-  // lower coherency path, which takes file->mutex again.
-  for (const auto& [atime, mtime] : dirty_times) {
-    Status st = file->under->SetTimes(atime, mtime);
-    if (!st.ok() && result.ok()) {
-      result = st;
-    }
-  }
-  return result;
+  file->delegations.clear();
+  return Status::Ok();
 }
 
 Status DfsServer::PushRecovered(ServerFile& file,
@@ -677,8 +616,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
 void DfsServer::NoteSlowOp(Op op, const net::Frame& request,
                            uint64_t elapsed_ns) {
   if (options_.slow_op_threshold_ns == 0 ||
-      elapsed_ns < options_.slow_op_threshold_ns ||
-      options_.slow_op_ring == 0) {
+      elapsed_ns < options_.slow_op_threshold_ns) {
     return;
   }
   SlowOp slow;
@@ -693,7 +631,7 @@ void DfsServer::NoteSlowOp(Op op, const net::Frame& request,
   {
     std::lock_guard<std::mutex> lock(slow_mutex_);
     slow_ops_.push_back(slow);
-    while (slow_ops_.size() > options_.slow_op_ring) {
+    while (slow_ops_.size() > kSlowOpRing) {
       slow_ops_.pop_front();
     }
   }
@@ -712,8 +650,7 @@ std::vector<DfsServer::SlowOp> DfsServer::SlowOps() const {
   return {slow_ops_.begin(), slow_ops_.end()};
 }
 
-net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
-                               uint64_t except_deleg) {
+net::Frame DfsServer::Dispatch(Op op, const net::Frame& request) {
   if (IsMutating(op) && InGracePeriod()) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -735,10 +672,6 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
       return ServeFile<OpenRequest>(request, [&](auto& req, auto& file) {
         return HandleOpen(req, file);
       });
-    case Op::kDelegReturn:
-      return ServeFile<DelegReturnRequest>(request, [&](auto& req, auto& file) {
-        return HandleDelegReturn(req, file);
-      });
     case Op::kGetStripeMap:
       return Answer<HandleRequest>(
           request, [&](auto& req) { return HandleGetStripeMap(req); });
@@ -753,7 +686,7 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request,
       return Answer<CompoundRequest>(
           request, [&](auto& req) { return HandleCompound(req); });
     default:
-      return HandleFileOp(op, request, except_deleg);
+      return HandleFileOp(op, request);
   }
 }
 
@@ -830,94 +763,43 @@ Result<OpenResponse> DfsServer::HandleOpen(const OpenRequest& req,
   OpenResponse body;
   body.handle = file->handle;
   // Delegations need a live lease clock and a callback address; without
-  // either the open succeeds plain.
-  bool want = req.want_delegation != DelegationKind::kNone &&
-              !req.node.empty() && options_.lease_ns != 0;
-  std::vector<std::pair<uint64_t, uint64_t>> dirty_times;
-  if (want) {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    PruneDelegations(*file, &dirty_times);
-    // Admission (NFSv4 rules): a read delegation coexists with other read
-    // delegations but not a write one; a write delegation must be alone.
-    // On conflict the grant is simply denied — the opener still got its
-    // handle, and the conflicting holder keeps its zero-trip serves.
-    bool write_wanted = req.want_delegation == DelegationKind::kWrite;
-    bool conflict = false;
-    for (const auto& [id, info] : file->delegations) {
-      if (write_wanted || info.kind == DelegationKind::kWrite) {
-        conflict = true;
-        break;
-      }
-    }
-    if (!conflict) {
-      uint64_t deleg_id = NextDelegId();
-      auto proxy = std::make_shared<DelegationProxy>(this, req.node,
-                                                     req.service, deleg_id);
-      uint64_t incarnation = file->deleg_engine.AddCache(deleg_id, proxy);
-      proxy->set_incarnation(incarnation);
-      Result<std::vector<BlockData>> claimed = file->deleg_engine.Acquire(
-          deleg_id, Range{0, kPageSize},
-          write_wanted ? AccessRights::kReadWrite : AccessRights::kReadOnly);
-      if (claimed.ok()) {
-        DelegationInfo info;
-        info.deleg_id = deleg_id;
-        info.kind = req.want_delegation;
-        info.node = req.node;
-        info.service = req.service;
-        info.incarnation = incarnation;
-        // The expiry ships to the client as an ABSOLUTE clock value and is
-        // never renewed, so both sides agree on the exact instant local
-        // serves must stop (the simulation shares one clock; a real system
-        // would subtract a safety margin client-side).
-        info.expires_at = clock_->Now() + options_.lease_ns;
-        info.proxy = proxy;
-        file->delegations[deleg_id] = info;
-        body.deleg_id = deleg_id;
-        body.granted = req.want_delegation;
-        body.incarnation = incarnation;
-        body.expires_at = info.expires_at;
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.delegations_granted;
-        }
-        flight::Record(flight::Severity::kInfo, "dfs", "delegation granted",
-                       deleg_id, file->handle);
-      } else {
-        file->deleg_engine.RemoveCache(deleg_id);
-      }
-    }
+  // either, or for any kind but a read delegation, the open succeeds plain.
+  if (req.want_delegation != DelegationKind::kRead || req.node.empty() ||
+      options_.lease_ns == 0) {
+    return body;
   }
-  for (const auto& [atime, mtime] : dirty_times) {
-    RETURN_IF_ERROR(file->under->SetTimes(atime, mtime));
+  std::lock_guard<std::mutex> lock(file->mutex);
+  PruneDelegations(*file);
+  // Read delegations always coexist (NFSv4 rules), so a grant needs no
+  // admission check.
+  uint64_t deleg_id = NextDelegId();
+  auto proxy =
+      std::make_shared<DelegationProxy>(this, req.node, req.service, deleg_id);
+  uint64_t incarnation = file->deleg_engine.AddCache(deleg_id, proxy);
+  proxy->set_incarnation(incarnation);
+  if (!file->deleg_engine
+           .Acquire(deleg_id, Range{0, kPageSize}, AccessRights::kReadOnly)
+           .ok()) {
+    file->deleg_engine.RemoveCache(deleg_id);
+    return body;
   }
-  return body;
-}
-
-Status DfsServer::HandleDelegReturn(const DelegReturnRequest& req,
-                                    const sp<ServerFile>& file) {
+  // The expiry ships to the client as an ABSOLUTE clock value and is never
+  // renewed, so both sides agree on the exact instant local serves must
+  // stop (the simulation shares one clock; a real system would subtract a
+  // safety margin client-side).
+  uint64_t expires_at = clock_->Now() + options_.lease_ns;
+  file->delegations[deleg_id] = expires_at;
+  body.deleg_id = deleg_id;
+  body.granted = DelegationKind::kRead;
+  body.incarnation = incarnation;
+  body.expires_at = expires_at;
   {
-    std::lock_guard<std::mutex> lock(file->mutex);
-    auto it = file->delegations.find(req.deleg_id);
-    if (it == file->delegations.end() ||
-        it->second.incarnation != req.incarnation) {
-      // Stale return: the delegation was already recalled, expired, or
-      // re-granted under a fresh incarnation. Fence it — the times it
-      // carries were already collected by the recall (or are void).
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.deleg_fenced;
-      return Status::Ok();
-    }
-    file->deleg_engine.RemoveCache(req.deleg_id);
-    file->delegations.erase(it);
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.delegations_returned;
-    }
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.delegations_granted;
   }
-  if (req.has_times) {
-    return file->under->SetTimes(req.atime_ns, req.mtime_ns);
-  }
-  return Status::Ok();
+  flight::Record(flight::Severity::kInfo, "dfs", "delegation granted",
+                 deleg_id, file->handle);
+  return body;
 }
 
 // --- striped metadata role: staleness state, map building, rebuild --------
@@ -1388,7 +1270,6 @@ CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
   }
   CompoundResponse out;
   uint64_t current_handle = 0;
-  uint64_t current_deleg = 0;
   for (const CompoundRequest::SubOp& sub : req.ops) {
     Op op = static_cast<Op>(sub.op);
     CompoundResponse::SubResult result;
@@ -1410,7 +1291,7 @@ CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
         LoadLe<uint64_t>(sub_request.payload.data()) == 0) {
       StoreLe(sub_request.payload.data(), current_handle);
     }
-    net::Frame sub_response = Dispatch(op, sub_request, current_deleg);
+    net::Frame sub_response = Dispatch(op, sub_request);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.compound_sub_ops;
@@ -1437,45 +1318,34 @@ CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
       Result<OpenResponse> opened = Reply<OpenResponse>(sub_response);
       if (opened.ok()) {
         current_handle = opened->handle;
-        // Later sub-ops run under this open's delegation: without the
-        // exemption the program's own getattr/read tail would recall the
-        // write delegation it just asked for.
-        current_deleg = opened->deleg_id;
       }
     }
   }
   return out;
 }
 
-net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
-                                   uint64_t except_deleg) {
+net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request) {
   switch (op) {
     case Op::kGetAttr:
       return ServeFile<HandleRequest>(
           request, [&](auto&, auto& file) -> Result<GetAttrResponse> {
-            // A write-delegation holder may have buffered attr writes —
-            // pull them in before serving attributes to anyone else.
-            RETURN_IF_ERROR(RecallConflicting(file, except_deleg,
-                                              AccessRights::kReadOnly));
             ASSIGN_OR_RETURN(FileAttributes attrs, file->under->Stat());
             return GetAttrResponse{attrs};
           });
     case Op::kSetTimes:
       return ServeFile<SetTimesRequest>(request, [&](auto& req, auto& file) {
-        return SetAttr(file, except_deleg, [&] {
+        return SetAttr(file, [&] {
           return file->under->SetTimes(req.atime_ns, req.mtime_ns);
         });
       });
     case Op::kSetLength:
       return ServeFile<SetLengthRequest>(request, [&](auto& req, auto& file) {
-        return SetAttr(file, except_deleg,
+        return SetAttr(file,
                        [&] { return file->under->SetLength(req.length); });
       });
     case Op::kGetLength:
       return ServeFile<HandleRequest>(
           request, [&](auto&, auto& file) -> Result<GetLengthResponse> {
-            RETURN_IF_ERROR(RecallConflicting(file, except_deleg,
-                                              AccessRights::kReadOnly));
             ASSIGN_OR_RETURN(Offset length, file->under->GetLength());
             return GetLengthResponse{length};
           });
@@ -1487,8 +1357,7 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
               ++stats_.remote_reads;
             }
             RETURN_IF_ERROR(PrepareWholeFileIo(
-                file, except_deleg, Range{req.offset, req.length},
-                AccessRights::kReadOnly));
+                file, Range{req.offset, req.length}, AccessRights::kReadOnly));
             Buffer out(req.length);
             ASSIGN_OR_RETURN(size_t n,
                              file->under->Read(req.offset, out.mutable_span()));
@@ -1502,11 +1371,11 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
               std::lock_guard<std::mutex> lock(stats_mutex_);
               ++stats_.remote_writes;
             }
-            // A wire write conflicts with EVERY delegation, including the
+            // A wire write recalls EVERY delegation, including the
             // writer's own (it chose the wire path, so local attr serves
             // must stop being authoritative).
             RETURN_IF_ERROR(PrepareWholeFileIo(
-                file, except_deleg, Range{req.offset, req.data.size()},
+                file, Range{req.offset, req.data.size()},
                 AccessRights::kReadWrite));
             ASSIGN_OR_RETURN(size_t n,
                              file->under->Write(req.offset, req.data.span()));
@@ -1547,15 +1416,13 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
     case Op::kPageIn:
       return ServeFile<PageInRequest>(
           request, [&](auto& req, auto& file) -> Result<PageInResponse> {
-            ASSIGN_OR_RETURN(Buffer data,
-                             PageInForRemote(op, req, file, except_deleg));
+            ASSIGN_OR_RETURN(Buffer data, PageInForRemote(op, req, file));
             return PageInResponse{std::move(data)};
           });
     case Op::kPageInRange:
       return ServeFile<PageInRequest>(
           request, [&](auto& req, auto& file) -> Result<PageInRangeResponse> {
-            ASSIGN_OR_RETURN(Buffer data,
-                             PageInForRemote(op, req, file, except_deleg));
+            ASSIGN_OR_RETURN(Buffer data, PageInForRemote(op, req, file));
             // The lower layer may clamp at EOF; ship whatever whole pages
             // exist as a block list so the client can take the contiguous
             // prefix.
@@ -1571,26 +1438,26 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request,
     case Op::kWriteOut:
     case Op::kSyncPages:
       return Answer<PageOutRequest>(request, [&](auto& req) {
-        return PageOutFromRemote(op, req, except_deleg);
+        return PageOutFromRemote(op, req);
       });
     default:
       return ReplyFrame(ErrNotSupported("unknown file op"));
   }
 }
 
-Status DfsServer::SetAttr(const sp<ServerFile>& file, uint64_t except_deleg,
+Status DfsServer::SetAttr(const sp<ServerFile>& file,
                           const std::function<Status()>& apply) {
-  RETURN_IF_ERROR(
-      RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
+  RETURN_IF_ERROR(RecallDelegations(file));
   RETURN_IF_ERROR(apply());
   std::lock_guard<std::mutex> lock(file->mutex);
   return BroadcastAttrInvalidate(*file, 0);
 }
 
-Status DfsServer::PrepareWholeFileIo(const sp<ServerFile>& file,
-                                     uint64_t except_deleg, Range range,
+Status DfsServer::PrepareWholeFileIo(const sp<ServerFile>& file, Range range,
                                      AccessRights access) {
-  RETURN_IF_ERROR(RecallConflicting(file, except_deleg, access));
+  if (access == AccessRights::kReadWrite) {
+    RETURN_IF_ERROR(RecallDelegations(file));
+  }
   RETURN_IF_ERROR(EnsureBoundBelow(file));
   std::lock_guard<std::mutex> lock(file->mutex);
   ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
@@ -1600,8 +1467,7 @@ Status DfsServer::PrepareWholeFileIo(const sp<ServerFile>& file,
 }
 
 Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
-                                          const sp<ServerFile>& file,
-                                          uint64_t except_deleg) {
+                                          const sp<ServerFile>& file) {
   bool range_op = op == Op::kPageInRange;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1616,7 +1482,9 @@ Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
   }
   AccessRights access =
       req.write_access ? AccessRights::kReadWrite : AccessRights::kReadOnly;
-  RETURN_IF_ERROR(RecallConflicting(file, except_deleg, access));
+  if (req.write_access) {
+    RETURN_IF_ERROR(RecallDelegations(file));
+  }
   RETURN_IF_ERROR(EnsureBoundBelow(file));
   std::lock_guard<std::mutex> lock(file->mutex);
   // Fence page-ins from evicted cache ids: the client must re-register
@@ -1653,8 +1521,7 @@ Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
   return file->lower_pager->PageIn(req.offset, req.size, access);
 }
 
-Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req,
-                                    uint64_t except_deleg) {
+Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req) {
   if (req.data.size() % kPageSize != 0) {
     return ErrInvalidArgument("malformed page-out");
   }
@@ -1663,8 +1530,7 @@ Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req,
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.remote_page_outs;
   }
-  RETURN_IF_ERROR(
-      RecallConflicting(file, except_deleg, AccessRights::kReadWrite));
+  RETURN_IF_ERROR(RecallDelegations(file));
   RETURN_IF_ERROR(EnsureBoundBelow(file));
   std::lock_guard<std::mutex> lock(file->mutex);
   // Fence stale page-outs before they touch the layer below: an evicted
@@ -1788,9 +1654,7 @@ void DfsServer::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("compound_sub_ops", stats_.compound_sub_ops);
   emit("delegations_granted", stats_.delegations_granted);
   emit("delegations_recalled", stats_.delegations_recalled);
-  emit("delegations_returned", stats_.delegations_returned);
   emit("delegations_expired", stats_.delegations_expired);
-  emit("deleg_fenced", stats_.deleg_fenced);
   emit("grace_rejects", stats_.grace_rejects);
   emit("stripe_maps_served", stats_.stripe_maps_served);
   emit("stripe_objects_created", stats_.stripe_objects_created);

@@ -91,8 +91,6 @@ struct DfsServerOptions {
   // there — tests that want every op captured set the threshold to 1 and
   // use a real clock, or drive ops with nested calls.
   uint64_t slow_op_threshold_ns = 10'000'000;
-  // How many slow ops the ring retains (oldest evicted first).
-  size_t slow_op_ring = 64;
 };
 
 class DfsServer : public StackableFs,
@@ -146,6 +144,8 @@ class DfsServer : public StackableFs,
   uint64_t boot_epoch() const { return boot_epoch_; }
 
   // One over-threshold op as kept in the slow-op ring (DESIGN.md §16).
+  // The ring retains the newest kSlowOpRing.
+  static constexpr size_t kSlowOpRing = 64;
   struct SlowOp {
     Op op = Op::kLookup;
     uint64_t handle = 0;      // leading body handle; 0 for name-space ops
@@ -196,10 +196,8 @@ class DfsServer : public StackableFs,
     uint64_t compounds = 0;      // kCompound frames served
     uint64_t compound_sub_ops = 0;  // sub-ops executed inside compounds
     uint64_t delegations_granted = 0;
-    uint64_t delegations_recalled = 0;  // recalled for a conflicting op
-    uint64_t delegations_returned = 0;  // voluntary kDelegReturn
-    uint64_t delegations_expired = 0;   // lapsed without recall or return
-    uint64_t deleg_fenced = 0;   // stale returns fenced by incarnation
+    uint64_t delegations_recalled = 0;  // recalled for a change
+    uint64_t delegations_expired = 0;   // lapsed without a recall
     uint64_t grace_rejects = 0;  // mutations bounced during the boot grace
     uint64_t stripe_maps_served = 0;  // kGetStripeMap replies (metadata role)
     uint64_t stripe_objects_created = 0;  // stripe objects ensured on data
@@ -223,19 +221,6 @@ class DfsServer : public StackableFs,
     uint64_t incarnation = 0;  // engine registration this entry belongs to
   };
 
-  // One outstanding delegation (DESIGN.md §13). The holder is registered
-  // in the file's deleg_engine under deleg_id, claiming the pseudo-block
-  // at offset 0 as a proxy for "the whole file's open/attr state".
-  struct DelegationInfo {
-    uint64_t deleg_id = 0;
-    DelegationKind kind = DelegationKind::kNone;
-    std::string node;
-    std::string service;
-    uint64_t incarnation = 0;  // deleg_engine registration
-    uint64_t expires_at = 0;   // absolute; never renewed
-    sp<class DelegationProxy> proxy;
-  };
-
   struct ServerFile {
     uint64_t handle = 0;
     std::string path;
@@ -246,12 +231,16 @@ class DfsServer : public StackableFs,
     CoherencyEngine engine;  // across remote caches (proxies)
     std::map<uint64_t, RemoteCacheInfo> remote_caches;  // by engine cache id
     uint64_t next_cache_id = 1;
-    // Delegations, tracked by a second engine so recall/lease/eviction/
-    // fencing reuse the PR 4 machinery without colliding with page-cache
-    // holder ids. Runs in conservative mode: an unreachable delegation
-    // holder keeps its claim until the lease provably lapsed.
+    // Read delegations (DESIGN.md §13), tracked by a second engine so
+    // recall/lease/eviction/fencing reuse the holder-lease machinery
+    // without colliding with page-cache holder ids: each holder's
+    // DelegationProxy is registered under its deleg_id, claiming the
+    // pseudo-block at offset 0 as a proxy for "the whole file's open/attr
+    // state". Runs in conservative mode: an unreachable delegation holder
+    // keeps its claim until the lease provably lapsed.
     CoherencyEngine deleg_engine;
-    std::map<uint64_t, DelegationInfo> delegations;  // by deleg_id
+    // deleg_id -> absolute expiry, never renewed.
+    std::map<uint64_t, uint64_t> delegations;
     // Serializes this file's bind below; taken before `mutex`, and never by
     // the lower cache object.
     std::mutex bind_mutex;
@@ -275,46 +264,37 @@ class DfsServer : public StackableFs,
   // Records `request` in the slow-op ring + flight recorder when its
   // dispatch time crossed options_.slow_op_threshold_ns.
   void NoteSlowOp(Op op, const net::Frame& request, uint64_t elapsed_ns);
-  // `except_deleg` exempts one delegation from conflict recalls — the
-  // delegation the enclosing compound's kOpen granted, so the program's
-  // own tail runs under it.
-  net::Frame Dispatch(Op op, const net::Frame& request,
-                      uint64_t except_deleg = 0);
+  net::Frame Dispatch(Op op, const net::Frame& request);
   // Serves a handle-carrying op: decodes its Req body, resolves the
   // handle (kStale when unknown) and answers with handler(req, file).
   template <class Req, class Handler>
   net::Frame ServeFile(const net::Frame& request, Handler&& handler);
   net::Frame HandleNameOp(Op op, const net::Frame& request);
-  net::Frame HandleFileOp(Op op, const net::Frame& request,
-                          uint64_t except_deleg = 0);
+  net::Frame HandleFileOp(Op op, const net::Frame& request);
 
   // Typed per-op handlers.
   CompoundResponse HandleCompound(const CompoundRequest& req);
   Result<OpenResponse> HandleOpen(const OpenRequest& req,
                                   const sp<ServerFile>& file);
-  Status HandleDelegReturn(const DelegReturnRequest& req,
-                           const sp<ServerFile>& file);
   Result<StripeMapResponse> HandleGetStripeMap(const HandleRequest& req);
   Result<StripeMapResponse> HandleReportStale(const ReportStaleRequest& req);
   GetStatsResponse HandleGetStats();
   HealthResponse HandleGetHealth();
-  // kSetTimes / kSetLength: recall conflicting delegations, apply, and
-  // invalidate the remote attribute caches.
-  Status SetAttr(const sp<ServerFile>& file, uint64_t except_deleg,
+  // kSetTimes / kSetLength: recall the delegations, apply, and invalidate
+  // the remote attribute caches.
+  Status SetAttr(const sp<ServerFile>& file,
                  const std::function<Status()>& apply);
-  // kRead / kWrite prologue: recall conflicting delegations and pull the
-  // range's dirty pages back from the remote caches.
-  Status PrepareWholeFileIo(const sp<ServerFile>& file, uint64_t except_deleg,
-                            Range range, AccessRights access);
+  // kRead / kWrite prologue: recall the delegations before a write, and
+  // pull the range's dirty pages back from the remote caches.
+  Status PrepareWholeFileIo(const sp<ServerFile>& file, Range range,
+                            AccessRights access);
   // kPageIn / kPageInRange: the pages of `req`'s range (clamped at EOF for
   // kPageInRange, where no data means zero-fill) under the remote cache's
   // coherency claim.
   Result<Buffer> PageInForRemote(Op op, PageInRequest& req,
-                                 const sp<ServerFile>& file,
-                                 uint64_t except_deleg);
+                                 const sp<ServerFile>& file);
   // kPageOut / kWriteOut / kSyncPages.
-  Status PageOutFromRemote(Op op, const PageOutRequest& req,
-                           uint64_t except_deleg);
+  Status PageOutFromRemote(Op op, const PageOutRequest& req);
 
   // --- striped metadata role (DESIGN.md §15) ---
 
@@ -366,23 +346,17 @@ class DfsServer : public StackableFs,
   // True while mutating ops are rejected after boot (options_.grace_ns).
   bool InGracePeriod() const;
 
-  // Recalls every delegation that conflicts with `access` on this file
-  // (read access conflicts with write delegations; write access with all),
-  // except `except_deleg`. Takes file->mutex itself; call it BEFORE the
-  // op's own locked section. Applies any attr writes the recalled holders
-  // buffered (outside the lock — SetTimes can re-enter the lower coherency
-  // path).
-  Status RecallConflicting(const sp<ServerFile>& file, uint64_t except_deleg,
-                           AccessRights access);
+  // Recalls every delegation on this file before a change to it (a
+  // delegation is a read claim, so no read recalls one). Takes file->mutex
+  // itself; call it BEFORE the op's own locked section.
+  Status RecallDelegations(const sp<ServerFile>& file);
 
   // Drops remote_caches entries whose engine registration is gone (the
   // engine evicted the holder); `file.mutex` held.
   void PruneEvicted(ServerFile& file);
   // Same for delegations the deleg_engine evicted or whose lease lapsed;
-  // `file.mutex` held. Appends buffered attr writes of dropped holders to
-  // `dirty_times` for the caller to apply after unlocking.
-  void PruneDelegations(ServerFile& file,
-                        std::vector<std::pair<uint64_t, uint64_t>>* dirty_times);
+  // `file.mutex` held.
+  void PruneDelegations(ServerFile& file);
 
   Result<sp<ServerFile>> FileForPath(const std::string& path);
   Result<sp<ServerFile>> FileForHandle(uint64_t handle);

@@ -51,14 +51,10 @@ enum class Op : uint32_t {
                       // single-page faults and old clients.
 
   // open + delegations (client -> server)
-  kOpen = 40,         // OpenRequest -> OpenResponse. Opens a looked-up
-                      // handle and optionally asks for a read/write
-                      // delegation (NFSv4-style, built on the PR 4 holder
-                      // leases): while the delegation is valid the client
-                      // serves opens/attrs locally with zero round trips.
-  kDelegReturn = 41,  // DelegReturnRequest. Voluntarily returns a
-                      // delegation, carrying any attr writes buffered
-                      // under a write delegation.
+  kOpen = 40,  // OpenRequest -> OpenResponse. Opens a looked-up handle and
+               // optionally asks for a read delegation (NFSv4-style, built
+               // on the holder leases): while the delegation is valid the
+               // client serves opens/attrs locally with zero round trips.
 
   // striping (client -> metadata server)
   kGetStripeMap = 60,  // HandleRequest -> StripeMapResponse. Returns the
@@ -107,11 +103,7 @@ enum class Op : uint32_t {
   kCbFlushBack = 100,   // CbRecallRequest -> CbRecallResponse
   kCbDenyWrites = 101,  // same shape
   kCbAttrInvalidate = 102,   // CbAttrInvalidateRequest
-  kCbRecallDeleg = 103,      // CbRecallDelegRequest -> CbRecallDelegResponse.
-                             // The response doubles as the return: it carries
-                             // the holder's buffered attr writes, so no
-                             // separate kDelegReturn trip is needed after a
-                             // recall.
+  kCbRecallDeleg = 103,      // CbRecallDelegRequest -> Empty
 };
 
 // True for operations that are naturally safe to re-send when the
@@ -179,7 +171,6 @@ inline const char* OpName(Op op) {
     case Op::kSyncPages: return "syncpages";
     case Op::kPageInRange: return "pageinrange";
     case Op::kOpen: return "open";
-    case Op::kDelegReturn: return "delegreturn";
     case Op::kGetStripeMap: return "getstripemap";
     case Op::kReportStaleReplica: return "reportstale";
     case Op::kGetStats: return "getstats";

@@ -718,7 +718,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       return Status::Ok();
     }
-    if (retry.attempt >= client_->meta_->options_.max_retries) {
+    if (retry.attempt >= RetryState::kMaxRetries) {
       client_->Bump(&StripedDfsClient::Stats::retries_exhausted);
       flight::Record(flight::Severity::kError, "dfs_striped",
                      "fan-out retries exhausted", exts.size(), retry.attempt);

@@ -59,8 +59,8 @@
 
 namespace springfs::dfs {
 
-// The striped data path retries a fan-out under its metadata mount's
-// retry budget (DfsClientOptions::max_retries) and backoff (RetryState).
+// The striped data path retries a fan-out under the DFS client's retry
+// budget and backoff (RetryState).
 struct StripedDfsClientOptions {
   // The channel options of each data server's mount (window, pacing,
   // RACK/RTO).

@@ -472,10 +472,11 @@ struct PageOutRequest {  // kPageOut, kWriteOut, kSyncPages
 
 // --- open + delegations ---
 
+// Delegations are read claims; an open that asks for any other kind gets
+// none. The kind travels as a u32.
 enum class DelegationKind : uint32_t {
   kNone = 0,
   kRead = 1,
-  kWrite = 2,
 };
 
 struct OpenRequest {
@@ -492,25 +493,11 @@ struct OpenResponse {
   uint64_t handle = 0;
   uint64_t deleg_id = 0;  // 0 = no delegation granted
   DelegationKind granted = DelegationKind::kNone;
-  uint64_t incarnation = 0;  // fences recalls/returns across re-grants
+  uint64_t incarnation = 0;  // fences recalls across re-grants
   uint64_t expires_at = 0;   // absolute server-clock lease expiry
 
   template <class V>
   void Visit(V&& v) { v(handle, deleg_id, granted, incarnation, expires_at); }
-};
-
-struct DelegReturnRequest {
-  uint64_t handle = 0;
-  uint64_t deleg_id = 0;
-  uint64_t incarnation = 0;
-  bool has_times = false;  // dirty attrs buffered under a write delegation
-  uint64_t atime_ns = 0;
-  uint64_t mtime_ns = 0;
-
-  template <class V>
-  void Visit(V&& v) {
-    v(handle, deleg_id, incarnation, has_times, atime_ns, mtime_ns);
-  }
 };
 
 // --- striping ---
@@ -687,21 +674,12 @@ struct CbAttrInvalidateRequest {
   void Visit(V&& v) { v(client_channel); }
 };
 
-struct CbRecallDelegRequest {
+struct CbRecallDelegRequest {  // -> Empty
   uint64_t deleg_id = 0;
   uint64_t incarnation = 0;
 
   template <class V>
   void Visit(V&& v) { v(deleg_id, incarnation); }
-};
-
-struct CbRecallDelegResponse {
-  bool has_times = false;  // the holder's buffered attr writes
-  uint64_t atime_ns = 0;
-  uint64_t mtime_ns = 0;
-
-  template <class V>
-  void Visit(V&& v) { v(has_times, atime_ns, mtime_ns); }
 };
 
 }  // namespace springfs::dfs

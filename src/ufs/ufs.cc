@@ -1018,9 +1018,10 @@ Status Ufs::Commit() {
   RETURN_IF_ERROR(inode_bitmap_.FlushDirty(writer));
   RETURN_IF_ERROR(data_bitmap_.FlushDirty(writer));
   if (pending_.empty()) {
-    // Nothing changed since the last commit; the log already holds the
-    // current state.
-    return device_->Flush();
+    // Nothing changed since the last commit, and every device write UFS
+    // makes is flushed before the call that made it returns: the device
+    // already holds the current state durably.
+    return Status::Ok();
   }
   // Partition the open transaction. Blocks that durable state may already
   // reference go through the log: the whole metadata area, data-area

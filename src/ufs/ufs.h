@@ -136,7 +136,9 @@ class Ufs : public metrics::StatsProvider {
   // chunks that changed since, and every other block whole. Logged blocks
   // stay in the journal's memory until a checkpoint writes them home (when
   // the log needs space, or at unmount). A crash at any device write
-  // leaves the file system either before or after the transaction.
+  // leaves the file system either before or after the transaction. With
+  // nothing pending, Sync touches no device: the last commit's flush
+  // already made everything durable.
   Status Sync();
 
   // Marks the instance dead: the destructor skips its unmount sync and

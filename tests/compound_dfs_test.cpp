@@ -1,8 +1,8 @@
-// Tests for compound DFS operations and client delegations (DESIGN.md §13):
-// the typed wire codec, server-side compound pipeline semantics (stop at
-// first failure, current-handle substitution, nested/callback rejection),
-// delegation grant/recall/return/expiry/fencing, the post-restart grace
-// period, and the zero-round-trip client serves.
+// Tests for compound DFS operations and client read delegations (DESIGN.md
+// §13): the typed wire codec, server-side compound pipeline semantics (stop
+// at first failure, current-handle substitution, nested/callback
+// rejection), delegation grant/coexistence/recall/expiry, the post-restart
+// grace period, and the zero-round-trip client serves.
 
 #include <gtest/gtest.h>
 
@@ -26,14 +26,14 @@ using dfs::DfsServer;
 TEST(DfsWire, OpenRoundTrip) {
   dfs::OpenRequest req;
   req.handle = 7;
-  req.want_delegation = dfs::DelegationKind::kWrite;
+  req.want_delegation = dfs::DelegationKind::kRead;
   req.node = "client1";
   req.service = "dfs-cb-3";
   Result<dfs::OpenRequest> back =
       dfs::Decode<dfs::OpenRequest>(dfs::Encode(req).span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->handle, 7u);
-  EXPECT_EQ(back->want_delegation, dfs::DelegationKind::kWrite);
+  EXPECT_EQ(back->want_delegation, dfs::DelegationKind::kRead);
   EXPECT_EQ(back->node, "client1");
   EXPECT_EQ(back->service, "dfs-cb-3");
 
@@ -87,38 +87,15 @@ TEST(DfsWire, CompoundRoundTrip) {
             static_cast<int32_t>(ErrorCode::kNotFound));
 }
 
-TEST(DfsWire, DelegReturnAndRecallRoundTrip) {
-  dfs::DelegReturnRequest ret;
-  ret.handle = 5;
-  ret.deleg_id = 9;
-  ret.incarnation = 2;
-  ret.has_times = true;
-  ret.atime_ns = 123;
-  ret.mtime_ns = 456;
-  Result<dfs::DelegReturnRequest> back =
-      dfs::Decode<dfs::DelegReturnRequest>(dfs::Encode(ret).span());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->deleg_id, 9u);
-  EXPECT_TRUE(back->has_times);
-  EXPECT_EQ(back->mtime_ns, 456u);
-
+TEST(DfsWire, RecallDelegRoundTrip) {
   dfs::CbRecallDelegRequest recall;
   recall.deleg_id = 9;
   recall.incarnation = 2;
-  Result<dfs::CbRecallDelegRequest> r2 =
+  Result<dfs::CbRecallDelegRequest> back =
       dfs::Decode<dfs::CbRecallDelegRequest>(dfs::Encode(recall).span());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->deleg_id, 9u);
-
-  dfs::CbRecallDelegResponse resp;
-  resp.has_times = true;
-  resp.atime_ns = 7;
-  resp.mtime_ns = 8;
-  Result<dfs::CbRecallDelegResponse> r3 =
-      dfs::Decode<dfs::CbRecallDelegResponse>(dfs::Encode(resp).span());
-  ASSERT_TRUE(r3.ok());
-  EXPECT_TRUE(r3->has_times);
-  EXPECT_EQ(r3->atime_ns, 7u);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->deleg_id, 9u);
+  EXPECT_EQ(back->incarnation, 2u);
 }
 
 TEST(DfsWire, TruncatedBodiesAreRejected) {
@@ -146,6 +123,7 @@ class CompoundDfsTest : public ::testing::Test {
     server_node_ = network_->AddNode("server");
     client_node_ = network_->AddNode("client1");
     client2_node_ = network_->AddNode("client2");
+    client3_node_ = network_->AddNode("client3");
     device_ = std::make_unique<MemBlockDevice>(ufs::kBlockSize, 8192);
     sfs_ = *CreateSfs(device_.get(), SfsOptions{}, &clock_);
     server_ = *DfsServer::Create(server_node_, network_.get(), "dfs",
@@ -185,7 +163,7 @@ class CompoundDfsTest : public ::testing::Test {
   Credentials sys_ = Credentials::System();
   FakeClock clock_;
   std::unique_ptr<net::Network> network_;
-  sp<net::Node> server_node_, client_node_, client2_node_;
+  sp<net::Node> server_node_, client_node_, client2_node_, client3_node_;
   std::unique_ptr<MemBlockDevice> device_;
   Sfs sfs_;
   sp<DfsServer> server_;
@@ -338,11 +316,10 @@ TEST_F(CompoundDfsTest, CompoundResolvesDirectories) {
 
 // --- delegations ---
 
-dfs::DfsClientOptions DelegatedOptions(bool write = false) {
+dfs::DfsClientOptions DelegatedOptions() {
   dfs::DfsClientOptions options;
   options.compound = true;
   options.delegations = true;
-  options.write_delegations = write;
   return options;
 }
 
@@ -394,60 +371,43 @@ TEST_F(CompoundDfsTest, ConflictingWriteRecallsDelegation) {
   EXPECT_GT(NetMessages(), before);
 }
 
-TEST_F(CompoundDfsTest, WriteDelegationIsExclusive) {
-  Seed("solo", "x");
-  sp<DfsClient> writer = MountWith(client_node_, DelegatedOptions(true));
-  ASSERT_TRUE(ResolveAs<File>(writer, "solo", sys_).ok());
-  EXPECT_EQ(metrics::StatValue(*writer, "delegations_held"), 1u);
+TEST_F(CompoundDfsTest, ReadDelegationsCoexistAndAChangeRecallsThemAll) {
+  Seed("shared", "read by many");
+  sp<DfsClient> holder1 = MountWith(client_node_, DelegatedOptions());
+  sp<DfsClient> holder2 = MountWith(client2_node_, DelegatedOptions());
+  sp<File> held1 = *ResolveAs<File>(holder1, "shared", sys_);
+  sp<File> held2 = *ResolveAs<File>(holder2, "shared", sys_);
+  EXPECT_EQ(metrics::StatValue(*holder1, "delegations_held"), 1u);
+  EXPECT_EQ(metrics::StatValue(*holder2, "delegations_held"), 1u);
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_granted"), 2u);
 
-  // A read-delegation request from another client is denied while the
-  // write delegation stands (the open itself still succeeds).
-  sp<DfsClient> reader = MountWith(client2_node_, DelegatedOptions());
-  ASSERT_TRUE(ResolveAs<File>(reader, "solo", sys_).ok());
-  EXPECT_EQ(metrics::StatValue(*reader, "delegations_held"), 0u);
-  EXPECT_EQ(metrics::StatValue(*server_, "delegations_granted"), 1u);
-}
-
-TEST_F(CompoundDfsTest, WriteDelegationBuffersSetTimesAndReturnsOnSync) {
-  Seed("times", "x");
-  sp<DfsClient> client = MountWith(client_node_, DelegatedOptions(true));
-  sp<File> file = *ResolveAs<File>(client, "times", sys_);
-
-  // SetTimes under a write delegation: zero round trips.
+  // A plain third client reads, stats and faults a read-only mapping: no
+  // read recalls a read delegation.
+  sp<DfsClient> plain = MountWith(client3_node_, dfs::DfsClientOptions{});
+  sp<File> their = *ResolveAs<File>(plain, "shared", sys_);
+  Buffer out(4);
+  ASSERT_TRUE(their->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out.ToString(), "read");
+  ASSERT_TRUE(their->Stat().ok());
+  sp<Vmm> vmm = Vmm::Create(client3_node_->domain(), "vmm3");
+  sp<MappedRegion> region = *vmm->Map(their, AccessRights::kReadOnly);
+  ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out.ToString(), "read");
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 0u);
   uint64_t before = NetMessages();
-  ASSERT_TRUE(file->SetTimes(111, 222).ok());
-  EXPECT_EQ(NetMessages(), before);
-  // And the local attr cache reflects it.
-  Result<FileAttributes> attrs = file->Stat();
-  ASSERT_TRUE(attrs.ok());
-  EXPECT_EQ(attrs->atime_ns, 111u);
+  ASSERT_TRUE(held1->Stat().ok());
+  ASSERT_TRUE(held2->Stat().ok());
+  EXPECT_EQ(NetMessages(), before) << "both holders still serve locally";
 
-  // SyncFile voluntarily returns the delegation, carrying the times.
-  ASSERT_TRUE(file->SyncFile().ok());
-  EXPECT_EQ(metrics::StatValue(*client, "deleg_returns"), 1u);
-  EXPECT_EQ(metrics::StatValue(*server_, "delegations_returned"), 1u);
-  Result<FileAttributes> below =
-      (*ResolveAs<File>(sfs_.root, "times", sys_))->Stat();
-  ASSERT_TRUE(below.ok());
-  EXPECT_EQ(below->atime_ns, 111u);
-  EXPECT_EQ(below->mtime_ns, 222u);
-}
-
-TEST_F(CompoundDfsTest, RecallShipsBufferedTimesToTheConflictingReader) {
-  Seed("shipit", "x");
-  sp<DfsClient> holder = MountWith(client_node_, DelegatedOptions(true));
-  sp<File> held = *ResolveAs<File>(holder, "shipit", sys_);
-  ASSERT_TRUE(held->SetTimes(333, 444).ok());  // buffered locally
-
-  // A reader's stat recalls the write delegation; the recall response
-  // carries the buffered times, which the server applies before answering.
-  sp<DfsClient> reader = MountWith(client2_node_, dfs::DfsClientOptions{});
-  sp<File> their = *ResolveAs<File>(reader, "shipit", sys_);
-  Result<FileAttributes> attrs = their->Stat();
-  ASSERT_TRUE(attrs.ok());
-  EXPECT_EQ(attrs->atime_ns, 333u);
-  EXPECT_EQ(attrs->mtime_ns, 444u);
-  EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 1u);
+  // The third client's write recalls both.
+  Buffer data(std::string("WRIT"));
+  ASSERT_TRUE(their->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 2u);
+  EXPECT_EQ(metrics::StatValue(*holder1, "deleg_recalls"), 1u);
+  EXPECT_EQ(metrics::StatValue(*holder2, "deleg_recalls"), 1u);
+  ASSERT_TRUE(held1->Read(0, out.mutable_span()).ok());
+  EXPECT_EQ(out.ToString(), "WRIT");
+  EXPECT_TRUE(server_->CheckCoherencyInvariants());
 }
 
 TEST_F(CompoundDfsTest, DelegationExpiresAtItsAbsoluteDeadline) {
@@ -458,35 +418,17 @@ TEST_F(CompoundDfsTest, DelegationExpiresAtItsAbsoluteDeadline) {
 
   clock_.Advance(31'000'000'000);  // past the 30s default lease
 
-  // The client stops serving locally (lazy expiry) ...
+  // The client stops serving locally (lazy expiry); a stat does not make
+  // the server scan the file's delegations ...
   uint64_t before = NetMessages();
   ASSERT_TRUE(file->Stat().ok());
   EXPECT_GT(NetMessages(), before);
-  // ... and the server prunes the lapsed delegation on its next conflict
-  // scan rather than recalling a dead claim.
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_expired"), 0u);
+  // ... but the next change to the file prunes the lapsed delegation rather
+  // than recalling a dead claim.
+  ASSERT_TRUE(file->SetTimes(111, 222).ok());
   EXPECT_EQ(metrics::StatValue(*server_, "delegations_expired"), 1u);
   EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 0u);
-}
-
-TEST_F(CompoundDfsTest, StaleDelegReturnIsFencedByIncarnation) {
-  Seed("fenced", "x");
-  // Find the real handle with a raw lookup, then return a delegation that
-  // was never granted: the server must fence it, not crash or corrupt.
-  dfs::PathRequest lookup;
-  lookup.path = "fenced";
-  net::Frame looked = Raw(dfs::Op::kLookup, dfs::Encode(lookup));
-  Result<dfs::LookupResponse> handle =
-      dfs::Decode<dfs::LookupResponse>(looked.payload.span());
-  ASSERT_TRUE(handle.ok());
-
-  dfs::DelegReturnRequest bogus;
-  bogus.handle = handle->handle;
-  bogus.deleg_id = 424242;
-  bogus.incarnation = 7;
-  net::Frame response = Raw(dfs::Op::kDelegReturn, dfs::Encode(bogus));
-  EXPECT_TRUE(response.ToStatus().ok()) << "fenced returns answer OK";
-  EXPECT_EQ(metrics::StatValue(*server_, "deleg_fenced"), 1u);
-  EXPECT_EQ(metrics::StatValue(*server_, "delegations_returned"), 0u);
 }
 
 TEST_F(CompoundDfsTest, GracePeriodBouncesMutationsUntilLeasesLapse) {

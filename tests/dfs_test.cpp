@@ -478,22 +478,19 @@ TEST_F(DfsTest, BackoffCarriesAcrossStaleHandleRebind) {
 }
 
 TEST_F(DfsTest, RetriesExhaustedSurfaceAsErrorNotHang) {
-  // A dedicated mount with a tight retry budget: a persistent partition
-  // must produce a bounded number of sends and a clean error.
-  dfs::DfsClientOptions options;
-  options.max_retries = 2;
-  sp<DfsClient> impatient = *DfsClient::Mount(client2_node_, network_.get(),
-                                              "server", "dfs", &clock_,
-                                              options);
-  sp<File> file = *impatient->CreateFile(*Name::Parse("stuck"), sys_);
+  // A dedicated mount: a persistent partition must produce a bounded
+  // number of sends and a clean error.
+  sp<DfsClient> mount = *DfsClient::Mount(client2_node_, network_.get(),
+                                          "server", "dfs", &clock_);
+  sp<File> file = *mount->CreateFile(*Name::Parse("stuck"), sys_);
   network_->SetPartitioned("server", true);
-  uint64_t calls_before = metrics::StatValue(*impatient, "calls_sent");
+  uint64_t calls_before = metrics::StatValue(*mount, "calls_sent");
   Result<FileAttributes> attrs = file->Stat();
   EXPECT_EQ(attrs.status().code(), ErrorCode::kConnectionLost);
-  std::map<std::string, uint64_t> stats = metrics::CollectFrom(*impatient);
-  EXPECT_EQ(stats["calls_sent"], calls_before + 3)
-      << "initial send + 2 retries";
-  EXPECT_EQ(stats["retries"], 2u);
+  std::map<std::string, uint64_t> stats = metrics::CollectFrom(*mount);
+  EXPECT_EQ(stats["calls_sent"], calls_before + 1 + dfs::RetryState::kMaxRetries)
+      << "initial send + kMaxRetries retries";
+  EXPECT_EQ(stats["retries"], dfs::RetryState::kMaxRetries);
   EXPECT_EQ(stats["retries_exhausted"], 1u);
   network_->SetPartitioned("server", false);
   EXPECT_TRUE(file->Stat().ok());
@@ -514,7 +511,7 @@ TEST_F(DfsTest, ServerDeathSurfacesAsDeadObjectNotHang) {
   Status stat = file->Stat().status();
   EXPECT_EQ(stat.code(), ErrorCode::kDeadObject) << stat.ToString();
   EXPECT_EQ(metrics::StatValue(*client_, "calls_sent"), calls_before + 5)
-      << "initial send + max_retries probes";
+      << "initial send + kMaxRetries probes";
   EXPECT_EQ(client_->Resolve(*Name::Parse("orphan"), sys_).status().code(),
             ErrorCode::kDeadObject);
 }

@@ -1,7 +1,7 @@
 // Tests for the paper's section 8 future-work features, implemented here:
 // name caching (eliminating open/domain-crossing overhead) and page-in
 // read-ahead (the pager "given the opportunity to return more data than
-// strictly needed").
+// strictly needed"), which the VMM's fault clustering asks for.
 
 #include <gtest/gtest.h>
 
@@ -196,11 +196,9 @@ TEST_F(NameCacheTest, NegativeEntriesRespectCapacity) {
 
 class ReadAheadTest : public ::testing::Test {
  protected:
-  Sfs MakeSfs(uint32_t read_ahead) {
+  Sfs MakeSfs() {
     device_ = std::make_unique<MemBlockDevice>(ufs::kBlockSize, 8192);
-    SfsOptions options;
-    options.coherency.read_ahead_pages = read_ahead;
-    return *CreateSfs(device_.get(), options, &clock_);
+    return *CreateSfs(device_.get(), SfsOptions{}, &clock_);
   }
 
   Credentials sys_ = Credentials::System();
@@ -208,39 +206,14 @@ class ReadAheadTest : public ::testing::Test {
   std::unique_ptr<MemBlockDevice> device_;
 };
 
-TEST_F(ReadAheadTest, SequentialMappedReadFaultsOncePerWindow) {
-  constexpr uint32_t kWindow = 7;
-  Sfs sfs = MakeSfs(kWindow);
-  sp<File> file = *sfs.root->CreateFile(*Name::Parse("seq"), sys_);
-  Rng rng(1);
-  Buffer data = rng.RandomBuffer(16 * kPageSize);
-  ASSERT_TRUE(file->Write(0, data.span()).ok());
-
-  sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm");
-  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
-  Buffer out(kPageSize);
-  for (int p = 0; p < 16; ++p) {
-    ASSERT_TRUE(region->Read(Offset{static_cast<uint64_t>(p)} * kPageSize,
-                             out.mutable_span()).ok());
-  }
-  // 16 pages with an 8-page grant window: 2 faults instead of 16.
-  EXPECT_LE(metrics::StatValue(*vmm, "faults"), 2u)
-      << "read-ahead did not batch the faults";
-  // Content must still be exact.
-  Buffer all(16 * kPageSize);
-  ASSERT_TRUE(region->Read(0, all.mutable_span()).ok());
-  EXPECT_EQ(Xxh64(all.span()), Xxh64(data.span()));
-}
-
 TEST_F(ReadAheadTest, WithoutReadAheadEveryPageFaults) {
-  Sfs sfs = MakeSfs(0);
+  Sfs sfs = MakeSfs();
   sp<File> file = *sfs.root->CreateFile(*Name::Parse("seq"), sys_);
   Rng rng(1);
   Buffer data = rng.RandomBuffer(16 * kPageSize);
   ASSERT_TRUE(file->Write(0, data.span()).ok());
-  // Both read-ahead stages off: the layer grants no window and the VMM
-  // does not cluster faults, so this is the true one-fault-per-page
-  // control.
+  // VMM clustering off: the layer grants only what a fault asks for, so
+  // this is the true one-fault-per-page control.
   VmmOptions no_cluster;
   no_cluster.read_ahead_pages = 0;
   sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm", no_cluster);
@@ -253,25 +226,11 @@ TEST_F(ReadAheadTest, WithoutReadAheadEveryPageFaults) {
   EXPECT_EQ(metrics::StatValue(*vmm, "faults"), 16u);
 }
 
-TEST_F(ReadAheadTest, ReadAheadClampsAtEof) {
-  Sfs sfs = MakeSfs(32);
-  sp<File> file = *sfs.root->CreateFile(*Name::Parse("short"), sys_);
-  Buffer data(std::string("tiny"));
-  ASSERT_TRUE(file->Write(0, data.span()).ok());
-  sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm");
-  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
-  Buffer out(4);
-  ASSERT_TRUE(region->Read(0, out.mutable_span()).ok());
-  EXPECT_EQ(out.ToString(), "tiny");
-  EXPECT_LE(metrics::StatValue(*vmm, "pages_cached"), 1u);
-}
-
 TEST_F(ReadAheadTest, VmmClusterClampsToPartialPageAtEof) {
-  // Layer read-ahead off; only the VMM's own fault clustering is active.
   // The file ends mid-page, so a widened cluster request crosses EOF and
   // the layer returns a short (partial) reply: the VMM must keep the
   // partial tail page and stay byte-exact.
-  Sfs sfs = MakeSfs(0);
+  Sfs sfs = MakeSfs();
   sp<File> file = *sfs.root->CreateFile(*Name::Parse("partial"), sys_);
   Rng rng(7);
   Buffer data = rng.RandomBuffer(2 * kPageSize + 100);
@@ -286,19 +245,6 @@ TEST_F(ReadAheadTest, VmmClusterClampsToPartialPageAtEof) {
   // pages of content, at most three cached (the tail one partial).
   EXPECT_LE(metrics::StatValue(*vmm, "pages_cached"), 3u);
   EXPECT_LE(metrics::StatValue(*vmm, "faults"), 3u);
-}
-
-TEST_F(ReadAheadTest, WriteFaultsAreNotExtended) {
-  // Read-ahead grants extra pages read-only; a write fault must stay
-  // page-granular so the writer set stays tight.
-  Sfs sfs = MakeSfs(8);
-  sp<File> file = *sfs.root->CreateFile(*Name::Parse("w"), sys_);
-  ASSERT_TRUE(file->SetLength(8 * kPageSize).ok());
-  sp<Vmm> vmm = Vmm::Create(Domain::Create("n"), "vmm");
-  sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadWrite);
-  Buffer one(std::string("x"));
-  ASSERT_TRUE(region->Write(0, one.span()).ok());
-  EXPECT_EQ(metrics::StatValue(*vmm, "pages_cached"), 1u);
 }
 
 }  // namespace

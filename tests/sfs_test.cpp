@@ -15,6 +15,31 @@
 namespace springfs {
 namespace {
 
+// What a power failure now would leave of root file `name`: its attributes
+// on a block-for-block copy of `device`, mounted (which replays the log).
+ufs::InodeAttrs AttrsAfterPowerFail(BlockDevice& device,
+                                    const std::string& name) {
+  MemBlockDevice copy(device.block_size(), device.num_blocks());
+  Buffer block(device.block_size());
+  for (BlockNum b = 0; b < device.num_blocks(); ++b) {
+    EXPECT_TRUE(device.ReadBlock(b, block.mutable_span()).ok());
+    EXPECT_TRUE(copy.WriteBlock(b, block.span()).ok());
+  }
+  Result<std::unique_ptr<ufs::Ufs>> fs = ufs::Ufs::Mount(&copy);
+  if (!fs.ok()) {
+    ADD_FAILURE() << fs.status().ToString();
+    return {};
+  }
+  Result<ufs::InodeNum> ino = (*fs)->Lookup(ufs::kRootInode, name);
+  Result<ufs::InodeAttrs> attrs =
+      ino.ok() ? (*fs)->GetAttrs(*ino) : Result<ufs::InodeAttrs>(ino.status());
+  if (!attrs.ok()) {
+    ADD_FAILURE() << attrs.status().ToString();
+    return {};
+  }
+  return *attrs;
+}
+
 class SfsTest : public ::testing::TestWithParam<SfsPlacement> {
  protected:
   void SetUp() override {
@@ -150,6 +175,21 @@ TEST_P(SfsTest, PersistsAcrossRemount) {
   Buffer out(10);
   EXPECT_EQ(*(*found)->Read(0, out.mutable_span()), 10u);
   EXPECT_EQ(out.ToString(), "remount me");
+}
+
+// SetLength and SetTimes only mark the coherency layer's cached attributes
+// dirty. SyncFile must commit them even for a file no page of which was
+// ever fetched or written, so the layer never bound it below.
+TEST_P(SfsTest, SyncFileCommitsAttributesOfAFileNeverWritten) {
+  sp<File> file = *sfs_.root->CreateFile(*Name::Parse("f"), sys_);
+  ASSERT_TRUE(file->SetLength(12345).ok());
+  ASSERT_TRUE(file->SetTimes(111, 222).ok());
+  ASSERT_TRUE(file->SyncFile().ok());
+  EXPECT_EQ((*ResolveAs<File>(sfs_.disk, "f", sys_))->Stat()->size, 12345u);
+  ufs::InodeAttrs durable = AttrsAfterPowerFail(*device_, "f");
+  EXPECT_EQ(durable.size, 12345u);
+  EXPECT_EQ(durable.atime_ns, 111u);
+  EXPECT_EQ(durable.mtime_ns, 222u);
 }
 
 // The coherency layer writes back a run of contiguous dirty pages in one

@@ -22,6 +22,7 @@
 #include "src/layers/dfs/striped_client.h"
 #include "src/layers/sfs/sfs.h"
 #include "src/support/rng.h"
+#include "src/ufs/ufs.h"
 #include "src/vmm/vmm.h"
 
 namespace springfs {
@@ -1090,6 +1091,38 @@ TEST(StripedDfs, SyncFileCommitsTheMdsOnlyAfterAMetadataChange) {
   EXPECT_EQ(sync_cost(), 2000u) << "another client's length push";
   std::swap(file, mine);
   EXPECT_EQ(sync_cost(), 4000u) << "own length push";
+}
+
+TEST(StripedDfs, SyncFileMakesTheLengthDurableOnTheMds) {
+  // The metadata server's file holds no data (its stripes live on the
+  // data servers), so the coherency layer there never binds it below. A
+  // SyncFile must still commit the length pushed to it, and its times: a
+  // power failure of the metadata server right after must not lose them.
+  StripedWorld world(2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = Rng(89).RandomBuffer(3 * kPageSize + 100);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+  ASSERT_TRUE(file->SetTimes(111, 222).ok());
+  ASSERT_TRUE(file->SyncFile().ok());
+
+  // The metadata device as a power failure now would leave it, mounted
+  // (which replays the log).
+  BlockDevice& device = *world.mds_device;
+  MemBlockDevice copy(device.block_size(), device.num_blocks());
+  Buffer block(device.block_size());
+  for (BlockNum b = 0; b < device.num_blocks(); ++b) {
+    ASSERT_TRUE(device.ReadBlock(b, block.mutable_span()).ok());
+    ASSERT_TRUE(copy.WriteBlock(b, block.span()).ok());
+  }
+  Result<std::unique_ptr<ufs::Ufs>> mds_fs = ufs::Ufs::Mount(&copy);
+  ASSERT_TRUE(mds_fs.ok()) << mds_fs.status().ToString();
+  Result<ufs::InodeNum> ino = (*mds_fs)->Lookup(ufs::kRootInode, "f");
+  ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+  Result<ufs::InodeAttrs> durable = (*mds_fs)->GetAttrs(*ino);
+  ASSERT_TRUE(durable.ok());
+  EXPECT_EQ(durable->size, data.size());
+  EXPECT_EQ(durable->atime_ns, 111u);
+  EXPECT_EQ(durable->mtime_ns, 222u);
 }
 
 TEST(StripedDfs, SyncFileWaitsForAnMdsCommitInFlight) {

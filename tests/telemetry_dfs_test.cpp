@@ -210,8 +210,8 @@ TEST(TelemetryNaming, EveryOpNamedNoNumericFallback) {
       Op::kRead,         Op::kWrite,       Op::kSyncFile,
       Op::kBindCache,    Op::kUnbindCache, Op::kPageIn,
       Op::kPageOut,      Op::kWriteOut,    Op::kSyncPages,
-      Op::kPageInRange,  Op::kOpen,        Op::kDelegReturn,
-      Op::kGetStripeMap, Op::kReportStaleReplica,
+      Op::kPageInRange,  Op::kOpen,        Op::kGetStripeMap,
+      Op::kReportStaleReplica,
       Op::kGetStats,     Op::kGetHealth,   Op::kCompound,
       Op::kCbFlushBack,  Op::kCbDenyWrites,
       Op::kCbAttrInvalidate, Op::kCbRecallDeleg,
@@ -434,7 +434,6 @@ TEST(SlowOps, ForcedSlowOpLandsInRingAndFlightDump) {
   Sfs sfs = *CreateSfs(&device, SfsOptions{});
   dfs::DfsServerOptions options;
   options.slow_op_threshold_ns = 1;
-  options.slow_op_ring = 4;
   sp<DfsServer> server = *DfsServer::Create(
       server_node, &network, "dfs", sfs.root, &DefaultClock(), options);
   sp<DfsClient> client =
@@ -445,11 +444,14 @@ TEST(SlowOps, ForcedSlowOpLandsInRingAndFlightDump) {
   ASSERT_TRUE(file->Write(0, data.span()).ok());
   sp<File> remote = *ResolveAs<File>(client, "f", sys);
   Buffer out(kPageSize);
-  ASSERT_TRUE(remote->Read(0, out.mutable_span()).ok());
+  // More slow ops than the ring holds.
+  for (size_t i = 0; i <= DfsServer::kSlowOpRing; ++i) {
+    ASSERT_TRUE(remote->Read(0, out.mutable_span()).ok());
+  }
 
   std::vector<DfsServer::SlowOp> slow = server->SlowOps();
-  ASSERT_FALSE(slow.empty());
-  EXPECT_LE(slow.size(), 4u) << "ring exceeded its bound";
+  EXPECT_EQ(slow.size(), DfsServer::kSlowOpRing) << "ring exceeded its bound";
+  EXPECT_GT(metrics::StatValue(*server, "slow_ops"), DfsServer::kSlowOpRing);
   for (const DfsServer::SlowOp& op : slow) {
     EXPECT_GT(op.elapsed_ns, 0u);
   }

@@ -432,6 +432,18 @@ TEST_F(UfsTest, PersistsAcrossRemount) {
   EXPECT_EQ(out.ToString(), "persistent content");
 }
 
+TEST_F(UfsTest, SyncWithNothingPendingMakesNoDeviceFlush) {
+  ASSERT_TRUE(fs_->Create(kRootInode, "f", FileType::kRegular).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  BlockDeviceStats before = device_->stats();
+  uint64_t tx = fs_->last_committed_tx();
+  ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(device_->stats().flushes, before.flushes);
+  EXPECT_EQ(device_->stats().writes, before.writes);
+  EXPECT_EQ(fs_->last_committed_tx(), tx);
+  ExpectClean();
+}
+
 TEST_F(UfsTest, MountRejectsUnformattedDevice) {
   MemBlockDevice raw(kBlockSize, 64);
   EXPECT_FALSE(Ufs::Mount(&raw).ok());
