@@ -16,11 +16,19 @@
 // the compound/delegation work (compound needs at most half the net calls
 // of sync; a delegated re-open touches the wire zero times; bytes always
 // identical), exiting non-zero on violation.
+//
+// Last, a fourth client changes a file three delegated clients opened. The
+// server recalls the three delegations in one callback round, so the
+// change costs two round trips (its own and the round's) instead of one
+// per holder. The bench exits non-zero unless the change made 3 callbacks
+// in 1 round; it prints the change's latency but does not gate on it, and
+// adds nothing to BENCH_coldopen.json.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/layers/dfs/dfs_client.h"
@@ -136,6 +144,57 @@ RunResult RunConfig(bench::BenchReport& report, const std::string& name,
   return result;
 }
 
+// The change round described at the top. Returns false unless the change
+// succeeded with exactly 3 callbacks in 1 round.
+bool RunChangeRound() {
+  Credentials creds = Credentials::System();
+  net::Network network(&DefaultClock(), kLatencyNs);
+  sp<net::Node> server_node = network.AddNode("server");
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  Sfs sfs = CreateSfs(&device, SfsOptions{}).take_value();
+  sp<DfsServer> server =
+      DfsServer::Create(server_node, &network, "dfs", sfs.root).take_value();
+  Buffer page(kPageSize);
+  server->CreateFile(*Name::Parse("f"), creds)
+      .take_value()
+      ->Write(0, page.span())
+      .take_value();
+
+  auto mount = [&](const std::string& node,
+                   const dfs::DfsClientOptions& options) {
+    return DfsClient::Mount(network.AddNode(node), &network, "server", "dfs",
+                            &DefaultClock(), options)
+        .take_value();
+  };
+  dfs::DfsClientOptions delegated;
+  delegated.compound = true;
+  delegated.delegations = true;
+  std::vector<sp<DfsClient>> holders;
+  for (int i = 1; i <= 3; ++i) {
+    holders.push_back(mount("holder" + std::to_string(i), delegated));
+    if (!ResolveAs<File>(holders.back(), "f", creds).ok()) {
+      return false;
+    }
+  }
+  sp<File> file =
+      ResolveAs<File>(mount("changer", {}), "f", creds).take_value();
+
+  uint64_t callbacks = metrics::StatValue(*server, "callbacks_sent");
+  uint64_t rounds = metrics::StatValue(*server, "callback_rounds");
+  auto start = std::chrono::steady_clock::now();
+  bool wrote = file->Write(0, page.span()).ok();
+  auto end = std::chrono::steady_clock::now();
+  callbacks = metrics::StatValue(*server, "callbacks_sent") - callbacks;
+  rounds = metrics::StatValue(*server, "callback_rounds") - rounds;
+  std::printf("change under 3 delegations: %llu callbacks in %llu round(s), "
+              "%.1f us (two round trips are %llu us of links)\n",
+              static_cast<unsigned long long>(callbacks),
+              static_cast<unsigned long long>(rounds),
+              std::chrono::duration<double, std::micro>(end - start).count(),
+              static_cast<unsigned long long>(4 * kLatencyNs / 1000));
+  return wrote && callbacks == 3 && rounds == 1;
+}
+
 }  // namespace
 
 int main() {
@@ -210,5 +269,7 @@ int main() {
         "compound needs at most half the net calls of sync");
   check(delegated.net_calls == 0,
         "delegated re-opens touch the wire zero times");
+  check(RunChangeRound(),
+        "a change recalls 3 delegations with 3 callbacks in 1 round");
   return ok ? 0 : 1;
 }

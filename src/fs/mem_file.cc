@@ -98,8 +98,11 @@ Status MemFile::SetLength(Offset length) {
   });
 }
 
-void MemFile::ApplyRecovered(const std::vector<BlockData>& blocks) {
-  for (const BlockData& block : blocks) {
+Status MemFile::AcquireLocked(uint64_t requester, Range range,
+                              AccessRights access) {
+  CoherencyEngine::Recovered recovered =
+      engine_.Acquire(requester, range, access);
+  for (const BlockData& block : recovered.blocks) {
     // Recovered pages are page-sized; only bytes within the file count.
     size_t count = block.data.size();
     if (block.offset >= attrs_.size) {
@@ -108,15 +111,14 @@ void MemFile::ApplyRecovered(const std::vector<BlockData>& blocks) {
     count = std::min<size_t>(count, attrs_.size - block.offset);
     store_.WriteAt(block.offset, block.data.subspan(0, count));
   }
+  return recovered.status;
 }
 
 Result<size_t> MemFile::Read(Offset offset, MutableByteSpan out) {
   return InDomain([&]() -> Result<size_t> {
     std::lock_guard<std::mutex> lock(mutex_);
-    ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                     engine_.Acquire(0, Range{offset, out.size()},
-                                     AccessRights::kReadOnly));
-    ApplyRecovered(recovered);
+    RETURN_IF_ERROR(
+        AcquireLocked(0, Range{offset, out.size()}, AccessRights::kReadOnly));
     attrs_.atime_ns = clock_->Now();
     return store_.ReadAt(offset, out);
   });
@@ -125,10 +127,8 @@ Result<size_t> MemFile::Read(Offset offset, MutableByteSpan out) {
 Result<size_t> MemFile::Write(Offset offset, ByteSpan data) {
   return InDomain([&]() -> Result<size_t> {
     std::lock_guard<std::mutex> lock(mutex_);
-    ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                     engine_.Acquire(0, Range{offset, data.size()},
-                                     AccessRights::kReadWrite));
-    ApplyRecovered(recovered);
+    RETURN_IF_ERROR(AcquireLocked(0, Range{offset, data.size()},
+                                  AccessRights::kReadWrite));
     store_.WriteAt(offset, data);
     attrs_.size = std::max<uint64_t>(attrs_.size, offset + data.size());
     attrs_.mtime_ns = clock_->Now();
@@ -164,9 +164,7 @@ Result<Buffer> MemFile::PagerPageIn(uint64_t channel, Offset offset,
   std::lock_guard<std::mutex> lock(mutex_);
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   engine_.Acquire(channel, Range::FromTo(begin, end), access));
-  ApplyRecovered(recovered);
+  RETURN_IF_ERROR(AcquireLocked(channel, Range::FromTo(begin, end), access));
   Buffer out(end - begin);
   store_.ReadAt(begin, out.mutable_span());
   return out;

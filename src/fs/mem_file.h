@@ -59,8 +59,9 @@ class MemFile : public File, public Servant {
   Result<FileAttributes> PagerGetAttributes();
   Status PagerWriteAttributes(const AttrUpdate& update);
 
-  // Folds dirty blocks recovered from demoted caches into the store.
-  void ApplyRecovered(const std::vector<BlockData>& blocks);
+  // Runs the engine's Acquire and folds the dirty blocks it recovered from
+  // demoted caches into the store (also when it failed); mutex_ held.
+  Status AcquireLocked(uint64_t requester, Range range, AccessRights access);
 
   Clock* clock_;
   mutable std::mutex mutex_;

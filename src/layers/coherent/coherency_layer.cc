@@ -301,10 +301,8 @@ class CoherentFile : public File, public Servant {
       metrics::TimedOp timed(ReadMetric(), "coh.read");
       RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
       std::lock_guard<std::mutex> lock(state_->mutex);
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, out.size()},
-                                              AccessRights::kReadOnly));
-      RETURN_IF_ERROR(layer_->FoldRecoveredLocked(*state_, recovered));
+      RETURN_IF_ERROR(layer_->AcquireLocked(
+          *state_, 0, Range{offset, out.size()}, AccessRights::kReadOnly));
       if (!layer_->options_.cache_data) {
         return state_->under->Read(offset, out);
       }
@@ -337,10 +335,8 @@ class CoherentFile : public File, public Servant {
       metrics::TimedOp timed(WriteMetric(), "coh.write");
       RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
       std::lock_guard<std::mutex> lock(state_->mutex);
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, data.size()},
-                                              AccessRights::kReadWrite));
-      RETURN_IF_ERROR(layer_->FoldRecoveredLocked(*state_, recovered));
+      RETURN_IF_ERROR(layer_->AcquireLocked(
+          *state_, 0, Range{offset, data.size()}, AccessRights::kReadWrite));
       if (!layer_->options_.cache_data) {
         return state_->under->Write(offset, data);
       }
@@ -662,6 +658,14 @@ Status CoherencyLayer::FoldRecoveredLocked(
   return run.empty() ? Status::Ok() : PushToBelow(state, start, std::move(run));
 }
 
+Status CoherencyLayer::AcquireLocked(FileState& state, uint64_t requester,
+                                     Range range, AccessRights access) {
+  CoherencyEngine::Recovered recovered =
+      state.engine.Acquire(requester, range, access);
+  RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered.blocks));
+  return recovered.status;
+}
+
 Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
                                             Offset offset, Offset size,
                                             AccessRights access) {
@@ -669,10 +673,8 @@ Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
   std::lock_guard<std::mutex> lock(state.mutex);
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(channel, Range::FromTo(begin, end),
-                                        access));
-  RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
+  RETURN_IF_ERROR(
+      AcquireLocked(state, channel, Range::FromTo(begin, end), access));
   if (!options_.cache_data) {
     // Pass-through: fetch from below without retaining.
     return FetchFromBelow(state, begin, end - begin, access);
@@ -771,10 +773,19 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerFlushBack(FileState& state,
   // Our clients' caches depend on ours: flush them first. Recovered data is
   // returned to the caller (the layer below) via the return value — never
   // by calling back down, which could re-enter the caller mid-callback.
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(0, range, AccessRights::kReadWrite));
+  CoherencyEngine::Recovered recovered =
+      state.engine.Acquire(0, range, AccessRights::kReadWrite);
+  if (!recovered.ok()) {
+    // Our claim below stands, so we keep what the clients that answered
+    // handed over. Mid-callback nothing may go below, so only a caching
+    // layer can.
+    if (options_.cache_data) {
+      RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered.blocks));
+    }
+    return recovered.status;
+  }
   Offset end = range.end();
-  std::vector<BlockData> modified = std::move(recovered);
+  std::vector<BlockData> modified = std::move(recovered.blocks);
   if (options_.cache_data) {
     // Fold first so a block dirty both here and at a client surfaces once,
     // with the client's (newer) content.
@@ -796,14 +807,20 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
     FileState& state, Range range) {
   trace::ScopedSpan span("coh.lower_deny_writes");
   std::lock_guard<std::mutex> lock(state.mutex);
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(0, range, AccessRights::kReadOnly));
+  CoherencyEngine::Recovered recovered =
+      state.engine.Acquire(0, range, AccessRights::kReadOnly);
+  if (!recovered.ok()) {
+    if (options_.cache_data) {  // as in LowerFlushBack
+      RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered.blocks));
+    }
+    return recovered.status;
+  }
   Offset end = range.end();
   std::vector<BlockData> modified;
   if (options_.cache_data) {
     // Keep the recovered client data in our cache (now read-only below) and
     // report it as modified.
-    for (const BlockData& block : recovered) {
+    for (const BlockData& block : recovered.blocks) {
       CachedBlock cached;
       cached.data = block.data;
       cached.data.resize(kPageSize);
@@ -821,7 +838,7 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
       it->second.rights = AccessRights::kReadOnly;
     }
   } else {
-    modified = std::move(recovered);
+    modified = std::move(recovered.blocks);
   }
   return modified;
 }
@@ -839,10 +856,8 @@ Status CoherencyLayer::BroadcastAttrInvalidate(FileState& state,
 
 Status CoherencyLayer::SyncFileState(FileState& state) {
   // Demote client writers so their latest data lands in our cache first.
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(0, Range::All(),
-                                        AccessRights::kReadOnly));
-  RETURN_IF_ERROR(FoldRecoveredLocked(state, recovered));
+  RETURN_IF_ERROR(
+      AcquireLocked(state, 0, Range::All(), AccessRights::kReadOnly));
   // One lower Sync per run of contiguous dirty pages, as the VMM writes
   // back. A run turns clean only once its Sync returned OK, so a run that
   // failed stays dirty whole. A file never bound below holds no pages (the

@@ -167,6 +167,10 @@ class CoherencyLayer : public StackableFs,
   Status PushToBelow(FileState& state, Offset offset, Buffer run);
   Status FoldRecoveredLocked(FileState& state,
                              const std::vector<BlockData>& blocks);
+  // Runs the engine's Acquire, folds the dirty blocks it recovered (also
+  // when it failed), then returns its verdict.
+  Status AcquireLocked(FileState& state, uint64_t requester, Range range,
+                       AccessRights access);
 
   // Client-pager entry points (from CoherentPagerObject).
   Result<Buffer> ClientPageIn(FileState& state, uint64_t channel,

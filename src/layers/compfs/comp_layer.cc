@@ -246,15 +246,8 @@ class CompFile : public File, public Servant {
     return InDomain([&]() -> Result<size_t> {
       std::lock_guard<std::mutex> lock(state_->mutex);
       RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, out.size()},
-                                              AccessRights::kReadOnly));
-      for (const BlockData& block : recovered) {
-        Buffer page = block.data;
-        page.resize(kPageSize);
-        state_->cache[block.offset] = std::move(page);
-        state_->dirty[block.offset] = true;
-      }
+      RETURN_IF_ERROR(layer_->AcquireLocked(
+          *state_, 0, Range{offset, out.size()}, AccessRights::kReadOnly));
       if (offset >= state_->logical_size) {
         return size_t{0};
       }
@@ -281,15 +274,8 @@ class CompFile : public File, public Servant {
     return InDomain([&]() -> Result<size_t> {
       std::lock_guard<std::mutex> lock(state_->mutex);
       RETURN_IF_ERROR(layer_->LoadMeta(*state_));
-      ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                       state_->engine.Acquire(0, Range{offset, data.size()},
-                                              AccessRights::kReadWrite));
-      for (const BlockData& block : recovered) {
-        Buffer page = block.data;
-        page.resize(kPageSize);
-        state_->cache[block.offset] = std::move(page);
-        state_->dirty[block.offset] = true;
-      }
+      RETURN_IF_ERROR(layer_->AcquireLocked(
+          *state_, 0, Range{offset, data.size()}, AccessRights::kReadWrite));
       RETURN_IF_ERROR(layer_->EnsureCached(*state_, PageFloor(offset),
                                            PageCeil(offset + data.size())));
       size_t done = 0;
@@ -344,15 +330,8 @@ class CompFile : public File, public Servant {
       {
         std::lock_guard<std::mutex> lock(state_->mutex);
         // Recall the freshest data from client writers first.
-        ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                         state_->engine.Acquire(0, Range::All(),
-                                                AccessRights::kReadOnly));
-        for (const BlockData& block : recovered) {
-          Buffer page = block.data;
-          page.resize(kPageSize);
-          state_->cache[block.offset] = std::move(page);
-          state_->dirty[block.offset] = true;
-        }
+        RETURN_IF_ERROR(layer_->AcquireLocked(*state_, 0, Range::All(),
+                                              AccessRights::kReadOnly));
         RETURN_IF_ERROR(layer_->FlushDirty(*state_));
       }
       RETURN_IF_ERROR(state_->under_data->SyncFile());
@@ -899,6 +878,19 @@ Result<uint64_t> CompLayer::Compact(const Name& name,
   });
 }
 
+Status CompLayer::AcquireLocked(FileState& state, uint64_t requester,
+                                Range range, AccessRights access) {
+  CoherencyEngine::Recovered recovered =
+      state.engine.Acquire(requester, range, access);
+  for (const BlockData& block : recovered.blocks) {
+    Buffer page = block.data;
+    page.resize(kPageSize);
+    state.cache[block.offset] = std::move(page);
+    state.dirty[block.offset] = true;
+  }
+  return recovered.status;
+}
+
 // --- client pager paths -------------------------------------------------------
 
 Result<Buffer> CompLayer::ClientPageIn(FileState& state, uint64_t channel,
@@ -908,15 +900,8 @@ Result<Buffer> CompLayer::ClientPageIn(FileState& state, uint64_t channel,
   RETURN_IF_ERROR(LoadMeta(state));
   Offset begin = PageFloor(offset);
   Offset end = PageCeil(offset + std::max<Offset>(size, 1));
-  ASSIGN_OR_RETURN(std::vector<BlockData> recovered,
-                   state.engine.Acquire(channel, Range::FromTo(begin, end),
-                                        access));
-  for (const BlockData& block : recovered) {
-    Buffer page = block.data;
-    page.resize(kPageSize);
-    state.cache[block.offset] = std::move(page);
-    state.dirty[block.offset] = true;
-  }
+  RETURN_IF_ERROR(
+      AcquireLocked(state, channel, Range::FromTo(begin, end), access));
   RETURN_IF_ERROR(EnsureCached(state, begin, end));
   Buffer out(end - begin);
   for (Offset page = begin; page < end; page += kPageSize) {

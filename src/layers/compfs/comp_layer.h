@@ -162,6 +162,10 @@ class CompLayer : public StackableFs,
   Status EnsureCached(FileState& state, Offset begin, Offset end);
   Status FlushDirty(FileState& state);
   Status CompactLocked(FileState& state, uint64_t* reclaimed);
+  // Runs the engine's Acquire and caches the dirty blocks it recovered
+  // (also when it failed), then returns its verdict.
+  Status AcquireLocked(FileState& state, uint64_t requester, Range range,
+                       AccessRights access);
 
   // Reads/writes bytes of the underlying data file, via the pager channel
   // when bound below (Figure 6) or the file interface otherwise (Figure 5).

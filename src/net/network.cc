@@ -204,15 +204,36 @@ sp<Channel> Network::OpenChannel(const std::string& from,
   return sp<Channel>(new Channel(this, from, to, service, options));
 }
 
-Result<Frame> Network::Call(const std::string& from, const std::string& to,
-                            const std::string& service, const Frame& request,
-                            uint32_t attempt) {
+std::vector<Result<Frame>> Network::CallAll(const std::string& from,
+                                            std::span<const CallTo> calls) {
   // No retransmission: server callbacks carry no request id and their
   // handlers are not idempotent (a recall hands its dirty pages over once),
   // so a lost copy must reach the caller as kTimedOut, not be resent.
   ChannelOptions once;
   once.max_retransmits = 0;
-  return Channel(this, from, to, service, once).Call(request, attempt);
+  FanOut round;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    round.Submit(sp<Channel>(new Channel(this, from, calls[i].to,
+                                         calls[i].service, once)),
+                 calls[i].request, i);
+  }
+  std::vector<Result<Frame>> results(calls.size(),
+                                     ErrIoError("call never completed"));
+  while (std::optional<FanOut::Finished> done = round.Next()) {
+    Completion& completion = done->completion;
+    if (completion.status.ok()) {
+      results[done->owner] = std::move(completion.response);
+    } else {
+      results[done->owner] = completion.status;
+    }
+  }
+  return results;
+}
+
+Result<Frame> Network::Call(const std::string& from, const std::string& to,
+                            const std::string& service, const Frame& request) {
+  CallTo call{to, service, request};
+  return std::move(CallAll(from, {&call, 1}).front());
 }
 
 namespace {

@@ -14,9 +14,9 @@
 // and loss recovery is reordering-tolerant in the spirit of FreeBSD's RACK
 // (a frame is declared lost as soon as later-sent frames complete, with a
 // capped-backoff retransmission timer as the last resort). Channel::Call
-// is one blocking round trip on a channel; Network::Call is the same on a
-// single-use channel that never retransmits, for callers without a
-// persistent one.
+// is one blocking round trip on a channel; Network::CallAll sends a round
+// of calls, each on a single-use channel that never retransmits, for
+// callers without a persistent one, and Network::Call is a round of one.
 
 #ifndef SPRINGFS_NET_NETWORK_H_
 #define SPRINGFS_NET_NETWORK_H_
@@ -381,6 +381,13 @@ class FanOut {
   std::deque<Finished> failed_;  // finished by a channel giving up
 };
 
+// One call of a Network::CallAll round: where it goes and what it carries.
+struct CallTo {
+  std::string to;
+  std::string service;
+  Frame request;
+};
+
 class Network : public metrics::StatsProvider {
  public:
   explicit Network(Clock* clock = &DefaultClock(),
@@ -441,24 +448,24 @@ class Network : public metrics::StatsProvider {
                           const std::string& service,
                           const ChannelOptions& options = {});
 
-  // One blocking round trip (Channel::Call) on a single-use channel, for
-  // callers that keep no channel of their own: server callbacks, the
-  // metadata server's calls to its data servers, tests. The channel never
-  // retransmits (max_retransmits = 0): a lost request or response
-  // completes with kTimedOut when the first timer fires, rto_ns after the
-  // send, and retry policy stays with the caller. Callbacks carry no
-  // request id and their handlers are not idempotent, so a resent copy
-  // could run one twice. A slow handler is still safe: its frame was
-  // delivered, so the timer leaves it be.
-  //
-  // `attempt` is the caller's retransmission count for this logical call:
-  // attempt 0 records a "net.call:<service>" span, retransmissions record
-  // "net.retry:<service>" — so "net.call:" span counts per operation stay
-  // stable under an armed FaultPlan (the retries remain visible, just
-  // under their own prefix).
+  // Sends every call at once, each on its own single-use channel, and
+  // drains them together through a FanOut, so the round costs its slowest
+  // round trip rather than the sum of them. For callers that keep no
+  // channel of their own: server callbacks, the metadata server's calls to
+  // its data servers, tests. The channels never retransmit
+  // (max_retransmits = 0): a lost request or response completes its call
+  // alone with kTimedOut when its first timer fires, rto_ns after the send,
+  // and retry policy stays with the caller. Callbacks carry no request id
+  // and their handlers are not idempotent, so a resent copy could run one
+  // twice. A slow handler is still safe: its frame was delivered, so the
+  // timer leaves it be. The results follow the order of `calls`; an empty
+  // round opens no channel.
+  std::vector<Result<Frame>> CallAll(const std::string& from,
+                                     std::span<const CallTo> calls);
+
+  // One blocking round trip: CallAll of one call.
   Result<Frame> Call(const std::string& from, const std::string& to,
-                     const std::string& service, const Frame& request,
-                     uint32_t attempt = 0);
+                     const std::string& service, const Frame& request);
 
   // --- StatsProvider ---
   std::string stats_prefix() const override { return "net"; }

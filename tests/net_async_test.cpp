@@ -527,6 +527,43 @@ TEST_F(NetAsyncTest, FanOutFinishesRequestsOfAChannelThatGivesUp) {
   EXPECT_FALSE(fan.Next().has_value());
 }
 
+// Network::CallAll sends every call at once, each on its own single-use
+// channel: three calls to three nodes complete in one round trip, and a
+// dropped response times out only its own call, at rto_ns, never resent.
+TEST_F(NetAsyncTest, CallAllCompletesARoundInOneRoundTrip) {
+  std::vector<net::CallTo> calls;
+  for (const char* name : {"b", "c", "d"}) {
+    if (std::string(name) != "b") {
+      network_->AddNode(name)->RegisterService(
+          "echo", [this](const net::Frame& request) {
+            ++handler_runs_;
+            return NumberFrame(NumberOf(request) + 1);
+          });
+    }
+    calls.push_back({name, "echo", NumberFrame(10)});
+  }
+  TimeNs start = clock_.Now();
+  std::vector<Result<net::Frame>> answers = network_->CallAll("a", calls);
+  EXPECT_EQ(clock_.Now() - start, 2'000u) << "one round trip of 1 us links";
+  ASSERT_EQ(answers.size(), 3u);
+  for (const Result<net::Frame>& answer : answers) {
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(NumberOf(*answer), 11u);
+  }
+  EXPECT_EQ(handler_runs_, 3);
+
+  network_->DropNextResponses("a", "c", 1);
+  start = clock_.Now();
+  answers = network_->CallAll("a", calls);
+  EXPECT_EQ(clock_.Now() - start, net::ChannelOptions{}.rto_ns);
+  EXPECT_TRUE(answers[0].ok());
+  EXPECT_EQ(answers[1].status().code(), ErrorCode::kTimedOut);
+  EXPECT_TRUE(answers[2].ok());
+  EXPECT_EQ(handler_runs_, 6) << "the lost call's handler ran once";
+  EXPECT_EQ(metrics::StatValue(*network_, "calls"), 6u) << "nothing resent";
+  EXPECT_EQ(metrics::StatValue(*network_, "rto_retransmits"), 0u);
+}
+
 TEST_F(NetAsyncTest, RetransmittedCopiesAreByteIdentical) {
   // The retransmission must reuse the tag (and request id): that is what
   // lets a server-side dedup window absorb reordered duplicates.
