@@ -57,12 +57,10 @@ bool CoherencyEngine::LeaseExpired(const Holder& holder) const {
          clock_->Now() >= holder.lease_expires;
 }
 
-uint64_t CoherencyEngine::AddCache(uint64_t cache_id, sp<CacheObject> cache) {
+void CoherencyEngine::AddCache(uint64_t cache_id, sp<CacheObject> cache) {
   Holder& holder = caches_[cache_id];
   holder.cache = std::move(cache);
-  holder.incarnation = ++next_incarnation_;
   RenewLease(holder);
-  return holder.incarnation;
 }
 
 void CoherencyEngine::RemoveCache(uint64_t cache_id) {
@@ -83,11 +81,6 @@ bool CoherencyEngine::HasCache(uint64_t cache_id) const {
 
 size_t CoherencyEngine::NumCaches() const { return caches_.size(); }
 
-uint64_t CoherencyEngine::Incarnation(uint64_t cache_id) const {
-  auto it = caches_.find(cache_id);
-  return it == caches_.end() ? 0 : it->second.incarnation;
-}
-
 std::vector<sp<CacheObject>> CoherencyEngine::Caches() const {
   std::vector<sp<CacheObject>> out;
   out.reserve(caches_.size());
@@ -99,19 +92,7 @@ std::vector<sp<CacheObject>> CoherencyEngine::Caches() const {
 
 bool CoherencyEngine::ShouldEvictOnFailure(const Status& status,
                                            const Holder& holder) const {
-  if (IsUnreachable(status.code())) {
-    // kDeadObject / kNotFound mean the holder's domain or callback service
-    // is definitively gone — safe to evict regardless of policy. A mere
-    // timeout or lost connection only justifies immediate eviction under
-    // the default policy; in conservative mode the holder keeps its claim
-    // until the lease lapses (checked below).
-    if (evict_unreachable_before_expiry_ ||
-        status.code() == ErrorCode::kDeadObject ||
-        status.code() == ErrorCode::kNotFound) {
-      return true;
-    }
-  }
-  return LeaseExpired(holder);
+  return IsUnreachable(status.code()) || LeaseExpired(holder);
 }
 
 void CoherencyEngine::EvictHolder(uint64_t cache_id) {
@@ -318,12 +299,10 @@ CoherencyEngine::Recovered CoherencyEngine::Grant(
   return out;
 }
 
-void CoherencyEngine::ReleaseDropped(uint64_t holder, Range range,
-                                     uint64_t incarnation) {
+void CoherencyEngine::ReleaseDropped(uint64_t holder, Range range) {
   auto self = caches_.find(holder);
-  if (self == caches_.end() ||
-      (incarnation != 0 && self->second.incarnation != incarnation)) {
-    // Fence: a stale frame from an evicted (possibly since revived) holder.
+  if (self == caches_.end()) {
+    // Fence: a stale frame from an evicted holder.
     ++stats_.fenced_releases;
     return;
   }
@@ -342,11 +321,9 @@ void CoherencyEngine::ReleaseDropped(uint64_t holder, Range range,
   }
 }
 
-void CoherencyEngine::ReleaseDowngraded(uint64_t holder, Range range,
-                                        uint64_t incarnation) {
+void CoherencyEngine::ReleaseDowngraded(uint64_t holder, Range range) {
   auto self = caches_.find(holder);
-  if (self == caches_.end() ||
-      (incarnation != 0 && self->second.incarnation != incarnation)) {
+  if (self == caches_.end()) {
     ++stats_.fenced_releases;
     return;
   }

@@ -33,10 +33,9 @@
 // fails the action: Acquire calls no holder after it, the holders that did
 // answer still give up their claims and hand over their dirty blocks, and
 // the requester is granted nothing.
-// Stale messages from an evicted-then-revived holder are fenced: Release*
-// from a non-member holder id is a no-op, and AddCache hands out a fresh
-// incarnation number callers can record to reject frames minted under an
-// older registration.
+// Stale messages from an evicted holder are fenced: Release* from a
+// non-member holder id is a no-op. Callers never reuse a cache id (a
+// revived holder registers under a fresh one), so the id alone fences.
 
 #ifndef SPRINGFS_COHERENCY_ENGINE_H_
 #define SPRINGFS_COHERENCY_ENGINE_H_
@@ -68,30 +67,12 @@ class CoherencyEngine {
   // caches and never need eviction. DFS configures this per server file.
   void ConfigureLeases(Clock* clock, uint64_t lease_ns);
 
-  // Eviction policy for merely-unreachable holders (kTimedOut /
-  // kConnectionLost callback failures). Default (true): evict immediately —
-  // right for page caches, where the pager holds a last stable copy and
-  // losing the holder's dirty pages is already modeled as recovery. When
-  // false, an unreachable holder keeps its blocks until its lease actually
-  // expires and the failure propagates to the caller instead; definitively
-  // dead holders (kDeadObject / kNotFound) are still evicted at once. DFS
-  // uses the conservative mode for its delegation engine: a delegation
-  // authorizes zero-round-trip local serves, so the server must not hand
-  // out conflicting access until the holder's lease provably lapsed.
-  void SetEvictUnreachableBeforeExpiry(bool evict) {
-    evict_unreachable_before_expiry_ = evict;
-  }
-
   // Registers a cache (identified by the pager's channel id for it) and
-  // stamps its lease. Returns the holder's incarnation number — a value
-  // unique across registrations of the same cache_id, used to fence
-  // messages from an evicted predecessor.
-  uint64_t AddCache(uint64_t cache_id, sp<CacheObject> cache);
+  // stamps its lease.
+  void AddCache(uint64_t cache_id, sp<CacheObject> cache);
   void RemoveCache(uint64_t cache_id);
   bool HasCache(uint64_t cache_id) const;
   size_t NumCaches() const;
-  // Current incarnation of a registered holder (0 if not registered).
-  uint64_t Incarnation(uint64_t cache_id) const;
   // Every registered cache object (for broadcast actions such as truncation
   // delete_range / zero_fill).
   std::vector<sp<CacheObject>> Caches() const;
@@ -148,14 +129,11 @@ class CoherencyEngine {
 
   // State maintenance when holders act voluntarily. A release from a
   // holder that is no longer registered (evicted, then the stale frame
-  // arrives) is fenced off as a no-op. When `incarnation` is non-zero the
-  // release additionally only applies if it matches the holder's current
-  // incarnation.
+  // arrives) is fenced off as a no-op.
   // page_out — the holder wrote back and dropped the range.
-  void ReleaseDropped(uint64_t holder, Range range, uint64_t incarnation = 0);
+  void ReleaseDropped(uint64_t holder, Range range);
   // write_out — the holder wrote back and keeps the range read-only.
-  void ReleaseDowngraded(uint64_t holder, Range range,
-                         uint64_t incarnation = 0);
+  void ReleaseDowngraded(uint64_t holder, Range range);
 
   // Invariant probes for tests.
   bool BlockHasWriter(Offset page_offset) const;
@@ -181,7 +159,6 @@ class CoherencyEngine {
 
   struct Holder {
     sp<CacheObject> cache;
-    uint64_t incarnation = 0;
     TimeNs lease_expires = 0;  // 0 = leases disabled, never expires
   };
 
@@ -195,8 +172,6 @@ class CoherencyEngine {
 
   Clock* clock_ = nullptr;
   uint64_t lease_ns_ = 0;
-  bool evict_unreachable_before_expiry_ = true;
-  uint64_t next_incarnation_ = 0;
   std::map<uint64_t, Holder> caches_;
   std::map<Offset, BlockState> blocks_;  // keyed by page-aligned offset
   std::set<Offset> recovery_needed_;     // kept across block-state erasure

@@ -208,7 +208,6 @@ class RemoteFile : public File, public Servant {
     has_deleg_ = true;
     deleg_ = {};
     deleg_.id = open.deleg_id;
-    deleg_.incarnation = open.incarnation;
     deleg_.expires_at = open.expires_at;
     if (attrs.ok()) {
       deleg_.attrs = attrs->attrs;
@@ -243,13 +242,12 @@ class RemoteFile : public File, public Servant {
     cto_prefetch_valid_ = false;
   }
 
-  // Serves a kCbRecallDeleg: stop serving locally. A recall minted under
-  // a different incarnation (or after we already dropped the delegation)
-  // is fenced: it changes nothing.
-  void HandleDelegRecall(uint64_t deleg_id, uint64_t incarnation) {
+  // Serves a kCbRecallDeleg: stop serving locally. A recall of another
+  // delegation (ids are never reused), or one that comes after we already
+  // dropped the delegation, changes nothing.
+  void HandleDelegRecall(uint64_t deleg_id) {
     std::lock_guard<std::mutex> lock(deleg_mutex_);
-    if (has_deleg_ && deleg_.id == deleg_id &&
-        deleg_.incarnation == incarnation) {
+    if (has_deleg_ && deleg_.id == deleg_id) {
       has_deleg_ = false;
       deleg_ = {};
     }
@@ -358,7 +356,6 @@ class RemoteFile : public File, public Servant {
  private:
   struct DelegationState {
     uint64_t id = 0;
-    uint64_t incarnation = 0;
     uint64_t expires_at = 0;  // absolute, on the shared mount clock
     bool attrs_valid = false;
     FileAttributes attrs;
@@ -828,10 +825,10 @@ net::Frame DfsClient::HandleCallback(const net::Frame& request) {
           }
         }
         if (holder) {
-          holder->HandleDelegRecall(req.deleg_id, req.incarnation);
+          holder->HandleDelegRecall(req.deleg_id);
           Bump(&Stats::deleg_recalls);
           flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
-                         req.deleg_id, req.incarnation);
+                         req.deleg_id);
         }
         return Status::Ok();
       });
@@ -1029,7 +1026,7 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
     if (revoked) {
       Bump(&Stats::deleg_grant_races);
       flight::Record(flight::Severity::kWarn, "dfs", "grant raced by recall",
-                     open->deleg_id, open->incarnation);
+                     open->deleg_id);
     } else {
       file->InstallDelegation(*open, attrs, first_page);
       Bump(&Stats::delegations_held);

@@ -96,26 +96,23 @@ metrics::OpMetric& OpMetricFor(Op op) {
   return it->second;
 }
 
-// The pseudo-block every read delegation of a file claims in its
-// deleg_engine: a stand-in for "the whole file's open/attr state".
-constexpr Range kDelegationBlock{0, kPageSize};
-
-}  // namespace
-
-// A remote holder in one of a file's engines: each recall of it is one
-// callback frame to its client. The server sends the callbacks of an
-// access together (DfsServer::RecallRound); the engines never call a
-// holder themselves.
-class CallbackProxy : public CacheObject {
+// A remote client cache: a page holder in a file's engine, reachable only
+// through the DFS protocol. The server sends the callbacks of an access
+// together (DfsServer::RecallRound); the engine never calls a holder
+// itself.
+class RemoteCacheProxy : public CacheObject {
  public:
-  CallbackProxy(std::string node, std::string service)
-      : node_(std::move(node)), service_(std::move(service)) {}
+  explicit RemoteCacheProxy(const BindCacheRequest& bind)
+      : node(bind.node), service(bind.service),
+        client_channel(bind.client_channel), is_fs_cache(bind.is_fs_cache) {}
 
   // The callback that recalls `pages`, demoting them when `deny`.
-  virtual net::CallTo Callback(bool deny, Range pages) const = 0;
-  // The dirty blocks a callback's answer handed over, or its failure.
-  virtual Result<std::vector<BlockData>> Decode(
-      const Result<net::Frame>& answer) const = 0;
+  net::CallTo Callback(bool deny, Range pages) const {
+    return {node, service,
+            RequestFrame(deny ? Op::kCbDenyWrites : Op::kCbFlushBack,
+                         CbRecallRequest{client_channel, pages.offset,
+                                         pages.size})};
+  }
 
   Result<std::vector<BlockData>> FlushBack(Range) override { return Direct(); }
   Result<std::vector<BlockData>> DenyWrites(Range) override {
@@ -127,71 +124,15 @@ class CallbackProxy : public CacheObject {
   Status Populate(Offset, AccessRights, ByteSpan) override { return Direct(); }
   Status DestroyCache() override { return Direct(); }
 
- protected:
-  const std::string node_;
-  const std::string service_;
+  const std::string node;
+  const std::string service;
+  const uint64_t client_channel;
+  const bool is_fs_cache;
 
  private:
   static Status Direct() {
     return ErrNotSupported("a DFS callback goes out only in a round");
   }
-};
-
-namespace {
-
-// A remote client cache, reachable only through the DFS protocol. The
-// server's per-file CoherencyEngine treats it like any cache object.
-class RemoteCacheProxy : public CallbackProxy {
- public:
-  RemoteCacheProxy(std::string client_node, std::string client_service,
-                   uint64_t client_channel)
-      : CallbackProxy(std::move(client_node), std::move(client_service)),
-        client_channel_(client_channel) {}
-
-  net::CallTo Callback(bool deny, Range pages) const override {
-    return {node_, service_,
-            RequestFrame(deny ? Op::kCbDenyWrites : Op::kCbFlushBack,
-                         CbRecallRequest{client_channel_, pages.offset,
-                                         pages.size})};
-  }
-  Result<std::vector<BlockData>> Decode(
-      const Result<net::Frame>& answer) const override {
-    ASSIGN_OR_RETURN(CbRecallResponse resp, Reply<CbRecallResponse>(answer));
-    return std::move(resp.blocks);
-  }
-
- private:
-  uint64_t client_channel_;
-};
-
-// A delegation holder as seen by the per-file deleg_engine. A "recall"
-// here is one kCbRecallDeleg round trip, fenced on the incarnation the
-// holder was granted under.
-class DelegationProxy : public CallbackProxy {
- public:
-  DelegationProxy(std::string client_node, std::string client_service,
-                  uint64_t deleg_id)
-      : CallbackProxy(std::move(client_node), std::move(client_service)),
-        deleg_id_(deleg_id) {}
-
-  void set_incarnation(uint64_t incarnation) { incarnation_ = incarnation; }
-
-  net::CallTo Callback(bool, Range) const override {
-    return {node_, service_,
-            RequestFrame(Op::kCbRecallDeleg,
-                         CbRecallDelegRequest{deleg_id_, incarnation_})};
-  }
-  Result<std::vector<BlockData>> Decode(
-      const Result<net::Frame>& answer) const override {
-    RETURN_IF_ERROR(Reply<Empty>(answer).status());
-    // A delegation never holds dirty pages — data writes go to the wire —
-    // so there is nothing to flush back.
-    return std::vector<BlockData>{};
-  }
-
- private:
-  uint64_t deleg_id_;
-  uint64_t incarnation_ = 0;
 };
 
 }  // namespace
@@ -395,11 +336,6 @@ Result<sp<DfsServer::ServerFile>> DfsServer::FileForPath(
   file->path = path;
   file->under = std::move(under_file);
   file->engine.ConfigureLeases(clock_, options_.lease_ns);
-  file->deleg_engine.ConfigureLeases(clock_, options_.lease_ns);
-  // Conservative eviction for delegations: an unreachable holder may still
-  // be serving opens/attrs locally, so it keeps its claim (and conflicting
-  // ops fail transiently) until the lease provably lapsed.
-  file->deleg_engine.SetEvictUnreachableBeforeExpiry(false);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = handles_by_path_.find(path);
   if (it != handles_by_path_.end()) {
@@ -441,39 +377,25 @@ Status DfsServer::EnsureBoundBelow(const sp<ServerFile>& file) {
   return Status::Ok();
 }
 
-void DfsServer::PruneEvicted(ServerFile& file) {
-  for (auto it = file.remote_caches.begin(); it != file.remote_caches.end();) {
-    it = file.engine.HasCache(it->first) ? std::next(it)
-                                         : file.remote_caches.erase(it);
+void DfsServer::DropLapsedDelegations(ServerFile& file) {
+  uint64_t now = clock_->Now();
+  for (auto it = file.delegations.begin(); it != file.delegations.end();) {
+    it = now >= it->second.expires_at ? DropDelegation(file, it, true)
+                                      : std::next(it);
   }
 }
 
-void DfsServer::PruneDelegations(ServerFile& file) {
-  uint64_t now = clock_->Now();
-  for (auto it = file.delegations.begin(); it != file.delegations.end();) {
-    auto [deleg_id, expires_at] = *it;
-    bool engine_gone = !file.deleg_engine.HasCache(deleg_id);
-    bool expired = now >= expires_at;
-    if (!engine_gone && !expired) {
-      ++it;
-      continue;
-    }
-    if (!engine_gone) {
-      file.deleg_engine.RemoveCache(deleg_id);
-    }
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      if (expired) {
-        ++stats_.delegations_expired;
-      } else {
-        ++stats_.delegations_recalled;
-      }
-    }
-    flight::Record(flight::Severity::kInfo, "dfs",
-                   expired ? "delegation expired" : "delegation evicted",
-                   deleg_id, file.handle);
-    it = file.delegations.erase(it);
+std::map<uint64_t, DfsServer::Delegation>::iterator DfsServer::DropDelegation(
+    ServerFile& file, std::map<uint64_t, Delegation>::iterator it,
+    bool expired) {
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++(expired ? stats_.delegations_expired : stats_.delegations_recalled);
   }
+  flight::Record(flight::Severity::kInfo, "dfs",
+                 expired ? "delegation expired" : "delegation recalled",
+                 it->first, file.handle);
+  return file.delegations.erase(it);
 }
 
 CoherencyEngine::Recovered DfsServer::RecallRound(ServerFile& file,
@@ -485,62 +407,54 @@ CoherencyEngine::Recovered DfsServer::RecallRound(ServerFile& file,
   if (!pages.ok()) {
     return {{}, pages.status()};
   }
-  bool change = access == AccessRights::kReadWrite;
-  std::vector<CoherencyEngine::Recall> delegs;
-  if (change) {
-    PruneDelegations(file);
-    delegs = file.deleg_engine
-                 .Conflicts(0, kDelegationBlock, AccessRights::kReadWrite)
-                 .take_value();
-  }
-  // Every callback goes out at once, delegation recalls first.
+  // Every callback goes out at once, delegation recalls first. A lapsed
+  // delegation is dropped without a call.
   trace::ScopedSpan span("dfs.callback_round");
-  auto proxy = [](const CoherencyEngine::Recall& recall) -> CallbackProxy& {
-    return static_cast<CallbackProxy&>(*recall.cache);
-  };
   std::vector<net::CallTo> calls;
-  for (const auto* recalls : {&delegs, &*pages}) {
-    for (const CoherencyEngine::Recall& recall : *recalls) {
-      calls.push_back(proxy(recall).Callback(recall.deny, recall.pages));
+  if (access == AccessRights::kReadWrite) {
+    DropLapsedDelegations(file);
+    for (const auto& [deleg_id, deleg] : file.delegations) {
+      calls.push_back({deleg.node, deleg.service,
+                       RequestFrame(Op::kCbRecallDeleg,
+                                    CbRecallDelegRequest{deleg_id})});
     }
+  }
+  size_t delegs = calls.size();
+  for (const CoherencyEngine::Recall& recall : *pages) {
+    calls.push_back(static_cast<const RemoteCacheProxy&>(*recall.cache)
+                        .Callback(recall.deny, recall.pages));
   }
   std::vector<Result<net::Frame>> responses = SendCallbacks(calls);
-  // The answers come back in the order the callbacks went out.
-  auto next = responses.begin();
-  auto answers = [&](const std::vector<CoherencyEngine::Recall>& recalls) {
-    std::vector<Result<std::vector<BlockData>>> out;
-    for (const CoherencyEngine::Recall& recall : recalls) {
-      out.push_back(proxy(recall).Decode(*next++));
-    }
-    return out;
-  };
 
-  // Conservative mode: a delegation holder that is unreachable before its
-  // lease lapsed fails the change transiently rather than racing its local
-  // serves, and the page holders' grant fails with it.
+  // The answers come back in the order the callbacks went out. An answer
+  // drops its delegation, and so does a holder that is gone or whose lease
+  // lapsed meanwhile. An unreachable holder still inside its lease keeps
+  // its claim and fails the change rather than race its local serves, and
+  // the page grant fails with it.
   Status recalled = Status::Ok();
-  if (change) {
-    recalled = file.deleg_engine
-                   .Grant(0, kDelegationBlock, AccessRights::kReadWrite,
-                          delegs, answers(delegs))
-                   .status;
-    if (recalled.ok() && !file.delegations.empty()) {
-      for (const auto& [id, expires_at] : file.delegations) {
-        file.deleg_engine.RemoveCache(id);
-        flight::Record(flight::Severity::kInfo, "dfs", "delegation recalled",
-                       id, file.handle);
-      }
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        stats_.delegations_recalled += file.delegations.size();
-      }
-      file.delegations.clear();
+  auto deleg = file.delegations.begin();
+  for (size_t i = 0; i < delegs; ++i) {
+    Status answer = Reply<Empty>(responses[i]).status();
+    if (answer.ok() || answer.code() == ErrorCode::kDeadObject ||
+        answer.code() == ErrorCode::kNotFound ||
+        clock_->Now() >= deleg->second.expires_at) {
+      deleg = DropDelegation(file, deleg, false);
+      continue;
     }
+    if (recalled.ok()) {
+      recalled = answer;
+    }
+    ++deleg;
   }
-  CoherencyEngine::Recovered recovered = file.engine.Grant(
-      requester, range, access, *pages, answers(*pages), recalled);
-  PruneEvicted(file);
-  return recovered;
+  std::vector<Result<std::vector<BlockData>>> answers;
+  for (size_t i = delegs; i < responses.size(); ++i) {
+    Result<CbRecallResponse> answer = Reply<CbRecallResponse>(responses[i]);
+    answers.push_back(answer.ok() ? Result<std::vector<BlockData>>(
+                                        std::move(answer->blocks))
+                                  : answer.status());
+  }
+  return file.engine.Grant(requester, range, access, *pages,
+                           std::move(answers), std::move(recalled));
 }
 
 Status DfsServer::RecallDelegations(ServerFile& file) {
@@ -560,12 +474,13 @@ Status DfsServer::PushRecovered(ServerFile& file,
 
 Status DfsServer::BroadcastAttrInvalidate(ServerFile& file) {
   std::vector<net::CallTo> calls;
-  for (const auto& [cache_id, info] : file.remote_caches) {
-    if (info.is_fs_cache) {
-      calls.push_back({info.node, info.service,
+  for (const sp<CacheObject>& cache : file.engine.Caches()) {
+    const auto& proxy = static_cast<const RemoteCacheProxy&>(*cache);
+    if (proxy.is_fs_cache) {
+      calls.push_back({proxy.node, proxy.service,
                        RequestFrame(Op::kCbAttrInvalidate,
                                     CbAttrInvalidateRequest{
-                                        info.client_channel})});
+                                        proxy.client_channel})});
     }
   }
   // Only the transport verdict matters: a client that answers with an
@@ -827,29 +742,16 @@ Result<OpenResponse> DfsServer::HandleOpen(const OpenRequest& req,
     return body;
   }
   std::lock_guard<std::mutex> lock(file->mutex);
-  PruneDelegations(*file);
+  DropLapsedDelegations(*file);
   // Read delegations always coexist (NFSv4 rules), so a grant needs no
-  // admission check.
+  // admission check. The expiry ships to the client as an ABSOLUTE clock
+  // value and is never renewed, so both sides agree on the exact instant
+  // local serves must stop (the simulation shares one clock; a real system
+  // would subtract a safety margin client-side).
   uint64_t deleg_id = NextDelegId();
-  auto proxy =
-      std::make_shared<DelegationProxy>(req.node, req.service, deleg_id);
-  uint64_t incarnation = file->deleg_engine.AddCache(deleg_id, proxy);
-  proxy->set_incarnation(incarnation);
-  if (!file->deleg_engine
-           .Acquire(deleg_id, kDelegationBlock, AccessRights::kReadOnly)
-           .ok()) {
-    file->deleg_engine.RemoveCache(deleg_id);
-    return body;
-  }
-  // The expiry ships to the client as an ABSOLUTE clock value and is never
-  // renewed, so both sides agree on the exact instant local serves must
-  // stop (the simulation shares one clock; a real system would subtract a
-  // safety margin client-side).
   uint64_t expires_at = clock_->Now() + options_.lease_ns;
-  file->delegations[deleg_id] = expires_at;
+  file->delegations[deleg_id] = {req.node, req.service, expires_at};
   body.deleg_id = deleg_id;
-  body.granted = DelegationKind::kRead;
-  body.incarnation = incarnation;
   body.expires_at = expires_at;
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -1180,7 +1082,7 @@ HealthResponse DfsServer::HandleGetHealth() {
   for (const sp<ServerFile>& file : files) {
     std::lock_guard<std::mutex> lock(file->mutex);
     body.delegations_active += file->delegations.size();
-    body.leases_active += file->remote_caches.size();
+    body.leases_active += file->engine.NumCaches();
   }
   {
     std::lock_guard<std::mutex> lock(dedup_mutex_);
@@ -1270,11 +1172,11 @@ Status DfsServer::RebuildTarget(const std::string& object_name, size_t t,
     // (s + lane) % width == t; any fresh lane r' on target
     // (t - lane + r') % width holds the identical stripe set at identical
     // local offsets, so the copy is a plain whole-object transfer.
-    size_t base = (t + width - (lane % width)) % width;
+    size_t base = PrimaryTarget(t, lane, width);
     const DfsServerOptions::StripeTarget* src_target = nullptr;
     size_t src_lane = 0;
     for (size_t r = 0; r < replicas; ++r) {
-      size_t candidate = (base + r) % width;
+      size_t candidate = ReplicaTarget(base, r, width);
       if (candidate == t || state.stale[candidate]) {
         continue;
       }
@@ -1452,22 +1354,14 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request) {
             RETURN_IF_ERROR(EnsureBoundBelow(file));
             std::lock_guard<std::mutex> lock(file->mutex);
             uint64_t cache_id = file->next_cache_id++;
-            RemoteCacheInfo info;
-            info.node = req.node;
-            info.service = req.service;
-            info.client_channel = req.client_channel;
-            info.is_fs_cache = req.is_fs_cache;
-            info.incarnation = file->engine.AddCache(
-                cache_id, std::make_shared<RemoteCacheProxy>(
-                              info.node, info.service, info.client_channel));
-            file->remote_caches[cache_id] = info;
+            file->engine.AddCache(cache_id,
+                                  std::make_shared<RemoteCacheProxy>(req));
             return BindCacheResponse{cache_id};
           });
     case Op::kUnbindCache:
       return ServeFile<UnbindCacheRequest>(request, [&](auto& req, auto& file) {
         std::lock_guard<std::mutex> lock(file->mutex);
         file->engine.RemoveCache(req.cache_id);
-        file->remote_caches.erase(req.cache_id);
         return Status::Ok();
       });
     case Op::kPageIn:
@@ -1588,9 +1482,7 @@ Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req) {
   // Fence stale page-outs before they touch the layer below: an evicted
   // holder's writer claim was already handed to someone else, so its
   // late write-back would clobber newer data.
-  auto rc = file->remote_caches.find(req.cache_id);
-  if (rc == file->remote_caches.end() ||
-      !file->engine.HasCache(req.cache_id)) {
+  if (!file->engine.HasCache(req.cache_id)) {
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.stale_fenced;
@@ -1606,10 +1498,9 @@ Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req) {
   RETURN_IF_ERROR(file->lower_pager->Sync(req.offset, req.data.span()));
   Range range{req.offset, req.data.size()};
   if (op == Op::kPageOut) {
-    file->engine.ReleaseDropped(req.cache_id, range, rc->second.incarnation);
+    file->engine.ReleaseDropped(req.cache_id, range);
   } else if (op == Op::kWriteOut) {
-    file->engine.ReleaseDowngraded(req.cache_id, range,
-                                   rc->second.incarnation);
+    file->engine.ReleaseDowngraded(req.cache_id, range);
   }
   return Status::Ok();
 }
@@ -1734,8 +1625,7 @@ bool DfsServer::CheckCoherencyInvariants() {
   }
   for (const sp<ServerFile>& file : files) {
     std::lock_guard<std::mutex> lock(file->mutex);
-    if (!file->engine.CheckInvariants() ||
-        !file->deleg_engine.CheckInvariants()) {
+    if (!file->engine.CheckInvariants()) {
       return false;
     }
   }

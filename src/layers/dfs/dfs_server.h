@@ -206,12 +206,12 @@ class DfsServer : public StackableFs,
 
   void NoteLowerFlush();
 
-  struct RemoteCacheInfo {
+  // A read delegation (DESIGN.md §13): where its recall goes, and its
+  // absolute expiry, fixed at the grant and never renewed.
+  struct Delegation {
     std::string node;
     std::string service;
-    uint64_t client_channel = 0;
-    bool is_fs_cache = false;
-    uint64_t incarnation = 0;  // engine registration this entry belongs to
+    uint64_t expires_at = 0;
   };
 
   struct ServerFile {
@@ -221,19 +221,12 @@ class DfsServer : public StackableFs,
     bool bound_below = false;
     sp<PagerObject> lower_pager;
     sp<FsPagerObject> lower_fs_pager;
-    CoherencyEngine engine;  // across remote caches (proxies)
-    std::map<uint64_t, RemoteCacheInfo> remote_caches;  // by engine cache id
+    // The remote page caches, each a RemoteCacheProxy registered under a
+    // cache id that is never reused.
+    CoherencyEngine engine;
     uint64_t next_cache_id = 1;
-    // Read delegations (DESIGN.md §13), tracked by a second engine so
-    // recall/lease/eviction/fencing reuse the holder-lease machinery
-    // without colliding with page-cache holder ids: each holder's
-    // DelegationProxy is registered under its deleg_id, claiming the
-    // pseudo-block at offset 0 as a proxy for "the whole file's open/attr
-    // state". Runs in conservative mode: an unreachable delegation holder
-    // keeps its claim until the lease provably lapsed.
-    CoherencyEngine deleg_engine;
-    // deleg_id -> absolute expiry, never renewed.
-    std::map<uint64_t, uint64_t> delegations;
+    // Read delegations by deleg_id, which is never reused either.
+    std::map<uint64_t, Delegation> delegations;
     // Serializes this file's bind below; taken before `mutex`, and never by
     // the lower cache object.
     std::mutex bind_mutex;
@@ -349,22 +342,24 @@ class DfsServer : public StackableFs,
   // every holder it conflicts with — every delegation when `access` writes
   // (a delegation is a read claim, so no read recalls one), and the page
   // holders of `range` other than `requester` — sends all their callbacks
-  // together, and grants the access in both engines. Returns the dirty
-  // blocks the answering holders handed over, also when the round failed;
-  // the caller pushes them below (PushRecovered) or returns them to it. An
-  // empty `range` recalls only delegations. `file.mutex` held.
+  // together, drops the delegations recalled, and grants the access in the
+  // page engine. Returns the dirty blocks the answering holders handed
+  // over, also when the round failed; the caller pushes them below
+  // (PushRecovered) or returns them to it. An empty `range` recalls only
+  // delegations. `file.mutex` held.
   CoherencyEngine::Recovered RecallRound(ServerFile& file, uint64_t requester,
                                          Range range, AccessRights access);
   // A delegations-only round for a change that touches no cached page
   // (attributes, a remove). Takes file.mutex itself.
   Status RecallDelegations(ServerFile& file);
 
-  // Drops remote_caches entries whose engine registration is gone (the
-  // engine evicted the holder); `file.mutex` held.
-  void PruneEvicted(ServerFile& file);
-  // Same for delegations the deleg_engine evicted or whose lease lapsed;
-  // `file.mutex` held.
-  void PruneDelegations(ServerFile& file);
+  // Drops the delegations whose lease lapsed; `file.mutex` held.
+  void DropLapsedDelegations(ServerFile& file);
+  // Drops one delegation, counted as expired or recalled; `file.mutex`
+  // held. Returns the next one.
+  std::map<uint64_t, Delegation>::iterator DropDelegation(
+      ServerFile& file, std::map<uint64_t, Delegation>::iterator it,
+      bool expired);
 
   Result<sp<ServerFile>> FileForPath(const std::string& path);
   Result<sp<ServerFile>> FileForHandle(uint64_t handle);

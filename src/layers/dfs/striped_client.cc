@@ -433,7 +433,7 @@ StripedRemoteFile::MapSnapshot StripedRemoteFile::SnapshotMap() {
   MapSnapshot snap;
   snap.stripe_size = map_.stripe_size;
   snap.map_version = map_.map_version;
-  snap.replicas = std::max<uint32_t>(map_.replicas, 1);
+  snap.replicas = map_.replicas;
   snap.targets = map_.targets;
   return snap;
 }
@@ -477,7 +477,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
           continue;
         }
         for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+          size_t t = ReplicaTarget(exts[i].target, r, width);
           if (snap.targets[t].stale && !reported.count(t)) {
             reported.insert(t);
             if (ReportStale(t, snap.map_version).ok()) {
@@ -519,7 +519,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        size_t idx = t * std::max<uint32_t>(map_.replicas, 1) + lane;
+        size_t idx = t * map_.replicas + lane;
         if (idx >= bindings_.size()) {
           return ErrTimedOut("stripe binding out of range");
         }
@@ -552,7 +552,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
 
     // Submits extent i's replica lane r; false when the bind failed.
     auto submit = [&](size_t i, size_t r) -> bool {
-      size_t t = (exts[i].target + r) % width;
+      size_t t = ReplicaTarget(exts[i].target, r, width);
       Binding b;
       Status st = binding_for(t, r, &b);
       if (!st.ok()) {
@@ -586,7 +586,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     // false when none is left this round.
     auto submit_single = [&](size_t i) -> bool {
       for (size_t r = 0; r < snap.replicas; ++r) {
-        size_t t = (exts[i].target + r) % width;
+        size_t t = ReplicaTarget(exts[i].target, r, width);
         if (!eligible(t, r) || tried[i].count(r)) {
           continue;
         }
@@ -605,7 +605,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       if (fan_all) {
         size_t eligible_count = 0;
         for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+          size_t t = ReplicaTarget(exts[i].target, r, width);
           if (!eligible(t, r)) {
             continue;
           }
@@ -692,7 +692,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         size_t eligible_count = 0;
         size_t have = 0;
         for (size_t r = 0; r < snap.replicas; ++r) {
-          size_t t = (exts[i].target + r) % width;
+          size_t t = ReplicaTarget(exts[i].target, r, width);
           if (!eligible(t, r)) {
             continue;
           }
@@ -753,7 +753,7 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   uint64_t handle;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = target * map_.replicas + lane;
     if (idx >= bindings_.size()) {
       return ErrTimedOut("stripe binding out of range");
     }
@@ -784,7 +784,7 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   ASSIGN_OR_RETURN(uint64_t cache_id, mount->ServerCacheIdFor(channel));
   cache->channel = channel;
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+  size_t idx = target * map_.replicas + lane;
   if (idx >= bindings_.size()) {
     return ErrTimedOut("stripe binding out of range");
   }
@@ -829,9 +829,8 @@ Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
     client_->Bump(&StripedDfsClient::Stats::maps_fenced);
     return Status::Ok();
   }
-  uint32_t held_replicas = std::max<uint32_t>(map_.replicas, 1);
   if (fresh.targets.size() != map_.targets.size() ||
-      fresh.replicas != held_replicas ||
+      fresh.replicas != map_.replicas ||
       bindings_.size() != fresh.targets.size() * fresh.replicas) {
     // Geometry is fixed per metadata-server configuration; a different
     // width or replication factor means the file was recreated under a
@@ -870,7 +869,7 @@ void StripedRemoteFile::InvalidateBinding(size_t target, size_t lane) {
   StripeMapResponse::Target where;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = target * map_.replicas + lane;
     if (idx >= bindings_.size()) {
       return;
     }
@@ -892,7 +891,7 @@ void StripedRemoteFile::ForgetBinding(size_t target, size_t lane,
                                       uint64_t channel) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t idx = target * std::max<uint32_t>(map_.replicas, 1) + lane;
+    size_t idx = target * map_.replicas + lane;
     if (idx < bindings_.size() && channel != 0 &&
         bindings_[idx].channel == channel) {
       bindings_[idx].cache_id = 0;
@@ -1171,7 +1170,7 @@ CbRecallResponse StripedRemoteFile::RecallLocal(Op op, Range local,
   }
   // The lane-`lane` object on `target` mirrors the primary object of this
   // base target; its stripes are the base target's stripes.
-  size_t base = (target + width - (lane % width)) % width;
+  size_t base = PrimaryTarget(target, lane, width);
   std::vector<PagerChannelTable::Channel> channels =
       local_channels_.AllChannels();
   // Bound the recall by the object's share of the file; Range::All() and

@@ -28,15 +28,15 @@
 // and takes that server's recalls there; then one kPageInRange per
 // extent, and kPageOut for mapped write-back.
 //
-// Failure model per stripe: every data server keeps its own boot epoch,
-// holder leases, and incarnation fencing. A data-server restart or lease
-// eviction surfaces as kStale on that stripe only; the client refetches
-// the map — which re-resolves handles on the restarted server — rebinds
-// that stripe's cache registration if it holds one, and resubmits just the
-// failed extents. Other stripes keep serving throughout. A boot-epoch
-// bump seen on any frame from a data server drops, as on a plain mount,
-// every lane registration this client holds there and the local caches of
-// those files.
+// Failure model per stripe: every data server keeps its own boot epoch and
+// holder leases, and fences an evicted cache id (it never reuses one). A
+// data-server restart or lease eviction surfaces as kStale on that stripe
+// only; the client refetches the map — which re-resolves handles on the
+// restarted server — rebinds that stripe's cache registration if it holds
+// one, and resubmits just the failed extents. Other stripes keep serving
+// throughout. A boot-epoch bump seen on any frame from a data server
+// drops, as on a plain mount, every lane registration this client holds
+// there and the local caches of those files.
 //
 // Replication (DESIGN.md §15): with R >= 2 replica lanes, replica r of
 // stripe s lives on target (s + r) % width in that server's lane-r object,

@@ -491,13 +491,11 @@ struct OpenRequest {
 
 struct OpenResponse {
   uint64_t handle = 0;
-  uint64_t deleg_id = 0;  // 0 = no delegation granted
-  DelegationKind granted = DelegationKind::kNone;
-  uint64_t incarnation = 0;  // fences recalls across re-grants
-  uint64_t expires_at = 0;   // absolute server-clock lease expiry
+  uint64_t deleg_id = 0;    // 0 = no delegation granted; ids are never reused
+  uint64_t expires_at = 0;  // absolute server-clock lease expiry
 
   template <class V>
-  void Visit(V&& v) { v(handle, deleg_id, granted, incarnation, expires_at); }
+  void Visit(V&& v) { v(handle, deleg_id, expires_at); }
 };
 
 // --- striping ---
@@ -544,6 +542,18 @@ struct StripeMapResponse {  // kGetStripeMap (request side is HandleRequest)
     v(stripe_size, length, map_version, replicas, object_name, targets);
   }
 };
+
+// Replica placement, the one rule both the client and the metadata server
+// follow: replica lane `lane` of the stripes whose primary is target
+// `primary` lives on target (primary + lane) % width.
+inline size_t ReplicaTarget(size_t primary, size_t lane, size_t width) {
+  return (primary + lane) % width;
+}
+// Its inverse: the primary target whose stripes lane `lane` of `target`
+// holds.
+inline size_t PrimaryTarget(size_t target, size_t lane, size_t width) {
+  return (target + width - lane % width) % width;
+}
 
 struct ReportStaleRequest {  // kReportStaleReplica -> StripeMapResponse
   uint64_t handle = 0;       // metadata handle of the striped file
@@ -676,10 +686,9 @@ struct CbAttrInvalidateRequest {
 
 struct CbRecallDelegRequest {  // -> Empty
   uint64_t deleg_id = 0;
-  uint64_t incarnation = 0;
 
   template <class V>
-  void Visit(V&& v) { v(deleg_id, incarnation); }
+  void Visit(V&& v) { v(deleg_id); }
 };
 
 }  // namespace springfs::dfs

@@ -382,8 +382,6 @@ TEST_F(EngineTest, AcquireRenewsTheRequestersLease) {
 }
 
 TEST_F(EngineTest, StaleReleasesAreFenced) {
-  uint64_t inc_old = engine_.Incarnation(1);
-  ASSERT_NE(inc_old, 0u);
   ASSERT_TRUE(engine_.Acquire(1, Range{0, kPageSize},
                               AccessRights::kReadWrite).ok());
   c1_->fail_with = ErrTimedOut("dead");
@@ -393,22 +391,8 @@ TEST_F(EngineTest, StaleReleasesAreFenced) {
 
   // The dead client revives and its stale page-out frame finally lands:
   // holder 1 is no longer a member, so the release is a no-op.
-  engine_.ReleaseDropped(1, Range{0, kPageSize}, inc_old);
+  engine_.ReleaseDropped(1, Range{0, kPageSize});
   EXPECT_EQ(engine_.stats().fenced_releases, 1u);
-
-  // The client re-registers (new incarnation) and becomes a writer; a
-  // leftover frame minted under the OLD incarnation must still be fenced.
-  c1_->fail_with = Status::Ok();
-  uint64_t inc_new = engine_.AddCache(1, c1_);
-  EXPECT_NE(inc_new, inc_old);
-  ASSERT_TRUE(engine_.Acquire(1, Range{0, kPageSize},
-                              AccessRights::kReadWrite).ok());
-  engine_.ReleaseDropped(1, Range{0, kPageSize}, inc_old);
-  EXPECT_EQ(engine_.stats().fenced_releases, 2u);
-  EXPECT_TRUE(engine_.BlockHasWriter(0)) << "stale frame must not release";
-  // The current incarnation's release applies normally.
-  engine_.ReleaseDropped(1, Range{0, kPageSize}, inc_new);
-  EXPECT_FALSE(engine_.BlockHasWriter(0));
   EXPECT_TRUE(engine_.CheckInvariants());
 }
 

@@ -40,15 +40,11 @@ TEST(DfsWire, OpenRoundTrip) {
   dfs::OpenResponse resp;
   resp.handle = 7;
   resp.deleg_id = 42;
-  resp.granted = dfs::DelegationKind::kRead;
-  resp.incarnation = 3;
   resp.expires_at = 1'000'000;
   Result<dfs::OpenResponse> r2 =
       dfs::Decode<dfs::OpenResponse>(dfs::Encode(resp).span());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->deleg_id, 42u);
-  EXPECT_EQ(r2->granted, dfs::DelegationKind::kRead);
-  EXPECT_EQ(r2->incarnation, 3u);
   EXPECT_EQ(r2->expires_at, 1'000'000u);
 }
 
@@ -90,12 +86,10 @@ TEST(DfsWire, CompoundRoundTrip) {
 TEST(DfsWire, RecallDelegRoundTrip) {
   dfs::CbRecallDelegRequest recall;
   recall.deleg_id = 9;
-  recall.incarnation = 2;
   Result<dfs::CbRecallDelegRequest> back =
       dfs::Decode<dfs::CbRecallDelegRequest>(dfs::Encode(recall).span());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->deleg_id, 9u);
-  EXPECT_EQ(back->incarnation, 2u);
 }
 
 TEST(DfsWire, TruncatedBodiesAreRejected) {
@@ -487,9 +481,9 @@ TEST_F(CompoundDfsTest, GracePeriodBouncesMutationsUntilLeasesLapse) {
 }
 
 TEST_F(CompoundDfsTest, DelegationsSurviveMappedCoherencyTraffic) {
-  // A delegation and a VMM mapping on the same file: the page-cache
-  // engine (remote_caches) and the delegation engine must not trample
-  // each other, and the server invariants must hold throughout.
+  // A delegation and a VMM mapping on the same file: the page engine and
+  // the delegation table must not trample each other, and the server
+  // invariants must hold throughout.
   Seed("both", "mapped and delegated");
   sp<DfsClient> holder = MountWith(client_node_, DelegatedOptions());
   sp<File> held = *ResolveAs<File>(holder, "both", sys_);
@@ -552,6 +546,72 @@ TEST_F(CompoundDfsTest, FailedRoundStillPushesTheAnsweredPagesBelow) {
   ASSERT_TRUE(local->Read(kPageSize, page.mutable_span()).ok());
   EXPECT_EQ(page.ToString().substr(0, 6), "MAPPED");
   EXPECT_EQ(page.data()[100], 'W');
+}
+
+// A holder whose client is gone (a destroyed client unregisters its
+// callback service, so its node answers kNotFound) is dropped at the
+// recall: the change goes through on its first try. A mounted client that
+// resolved a file cannot be destroyed (the file holds the mount), so the
+// delegation is granted through a raw kOpen that names a callback service
+// nobody registered.
+TEST_F(CompoundDfsTest, AHolderWhoseClientIsGoneIsDroppedAtTheRecall) {
+  Seed("orphan", "x");
+  Result<dfs::LookupResponse> looked = dfs::Reply<dfs::LookupResponse>(
+      Raw(dfs::Op::kLookup, dfs::Encode(dfs::PathRequest{"orphan"})));
+  ASSERT_TRUE(looked.ok());
+  dfs::OpenRequest open;
+  open.handle = looked->handle;
+  open.want_delegation = dfs::DelegationKind::kRead;
+  open.node = "client1";
+  open.service = "dfs-cb-destroyed";
+  Result<dfs::OpenResponse> opened = dfs::Reply<dfs::OpenResponse>(
+      Raw(dfs::Op::kOpen, dfs::Encode(open)));
+  ASSERT_TRUE(opened.ok());
+  ASSERT_NE(opened->deleg_id, 0u);
+
+  sp<DfsClient> writer = MountWith(client2_node_, dfs::DfsClientOptions{});
+  sp<File> file = *ResolveAs<File>(writer, "orphan", sys_);
+  uint64_t callbacks = metrics::StatValue(*server_, "callbacks_sent");
+  Buffer data(std::string("y"));
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*writer, "retries"), 0u)
+      << "the write went through on its first try";
+  EXPECT_EQ(metrics::StatValue(*server_, "callbacks_sent") - callbacks, 1u);
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 1u);
+
+  // The delegation is gone: the next change calls nobody.
+  callbacks = metrics::StatValue(*server_, "callbacks_sent");
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*server_, "callbacks_sent"), callbacks);
+}
+
+// A failed round keeps the recall of the holders that answered: with one
+// of two holders partitioned, a write fails, and once the partition heals
+// the retried write calls only the holder that did not answer.
+TEST_F(CompoundDfsTest, ARetriedChangeCallsOnlyTheHolderThatDidNotAnswer) {
+  Seed("pair", "held twice");
+  sp<DfsClient> holder1 = MountWith(client_node_, DelegatedOptions());
+  sp<DfsClient> holder2 = MountWith(client2_node_, DelegatedOptions());
+  ASSERT_TRUE(ResolveAs<File>(holder1, "pair", sys_).ok());
+  ASSERT_TRUE(ResolveAs<File>(holder2, "pair", sys_).ok());
+  ASSERT_EQ(metrics::StatValue(*server_, "delegations_granted"), 2u);
+  network_->SetPartitioned("client1", true);
+
+  sp<DfsClient> writer = MountWith(client3_node_, dfs::DfsClientOptions{});
+  sp<File> file = *ResolveAs<File>(writer, "pair", sys_);
+  Buffer data(std::string("W"));
+  EXPECT_FALSE(file->Write(0, data.span()).ok())
+      << "an unreachable holder fails the change until its lease lapses";
+  EXPECT_EQ(metrics::StatValue(*holder2, "deleg_recalls"), 1u);
+
+  network_->SetPartitioned("client1", false);
+  uint64_t callbacks = metrics::StatValue(*server_, "callbacks_sent");
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*server_, "callbacks_sent") - callbacks, 1u)
+      << "only the holder that did not answer is called again";
+  EXPECT_EQ(metrics::StatValue(*holder1, "deleg_recalls"), 1u);
+  EXPECT_EQ(metrics::StatValue(*holder2, "deleg_recalls"), 1u);
+  EXPECT_EQ(metrics::StatValue(*server_, "delegations_recalled"), 2u);
 }
 
 // A recall from below can hand pages down only as its success value, so

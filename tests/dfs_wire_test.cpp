@@ -170,8 +170,6 @@ void ForEachGolden(Sink&& sink) {
     OpenResponse m;
     m.handle = 0x101;
     m.deleg_id = 0x102;
-    m.granted = DelegationKind::kRead;
-    m.incarnation = 0x103;
     m.expires_at = 0x104;
     sink("OpenResponse", m);
   }
@@ -261,7 +259,6 @@ void ForEachGolden(Sink&& sink) {
   {
     CbRecallDelegRequest m;
     m.deleg_id = 0x171;
-    m.incarnation = 0x172;
     sink("CbRecallDelegRequest", m);
   }
 }
@@ -306,8 +303,7 @@ const std::map<std::string, std::string>& Golden() {
      "67652d6f7574"},
     {"OpenRequest", "f10000000000000001000000020000006e3103000000737663"},
     {"OpenResponse",
-     "010100000000000002010000000000000100000003010000000000000401"
-     "000000000000"},
+     "010100000000000002010000000000000401000000000000"},
     {"StripeMapResponse",
      "004000000000000045230100000000000700000000000000020000000b00"
      "00007374726970652d303066660200000002000000643008000000646673"
@@ -342,7 +338,7 @@ const std::map<std::string, std::string>& Golden() {
      "500000000000007061676573"
      " 00*4091 "},
     {"CbAttrInvalidateRequest", "6101000000000000"},
-    {"CbRecallDelegRequest", "71010000000000007201000000000000"},
+    {"CbRecallDelegRequest", "7101000000000000"},
   };
   return *golden;
 }

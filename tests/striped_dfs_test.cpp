@@ -107,6 +107,25 @@ TEST(StripeMath, LocalLengths) {
   }
 }
 
+// Replica placement and its inverse undo each other at every width up to
+// 8, for every lane a map can carry (replicas never exceed the width).
+TEST(StripeMath, ReplicaPlacementAndItsInverseAgree) {
+  for (size_t width = 1; width <= 8; ++width) {
+    for (size_t lane = 0; lane < width; ++lane) {
+      for (size_t t = 0; t < width; ++t) {
+        size_t replica = dfs::ReplicaTarget(t, lane, width);
+        ASSERT_LT(replica, width);
+        EXPECT_EQ(dfs::PrimaryTarget(replica, lane, width), t)
+            << "width " << width << " lane " << lane << " primary " << t;
+        EXPECT_EQ(dfs::ReplicaTarget(dfs::PrimaryTarget(t, lane, width), lane,
+                                     width),
+                  t)
+            << "width " << width << " lane " << lane << " target " << t;
+      }
+    }
+  }
+}
+
 TEST(StripeMath, ExtentsCoverExactlyOnce) {
   // Property: for arbitrary ranges the extents tile the range with no gap
   // or overlap, each within its stripe unit.
