@@ -934,20 +934,20 @@ Result<sp<Object>> DfsClient::ObjectForPath(const Name& name) {
   if (looked.is_dir) {
     return sp<Object>(SubContext<DfsClient>::Of(this, name));
   }
-  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
+  return sp<Object>(FileFor(path, looked.handle));
+}
+
+sp<RemoteFile> DfsClient::FileFor(const std::string& path, uint64_t handle) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = remote_files_.find(path);
-  if (it != remote_files_.end()) {
-    // The lookup just returned the authoritative handle — refresh the
-    // cached file's copy (it may predate a server restart).
-    std::static_pointer_cast<RemoteFile>(it->second)->UpdateHandle(
-        looked.handle);
-    return sp<Object>(it->second);
+  sp<RemoteFile>& file = remote_files_[path];
+  if (file) {
+    file->UpdateHandle(handle);
+  } else {
+    file = std::make_shared<RemoteFile>(
+        domain(), std::dynamic_pointer_cast<DfsClient>(shared_from_this()),
+        path, handle);
   }
-  sp<File> file = std::make_shared<RemoteFile>(domain(), self, path,
-                                               looked.handle);
-  remote_files_[path] = file;
-  return sp<Object>(file);
+  return file;
 }
 
 Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
@@ -958,7 +958,7 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = remote_files_.find(path);
     if (it != remote_files_.end()) {
-      cached = std::static_pointer_cast<RemoteFile>(it->second);
+      cached = it->second;
     }
   }
   if (cached && cached->HasValidDelegation()) {
@@ -992,20 +992,7 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
   if (looked.is_dir) {
     return sp<Object>(SubContext<DfsClient>::Of(this, name));
   }
-  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
-  sp<RemoteFile> file;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = remote_files_.find(path);
-    if (it != remote_files_.end()) {
-      file = std::static_pointer_cast<RemoteFile>(it->second);
-      file->UpdateHandle(looked.handle);
-    } else {
-      file = std::make_shared<RemoteFile>(domain(), self, path,
-                                          looked.handle);
-      remote_files_[path] = file;
-    }
-  }
+  sp<RemoteFile> file = FileFor(path, looked.handle);
   Result<OpenResponse> open = SubResult<OpenResponse>(results, 1);
   Result<GetAttrResponse> attrs = SubResult<GetAttrResponse>(results, 2);
   Result<ReadResponse> first_page = SubResult<ReadResponse>(results, 3);
@@ -1108,20 +1095,7 @@ Result<sp<File>> DfsClient::CreateFile(const Name& name,
     ASSIGN_OR_RETURN(CreateResponse created,
                      Invoke<CreateResponse>(Op::kCreate,
                                             PathRequest{name.ToString()}));
-    sp<DfsClient> self =
-        std::dynamic_pointer_cast<DfsClient>(shared_from_this());
-    std::string path = name.ToString();
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = remote_files_.find(path);
-    if (it != remote_files_.end()) {
-      std::static_pointer_cast<RemoteFile>(it->second)->UpdateHandle(
-          created.handle);
-      return it->second;
-    }
-    sp<File> file = std::make_shared<RemoteFile>(domain(), self, path,
-                                                 created.handle);
-    remote_files_[path] = file;
-    return file;
+    return sp<File>(FileFor(name.ToString(), created.handle));
   });
 }
 

@@ -243,6 +243,10 @@ class DfsClient : public Context,
   Result<uint64_t> RebindHandle(const std::string& path);
 
   Result<sp<Object>> ObjectForPath(const Name& name);
+  // The file object for `path`, made on first use, with its handle set to
+  // `handle`: the server's answer to the lookup or create just made, which
+  // may postdate a server restart.
+  sp<class RemoteFile> FileFor(const std::string& path, uint64_t handle);
   // The compound variant: a delegated cache hit resolves with zero round
   // trips; otherwise one kCompound frame looks up, opens (asking for a
   // delegation when configured), stats, and prefetches the first page.
@@ -271,7 +275,7 @@ class DfsClient : public Context,
   std::map<uint64_t, uint64_t> pager_keys_;        // handle -> pager key
   // Keyed by path, not handle: the server's handle space resets across a
   // restart, and RemoteFile re-resolves its handle by path.
-  std::map<std::string, sp<File>> remote_files_;
+  std::map<std::string, sp<class RemoteFile>> remote_files_;
   // Held delegations, for recall routing (deleg_id -> holder).
   std::map<uint64_t, wp<class RemoteFile>> delegations_by_id_;
   // Recalls that raced their grant (bounded; see ForgetDelegation's doc).

@@ -28,19 +28,6 @@ uint64_t NextDelegId() {
   return next.fetch_add(1);
 }
 
-// Durable name of a file's per-data-server stripe object, derived from the
-// metadata path with XXH64 so it stays stable across metadata- and
-// data-server restarts. Every data server holds the object under the same
-// name; what differs per server is which stripes of the file it stores.
-std::string StripeObjectName(const std::string& path) {
-  uint64_t h = Xxh64(
-      ByteSpan(reinterpret_cast<const uint8_t*>(path.data()), path.size()));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "stripe-%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
 // Ops that modify server state — rejected during the post-boot grace
 // period and counted toward the dedup-window policy.
 bool IsMutating(Op op) {
@@ -186,7 +173,7 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
   Result<std::vector<BlockData>> Recall(Range range, AccessRights access) {
     return InDomain([&]() -> Result<std::vector<BlockData>> {
       trace::ScopedSpan span("dfs.lower_recall");
-      server_->NoteLowerFlush();
+      server_->Bump(&DfsServer::Stats::lower_flushes);
       std::lock_guard<std::mutex> lock(file_->mutex);
       // A local writer recalls delegations too: it must not race a remote
       // holder's zero-round-trip serves. The dirty data recovered from
@@ -259,8 +246,16 @@ Result<sp<DfsServer>> DfsServer::Create(const sp<net::Node>& node,
                                         sp<StackableFs> under, Clock* clock,
                                         const DfsServerOptions& options) {
   net::SetFrameTypeNamer(&OpNamer);
+  // Whether this server is a metadata server is decided here, once.
+  std::unique_ptr<StripeMetadata> stripes;
+  if (!options.stripe_targets.empty()) {
+    ASSIGN_OR_RETURN(stripes, StripeMetadata::Create(
+                                  network, node->name(), under,
+                                  options.stripe_size, options.stripe_targets,
+                                  options.stripe_replicas));
+  }
   sp<DfsServer> server(new DfsServer(node, network, service, std::move(under),
-                                     clock, options));
+                                     clock, options, std::move(stripes)));
   wp<DfsServer> weak = server;
   node->RegisterService(service, [weak](const net::Frame& request) {
     sp<DfsServer> strong = weak.lock();
@@ -274,11 +269,12 @@ Result<sp<DfsServer>> DfsServer::Create(const sp<net::Node>& node,
 
 DfsServer::DfsServer(const sp<net::Node>& node, net::Network* network,
                      std::string service, sp<StackableFs> under, Clock* clock,
-                     const DfsServerOptions& options)
+                     const DfsServerOptions& options,
+                     std::unique_ptr<StripeMetadata> stripes)
     : Servant(node->domain()), node_(node), network_(network),
       service_(std::move(service)), clock_(clock), options_(options),
       boot_epoch_(NextBootEpoch()), boot_time_(clock->Now()),
-      under_(std::move(under)) {
+      under_(std::move(under)), stripes_(std::move(stripes)) {
   // Handles are unique across instances, not just within one: a restarted
   // server starts its handle space at a fresh boot-epoch prefix, so a
   // client's stale handle can never silently resolve to a *different* file
@@ -303,17 +299,14 @@ std::vector<Result<net::Frame>> DfsServer::SendCallbacks(
   if (calls.empty()) {
     return {};
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.callbacks_sent += calls.size();
-    ++stats_.callback_rounds;
-  }
+  Bump(&Stats::callbacks_sent, calls.size());
+  Bump(&Stats::callback_rounds);
   return network_->CallAll(node_->name(), calls);
 }
 
-void DfsServer::NoteLowerFlush() {
+void DfsServer::Bump(uint64_t Stats::*field, uint64_t n) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.lower_flushes;
+  stats_.*field += n;
 }
 
 bool DfsServer::InGracePeriod() const {
@@ -356,6 +349,16 @@ Result<sp<DfsServer::ServerFile>> DfsServer::FileForHandle(uint64_t handle) {
   return it->second;
 }
 
+std::vector<sp<DfsServer::ServerFile>> DfsServer::Files() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<sp<ServerFile>> files;
+  files.reserve(files_by_handle_.size());
+  for (const auto& [handle, file] : files_by_handle_) {
+    files.push_back(file);
+  }
+  return files;
+}
+
 Status DfsServer::EnsureBoundBelow(const sp<ServerFile>& file) {
   std::lock_guard<std::mutex> bind_lock(file->bind_mutex);
   {
@@ -388,10 +391,7 @@ void DfsServer::DropLapsedDelegations(ServerFile& file) {
 std::map<uint64_t, DfsServer::Delegation>::iterator DfsServer::DropDelegation(
     ServerFile& file, std::map<uint64_t, Delegation>::iterator it,
     bool expired) {
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++(expired ? stats_.delegations_expired : stats_.delegations_recalled);
-  }
+  Bump(expired ? &Stats::delegations_expired : &Stats::delegations_recalled);
   flight::Record(flight::Severity::kInfo, "dfs",
                  expired ? "delegation expired" : "delegation recalled",
                  it->first, file.handle);
@@ -502,13 +502,6 @@ net::Frame DfsServer::ServeFile(const net::Frame& request, Handler&& handler) {
   });
 }
 
-template <class Resp, class Req>
-Result<Resp> DfsServer::CallTarget(const DfsServerOptions::StripeTarget& target,
-                                   Op op, const Req& req) {
-  return Reply<Resp>(network_->Call(node_->name(), target.node,
-                                    target.service, RequestFrame(op, req)));
-}
-
 // --- protocol dispatch ---
 
 net::Frame DfsServer::Handle(const net::Frame& request) {
@@ -541,10 +534,7 @@ net::Frame DfsServer::HandleFrame(Op op, const net::Frame& request,
     std::lock_guard<std::mutex> lock(dedup_mutex_);
     auto it = dedup_.find(request.request_id);
     if (it != dedup_.end()) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.dedup_hits;
-      }
+      Bump(&Stats::dedup_hits);
       if (span.active()) {
         span.Annotate("dedup replay request_id=" +
                       std::to_string(request.request_id));
@@ -595,10 +585,7 @@ void DfsServer::NoteSlowOp(Op op, const net::Frame& request,
       slow_ops_.pop_front();
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.slow_ops;
-  }
+  Bump(&Stats::slow_ops);
   char message[52];
   std::snprintf(message, sizeof(message), "slow op %s", OpName(op));
   flight::Record(flight::Severity::kWarn, "dfs_slow", message, elapsed_ns,
@@ -612,10 +599,7 @@ std::vector<DfsServer::SlowOp> DfsServer::SlowOps() const {
 
 net::Frame DfsServer::Dispatch(Op op, const net::Frame& request) {
   if (IsMutating(op) && InGracePeriod()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.grace_rejects;
-    }
+    Bump(&Stats::grace_rejects);
     flight::Record(flight::Severity::kWarn, "dfs", "grace reject",
                    static_cast<uint64_t>(op), boot_epoch_);
     return ReplyFrame(ErrTimedOut(
@@ -633,11 +617,21 @@ net::Frame DfsServer::Dispatch(Op op, const net::Frame& request) {
         return HandleOpen(req, file);
       });
     case Op::kGetStripeMap:
-      return Answer<HandleRequest>(
-          request, [&](auto& req) { return HandleGetStripeMap(req); });
     case Op::kReportStaleReplica:
-      return Answer<ReportStaleRequest>(
-          request, [&](auto& req) { return HandleReportStale(req); });
+      // The metadata role's ops; a data server does not resolve the handle.
+      if (!stripes_) {
+        return ReplyFrame(ErrInvalidArgument(
+            "server has no stripe targets (not a metadata server); use the "
+            "single-server path"));
+      }
+      if (op == Op::kGetStripeMap) {
+        return ServeFile<HandleRequest>(request, [&](auto&, auto& file) {
+          return stripes_->GetMap(file->path, *file->under);
+        });
+      }
+      return ServeFile<ReportStaleRequest>(request, [&](auto& req, auto& file) {
+        return stripes_->ReportStale(file->path, *file->under, req);
+      });
     case Op::kGetStats:
       return Answer<Empty>(request, [&](Empty&) { return HandleGetStats(); });
     case Op::kGetHealth:
@@ -657,10 +651,7 @@ net::Frame DfsServer::HandleNameOp(Op op, const net::Frame& request) {
     return ReplyFrame(req.status());
   }
   const std::string& path = req->path;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.remote_lookups;
-  }
+  Bump(&Stats::remote_lookups);
   Result<Name> parsed = Name::Parse(path);
   if (!parsed.ok()) {
     return ReplyFrame(parsed.status());
@@ -753,273 +744,10 @@ Result<OpenResponse> DfsServer::HandleOpen(const OpenRequest& req,
   file->delegations[deleg_id] = {req.node, req.service, expires_at};
   body.deleg_id = deleg_id;
   body.expires_at = expires_at;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.delegations_granted;
-  }
+  Bump(&Stats::delegations_granted);
   flight::Record(flight::Severity::kInfo, "dfs", "delegation granted",
                  deleg_id, file->handle);
   return body;
-}
-
-// --- striped metadata role: staleness state, map building, rebuild --------
-
-uint32_t DfsServer::StripeReplicaCount() const {
-  size_t width = options_.stripe_targets.size();
-  uint32_t r = std::max<uint32_t>(options_.stripe_replicas, 1);
-  return static_cast<uint32_t>(std::min<size_t>(r, width));
-}
-
-namespace {
-
-// Lane-r stripe object name: the primary lane keeps the bare object name
-// (back-compatible with single-lane clusters); higher lanes append a
-// suffix.
-std::string LaneObjectName(const std::string& object_name, size_t lane) {
-  return lane == 0 ? object_name
-                   : object_name + "-r" + std::to_string(lane);
-}
-
-// Sidecar file on the metadata store holding a file's StripeState. Named
-// by the same path hash as the stripe objects so it survives renames of
-// nothing (paths are stable here) and never collides with another file's.
-std::string StripeStateName(const std::string& path) {
-  return "." + StripeObjectName(path) + "-state";
-}
-
-// A sidecar's stored form: the StripeState plus the logical path, so a
-// cold incumbent can walk the store's sidecars and re-derive the full
-// stale set (RunRebuildPass) without waiting for a client to refetch the
-// file's map.
-struct StripeSidecar {
-  uint64_t version = 1;
-  std::vector<bool> stale;  // by target index
-  std::string path;
-
-  template <class V>
-  void Visit(V&& v) { v(version, stale, path); }
-};
-
-Result<StripeSidecar> ReadSidecar(const sp<StackableFs>& store,
-                                  const std::string& name) {
-  ASSIGN_OR_RETURN(sp<File> sidecar,
-                   ResolveAs<File>(store, name, Credentials::System()));
-  ASSIGN_OR_RETURN(Offset len, sidecar->GetLength());
-  Buffer raw(len);
-  ASSIGN_OR_RETURN(size_t got, sidecar->Read(0, raw.mutable_span()));
-  return Decode<StripeSidecar>(raw.span().first(got));
-}
-
-}  // namespace
-
-DfsServer::StripeState DfsServer::LoadStripeState(const std::string& path) {
-  size_t width = options_.stripe_targets.size();
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    auto it = stripe_states_.find(path);
-    if (it != stripe_states_.end()) {
-      it->second.stale.resize(width, false);
-      return it->second;
-    }
-  }
-  StripeState state;
-  state.stale.assign(width, false);
-  // Cold (this boot never touched the file): re-derive from the sidecar,
-  // if a previous incumbent left one. This is what keeps map versions
-  // monotonic — and stale marks durable — across MDS restarts.
-  Result<StripeSidecar> sidecar = ReadSidecar(under_, StripeStateName(path));
-  if (sidecar.ok()) {
-    state.version = sidecar->version;
-    for (size_t t = 0; t < std::min(width, sidecar->stale.size()); ++t) {
-      state.stale[t] = sidecar->stale[t];
-    }
-  }
-  std::lock_guard<std::mutex> lock(stripe_mutex_);
-  auto [it, inserted] = stripe_states_.emplace(path, state);
-  return it->second;
-}
-
-void DfsServer::StoreStripeState(const std::string& path,
-                                 const StripeState& state) {
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    stripe_states_[path] = state;
-  }
-  Result<Name> name = Name::Parse(StripeStateName(path));
-  if (!name.ok()) {
-    return;
-  }
-  Result<sp<File>> sidecar =
-      ResolveAs<File>(under_, name->ToString(), Credentials::System());
-  if (!sidecar.ok()) {
-    sidecar = under_->CreateFile(*name, Credentials::System());
-  }
-  if (!sidecar.ok()) {
-    flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                   "stripe-state sidecar unwritable", state.version);
-    return;
-  }
-  Buffer wire = Encode(StripeSidecar{state.version, state.stale, path});
-  (void)(*sidecar)->Write(0, wire.span());
-  (void)(*sidecar)->SetLength(wire.size());
-}
-
-bool DfsServer::MarkReplicaStale(const std::string& path, size_t t) {
-  StripeState state = LoadStripeState(path);
-  if (t >= state.stale.size() || state.stale[t]) {
-    return false;
-  }
-  size_t fresh = 0;
-  for (bool flag : state.stale) {
-    fresh += flag ? 0 : 1;
-  }
-  if (fresh <= 1) {
-    // Refusing to mark the last fresh target: a file cannot be served from
-    // zero fresh replicas, so the final copy stays authoritative even if a
-    // client could not reach it.
-    flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                   "refused to mark last fresh target", t, state.version);
-    return false;
-  }
-  state.stale[t] = true;
-  ++state.version;
-  StoreStripeState(path, state);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_replicas_marked_stale;
-  }
-  flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                 "replica target marked stale", t, state.version);
-  return true;
-}
-
-// Ensure the stripe object exists on one data server and return its
-// current handle. Deliberately uncached: handles are only valid for a data
-// server's boot epoch, so re-resolving on every map request means a client
-// that refetches the map after a data-server restart gets working handles
-// with no extra re-lookup protocol. The lookup -> create -> re-lookup
-// ladder is convergent, which is what lets kGetStripeMap stay idempotent
-// even though it may create objects.
-Result<uint64_t> DfsServer::EnsureStripeObject(
-    const DfsServerOptions::StripeTarget& target, const std::string& name) {
-  PathRequest object{name};
-  Result<LookupResponse> found =
-      CallTarget<LookupResponse>(target, Op::kLookup, object);
-  if (found.code() == ErrorCode::kNotFound) {
-    Result<CreateResponse> made =
-        CallTarget<CreateResponse>(target, Op::kCreate, object);
-    if (made.ok()) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.stripe_objects_created;
-      return made->handle;
-    }
-    if (made.code() != ErrorCode::kAlreadyExists) {
-      return made.status();
-    }
-    // Lost-response race: our earlier create landed but its reply did not.
-    // Fall through to the re-lookup below.
-    found = CallTarget<LookupResponse>(target, Op::kLookup, object);
-  }
-  RETURN_IF_ERROR(found.status());
-  return found->handle;
-}
-
-Result<StripeMapResponse> DfsServer::BuildStripeMap(const sp<ServerFile>& file) {
-  uint32_t replicas = StripeReplicaCount();
-  StripeMapResponse body;
-  body.stripe_size = options_.stripe_size;
-  body.replicas = replicas;
-  body.object_name = StripeObjectName(file->path);
-  ASSIGN_OR_RETURN(Offset length, file->under->GetLength());
-  body.length = length;
-
-  bool marked = false;
-  StripeState state = LoadStripeState(file->path);
-  for (size_t t = 0; t < options_.stripe_targets.size(); ++t) {
-    const DfsServerOptions::StripeTarget& target = options_.stripe_targets[t];
-    StripeMapResponse::Target out;
-    out.node = target.node;
-    out.service = target.service;
-    out.stale = state.stale[t];
-    // Stale targets still get an ensure attempt: once the server is back
-    // up the map carries real handles for the rebuild path, while the
-    // stale flag keeps clients away until the rebuild clears it.
-    Status ensure = Status::Ok();
-    for (size_t lane = 0; lane < replicas && ensure.ok(); ++lane) {
-      Result<uint64_t> handle =
-          EnsureStripeObject(target, LaneObjectName(body.object_name, lane));
-      if (!handle.ok()) {
-        ensure = handle.status();
-        break;
-      }
-      out.lane_handles.push_back(*handle);
-    }
-    if (!ensure.ok()) {
-      if (replicas == 1) {
-        // Unreplicated cluster: there is no peer to degrade to, so the map
-        // request fails exactly as it did before replication existed.
-        return ensure;
-      }
-      out.lane_handles.assign(replicas, 0);
-      if (!out.stale && MarkReplicaStale(file->path, t)) {
-        marked = true;
-        out.stale = true;
-      }
-    }
-    body.targets.push_back(std::move(out));
-  }
-  if (marked) {
-    // Re-read so the served version reflects the marks applied above.
-    state = LoadStripeState(file->path);
-    for (size_t t = 0; t < body.targets.size(); ++t) {
-      body.targets[t].stale = state.stale[t];
-    }
-  }
-  body.map_version = state.version;
-  return body;
-}
-
-Result<StripeMapResponse> DfsServer::HandleGetStripeMap(
-    const HandleRequest& req) {
-  if (options_.stripe_targets.empty()) {
-    return ErrInvalidArgument("server has no stripe targets (not a metadata "
-                              "server); use the single-server path");
-  }
-  if (options_.stripe_size == 0 || options_.stripe_size % kPageSize != 0) {
-    return ErrInvalidArgument("stripe_size must be a non-zero page multiple");
-  }
-  ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
-  ASSIGN_OR_RETURN(StripeMapResponse body, BuildStripeMap(file));
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.stripe_maps_served;
-  return body;
-}
-
-Result<StripeMapResponse> DfsServer::HandleReportStale(
-    const ReportStaleRequest& req) {
-  if (options_.stripe_targets.empty()) {
-    return ErrInvalidArgument("not a striped metadata server");
-  }
-  ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stripe_stale_reports;
-  }
-  if (req.target < options_.stripe_targets.size() &&
-      StripeReplicaCount() > 1) {
-    // Version-fenced: the mark is honored only when the reporter's map is
-    // at least as new as this server's state. A report stamped with an
-    // older version raced a rebuild that already cleared the mark (and
-    // bumped the version past the reporter's) — re-marking would wrongly
-    // evict the just-rebuilt replica. The stale reporter instead gets the
-    // fresh map below and re-plans its writes against it, reaching the
-    // revived target directly. (MarkReplicaStale still refuses to strand
-    // the last fresh copy.)
-    if (req.map_version >= LoadStripeState(file->path).version) {
-      (void)MarkReplicaStale(file->path, static_cast<size_t>(req.target));
-    }
-  }
-  return BuildStripeMap(file);
 }
 
 GetStatsResponse DfsServer::HandleGetStats() {
@@ -1031,55 +759,19 @@ GetStatsResponse DfsServer::HandleGetStats() {
   CollectStats([&](const std::string& name, uint64_t value) {
     body.snapshot.values["self/" + name] += value;
   });
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.stats_scrapes;
-  }
+  Bump(&Stats::stats_scrapes);
   return body;
 }
 
 HealthResponse DfsServer::HandleGetHealth() {
   HealthResponse body;
-  body.role = options_.stripe_targets.empty()
-                  ? HealthResponse::Role::kData
-                  : HealthResponse::Role::kMetadata;
   body.boot_epoch = boot_epoch_;
   body.uptime_ns = clock_->Now() - boot_time_;
-  if (!options_.stripe_targets.empty()) {
-    body.stripe_size = options_.stripe_size;
-    body.stripe_width = static_cast<uint32_t>(options_.stripe_targets.size());
-    body.stripe_replicas = StripeReplicaCount();
-    // Re-derive sidecar staleness first, so a cold incumbent (fresh MDS
-    // after a failover, no client traffic yet) reports truthfully. Local
-    // store reads only — no wire calls under any lock.
-    LoadAllSidecarStates();
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    for (const auto& [path, state] : stripe_states_) {
-      HealthResponse::FileHealth file;
-      file.path = path;
-      file.map_version = state.version;
-      for (size_t t = 0; t < state.stale.size(); ++t) {
-        if (state.stale[t]) {
-          file.stale_targets.push_back(static_cast<uint32_t>(t));
-        }
-      }
-      body.files.push_back(std::move(file));
-    }
+  if (stripes_) {
+    stripes_->FillHealth(body);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    body.rebuilds_completed = stats_.stripe_rebuilds;
-    ++stats_.health_scrapes;
-  }
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
-  for (const sp<ServerFile>& file : files) {
+  Bump(&Stats::health_scrapes);
+  for (const sp<ServerFile>& file : Files()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     body.delegations_active += file->delegations.size();
     body.leases_active += file->engine.NumCaches();
@@ -1091,143 +783,12 @@ HealthResponse DfsServer::HandleGetHealth() {
   return body;
 }
 
-void DfsServer::LoadAllSidecarStates() {
-  // Walk the metadata store's sidecars: each one records the logical path
-  // it belongs to, so a cold incumbent (fresh after an MDS failover, no
-  // client traffic yet) re-derives every file's stale set right here
-  // instead of waiting for map refetches to repopulate it.
-  Result<std::vector<BindingInfo>> entries =
-      under_->List(Credentials::System());
-  if (!entries.ok()) {
-    return;
-  }
-  constexpr std::string_view kPrefix = ".stripe-";
-  constexpr std::string_view kSuffix = "-state";
-  for (const BindingInfo& entry : *entries) {
-    if (entry.name.size() > kPrefix.size() + kSuffix.size() &&
-        entry.name.rfind(kPrefix, 0) == 0 &&
-        entry.name.compare(entry.name.size() - kSuffix.size(),
-                           kSuffix.size(), kSuffix) == 0) {
-      Result<StripeSidecar> sidecar = ReadSidecar(under_, entry.name);
-      if (sidecar.ok() && !sidecar->path.empty()) {
-        (void)LoadStripeState(sidecar->path);  // cache-or-sidecar, idempotent
-      }
-    }
-  }
-}
-
 Result<size_t> DfsServer::RunRebuildPass() {
-  if (options_.stripe_targets.empty()) {
-    return size_t{0};
-  }
-  LoadAllSidecarStates();
-  // Snapshot the paths with stale targets.
-  std::vector<std::string> paths;
-  {
-    std::lock_guard<std::mutex> lock(stripe_mutex_);
-    for (const auto& [path, state] : stripe_states_) {
-      if (std::any_of(state.stale.begin(), state.stale.end(),
-                      [](bool flag) { return flag; })) {
-        paths.push_back(path);
-      }
-    }
-  }
-  size_t rebuilt = 0;
-  for (const std::string& path : paths) {
-    StripeState state = LoadStripeState(path);
-    std::string object_name = StripeObjectName(path);
-    for (size_t t = 0; t < state.stale.size(); ++t) {
-      if (!state.stale[t]) {
-        continue;
-      }
-      Status copied = RebuildTarget(object_name, t, state);
-      if (!copied.ok()) {
-        flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                       "rebuild attempt failed", t, state.version);
-        continue;  // target still down or no fresh source; next pass
-      }
-      state.stale[t] = false;
-      ++state.version;
-      StoreStripeState(path, state);
-      ++rebuilt;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.stripe_rebuilds;
-      }
-      flight::Record(flight::Severity::kInfo, "dfs_stripe",
-                     "stale target rebuilt", t, state.version);
-    }
-  }
-  return rebuilt;
-}
-
-Status DfsServer::RebuildTarget(const std::string& object_name, size_t t,
-                                const StripeState& state) {
-  size_t width = options_.stripe_targets.size();
-  uint32_t replicas = StripeReplicaCount();
-  const DfsServerOptions::StripeTarget& dest = options_.stripe_targets[t];
-
-  for (size_t lane = 0; lane < replicas; ++lane) {
-    // The lane-`lane` object on target t holds stripes s with
-    // (s + lane) % width == t; any fresh lane r' on target
-    // (t - lane + r') % width holds the identical stripe set at identical
-    // local offsets, so the copy is a plain whole-object transfer.
-    size_t base = PrimaryTarget(t, lane, width);
-    const DfsServerOptions::StripeTarget* src_target = nullptr;
-    size_t src_lane = 0;
-    for (size_t r = 0; r < replicas; ++r) {
-      size_t candidate = ReplicaTarget(base, r, width);
-      if (candidate == t || state.stale[candidate]) {
-        continue;
-      }
-      src_target = &options_.stripe_targets[candidate];
-      src_lane = r;
-      break;
-    }
-    if (!src_target) {
-      return ErrTimedOut("no fresh replica to rebuild from");
-    }
-    ASSIGN_OR_RETURN(
-        uint64_t src_handle,
-        EnsureStripeObject(*src_target, LaneObjectName(object_name, src_lane)));
-    ASSIGN_OR_RETURN(
-        uint64_t dst_handle,
-        EnsureStripeObject(dest, LaneObjectName(object_name, lane)));
-
-    ASSIGN_OR_RETURN(GetLengthResponse src_len,
-                     CallTarget<GetLengthResponse>(*src_target, Op::kGetLength,
-                                                   HandleRequest{src_handle}));
-
-    constexpr uint64_t kChunk = 16 * kPageSize;
-    for (uint64_t off = 0; off < src_len.length; off += kChunk) {
-      uint64_t n = std::min(kChunk, src_len.length - off);
-      ASSIGN_OR_RETURN(
-          ReadResponse data,
-          CallTarget<ReadResponse>(*src_target, Op::kRead,
-                                   ReadRequest{src_handle, off, n}));
-      size_t written = data.data.size();
-      RETURN_IF_ERROR(CallTarget<WriteResponse>(
-                          dest, Op::kWrite,
-                          WriteRequest{dst_handle, off, std::move(data.data)})
-                          .status());
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.stripe_rebuild_bytes += written;
-    }
-    // Truncate a dest that outlived the source (writes it absorbed before
-    // dying that were since truncated away).
-    RETURN_IF_ERROR(
-        CallTarget(dest, Op::kSetLength,
-                   SetLengthRequest{dst_handle, src_len.length})
-            .status());
-  }
-  return Status::Ok();
+  return stripes_ ? stripes_->RunRebuildPass() : size_t{0};
 }
 
 CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.compounds;
-  }
+  Bump(&Stats::compounds);
   CompoundResponse out;
   uint64_t current_handle = 0;
   for (const CompoundRequest::SubOp& sub : req.ops) {
@@ -1252,10 +813,7 @@ CompoundResponse DfsServer::HandleCompound(const CompoundRequest& req) {
       StoreLe(sub_request.payload.data(), current_handle);
     }
     net::Frame sub_response = Dispatch(op, sub_request);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.compound_sub_ops;
-    }
+    Bump(&Stats::compound_sub_ops);
     Status st = sub_response.ToStatus();
     result.status = static_cast<int32_t>(st.code());
     result.body = st.ok() ? sub_response.payload : Buffer(st.message());
@@ -1312,10 +870,7 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request) {
     case Op::kRead:
       return ServeFile<ReadRequest>(
           request, [&](auto& req, auto& file) -> Result<ReadResponse> {
-            {
-              std::lock_guard<std::mutex> lock(stats_mutex_);
-              ++stats_.remote_reads;
-            }
+            Bump(&Stats::remote_reads);
             RETURN_IF_ERROR(PrepareWholeFileIo(
                 file, Range{req.offset, req.length}, AccessRights::kReadOnly));
             Buffer out(req.length);
@@ -1327,10 +882,7 @@ net::Frame DfsServer::HandleFileOp(Op op, const net::Frame& request) {
     case Op::kWrite:
       return ServeFile<WriteRequest>(
           request, [&](auto& req, auto& file) -> Result<WriteResponse> {
-            {
-              std::lock_guard<std::mutex> lock(stats_mutex_);
-              ++stats_.remote_writes;
-            }
+            Bump(&Stats::remote_writes);
             // A wire write recalls EVERY delegation, including the
             // writer's own (it chose the wire path, so local attr serves
             // must stop being authoritative).
@@ -1416,14 +968,7 @@ Status DfsServer::PrepareWholeFileIo(const sp<ServerFile>& file, Range range,
 Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
                                           const sp<ServerFile>& file) {
   bool range_op = op == Op::kPageInRange;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (range_op) {
-      ++stats_.remote_range_page_ins;
-    } else {
-      ++stats_.remote_page_ins;
-    }
-  }
+  Bump(range_op ? &Stats::remote_range_page_ins : &Stats::remote_page_ins);
   if (range_op && (req.offset % kPageSize != 0 || req.size == 0)) {
     return ErrInvalidArgument("malformed page-in-range");
   }
@@ -1434,10 +979,7 @@ Result<Buffer> DfsServer::PageInForRemote(Op op, PageInRequest& req,
   // Fence page-ins from evicted cache ids: the client must re-register
   // (rebind) before it may fault pages again.
   if (!file->engine.HasCache(req.cache_id)) {
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.stale_fenced;
-    }
+    Bump(&Stats::stale_fenced);
     flight::Record(flight::Severity::kError, "dfs", "stale fence page_in",
                    req.cache_id, file->handle);
     return ErrStale("page-in from evicted cache id " +
@@ -1473,20 +1015,14 @@ Status DfsServer::PageOutFromRemote(Op op, const PageOutRequest& req) {
     return ErrInvalidArgument("malformed page-out");
   }
   ASSIGN_OR_RETURN(sp<ServerFile> file, FileForHandle(req.handle));
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.remote_page_outs;
-  }
+  Bump(&Stats::remote_page_outs);
   RETURN_IF_ERROR(EnsureBoundBelow(file));
   std::lock_guard<std::mutex> lock(file->mutex);
   // Fence stale page-outs before they touch the layer below: an evicted
   // holder's writer claim was already handed to someone else, so its
   // late write-back would clobber newer data.
   if (!file->engine.HasCache(req.cache_id)) {
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.stale_fenced;
-    }
+    Bump(&Stats::stale_fenced);
     flight::Record(flight::Severity::kError, "dfs", "stale fence page_out",
                    req.cache_id, file->handle);
     return ErrStale("page-out from evicted cache id " +
@@ -1603,27 +1139,16 @@ void DfsServer::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("delegations_recalled", stats_.delegations_recalled);
   emit("delegations_expired", stats_.delegations_expired);
   emit("grace_rejects", stats_.grace_rejects);
-  emit("stripe_maps_served", stats_.stripe_maps_served);
-  emit("stripe_objects_created", stats_.stripe_objects_created);
-  emit("stripe_replicas_marked_stale", stats_.stripe_replicas_marked_stale);
-  emit("stripe_stale_reports", stats_.stripe_stale_reports);
-  emit("stripe_rebuilds", stats_.stripe_rebuilds);
-  emit("stripe_rebuild_bytes", stats_.stripe_rebuild_bytes);
   emit("slow_ops", stats_.slow_ops);
   emit("health_scrapes", stats_.health_scrapes);
   emit("stats_scrapes", stats_.stats_scrapes);
+  if (stripes_) {
+    stripes_->CollectStats(emit);
+  }
 }
 
 bool DfsServer::CheckCoherencyInvariants() {
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
-  for (const sp<ServerFile>& file : files) {
+  for (const sp<ServerFile>& file : Files()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     if (!file->engine.CheckInvariants()) {
       return false;
@@ -1633,16 +1158,8 @@ bool DfsServer::CheckCoherencyInvariants() {
 }
 
 CoherencyStats DfsServer::AggregateCoherencyStats() {
-  std::vector<sp<ServerFile>> files;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    files.reserve(files_by_handle_.size());
-    for (const auto& [handle, file] : files_by_handle_) {
-      files.push_back(file);
-    }
-  }
   CoherencyStats total;
-  for (const sp<ServerFile>& file : files) {
+  for (const sp<ServerFile>& file : Files()) {
     std::lock_guard<std::mutex> lock(file->mutex);
     CoherencyStats s = file->engine.stats();
     total.flush_back_calls += s.flush_back_calls;

@@ -30,6 +30,7 @@
 #include "src/fs/channel_table.h"
 #include "src/fs/file.h"
 #include "src/layers/dfs/protocol.h"
+#include "src/layers/dfs/stripe_metadata.h"
 #include "src/layers/dfs/wire.h"
 #include "src/net/network.h"
 #include "src/obs/metrics.h"
@@ -56,18 +57,13 @@ struct DfsServerOptions {
   uint64_t grace_ns = 0;
 
   // Striped-cluster role (DESIGN.md §14). When `stripe_targets` is
-  // non-empty this server is a *metadata* server: it answers
-  // kGetStripeMap with this geometry, lazily creating the per-file stripe
-  // objects on the listed data servers. The data servers themselves are
-  // plain DfsServers (each over its own backing store) and need no
-  // configuration — they just see lookups/creates/page I/O on
-  // "stripe-<hash>" names at their root. Empty (default) = single-server
-  // DFS;
-  // kGetStripeMap answers kInvalidArgument.
-  struct StripeTarget {
-    std::string node;
-    std::string service;
-  };
+  // non-empty, Create builds this server's metadata role (StripeMetadata)
+  // with this geometry, and refuses a stripe size that is zero or not a
+  // page multiple. The data servers themselves are plain DfsServers (each
+  // over its own backing store) and need no configuration — they just see
+  // lookups/creates/page I/O on "stripe-<hash>" names at their root. Empty
+  // (default) = single-server DFS; kGetStripeMap answers kInvalidArgument.
+  using StripeTarget = dfs::StripeTarget;
   uint64_t stripe_size = 4 * 4096;  // bytes per stripe unit (page multiple)
   std::vector<StripeTarget> stripe_targets;
   // Replica lanes per stripe (R, clamped to the target count). Replica r
@@ -157,15 +153,9 @@ class DfsServer : public StackableFs,
   bool CheckCoherencyInvariants();
   CoherencyStats AggregateCoherencyStats();
 
-  // One pass of the background rebuild daemon (metadata role): for every
-  // striped file with stale replica targets, re-syncs each stale target's
-  // lane objects from a fresh peer (whole-object copy — the lane-r object
-  // on target t is byte-identical to the lane-r' object on target
-  // (t - r + r') % width) and clears the mark under a bumped, persisted
-  // map version. Returns the number of stale targets brought back fresh.
-  // Deterministic and idempotent, so tests and embedders drive it
-  // explicitly; it assumes the rebuilt files are quiesced (writes racing
-  // the copy can be missed — DESIGN.md §15).
+  // One pass of the metadata role's rebuild daemon
+  // (StripeMetadata::RunRebuildPass); 0 on a data server. Deterministic
+  // and idempotent, so tests and embedders drive it explicitly.
   Result<size_t> RunRebuildPass();
 
  private:
@@ -192,19 +182,13 @@ class DfsServer : public StackableFs,
     uint64_t delegations_recalled = 0;  // recalled for a change
     uint64_t delegations_expired = 0;   // lapsed without a recall
     uint64_t grace_rejects = 0;  // mutations bounced during the boot grace
-    uint64_t stripe_maps_served = 0;  // kGetStripeMap replies (metadata role)
-    uint64_t stripe_objects_created = 0;  // stripe objects ensured on data
-                                          // servers (first map of a file)
-    uint64_t stripe_replicas_marked_stale = 0;  // staleness marks applied
-    uint64_t stripe_stale_reports = 0;  // kReportStaleReplica frames served
-    uint64_t stripe_rebuilds = 0;       // stale targets re-synced + cleared
-    uint64_t stripe_rebuild_bytes = 0;  // bytes copied by rebuild passes
     uint64_t slow_ops = 0;              // ops over slow_op_threshold_ns
     uint64_t health_scrapes = 0;        // kGetHealth frames served
     uint64_t stats_scrapes = 0;         // kGetStats frames served
   };
 
-  void NoteLowerFlush();
+  // Adds `n` to one counter.
+  void Bump(uint64_t Stats::*field, uint64_t n = 1);
 
   // A read delegation (DESIGN.md §13): where its recall goes, and its
   // absolute expiry, fixed at the grant and never renewed.
@@ -235,7 +219,8 @@ class DfsServer : public StackableFs,
 
   DfsServer(const sp<net::Node>& node, net::Network* network,
             std::string service, sp<StackableFs> under, Clock* clock,
-            const DfsServerOptions& options);
+            const DfsServerOptions& options,
+            std::unique_ptr<StripeMetadata> stripes);
 
   // Protocol dispatch. Handle() wraps Dispatch() with the mutating-request
   // dedup window and stamps the boot epoch on every response. Compound
@@ -262,8 +247,6 @@ class DfsServer : public StackableFs,
   CompoundResponse HandleCompound(const CompoundRequest& req);
   Result<OpenResponse> HandleOpen(const OpenRequest& req,
                                   const sp<ServerFile>& file);
-  Result<StripeMapResponse> HandleGetStripeMap(const HandleRequest& req);
-  Result<StripeMapResponse> HandleReportStale(const ReportStaleRequest& req);
   GetStatsResponse HandleGetStats();
   HealthResponse HandleGetHealth();
   // kSetTimes / kSetLength: recall the delegations, apply, and invalidate
@@ -282,53 +265,6 @@ class DfsServer : public StackableFs,
                                  const sp<ServerFile>& file);
   // kPageOut / kWriteOut / kSyncPages.
   Status PageOutFromRemote(Op op, const PageOutRequest& req);
-
-  // --- striped metadata role (DESIGN.md §15) ---
-
-  // Per-file replica staleness + map version, cached in memory and
-  // persisted in a sidecar file on the metadata store (so a restarted MDS
-  // re-derives it and the version stays monotonic).
-  struct StripeState {
-    uint64_t version = 1;
-    std::vector<bool> stale;  // by target index
-  };
-
-  // Effective replica count: stripe_replicas clamped to [1, width].
-  uint32_t StripeReplicaCount() const;
-
-  // Loads `path`'s stripe state (memory cache -> sidecar -> default);
-  // `stale` is sized to the target count.
-  StripeState LoadStripeState(const std::string& path);
-  // Persists + caches `state` for `path`. Best-effort: a failed sidecar
-  // write keeps the in-memory state authoritative for this boot.
-  void StoreStripeState(const std::string& path, const StripeState& state);
-  // Walks the metadata store's staleness sidecars and caches every file's
-  // stripe state, so a cold incumbent's view (rebuild pass, kGetHealth) is
-  // complete without waiting for client traffic. Local reads only.
-  void LoadAllSidecarStates();
-  // Marks target `t` stale for `path` unless it is the last fresh target
-  // (a cluster cannot serve from zero fresh replicas). Returns true when
-  // the state changed (mark applied + version bumped + persisted).
-  bool MarkReplicaStale(const std::string& path, size_t t);
-
-  // A typed call to one data server.
-  template <class Resp = Empty, class Req>
-  Result<Resp> CallTarget(const DfsServerOptions::StripeTarget& target, Op op,
-                          const Req& req);
-
-  // The lookup -> create -> re-lookup ladder ensuring one stripe object on
-  // one data server; returns its current handle.
-  Result<uint64_t> EnsureStripeObject(
-      const DfsServerOptions::StripeTarget& target, const std::string& name);
-
-  // Builds the full stripe map for `file`, ensuring every target's lane
-  // objects. With R >= 2 an unreachable target is marked stale and served
-  // with zero handles instead of failing the map.
-  Result<StripeMapResponse> BuildStripeMap(const sp<ServerFile>& file);
-
-  // Re-syncs every lane object of stale target `t` from a fresh peer.
-  Status RebuildTarget(const std::string& object_name, size_t t,
-                       const StripeState& state);
 
   // True while mutating ops are rejected after boot (options_.grace_ns).
   bool InGracePeriod() const;
@@ -363,6 +299,8 @@ class DfsServer : public StackableFs,
 
   Result<sp<ServerFile>> FileForPath(const std::string& path);
   Result<sp<ServerFile>> FileForHandle(uint64_t handle);
+  // A copy of the file table, so the caller can lock each file in turn.
+  std::vector<sp<ServerFile>> Files();
   Status EnsureBoundBelow(const sp<ServerFile>& file);
 
   // Pushes the dirty blocks a round recovered from remote caches down to
@@ -396,10 +334,8 @@ class DfsServer : public StackableFs,
   std::map<uint64_t, net::Frame> dedup_;
   std::deque<uint64_t> dedup_order_;
 
-  // Striped metadata role: per-file staleness state by path (see
-  // StripeState). Guarded by stripe_mutex_; never held across a wire call.
-  std::mutex stripe_mutex_;
-  std::map<std::string, StripeState> stripe_states_;
+  // The metadata role; null on a data server.
+  const std::unique_ptr<StripeMetadata> stripes_;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;

@@ -178,13 +178,13 @@ class StripedRemoteFile : public File, public Servant {
   // failover needs client-side.
   //
   // Every op but the two reads and the commit itself may change state the
-  // metadata server owns (length, times, the stripe-state sidecar it
-  // writes without committing), so it marks the metadata dirty once it
-  // has returned, whatever its status; SyncFile commits the metadata
-  // server only while it is marked. The mark comes after the call, not
-  // before: a commit that cleared an earlier mark could reach the server
-  // ahead of a delayed or retried send, and a SyncFile owes a commit only
-  // to the ops that returned before it began.
+  // metadata server owns and commits only on a SyncFile (length, times),
+  // so it marks the metadata dirty once it has returned, whatever its
+  // status; SyncFile commits the metadata server only while it is
+  // marked. The mark comes after the call, not before: a commit that
+  // cleared an earlier mark could reach the server ahead of a delayed or
+  // retried send, and a SyncFile owes a commit only to the ops that
+  // returned before it began.
   template <class Resp = Empty, class Req>
   Result<Resp> MetaCall(Op op, Req req) {
     Result<Resp> done = client_->meta_->InvokeByPath<Resp>(
@@ -312,8 +312,8 @@ class StripedRemoteFile : public File, public Servant {
   std::string path_;
   std::atomic<uint64_t> meta_handle_;
   // Set by MetaCall, cleared by SyncFile's commit of the metadata server.
-  // A new object starts dirty: the map fetch that opened it may have
-  // written the sidecar.
+  // A new object starts dirty: it cannot know what the calls that created
+  // or opened the file left uncommitted.
   std::atomic<bool> meta_dirty_{true};
   // Held across SyncFile's metadata commit, so a SyncFile that finds the
   // metadata clean returns only after a commit in flight has answered.

@@ -558,10 +558,9 @@ inline size_t PrimaryTarget(size_t target, size_t lane, size_t width) {
 struct ReportStaleRequest {  // kReportStaleReplica -> StripeMapResponse
   uint64_t handle = 0;       // metadata handle of the striped file
   uint32_t target = 0;       // index of the target that missed a write
-  uint64_t map_version = 0;  // the map the reporter acted under (for
-                             // observability; marking is conservative and
-                             // honored regardless — a skipped replica
-                             // missed data no matter which map said so)
+  uint64_t map_version = 0;  // the map the reporter acted under; a report
+                             // older than the file's state (it raced a
+                             // rebuild) marks nothing
 
   template <class V>
   void Visit(V&& v) { v(handle, target, map_version); }

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/blockdev/decorators.h"
 #include "src/layers/dfs/dfs_client.h"
 #include "src/layers/dfs/dfs_server.h"
 #include "src/layers/dfs/striped_client.h"
@@ -293,12 +294,14 @@ struct StripedWorld {
   std::unique_ptr<net::Network> network;
   sp<net::Node> client_node, client2_node, mds_node;
   std::vector<sp<net::Node>> data_nodes;
-  std::vector<std::unique_ptr<MemBlockDevice>> devices;
+  std::vector<std::unique_ptr<BlockDevice>> devices;
   std::vector<Sfs> stores;  // [0..width-1] data, [width] metadata
+  std::vector<Sfs> remounted;  // stores over device copies (RemountCopy)
   std::vector<sp<DfsServer>> data_servers;
   std::vector<sp<DfsServer>> retired_servers;  // see chaos_dfs_test.cpp
   sp<DfsServer> mds;
-  GatedDevice* mds_device = nullptr;  // devices[width]
+  FaultyBlockDevice* mds_faults = nullptr;  // devices[width]
+  GatedDevice* mds_device = nullptr;        // under mds_faults
   sp<StripedDfsClient> client;
   dfs::DfsServerOptions mds_options;
 
@@ -324,7 +327,8 @@ struct StripedWorld {
     }
     auto gated = std::make_unique<GatedDevice>(ufs::kBlockSize, 4096);
     mds_device = gated.get();
-    devices.push_back(std::move(gated));
+    devices.push_back(std::make_unique<FaultyBlockDevice>(std::move(gated)));
+    mds_faults = static_cast<FaultyBlockDevice*>(devices.back().get());
     stores.push_back(*CreateSfs(devices.back().get(), SfsOptions{}, &clock));
     mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
                              stores.back().root, &clock, mds_options);
@@ -363,6 +367,42 @@ struct StripedWorld {
     retired_servers.push_back(mds);
     mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
                              stores.back().root, &clock, mds_options);
+  }
+
+  // Server k's device (k == width: the metadata server's) as a power
+  // failure now would leave it: copied block for block and mounted, which
+  // replays the log.
+  sp<StackableFs> RemountCopy(size_t k) {
+    BlockDevice& device = *devices[k];
+    auto copy = std::make_unique<MemBlockDevice>(device.block_size(),
+                                                 device.num_blocks());
+    Buffer block(device.block_size());
+    for (BlockNum b = 0; b < device.num_blocks(); ++b) {
+      EXPECT_TRUE(device.ReadBlock(b, block.mutable_span()).ok());
+      EXPECT_TRUE(copy->WriteBlock(b, block.span()).ok());
+    }
+    devices.push_back(std::move(copy));
+    remounted.push_back(
+        *CreateSfs(devices.back().get(), SfsOptions{.format = false}, &clock));
+    return remounted.back().root;
+  }
+
+  // A power failure of the metadata server: a successor over a copy of
+  // its device.
+  void PowerFailMds() {
+    sp<StackableFs> store = RemountCopy(data_nodes.size());
+    retired_servers.push_back(mds);
+    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta", store,
+                             &clock, mds_options);
+  }
+
+  // A power failure of data server k: a successor over a copy of its
+  // device.
+  void PowerFailDataServer(size_t k) {
+    sp<StackableFs> store = RemountCopy(k);
+    retired_servers.push_back(data_servers[k]);
+    data_servers[k] = *DfsServer::Create(data_nodes[k], network.get(),
+                                         "dfs-data", store, &clock);
   }
 
   // Reads lane `lane`'s stripe object on data server k through its own
@@ -564,6 +604,14 @@ TEST(StripedDfs, NonStripedServerRejectsStripedOpen) {
   sp<File> plain = *ResolveAs<File>(client->meta(), "plain",
                                     Credentials::System());
   EXPECT_EQ(*plain->GetLength(), 0u);
+  // A data server answers a stale report as it answers a map request,
+  // without resolving the handle.
+  Result<net::Frame> report = network.Call(
+      "client", "server", "dfs",
+      dfs::RequestFrame(dfs::Op::kReportStaleReplica,
+                        dfs::ReportStaleRequest{.handle = 12345}));
+  EXPECT_EQ(dfs::Reply<StripeMapResponse>(report).status().code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(StripedDfs, DataServerRestartRecoversPerStripe) {
@@ -962,8 +1010,8 @@ TEST(StripedDfsReplicated, MdsFailoverIsAbsorbedAndStalenessSurvivesIt) {
   ASSERT_EQ(*file->Write(3 * kPageSize, patch2.span()), patch2.size());
   std::memcpy(data.data() + 3 * kPageSize, patch2.data(), patch2.size());
 
-  // The SUCCESSOR can run the rebuild: its state was re-derived from the
-  // sidecar when the client's traffic re-entered the file.
+  // The SUCCESSOR can run the rebuild: its metadata role read the sidecar
+  // when it was built.
   world.ReviveDataServer(1);
   ASSERT_GE(*world.mds->RunRebuildPass(), 1u);
   ASSERT_TRUE(file->SyncFile().ok());
@@ -977,6 +1025,139 @@ TEST(StripedDfsReplicated, MdsFailoverIsAbsorbedAndStalenessSurvivesIt) {
   }
   ASSERT_EQ(*file->Read(0, back.mutable_span()), data.size());
   EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+}
+
+// Writes four pages of f and syncs them, then rewrites all four with data
+// server 1 dark, so its replicas miss the rewrite, and syncs again.
+// Returns the rewrite.
+Buffer WriteThenDegrade(StripedWorld& world, File& file) {
+  Buffer before = Rng(97).RandomBuffer(4 * kPageSize);
+  EXPECT_EQ(*file.Write(0, before.span()), before.size());
+  EXPECT_TRUE(file.SyncFile().ok());
+  world.KillDataServer(1);
+  Buffer after = Rng(101).RandomBuffer(4 * kPageSize);
+  EXPECT_EQ(*file.Write(0, after.span()), after.size());
+  EXPECT_TRUE(file.SyncFile().ok());
+  EXPECT_GE(metrics::StatValue(*world.client, "degraded_writes"), 1u);
+  return after;
+}
+
+// Reads f through a fresh striped client and compares it with `want`,
+// page by page.
+void ExpectFreshClientReads(StripedWorld& world, const Buffer& want) {
+  sp<StripedDfsClient> fresh = *StripedDfsClient::Mount(
+      world.client2_node, world.network.get(), "mds", "dfs-meta",
+      &world.clock);
+  sp<File> file = *fresh->OpenStriped("f");
+  Buffer back(want.size());
+  ASSERT_EQ(*file->Read(0, back.mutable_span()), want.size());
+  for (size_t p = 0; p * kPageSize < want.size(); ++p) {
+    EXPECT_EQ(std::memcmp(back.data() + p * kPageSize,
+                          want.data() + p * kPageSize, kPageSize),
+              0)
+        << "page " << p << " is stale";
+  }
+}
+
+// The stale targets of f in the metadata server's health document.
+std::vector<uint32_t> StaleTargets(StripedWorld& world) {
+  Result<dfs::HealthResponse> health = dfs::Reply<dfs::HealthResponse>(
+      world.network->Call("client", "mds", "dfs-meta",
+                          dfs::RequestFrame(dfs::Op::kGetHealth,
+                                            dfs::Empty{})));
+  if (!health.ok()) {
+    ADD_FAILURE() << health.status().ToString();
+    return {};
+  }
+  for (const dfs::HealthResponse::FileHealth& file : health->files) {
+    if (file.path == "f") {
+      return file.stale_targets;
+    }
+  }
+  return {};
+}
+
+TEST(StripedDfsReplicated, StaleMarkSurvivesAnMdsPowerFailure) {
+  // The mark a degraded write leaves is on the metadata server's disk once
+  // a map or report carrying it has returned: a successor over a copy of
+  // the device taken after the SyncFile still knows target 1 missed the
+  // rewrite, so neither it nor a fresh client serves target 1's copy.
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = WriteThenDegrade(world, *file);
+
+  world.PowerFailMds();
+  world.ReviveDataServer(1);
+  EXPECT_EQ(StaleTargets(world), std::vector<uint32_t>{1});
+  ExpectFreshClientReads(world, data);
+
+  EXPECT_EQ(*world.mds->RunRebuildPass(), 1u);
+  ExpectFreshClientReads(world, data);
+}
+
+TEST(StripedDfsReplicated, StaleMarkThatCannotBeMadeDurableFailsTheWrite) {
+  // With the metadata device broken the mark cannot reach the disk, so no
+  // map or report carries it and the write does not complete degraded.
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = Rng(103).RandomBuffer(4 * kPageSize);
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+  ASSERT_TRUE(file->SyncFile().ok());
+
+  world.mds_faults->set_broken(true);
+  world.KillDataServer(1);
+  EXPECT_FALSE(file->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*world.client, "degraded_writes"), 0u);
+  EXPECT_EQ(metrics::StatValue(*world.mds, "stripe_replicas_marked_stale"),
+            0u);
+  EXPECT_TRUE(StaleTargets(world).empty());
+}
+
+TEST(StripedDfsReplicated, RebuiltReplicaSurvivesADataServerPowerFailure) {
+  // A rebuild clears a mark only once every lane it copied is synced on
+  // the destination: a power failure of that data server right after the
+  // pass must not bring back the bytes it missed.
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = WriteThenDegrade(world, *file);
+
+  world.ReviveDataServer(1);
+  ASSERT_EQ(*world.mds->RunRebuildPass(), 1u);
+  ASSERT_TRUE(world.stores.back().root->SyncFs().ok());
+  world.PowerFailDataServer(1);
+  ExpectFreshClientReads(world, data);
+}
+
+TEST(StripedDfsReplicated, SuccessorMdsFindsStaleTargetsBeforeAnyTraffic) {
+  // The role walks the metadata store's sidecars once, when it is built:
+  // a successor lists and rebuilds a stale target no client has touched
+  // since the failover.
+  StripedWorld world(2, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data = WriteThenDegrade(world, *file);
+  world.RestartMds();
+  world.ReviveDataServer(1);
+
+  EXPECT_EQ(StaleTargets(world), std::vector<uint32_t>{1});
+  ASSERT_EQ(*world.mds->RunRebuildPass(), 1u);
+  EXPECT_TRUE(StaleTargets(world).empty());
+  EXPECT_EQ(metrics::StatValue(*world.mds, "stripe_maps_served"), 0u);
+  ExpectFreshClientReads(world, data);
+}
+
+TEST(StripedDfs, CreateRefusesAStripeSizeThatIsNotAPageMultiple) {
+  StripedWorld world(2);
+  for (uint64_t size : {uint64_t{0}, uint64_t{kPageSize + 512}}) {
+    dfs::DfsServerOptions options = world.mds_options;
+    options.stripe_size = size;
+    EXPECT_EQ(DfsServer::Create(world.mds_node, world.network.get(),
+                                "dfs-meta2", world.stores.back().root,
+                                &world.clock, options)
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument)
+        << "stripe_size " << size;
+  }
 }
 
 TEST(StripedDfsReplicated, WidthThreeRotatedPlacement) {
@@ -1092,8 +1273,8 @@ TEST(StripedDfs, SyncFileCommitsTheMdsOnlyAfterAMetadataChange) {
   EXPECT_EQ(std::memcmp(back.data() + kPageSize, data.data(), data.size()),
             0);
 
-  // Another client's new file object counts as changed: the map fetch
-  // that opened it may have written the stripe-state sidecar.
+  // Another client's new file object counts as changed: it cannot know
+  // what the calls that opened it left uncommitted.
   sp<StripedDfsClient> other = *StripedDfsClient::Mount(
       world.client2_node, world.network.get(), "mds", "dfs-meta",
       &world.clock);
