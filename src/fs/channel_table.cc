@@ -9,6 +9,12 @@ uint64_t NewPagerKey() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+OneChannelManager::~OneChannelManager() {
+  if (pager_) {
+    pager_->DoneWithPagerObject();
+  }
+}
+
 Result<CacheManager::ChannelSetup> OneChannelManager::EstablishChannel(
     uint64_t pager_key, sp<PagerObject> pager) {
   (void)pager_key;
@@ -16,55 +22,72 @@ Result<CacheManager::ChannelSetup> OneChannelManager::EstablishChannel(
   return ChannelSetup{cache_, std::make_shared<ChannelRights>(rights_id_)};
 }
 
-Result<sp<PagerObject>> BindBelow(MemoryObject& file, sp<CacheObject> cache,
-                                  uint64_t rights_id, std::string name) {
+Result<sp<OneChannelManager>> BindBelow(MemoryObject& file,
+                                        sp<CacheObject> cache,
+                                        uint64_t rights_id, std::string name) {
   auto manager = std::make_shared<OneChannelManager>(
       std::move(cache), rights_id, std::move(name));
   RETURN_IF_ERROR(file.Bind(manager, AccessRights::kReadWrite).status());
   if (!manager->pager()) {
     return ErrInvalidArgument("the layer below established no channel");
   }
-  return manager->pager();
+  return manager;
+}
+
+void PagerChannelTable::EraseLocked(std::map<uint64_t, Entry>::iterator it) {
+  auto key = std::make_pair(it->second.channel.file_id, it->second.manager_id);
+  if (auto indexed = index_.find(key);
+      indexed != index_.end() && indexed->second == it->first) {
+    index_.erase(indexed);
+  }
+  channels_.erase(it);
 }
 
 Result<sp<CacheRights>> PagerChannelTable::Bind(
     uint64_t file_id, uint64_t pager_key, const sp<CacheManager>& manager,
-    const std::function<sp<PagerObject>(uint64_t local_id)>& make_pager) {
+    const std::function<sp<PagerObject>(uint64_t local_id)>& make_pager,
+    uint64_t* local_id_out) {
   if (!manager) {
     return ErrInvalidArgument("bind with null cache manager");
   }
+  auto key = std::make_pair(file_id, static_cast<const Object*>(manager.get()));
   uint64_t local_id;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto key = std::make_pair(file_id, static_cast<Object*>(manager.get()));
-    auto existing = index_.find(key);
-    if (existing != index_.end()) {
-      return channels_.at(existing->second).rights;
+    if (auto existing = index_.find(key); existing != index_.end()) {
+      Entry& entry = channels_.at(existing->second);
+      // A manager that went away leaves its entry until it is closed; one
+      // at its address now is a different manager.
+      if (entry.manager.lock() == manager) {
+        if (local_id_out != nullptr) {
+          *local_id_out = existing->second;
+        }
+        return entry.rights;
+      }
     }
     local_id = next_local_id_++;
-    index_.emplace(key, local_id);
-    Channel ch;
-    ch.local_id = local_id;
-    ch.file_id = file_id;
-    ch.pager_key = pager_key;
-    ch.manager = manager;
-    channels_.emplace(local_id, std::move(ch));
+    index_[key] = local_id;
+    Entry entry;
+    entry.channel.local_id = local_id;
+    entry.channel.file_id = file_id;
+    entry.channel.pager_key = pager_key;
+    entry.manager_id = key.second;
+    entry.manager = manager;
+    channels_.emplace(local_id, std::move(entry));
   }
 
   // Perform the exchange outside the lock: EstablishChannel is a call into
   // the cache manager's domain.
-  sp<PagerObject> pager = make_pager(local_id);
   Result<CacheManager::ChannelSetup> setup =
-      manager->EstablishChannel(pager_key, pager);
-  if (!setup.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    index_.erase(std::make_pair(file_id, static_cast<Object*>(manager.get())));
-    channels_.erase(local_id);
-    return setup.status();
-  }
-
+      manager->EstablishChannel(pager_key, make_pager(local_id));
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = channels_.find(local_id);
+  if (!setup.ok()) {
+    if (it != channels_.end()) {
+      EraseLocked(it);
+    }
+    return setup.status();
+  }
   if (it == channels_.end()) {
     // Removed during the exchange (an unlink, a server restart): tear the
     // manager's end down too rather than complete a channel that is gone.
@@ -72,21 +95,36 @@ Result<sp<CacheRights>> PagerChannelTable::Bind(
     (void)setup->cache->DestroyCache();
     return ErrStale("channel removed during the bind");
   }
-  Channel& ch = it->second;
-  ch.pager = std::move(pager);
-  ch.cache = setup->cache;
-  ch.fs_cache = narrow<FsCacheObject>(setup->cache);
-  ch.rights = setup->rights;
-  return ch.rights;
+  for (auto& [id, other] : channels_) {
+    if (id != local_id && other.rights == setup->rights &&
+        other.channel.file_id == file_id) {
+      // A manager that reached us through a new proxy found its channel:
+      // it kept the pager it had, so the channel stays the one it was.
+      EraseLocked(it);
+      index_[key] = id;
+      if (local_id_out != nullptr) {
+        *local_id_out = id;
+      }
+      return other.rights;
+    }
+  }
+  Entry& entry = it->second;
+  entry.channel.cache = setup->cache;
+  entry.channel.fs_cache = narrow<FsCacheObject>(setup->cache);
+  entry.rights = setup->rights;
+  if (local_id_out != nullptr) {
+    *local_id_out = local_id;
+  }
+  return entry.rights;
 }
 
 std::vector<PagerChannelTable::Channel> PagerChannelTable::ChannelsForFile(
     uint64_t file_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Channel> out;
-  for (const auto& [id, ch] : channels_) {
-    if (ch.file_id == file_id && ch.cache != nullptr) {
-      out.push_back(ch);
+  for (const auto& [id, entry] : channels_) {
+    if (entry.channel.file_id == file_id && entry.channel.cache != nullptr) {
+      out.push_back(entry.channel);
     }
   }
   return out;
@@ -97,8 +135,8 @@ std::vector<PagerChannelTable::Channel> PagerChannelTable::AllChannels()
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Channel> out;
   out.reserve(channels_.size());
-  for (const auto& [id, ch] : channels_) {
-    out.push_back(ch);
+  for (const auto& [id, entry] : channels_) {
+    out.push_back(entry.channel);
   }
   return out;
 }
@@ -110,30 +148,24 @@ Result<PagerChannelTable::Channel> PagerChannelTable::GetChannel(
   if (it == channels_.end()) {
     return ErrStale("no such channel");
   }
-  return it->second;
+  return it->second.channel;
 }
 
 void PagerChannelTable::RemoveChannel(uint64_t local_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = channels_.find(local_id);
-  if (it == channels_.end()) {
-    return;
+  if (auto it = channels_.find(local_id); it != channels_.end()) {
+    EraseLocked(it);
   }
-  index_.erase(std::make_pair(it->second.file_id,
-                              static_cast<Object*>(it->second.manager.get())));
-  channels_.erase(it);
 }
 
 void PagerChannelTable::RemoveFile(uint64_t file_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = channels_.begin(); it != channels_.end();) {
-    if (it->second.file_id == file_id) {
-      index_.erase(std::make_pair(
-          file_id, static_cast<Object*>(it->second.manager.get())));
-      it = channels_.erase(it);
-    } else {
-      ++it;
+    auto next = std::next(it);
+    if (it->second.channel.file_id == file_id) {
+      EraseLocked(it);
     }
+    it = next;
   }
 }
 

@@ -214,12 +214,13 @@ Status CfsLayer::EnsureBoundRemote(const sp<FileState>& state) {
   }
   sp<CfsLayer> self = std::dynamic_pointer_cast<CfsLayer>(shared_from_this());
   ASSIGN_OR_RETURN(
-      sp<PagerObject> pager,
+      sp<OneChannelManager> channel,
       BindBelow(*state->remote,
                 std::make_shared<CfsCacheObject>(domain(), self, state),
                 NewPagerKey(), "cfs"));
   std::lock_guard<std::recursive_mutex> lock(state->mutex);
-  state->remote_fs_pager = narrow<FsPagerObject>(pager);
+  state->remote_fs_pager = narrow<FsPagerObject>(channel->pager());
+  state->remote_channel = std::move(channel);
   state->bound_remote = true;
   return Status::Ok();
 }

@@ -24,6 +24,7 @@
 
 #include <map>
 
+#include "src/fs/channel_table.h"
 #include "src/fs/fs_objects.h"
 #include "src/naming/context.h"
 #include "src/obs/metrics.h"
@@ -82,6 +83,7 @@ class CfsLayer : public Context, public Fs, public Servant,
   struct FileState {
     sp<File> remote;
     bool bound_remote = false;
+    sp<OneChannelManager> remote_channel;  // our end; closes with the state
     sp<FsPagerObject> remote_fs_pager;  // attribute channel to the server
     FileAttributes attrs;
     bool attrs_valid = false;

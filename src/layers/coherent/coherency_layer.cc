@@ -1,6 +1,7 @@
 #include "src/layers/coherent/coherency_layer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/naming/views.h"
 #include "src/obs/trace.h"
@@ -31,29 +32,143 @@ metrics::OpMetric& WriteMetric() {
 
 }  // namespace
 
+// --- shared state ----------------------------------------------------------
+
+namespace {
+
+struct CachedBlock {
+  Buffer data;
+  AccessRights rights = AccessRights::kReadOnly;  // rights held from below
+  bool dirty = false;
+};
+
+}  // namespace
+
+struct CoherencyLayer::FileState {
+  sp<File> under;                 // the underlying layer's file object
+  uint64_t file_id = 0;           // our identity for this file
+  uint64_t pager_key = 0;         // key our clients' channels use
+  bool bound_below = false;
+  // Our end of the channel to the layer below: owned here, so it closes
+  // when the state goes. A DestroyCache from below unbinds the state but
+  // leaves it until the next bind replaces it.
+  sp<OneChannelManager> below;
+  sp<PagerObject> lower_pager;       // below's pager, while bound
+  sp<FsPagerObject> lower_fs_pager;  // narrow of the above; may be null
+  CoherencyEngine engine;            // MRSW across *client* caches
+  std::map<Offset, CachedBlock> blocks;  // the layer's own data cache
+  FileAttributes attrs;
+  bool attrs_valid = false;
+  bool attrs_dirty = false;
+  // Serializes this file's bind below; taken before `mutex`, and never by
+  // the lower cache object.
+  std::mutex bind_mutex;
+  std::mutex mutex;
+};
+
+// The layer's machinery: what its files, pager objects and lower cache
+// objects need, none of which owns the layer itself.
+class CoherencyLayer::Core : public Servant {
+ public:
+  Core(sp<Domain> domain, CoherencyLayerOptions options, Clock* clock,
+       sp<PageTransform> transform)
+      : Servant(std::move(domain)), options_(options), clock_(clock),
+        transform_(std::move(transform)) {}
+
+  // Binds `state` to the underlying file (once), capturing the lower pager.
+  Status EnsureBoundBelow(const sp<FileState>& state);
+
+  // Data-path helpers; `state.mutex` must be held by the caller.
+  Status EnsureBlocks(FileState& state, Offset begin, Offset end,
+                      AccessRights access);
+  Status EnsureBoundBelowLocked(FileState& state);
+  Status EnsureAttrs(FileState& state);
+  // Fetches [begin, begin+len) from below and runs the transform's
+  // DecodeFromBelow on each page in place; len must be page-aligned.
+  Result<Buffer> FetchFromBelow(FileState& state, Offset begin, Offset len,
+                                AccessRights access);
+  // Runs the transform's EncodeForBelow on each page of `run`, a whole run
+  // of contiguous pages from `offset`, in place, and hands the run below in
+  // one Sync.
+  Status PushToBelow(FileState& state, Offset offset, Buffer run);
+  Status FoldRecoveredLocked(FileState& state,
+                             const std::vector<BlockData>& blocks);
+  // Runs the engine's Acquire, folds the dirty blocks it recovered (also
+  // when it failed), then returns its verdict.
+  Status AcquireLocked(FileState& state, uint64_t requester, Range range,
+                       AccessRights access);
+
+  // Client-pager entry points (from CoherentPagerObject).
+  Result<Buffer> ClientPageIn(FileState& state, uint64_t channel,
+                              Offset offset, Offset size, AccessRights access);
+  Status ClientPageWrite(FileState& state, uint64_t channel, Offset offset,
+                         ByteSpan data, bool drops, bool downgrades,
+                         bool push_below);
+  Result<FileAttributes> ClientGetAttributes(FileState& state);
+  Status ClientWriteAttributes(FileState& state, uint64_t channel,
+                               const AttrUpdate& update);
+
+  // Lower-cache-object entry points (callbacks from the layer below).
+  Result<std::vector<BlockData>> LowerFlushBack(FileState& state, Range range);
+  Result<std::vector<BlockData>> LowerDenyWrites(FileState& state, Range range);
+
+  // Pushes a file's dirty blocks, one lower Sync per run of contiguous
+  // dirty pages, and its attributes to the layer below.
+  Status SyncFileState(FileState& state);
+
+  // Tells every file-system client cache (fs_cache narrows) except
+  // `except_channel` that its cached attributes are stale. Part of the
+  // section 4.3 attribute coherency protocol.
+  Status BroadcastAttrInvalidate(FileState& state, uint64_t except_channel);
+
+  const CoherencyLayerOptions options_;
+  Clock* const clock_;
+  const sp<PageTransform> transform_;  // null: the identity
+  PagerChannelTable client_channels_;
+
+  // Cache accounting, guarded by stats_mutex_; published by the layer.
+  struct Stats {
+    uint64_t data_cache_hits = 0;
+    uint64_t data_cache_misses = 0;
+    uint64_t attr_cache_hits = 0;
+    uint64_t attr_cache_misses = 0;
+    uint64_t lower_page_ins = 0;
+    uint64_t lower_page_outs = 0;
+  };
+
+  mutable std::mutex stats_mutex_;
+  Stats stats_;
+};
+
 // --- servants -------------------------------------------------------------
 
 // The layer's cache object toward the layer below: coherency actions from
 // below are propagated to this layer's clients and its own cache.
 class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
  public:
-  CoherencyLowerCacheObject(sp<Domain> domain, sp<CoherencyLayer> layer,
-                            sp<CoherencyLayer::FileState> state)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
+  // The state owns this object (through its channel below), so the object
+  // refers to it weakly; a callback that finds it gone has nothing to do.
+  CoherencyLowerCacheObject(sp<Domain> domain, sp<CoherencyLayer::Core> core,
+                            wp<CoherencyLayer::FileState> state)
+      : Servant(std::move(domain)), core_(std::move(core)),
         state_(std::move(state)) {}
 
   Result<std::vector<BlockData>> FlushBack(Range range) override {
-    return InDomain([&] { return layer_->LowerFlushBack(*state_, range); });
+    return WithState(std::vector<BlockData>{}, [&](State& state) {
+      return core_->LowerFlushBack(state, range);
+    });
   }
   Result<std::vector<BlockData>> DenyWrites(Range range) override {
-    return InDomain([&] { return layer_->LowerDenyWrites(*state_, range); });
+    return WithState(std::vector<BlockData>{}, [&](State& state) {
+      return core_->LowerDenyWrites(state, range);
+    });
   }
   Result<std::vector<BlockData>> WriteBack(Range range) override {
-    return InDomain([&]() -> Result<std::vector<BlockData>> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
+    return WithState(std::vector<BlockData>{}, [&](State& state) {
+      std::lock_guard<std::mutex> lock(state.mutex);
       std::vector<BlockData> modified;
       Offset end = range.end();
-      for (auto& [off, block] : state_->blocks) {
+      for (auto& [off, block] : state.blocks) {
         if (off >= range.offset && off < end && block.dirty) {
           modified.push_back(BlockData{off, block.data});
           block.dirty = false;
@@ -63,27 +178,27 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
     });
   }
   Status DeleteRange(Range range) override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
+    return WithState(Status::Ok(), [&](State& state) -> Status {
+      std::lock_guard<std::mutex> lock(state.mutex);
       Offset end = range.end();
-      for (const sp<CacheObject>& cache : state_->engine.Caches()) {
+      for (const sp<CacheObject>& cache : state.engine.Caches()) {
         RETURN_IF_ERROR(cache->DeleteRange(range));
       }
-      auto it = state_->blocks.lower_bound(PageFloor(range.offset));
-      while (it != state_->blocks.end() && it->first < end) {
-        it = state_->blocks.erase(it);
+      auto it = state.blocks.lower_bound(PageFloor(range.offset));
+      while (it != state.blocks.end() && it->first < end) {
+        it = state.blocks.erase(it);
       }
       return Status::Ok();
     });
   }
   Status ZeroFill(Range range) override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
+    return WithState(Status::Ok(), [&](State& state) -> Status {
+      std::lock_guard<std::mutex> lock(state.mutex);
       Offset end = range.end();
-      for (const sp<CacheObject>& cache : state_->engine.Caches()) {
+      for (const sp<CacheObject>& cache : state.engine.Caches()) {
         RETURN_IF_ERROR(cache->ZeroFill(range));
       }
-      for (auto& [off, block] : state_->blocks) {
+      for (auto& [off, block] : state.blocks) {
         if (off >= range.offset && off < end) {
           std::memset(block.data.data(), 0, block.data.size());
           block.dirty = false;
@@ -93,88 +208,103 @@ class CoherencyLowerCacheObject : public FsCacheObject, public Servant {
     });
   }
   Status Populate(Offset offset, AccessRights access, ByteSpan data) override {
-    return InDomain([&]() -> Status {
-      if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
-        return ErrInvalidArgument("populate must be page-aligned");
-      }
-      std::lock_guard<std::mutex> lock(state_->mutex);
+    if (offset % kPageSize != 0 || data.size() % kPageSize != 0) {
+      return ErrInvalidArgument("populate must be page-aligned");
+    }
+    return WithState(Status::Ok(), [&](State& state) {
+      std::lock_guard<std::mutex> lock(state.mutex);
       for (Offset off = 0; off < data.size(); off += kPageSize) {
-        CoherencyLayer::CachedBlock block;
+        CachedBlock block;
         block.data = Buffer(data.subspan(off, kPageSize));
         block.rights = access;
         block.dirty = false;
-        state_->blocks.insert_or_assign(offset + off, std::move(block));
+        state.blocks.insert_or_assign(offset + off, std::move(block));
       }
       return Status::Ok();
     });
   }
   Status DestroyCache() override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->blocks.clear();
-      state_->bound_below = false;
-      state_->lower_pager = nullptr;
-      state_->lower_fs_pager = nullptr;
+    return WithState(Status::Ok(), [&](State& state) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.blocks.clear();
+      state.bound_below = false;
+      state.lower_pager = nullptr;
+      state.lower_fs_pager = nullptr;
       return Status::Ok();
     });
   }
 
   Status InvalidateAttributes() override {
-    return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      state_->attrs_valid = false;
+    return WithState(Status::Ok(), [&](State& state) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.attrs_valid = false;
       return Status::Ok();
     });
   }
   Result<AttrUpdate> RecallAttributes() override {
-    return InDomain([&]() -> Result<AttrUpdate> {
-      std::lock_guard<std::mutex> lock(state_->mutex);
+    return WithState(AttrUpdate{}, [&](State& state) {
+      std::lock_guard<std::mutex> lock(state.mutex);
       AttrUpdate update;
-      if (state_->attrs_valid && state_->attrs_dirty) {
-        update.size = state_->attrs.size;
-        update.atime_ns = state_->attrs.atime_ns;
-        update.mtime_ns = state_->attrs.mtime_ns;
+      if (state.attrs_valid && state.attrs_dirty) {
+        update.size = state.attrs.size;
+        update.atime_ns = state.attrs.atime_ns;
+        update.mtime_ns = state.attrs.mtime_ns;
       }
       return update;
     });
   }
 
  private:
-  sp<CoherencyLayer> layer_;
-  sp<CoherencyLayer::FileState> state_;
+  using State = CoherencyLayer::FileState;
+
+  // Runs `op` on the state in the layer's domain. A state that is gone
+  // holds nothing, so the callback answers `gone`.
+  template <class Gone, class Op>
+  auto WithState(Gone gone, Op op) -> decltype(op(std::declval<State&>())) {
+    return InDomain([&]() -> decltype(op(std::declval<State&>())) {
+      sp<State> state = state_.lock();
+      if (!state) {
+        return gone;
+      }
+      return op(*state);
+    });
+  }
+
+  sp<CoherencyLayer::Core> core_;
+  wp<State> state_;
 };
 
 // The layer's pager object toward one client cache manager.
 class CoherentPagerObject : public FsPagerObject, public Servant {
  public:
-  CoherentPagerObject(sp<Domain> domain, sp<CoherencyLayer> layer,
+  CoherentPagerObject(sp<Domain> domain, sp<CoherencyLayer::Core> core,
                       sp<CoherencyLayer::FileState> state, uint64_t channel)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
+      : Servant(std::move(domain)), core_(std::move(core)),
         state_(std::move(state)), channel_(channel) {}
 
   Result<Buffer> PageIn(Offset offset, Offset size,
                         AccessRights access) override {
     return InDomain([&] {
-      return layer_->ClientPageIn(*state_, channel_, offset, size, access);
+      return core_->ClientPageIn(*state_, channel_, offset, size, access);
     });
   }
   Status PageOut(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
+      return core_->ClientPageWrite(*state_, channel_, offset, data,
                                      /*drops=*/true, /*downgrades=*/false,
                                      /*push_below=*/false);
     });
   }
   Status WriteOut(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
+      return core_->ClientPageWrite(*state_, channel_, offset, data,
                                      /*drops=*/false, /*downgrades=*/true,
                                      /*push_below=*/false);
     });
   }
   Status Sync(Offset offset, ByteSpan data) override {
     return InDomain([&] {
-      return layer_->ClientPageWrite(*state_, channel_, offset, data,
+      return core_->ClientPageWrite(*state_, channel_, offset, data,
                                      /*drops=*/false, /*downgrades=*/false,
                                      /*push_below=*/true);
     });
@@ -183,20 +313,21 @@ class CoherentPagerObject : public FsPagerObject, public Servant {
     InDomain([&] {
       std::lock_guard<std::mutex> lock(state_->mutex);
       state_->engine.RemoveCache(channel_);
-      layer_->client_channels_.RemoveChannel(channel_);
+      core_->client_channels_.RemoveChannel(channel_);
     });
   }
 
   Result<FileAttributes> GetAttributes() override {
-    return InDomain([&] { return layer_->ClientGetAttributes(*state_); });
+    return InDomain([&] { return core_->ClientGetAttributes(*state_); });
   }
   Status WriteAttributes(const AttrUpdate& update) override {
-    return InDomain(
-        [&] { return layer_->ClientWriteAttributes(*state_, channel_, update); });
+    return InDomain([&] {
+      return core_->ClientWriteAttributes(*state_, channel_, update);
+    });
   }
 
  private:
-  sp<CoherencyLayer> layer_;
+  sp<CoherencyLayer::Core> core_;
   sp<CoherencyLayer::FileState> state_;
   uint64_t channel_;
 };
@@ -204,9 +335,9 @@ class CoherentPagerObject : public FsPagerObject, public Servant {
 // A file exported by the coherency layer.
 class CoherentFile : public File, public Servant {
  public:
-  CoherentFile(sp<Domain> domain, sp<CoherencyLayer> layer,
+  CoherentFile(sp<Domain> domain, sp<CoherencyLayer::Core> core,
                sp<CoherencyLayer::FileState> state)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
+      : Servant(std::move(domain)), core_(std::move(core)),
         state_(std::move(state)) {}
 
   const sp<CoherencyLayer::FileState>& state() const { return state_; }
@@ -217,20 +348,18 @@ class CoherentFile : public File, public Servant {
                                AccessRights requested_access) override {
     (void)requested_access;
     return InDomain([&]() -> Result<sp<CacheRights>> {
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
-      sp<CoherencyLayer> layer = layer_;
-      sp<CoherencyLayer::FileState> state = state_;
+      RETURN_IF_ERROR(core_->EnsureBoundBelow(state_));
       ASSIGN_OR_RETURN(
           sp<CacheRights> rights,
-          layer_->client_channels_.Bind(
+          core_->client_channels_.Bind(
               state_->file_id, state_->pager_key, caller,
               [&](uint64_t local_id) -> sp<PagerObject> {
                 return std::make_shared<CoherentPagerObject>(
-                    layer->domain(), layer, state, local_id);
+                    core_->domain(), core_, state_, local_id);
               }));
       std::lock_guard<std::mutex> lock(state_->mutex);
       for (const auto& ch :
-           layer_->client_channels_.ChannelsForFile(state_->file_id)) {
+           core_->client_channels_.ChannelsForFile(state_->file_id)) {
         if (!state_->engine.HasCache(ch.local_id)) {
           state_->engine.AddCache(ch.local_id, ch.cache);
         }
@@ -241,27 +370,27 @@ class CoherentFile : public File, public Servant {
 
   Result<Offset> GetLength() override {
     return InDomain([&]() -> Result<Offset> {
-      if (!layer_->options_.cache_attrs) {
+      if (!core_->options_.cache_attrs) {
         return state_->under->GetLength();
       }
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
       return Offset{state_->attrs.size};
     });
   }
 
   Status SetLength(Offset length) override {
     return InDomain([&]() -> Status {
-      if (!layer_->options_.cache_attrs) {
+      if (!core_->options_.cache_attrs) {
         return state_->under->SetLength(length);
       }
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
       uint64_t old_size = state_->attrs.size;
       state_->attrs.size = length;
-      state_->attrs.mtime_ns = layer_->clock_->Now();
+      state_->attrs.mtime_ns = core_->clock_->Now();
       state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
+      RETURN_IF_ERROR(core_->BroadcastAttrInvalidate(*state_, 0));
       if (length < old_size) {
         // Truncation: discard data beyond EOF everywhere.
         Offset from = PageCeil(length);
@@ -299,20 +428,20 @@ class CoherentFile : public File, public Servant {
   Result<size_t> Read(Offset offset, MutableByteSpan out) override {
     return InDomain([&]() -> Result<size_t> {
       metrics::TimedOp timed(ReadMetric(), "coh.read");
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
+      RETURN_IF_ERROR(core_->EnsureBoundBelow(state_));
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->AcquireLocked(
+      RETURN_IF_ERROR(core_->AcquireLocked(
           *state_, 0, Range{offset, out.size()}, AccessRights::kReadOnly));
-      if (!layer_->options_.cache_data) {
+      if (!core_->options_.cache_data) {
         return state_->under->Read(offset, out);
       }
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
       if (offset >= state_->attrs.size) {
         return size_t{0};
       }
       size_t to_read = std::min<uint64_t>(out.size(),
                                           state_->attrs.size - offset);
-      RETURN_IF_ERROR(layer_->EnsureBlocks(*state_, PageFloor(offset),
+      RETURN_IF_ERROR(core_->EnsureBlocks(*state_, PageFloor(offset),
                                            PageCeil(offset + to_read),
                                            AccessRights::kReadOnly));
       size_t done = 0;
@@ -320,11 +449,11 @@ class CoherentFile : public File, public Servant {
         Offset page = PageFloor(offset + done);
         size_t in_page = offset + done - page;
         size_t chunk = std::min<size_t>(kPageSize - in_page, to_read - done);
-        const CoherencyLayer::CachedBlock& block = state_->blocks.at(page);
+        const CachedBlock& block = state_->blocks.at(page);
         std::memcpy(out.data() + done, block.data.data() + in_page, chunk);
         done += chunk;
       }
-      state_->attrs.atime_ns = layer_->clock_->Now();
+      state_->attrs.atime_ns = core_->clock_->Now();
       state_->attrs_dirty = true;
       return to_read;
     });
@@ -333,15 +462,15 @@ class CoherentFile : public File, public Servant {
   Result<size_t> Write(Offset offset, ByteSpan data) override {
     return InDomain([&]() -> Result<size_t> {
       metrics::TimedOp timed(WriteMetric(), "coh.write");
-      RETURN_IF_ERROR(layer_->EnsureBoundBelow(state_));
+      RETURN_IF_ERROR(core_->EnsureBoundBelow(state_));
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->AcquireLocked(
+      RETURN_IF_ERROR(core_->AcquireLocked(
           *state_, 0, Range{offset, data.size()}, AccessRights::kReadWrite));
-      if (!layer_->options_.cache_data) {
+      if (!core_->options_.cache_data) {
         return state_->under->Write(offset, data);
       }
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
-      RETURN_IF_ERROR(layer_->EnsureBlocks(*state_, PageFloor(offset),
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureBlocks(*state_, PageFloor(offset),
                                            PageCeil(offset + data.size()),
                                            AccessRights::kReadWrite));
       size_t done = 0;
@@ -350,42 +479,42 @@ class CoherentFile : public File, public Servant {
         size_t in_page = offset + done - page;
         size_t chunk = std::min<size_t>(kPageSize - in_page,
                                         data.size() - done);
-        CoherencyLayer::CachedBlock& block = state_->blocks.at(page);
+        CachedBlock& block = state_->blocks.at(page);
         std::memcpy(block.data.data() + in_page, data.data() + done, chunk);
         block.dirty = true;
         done += chunk;
       }
       state_->attrs.size = std::max<uint64_t>(state_->attrs.size,
                                               offset + data.size());
-      state_->attrs.mtime_ns = layer_->clock_->Now();
+      state_->attrs.mtime_ns = core_->clock_->Now();
       state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
+      RETURN_IF_ERROR(core_->BroadcastAttrInvalidate(*state_, 0));
       return data.size();
     });
   }
 
   Result<FileAttributes> Stat() override {
     return InDomain([&]() -> Result<FileAttributes> {
-      if (!layer_->options_.cache_attrs) {
+      if (!core_->options_.cache_attrs) {
         return state_->under->Stat();
       }
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
       return state_->attrs;
     });
   }
 
   Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
     return InDomain([&]() -> Status {
-      if (!layer_->options_.cache_attrs) {
+      if (!core_->options_.cache_attrs) {
         return state_->under->SetTimes(atime_ns, mtime_ns);
       }
       std::lock_guard<std::mutex> lock(state_->mutex);
-      RETURN_IF_ERROR(layer_->EnsureAttrs(*state_));
+      RETURN_IF_ERROR(core_->EnsureAttrs(*state_));
       state_->attrs.atime_ns = atime_ns;
       state_->attrs.mtime_ns = mtime_ns;
       state_->attrs_dirty = true;
-      RETURN_IF_ERROR(layer_->BroadcastAttrInvalidate(*state_, 0));
+      RETURN_IF_ERROR(core_->BroadcastAttrInvalidate(*state_, 0));
       return Status::Ok();
     });
   }
@@ -394,14 +523,14 @@ class CoherentFile : public File, public Servant {
     return InDomain([&]() -> Status {
       {
         std::lock_guard<std::mutex> lock(state_->mutex);
-        RETURN_IF_ERROR(layer_->SyncFileState(*state_));
+        RETURN_IF_ERROR(core_->SyncFileState(*state_));
       }
       return state_->under->SyncFile();
     });
   }
 
  private:
-  sp<CoherencyLayer> layer_;
+  sp<CoherencyLayer::Core> core_;
   sp<CoherencyLayer::FileState> state_;
 };
 
@@ -415,8 +544,11 @@ sp<CoherencyLayer> CoherencyLayer::Create(sp<Domain> domain,
 }
 
 CoherencyLayer::CoherencyLayer(sp<Domain> domain,
-                               CoherencyLayerOptions options, Clock* clock)
-    : Servant(std::move(domain)), options_(options), clock_(clock) {
+                               CoherencyLayerOptions options, Clock* clock,
+                               sp<PageTransform> transform)
+    : Servant(domain),
+      core_(std::make_shared<Core>(std::move(domain), options, clock,
+                                   std::move(transform))) {
   metrics::Registry::Global().RegisterProvider(this);
 }
 
@@ -425,13 +557,14 @@ CoherencyLayer::~CoherencyLayer() {
 }
 
 void CoherencyLayer::CollectStats(const metrics::StatsEmitter& emit) const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  emit("data_cache_hits", stats_.data_cache_hits);
-  emit("data_cache_misses", stats_.data_cache_misses);
-  emit("attr_cache_hits", stats_.attr_cache_hits);
-  emit("attr_cache_misses", stats_.attr_cache_misses);
-  emit("lower_page_ins", stats_.lower_page_ins);
-  emit("lower_page_outs", stats_.lower_page_outs);
+  std::lock_guard<std::mutex> lock(core_->stats_mutex_);
+  const Core::Stats& stats = core_->stats_;
+  emit("data_cache_hits", stats.data_cache_hits);
+  emit("data_cache_misses", stats.data_cache_misses);
+  emit("attr_cache_hits", stats.attr_cache_hits);
+  emit("attr_cache_misses", stats.attr_cache_misses);
+  emit("lower_page_ins", stats.lower_page_ins);
+  emit("lower_page_outs", stats.lower_page_outs);
 }
 
 Status CoherencyLayer::StackOn(sp<StackableFs> underlying) {
@@ -472,15 +605,13 @@ Result<sp<CoherentFile>> CoherencyLayer::WrapFile(const sp<File>& under) {
     }
   }
   sp<FileState> state = StateForFile(under);
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
-  auto wrapped = std::make_shared<CoherentFile>(domain(), self, state);
+  auto wrapped = std::make_shared<CoherentFile>(domain(), core_, state);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = wrapped_files_.emplace(under.get(), wrapped);
   return it->second;
 }
 
-Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
+Status CoherencyLayer::Core::EnsureBoundBelow(const sp<FileState>& state) {
   std::lock_guard<std::mutex> bind_lock(state->bind_mutex);
   {
     std::lock_guard<std::mutex> lock(state->mutex);
@@ -488,22 +619,25 @@ Status CoherencyLayer::EnsureBoundBelow(const sp<FileState>& state) {
       return Status::Ok();
     }
   }
-  sp<CoherencyLayer> self =
-      std::dynamic_pointer_cast<CoherencyLayer>(shared_from_this());
+  sp<Core> self = std::dynamic_pointer_cast<Core>(shared_from_this());
   ASSIGN_OR_RETURN(
-      sp<PagerObject> pager,
+      sp<OneChannelManager> below,
       BindBelow(*state->under,
                 std::make_shared<CoherencyLowerCacheObject>(domain(), self,
                                                             state),
                 state->file_id, "coherency-layer"));
+  // A channel a DestroyCache from below left behind closes here, out of
+  // the state's lock.
+  sp<OneChannelManager> old;
   std::lock_guard<std::mutex> lock(state->mutex);
-  state->lower_fs_pager = narrow<FsPagerObject>(pager);
-  state->lower_pager = std::move(pager);
+  state->lower_pager = below->pager();
+  state->lower_fs_pager = narrow<FsPagerObject>(state->lower_pager);
+  old = std::exchange(state->below, std::move(below));
   state->bound_below = true;
   return Status::Ok();
 }
 
-Status CoherencyLayer::EnsureAttrs(FileState& state) {
+Status CoherencyLayer::Core::EnsureAttrs(FileState& state) {
   if (state.attrs_valid) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.attr_cache_hits;
@@ -525,9 +659,8 @@ Status CoherencyLayer::EnsureAttrs(FileState& state) {
   return Status::Ok();
 }
 
-Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
-                                              Offset len,
-                                              AccessRights access) {
+Result<Buffer> CoherencyLayer::Core::FetchFromBelow(FileState& state,
+    Offset begin, Offset len, AccessRights access) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.lower_page_ins;
@@ -536,20 +669,26 @@ Result<Buffer> CoherencyLayer::FetchFromBelow(FileState& state, Offset begin,
   ASSIGN_OR_RETURN(Buffer run, state.lower_pager->PageIn(begin, len, access));
   run.resize(len);  // the pager may return more, or less, than was asked
   for (Offset off = 0; off < len; off += kPageSize) {
-    RETURN_IF_ERROR(DecodeFromBelow(state.file_id, begin + off,
-                                    run.mutable_span().subspan(off, kPageSize)));
+    if (transform_) {
+      RETURN_IF_ERROR(transform_->DecodeFromBelow(
+          state.file_id, begin + off,
+          run.mutable_span().subspan(off, kPageSize)));
+    }
   }
   return run;
 }
 
-Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
+Status CoherencyLayer::Core::PushToBelow(FileState& state, Offset offset,
                                    Buffer run) {
   if (offset % kPageSize != 0 || run.size() % kPageSize != 0) {
     return ErrInvalidArgument("push to below must be page-aligned");
   }
   for (Offset off = 0; off < run.size(); off += kPageSize) {
-    RETURN_IF_ERROR(EncodeForBelow(state.file_id, offset + off,
-                                   run.mutable_span().subspan(off, kPageSize)));
+    if (transform_) {
+      RETURN_IF_ERROR(transform_->EncodeForBelow(
+          state.file_id, offset + off,
+          run.mutable_span().subspan(off, kPageSize)));
+    }
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -559,8 +698,8 @@ Status CoherencyLayer::PushToBelow(FileState& state, Offset offset,
   return state.lower_pager->Sync(offset, run.span());
 }
 
-Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
-                                    AccessRights access) {
+Status CoherencyLayer::Core::EnsureBlocks(FileState& state, Offset begin,
+    Offset end, AccessRights access) {
   RETURN_IF_ERROR(EnsureBoundBelowLocked(state));
   // Collect contiguous runs of pages that need fetching from below.
   Offset run_start = 0;
@@ -612,7 +751,7 @@ Status CoherencyLayer::EnsureBlocks(FileState& state, Offset begin, Offset end,
   return flush_run();
 }
 
-Status CoherencyLayer::EnsureBoundBelowLocked(FileState& state) {
+Status CoherencyLayer::Core::EnsureBoundBelowLocked(FileState& state) {
   // state.mutex is held: binding from here would invert the bind_mutex /
   // mutex order, so every entry point (CoherentFile data paths,
   // CoherentFile::Bind before client channels exist) binds first via
@@ -623,7 +762,7 @@ Status CoherencyLayer::EnsureBoundBelowLocked(FileState& state) {
   return ErrInvalidArgument("file not bound to the layer below");
 }
 
-Status CoherencyLayer::FoldRecoveredLocked(
+Status CoherencyLayer::Core::FoldRecoveredLocked(
     FileState& state, const std::vector<BlockData>& blocks) {
   if (blocks.empty()) {
     return Status::Ok();
@@ -658,7 +797,7 @@ Status CoherencyLayer::FoldRecoveredLocked(
   return run.empty() ? Status::Ok() : PushToBelow(state, start, std::move(run));
 }
 
-Status CoherencyLayer::AcquireLocked(FileState& state, uint64_t requester,
+Status CoherencyLayer::Core::AcquireLocked(FileState& state, uint64_t requester,
                                      Range range, AccessRights access) {
   CoherencyEngine::Recovered recovered =
       state.engine.Acquire(requester, range, access);
@@ -666,9 +805,8 @@ Status CoherencyLayer::AcquireLocked(FileState& state, uint64_t requester,
   return recovered.status;
 }
 
-Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
-                                            Offset offset, Offset size,
-                                            AccessRights access) {
+Result<Buffer> CoherencyLayer::Core::ClientPageIn(FileState& state,
+    uint64_t channel, Offset offset, Offset size, AccessRights access) {
   metrics::TimedOp timed(PageInMetric(), "coh.page_in");
   std::lock_guard<std::mutex> lock(state.mutex);
   Offset begin = PageFloor(offset);
@@ -688,7 +826,7 @@ Result<Buffer> CoherencyLayer::ClientPageIn(FileState& state, uint64_t channel,
   return out;
 }
 
-Status CoherencyLayer::ClientPageWrite(FileState& state, uint64_t channel,
+Status CoherencyLayer::Core::ClientPageWrite(FileState& state, uint64_t channel,
                                        Offset offset, ByteSpan data,
                                        bool drops, bool downgrades,
                                        bool push_below) {
@@ -726,7 +864,8 @@ Status CoherencyLayer::ClientPageWrite(FileState& state, uint64_t channel,
   return Status::Ok();
 }
 
-Result<FileAttributes> CoherencyLayer::ClientGetAttributes(FileState& state) {
+Result<FileAttributes> CoherencyLayer::Core::ClientGetAttributes(
+    FileState& state) {
   if (!options_.cache_attrs) {
     if (state.lower_fs_pager) {
       return state.lower_fs_pager->GetAttributes();
@@ -738,7 +877,7 @@ Result<FileAttributes> CoherencyLayer::ClientGetAttributes(FileState& state) {
   return state.attrs;
 }
 
-Status CoherencyLayer::ClientWriteAttributes(FileState& state,
+Status CoherencyLayer::Core::ClientWriteAttributes(FileState& state,
                                              uint64_t channel,
                                              const AttrUpdate& update) {
   if (!options_.cache_attrs) {
@@ -766,8 +905,8 @@ Status CoherencyLayer::ClientWriteAttributes(FileState& state,
   return Status::Ok();
 }
 
-Result<std::vector<BlockData>> CoherencyLayer::LowerFlushBack(FileState& state,
-                                                              Range range) {
+Result<std::vector<BlockData>> CoherencyLayer::Core::LowerFlushBack(
+    FileState& state, Range range) {
   trace::ScopedSpan span("coh.lower_flush_back");
   std::lock_guard<std::mutex> lock(state.mutex);
   // Our clients' caches depend on ours: flush them first. Recovered data is
@@ -803,7 +942,7 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerFlushBack(FileState& state,
   return modified;
 }
 
-Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
+Result<std::vector<BlockData>> CoherencyLayer::Core::LowerDenyWrites(
     FileState& state, Range range) {
   trace::ScopedSpan span("coh.lower_deny_writes");
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -843,7 +982,7 @@ Result<std::vector<BlockData>> CoherencyLayer::LowerDenyWrites(
   return modified;
 }
 
-Status CoherencyLayer::BroadcastAttrInvalidate(FileState& state,
+Status CoherencyLayer::Core::BroadcastAttrInvalidate(FileState& state,
                                                uint64_t except_channel) {
   for (const auto& ch : client_channels_.ChannelsForFile(state.file_id)) {
     if (ch.local_id == except_channel || !ch.fs_cache) {
@@ -854,7 +993,7 @@ Status CoherencyLayer::BroadcastAttrInvalidate(FileState& state,
   return Status::Ok();
 }
 
-Status CoherencyLayer::SyncFileState(FileState& state) {
+Status CoherencyLayer::Core::SyncFileState(FileState& state) {
   // Demote client writers so their latest data lands in our cache first.
   RETURN_IF_ERROR(
       AcquireLocked(state, 0, Range::All(), AccessRights::kReadOnly));
@@ -953,11 +1092,14 @@ Status CoherencyLayer::Unbind(const Name& name, const Credentials& creds) {
       // Purge only when the last link is gone (stat fails): a renamed or
       // hard-linked file keeps its cached state.
       if (under_file && !under_file->Stat().ok()) {
+        // A dropped state closes its channel below; it goes out of mutex_.
+        std::vector<sp<FileState>> dropped;
         std::lock_guard<std::mutex> lock(mutex_);
         wrapped_files_.erase(under_file.get());
         for (auto it = states_.begin(); it != states_.end();) {
           if (it->second->under == under_file) {
-            client_channels_.RemoveFile(it->second->file_id);
+            core_->client_channels_.RemoveFile(it->second->file_id);
+            dropped.push_back(std::move(it->second));
             it = states_.erase(it);
           } else {
             ++it;
@@ -1033,7 +1175,7 @@ Status CoherencyLayer::SyncFs() {
     }
     for (const sp<FileState>& state : states) {
       std::lock_guard<std::mutex> lock(state->mutex);
-      RETURN_IF_ERROR(SyncFileState(*state));
+      RETURN_IF_ERROR(core_->SyncFileState(*state));
     }
     return under_->SyncFs();
   });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/naming/views.h"
 #include "src/support/logging.h"
@@ -581,12 +582,14 @@ Status CompLayer::EnsureBoundBelow(const sp<FileState>& state) {
   }
   sp<CompLayer> self = std::dynamic_pointer_cast<CompLayer>(shared_from_this());
   ASSIGN_OR_RETURN(
-      sp<PagerObject> pager,
+      sp<OneChannelManager> below,
       BindBelow(*state->under_data,
                 std::make_shared<CompLowerCacheObject>(domain(), self, state),
                 state->file_id, "compfs"));
+  sp<OneChannelManager> old;  // closes out of the state's lock
   std::lock_guard<std::mutex> lock(state->mutex);
-  state->lower_pager = std::move(pager);
+  state->lower_pager = below->pager();
+  old = std::exchange(state->below, std::move(below));
   state->bound_below = true;
   // Everything cached so far was fetched through the (incoherent) file
   // interface, with no holdings registered at the layer below. Drop the

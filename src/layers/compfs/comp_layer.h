@@ -136,8 +136,10 @@ class CompLayer : public StackableFs,
     std::map<Offset, bool> dirty;
     CoherencyEngine engine;
 
-    // Figure 6: our channel to the layer below.
+    // Figure 6: our channel to the layer below (our end of it, which
+    // closes when the state goes, and its pager while bound).
     bool bound_below = false;
+    sp<OneChannelManager> below;
     sp<PagerObject> lower_pager;
 
     uint64_t atime_ns = 0;

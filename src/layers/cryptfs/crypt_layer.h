@@ -28,22 +28,11 @@ class CryptLayer : public CoherencyLayer {
   const char* interface_name() const override { return "crypt_layer"; }
 
  protected:
-  Status DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                         MutableByteSpan page) override;
-  Status EncodeForBelow(uint64_t file_id, Offset page_offset,
-                        MutableByteSpan page) override;
   std::string type_name() const override { return "cryptfs"; }
 
  private:
   CryptLayer(sp<Domain> domain, XteaKey key, CoherencyLayerOptions options,
              Clock* clock);
-
-  // Both directions are the same XOR; keystream position depends on the
-  // file and the page so identical plaintext pages encrypt differently.
-  void ApplyKeystream(uint64_t file_id, Offset page_offset,
-                      MutableByteSpan page) const;
-
-  XteaKey key_;
 };
 
 }  // namespace springfs

@@ -53,9 +53,9 @@ void RetryState::Backoff(Clock* clock) {
 // Carries pager traffic for one local channel over the DFS protocol.
 class RemotePagerObject : public FsPagerObject, public Servant {
  public:
-  RemotePagerObject(sp<Domain> domain, sp<DfsClient> client, uint64_t handle,
+  RemotePagerObject(sp<Domain> domain, sp<DfsSession> session, uint64_t handle,
                     uint64_t local_channel)
-      : Servant(std::move(domain)), client_(std::move(client)),
+      : Servant(std::move(domain)), session_(std::move(session)),
         handle_(handle), local_channel_(local_channel) {}
 
   Result<Buffer> PageIn(Offset offset, Offset size,
@@ -63,19 +63,19 @@ class RemotePagerObject : public FsPagerObject, public Servant {
     return InDomain([&]() -> Result<Buffer> {
       trace::ScopedSpan span("dfs.page_in");
       ASSIGN_OR_RETURN(uint64_t cache_id,
-                       client_->ServerCacheIdFor(local_channel_));
+                       session_->ServerCacheIdFor(local_channel_));
       PageInRequest body{handle_, cache_id, offset, size,
                          access == AccessRights::kReadWrite};
       if (size <= kPageSize) {
         ASSIGN_OR_RETURN(
             PageInResponse page,
-            CheckStale(client_->Invoke<PageInResponse>(Op::kPageIn, body)));
+            CheckStale(session_->Invoke<PageInResponse>(Op::kPageIn, body)));
         return std::move(page.data);
       }
       // A fault cluster: one kPageInRange round trip returns the whole
       // block list instead of one kPageIn per page.
       ASSIGN_OR_RETURN(PageInRangeResponse range,
-                       CheckStale(client_->Invoke<PageInRangeResponse>(
+                       CheckStale(session_->Invoke<PageInRangeResponse>(
                            Op::kPageInRange, body)));
       // Reassemble the contiguous prefix starting at `offset`; the server
       // may have clamped the tail at EOF.
@@ -102,13 +102,13 @@ class RemotePagerObject : public FsPagerObject, public Servant {
     return PageWrite(Op::kSyncPages, offset, data);
   }
   void DoneWithPagerObject() override {
-    InDomain([&] { client_->DropChannel(local_channel_); });
+    InDomain([&] { session_->DropChannel(local_channel_); });
   }
 
   Result<FileAttributes> GetAttributes() override {
     return InDomain([&]() -> Result<FileAttributes> {
       ASSIGN_OR_RETURN(GetAttrResponse attrs,
-                       client_->Invoke<GetAttrResponse>(
+                       session_->Invoke<GetAttrResponse>(
                            Op::kGetAttr, HandleRequest{handle_}));
       return attrs.attrs;
     });
@@ -116,14 +116,14 @@ class RemotePagerObject : public FsPagerObject, public Servant {
   Status WriteAttributes(const AttrUpdate& update) override {
     return InDomain([&]() -> Status {
       if (update.size) {
-        RETURN_IF_ERROR(client_
+        RETURN_IF_ERROR(session_
                             ->Invoke(Op::kSetLength,
                                      SetLengthRequest{handle_, *update.size})
                             .status());
       }
       if (update.atime_ns || update.mtime_ns) {
         RETURN_IF_ERROR(
-            client_
+            session_
                 ->Invoke(Op::kSetTimes,
                          SetTimesRequest{handle_, update.atime_ns.value_or(0),
                                          update.mtime_ns.value_or(0)})
@@ -138,8 +138,8 @@ class RemotePagerObject : public FsPagerObject, public Servant {
     return InDomain([&]() -> Status {
       trace::ScopedSpan span("dfs.page_out");
       ASSIGN_OR_RETURN(uint64_t cache_id,
-                       client_->ServerCacheIdFor(local_channel_));
-      return CheckStale(client_->Invoke(op, PageOutRequest{handle_, cache_id,
+                       session_->ServerCacheIdFor(local_channel_));
+      return CheckStale(session_->Invoke(op, PageOutRequest{handle_, cache_id,
                                                            offset,
                                                            Buffer(data)}))
           .status();
@@ -152,12 +152,12 @@ class RemotePagerObject : public FsPagerObject, public Servant {
   template <class M>
   Result<M> CheckStale(Result<M> reply) {
     if (reply.code() == ErrorCode::kStale) {
-      client_->InvalidateChannel(local_channel_);
+      session_->InvalidateChannel(local_channel_);
     }
     return reply;
   }
 
-  sp<DfsClient> client_;
+  sp<DfsSession> session_;
   uint64_t handle_;
   uint64_t local_channel_;
 };
@@ -174,9 +174,9 @@ class RemotePagerObject : public FsPagerObject, public Servant {
 // Read.
 class RemoteFile : public File, public Servant {
  public:
-  RemoteFile(sp<Domain> domain, sp<DfsClient> client, std::string path,
+  RemoteFile(sp<Domain> domain, sp<DfsSession> session, std::string path,
              uint64_t handle)
-      : Servant(std::move(domain)), client_(std::move(client)),
+      : Servant(std::move(domain)), session_(std::move(session)),
         path_(std::move(path)), handle_(handle) {}
 
   uint64_t handle() const { return handle_.load(); }
@@ -190,14 +190,14 @@ class RemoteFile : public File, public Servant {
       if (!has_deleg_) {
         return false;
       }
-      if (client_->clock_->Now() < deleg_.expires_at) {
+      if (session_->clock()->Now() < deleg_.expires_at) {
         return true;
       }
       expired = deleg_.id;
       has_deleg_ = false;
       deleg_ = {};
     }
-    client_->ForgetDelegation(expired);
+    session_->ForgetDelegation(expired);
     return false;
   }
 
@@ -257,11 +257,11 @@ class RemoteFile : public File, public Servant {
                                AccessRights) override {
     return InDomain([&]() -> Result<sp<CacheRights>> {
       Result<sp<CacheRights>> rights =
-          client_->BindRemote(handle_.load(), caller);
+          session_->BindRemote(handle_.load(), caller);
       if (!rights.ok() && rights.code() == ErrorCode::kStale) {
-        ASSIGN_OR_RETURN(uint64_t fresh, client_->RebindHandle(path_));
+        ASSIGN_OR_RETURN(uint64_t fresh, session_->RebindHandle(path_));
         handle_.store(fresh);
-        rights = client_->BindRemote(fresh, caller);
+        rights = session_->BindRemote(fresh, caller);
       }
       return rights;
     });
@@ -326,7 +326,7 @@ class RemoteFile : public File, public Servant {
       // again.
       {
         std::lock_guard<std::mutex> lock(deleg_mutex_);
-        if (has_deleg_ && client_->clock_->Now() < deleg_.expires_at) {
+        if (has_deleg_ && session_->clock()->Now() < deleg_.expires_at) {
           deleg_.attrs = body.attrs;
           deleg_.attrs_valid = true;
         }
@@ -372,7 +372,7 @@ class RemoteFile : public File, public Servant {
     {
       std::lock_guard<std::mutex> lock(deleg_mutex_);
       if (has_deleg_) {
-        if (client_->clock_->Now() < deleg_.expires_at) {
+        if (session_->clock()->Now() < deleg_.expires_at) {
           if (deleg_.attrs_valid) {
             out = deleg_.attrs;
           }
@@ -389,11 +389,11 @@ class RemoteFile : public File, public Servant {
       }
     }
     if (expired != 0) {
-      client_->ForgetDelegation(expired);
+      session_->ForgetDelegation(expired);
     }
     if (out) {
-      client_->Bump(one_shot ? &DfsClient::Stats::cto_serves
-                             : &DfsClient::Stats::local_attr_serves);
+      session_->Bump(one_shot ? &DfsSession::Stats::cto_serves
+                             : &DfsSession::Stats::local_attr_serves);
     }
     return out;
   }
@@ -406,7 +406,7 @@ class RemoteFile : public File, public Servant {
     {
       std::lock_guard<std::mutex> lock(deleg_mutex_);
       if (has_deleg_) {
-        if (client_->clock_->Now() < deleg_.expires_at) {
+        if (session_->clock()->Now() < deleg_.expires_at) {
           if (deleg_.prefetch_valid &&
               offset + out.size() <= deleg_.prefetch.size()) {
             served = deleg_.prefetch.ReadAt(offset, out);
@@ -425,11 +425,11 @@ class RemoteFile : public File, public Servant {
       }
     }
     if (expired != 0) {
-      client_->ForgetDelegation(expired);
+      session_->ForgetDelegation(expired);
     }
     if (served) {
-      client_->Bump(one_shot ? &DfsClient::Stats::cto_serves
-                             : &DfsClient::Stats::local_read_serves);
+      session_->Bump(one_shot ? &DfsSession::Stats::cto_serves
+                             : &DfsSession::Stats::local_read_serves);
     }
     return served;
   }
@@ -449,10 +449,10 @@ class RemoteFile : public File, public Servant {
   // re-resolved by path once if the server forgot it.
   template <class Resp = Empty, class Req>
   Result<Resp> CallFile(Op op, Req req) {
-    return client_->InvokeByPath<Resp>(op, path_, handle_, std::move(req));
+    return session_->InvokeByPath<Resp>(op, path_, handle_, std::move(req));
   }
 
-  sp<DfsClient> client_;
+  sp<DfsSession> session_;
   std::string path_;
   std::atomic<uint64_t> handle_;
 
@@ -466,24 +466,24 @@ class RemoteFile : public File, public Servant {
   Buffer cto_prefetch_;
 };
 
-sp<DfsClient> DfsClient::Connect(const sp<net::Node>& node,
-                                 net::Network* network,
-                                 const std::string& server_node,
-                                 const std::string& service, Clock* clock,
-                                 const DfsClientOptions& options) {
+sp<DfsSession> DfsSession::Connect(const sp<net::Node>& node,
+                                   net::Network* network,
+                                   const std::string& server_node,
+                                   const std::string& service, Clock* clock,
+                                   const DfsClientOptions& options) {
   net::SetFrameTypeNamer(&OpNamer);
-  sp<DfsClient> client(
-      new DfsClient(node, network, server_node, service, clock, options));
-  wp<DfsClient> weak = client;
-  node->RegisterService(client->callback_service_,
+  sp<DfsSession> session(
+      new DfsSession(node, network, server_node, service, clock, options));
+  wp<DfsSession> weak = session;
+  node->RegisterService(session->callback_service_,
                         [weak](const net::Frame& request) {
-                          sp<DfsClient> strong = weak.lock();
+                          sp<DfsSession> strong = weak.lock();
                           if (!strong) {
                             return net::Frame::Error(ErrorCode::kDeadObject);
                           }
                           return strong->HandleCallback(request);
                         });
-  return client;
+  return session;
 }
 
 Result<sp<DfsClient>> DfsClient::Mount(const sp<net::Node>& node,
@@ -492,20 +492,23 @@ Result<sp<DfsClient>> DfsClient::Mount(const sp<net::Node>& node,
                                        const std::string& service,
                                        Clock* clock,
                                        const DfsClientOptions& options) {
-  sp<DfsClient> client =
-      Connect(node, network, server_node, service, clock, options);
+  sp<DfsSession> session =
+      DfsSession::Connect(node, network, server_node, service, clock, options);
   // Probe the server (also validates the mount point); only the verdict
   // matters, not the listing.
   ASSIGN_OR_RETURN(net::Frame probe,
-                   client->Call(RequestFrame(Op::kReadDir, PathRequest{""})));
+                   session->Call(RequestFrame(Op::kReadDir, PathRequest{""})));
   RETURN_IF_ERROR(probe.ToStatus());
-  return client;
+  return sp<DfsClient>(new DfsClient(std::move(session)));
 }
 
-DfsClient::DfsClient(const sp<net::Node>& node, net::Network* network,
-                     std::string server_node, std::string service,
-                     Clock* clock, const DfsClientOptions& options)
-    : Servant(node->domain()), node_(node),
+DfsClient::DfsClient(sp<DfsSession> session)
+    : Servant(session->domain()), session_(std::move(session)) {}
+
+DfsSession::DfsSession(const sp<net::Node>& node, net::Network* network,
+                       std::string server_node, std::string service,
+                       Clock* clock, const DfsClientOptions& options)
+    : Servant(node->domain()), node_(node), network_(network),
       server_node_(std::move(server_node)), service_(std::move(service)),
       callback_service_(UniqueCallbackService()), clock_(clock),
       options_(options),
@@ -514,17 +517,22 @@ DfsClient::DfsClient(const sp<net::Node>& node, net::Network* network,
   metrics::Registry::Global().RegisterProvider(this);
 }
 
-DfsClient::~DfsClient() {
+DfsSession::~DfsSession() {
   metrics::Registry::Global().UnregisterProvider(this);
   node_->UnregisterService(callback_service_);
 }
 
-void DfsClient::Bump(uint64_t Stats::*field) {
+void DfsSession::Bump(uint64_t Stats::*field) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++(stats_.*field);
 }
 
-Result<net::Frame> DfsClient::Call(net::Frame request, RetryState* retry) {
+uint64_t DfsSession::server_restarts() const {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  return stats_.server_restarts;
+}
+
+Result<net::Frame> DfsSession::Call(net::Frame request, RetryState* retry) {
   trace::ScopedSpan span("dfs.call");
   RetryState local;
   if (retry == nullptr) {
@@ -548,12 +556,12 @@ Result<net::Frame> DfsClient::Call(net::Frame request, RetryState* retry) {
     Result<net::Frame> response = channel_->Call(request, retry->attempt);
     ErrorCode code;
     if (response.ok()) {
-      // A kDeadObject *frame* is the dead server's tombstone: the
-      // transport works, the server object is gone. A kTimedOut frame is a
-      // live server refusing transiently (post-boot grace period, blocked
-      // acquire) — worth the same backoff-and-retry as a transport
-      // timeout, and safe because the server does not execute or dedup
-      // such ops. Anything else is a final response.
+      // A kDeadObject *frame* is the answer of a server that is gone: the
+      // transport works, the server object is not there. A kTimedOut
+      // frame is a live server refusing transiently (post-boot grace
+      // period, blocked acquire) — worth the same backoff-and-retry as a
+      // transport timeout, and safe because the server does not execute
+      // or dedup such ops. Anything else is a final response.
       ErrorCode frame_code = response.value().ToStatus().code();
       if (frame_code != ErrorCode::kDeadObject) {
         NoteServerEpoch(response.value().epoch);
@@ -617,8 +625,9 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
     if (chunk_bytes == 0) {
       chunk_bytes = kPageSize;
     }
-    ASSIGN_OR_RETURN(LookupResponse looked,
-                     Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
+    ASSIGN_OR_RETURN(
+        LookupResponse looked,
+        session_->Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
     uint64_t handle = looked.handle;
     Buffer out;
     // Submit every chunk; the channel caps the in-flight window at
@@ -630,17 +639,17 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
     std::vector<Chunk> inflight;
     for (Offset at = offset; at < offset + size; at += chunk_bytes) {
       uint64_t want = std::min<Offset>(chunk_bytes, offset + size - at);
-      Bump(&Stats::calls_sent);
-      inflight.push_back({channel_->Submit(RequestFrame(
+      session_->Bump(&DfsSession::Stats::calls_sent);
+      inflight.push_back({session_->channel()->Submit(RequestFrame(
                               Op::kRead, ReadRequest{handle, at, want})),
                           want});
     }
     Status failure = Status::Ok();
     bool contiguous = true;
     for (const Chunk& chunk : inflight) {
-      Result<net::Completion> done = channel_->Wait(chunk.tag);
+      Result<net::Completion> done = session_->channel()->Wait(chunk.tag);
       if (done.ok() && done->status.ok()) {
-        NoteServerEpoch(done->response.epoch);
+        session_->NoteServerEpoch(done->response.epoch);
       }
       Result<ReadResponse> body =
           done.ok() ? Reply<ReadResponse>(*done)
@@ -667,7 +676,7 @@ Result<Buffer> DfsClient::ReadPipelined(const std::string& path, Offset offset,
   });
 }
 
-void DfsClient::NoteServerEpoch(uint64_t epoch) {
+void DfsSession::NoteServerEpoch(uint64_t epoch) {
   if (epoch == 0) {
     return;  // not minted by a DfsServer::Handle (e.g. a transport error)
   }
@@ -692,9 +701,9 @@ void DfsClient::NoteServerEpoch(uint64_t epoch) {
   InvalidateCaches();
 }
 
-void DfsClient::InvalidateCaches() {
+void DfsSession::InvalidateCaches() {
   std::vector<PagerChannelTable::Channel> stale;
-  // Delegations died with the server (or the eviction that tombstoned it):
+  // Delegations died with the server (or the eviction that fenced us):
   // the new incumbent never heard of them. Drop them locally.
   std::vector<sp<RemoteFile>> holders;
   {
@@ -735,7 +744,7 @@ void DfsClient::InvalidateCaches() {
   }
 }
 
-void DfsClient::InvalidateChannel(uint64_t local_channel) {
+void DfsSession::InvalidateChannel(uint64_t local_channel) {
   Result<PagerChannelTable::Channel> channel =
       channels_.GetChannel(local_channel);
   {
@@ -753,12 +762,12 @@ void DfsClient::InvalidateChannel(uint64_t local_channel) {
   ++stats_.channels_invalidated;
 }
 
-void DfsClient::ForgetDelegation(uint64_t deleg_id) {
+void DfsSession::ForgetDelegation(uint64_t deleg_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   delegations_by_id_.erase(deleg_id);
 }
 
-Result<uint64_t> DfsClient::RebindHandle(const std::string& path) {
+Result<uint64_t> DfsSession::RebindHandle(const std::string& path) {
   ASSIGN_OR_RETURN(LookupResponse looked,
                    Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
   if (looked.is_dir) {
@@ -771,7 +780,7 @@ Result<uint64_t> DfsClient::RebindHandle(const std::string& path) {
   return looked.handle;
 }
 
-net::Frame DfsClient::HandleCallback(const net::Frame& request) {
+net::Frame DfsSession::HandleCallback(const net::Frame& request) {
   trace::ScopedSpan span("dfs.client_callback");
   Bump(&Stats::callbacks_received);
   // Failures answer with the error code alone (no message payload).
@@ -837,7 +846,7 @@ net::Frame DfsClient::HandleCallback(const net::Frame& request) {
   }
 }
 
-Result<sp<CacheRights>> DfsClient::BindRemote(uint64_t handle,
+Result<sp<CacheRights>> DfsSession::BindRemote(uint64_t handle,
                                               const sp<CacheManager>& manager,
                                               uint64_t* local_channel_out) {
   uint64_t pager_key;
@@ -849,24 +858,22 @@ Result<sp<CacheRights>> DfsClient::BindRemote(uint64_t handle,
     }
     pager_key = it->second;
   }
-  sp<DfsClient> self = std::dynamic_pointer_cast<DfsClient>(shared_from_this());
+  sp<DfsSession> self =
+      std::dynamic_pointer_cast<DfsSession>(shared_from_this());
+  uint64_t local_channel = 0;
   ASSIGN_OR_RETURN(
       sp<CacheRights> rights,
-      channels_.Bind(handle, pager_key, manager,
-                     [&](uint64_t local_id) -> sp<PagerObject> {
-                       return std::make_shared<RemotePagerObject>(
-                           domain(), self, handle, local_id);
-                     }));
+      channels_.Bind(
+          handle, pager_key, manager,
+          [&](uint64_t local_id) -> sp<PagerObject> {
+            return std::make_shared<RemotePagerObject>(domain(), self, handle,
+                                                       local_id);
+          },
+          &local_channel));
   // Register the channel's cache with the server (once per channel).
-  uint64_t local_channel = 0;
-  bool is_fs_cache = false;
-  for (const auto& ch : channels_.ChannelsForFile(handle)) {
-    if (ch.manager == manager) {
-      local_channel = ch.local_id;
-      is_fs_cache = ch.fs_cache != nullptr;
-      break;
-    }
-  }
+  Result<PagerChannelTable::Channel> channel =
+      channels_.GetChannel(local_channel);
+  bool is_fs_cache = channel.ok() && channel->fs_cache != nullptr;
   if (local_channel_out != nullptr) {
     *local_channel_out = local_channel;
   }
@@ -893,7 +900,7 @@ Result<sp<CacheRights>> DfsClient::BindRemote(uint64_t handle,
   return rights;
 }
 
-Result<uint64_t> DfsClient::ServerCacheIdFor(uint64_t local_channel) {
+Result<uint64_t> DfsSession::ServerCacheIdFor(uint64_t local_channel) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = server_cache_ids_.find(local_channel);
   if (it == server_cache_ids_.end()) {
@@ -902,7 +909,7 @@ Result<uint64_t> DfsClient::ServerCacheIdFor(uint64_t local_channel) {
   return it->second;
 }
 
-void DfsClient::DropChannel(uint64_t local_channel) {
+void DfsSession::DropChannel(uint64_t local_channel) {
   uint64_t server_cache_id = 0;
   uint64_t handle = 0;
   {
@@ -919,18 +926,39 @@ void DfsClient::DropChannel(uint64_t local_channel) {
     handle = channel->file_id;
   }
   channels_.RemoveChannel(local_channel);
-  if (server_cache_id != 0) {
-    (void)Invoke(Op::kUnbindCache, UnbindCacheRequest{handle, server_cache_id});
+  // Best effort: one call, no retry or backoff. A server this session saw
+  // restart or die minted no id still held here; a node the network let
+  // go has nothing left to call with.
+  if (server_cache_id != 0 && node_->on_network()) {
+    (void)network_->Call(
+        node_->name(), server_node_, service_,
+        RequestFrame(Op::kUnbindCache,
+                     UnbindCacheRequest{handle, server_cache_id}));
   }
 }
 
+bool DfsSession::AdoptDelegation(uint64_t deleg_id,
+                                 const sp<RemoteFile>& holder) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto hit = std::find(unknown_recall_ids_.begin(), unknown_recall_ids_.end(),
+                       deleg_id);
+  if (hit != unknown_recall_ids_.end()) {
+    // The recall overtook the grant: this delegation is already dead.
+    unknown_recall_ids_.erase(hit);
+    return false;
+  }
+  delegations_by_id_[deleg_id] = holder;
+  return true;
+}
+
 Result<sp<Object>> DfsClient::ObjectForPath(const Name& name) {
-  if (options_.compound) {
+  if (session_->options().compound) {
     return ObjectForPathCompound(name);
   }
   std::string path = name.ToString();
-  ASSIGN_OR_RETURN(LookupResponse looked,
-                   Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
+  ASSIGN_OR_RETURN(
+      LookupResponse looked,
+      session_->Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
   if (looked.is_dir) {
     return sp<Object>(SubContext<DfsClient>::Of(this, name));
   }
@@ -943,9 +971,7 @@ sp<RemoteFile> DfsClient::FileFor(const std::string& path, uint64_t handle) {
   if (file) {
     file->UpdateHandle(handle);
   } else {
-    file = std::make_shared<RemoteFile>(
-        domain(), std::dynamic_pointer_cast<DfsClient>(shared_from_this()),
-        path, handle);
+    file = std::make_shared<RemoteFile>(domain(), session_, path, handle);
   }
   return file;
 }
@@ -962,17 +988,17 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
     }
   }
   if (cached && cached->HasValidDelegation()) {
-    Bump(&Stats::local_opens);
+    session_->Bump(&DfsSession::Stats::local_opens);
     return sp<Object>(cached);
   }
   // One frame: lookup -> open (maybe asking for a delegation) -> getattr
   // -> first-page read. The ops after the lookup use the current-handle
   // register (handle 0), so the program needs no round trip in between.
   OpenRequest open_req;
-  if (options_.delegations) {
+  if (session_->options().delegations) {
     open_req.want_delegation = DelegationKind::kRead;
-    open_req.node = node_->name();
-    open_req.service = callback_service_;
+    open_req.node = session_->node()->name();
+    open_req.service = session_->callback_service();
   }
   CompoundRequest program{{
       {static_cast<uint32_t>(Op::kLookup), Encode(PathRequest{path})},
@@ -981,9 +1007,10 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
       {static_cast<uint32_t>(Op::kRead),
        Encode(ReadRequest{.length = kPageSize})},
   }};
-  Bump(&Stats::compound_opens);
-  ASSIGN_OR_RETURN(CompoundResponse results,
-                   Invoke<CompoundResponse>(Op::kCompound, program));
+  session_->Bump(&DfsSession::Stats::compound_opens);
+  ASSIGN_OR_RETURN(
+      CompoundResponse results,
+      session_->Invoke<CompoundResponse>(Op::kCompound, program));
   // Sub-op 0, the lookup, gates the whole resolve; the later ops are
   // opportunistic (a failure there just means no prefetch/delegation —
   // e.g. kOpen fails with kStale handle 0 when the path is a directory).
@@ -997,30 +1024,16 @@ Result<sp<Object>> DfsClient::ObjectForPathCompound(const Name& name) {
   Result<GetAttrResponse> attrs = SubResult<GetAttrResponse>(results, 2);
   Result<ReadResponse> first_page = SubResult<ReadResponse>(results, 3);
   if (open.ok() && open->deleg_id != 0) {
-    bool revoked = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto hit = std::find(unknown_recall_ids_.begin(),
-                           unknown_recall_ids_.end(), open->deleg_id);
-      if (hit != unknown_recall_ids_.end()) {
-        // The recall overtook the grant: this delegation is already dead.
-        unknown_recall_ids_.erase(hit);
-        revoked = true;
-      } else {
-        delegations_by_id_[open->deleg_id] = file;
-      }
-    }
-    if (revoked) {
-      Bump(&Stats::deleg_grant_races);
-      flight::Record(flight::Severity::kWarn, "dfs", "grant raced by recall",
-                     open->deleg_id);
-    } else {
+    if (session_->AdoptDelegation(open->deleg_id, file)) {
       file->InstallDelegation(*open, attrs, first_page);
-      Bump(&Stats::delegations_held);
+      session_->Bump(&DfsSession::Stats::delegations_held);
       return sp<Object>(file);
     }
+    session_->Bump(&DfsSession::Stats::deleg_grant_races);
+    flight::Record(flight::Severity::kWarn, "dfs", "grant raced by recall",
+                   open->deleg_id);
   }
-  if (!options_.delegations) {
+  if (!session_->options().delegations) {
     // Close-to-open: the attr+data piggybacked on the open serve exactly
     // one Stat and one covered Read, then expire.
     file->InstallPrefetch(attrs, first_page);
@@ -1051,7 +1064,7 @@ Status DfsClient::Bind(const Name& name, sp<Object> object,
 Status DfsClient::Unbind(const Name& name, const Credentials& creds) {
   (void)creds;
   return InDomain([&]() -> Status {
-    return Invoke(Op::kRemove, PathRequest{name.ToString()}).status();
+    return session_->Invoke(Op::kRemove, PathRequest{name.ToString()}).status();
   });
 }
 
@@ -1060,8 +1073,8 @@ Result<std::vector<BindingInfo>> DfsClient::ListAt(const Name& dir,
   (void)creds;
   return InDomain([&]() -> Result<std::vector<BindingInfo>> {
     ASSIGN_OR_RETURN(ReadDirResponse body,
-                     Invoke<ReadDirResponse>(Op::kReadDir,
-                                             PathRequest{dir.ToString()}));
+                     session_->Invoke<ReadDirResponse>(
+                         Op::kReadDir, PathRequest{dir.ToString()}));
     std::vector<BindingInfo> entries;
     entries.reserve(body.entries.size());
     for (const ReadDirResponse::Entry& entry : body.entries) {
@@ -1083,7 +1096,7 @@ Result<sp<Context>> DfsClient::CreateContext(const Name& name,
   (void)creds;
   return InDomain([&]() -> Result<sp<Context>> {
     RETURN_IF_ERROR(
-        Invoke(Op::kMkdir, PathRequest{name.ToString()}).status());
+        session_->Invoke(Op::kMkdir, PathRequest{name.ToString()}).status());
     return SubContext<DfsClient>::Of(this, name);
   });
 }
@@ -1093,15 +1106,16 @@ Result<sp<File>> DfsClient::CreateFile(const Name& name,
   (void)creds;
   return InDomain([&]() -> Result<sp<File>> {
     ASSIGN_OR_RETURN(CreateResponse created,
-                     Invoke<CreateResponse>(Op::kCreate,
-                                            PathRequest{name.ToString()}));
+                     session_->Invoke<CreateResponse>(
+                         Op::kCreate, PathRequest{name.ToString()}));
     return sp<File>(FileFor(name.ToString(), created.handle));
   });
 }
 
 Result<FsInfo> DfsClient::GetFsInfo() {
   FsInfo info;
-  info.type = "dfs-client(" + server_node_ + "/" + service_ + ")";
+  info.type = "dfs-client(" + session_->server_node() + "/" +
+              session_->service() + ")";
   info.stack_depth = 1;
   return info;
 }
@@ -1121,7 +1135,7 @@ Status DfsClient::SyncFs() {
   return Status::Ok();
 }
 
-void DfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
+void DfsSession::CollectStats(const metrics::StatsEmitter& emit) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   emit("calls_sent", stats_.calls_sent);
   emit("callbacks_received", stats_.callbacks_received);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
@@ -125,11 +126,13 @@ class RemoteCacheProxy : public CacheObject {
 }  // namespace
 
 // The server's cache object toward the layer below: callbacks propagate to
-// the remote clients (no local data cache to maintain).
+// the remote clients (no local data cache to maintain). The file owns it
+// (through its channel below) and the server owns the file, so it refers
+// to both weakly: a callback that finds either gone has nothing to recall.
 class DfsLowerCacheObject : public FsCacheObject, public Servant {
  public:
-  DfsLowerCacheObject(sp<Domain> domain, sp<DfsServer> server,
-                      sp<DfsServer::ServerFile> file)
+  DfsLowerCacheObject(sp<Domain> domain, wp<DfsServer> server,
+                      wp<DfsServer::ServerFile> file)
       : Servant(std::move(domain)), server_(std::move(server)),
         file_(std::move(file)) {}
 
@@ -153,18 +156,27 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
   }
   Status DestroyCache() override {
     return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(file_->mutex);
-      file_->bound_below = false;
-      file_->lower_pager = nullptr;
-      file_->lower_fs_pager = nullptr;
+      sp<DfsServer::ServerFile> file = file_.lock();
+      if (!file) {
+        return Status::Ok();
+      }
+      std::lock_guard<std::mutex> lock(file->mutex);
+      file->bound_below = false;
+      file->lower_pager = nullptr;
+      file->lower_fs_pager = nullptr;
       return Status::Ok();
     });
   }
 
   Status InvalidateAttributes() override {
     return InDomain([&]() -> Status {
-      std::lock_guard<std::mutex> lock(file_->mutex);
-      return server_->BroadcastAttrInvalidate(*file_);
+      sp<DfsServer> server = server_.lock();
+      sp<DfsServer::ServerFile> file = file_.lock();
+      if (!server || !file) {
+        return Status::Ok();
+      }
+      std::lock_guard<std::mutex> lock(file->mutex);
+      return server->BroadcastAttrInvalidate(*file);
     });
   }
   Result<AttrUpdate> RecallAttributes() override { return AttrUpdate{}; }
@@ -172,9 +184,14 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
  private:
   Result<std::vector<BlockData>> Recall(Range range, AccessRights access) {
     return InDomain([&]() -> Result<std::vector<BlockData>> {
+      sp<DfsServer> server = server_.lock();
+      sp<DfsServer::ServerFile> file = file_.lock();
+      if (!server || !file) {
+        return std::vector<BlockData>{};
+      }
       trace::ScopedSpan span("dfs.lower_recall");
-      server_->Bump(&DfsServer::Stats::lower_flushes);
-      std::lock_guard<std::mutex> lock(file_->mutex);
+      server->Bump(&DfsServer::Stats::lower_flushes);
+      std::lock_guard<std::mutex> lock(file->mutex);
       // A local writer recalls delegations too: it must not race a remote
       // holder's zero-round-trip serves. The dirty data recovered from
       // remote caches IS the modified data the layer below is asking for,
@@ -186,29 +203,28 @@ class DfsLowerCacheObject : public FsCacheObject, public Servant {
       // server being unreachable, and the layer below would evict its
       // claim and grant the write while remote mappers keep their pages.
       if (access == AccessRights::kReadWrite) {
-        Status delegs = server_->RecallRound(*file_, 0, Range{}, access).status;
+        Status delegs = server->RecallRound(*file, 0, Range{}, access).status;
         if (!delegs.ok()) {
           return ErrBusy("delegation recall: " + delegs.ToString());
         }
       }
       CoherencyEngine::Recovered recovered =
-          server_->RecallRound(*file_, 0, range, access);
+          server->RecallRound(*file, 0, range, access);
       RETURN_IF_ERROR(recovered.status);
       return std::move(recovered.blocks);
     });
   }
 
-  sp<DfsServer> server_;
-  sp<DfsServer::ServerFile> file_;
+  wp<DfsServer> server_;
+  wp<DfsServer::ServerFile> file_;
 };
 
 // The local view of an exported file (Figure 7): binds are forwarded to the
 // underlying file, data/attr operations delegate directly.
 class DfsLocalFile : public File, public Servant {
  public:
-  DfsLocalFile(sp<Domain> domain, sp<DfsServer> server, sp<File> under)
-      : Servant(std::move(domain)), server_(std::move(server)),
-        under_(std::move(under)) {}
+  DfsLocalFile(sp<Domain> domain, sp<File> under)
+      : Servant(std::move(domain)), under_(std::move(under)) {}
 
   const sp<File>& under() const { return under_; }
 
@@ -236,7 +252,6 @@ class DfsLocalFile : public File, public Servant {
   Status SyncFile() override { return under_->SyncFile(); }
 
  private:
-  sp<DfsServer> server_;
   sp<File> under_;
 };
 
@@ -285,13 +300,9 @@ DfsServer::DfsServer(const sp<net::Node>& node, net::Network* network,
 }
 
 DfsServer::~DfsServer() {
+  // The service stays registered: its handler holds the server weakly and
+  // answers kDeadObject from now on (unless a successor replaced it).
   metrics::Registry::Global().UnregisterProvider(this);
-  // Leave a tombstone rather than unregistering: clients that still hold
-  // the mount get a definite kDeadObject (the object died) instead of
-  // kNotFound (no such service), and never hang on a dead server.
-  node_->RegisterService(service_, [](const net::Frame&) {
-    return net::Frame::Error(ErrorCode::kDeadObject);
-  });
 }
 
 std::vector<Result<net::Frame>> DfsServer::SendCallbacks(
@@ -367,15 +378,17 @@ Status DfsServer::EnsureBoundBelow(const sp<ServerFile>& file) {
       return Status::Ok();
     }
   }
-  sp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
+  wp<DfsServer> self = std::dynamic_pointer_cast<DfsServer>(shared_from_this());
   ASSIGN_OR_RETURN(
-      sp<PagerObject> pager,
+      sp<OneChannelManager> below,
       BindBelow(*file->under,
                 std::make_shared<DfsLowerCacheObject>(domain(), self, file),
                 file->handle, "dfs-server"));
+  sp<OneChannelManager> old;  // closes out of the file's lock
   std::lock_guard<std::mutex> lock(file->mutex);
-  file->lower_fs_pager = narrow<FsPagerObject>(pager);
-  file->lower_pager = std::move(pager);
+  file->lower_pager = below->pager();
+  file->lower_fs_pager = narrow<FsPagerObject>(file->lower_pager);
+  old = std::exchange(file->below, std::move(below));
   file->bound_below = true;
   return Status::Ok();
 }
@@ -1054,10 +1067,7 @@ Result<sp<Object>> DfsServer::Resolve(const Name& name,
     }
     ASSIGN_OR_RETURN(sp<Object> object, under_->Resolve(name, creds));
     if (sp<File> under_file = narrow<File>(object)) {
-      sp<DfsServer> self =
-          std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-      return sp<Object>(std::make_shared<DfsLocalFile>(domain(), self,
-                                                       under_file));
+      return sp<Object>(std::make_shared<DfsLocalFile>(domain(), under_file));
     }
     return object;  // directories: the underlying context is fine locally
   });
@@ -1100,10 +1110,7 @@ Result<sp<File>> DfsServer::CreateFile(const Name& name,
                                        const Credentials& creds) {
   return InDomain([&]() -> Result<sp<File>> {
     ASSIGN_OR_RETURN(sp<File> under_file, under_->CreateFile(name, creds));
-    sp<DfsServer> self =
-        std::dynamic_pointer_cast<DfsServer>(shared_from_this());
-    return sp<File>(std::make_shared<DfsLocalFile>(domain(), self,
-                                                   under_file));
+    return sp<File>(std::make_shared<DfsLocalFile>(domain(), under_file));
   });
 }
 

@@ -203,8 +203,13 @@ class DfsServer : public StackableFs,
     std::string path;
     sp<File> under;
     bool bound_below = false;
-    sp<PagerObject> lower_pager;
-    sp<FsPagerObject> lower_fs_pager;
+    // Our end of the channel to the layer below: owned here, so it closes
+    // (and the layer below forgets our cache object) when the file goes
+    // with the server. A DestroyCache from below unbinds the file but
+    // leaves it until the next bind replaces it.
+    sp<OneChannelManager> below;
+    sp<PagerObject> lower_pager;       // below's pager, while bound
+    sp<FsPagerObject> lower_fs_pager;  // narrow of the above; may be null
     // The remote page caches, each a RemoteCacheProxy registered under a
     // cache id that is never reused.
     CoherencyEngine engine;

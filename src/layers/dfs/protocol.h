@@ -77,7 +77,8 @@ enum class Op : uint32_t {
                        // rebuilt — bumps the map version, and answers with
                        // the fresh map. Marking is convergent (an
                        // already-stale target is a no-op) and the server
-                       // refuses to mark the last fresh replica set.
+                       // refuses a mark that leaves a stripe with no
+                       // fresh replica.
 
   // telemetry (any client -> any server); requests carry an empty body.
   kGetStats = 70,   // -> GetStatsResponse. Scrapes the server process's

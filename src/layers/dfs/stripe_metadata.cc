@@ -172,15 +172,24 @@ Result<StripeMetadata::State> StripeMetadata::MarkStale(
     if (s.version > seen_version || s.stale[t]) {
       return false;
     }
-    if (std::count(s.stale.begin(), s.stale.end(), false) <= 1) {
-      // Refusing to mark the last fresh target: a file cannot be served
-      // from zero fresh replicas, so the final copy stays authoritative
-      // even if a client could not reach it.
-      flight::Record(flight::Severity::kWarn, "dfs_stripe",
-                     "refused to mark last fresh target", t, s.version);
-      return false;
-    }
+    // Refuse a mark that would leave some stripe with no fresh replica:
+    // a stripe cannot be served from zero fresh copies, so its last copy
+    // stays authoritative even if a client could not reach it.
+    size_t width = s.stale.size();
     s.stale[t] = true;
+    for (size_t p = 0; p < width; ++p) {
+      bool fresh = false;
+      for (size_t r = 0; r < replicas_ && !fresh; ++r) {
+        fresh = !s.stale[ReplicaTarget(p, r, width)];
+      }
+      if (!fresh) {
+        s.stale[t] = false;
+        flight::Record(flight::Severity::kWarn, "dfs_stripe",
+                       "refused to mark a stripe's last fresh replica", t,
+                       s.version);
+        return false;
+      }
+    }
     return marked = true;
   };
   ASSIGN_OR_RETURN(State state, Update(path, mark));
@@ -292,8 +301,9 @@ Result<StripeMapResponse> StripeMetadata::ReportStale(
     // bumped the version past the reporter's) — re-marking would wrongly
     // evict the just-rebuilt replica. The stale reporter instead gets the
     // fresh map below and re-plans its writes against it, reaching the
-    // revived target directly. (MarkStale still refuses to strand the last
-    // fresh copy.) A mark that is not durable fails the report.
+    // revived target directly. (MarkStale still refuses to strand a
+    // stripe's last fresh copy.) A mark that is not durable fails the
+    // report.
     RETURN_IF_ERROR(MarkStale(path, req.target, req.map_version).status());
   }
   return BuildMap(path, file);

@@ -85,8 +85,9 @@ class StripeMetadata {
   // once that succeeded. Returns the state now served.
   Result<State> Update(const std::string& path,
                        const std::function<bool(State&)>& change);
-  // Marks target `t` stale unless it already is, it is the last fresh
-  // target, or the file's version is newer than `seen_version`.
+  // Marks target `t` stale unless it already is, the mark would leave some
+  // stripe with no fresh replica, or the file's version is newer than
+  // `seen_version`.
   Result<State> MarkStale(const std::string& path, size_t t,
                           uint64_t seen_version);
 

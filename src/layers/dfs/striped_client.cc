@@ -91,6 +91,85 @@ uint64_t LocalLengthFor(size_t target, uint64_t length, uint64_t stripe_size,
   return (s_own / width) * stripe_size + (stripe_end - s_own * stripe_size);
 }
 
+// ---- the striped session ----------------------------------------------------
+
+// What a striped mount's files share: the metadata mount's session, one
+// plain session per data server, the serialization of data-path fan-outs
+// and the counters. The files own it; it owns no file, and its data
+// mounts' channel tables refer to the files' lane caches without owning
+// them.
+class StripedSession : public metrics::StatsProvider {
+ public:
+  StripedSession(const sp<net::Node>& node, net::Network* network,
+                 Clock* clock, const StripedDfsClientOptions& options,
+                 sp<DfsSession> meta)
+      : node_(node), network_(network), clock_(clock), options_(options),
+        meta_(std::move(meta)) {
+    metrics::Registry::Global().RegisterProvider(this);
+  }
+  ~StripedSession() override {
+    metrics::Registry::Global().UnregisterProvider(this);
+  }
+  StripedSession(const StripedSession&) = delete;
+  StripedSession& operator=(const StripedSession&) = delete;
+
+  // --- StatsProvider ---
+  std::string stats_prefix() const override { return "layer/striped_client"; }
+  void CollectStats(const metrics::StatsEmitter& emit) const override;
+
+  struct Stats {
+    uint64_t map_fetches = 0;      // kGetStripeMap round trips
+    uint64_t stripe_reads = 0;     // logical read fan-outs
+    uint64_t stripe_writes = 0;    // logical write fan-outs
+    uint64_t stripe_extents = 0;   // data-path submissions (all ops)
+    uint64_t stripe_rebinds = 0;   // per-stripe recoveries after kStale /
+                                   // epoch bump (a refetched map's fresh
+                                   // handle, or a cache rebind)
+    uint64_t data_retries = 0;     // extent re-submissions
+    uint64_t retries_exhausted = 0;
+    uint64_t recalls_received = 0;  // data-server coherency callbacks
+    uint64_t zero_fills = 0;        // sparse stripe holes served as zeros
+    uint64_t replica_failovers = 0;  // reads served by a non-primary replica
+    uint64_t degraded_writes = 0;    // write extents completed on fewer
+                                     // than R replicas (stale ones skipped)
+    uint64_t stale_reports = 0;      // kReportStaleReplica frames sent
+    uint64_t maps_fenced = 0;        // refreshed maps older than the one
+                                     // held (version fence)
+    uint64_t retarget_fresh_ids = 0;  // dedup ids re-minted because an
+                                      // extent moved to a different replica
+  };
+
+  void Bump(uint64_t Stats::*field) {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++(stats_.*field);
+  }
+
+  // The plain mount of data server `target`, shared by every file
+  // (connected on first use, without Mount's probe, over
+  // options_.data_channel).
+  sp<DfsSession> DataMount(const StripeMapResponse::Target& target);
+
+  const sp<net::Node> node_;
+  net::Network* const network_;
+  Clock* const clock_;
+  const StripedDfsClientOptions options_;
+  const sp<DfsSession> meta_;
+
+  // Serializes data-path fan-outs: the data mounts' channels are drained
+  // with net::WaitAnyOf, so two concurrent fan-outs on a shared channel
+  // would steal each other's completions. The parallelism that matters —
+  // the overlapping round trips ACROSS data servers inside one fan-out —
+  // is unaffected.
+  std::mutex data_io_mutex_;
+
+  mutable std::mutex mutex_;
+  // By (node, service).
+  std::map<std::pair<std::string, std::string>, sp<DfsSession>> data_mounts_;
+
+  mutable std::mutex stats_mutex_;
+  Stats stats_;
+};
+
 // ---- the striped remote file ----------------------------------------------
 
 // A logical file whose pages live RAID-0 across N data servers. Reads and
@@ -99,10 +178,10 @@ uint64_t LocalLengthFor(size_t target, uint64_t length, uint64_t stripe_size,
 // map refreshes after a per-stripe failure.
 class StripedRemoteFile : public File, public Servant {
  public:
-  StripedRemoteFile(sp<Domain> domain, sp<StripedDfsClient> client,
+  StripedRemoteFile(sp<Domain> domain, sp<StripedSession> session,
                     std::string path, uint64_t meta_handle,
                     StripeMapResponse map)
-      : Servant(std::move(domain)), client_(std::move(client)),
+      : Servant(std::move(domain)), session_(std::move(session)),
         path_(std::move(path)), meta_handle_(meta_handle),
         map_(std::move(map)), logical_length_(map_.length) {
     map_.replicas = std::max<uint32_t>(map_.replicas, 1);
@@ -116,8 +195,6 @@ class StripedRemoteFile : public File, public Servant {
       }
     }
   }
-
-  ~StripedRemoteFile() override { DropLocalChannels(); }
 
   const char* interface_name() const override { return "striped_file"; }
 
@@ -166,13 +243,13 @@ class StripedRemoteFile : public File, public Servant {
   Status SyncFile() override;
 
  private:
-  friend class StripedDfsClient;
   friend class StripedPagerObject;
   friend class LaneCache;
 
   // A metadata-path call under this file's metadata handle, with one
-  // handle rebind on kStale or kDeadObject (the metadata server restarted
-  // — or bounced and left its tombstone — and forgot the handle). Because
+  // handle rebind on kStale or kDeadObject (the metadata server restarted,
+  // or died before its successor took the service, and forgot the
+  // handle). Because
   // stripe maps are derived from durable state (content-addressed object
   // names + the persisted staleness sidecar), this rebind is all an MDS
   // failover needs client-side.
@@ -187,7 +264,7 @@ class StripedRemoteFile : public File, public Servant {
   // returned before it began.
   template <class Resp = Empty, class Req>
   Result<Resp> MetaCall(Op op, Req req) {
-    Result<Resp> done = client_->meta_->InvokeByPath<Resp>(
+    Result<Resp> done = session_->meta_->InvokeByPath<Resp>(
         op, path_, meta_handle_, std::move(req), /*rebind_dead=*/true);
     if (op != Op::kGetAttr && op != Op::kGetLength && op != Op::kSyncFile) {
       meta_dirty_.store(true);
@@ -308,7 +385,7 @@ class StripedRemoteFile : public File, public Servant {
   CbRecallResponse RecallLocal(Op op, Range local, size_t target,
                                size_t lane);
 
-  sp<StripedDfsClient> client_;
+  sp<StripedSession> session_;
   std::string path_;
   std::atomic<uint64_t> meta_handle_;
   // Set by MetaCall, cleared by SyncFile's commit of the metadata server.
@@ -325,6 +402,10 @@ class StripedRemoteFile : public File, public Servant {
   std::vector<Binding> bindings_;
   uint64_t pager_key_ = 0;  // minted on first local Bind
   PagerChannelTable local_channels_;
+  // Our end of each lane's channel at its data mount, by binding index:
+  // owned here, so they close with the file. One a failure made stale
+  // stays until EnsureBound replaces it.
+  std::map<size_t, sp<OneChannelManager>> lane_channels_;
 };
 
 // Pager for one local channel of a striped file: faults fan-read across
@@ -371,18 +452,21 @@ class StripedPagerObject : public PagerObject, public Servant {
 // the target's data mount like any cache below, so that server's recalls
 // of the lane, and its restarts, reach the file through the mount. Its
 // pages are the file's local caches' pages.
+// The cache of one (target, lane) object at this client. It binds through
+// the target's data mount like any cache below, so that server's recalls
+// of the lane, and its restarts, reach the file through the mount. Its
+// pages are the file's local caches' pages. The file owns it (through its
+// lane channel), so it refers to the file weakly.
 class LaneCache : public CacheObject {
  public:
-  LaneCache(sp<StripedRemoteFile> file, size_t target, size_t lane)
+  LaneCache(wp<StripedRemoteFile> file, size_t target, size_t lane)
       : file_(std::move(file)), target_(target), lane_(lane) {}
 
   Result<std::vector<BlockData>> FlushBack(Range range) override {
-    return std::move(
-        file_->RecallLocal(Op::kCbFlushBack, range, target_, lane_).blocks);
+    return Recall(Op::kCbFlushBack, range);
   }
   Result<std::vector<BlockData>> DenyWrites(Range range) override {
-    return std::move(
-        file_->RecallLocal(Op::kCbDenyWrites, range, target_, lane_).blocks);
+    return Recall(Op::kCbDenyWrites, range);
   }
   Result<std::vector<BlockData>> WriteBack(Range) override {
     return std::vector<BlockData>{};
@@ -393,7 +477,9 @@ class LaneCache : public CacheObject {
     return Status::Ok();
   }
   Status DestroyCache() override {
-    file_->ForgetBinding(target_, lane_, channel.load());
+    if (sp<StripedRemoteFile> file = file_.lock()) {
+      file->ForgetBinding(target_, lane_, channel.load());
+    }
     return Status::Ok();
   }
 
@@ -401,7 +487,15 @@ class LaneCache : public CacheObject {
   std::atomic<uint64_t> channel{0};
 
  private:
-  sp<StripedRemoteFile> file_;
+  std::vector<BlockData> Recall(Op op, Range range) {
+    sp<StripedRemoteFile> file = file_.lock();
+    if (!file) {
+      return {};
+    }
+    return std::move(file->RecallLocal(op, range, target_, lane_).blocks);
+  }
+
+  wp<StripedRemoteFile> file_;
   size_t target_;
   size_t lane_;
 };
@@ -446,7 +540,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     return Status::Ok();
   }
   trace::ScopedSpan span("dfs.stripe_fanout");
-  std::lock_guard<std::mutex> io_lock(client_->data_io_mutex_);
+  std::lock_guard<std::mutex> io_lock(session_->data_io_mutex_);
   StripeRequestIdTable ids;
   std::vector<bool> done(exts.size(), false);
   // fan_all bookkeeping: the targets that acked each extent, kept across
@@ -493,10 +587,10 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     }
 
     // Each target's data mount, looked up once per round.
-    std::vector<sp<DfsClient>> mounts(width);
-    auto mount_for = [&](size_t t) -> DfsClient& {
+    std::vector<sp<DfsSession>> mounts(width);
+    auto mount_for = [&](size_t t) -> DfsSession& {
       if (!mounts[t]) {
-        mounts[t] = client_->DataMount(snap.targets[t]);
+        mounts[t] = session_->DataMount(snap.targets[t]);
       }
       return *mounts[t];
     };
@@ -568,13 +662,13 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         bool retargeted = false;
         frame.request_id = ids.IdFor(i, t, &retargeted);
         if (retargeted) {
-          client_->Bump(&StripedDfsClient::Stats::retarget_fresh_ids);
+          session_->Bump(&StripedSession::Stats::retarget_fresh_ids);
         }
       }
       subs.push_back(SubRef{i, t, r});
-      fan.Submit(mount_for(t).channel_, frame, subs.size() - 1,
+      fan.Submit(mount_for(t).channel(), frame, subs.size() - 1,
                  retry.attempt);
-      client_->Bump(&StripedDfsClient::Stats::stripe_extents);
+      session_->Bump(&StripedSession::Stats::stripe_extents);
       return true;
     };
 
@@ -616,11 +710,13 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         }
         if (eligible_count == 0) {
           failure = ErrTimedOut("no fresh replica for a stripe extent");
+          map_stale = true;  // a newer map may hold a handle for it
         }
       } else if (!submit_single(i)) {
         if (failure.ok()) {
           failure = ErrTimedOut("no fresh replica for a stripe extent");
         }
+        map_stale = true;
       }
     }
 
@@ -633,7 +729,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       bool ok = false;
       Status st = got.status;
       if (st.ok()) {
-        DfsClient& mount = mount_for(ref.target);
+        DfsSession& mount = mount_for(ref.target);
         mount.NoteServerEpoch(got.response.epoch);
         st = got.response.ToStatus();
         if (StaleCode(st.code())) {
@@ -667,7 +763,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         } else {
           done[ref.ext] = true;
           if (ref.lane > 0) {
-            client_->Bump(&StripedDfsClient::Stats::replica_failovers);
+            session_->Bump(&StripedSession::Stats::replica_failovers);
           }
         }
         continue;
@@ -704,7 +800,7 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
         if (eligible_count > 0 && have == eligible_count) {
           done[i] = true;
           if (mutating && eligible_count < snap.replicas) {
-            client_->Bump(&StripedDfsClient::Stats::degraded_writes);
+            session_->Bump(&StripedSession::Stats::degraded_writes);
           }
         }
       }
@@ -719,13 +815,13 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
       return Status::Ok();
     }
     if (retry.attempt >= RetryState::kMaxRetries) {
-      client_->Bump(&StripedDfsClient::Stats::retries_exhausted);
+      session_->Bump(&StripedSession::Stats::retries_exhausted);
       flight::Record(flight::Severity::kError, "dfs_striped",
                      "fan-out retries exhausted", exts.size(), retry.attempt);
       return failure.ok() ? ErrTimedOut("striped fan-out gave up") : failure;
     }
-    retry.Backoff(client_->clock_);
-    client_->Bump(&StripedDfsClient::Stats::data_retries);
+    retry.Backoff(session_->clock_);
+    session_->Bump(&StripedSession::Stats::data_retries);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "fan-out retry",
                    retry.attempt, map_stale ? 1 : 0);
     if (map_stale) {
@@ -735,8 +831,8 @@ Status StripedRemoteFile::FanExtents(const std::vector<StripeExtent>& exts,
     } else if (mutating && snap.replicas > 1 &&
                retry.attempt >= kDegradeAfterRounds) {
       // Targets that failed plain retries get reported stale so the write
-      // can complete degraded; the MDS refuses to strand the last fresh
-      // replica set, so a total outage keeps retrying instead.
+      // can complete degraded; the MDS refuses to strand a stripe's last
+      // fresh replica, so an outage of every copy keeps retrying instead.
       for (size_t t : failed_targets) {
         if (!reported.count(t)) {
           reported.insert(t);
@@ -768,19 +864,16 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   if (handle == 0) {
     return ErrTimedOut("replica lane has no handle in the current map");
   }
-  sp<DfsClient> mount = client_->DataMount(where);
+  sp<DfsSession> mount = session_->DataMount(where);
   auto cache = std::make_shared<LaneCache>(
       std::dynamic_pointer_cast<StripedRemoteFile>(shared_from_this()),
       target, lane);
+  // Our end of the lane's channel: a failed bind closes it on return, and
+  // the one it replaces closes out of mutex_ below.
+  auto lane_channel =
+      std::make_shared<OneChannelManager>(cache, handle, "striped_client");
   uint64_t channel = 0;
-  Result<sp<CacheRights>> bound = mount->BindRemote(
-      handle,
-      std::make_shared<OneChannelManager>(cache, handle, "striped_client"),
-      &channel);
-  if (!bound.ok()) {
-    mount->DropChannel(channel);  // registered nowhere: local-only
-    return bound.status();
-  }
+  RETURN_IF_ERROR(mount->BindRemote(handle, lane_channel, &channel).status());
   ASSIGN_OR_RETURN(uint64_t cache_id, mount->ServerCacheIdFor(channel));
   cache->channel = channel;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -788,12 +881,13 @@ Status StripedRemoteFile::EnsureBound(size_t target, size_t lane,
   if (idx >= bindings_.size()) {
     return ErrTimedOut("stripe binding out of range");
   }
+  std::swap(lane_channels_[idx], lane_channel);
   Binding& b = bindings_[idx];
   b.cache_id = cache_id;
   b.channel = channel;
   if (b.rebound_pending) {
     b.rebound_pending = false;
-    client_->Bump(&StripedDfsClient::Stats::stripe_rebinds);
+    session_->Bump(&StripedSession::Stats::stripe_rebinds);
     flight::Record(flight::Severity::kInfo, "dfs_striped", "stripe rebound",
                    target, mount->observed_server_epoch());
   }
@@ -809,7 +903,7 @@ Status StripedRemoteFile::RefreshMap() {
 }
 
 Status StripedRemoteFile::ReportStale(size_t target, uint64_t map_version) {
-  client_->Bump(&StripedDfsClient::Stats::stale_reports);
+  session_->Bump(&StripedSession::Stats::stale_reports);
   ASSIGN_OR_RETURN(
       StripeMapResponse fresh,
       MetaCall<StripeMapResponse>(
@@ -820,13 +914,13 @@ Status StripedRemoteFile::ReportStale(size_t target, uint64_t map_version) {
 }
 
 Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
-  client_->Bump(&StripedDfsClient::Stats::map_fetches);
+  session_->Bump(&StripedSession::Stats::map_fetches);
   fresh.replicas = std::max<uint32_t>(fresh.replicas, 1);
   std::lock_guard<std::mutex> lock(mutex_);
   if (fresh.map_version < map_.map_version) {
     // The version fence: a raced or replayed older map must not resurrect
     // replicas that have since been marked stale.
-    client_->Bump(&StripedDfsClient::Stats::maps_fenced);
+    session_->Bump(&StripedSession::Stats::maps_fenced);
     return Status::Ok();
   }
   if (fresh.targets.size() != map_.targets.size() ||
@@ -852,7 +946,7 @@ Status StripedRemoteFile::InstallMap(StripeMapResponse fresh) {
           // fresh handle, and mapped I/O re-registers its cache on the
           // next fault (EnsureBound).
           b.rebound_pending = false;
-          client_->Bump(&StripedDfsClient::Stats::stripe_rebinds);
+          session_->Bump(&StripedSession::Stats::stripe_rebinds);
           flight::Record(flight::Severity::kInfo, "dfs_striped",
                          "stripe rebound", t, fresh.map_version);
         }
@@ -883,7 +977,7 @@ void StripedRemoteFile::InvalidateBinding(size_t target, size_t lane) {
     // The server may have granted conflicting access while the binding was
     // dead (our lease expired with it): the channel's LaneCache drops the
     // local page caches — of ANY stripe, since they are per file.
-    client_->DataMount(where)->InvalidateChannel(channel);
+    session_->DataMount(where)->InvalidateChannel(channel);
   }
 }
 
@@ -945,7 +1039,7 @@ Status StripedRemoteFile::FanPageInto(uint64_t offset, MutableByteSpan dest,
         if (body.blocks.empty()) {
           // Past the stripe object's EOF: the pre-zeroed destination is
           // the right answer (a stripe hole or the logical tail).
-          client_->Bump(&StripedDfsClient::Stats::zero_fills);
+          session_->Bump(&StripedSession::Stats::zero_fills);
           return Status::Ok();
         }
         for (const BlockData& block : body.blocks) {
@@ -1016,7 +1110,7 @@ Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
     MutableByteSpan dest = out.first(n);
     // Pre-zeroed: sparse stripe holes and post-EOF tails read as zeros.
     std::fill(dest.begin(), dest.end(), uint8_t{0});
-    client_->Bump(&StripedDfsClient::Stats::stripe_reads);
+    session_->Bump(&StripedSession::Stats::stripe_reads);
     std::vector<StripeExtent> exts =
         ComputeStripeExtents(offset, n, stripe_size, width);
     // Byte ops, like Write: the data server serves each kRead as its own
@@ -1037,7 +1131,7 @@ Result<size_t> StripedRemoteFile::Read(Offset offset, MutableByteSpan out) {
           if (got < ext.size) {
             // Short: a stripe hole or the logical tail past the stripe
             // object's EOF; the pre-zeroed destination is the answer.
-            client_->Bump(&StripedDfsClient::Stats::zero_fills);
+            session_->Bump(&StripedSession::Stats::zero_fills);
           }
           return Status::Ok();
         }));
@@ -1057,7 +1151,7 @@ Result<size_t> StripedRemoteFile::Write(Offset offset, ByteSpan data) {
       stripe_size = map_.stripe_size;
       width = map_.targets.size();
     }
-    client_->Bump(&StripedDfsClient::Stats::stripe_writes);
+    session_->Bump(&StripedSession::Stats::stripe_writes);
     std::vector<StripeExtent> exts =
         ComputeStripeExtents(offset, data.size(), stripe_size, width);
     RETURN_IF_ERROR(FanExtents(
@@ -1154,7 +1248,7 @@ Status StripedRemoteFile::SyncFile() {
 
 CbRecallResponse StripedRemoteFile::RecallLocal(Op op, Range local,
                                                 size_t target, size_t lane) {
-  client_->Bump(&StripedDfsClient::Stats::recalls_received);
+  session_->Bump(&StripedSession::Stats::recalls_received);
   uint64_t stripe_size;
   size_t width;
   uint64_t length;
@@ -1222,29 +1316,18 @@ Result<sp<StripedDfsClient>> StripedDfsClient::Mount(
   ASSIGN_OR_RETURN(
       sp<DfsClient> meta,
       DfsClient::Mount(node, network, server_node, service, clock));
+  auto session = std::make_shared<StripedSession>(node, network, clock,
+                                                  options, meta->session());
   return sp<StripedDfsClient>(
-      new StripedDfsClient(node, network, clock, options, std::move(meta)));
+      new StripedDfsClient(std::move(meta), std::move(session)));
 }
 
-StripedDfsClient::StripedDfsClient(const sp<net::Node>& node,
-                                   net::Network* network, Clock* clock,
-                                   const StripedDfsClientOptions& options,
-                                   sp<DfsClient> meta)
-    : Servant(node->domain()), node_(node), network_(network), clock_(clock),
-      options_(options), meta_(std::move(meta)) {
-  metrics::Registry::Global().RegisterProvider(this);
-}
+StripedDfsClient::StripedDfsClient(sp<DfsClient> meta,
+                                   sp<StripedSession> session)
+    : Servant(meta->domain()), meta_(std::move(meta)),
+      session_(std::move(session)) {}
 
-StripedDfsClient::~StripedDfsClient() {
-  metrics::Registry::Global().UnregisterProvider(this);
-}
-
-void StripedDfsClient::Bump(uint64_t Stats::*field) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++(stats_.*field);
-}
-
-sp<DfsClient> StripedDfsClient::DataMount(
+sp<DfsSession> StripedSession::DataMount(
     const StripeMapResponse::Target& target) {
   std::pair<std::string, std::string> key{target.node, target.service};
   {
@@ -1257,7 +1340,7 @@ sp<DfsClient> StripedDfsClient::DataMount(
   // whose Collect holds its lock across CollectStats, which takes mutex_.
   DfsClientOptions mount_options;
   mount_options.channel = options_.data_channel;
-  sp<DfsClient> mount = DfsClient::Connect(
+  sp<DfsSession> mount = DfsSession::Connect(
       node_, network_, target.node, target.service, clock_, mount_options);
   std::lock_guard<std::mutex> lock(mutex_);
   return data_mounts_.try_emplace(key, mount).first->second;
@@ -1272,9 +1355,9 @@ Result<sp<File>> StripedDfsClient::OpenStriped(const std::string& path) {
         return sp<File>(it->second);
       }
     }
-    ASSIGN_OR_RETURN(
-        LookupResponse looked,
-        meta_->Invoke<LookupResponse>(Op::kLookup, PathRequest{path}));
+    ASSIGN_OR_RETURN(LookupResponse looked,
+                     session_->meta_->Invoke<LookupResponse>(
+                         Op::kLookup, PathRequest{path}));
     if (looked.is_dir) {
       return ErrWrongType("'" + path + "' is a directory");
     }
@@ -1284,9 +1367,9 @@ Result<sp<File>> StripedDfsClient::OpenStriped(const std::string& path) {
 
 Result<sp<File>> StripedDfsClient::CreateStriped(const std::string& path) {
   return InDomain([&]() -> Result<sp<File>> {
-    ASSIGN_OR_RETURN(
-        CreateResponse created,
-        meta_->Invoke<CreateResponse>(Op::kCreate, PathRequest{path}));
+    ASSIGN_OR_RETURN(CreateResponse created,
+                     session_->meta_->Invoke<CreateResponse>(
+                         Op::kCreate, PathRequest{path}));
     return OpenWithHandle(path, created.handle);
   });
 }
@@ -1297,16 +1380,14 @@ Result<sp<File>> StripedDfsClient::OpenWithHandle(const std::string& path,
   // A non-striped server answers kInvalidArgument — propagated so callers
   // can fall back to meta()'s single-server file.
   ASSIGN_OR_RETURN(StripeMapResponse map,
-                   meta_->InvokeByPath<StripeMapResponse>(
+                   session_->meta_->InvokeByPath<StripeMapResponse>(
                        Op::kGetStripeMap, path, h, HandleRequest{},
                        /*rebind_dead=*/true));
   if (map.targets.empty() || map.stripe_size == 0) {
     return ErrCorrupted("stripe map without targets");
   }
-  Bump(&Stats::map_fetches);
-  sp<StripedDfsClient> self =
-      std::dynamic_pointer_cast<StripedDfsClient>(shared_from_this());
-  auto file = std::make_shared<StripedRemoteFile>(domain(), self, path,
+  session_->Bump(&StripedSession::Stats::map_fetches);
+  auto file = std::make_shared<StripedRemoteFile>(domain(), session_, path,
                                                   h.load(), std::move(map));
   std::lock_guard<std::mutex> lock(mutex_);
   files_[path] = file;
@@ -1314,6 +1395,10 @@ Result<sp<File>> StripedDfsClient::OpenWithHandle(const std::string& path,
 }
 
 void StripedDfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
+  session_->CollectStats(emit);
+}
+
+void StripedSession::CollectStats(const metrics::StatsEmitter& emit) const {
   Stats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1336,8 +1421,7 @@ void StripedDfsClient::CollectStats(const metrics::StatsEmitter& emit) const {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t restarts = 0;  // the boot-epoch bumps the data mounts saw
   for (const auto& [where, mount] : data_mounts_) {
-    std::lock_guard<std::mutex> mount_stats(mount->stats_mutex_);
-    restarts += mount->stats_.server_restarts;
+    restarts += mount->server_restarts();
   }
   emit("target_restarts", restarts);
 }

@@ -109,6 +109,16 @@ class StripeRequestIdTable {
   std::map<std::pair<size_t, size_t>, uint64_t> ids_;
 };
 
+class StripedRemoteFile;
+class StripedSession;
+
+// The striped mount. It is the handle its user holds: it owns the table of
+// the files it opened (by path), each with its stripe map, metadata handle
+// and lane bindings, so a file its user dropped is re-opened from the
+// table with no call. The files share the mount's session (the metadata
+// and data mounts, the counters) without owning the mount, so a file
+// keeps working after the mount is dropped; dropping the mount and every
+// file from it destroys the session and the data mounts.
 class StripedDfsClient : public Servant, public metrics::StatsProvider {
  public:
   // Mounts the metadata service `service` exported by `server_node` and
@@ -119,8 +129,6 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
       const std::string& server_node, const std::string& service,
       Clock* clock = &DefaultClock(),
       const StripedDfsClientOptions& options = {});
-
-  ~StripedDfsClient() override;
 
   const char* interface_name() const override { return "striped_dfs_client"; }
 
@@ -137,69 +145,21 @@ class StripedDfsClient : public Servant, public metrics::StatsProvider {
   const sp<DfsClient>& meta() const { return meta_; }
 
   // --- StatsProvider ---
+  // The session's counters (the session is the one in the registry).
   std::string stats_prefix() const override { return "layer/striped_client"; }
   void CollectStats(const metrics::StatsEmitter& emit) const override;
 
  private:
-  friend class StripedRemoteFile;
-  friend class StripedPagerObject;
-
-  struct Stats {
-    uint64_t map_fetches = 0;      // kGetStripeMap round trips
-    uint64_t stripe_reads = 0;     // logical read fan-outs
-    uint64_t stripe_writes = 0;    // logical write fan-outs
-    uint64_t stripe_extents = 0;   // data-path submissions (all ops)
-    uint64_t stripe_rebinds = 0;   // per-stripe recoveries after kStale /
-                                   // epoch bump (a refetched map's fresh
-                                   // handle, or a cache rebind)
-    uint64_t data_retries = 0;     // extent re-submissions
-    uint64_t retries_exhausted = 0;
-    uint64_t recalls_received = 0;  // data-server coherency callbacks
-    uint64_t zero_fills = 0;        // sparse stripe holes served as zeros
-    uint64_t replica_failovers = 0;  // reads served by a non-primary replica
-    uint64_t degraded_writes = 0;    // write extents completed on fewer
-                                     // than R replicas (stale ones skipped)
-    uint64_t stale_reports = 0;      // kReportStaleReplica frames sent
-    uint64_t maps_fenced = 0;        // refreshed maps older than the one
-                                     // held (version fence)
-    uint64_t retarget_fresh_ids = 0;  // dedup ids re-minted because an
-                                      // extent moved to a different replica
-  };
-
-  StripedDfsClient(const sp<net::Node>& node, net::Network* network,
-                   Clock* clock, const StripedDfsClientOptions& options,
-                   sp<DfsClient> meta);
-
-  void Bump(uint64_t Stats::*field);
-
-  // The plain mount of data server `target`, shared by every file
-  // (connected on first use, without Mount's probe, over
-  // options_.data_channel).
-  sp<DfsClient> DataMount(const StripeMapResponse::Target& target);
+  StripedDfsClient(sp<DfsClient> meta, sp<StripedSession> session);
 
   // Fetches `path`'s stripe map under `handle` and installs the file.
   Result<sp<File>> OpenWithHandle(const std::string& path, uint64_t handle);
 
-  sp<net::Node> node_;
-  net::Network* network_;
-  Clock* clock_;
-  StripedDfsClientOptions options_;
-  sp<DfsClient> meta_;
+  const sp<DfsClient> meta_;
+  const sp<StripedSession> session_;
 
-  // Serializes data-path fan-outs: the data mounts' channels are drained
-  // with net::WaitAnyOf, so two concurrent fan-outs on a shared channel
-  // would steal each other's completions. The parallelism that matters —
-  // the overlapping round trips ACROSS data servers inside one fan-out —
-  // is unaffected.
-  std::mutex data_io_mutex_;
-
-  mutable std::mutex mutex_;
-  // By (node, service).
-  std::map<std::pair<std::string, std::string>, sp<DfsClient>> data_mounts_;
-  std::map<std::string, sp<class StripedRemoteFile>> files_;  // by path
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  std::mutex mutex_;
+  std::map<std::string, sp<StripedRemoteFile>> files_;  // by path
 };
 
 }  // namespace springfs::dfs

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <shared_mutex>
 
+#include "src/fs/channel_table.h"
+
 namespace springfs {
 namespace {
 
@@ -20,6 +22,32 @@ FileAttributes AttrsOf(const ufs::InodeAttrs& attrs) {
 
 }  // namespace
 
+// What the disk layer's files, pagers and naming share: the mounted UFS,
+// each inode's pager key and the pager channel table. `mutex` is the
+// layer's (see DiskLayer::open_files_).
+class DiskVolume {
+ public:
+  explicit DiskVolume(std::unique_ptr<ufs::Ufs> fs) : ufs(std::move(fs)) {}
+
+  // Binds `manager` to `file`'s pager (DiskFile::Bind).
+  Result<sp<CacheRights>> BindFile(const sp<Domain>& domain,
+                                   const sp<DiskFile>& file,
+                                   const sp<CacheManager>& manager);
+
+  // With `mutex` held: drops a freed inode's pager key and channels.
+  void ForgetInode(ufs::InodeNum ino) {
+    if (auto key = pager_keys.find(ino); key != pager_keys.end()) {
+      channels.RemoveFile(key->second);
+      pager_keys.erase(key);
+    }
+  }
+
+  const std::unique_ptr<ufs::Ufs> ufs;
+  std::mutex mutex;
+  std::map<ufs::InodeNum, uint64_t> pager_keys;
+  PagerChannelTable channels;
+};
+
 // A regular file exported by the disk layer. When its last link goes, the
 // layer fences it before the inode number can be reused by the next file:
 // every later call on it, or on its pager objects, returns kStale (NFS's
@@ -27,8 +55,10 @@ FileAttributes AttrsOf(const ufs::InodeAttrs& attrs) {
 // the calls already past the check.
 class DiskFile : public File, public Servant {
  public:
-  DiskFile(sp<Domain> domain, sp<DiskLayer> layer, ufs::InodeNum ino)
-      : Servant(std::move(domain)), layer_(std::move(layer)), ino_(ino) {}
+  DiskFile(sp<Domain> domain, sp<DiskVolume> volume, ufs::InodeNum ino)
+      : Servant(std::move(domain)), volume_(std::move(volume)), ino_(ino) {}
+
+  const sp<DiskVolume>& volume() const { return volume_; }
 
   // The file's inode, or kStale once it is fenced.
   Result<ufs::InodeNum> Live() const {
@@ -58,55 +88,56 @@ class DiskFile : public File, public Servant {
                                AccessRights requested_access) override {
     (void)requested_access;
     return InDomain([&] {
-      return layer_->BindFile(
-          std::dynamic_pointer_cast<DiskFile>(shared_from_this()), caller);
+      return volume_->BindFile(
+          domain(), std::dynamic_pointer_cast<DiskFile>(shared_from_this()),
+          caller);
     });
   }
 
   Result<Offset> GetLength() override {
     return OnInode([&](ufs::InodeNum ino) -> Result<Offset> {
-      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, layer_->ufs_->GetAttrs(ino));
+      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, volume_->ufs->GetAttrs(ino));
       return Offset{attrs.size};
     });
   }
 
   Status SetLength(Offset length) override {
     return OnInode(
-        [&](ufs::InodeNum ino) { return layer_->ufs_->SetSize(ino, length); });
+        [&](ufs::InodeNum ino) { return volume_->ufs->SetSize(ino, length); });
   }
 
   // --- File ---
   Result<size_t> Read(Offset offset, MutableByteSpan out) override {
     return OnInode([&](ufs::InodeNum ino) {
-      return layer_->ufs_->Read(ino, offset, out);
+      return volume_->ufs->Read(ino, offset, out);
     });
   }
 
   Result<size_t> Write(Offset offset, ByteSpan data) override {
     return OnInode([&](ufs::InodeNum ino) {
-      return layer_->ufs_->Write(ino, offset, data);
+      return volume_->ufs->Write(ino, offset, data);
     });
   }
 
   Result<FileAttributes> Stat() override {
     return OnInode([&](ufs::InodeNum ino) -> Result<FileAttributes> {
-      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, layer_->ufs_->GetAttrs(ino));
+      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, volume_->ufs->GetAttrs(ino));
       return AttrsOf(attrs);
     });
   }
 
   Status SetTimes(uint64_t atime_ns, uint64_t mtime_ns) override {
     return OnInode([&](ufs::InodeNum ino) {
-      return layer_->ufs_->SetTimes(ino, atime_ns, mtime_ns);
+      return volume_->ufs->SetTimes(ino, atime_ns, mtime_ns);
     });
   }
 
   Status SyncFile() override {
-    return OnInode([&](ufs::InodeNum) { return layer_->ufs_->Sync(); });
+    return OnInode([&](ufs::InodeNum) { return volume_->ufs->Sync(); });
   }
 
  private:
-  sp<DiskLayer> layer_;
+  sp<DiskVolume> volume_;
   ufs::InodeNum ino_;
   std::shared_mutex fence_mutex_;  // shared by calls, exclusive by Fence
   std::atomic<bool> fenced_{false};
@@ -116,9 +147,9 @@ class DiskFile : public File, public Servant {
 // from the device through UFS block operations. Non-coherent by design.
 class DiskPagerObject : public FsPagerObject, public Servant {
  public:
-  DiskPagerObject(sp<Domain> domain, sp<DiskLayer> layer, sp<DiskFile> file,
-                  uint64_t channel_id)
-      : Servant(std::move(domain)), layer_(std::move(layer)),
+  DiskPagerObject(sp<Domain> domain, sp<DiskVolume> volume,
+                  sp<DiskFile> file, uint64_t channel_id)
+      : Servant(std::move(domain)), volume_(std::move(volume)),
         file_(std::move(file)), channel_id_(channel_id) {}
 
   Result<Buffer> PageIn(Offset offset, Offset size,
@@ -128,7 +159,7 @@ class DiskPagerObject : public FsPagerObject, public Servant {
       Offset end = PageCeil(offset + std::max<Offset>(size, 1));
       Buffer out(end - PageFloor(offset));
       for (Offset off = PageFloor(offset); off < end; off += kPageSize) {
-        RETURN_IF_ERROR(layer_->ufs_->ReadFileBlock(
+        RETURN_IF_ERROR(volume_->ufs->ReadFileBlock(
             ino, off / kPageSize,
             out.mutable_span().subspan(off - PageFloor(offset), kPageSize)));
       }
@@ -147,12 +178,12 @@ class DiskPagerObject : public FsPagerObject, public Servant {
   }
 
   void DoneWithPagerObject() override {
-    InDomain([&] { layer_->channels_.RemoveChannel(channel_id_); });
+    InDomain([&] { volume_->channels.RemoveChannel(channel_id_); });
   }
 
   Result<FileAttributes> GetAttributes() override {
     return file_->OnInode([&](ufs::InodeNum ino) -> Result<FileAttributes> {
-      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, layer_->ufs_->GetAttrs(ino));
+      ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, volume_->ufs->GetAttrs(ino));
       return AttrsOf(attrs);
     });
   }
@@ -160,11 +191,11 @@ class DiskPagerObject : public FsPagerObject, public Servant {
   Status WriteAttributes(const AttrUpdate& update) override {
     return file_->OnInode([&](ufs::InodeNum ino) -> Status {
       if (update.size) {
-        RETURN_IF_ERROR(layer_->ufs_->SetSize(ino, *update.size));
+        RETURN_IF_ERROR(volume_->ufs->SetSize(ino, *update.size));
       }
       if (update.atime_ns || update.mtime_ns) {
-        ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, layer_->ufs_->GetAttrs(ino));
-        RETURN_IF_ERROR(layer_->ufs_->SetTimes(
+        ASSIGN_OR_RETURN(ufs::InodeAttrs attrs, volume_->ufs->GetAttrs(ino));
+        RETURN_IF_ERROR(volume_->ufs->SetTimes(
             ino, update.atime_ns.value_or(attrs.atime_ns),
             update.mtime_ns.value_or(attrs.mtime_ns)));
       }
@@ -179,14 +210,14 @@ class DiskPagerObject : public FsPagerObject, public Servant {
     }
     return file_->OnInode([&](ufs::InodeNum ino) -> Status {
       for (Offset off = 0; off < data.size(); off += kPageSize) {
-        RETURN_IF_ERROR(layer_->ufs_->WriteFileBlock(
+        RETURN_IF_ERROR(volume_->ufs->WriteFileBlock(
             ino, (offset + off) / kPageSize, data.subspan(off, kPageSize)));
       }
       return Status::Ok();
     });
   }
 
-  sp<DiskLayer> layer_;
+  sp<DiskVolume> volume_;
   sp<DiskFile> file_;
   uint64_t channel_id_;
 };
@@ -225,19 +256,20 @@ Result<sp<DiskLayer>> DiskLayer::Format(sp<Domain> domain, BlockDevice* device,
                                         Clock* clock) {
   ASSIGN_OR_RETURN(std::unique_ptr<ufs::Ufs> fs,
                    ufs::Ufs::Format(device, clock));
-  return sp<DiskLayer>(new DiskLayer(std::move(domain), std::move(fs), clock));
+  return sp<DiskLayer>(new DiskLayer(std::move(domain), std::move(fs)));
 }
 
 Result<sp<DiskLayer>> DiskLayer::Mount(sp<Domain> domain, BlockDevice* device,
                                        Clock* clock) {
   ASSIGN_OR_RETURN(std::unique_ptr<ufs::Ufs> fs,
                    ufs::Ufs::Mount(device, clock));
-  return sp<DiskLayer>(new DiskLayer(std::move(domain), std::move(fs), clock));
+  return sp<DiskLayer>(new DiskLayer(std::move(domain), std::move(fs)));
 }
 
-DiskLayer::DiskLayer(sp<Domain> domain, std::unique_ptr<ufs::Ufs> fs,
-                     Clock* clock)
-    : Servant(std::move(domain)), ufs_(std::move(fs)), clock_(clock) {}
+DiskLayer::DiskLayer(sp<Domain> domain, std::unique_ptr<ufs::Ufs> fs)
+    : Servant(std::move(domain)),
+      volume_(std::make_shared<DiskVolume>(std::move(fs))),
+      ufs_(volume_->ufs.get()) {}
 
 static sp<DiskLayer> SelfOf(DiskLayer* layer) {
   return std::dynamic_pointer_cast<DiskLayer>(layer->shared_from_this());
@@ -268,7 +300,7 @@ Result<sp<Object>> DiskLayer::ObjectForInode(ufs::InodeNum ino) {
 sp<File> DiskLayer::FileForInode(ufs::InodeNum ino) {
   sp<DiskFile>& file = open_files_[ino];
   if (!file) {
-    file = std::make_shared<DiskFile>(domain(), SelfOf(this), ino);
+    file = std::make_shared<DiskFile>(domain(), volume_, ino);
   }
   return file;
 }
@@ -282,11 +314,12 @@ Result<sp<Object>> DiskLayer::ResolveFrom(ufs::InodeNum start, const Name& name,
         return sp<Object>(
             std::static_pointer_cast<Object>(shared_from_this()));
       }
-      std::lock_guard<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(volume_->mutex);
       return ObjectForInode(start);
     }
     ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
-    std::lock_guard<std::mutex> lock(mutex_);  // the name keeps its number
+    // The name keeps its number.
+    std::lock_guard<std::mutex> lock(volume_->mutex);
     ASSIGN_OR_RETURN(ufs::InodeNum ino, ufs_->Lookup(dir, name.back()));
     return ObjectForInode(ino);
   });
@@ -308,7 +341,7 @@ Status DiskLayer::BindFrom(ufs::InodeNum start, const Name& name,
           "disk layer contexts only hold objects implemented by this layer");
     }
     ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
-    std::lock_guard<std::mutex> lock(mutex_);  // may free a number
+    std::lock_guard<std::mutex> lock(volume_->mutex);  // may free a number
     ASSIGN_OR_RETURN(ufs::InodeNum ino, file->Live());
     if (replace) {
       Result<ufs::InodeNum> old = ufs_->Lookup(dir, name.back());
@@ -332,7 +365,7 @@ Status DiskLayer::UnbindFrom(ufs::InodeNum start, const Name& name,
       return ErrInvalidArgument("cannot unbind the empty name");
     }
     ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
-    std::lock_guard<std::mutex> lock(mutex_);  // may free a number
+    std::lock_guard<std::mutex> lock(volume_->mutex);  // may free a number
     ASSIGN_OR_RETURN(ufs::InodeNum target, ufs_->Lookup(dir, name.back()));
     RETURN_IF_ERROR(ufs_->Remove(dir, name.back()));
     FenceIfFreed(target);
@@ -364,7 +397,8 @@ Result<sp<Context>> DiskLayer::CreateContextFrom(ufs::InodeNum start,
       return ErrInvalidArgument("cannot create a context at the empty name");
     }
     ASSIGN_OR_RETURN(ufs::InodeNum dir, WalkToDir(start, name.Parent()));
-    std::lock_guard<std::mutex> lock(mutex_);  // may reuse a freed number
+    // May reuse a freed number.
+    std::lock_guard<std::mutex> lock(volume_->mutex);
     ASSIGN_OR_RETURN(ufs::InodeNum ino,
                      ufs_->Create(dir, name.back(),
                                   ufs::FileType::kDirectory));
@@ -406,7 +440,8 @@ Result<sp<File>> DiskLayer::CreateFile(const Name& name,
     }
     ASSIGN_OR_RETURN(ufs::InodeNum dir,
                      WalkToDir(ufs::kRootInode, name.Parent()));
-    std::lock_guard<std::mutex> lock(mutex_);  // may reuse a freed number
+    // May reuse a freed number.
+    std::lock_guard<std::mutex> lock(volume_->mutex);
     ASSIGN_OR_RETURN(ufs::InodeNum ino,
                      ufs_->Create(dir, name.back(), ufs::FileType::kRegular));
     return FileForInode(ino);
@@ -437,32 +472,29 @@ void DiskLayer::FenceIfFreed(ufs::InodeNum ino) {
     it->second->Fence();
     open_files_.erase(it);
   }
-  if (auto key = pager_keys_.find(ino); key != pager_keys_.end()) {
-    channels_.RemoveFile(key->second);
-    pager_keys_.erase(key);
-  }
+  volume_->ForgetInode(ino);
 }
 
-Result<sp<CacheRights>> DiskLayer::BindFile(const sp<DiskFile>& file,
-                                            const sp<CacheManager>& manager) {
+Result<sp<CacheRights>> DiskVolume::BindFile(const sp<Domain>& domain,
+                                             const sp<DiskFile>& file,
+                                             const sp<CacheManager>& manager) {
   uint64_t pager_key;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex);
     ASSIGN_OR_RETURN(ufs::InodeNum ino, file->Live());
-    auto [it, inserted] = pager_keys_.try_emplace(ino, 0);
+    auto [it, inserted] = pager_keys.try_emplace(ino, 0);
     if (inserted) {
       it->second = NewPagerKey();
     }
     pager_key = it->second;
   }
-  sp<DiskLayer> self = SelfOf(this);
   // Channels are filed under the pager key, which a reused inode number
   // does not inherit.
-  return channels_.Bind(pager_key, pager_key, manager,
-                        [&](uint64_t local_id) -> sp<PagerObject> {
-                          return std::make_shared<DiskPagerObject>(
-                              domain(), self, file, local_id);
-                        });
+  return channels.Bind(pager_key, pager_key, manager,
+                       [&](uint64_t local_id) -> sp<PagerObject> {
+                         return std::make_shared<DiskPagerObject>(
+                             domain, file->volume(), file, local_id);
+                       });
 }
 
 }  // namespace springfs

@@ -14,6 +14,12 @@
 // UFS's open transaction, then from the journal's live copies (metadata
 // blocks the live log holds newer than their homes), then from the device.
 //
+// Ownership: the layer object is a handle that owns the table of File
+// objects. The files and their pagers share the volume (the mounted UFS,
+// the pager keys and the channel table) without owning the layer, so a
+// file keeps working after the layer is dropped, and dropping the layer
+// and every file from it unmounts the UFS.
+//
 // As a naming context: regular files resolve to File objects, directories
 // to sub-contexts; Bind of a File implemented by this layer creates a hard
 // link, Unbind removes, CreateContext is mkdir.
@@ -24,7 +30,6 @@
 #include <map>
 #include <memory>
 
-#include "src/fs/channel_table.h"
 #include "src/fs/file.h"
 #include "src/obj/domain.h"
 #include "src/ufs/ufs.h"
@@ -32,6 +37,7 @@
 namespace springfs {
 
 class DiskFile;
+class DiskVolume;
 
 class DiskLayer : public StackableFs, public Servant {
  public:
@@ -69,11 +75,9 @@ class DiskLayer : public StackableFs, public Servant {
   Status SyncFs() override;
 
  private:
-  friend class DiskFile;
-  friend class DiskPagerObject;
   friend class DiskDirContext;
 
-  DiskLayer(sp<Domain> domain, std::unique_ptr<ufs::Ufs> fs, Clock* clock);
+  DiskLayer(sp<Domain> domain, std::unique_ptr<ufs::Ufs> fs);
 
   // Context operations relative to an arbitrary directory inode; the root
   // Context methods and DiskDirContext both delegate here.
@@ -89,31 +93,25 @@ class DiskLayer : public StackableFs, public Servant {
                                         const Credentials& creds);
 
   // Resolution helpers (no domain wrapping; callers wrap). The two that
-  // take an inode number want mutex_ held.
+  // take an inode number want the volume's mutex held.
   Result<ufs::InodeNum> WalkToDir(ufs::InodeNum start, const Name& dirname);
   Result<sp<Object>> ObjectForInode(ufs::InodeNum ino);
   // The one file object of `ino`, so equivalent lookups return it.
   sp<File> FileForInode(ufs::InodeNum ino);
 
-  // With mutex_ held: if `ino` was freed, fences its file and drops its
-  // pager key and channels.
+  // With the volume's mutex held: if `ino` was freed, fences its file and
+  // drops its pager key and channels.
   void FenceIfFreed(ufs::InodeNum ino);
 
-  // Bind support for DiskFile.
-  Result<sp<CacheRights>> BindFile(const sp<DiskFile>& file,
-                                   const sp<CacheManager>& manager);
+  const sp<DiskVolume> volume_;
+  ufs::Ufs* const ufs_;  // the volume's
 
-  std::unique_ptr<ufs::Ufs> ufs_;
-  Clock* clock_;
-
-  // Also held across every UFS call that frees or allocates an inode, with
-  // the freed file's FenceIfFreed, and from a lookup or create to the file
-  // object it yields: a number passes to a new file only once the file
-  // that had it is fenced, and never under the old file's name.
-  std::mutex mutex_;
-  std::map<ufs::InodeNum, sp<DiskFile>> open_files_;  // per-layer state
-  std::map<ufs::InodeNum, uint64_t> pager_keys_;
-  PagerChannelTable channels_;
+  // Guarded by the volume's mutex, which is also held across every UFS
+  // call that frees or allocates an inode, with the freed file's
+  // FenceIfFreed, and from a lookup or create to the file object it
+  // yields: a number passes to a new file only once the file that had it
+  // is fenced, and never under the old file's name.
+  std::map<ufs::InodeNum, sp<DiskFile>> open_files_;
 };
 
 }  // namespace springfs

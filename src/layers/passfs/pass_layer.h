@@ -33,33 +33,22 @@ class PassLayer : public CoherencyLayer {
 
   const char* interface_name() const override { return "pass_layer"; }
 
-  PassLayerCounters counters() const {
-    return PassLayerCounters{pages_decoded_.load(), pages_encoded_.load()};
-  }
+  PassLayerCounters counters() const;
 
   // When set, every page crossing the lower boundary fails with kIoError —
   // fault injection for error-propagation tests.
-  void set_fail_transit(bool fail) { fail_transit_.store(fail); }
+  void set_fail_transit(bool fail);
 
  protected:
-  Status DecodeFromBelow(uint64_t file_id, Offset page_offset,
-                         MutableByteSpan page) override;
-  Status EncodeForBelow(uint64_t file_id, Offset page_offset,
-                        MutableByteSpan page) override;
   std::string type_name() const override { return "passfs"; }
 
  private:
+  class Transit;  // the boundary transform, shared with the layer's files
+
   PassLayer(sp<Domain> domain, CoherencyLayerOptions options,
-            uint64_t transit_delay_ns, Clock* clock);
+            sp<Transit> transit, Clock* clock);
 
-  // One page crossing the lower boundary, counted in `pages`.
-  Status Transit(std::atomic<uint64_t>& pages);
-
-  uint64_t transit_delay_ns_;
-  Clock* transit_clock_;
-  std::atomic<uint64_t> pages_decoded_{0};
-  std::atomic<uint64_t> pages_encoded_{0};
-  std::atomic<bool> fail_transit_{false};
+  const sp<Transit> transit_;
 };
 
 }  // namespace springfs

@@ -74,7 +74,12 @@ Network::Network(Clock* clock, uint64_t default_latency_ns)
   metrics::Registry::Global().RegisterProvider(this);
 }
 
-Network::~Network() { metrics::Registry::Global().UnregisterProvider(this); }
+Network::~Network() {
+  metrics::Registry::Global().UnregisterProvider(this);
+  for (const auto& [name, node] : nodes_) {
+    node->on_network_.store(false);
+  }
+}
 
 sp<Node> Network::AddNode(const std::string& name, sp<Domain> domain) {
   if (!domain) {

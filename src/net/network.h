@@ -134,6 +134,10 @@ class Node {
   void RegisterService(const std::string& service, Handler handler);
   void UnregisterService(const std::string& service);
 
+  // False once the network the node was added to is destroyed: nothing
+  // may be sent from it any more.
+  bool on_network() const { return on_network_.load(); }
+
  private:
   friend class Network;
   friend class Channel;
@@ -143,6 +147,7 @@ class Node {
 
   std::string name_;
   sp<Domain> domain_;
+  std::atomic<bool> on_network_{true};
   std::mutex mutex_;
   std::map<std::string, Handler> services_;
 };

@@ -135,7 +135,15 @@ Vmm::Vmm(sp<Domain> domain, std::string name, VmmOptions options)
   metrics::Registry::Global().RegisterProvider(this);
 }
 
-Vmm::~Vmm() { metrics::Registry::Global().UnregisterProvider(this); }
+Vmm::~Vmm() {
+  metrics::Registry::Global().UnregisterProvider(this);
+  // A cache manager that goes away closes its channels: each pager forgets
+  // this VMM's cache object (a DFS mount also unbinds it at the server).
+  // Dirty pages nobody synced go with the VMM.
+  for (const auto& [id, ch] : channels_) {
+    ch->pager->DoneWithPagerObject();
+  }
+}
 
 void Vmm::CollectStats(const metrics::StatsEmitter& emit) const {
   emit("faults", faults_.load(std::memory_order_relaxed));

@@ -101,7 +101,9 @@ class Vmm : public CacheManager, public Servant, public metrics::StatsProvider {
 
   // One pager-cache channel; one shard of the page cache. `mutex` guards
   // `pages` and the read-ahead state. The identity fields and `pager` are
-  // immutable after EstablishChannel and need no lock.
+  // immutable after EstablishChannel and need no lock. The VMM's end owns
+  // the channel: the pager's table refers to the cache and rights objects
+  // without owning them, and ~Vmm closes each channel.
   struct Channel {
     uint64_t id = 0;
     uint64_t pager_key = 0;

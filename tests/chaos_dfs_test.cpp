@@ -75,9 +75,10 @@ struct ChaosWorld {
   std::unique_ptr<MemBlockDevice> device;
   Sfs sfs;
   sp<DfsServer> server;
-  // Replaced servers stay alive until the end of the schedule: destroying
-  // one would stamp its tombstone over the live successor's service.
-  std::vector<sp<DfsServer>> retired_servers;
+  // The delegation counters of the servers a restart replaced, read as
+  // each was dropped.
+  uint64_t retired_granted = 0;
+  uint64_t retired_recalled = 0;
   sp<DfsClient> clients[kClients];
   sp<Vmm> vmms[kClients];
   sp<File> files[kClients];
@@ -133,9 +134,12 @@ struct ChaosWorld {
       // pre-restart delegation has provably expired (DESIGN.md §13).
       options.grace_ns = options.lease_ns;
     }
-    retired_servers.push_back(server);
+    retired_granted += metrics::StatValue(*server, "delegations_granted");
+    retired_recalled += metrics::StatValue(*server, "delegations_recalled");
+    wp<DfsServer> predecessor = server;
     server = *DfsServer::Create(server_node, network.get(), "dfs", sfs.root,
                                 &clock, options);
+    EXPECT_TRUE(predecessor.expired()) << "the replaced server outlived it";
   }
 };
 
@@ -365,10 +369,8 @@ void RunChaosSeed(uint64_t seed, bool delegated = false,
     teeth->granted += metrics::StatValue(*world.server, "delegations_granted");
     teeth->recalled +=
         metrics::StatValue(*world.server, "delegations_recalled");
-    for (const auto& retired : world.retired_servers) {
-      teeth->granted += metrics::StatValue(*retired, "delegations_granted");
-      teeth->recalled += metrics::StatValue(*retired, "delegations_recalled");
-    }
+    teeth->granted += world.retired_granted;
+    teeth->recalled += world.retired_recalled;
   }
 }
 
@@ -545,7 +547,6 @@ struct StripedChaosWorld {
   std::vector<std::unique_ptr<MemBlockDevice>> devices;
   std::vector<Sfs> stores;  // data stores, then the metadata store
   sp<dfs::DfsServer> data_servers[kStripedWidth];
-  std::vector<sp<dfs::DfsServer>> retired_servers;
   sp<dfs::DfsServer> mds;
   sp<dfs::StripedDfsClient> client;
   sp<File> file;
@@ -583,12 +584,12 @@ struct StripedChaosWorld {
   }
 
   // New instance over the same store: new boot epoch, fresh handle space.
-  // The predecessor is retired, not destroyed (its tombstone would stamp
-  // the successor's service).
+  // The predecessor is destroyed.
   void RestartDataServer(int k) {
-    retired_servers.push_back(data_servers[k]);
+    wp<dfs::DfsServer> predecessor = data_servers[k];
     data_servers[k] = *dfs::DfsServer::Create(
         data_nodes[k], network.get(), "dfs-data", stores[k].root, &clock);
+    EXPECT_TRUE(predecessor.expired()) << "the replaced server outlived it";
   }
 
   // Reads lane `lane`'s stripe object on data server k through its own

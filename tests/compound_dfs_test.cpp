@@ -550,24 +550,19 @@ TEST_F(CompoundDfsTest, FailedRoundStillPushesTheAnsweredPagesBelow) {
 
 // A holder whose client is gone (a destroyed client unregisters its
 // callback service, so its node answers kNotFound) is dropped at the
-// recall: the change goes through on its first try. A mounted client that
-// resolved a file cannot be destroyed (the file holds the mount), so the
-// delegation is granted through a raw kOpen that names a callback service
-// nobody registered.
+// recall: the change goes through on its first try. The holder is a
+// delegated mount that opened the file, then was destroyed with it.
 TEST_F(CompoundDfsTest, AHolderWhoseClientIsGoneIsDroppedAtTheRecall) {
   Seed("orphan", "x");
-  Result<dfs::LookupResponse> looked = dfs::Reply<dfs::LookupResponse>(
-      Raw(dfs::Op::kLookup, dfs::Encode(dfs::PathRequest{"orphan"})));
-  ASSERT_TRUE(looked.ok());
-  dfs::OpenRequest open;
-  open.handle = looked->handle;
-  open.want_delegation = dfs::DelegationKind::kRead;
-  open.node = "client1";
-  open.service = "dfs-cb-destroyed";
-  Result<dfs::OpenResponse> opened = dfs::Reply<dfs::OpenResponse>(
-      Raw(dfs::Op::kOpen, dfs::Encode(open)));
-  ASSERT_TRUE(opened.ok());
-  ASSERT_NE(opened->deleg_id, 0u);
+  wp<DfsClient> gone;
+  {
+    sp<DfsClient> holder = MountWith(client_node_, DelegatedOptions());
+    ASSERT_TRUE(ResolveAs<File>(holder, "orphan", sys_).ok());
+    ASSERT_EQ(metrics::StatValue(*holder, "delegations_held"), 1u);
+    gone = holder;
+  }
+  ASSERT_TRUE(gone.expired()) << "the mount and its file were destroyed";
+  ASSERT_EQ(metrics::StatValue(*server_, "delegations_granted"), 1u);
 
   sp<DfsClient> writer = MountWith(client2_node_, dfs::DfsClientOptions{});
   sp<File> file = *ResolveAs<File>(writer, "orphan", sys_);

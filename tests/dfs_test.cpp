@@ -6,6 +6,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/layers/cfs/cfs_layer.h"
 #include "src/layers/compfs/comp_layer.h"
@@ -497,12 +499,10 @@ TEST_F(DfsTest, RetriesExhaustedSurfaceAsErrorNotHang) {
 }
 
 TEST_F(DfsTest, ServerDeathSurfacesAsDeadObjectNotHang) {
-  // No writes/mappings here: bound caches would hold the server alive via
-  // its CacheManager registrations. A freshly created file keeps the
-  // server droppable.
   sp<File> file = *client_->CreateFile(*Name::Parse("orphan"), sys_);
 
-  server_.reset();  // the exporting server dies; its service leaves a tombstone
+  // The exporting server dies; its service answers kDeadObject.
+  server_.reset();
 
   // Calls against the dead server fail with kDeadObject after a bounded
   // number of retries (a replacement server could have taken the service
@@ -795,6 +795,125 @@ TEST_F(CfsTest, AttrInvalidationCallback) {
   EXPECT_GE(metrics::StatValue(*cfs_, "attr_invalidations"), 1u);
   // CFS refetches: the new size is visible.
   EXPECT_EQ(file->Stat()->size, 100u);
+}
+
+// --- lifetime: a dropped world frees what it cached ---
+
+// The server's count of remote caches it tracks (kGetHealth's
+// leases_active).
+uint64_t ServerHolders(net::Network& network, const std::string& from) {
+  Result<dfs::HealthResponse> health = dfs::Reply<dfs::HealthResponse>(
+      network.Call(from, "server", "dfs",
+                   dfs::RequestFrame(dfs::Op::kGetHealth, dfs::Empty{})));
+  EXPECT_TRUE(health.ok()) << health.status().ToString();
+  return health.ok() ? health->leases_active : ~uint64_t{0};
+}
+
+// Dropping every user reference to a server, its SFS, two mounts (one of
+// them delegated), their files and their VMM mappings destroys all of
+// them: no reference cycle keeps a layer, a file or a channel alive. The
+// metrics registry is back to the providers it had before the world.
+TEST(DfsLifetime, ADroppedWorldIsDestroyed) {
+  Credentials sys = Credentials::System();
+  FakeClock clock;
+  net::Network network(&clock, 1000);
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  sp<net::Node> server_node = network.AddNode("server");
+  std::vector<sp<net::Node>> nodes = {network.AddNode("client0"),
+                                      network.AddNode("client1")};
+  // The nodes' domains stay with the network; everything else goes.
+  size_t providers = metrics::Registry::Global().NumProviders();
+  std::vector<std::pair<std::string, std::weak_ptr<void>>> weak;
+  {
+    Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+    sp<DfsServer> server = *DfsServer::Create(server_node, &network, "dfs",
+                                              sfs.root, &clock);
+    {
+      sp<File> file = *sfs.root->CreateFile(*Name::Parse("shared"), sys);
+      Buffer data(std::string(2 * kPageSize, 's'));
+      ASSERT_TRUE(file->Write(0, data.span()).ok());
+      ASSERT_TRUE(file->SyncFile().ok());
+      weak.push_back({"an SFS file", file});
+    }
+    weak.push_back({"the SFS coherency layer", sfs.coherency});
+    weak.push_back({"the SFS disk layer", sfs.disk});
+    weak.push_back({"the server", server});
+
+    dfs::DfsClientOptions delegated;
+    delegated.compound = true;
+    delegated.delegations = true;
+    std::vector<sp<DfsClient>> mounts;
+    std::vector<sp<Vmm>> vmms;
+    std::vector<sp<MappedRegion>> regions;
+    for (int c = 0; c < 2; ++c) {
+      const sp<net::Node>& node = nodes[c];
+      sp<DfsClient> mount =
+          *DfsClient::Mount(node, &network, "server", "dfs", &clock,
+                            c == 0 ? delegated : dfs::DfsClientOptions{});
+      sp<File> file = *ResolveAs<File>(mount, "shared", sys);
+      sp<Vmm> vmm = Vmm::Create(node->domain(), "vmm" + std::to_string(c));
+      sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadWrite);
+      Buffer page(kPageSize);
+      ASSERT_TRUE(region->Read(0, page.mutable_span()).ok());
+      weak.push_back({"mount " + std::to_string(c), mount});
+      weak.push_back({"mount session " + std::to_string(c), mount->session()});
+      weak.push_back({"remote file " + std::to_string(c), file});
+      weak.push_back({"vmm " + std::to_string(c), vmm});
+      weak.push_back({"mapping " + std::to_string(c), region});
+      mounts.push_back(std::move(mount));
+      vmms.push_back(std::move(vmm));
+      regions.push_back(std::move(region));
+    }
+    EXPECT_EQ(metrics::StatValue(*mounts[0], "delegations_held"), 1u);
+    // A mapped write on one client recalls the other's page.
+    Buffer data(std::string(kPageSize, 'w'));
+    ASSERT_TRUE(regions[1]->Write(0, data.span()).ok());
+    ASSERT_TRUE(regions[1]->Sync().ok());
+    Buffer page(kPageSize);
+    ASSERT_TRUE(regions[0]->Read(0, page.mutable_span()).ok());
+    EXPECT_EQ(page.ToString(), data.ToString());
+  }
+  for (const auto& [what, ref] : weak) {
+    EXPECT_TRUE(ref.expired()) << what << " outlived every user reference";
+  }
+  EXPECT_EQ(metrics::Registry::Global().NumProviders(), providers);
+}
+
+// A cache manager that goes away closes its channels: a destroyed VMM's
+// mapping of a DFS file is unbound at the server with one kUnbindCache,
+// so the server holds no cache for it and a later change calls nobody.
+TEST(DfsLifetime, ADestroyedVmmUnbindsItsCacheAtTheServer) {
+  Credentials sys = Credentials::System();
+  FakeClock clock;
+  net::Network network(&clock, 1000);
+  MemBlockDevice device(ufs::kBlockSize, 4096);
+  Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+  sp<DfsServer> server = *DfsServer::Create(network.AddNode("server"),
+                                            &network, "dfs", sfs.root, &clock);
+  sp<net::Node> node = network.AddNode("client");
+  sp<DfsClient> mount = *DfsClient::Mount(node, &network, "server", "dfs",
+                                          &clock);
+  sp<File> file = *mount->CreateFile(*Name::Parse("mapped"), sys);
+  Buffer data(std::string(kPageSize, 'm'));
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+
+  wp<Vmm> gone;
+  {
+    sp<Vmm> vmm = Vmm::Create(node->domain(), "vmm");
+    sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadOnly);
+    Buffer page(kPageSize);
+    ASSERT_TRUE(region->Read(0, page.mutable_span()).ok());
+    ASSERT_EQ(ServerHolders(network, "client"), 1u);
+    gone = vmm;
+  }
+  uint64_t unbinds = metrics::StatValue(network, "calls/unbindcache");
+  ASSERT_TRUE(gone.expired());
+  EXPECT_EQ(unbinds, 1u);
+  EXPECT_EQ(ServerHolders(network, "client"), 0u);
+
+  uint64_t callbacks = metrics::StatValue(*server, "callbacks_sent");
+  ASSERT_TRUE(file->Write(0, data.span()).ok());
+  EXPECT_EQ(metrics::StatValue(*server, "callbacks_sent"), callbacks);
 }
 
 }  // namespace

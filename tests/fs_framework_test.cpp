@@ -261,9 +261,9 @@ TEST(BindBelowTest, ReturnsThePagerTheExchangeHandedOver) {
   FakeClock clock;
   sp<MemFile> file = MemFile::Create(Domain::Create("mem"), &clock);
   auto cache = std::make_shared<PlainManager::PlainCache>();
-  Result<sp<PagerObject>> pager = BindBelow(*file, cache, 7, "test");
-  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-  EXPECT_NE(*pager, nullptr);
+  Result<sp<OneChannelManager>> channel = BindBelow(*file, cache, 7, "test");
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  EXPECT_NE((*channel)->pager(), nullptr);
 
   SilentObject silent;
   EXPECT_EQ(BindBelow(silent, cache, 7, "test").code(),

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/layers/sfs/sfs.h"
 #include "src/support/rng.h"
@@ -469,6 +472,57 @@ TEST(SfsUncachedTest, UncachedStackIsStillCoherent) {
   ASSERT_TRUE(w->Write(0, data.span()).ok());
   ASSERT_TRUE(r->Read(0, out.mutable_span()).ok());
   EXPECT_EQ(out.ToString(), "sync");
+}
+
+// Dropping an SFS and everything from it destroys its layers and files.
+// A file held past its layers keeps working (the layers' handles go, the
+// state the file needs stays), and dropping it last unmounts the UFS,
+// whose image then holds what the file wrote.
+TEST(SfsLifetime, ADroppedSfsIsDestroyedAndAHeldFileKeepsWorking) {
+  Credentials sys = Credentials::System();
+  FakeClock clock;
+  MemBlockDevice device(ufs::kBlockSize, 2048);
+  sp<Domain> app = Domain::Create("app");
+  size_t providers = metrics::Registry::Global().NumProviders();
+  std::vector<std::pair<std::string, std::weak_ptr<void>>> weak;
+  sp<File> held;
+  {
+    Sfs sfs = *CreateSfs(&device, SfsOptions{}, &clock);
+    held = *sfs.root->CreateFile(*Name::Parse("kept"), sys);
+    Buffer before(std::string(kPageSize, 'b'));
+    ASSERT_TRUE(held->Write(0, before.span()).ok());
+
+    sp<File> mapped = *sfs.root->CreateFile(*Name::Parse("mapped"), sys);
+    ASSERT_TRUE(mapped->Write(0, before.span()).ok());
+    sp<Vmm> vmm = Vmm::Create(app, "vmm");
+    sp<MappedRegion> region = *vmm->Map(mapped, AccessRights::kReadWrite);
+    Buffer page(kPageSize);
+    ASSERT_TRUE(region->Read(0, page.mutable_span()).ok());
+    weak.push_back({"the coherency layer", sfs.coherency});
+    weak.push_back({"the disk layer", sfs.disk});
+    weak.push_back({"a file", mapped});
+    weak.push_back({"the disk layer's file", ResolveAs<File>(sfs.disk,
+                                                             "mapped", sys)
+                                                 .value()});
+    weak.push_back({"a vmm", vmm});
+  }
+  for (const auto& [what, ref] : weak) {
+    EXPECT_TRUE(ref.expired()) << what << " outlived every user reference";
+  }
+
+  Buffer after(std::string(kPageSize, 'a'));
+  ASSERT_TRUE(held->Write(kPageSize, after.span()).ok());
+  ASSERT_TRUE(held->SyncFile().ok());
+  Buffer page(kPageSize);
+  ASSERT_EQ(*held->Read(kPageSize, page.mutable_span()), kPageSize);
+  EXPECT_EQ(page.ToString(), after.ToString());
+  held.reset();
+  EXPECT_EQ(metrics::Registry::Global().NumProviders(), providers);
+
+  Result<std::unique_ptr<ufs::Ufs>> fs = ufs::Ufs::Mount(&device);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  ufs::InodeNum ino = *(*fs)->Lookup(ufs::kRootInode, "kept");
+  EXPECT_EQ((*fs)->GetAttrs(ino)->size, 2 * kPageSize);
 }
 
 }  // namespace

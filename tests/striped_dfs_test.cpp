@@ -298,7 +298,6 @@ struct StripedWorld {
   std::vector<Sfs> stores;  // [0..width-1] data, [width] metadata
   std::vector<Sfs> remounted;  // stores over device copies (RemountCopy)
   std::vector<sp<DfsServer>> data_servers;
-  std::vector<sp<DfsServer>> retired_servers;  // see chaos_dfs_test.cpp
   sp<DfsServer> mds;
   FaultyBlockDevice* mds_faults = nullptr;  // devices[width]
   GatedDevice* mds_device = nullptr;        // under mds_faults
@@ -336,19 +335,24 @@ struct StripedWorld {
                                       "dfs-meta", &clock);
   }
 
+  // Puts `successor` in `server`'s place; the predecessor is destroyed.
+  static void Replace(sp<DfsServer>& server, sp<DfsServer> successor) {
+    wp<DfsServer> predecessor = server;
+    server = std::move(successor);
+    EXPECT_TRUE(predecessor.expired()) << "the replaced server outlived it";
+  }
+
   // Replaces data server k with a fresh instance over the same store (new
-  // boot epoch, fresh handle space). The predecessor is retired, not
-  // destroyed: its tombstone would stamp the successor's service.
+  // boot epoch, fresh handle space).
   void RestartDataServer(size_t k) {
-    retired_servers.push_back(data_servers[k]);
-    data_servers[k] = *DfsServer::Create(data_nodes[k], network.get(),
-                                         "dfs-data", stores[k].root, &clock);
+    Replace(data_servers[k],
+            *DfsServer::Create(data_nodes[k], network.get(), "dfs-data",
+                               stores[k].root, &clock));
   }
 
   // Fails data server k the hard way: partitions its node, so every frame
-  // to it completes kConnectionLost immediately. (Destroying the instance
-  // would not do — the store's cache bindings keep it alive — and the
-  // network's view of dead is what the client sees either way.)
+  // to it completes kConnectionLost immediately (the network's view of
+  // dead, which is what the client sees).
   void KillDataServer(size_t k) {
     network->SetPartitioned(data_nodes[k]->name(), true);
   }
@@ -364,9 +368,8 @@ struct StripedWorld {
   // an MDS failover. Stripe maps are re-derived on demand (durable object
   // names + the staleness sidecar), so the successor needs no warm state.
   void RestartMds() {
-    retired_servers.push_back(mds);
-    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta",
-                             stores.back().root, &clock, mds_options);
+    Replace(mds, *DfsServer::Create(mds_node, network.get(), "dfs-meta",
+                                    stores.back().root, &clock, mds_options));
   }
 
   // Server k's device (k == width: the metadata server's) as a power
@@ -391,18 +394,16 @@ struct StripedWorld {
   // its device.
   void PowerFailMds() {
     sp<StackableFs> store = RemountCopy(data_nodes.size());
-    retired_servers.push_back(mds);
-    mds = *DfsServer::Create(mds_node, network.get(), "dfs-meta", store,
-                             &clock, mds_options);
+    Replace(mds, *DfsServer::Create(mds_node, network.get(), "dfs-meta",
+                                    store, &clock, mds_options));
   }
 
   // A power failure of data server k: a successor over a copy of its
   // device.
   void PowerFailDataServer(size_t k) {
     sp<StackableFs> store = RemountCopy(k);
-    retired_servers.push_back(data_servers[k]);
-    data_servers[k] = *DfsServer::Create(data_nodes[k], network.get(),
-                                         "dfs-data", store, &clock);
+    Replace(data_servers[k], *DfsServer::Create(data_nodes[k], network.get(),
+                                                "dfs-data", store, &clock));
   }
 
   // Reads lane `lane`'s stripe object on data server k through its own
@@ -981,6 +982,100 @@ TEST(StripedDfsReplicated, PartitionedReplicaIsReportedAndWriteDegrades) {
     EXPECT_EQ(std::memcmp(mirror.data(), primary.data(), primary.size()), 0)
         << "target " << t;
   }
+}
+
+// Two outages in a row must not leave a stripe with no fresh replica. At
+// width 3, R=2, targets 0 and 1 hold both copies of the stripes whose
+// primary is target 0: once data1 is marked stale, marking data0 as well
+// would strand them. That second mark is refused, so the write fails
+// instead of completing on no copy, and after both partitions heal every
+// byte reads back and a rebuild brings data1 up to date.
+TEST(StripedDfsReplicated, ASecondOutageCannotStaleAStripesLastReplica) {
+  StripedWorld world(3, /*replicas=*/2);
+  sp<File> file = *world.client->CreateStriped("f");
+  Buffer data(6 * kSS);
+  Rng rng(47);
+  Buffer fill = rng.RandomBuffer(data.size());
+  std::memcpy(data.data(), fill.data(), data.size());
+  ASSERT_EQ(*file->Write(0, data.span()), data.size());
+  ASSERT_TRUE(file->SyncFile().ok());
+
+  world.network->SetPartitioned("data1", true);
+  Buffer patch = PatternPage(0x71);
+  for (size_t p = 0; p < 6; ++p) {
+    ASSERT_EQ(*file->Write(p * kSS, patch.span()), patch.size()) << p;
+    std::memcpy(data.data() + p * kSS, patch.data(), patch.size());
+  }
+  EXPECT_EQ(metrics::StatValue(*world.mds, "stripe_replicas_marked_stale"),
+            1u);
+
+  world.network->SetPartitioned("data0", true);
+  Buffer second = PatternPage(0x72);
+  EXPECT_FALSE(file->Write(0, second.span()).ok())
+      << "no fresh replica would be left for stripe 0";
+  EXPECT_EQ(metrics::StatValue(*world.mds, "stripe_replicas_marked_stale"),
+            1u);
+
+  world.network->SetPartitioned("data0", false);
+  world.network->SetPartitioned("data1", false);
+  for (size_t p = 0; p < 6; ++p) {
+    Buffer page(kSS);
+    Result<size_t> n = file->Read(p * kSS, page.mutable_span());
+    ASSERT_TRUE(n.ok()) << "page " << p << ": " << n.status().ToString();
+    EXPECT_EQ(std::memcmp(page.data(), data.data() + p * kSS, kSS), 0) << p;
+  }
+  EXPECT_EQ(*world.mds->RunRebuildPass(), 1u);
+
+  sp<StripedDfsClient> fresh = *StripedDfsClient::Mount(
+      world.client2_node, world.network.get(), "mds", "dfs-meta",
+      &world.clock);
+  sp<File> reread = *fresh->OpenStriped("f");
+  Buffer back(data.size());
+  ASSERT_EQ(*reread->Read(0, back.mutable_span()), data.size());
+  EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size()), 0);
+}
+
+// Dropping a striped mount and everything from it destroys the mount, its
+// metadata mount, its data mounts (each a session with its own callback
+// service and counters) and its files, also after a VMM mapped one
+// through the lanes' cache registrations.
+TEST(StripedDfsReplicated, ADroppedStripedMountIsDestroyed) {
+  StripedWorld world(3, /*replicas=*/2);
+  size_t providers = metrics::Registry::Global().NumProviders();
+  std::vector<std::pair<std::string, std::weak_ptr<void>>> weak;
+  {
+    sp<StripedDfsClient> striped = *StripedDfsClient::Mount(
+        world.client2_node, world.network.get(), "mds", "dfs-meta",
+        &world.clock);
+    sp<File> file = *striped->CreateStriped("mapped");
+    Buffer data(6 * kSS);
+    Rng rng(53);
+    Buffer fill = rng.RandomBuffer(data.size());
+    std::memcpy(data.data(), fill.data(), data.size());
+    ASSERT_EQ(*file->Write(0, data.span()), data.size());
+    ASSERT_TRUE(file->SyncFile().ok());
+    {
+      sp<File> dropped = *striped->CreateStriped("dropped");
+      ASSERT_EQ(*dropped->Write(0, data.span()), data.size());
+      weak.push_back({"a file its user dropped", dropped});
+    }
+    sp<Vmm> vmm = Vmm::Create(world.client2_node->domain(), "vmm");
+    sp<MappedRegion> region = *vmm->Map(file, AccessRights::kReadWrite);
+    Buffer page(kPageSize);
+    ASSERT_TRUE(region->Read(0, page.mutable_span()).ok());
+    EXPECT_EQ(std::memcmp(page.data(), data.data(), kPageSize), 0);
+    weak.push_back({"the striped mount", striped});
+    weak.push_back({"the metadata mount", striped->meta()});
+    weak.push_back({"the metadata session", striped->meta()->session()});
+    weak.push_back({"a striped file", file});
+    weak.push_back({"the vmm", vmm});
+    weak.push_back({"the mapping", region});
+  }
+  for (const auto& [what, ref] : weak) {
+    EXPECT_TRUE(ref.expired()) << what << " outlived every user reference";
+  }
+  EXPECT_EQ(metrics::Registry::Global().NumProviders(), providers)
+      << "a data mount or the striped session is still registered";
 }
 
 TEST(StripedDfsReplicated, MdsFailoverIsAbsorbedAndStalenessSurvivesIt) {
